@@ -6,7 +6,6 @@ or schedule rejected, 4 I/O failure.
 """
 
 import argparse
-import concurrent.futures
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -115,13 +114,19 @@ def parse_config(doc):
         errors.append("problem: required object with a 'name'")
     else:
         name = problem_spec.get("name")
+        params = problem_spec.get("params")
+        seed = problem_spec.get("seed")
         if name not in problem_names():
             errors.append(f"problem.name: unknown problem {name!r}")
+        elif params is not None and not isinstance(params, dict):
+            errors.append("problem.params: must be an object")
+        elif seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)
+                                   or seed < 0):
+            errors.append(f"problem.seed: must be a non-negative integer, got {seed!r}")
         else:
             try:
-                instance = make_problem(name, problem_spec.get("params"),
-                                        problem_spec.get("seed"))
-            except RelosplitError as exc:
+                instance = make_problem(name, params, seed)
+            except (RelosplitError, KeyError, TypeError, ValueError) as exc:
                 errors.append(f"problem.params: {exc}")
 
     algorithm = doc.get("algorithm")
@@ -136,12 +141,14 @@ def parse_config(doc):
             errors.append(
                 f"problem: dr2 needs exactly 2 operators, got {instance.n_ops}"
             )
-    elif algorithm == "mt":
-        if theta is None or not 0.0 < float(theta) < 1.0:
-            errors.append("theta: theta must lie in (0,1)")
-    elif algorithm == "graph":
-        if theta is None or not 0.0 < float(theta) < 2.0:
-            errors.append("theta: theta must lie in (0,2)")
+    elif algorithm in ("mt", "graph"):
+        upper = 1 if algorithm == "mt" else 2
+        try:
+            valid = theta is not None and 0.0 < float(theta) < upper
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            errors.append(f"theta: theta must lie in (0,{upper})")
 
     graph_spec = doc.get("graph")
     if algorithm == "graph":
@@ -311,16 +318,9 @@ def _cmd_run(args):
             return code
         configs.append(cfg)
 
-    def one(cfg):
-        return execute_experiment(cfg, trace_out=args.trace_out,
+    return max(execute_experiment(cfg, trace_out=args.trace_out,
                                   summary_out=args.summary_out, seed=args.seed)
-
-    if args.jobs > 1 and len(configs) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            codes = list(pool.map(one, configs))
-    else:
-        codes = [one(cfg) for cfg in configs]
-    return max(codes)
+               for cfg in configs)
 
 
 def _cmd_validate_schedule(args):
@@ -374,8 +374,6 @@ def build_parser():
     p_run.add_argument("configs", nargs="+", metavar="config.json")
     p_run.add_argument("--trace-out", help="override the trace CSV path")
     p_run.add_argument("--summary-out", help="override the summary JSON path")
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="run independent configs concurrently")
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the problem seed")
     p_run.set_defaults(func=_cmd_run)

@@ -12,16 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import (
-    STATUS_CONVERGED,
-    STATUS_DIVERGED,
-    STATUS_MAX_ITERS,
-    STATUS_SCHEDULE_REJECTED,
-    ConvergenceTrace,
-    OperatorFamily,
-    PositiveIncrementMonitor,
-    Relocator,
-)
+from .driver import OperatorFamily, Relocator, relocated_loop
 from .errors import CertificateError, DimensionError, ParameterError
 from .linalg import as_vector
 from .operators import MonotoneOperator, inclusion_residual
@@ -153,58 +144,31 @@ def algorithm1_run(problem, schedule, x0, stop, solution_residual=None,
 
     Matches the naive composition Q_{gamma_{n+1}<-gamma_n} T_{gamma_n} applied
     by run_relocated, but reuses z_{n+1} = J_{gamma_n A} w_n both inside the
-    relocation and as the next sweep's resolvent of A. The trace records the
-    governing x_n, the shadow z_n (also the monitored point), and y_n, w_n.
+    relocation and, by the scaling identity J_{gamma A} w_n =
+    J_{delta A} x_{n+1}, as the next step's resolvent of A. An adaptive
+    schedule evaluates that resolvent for its feedback, so its stopping
+    iteration pays one resolvent of A that no step uses. The trace records
+    the governing x_n, the shadow z_n (also the monitored point), and y_n, w_n.
     """
-    schedule.reset()
-    trace = ConvergenceTrace()
-    gamma = schedule.gamma_at(0)
-    x = as_vector(x0)
-    if gamma <= 0 or not np.isfinite(gamma):
-        trace.status = STATUS_SCHEDULE_REJECTED
-        trace.final_x = x
-        return trace
-    monitor = PositiveIncrementMonitor(gamma, pos_increment_budget)
+    op_a, op_b = problem.op_a, problem.op_b
 
-    z = problem.op_a.resolvent(gamma, x)
-    for n in range(stop.max_iters + 1):
-        y = problem.op_b.resolvent(gamma, 2.0 * z - x)
+    def step(gamma, x, z):
+        if z is None:
+            z = op_a.resolvent(gamma, x)
+        y = op_b.resolvent(gamma, 2.0 * z - x)
         w = x - z + y
-        residual = float(np.linalg.norm(x - w))
-        sol = solution_residual(z) if solution_residual is not None else None
-        trace.record(gamma, residual, sol, point=z, iterate=x,
-                     vectors={"z": z, "y": y, "w": w})
+        return w, {"shadow": z, "vectors": {"z": z, "y": y, "w": w}}
 
-        gamma_next = None
-        z_next = None
-        settled = True
-        if n < stop.max_iters:
-            feedback = None
-            if schedule.is_adaptive:
-                z_next = problem.op_a.resolvent(gamma, w)
-                feedback = (z_next, w)
-            gamma_next = schedule.gamma_at(n + 1, feedback=feedback)
-            if gamma_next <= 0 or not np.isfinite(gamma_next):
-                trace.status = STATUS_SCHEDULE_REJECTED
-                break
-            settled = stop.settled(gamma, gamma_next)
-        if residual <= stop.residual_tol and settled:
-            trace.status = STATUS_CONVERGED
-            break
-        if n == stop.max_iters:
-            trace.status = STATUS_MAX_ITERS
-            break
-        trace.sum_pos_increments = monitor.update(gamma, gamma_next)
+    def feedback(gamma, w):
+        z = op_a.resolvent(gamma, w)
+        return (z, w), z
 
-        if z_next is None:
-            z_next = problem.op_a.resolvent(gamma, w)
-        ratio = gamma_next / gamma
-        x = ratio * w + (1.0 - ratio) * z_next
-        if not np.all(np.isfinite(x)):
-            trace.status = STATUS_DIVERGED
-            break
-        z = z_next
-        gamma = gamma_next
+    def relocate(gamma, delta, w, z):
+        if z is None:
+            z = op_a.resolvent(gamma, w)
+        ratio = delta / gamma
+        return ratio * w + (1.0 - ratio) * z, z
 
-    trace.final_x = x
-    return trace
+    return relocated_loop(step, relocate, feedback, schedule, as_vector(x0), stop,
+                          solution_residual=solution_residual,
+                          pos_increment_budget=pos_increment_budget)

@@ -45,7 +45,8 @@ class PositiveIncrementMonitor:
                 f"positive stepsize increments exceeded budget {self.budget:.3e}; "
                 "the schedule may not satisfy the summability condition",
                 ScheduleBudgetWarning,
-                stacklevel=3,
+                # update <- relocated_loop <- runner <- the runner's caller
+                stacklevel=4,
             )
         return self.total
 
@@ -84,8 +85,8 @@ class StopRule:
     max_iters: int
 
     def __post_init__(self):
-        if self.residual_tol <= 0:
-            raise ParameterError("residual_tol must be positive")
+        if not math.isfinite(self.residual_tol) or self.residual_tol <= 0:
+            raise ParameterError("residual_tol must be positive and finite")
         if self.max_iters < 1:
             raise ParameterError("max_iters must be >= 1")
 
@@ -266,16 +267,26 @@ class ConvergenceTrace:
                 emit(fh)
 
 
-def run_relocated(family, relocator, schedule, x0, stop, solution_residual=None,
-                  anchor0=None, pos_increment_budget=None):
-    """Run the relocated fixed-point iteration until the stop rule fires.
+def relocated_loop(step, relocate, feedback, schedule, x0, stop,
+                   solution_residual=None, anchor0=None, relocator=None,
+                   pos_increment_budget=None):
+    """The relocated iteration x_{n+1} = Q_{g_{n+1}<-g_n} T_{g_n} x_n.
 
-    solution_residual, when given, is called on the shadow point (or the
-    iterate itself when the family has no shadow) and recorded per iteration.
-    anchor0, when given, must be a fixed point of T_{gamma_0}; it is relocated
-    alongside the run and the distances ||x_n - c_n|| are recorded together
-    with the relocator bounds, mirroring the decrease inequality of the
-    convergence proof.
+    Every runner is this loop plus three hooks:
+
+    * step(gamma, x, carry) -> (T_gamma x, aux). aux may name the monitored
+      "shadow" point and extra "scalars"/"vectors" to record. carry is what
+      the previous relocate handed on (None at n = 0).
+    * feedback(gamma, w) -> (pair, pre), called only for adaptive schedules:
+      pair is the (z, w_ref) fed to the schedule, pre the resolvent of w
+      that it evaluated, passed on to relocate (None otherwise).
+    * relocate(gamma, delta, w, pre) -> (x_next, carry). It may reuse pre,
+      and may hand the next step a resolvent it has already evaluated.
+
+    solution_residual is called on the shadow (or on x when the step has
+    none). anchor0, a fixed point of T_{gamma_0}, is moved by relocator
+    alongside the run and ||x_n - c_n|| is recorded with the relocator
+    bounds, mirroring the decrease inequality of the convergence proof.
     """
     schedule.reset()
     gamma = schedule.gamma_at(0)
@@ -288,28 +299,29 @@ def run_relocated(family, relocator, schedule, x0, stop, solution_residual=None,
 
     x = x0
     anchor = anchor0
+    carry = None
     for n in range(stop.max_iters + 1):
-        w, aux = family.apply(gamma, x)
+        w, aux = step(gamma, x, carry)
         residual = ambient_norm(x - w)
         shadow = aux.get("shadow")
         monitored = shadow if shadow is not None else x
         sol = None
         if solution_residual is not None:
             sol = solution_residual(monitored)
-        scalars = {}
+        scalars = aux.get("scalars")
         if anchor is not None:
-            scalars["anchor_distance"] = ambient_norm(x - anchor)
+            scalars = {**(scalars or {}), "anchor_distance": ambient_norm(x - anchor)}
         trace.record(gamma, residual, sol, point=ambient_flat(monitored),
-                     iterate=x, scalars=scalars or None)
+                     iterate=x, scalars=scalars, vectors=aux.get("vectors"))
 
         gamma_next = None
+        pre = None
         settled = True
         if n < stop.max_iters:
-            feedback = None
+            pair = None
             if schedule.is_adaptive:
-                z_fb, w_fb = family.feedback(gamma, w)
-                feedback = (ambient_flat(z_fb), ambient_flat(w_fb))
-            gamma_next = schedule.gamma_at(n + 1, feedback=feedback)
+                pair, pre = feedback(gamma, w)
+            gamma_next = schedule.gamma_at(n + 1, feedback=pair)
             if gamma_next <= 0 or not np.isfinite(gamma_next):
                 trace.status = STATUS_SCHEDULE_REJECTED
                 break
@@ -327,7 +339,7 @@ def run_relocated(family, relocator, schedule, x0, stop, solution_residual=None,
             trace.extra_scalars.setdefault("relocator_bound", []).append(bound)
             anchor = relocator.apply(gamma, gamma_next, anchor)
 
-        x = relocator.apply(gamma, gamma_next, w)
+        x, carry = relocate(gamma, gamma_next, w, pre)
         if not ambient_isfinite(x):
             trace.status = STATUS_DIVERGED
             break
@@ -335,6 +347,27 @@ def run_relocated(family, relocator, schedule, x0, stop, solution_residual=None,
 
     trace.final_x = x
     return trace
+
+
+def run_relocated(family, relocator, schedule, x0, stop, solution_residual=None,
+                  anchor0=None, pos_increment_budget=None):
+    """Run the naive relocated composition of a family and a relocator.
+
+    Every step evaluates T_gamma and Q in full and reuses nothing; the
+    efficient runners are checked against it. solution_residual and anchor0
+    are as in relocated_loop.
+    """
+
+    def feedback(gamma, w):
+        z_fb, w_fb = family.feedback(gamma, w)
+        return (ambient_flat(z_fb), ambient_flat(w_fb)), None
+
+    return relocated_loop(
+        lambda gamma, x, carry: family.apply(gamma, x),
+        lambda gamma, delta, w, pre: (relocator.apply(gamma, delta, w), None),
+        feedback, schedule, x0, stop, solution_residual=solution_residual,
+        anchor0=anchor0, relocator=relocator,
+        pos_increment_budget=pos_increment_budget)
 
 
 @dataclass

@@ -22,16 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import (
-    STATUS_CONVERGED,
-    STATUS_DIVERGED,
-    STATUS_MAX_ITERS,
-    STATUS_SCHEDULE_REJECTED,
-    ConvergenceTrace,
-    OperatorFamily,
-    PositiveIncrementMonitor,
-    Relocator,
-)
+from .driver import OperatorFamily, Relocator, relocated_loop
 from .errors import (
     ConsistencyError,
     ConstructionError,
@@ -359,6 +350,13 @@ def consensus_point(z):
     return z.data.mean(axis=0)
 
 
+def at_consensus(solution_residual):
+    """solution_residual composed with consensus_point; None stays None."""
+    if solution_residual is None:
+        return None
+    return lambda z: solution_residual(consensus_point(z))
+
+
 def graph_family(ops, g, theta):
     """The graph-DR operators as a driver family (theta/2-averaged)."""
 
@@ -389,74 +387,40 @@ def graph_relocated_run(ops, g, theta, schedule, x0, stop, solution_residual=Non
     """Relocated graph-DR run.
 
     Per iteration: one sweep for the operator step and, when the stepsize
-    actually changes, a second sweep inside the relocation. The trace records
-    the consensus residual ||Z^T z_n|| and the per-block sweep points; the
-    solution residual, when requested, is evaluated at the blockwise mean of
-    the sweep.
+    actually changes, a second sweep inside the relocation. An adaptive
+    schedule pays that second sweep at every iteration, for its feedback,
+    and the relocation reuses it. The trace records the consensus residual
+    ||Z^T z_n|| and the per-block sweep points; the solution residual, when
+    requested, is evaluated at the blockwise mean of the sweep.
     """
     if not 0.0 < theta < 2.0:
         raise ParameterError(f"theta must lie in (0, 2), got {theta}")
     _check_ops(ops, g)
-    schedule.reset()
-    trace = ConvergenceTrace()
-    gamma = schedule.gamma_at(0)
-    x = _check_x(x0, g)
-    if gamma <= 0 or not np.isfinite(gamma):
-        trace.status = STATUS_SCHEDULE_REJECTED
-        trace.final_x = x
-        return trace
-    monitor = PositiveIncrementMonitor(gamma, pos_increment_budget)
     zdag = g.matrices.Zdag
     z_t = g.matrices.Z.T
 
-    for n in range(stop.max_iters + 1):
+    def step(gamma, x, carry):
         z = graph_z_sweep(ops, g, gamma, x)
         disagreement = kron_apply(z_t, z)
         w = x - theta * disagreement
-        residual = float((x - w).norm())
-        consensus = disagreement.norm()
-        sol = None
-        if solution_residual is not None:
-            sol = solution_residual(consensus_point(z))
-        trace.record(gamma, residual, sol, point=z.ravel(), iterate=x,
-                     scalars={"consensus_residual": consensus})
+        return w, {"shadow": z, "scalars": {"consensus_residual": disagreement.norm()}}
 
-        gamma_next = None
-        zw = None
-        settled = True
-        if n < stop.max_iters:
-            feedback = None
-            if schedule.is_adaptive:
-                zw = graph_z_sweep(ops, g, gamma, w)
-                feedback = (zw.block(0), w.block(0))
-            gamma_next = schedule.gamma_at(n + 1, feedback=feedback)
-            if gamma_next <= 0 or not np.isfinite(gamma_next):
-                trace.status = STATUS_SCHEDULE_REJECTED
-                break
-            settled = stop.settled(gamma, gamma_next)
-        if residual <= stop.residual_tol and settled:
-            trace.status = STATUS_CONVERGED
-            break
-        if n == stop.max_iters:
-            trace.status = STATUS_MAX_ITERS
-            break
-        trace.sum_pos_increments = monitor.update(gamma, gamma_next)
+    def feedback(gamma, w):
+        zw = graph_z_sweep(ops, g, gamma, w)
+        return (zw.block(0), w.block(0)), zw
 
-        ratio = gamma_next / gamma
+    def relocate(gamma, delta, w, zw):
+        ratio = delta / gamma
         if ratio == 1.0:
-            x = w
-        else:
-            if zw is None:
-                zw = graph_z_sweep(ops, g, gamma, w)
-            e = relocation_vector_e(g, zw)
-            x = ratio * w + (1.0 - ratio) * kron_apply(zdag, e)
-        if not np.all(np.isfinite(x.data)):
-            trace.status = STATUS_DIVERGED
-            break
-        gamma = gamma_next
+            return w, None
+        if zw is None:
+            zw = graph_z_sweep(ops, g, gamma, w)
+        e = relocation_vector_e(g, zw)
+        return ratio * w + (1.0 - ratio) * kron_apply(zdag, e), None
 
-    trace.final_x = x
-    return trace
+    return relocated_loop(step, relocate, feedback, schedule, _check_x(x0, g), stop,
+                          solution_residual=at_consensus(solution_residual),
+                          pos_increment_budget=pos_increment_budget)
 
 
 def _affine_parts(op):

@@ -12,18 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import (
-    STATUS_CONVERGED,
-    STATUS_DIVERGED,
-    STATUS_MAX_ITERS,
-    STATUS_SCHEDULE_REJECTED,
-    ConvergenceTrace,
-    OperatorFamily,
-    PositiveIncrementMonitor,
-    Relocator,
-)
+from .driver import OperatorFamily, Relocator, relocated_loop
 from .errors import DimensionError, ParameterError
-from .graphs import build_graph, consensus_point, graph_dr_apply
+from .graphs import at_consensus, build_graph, graph_dr_apply
 from .linalg import BlockVector
 from .operators import MonotoneOperator
 
@@ -166,72 +157,36 @@ def algorithm2_run(problem, schedule, x0, stop, solution_residual=None,
     The sweep's first entry is carried over from the previous relocation
     step (z_1 = J_{gamma_n A_1} w_n^1 doubles as J_{gamma_{n+1} A_1}
     x_{n+1}^1), so each iteration evaluates A_2..A_N in the sweep and A_1
-    in the update. Matches run_relocated with the cheap relocator
-    per-iterate.
+    in the update; an adaptive run's stopping iteration pays one more A_1
+    for its feedback. Matches run_relocated with the cheap relocator
+    per-iterate. The solution residual, when requested, is evaluated at
+    the blockwise mean of the sweep.
     """
-    schedule.reset()
-    trace = ConvergenceTrace()
-    gamma = schedule.gamma_at(0)
-    x = _check_x(problem, x0)
-    if gamma <= 0 or not np.isfinite(gamma):
-        trace.status = STATUS_SCHEDULE_REJECTED
-        trace.final_x = x
-        return trace
-    monitor = PositiveIncrementMonitor(gamma, pos_increment_budget)
+    ops, theta = problem.ops, problem.theta
     n_ops = problem.n_ops
-    theta = problem.theta
 
-    z1 = problem.ops[0].resolvent(gamma, x[0])
-    for n in range(stop.max_iters + 1):
+    def step(gamma, x, z1):
         z = _mt_sweep(problem, gamma, x, z1=z1)
-        zvec = BlockVector.from_blocks(z)
         shifts = np.stack([z[k + 1] - z[k] for k in range(n_ops - 1)])
         w = BlockVector(x.data + theta * shifts)
-        residual = float((x - w).norm())
-        consensus = float(np.linalg.norm(shifts))
-        sol = None
-        if solution_residual is not None:
-            sol = solution_residual(consensus_point(zvec))
-        trace.record(gamma, residual, sol, point=zvec.ravel(), iterate=x,
-                     scalars={"consensus_residual": consensus})
+        return w, {"shadow": BlockVector.from_blocks(z),
+                   "scalars": {"consensus_residual": float(np.linalg.norm(shifts))}}
 
-        gamma_next = None
-        z1_next = None
-        settled = True
-        if n < stop.max_iters:
-            feedback = None
-            if schedule.is_adaptive:
-                z1_next = problem.ops[0].resolvent(gamma, w[0])
-                feedback = (z1_next, w[0])
-            gamma_next = schedule.gamma_at(n + 1, feedback=feedback)
-            if gamma_next <= 0 or not np.isfinite(gamma_next):
-                trace.status = STATUS_SCHEDULE_REJECTED
-                break
-            settled = stop.settled(gamma, gamma_next)
-        if residual <= stop.residual_tol and settled:
-            trace.status = STATUS_CONVERGED
-            break
-        if n == stop.max_iters:
-            trace.status = STATUS_MAX_ITERS
-            break
-        trace.sum_pos_increments = monitor.update(gamma, gamma_next)
+    def feedback(gamma, w):
+        z1 = ops[0].resolvent(gamma, w[0])
+        return (z1, w[0]), z1
 
-        if z1_next is None:
-            z1_next = problem.ops[0].resolvent(gamma, w[0])
-        ratio = gamma_next / gamma
-        x1 = ratio * w[0] + (1.0 - ratio) * z1_next
-        blocks = [x1]
-        for i in range(1, n_ops - 1):
-            blocks.append(ratio * (w[i] - w[0]) + x1)
-        x = BlockVector.from_blocks(blocks)
-        if not np.all(np.isfinite(x.data)):
-            trace.status = STATUS_DIVERGED
-            break
-        z1 = z1_next
-        gamma = gamma_next
+    def relocate(gamma, delta, w, z1):
+        if z1 is None:
+            z1 = ops[0].resolvent(gamma, w[0])
+        ratio = delta / gamma
+        x1 = ratio * w[0] + (1.0 - ratio) * z1
+        blocks = [x1] + [ratio * (w[i] - w[0]) + x1 for i in range(1, n_ops - 1)]
+        return BlockVector.from_blocks(blocks), z1
 
-    trace.final_x = x
-    return trace
+    return relocated_loop(step, relocate, feedback, schedule, _check_x(problem, x0),
+                          stop, solution_residual=at_consensus(solution_residual),
+                          pos_increment_budget=pos_increment_budget)
 
 
 @dataclass

@@ -226,7 +226,7 @@ class TestMainEntry:
             path = tmp_path / f"cfg{i}.json"
             path.write_text(json.dumps(geometric_dr2_config(sub)))
             paths.append(str(path))
-        code = cli.main(["run", *paths, "--jobs", "2"])
+        code = cli.main(["run", *paths])
         assert code == 0
         assert (tmp_path / "run0" / "summary.json").exists()
         assert (tmp_path / "run1" / "summary.json").exists()
@@ -237,6 +237,26 @@ class TestMainEntry:
         code = cli.main(["run", str(path)])
         assert code == 1
         assert "problem" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"algorithm": "mt", "theta": "abc",
+          "problem": {"name": "affine_consensus", "params": {"count": 3, "dim": 2}}},
+         "theta:"),
+        ({"problem": {"name": "indicator_neglog", "params": [1, 2]}}, "problem.params:"),
+        ({"problem": {"name": "affine_random", "params": {"count": "abc"}}},
+         "problem.params:"),
+        ({"problem": {"name": "affine_random", "seed": "x"}}, "problem.seed:"),
+        ({"stop": {"residual_tol": float("nan"), "max_iters": 10}}, "stop:"),
+        ({"stop": {"residual_tol": float("inf"), "max_iters": 10}}, "stop:"),
+    ], ids=["theta", "params", "param-value", "seed", "tol-nan", "tol-inf"])
+    def test_run_malformed_field(self, tmp_path, capsys, overrides, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(minimal_dr2_config(**overrides)))
+        code = cli.main(["run", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{path}: {field}" in err
+        assert "Traceback" not in err
 
     def test_run_missing_file(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "nope.json")]) == 4

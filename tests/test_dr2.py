@@ -253,6 +253,17 @@ class TestAlgorithm1:
         assert op_b.calls == iterations + 1
         assert op_a.calls == iterations + 1
 
+    def test_adaptive_resolvent_counts(self, rng):
+        # the stop test of the last iteration needs one feedback resolvent of A
+        op_a = CountingOperator(random_affine(rng, 3))
+        op_b = CountingOperator(random_affine(rng, 3))
+        trace = dr2.algorithm1_run(dr2.DRProblem(op_a, op_b), sch.AdaptiveKappa(1.0),
+                                   rng.standard_normal(3),
+                                   StopRule(residual_tol=1e-10, max_iters=2000))
+        assert trace.status == "converged"
+        assert op_a.calls == trace.iterations + 2
+        assert op_b.calls == trace.iterations + 1
+
     def test_opial_surrogate(self):
         # distance to the limit fixed point settles: last-quarter oscillation
         problem = neglog_problem()

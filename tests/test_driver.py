@@ -148,8 +148,9 @@ class TestConvergenceTrace:
 
 class TestStopRule:
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            StopRule(residual_tol=0.0, max_iters=5)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                StopRule(residual_tol=tol, max_iters=5)
         with pytest.raises(ParameterError):
             StopRule(residual_tol=1e-6, max_iters=0)
 

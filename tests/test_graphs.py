@@ -11,7 +11,7 @@ from relosplit.errors import (
 )
 from relosplit.linalg import BlockVector
 from relosplit.malitsky_tam import mt_graph
-from relosplit.operators import AffineMonotone, NormalConePoint, Zero
+from relosplit.operators import AffineMonotone, CountingOperator, NormalConePoint, Zero
 
 
 def chorded_path(n=4):
@@ -298,17 +298,42 @@ class TestGraphRelocatedRun:
             assert np.linalg.norm(block - z_star) <= 1e-6
 
     def test_matches_generic_driver(self, rng):
-        g = mt_graph(4)
-        ops = affine_ops(rng, g)
-        schedule = sch.ExplicitList([2.0, 1.0, 1.4, 0.9, 1.0])
-        x0 = BlockVector(rng.standard_normal((3, 2)))
-        stop = StopRule(residual_tol=1e-14, max_iters=30)
-        direct = graphs.graph_relocated_run(ops, g, 0.8, schedule, x0, stop)
-        naive = run_relocated(graphs.graph_family(ops, g, 0.8),
-                              graphs.graph_relocator(ops, g), schedule, x0, stop)
-        assert len(direct.iterates) == len(naive.iterates)
-        for a, b in zip(direct.iterates, naive.iterates):
-            assert np.max(np.abs(a.data - b.data)) <= 1e-12
+        # the chorded path and the adaptive schedule reach the reuse of the
+        # feedback sweep inside the relocation
+        for g in (mt_graph(4), chorded_path(5)):
+            ops = affine_ops(rng, g)
+            x0 = BlockVector(rng.standard_normal((g.n_nodes - 1, 2)))
+            stop = StopRule(residual_tol=1e-14, max_iters=30)
+            for schedule in (sch.ExplicitList([2.0, 1.0, 1.4, 0.9, 1.0]),
+                             sch.AdaptiveKappa(1.0)):
+                direct = graphs.graph_relocated_run(ops, g, 0.8, schedule, x0, stop)
+                naive = run_relocated(graphs.graph_family(ops, g, 0.8),
+                                      graphs.graph_relocator(ops, g), schedule, x0, stop)
+                assert direct.status == naive.status
+                assert direct.gammas == naive.gammas
+                assert len(direct.iterates) == len(naive.iterates)
+                for a, b in zip(direct.iterates, naive.iterates):
+                    assert np.max(np.abs(a.data - b.data)) <= 1e-12
+
+    def test_resolvent_counts(self, rng):
+        # one sweep per iteration, plus one more per step that moves gamma;
+        # an adaptive run sweeps twice per iteration, the stopping one included
+        g = chorded_path(5)
+        stop = StopRule(residual_tol=1e-10, max_iters=3000)
+        for schedule in (sch.Constant(1.0),
+                         sch.GeometricToLimit(limit=1.0, start=2.0, ratio=0.9),
+                         sch.AdaptiveKappa(1.0)):
+            ops = [CountingOperator(op) for op in affine_ops(rng, g)]
+            trace = graphs.graph_relocated_run(ops, g, 1.0, schedule,
+                                               BlockVector.zeros(4, 2), stop)
+            assert trace.status == "converged"
+            iterations = trace.iterations
+            if schedule.is_adaptive:
+                expected = 2 * (iterations + 1)
+            else:
+                moves = sum(a != b for a, b in zip(trace.gammas, trace.gammas[1:]))
+                expected = iterations + 1 + moves
+            assert [op.calls for op in ops] == [expected] * g.n_nodes
 
     def test_consensus_residual_recorded(self, rng):
         g = mt_graph(3)
