@@ -7,6 +7,7 @@ or schedule rejected, 4 I/O failure.
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -399,7 +400,17 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        seed = getattr(args, "seed", None)
+        if seed is not None and seed < 0:
+            raise ConfigError([f"--seed: must be a non-negative integer, got {seed}"])
         code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`); keep the interpreter's final
+        # flush from raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: cannot write to stdout: broken pipe", file=sys.stderr)
+        code = EXIT_IO
     except ConfigError as exc:
         for message in exc.errors:
             print(f"error: {message}", file=sys.stderr)

@@ -15,7 +15,7 @@ import numpy as np
 from .driver import OperatorFamily, Relocator, relocated_loop
 from .errors import CertificateError, DimensionError, ParameterError
 from .linalg import as_vector
-from .operators import MonotoneOperator, inclusion_residual
+from .operators import MonotoneOperator
 from .schedules import kappa_ratio
 
 #: Residual tolerance for accepting a point as a fixed point of T_gamma.
@@ -82,10 +82,10 @@ class DRCertificate:
         self.w = as_vector(w)
         if self.z.size != problem.dim or self.w.size != problem.dim:
             raise DimensionError("certificate dimension disagrees with the problem")
-        res_a = inclusion_residual(problem.op_a, self.z, self.w)
+        res_a = problem.op_a.inclusion_residual(self.z, self.w)
         if res_a is not None and res_a > tol:
             raise CertificateError(f"w not in Az: membership residual {res_a:.3e}")
-        res_b = inclusion_residual(problem.op_b, self.z, -self.w)
+        res_b = problem.op_b.inclusion_residual(self.z, -self.w)
         if res_b is not None and res_b > tol:
             raise CertificateError(f"-w not in Bz: membership residual {res_b:.3e}")
         y = self.z + self.w

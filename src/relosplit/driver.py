@@ -52,20 +52,14 @@ class PositiveIncrementMonitor:
 
 
 def ambient_norm(x):
-    if isinstance(x, BlockVector):
-        return x.norm()
     return float(np.linalg.norm(np.asarray(x, dtype=float)))
 
 
 def ambient_flat(x):
-    if isinstance(x, BlockVector):
-        return x.ravel()
     return np.asarray(x, dtype=float).ravel().copy()
 
 
 def ambient_isfinite(x):
-    if isinstance(x, BlockVector):
-        return bool(np.all(np.isfinite(x.data)))
     return bool(np.all(np.isfinite(np.asarray(x, dtype=float))))
 
 
@@ -282,6 +276,10 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
       that it evaluated, passed on to relocate (None otherwise).
     * relocate(gamma, delta, w, pre) -> (x_next, carry). It may reuse pre,
       and may hand the next step a resolvent it has already evaluated.
+
+    The finiteness test of each relocated iterate is the only divergence
+    detector: the hooks' block arithmetic does not re-check, so an overflow
+    ends the run with status "diverged" instead of raising.
 
     solution_residual is called on the shadow (or on x when the step has
     none). anchor0, a fixed point of T_{gamma_0}, is moved by relocator

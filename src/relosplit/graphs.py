@@ -30,8 +30,7 @@ from .errors import (
     InfeasibleError,
     ParameterError,
 )
-from .linalg import BlockVector, kron_apply, pseudo_inverse
-from .operators import AffineMonotone, CountingOperator, Scaled, ScaledIdentity, Translated, Zero
+from .linalg import BlockVector, as_block_vector, kron_apply, pseudo_inverse
 
 _ALGEBRA_TOL = 1e-12
 
@@ -220,14 +219,9 @@ def _check_ops(ops, g):
         raise DimensionError(f"operators act on mixed dimensions {sorted(dims)}")
 
 
-def _check_x(x, g):
-    if not isinstance(x, BlockVector):
-        x = BlockVector(x)
-    if x.nblocks != g.n_nodes - 1:
-        raise DimensionError(
-            f"governing iterate needs {g.n_nodes - 1} blocks, got {x.nblocks}"
-        )
-    return x
+def _check_x(x, ops, g):
+    _check_ops(ops, g)
+    return as_block_vector(x, g.n_nodes - 1, ops[0].dim)
 
 
 def graph_z_sweep(ops, g, gamma, x):
@@ -240,8 +234,7 @@ def graph_z_sweep(ops, g, gamma, x):
     """
     if gamma <= 0:
         raise ParameterError(f"gamma must be positive, got {gamma}")
-    _check_ops(ops, g)
-    x = _check_x(x, g)
+    x = _check_x(x, ops, g)
     z_mat = g.matrices.Z
     blocks = []
     for i in _nodes(g.n_nodes):
@@ -252,14 +245,14 @@ def graph_z_sweep(ops, g, gamma, x):
         u += z_mat[i - 1] @ x.data
         u /= d_i
         blocks.append(ops[i - 1].resolvent(gamma / d_i, u))
-    return BlockVector.from_blocks(blocks)
+    return BlockVector._wrap(np.stack(blocks))
 
 
 def graph_dr_apply(ops, g, gamma, theta, x):
     """One graph-DR step T_gamma x = x - theta (Z^T kron I) z; returns (w, z)."""
     if not 0.0 < theta < 2.0:
         raise ParameterError(f"theta must lie in (0, 2), got {theta}")
-    x = _check_x(x, g)
+    x = _check_x(x, ops, g)
     z = graph_z_sweep(ops, g, gamma, x)
     w = x - theta * kron_apply(g.matrices.Z.T, z)
     return w, z
@@ -279,7 +272,7 @@ def relocation_vector_e(g, z):
     coeff = (g.deg - 2 * g.indeg).astype(float)
     raw = coeff[:, None] * z.data
     mean = raw.sum(axis=0) / g.n_nodes
-    return BlockVector(raw - mean[None, :])
+    return BlockVector._wrap(raw - mean[None, :])
 
 
 def graph_relocator_apply(ops, g, gamma, delta, x):
@@ -290,7 +283,7 @@ def graph_relocator_apply(ops, g, gamma, delta, x):
     """
     if gamma <= 0 or delta <= 0:
         raise ParameterError("gamma and delta must be positive")
-    x = _check_x(x, g)
+    x = _check_x(x, ops, g)
     ratio = delta / gamma
     if ratio == 1.0:
         return x
@@ -305,11 +298,11 @@ def relocator_system_residual(ops, g, gamma, delta, x, y=None):
     When y is omitted it is computed with graph_relocator_apply; the residual
     then measures how exactly the pseudo-inverse solves the system.
     """
-    x = _check_x(x, g)
+    x = _check_x(x, ops, g)
     if y is None:
         y = graph_relocator_apply(ops, g, gamma, delta, x)
     else:
-        y = _check_x(y, g)
+        y = _check_x(y, ops, g)
     ratio = delta / gamma
     z = graph_z_sweep(ops, g, gamma, x)
     e = relocation_vector_e(g, z)
@@ -395,7 +388,7 @@ def graph_relocated_run(ops, g, theta, schedule, x0, stop, solution_residual=Non
     """
     if not 0.0 < theta < 2.0:
         raise ParameterError(f"theta must lie in (0, 2), got {theta}")
-    _check_ops(ops, g)
+    x0 = _check_x(x0, ops, g)
     zdag = g.matrices.Zdag
     z_t = g.matrices.Z.T
 
@@ -418,30 +411,9 @@ def graph_relocated_run(ops, g, theta, schedule, x0, stop, solution_residual=Non
         e = relocation_vector_e(g, zw)
         return ratio * w + (1.0 - ratio) * kron_apply(zdag, e), None
 
-    return relocated_loop(step, relocate, feedback, schedule, _check_x(x0, g), stop,
+    return relocated_loop(step, relocate, feedback, schedule, x0, stop,
                           solution_residual=at_consensus(solution_residual),
                           pos_increment_budget=pos_increment_budget)
-
-
-def _affine_parts(op):
-    """Represent an operator as u -> M u + b, or raise ParameterError."""
-    if isinstance(op, CountingOperator):
-        return _affine_parts(op.inner)
-    if isinstance(op, Zero):
-        return np.zeros((op.dim, op.dim)), np.zeros(op.dim)
-    if isinstance(op, ScaledIdentity):
-        return op.lam * np.eye(op.dim), np.zeros(op.dim)
-    if isinstance(op, AffineMonotone):
-        return op.matrix.copy(), op.offset.copy()
-    if isinstance(op, Scaled):
-        m, b = _affine_parts(op.inner)
-        return op.sigma * m, op.sigma * b
-    if isinstance(op, Translated):
-        m, b = _affine_parts(op.inner)
-        return m, b - m @ op.shift
-    raise ParameterError(
-        f"the affine fixed-point oracle requires affine operators, got {op!r}"
-    )
 
 
 def fix_point_oracle_affine(ops, g, gamma, tol=1e-8):
@@ -459,7 +431,7 @@ def fix_point_oracle_affine(ops, g, gamma, tol=1e-8):
     _check_ops(ops, g)
     n = g.n_nodes
     d = ops[0].dim
-    parts = [_affine_parts(op) for op in ops]
+    parts = [op.affine_parts() for op in ops]
     eye_d = np.eye(d)
     mats = g.matrices
 

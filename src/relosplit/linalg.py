@@ -1,7 +1,13 @@
 """Small dense linear algebra over R^d and blockwise product spaces.
 
-Everything here is desk scale (d <= 16, a handful of blocks), so plain
-dense numpy routines are used throughout.
+Everything here is desk scale (d up to a few dozen, a handful of blocks),
+so plain dense numpy routines are used throughout.
+
+Data from outside the library is checked where it enters: ``as_vector``,
+``as_matrix``, ``BlockVector(...)``, ``BlockVector.from_blocks`` and
+``as_block_vector``. Block vectors the library computes itself (arithmetic,
+``kron_apply``, sweeps, relocations) are wrapped without a copy or a
+re-check; the iteration loop tests the iterate for finiteness once per step.
 """
 
 import numpy as np
@@ -40,7 +46,8 @@ class BlockVector:
 
     Block vectors are the ambient space of the product-space methods: the
     governing iterate lives in X^(N-1) and the resolvent sweep output in X^N.
-    They behave as immutable values and support +, -, and scalar *.
+    They behave as immutable values and support +, -, and scalar *;
+    ``np.asarray`` of a block vector is its read-only (k, d) array.
     """
 
     __slots__ = ("_data",)
@@ -67,6 +74,14 @@ class BlockVector:
             raise ParameterError("block entries must be finite")
         arr.setflags(write=False)
         self._data = arr
+
+    @classmethod
+    def _wrap(cls, arr):
+        """Adopt a freshly computed (k, d) float array: no copy, no re-check."""
+        arr.setflags(write=False)
+        out = cls.__new__(cls)
+        out._data = arr
+        return out
 
     @classmethod
     def zeros(cls, nblocks, dim):
@@ -114,21 +129,26 @@ class BlockVector:
     def norm(self):
         return float(np.linalg.norm(self._data))
 
+    def __array__(self, dtype=None, copy=None):
+        if copy:
+            return np.array(self._data, dtype=dtype)
+        return self._data if dtype is None else self._data.astype(dtype, copy=False)
+
     def __add__(self, other):
         self._check_compatible(other)
-        return BlockVector(self._data + other._data)
+        return BlockVector._wrap(self._data + other._data)
 
     def __sub__(self, other):
         self._check_compatible(other)
-        return BlockVector(self._data - other._data)
+        return BlockVector._wrap(self._data - other._data)
 
     def __mul__(self, scalar):
-        return BlockVector(self._data * float(scalar))
+        return BlockVector._wrap(self._data * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return BlockVector(-self._data)
+        return BlockVector._wrap(-self._data)
 
     def _check_compatible(self, other):
         if not isinstance(other, BlockVector):
@@ -159,7 +179,23 @@ def kron_apply(matrix, x):
         raise DimensionError(
             f"matrix has {m.shape[1]} columns but block vector has {x.nblocks} blocks"
         )
-    return BlockVector(m @ x.data)
+    return BlockVector._wrap(m @ x.data)
+
+
+def as_block_vector(x, nblocks, dim):
+    """Coerce ``x`` to a BlockVector of ``nblocks`` blocks in R^dim.
+
+    The entry check of the product-space runners: a BlockVector passes
+    unchanged, anything else goes through the checked constructor.
+    """
+    if not isinstance(x, BlockVector):
+        x = BlockVector(x)
+    if x.nblocks != nblocks or x.dim != dim:
+        raise DimensionError(
+            f"iterate must have {nblocks} blocks of dimension {dim}, "
+            f"got {x.nblocks} x {x.dim}"
+        )
+    return x
 
 
 def pseudo_inverse(z):

@@ -15,7 +15,7 @@ import numpy as np
 from .driver import OperatorFamily, Relocator, relocated_loop
 from .errors import DimensionError, ParameterError
 from .graphs import at_consensus, build_graph, graph_dr_apply
-from .linalg import BlockVector
+from .linalg import BlockVector, as_block_vector
 from .operators import MonotoneOperator
 
 
@@ -62,14 +62,7 @@ def mt_graph(n):
 
 
 def _check_x(problem, x):
-    if not isinstance(x, BlockVector):
-        x = BlockVector(x)
-    if x.nblocks != problem.n_ops - 1 or x.dim != problem.dim:
-        raise DimensionError(
-            f"iterate must have {problem.n_ops - 1} blocks of dimension "
-            f"{problem.dim}, got {x.nblocks} x {x.dim}"
-        )
-    return x
+    return as_block_vector(x, problem.n_ops - 1, problem.dim)
 
 
 def _mt_sweep(problem, gamma, x, z1=None):
@@ -95,8 +88,8 @@ def mt_apply(problem, gamma, x):
     x = _check_x(problem, x)
     z = _mt_sweep(problem, gamma, x)
     shifts = np.stack([z[k + 1] - z[k] for k in range(problem.n_ops - 1)])
-    tx = BlockVector(x.data + problem.theta * shifts)
-    return tx, BlockVector.from_blocks(z)
+    tx = BlockVector._wrap(x.data + problem.theta * shifts)
+    return tx, BlockVector._wrap(np.stack(z))
 
 
 def mt_relocator_apply(problem, gamma, delta, x):
@@ -117,7 +110,7 @@ def mt_relocator_apply(problem, gamma, delta, x):
     blocks = [q1]
     for i in range(1, problem.n_ops - 1):
         blocks.append(ratio * (x[i] - x[0]) + q1)
-    return BlockVector.from_blocks(blocks)
+    return BlockVector._wrap(np.stack(blocks))
 
 
 def mt_lipschitz(n, gamma, delta):
@@ -168,8 +161,8 @@ def algorithm2_run(problem, schedule, x0, stop, solution_residual=None,
     def step(gamma, x, z1):
         z = _mt_sweep(problem, gamma, x, z1=z1)
         shifts = np.stack([z[k + 1] - z[k] for k in range(n_ops - 1)])
-        w = BlockVector(x.data + theta * shifts)
-        return w, {"shadow": BlockVector.from_blocks(z),
+        w = BlockVector._wrap(x.data + theta * shifts)
+        return w, {"shadow": BlockVector._wrap(np.stack(z)),
                    "scalars": {"consensus_residual": float(np.linalg.norm(shifts))}}
 
     def feedback(gamma, w):
@@ -182,7 +175,7 @@ def algorithm2_run(problem, schedule, x0, stop, solution_residual=None,
         ratio = delta / gamma
         x1 = ratio * w[0] + (1.0 - ratio) * z1
         blocks = [x1] + [ratio * (w[i] - w[0]) + x1 for i in range(1, n_ops - 1)]
-        return BlockVector.from_blocks(blocks), z1
+        return BlockVector._wrap(np.stack(blocks)), z1
 
     return relocated_loop(step, relocate, feedback, schedule, _check_x(problem, x0),
                           stop, solution_residual=at_consensus(solution_residual),

@@ -4,6 +4,12 @@ Every operator exposes the same oracle: ``op.resolvent(gamma, x)`` returns
 J_{gamma A} x = (I + gamma A)^{-1} x, single-valued and defined for every x.
 Reflectents are derived as R = 2 J - Id. All resolvents are exact (no inner
 iterative solves); the affine kind reduces to a dense linear solve.
+
+Each kind also answers for its own semantics: ``value`` (A itself where it
+is single valued), ``inclusion_residual`` (the membership test w in A z)
+and ``affine_parts`` (A u = M u + b, affine kinds only). These methods take
+checked vectors; the module functions ``single_value`` and
+``inclusion_residual`` are the checked entry points.
 """
 
 import numpy as np
@@ -26,12 +32,7 @@ class MonotoneOperator:
         """Evaluate J_{gamma A} x for gamma > 0."""
         if not np.isfinite(gamma) or gamma <= 0:
             raise ParameterError(f"gamma must be positive, got {gamma}")
-        x = as_vector(x)
-        if x.size != self.dim:
-            raise DimensionError(
-                f"operator acts on R^{self.dim}, point has dimension {x.size}"
-            )
-        return self._resolvent(float(gamma), x)
+        return self._resolvent(float(gamma), _checked_point(self, x))
 
     def reflectent(self, gamma, x):
         """Evaluate R_{gamma A} x = 2 J_{gamma A} x - x."""
@@ -44,6 +45,21 @@ class MonotoneOperator:
 
     def _resolvent(self, gamma, x):
         raise NotImplementedError
+
+    def value(self, x):
+        """A(x) where A is single valued at x, else None."""
+        return None
+
+    def inclusion_residual(self, z, w):
+        """||w - A(z)|| where A is single valued at z, else None (undecided)."""
+        v = self.value(z)
+        return None if v is None else float(np.linalg.norm(w - v))
+
+    def affine_parts(self):
+        """(M, b) with A u = M u + b; raises ParameterError for non-affine kinds."""
+        raise ParameterError(
+            f"the affine fixed-point oracle requires affine operators, got {self!r}"
+        )
 
     def __repr__(self):
         return f"<{type(self).__name__} dim={self.dim}>"
@@ -63,6 +79,12 @@ class Zero(MonotoneOperator):
     def _resolvent(self, gamma, x):
         return x.copy()
 
+    def value(self, x):
+        return np.zeros(self.dim)
+
+    def affine_parts(self):
+        return np.zeros((self.dim, self.dim)), np.zeros(self.dim)
+
 
 class ScaledIdentity(MonotoneOperator):
     """A = lam * Id with lam >= 0; J x = x / (1 + gamma * lam)."""
@@ -81,6 +103,12 @@ class ScaledIdentity(MonotoneOperator):
 
     def _resolvent(self, gamma, x):
         return x / (1.0 + gamma * self.lam)
+
+    def value(self, x):
+        return self.lam * x
+
+    def affine_parts(self):
+        return self.lam * np.eye(self.dim), np.zeros(self.dim)
 
 
 class AffineMonotone(MonotoneOperator):
@@ -113,7 +141,10 @@ class AffineMonotone(MonotoneOperator):
 
     def value(self, x):
         """The (single-valued) operator itself, M x + b."""
-        return self.matrix @ as_vector(x) + self.offset
+        return self.matrix @ x + self.offset
+
+    def affine_parts(self):
+        return self.matrix.copy(), self.offset.copy()
 
 
 class NormalConePoint(MonotoneOperator):
@@ -130,6 +161,10 @@ class NormalConePoint(MonotoneOperator):
 
     def domain_projection(self, x):
         return self.point.copy()
+
+    def inclusion_residual(self, z, w):
+        # every w lies in the normal cone at c, and the cone is empty elsewhere
+        return float(np.linalg.norm(z - self.point))
 
 
 class NormalConeBox(MonotoneOperator):
@@ -202,6 +237,14 @@ class NegLog(MonotoneOperator):
     def domain_projection(self, x):
         return np.maximum(as_vector(x), 0.0)
 
+    def value(self, x):
+        return -1.0 / x if np.all(x > 0) else None
+
+    def inclusion_residual(self, z, w):
+        if np.any(z <= 0):
+            return float("inf")
+        return super().inclusion_residual(z, w)
+
 
 class Translated(MonotoneOperator):
     """A_s x = A(x - s); the resolvent is s + J_{gamma A}(x - s)."""
@@ -223,6 +266,16 @@ class Translated(MonotoneOperator):
 
     def domain_projection(self, x):
         return self.shift + self.inner.domain_projection(as_vector(x) - self.shift)
+
+    def value(self, x):
+        return self.inner.value(x - self.shift)
+
+    def inclusion_residual(self, z, w):
+        return self.inner.inclusion_residual(z - self.shift, w)
+
+    def affine_parts(self):
+        m, b = self.inner.affine_parts()
+        return m, b - m @ self.shift
 
 
 class Scaled(MonotoneOperator):
@@ -246,6 +299,17 @@ class Scaled(MonotoneOperator):
     def domain_projection(self, x):
         return self.inner.domain_projection(x)
 
+    def value(self, x):
+        inner = self.inner.value(x)
+        return None if inner is None else self.sigma * inner
+
+    def inclusion_residual(self, z, w):
+        return self.inner.inclusion_residual(z, w / self.sigma)
+
+    def affine_parts(self):
+        m, b = self.inner.affine_parts()
+        return self.sigma * m, self.sigma * b
+
 
 class CountingOperator(MonotoneOperator):
     """Delegating wrapper that counts resolvent evaluations.
@@ -268,6 +332,15 @@ class CountingOperator(MonotoneOperator):
     def domain_projection(self, x):
         return self.inner.domain_projection(x)
 
+    def value(self, x):
+        return self.inner.value(x)
+
+    def inclusion_residual(self, z, w):
+        return self.inner.inclusion_residual(z, w)
+
+    def affine_parts(self):
+        return self.inner.affine_parts()
+
 
 def resolvent(op, gamma, x):
     """Uniform oracle entry point, J_{gamma A} x."""
@@ -279,29 +352,22 @@ def reflectent(op, gamma, x):
     return op.reflectent(gamma, x)
 
 
+def _checked_point(op, x):
+    x = as_vector(x)
+    if x.size != op.dim:
+        raise DimensionError(
+            f"operator acts on R^{op.dim}, point has dimension {x.size}"
+        )
+    return x
+
+
 def single_value(op, x):
     """Evaluate A(x) for kinds where the operator is single valued at x.
 
     Returns None for set-valued kinds (the normal cones) and for points
     outside the domain.
     """
-    x = as_vector(x)
-    if isinstance(op, Zero):
-        return np.zeros(op.dim)
-    if isinstance(op, ScaledIdentity):
-        return op.lam * x
-    if isinstance(op, AffineMonotone):
-        return op.value(x)
-    if isinstance(op, NegLog):
-        return -1.0 / x if np.all(x > 0) else None
-    if isinstance(op, Scaled):
-        inner = single_value(op.inner, x)
-        return None if inner is None else op.sigma * inner
-    if isinstance(op, Translated):
-        return single_value(op.inner, x - op.shift)
-    if isinstance(op, CountingOperator):
-        return single_value(op.inner, x)
-    return None
+    return op.value(_checked_point(op, x))
 
 
 def inclusion_residual(op, point, value):
@@ -311,29 +377,7 @@ def inclusion_residual(op, point, value):
     decidable in closed form, and None when it is not; callers then fall back
     to indirect validation.
     """
-    z = as_vector(point)
-    w = as_vector(value)
-    if z.size != op.dim or w.size != op.dim:
-        raise DimensionError("point/value dimension disagrees with operator")
-    if isinstance(op, Zero):
-        return float(np.linalg.norm(w))
-    if isinstance(op, ScaledIdentity):
-        return float(np.linalg.norm(w - op.lam * z))
-    if isinstance(op, AffineMonotone):
-        return float(np.linalg.norm(w - op.value(z)))
-    if isinstance(op, NormalConePoint):
-        return float(np.linalg.norm(z - op.point))
-    if isinstance(op, NegLog):
-        if np.any(z <= 0):
-            return float("inf")
-        return float(np.linalg.norm(w + 1.0 / z))
-    if isinstance(op, Translated):
-        return inclusion_residual(op.inner, z - op.shift, w)
-    if isinstance(op, Scaled):
-        return inclusion_residual(op.inner, z, w / op.sigma)
-    if isinstance(op, CountingOperator):
-        return inclusion_residual(op.inner, z, w)
-    return None
+    return op.inclusion_residual(_checked_point(op, point), _checked_point(op, value))
 
 
 _SIMPLE_KINDS = {

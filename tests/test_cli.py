@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import relosplit
 from relosplit import cli
+from relosplit.driver import ScheduleBudgetWarning
 from relosplit.errors import ConfigError
 
 
@@ -299,3 +304,55 @@ class TestMainEntry:
         names = {g["name"] for g in report["groups"]}
         assert "negative_controls" in names
         assert all(g["checks"] > 0 for g in report["groups"])
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "{cfg}", "--seed", "-1"],
+        ["compare", "{cfg}", "{cfg}", "--seed", "-5"],
+        ["selftest", "--seed", "-1"],
+    ], ids=["run", "compare", "selftest"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, argv):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_dr2_config(
+            problem={"name": "affine_random", "params": {"count": 2, "dim": 2}})))
+        code = cli.main([a.format(cfg=path) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: --seed: must be a non-negative integer" in err
+        assert "Traceback" not in err
+
+    def test_overflowing_mt_run_reports_diverged(self, tmp_path, capsys):
+        doc = {
+            "problem": {"name": "affine_consensus",
+                        "params": {"count": 4, "dim": 2}, "seed": 0},
+            "algorithm": "mt",
+            "theta": 0.5,
+            "schedule": {"kind": "explicit", "values": [1e-300, 1e300] * 3},
+            "stop": {"residual_tol": 1e-10, "max_iters": 50},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.warns(ScheduleBudgetWarning):
+            code = cli.main(["run", str(path)])
+        assert code == 3
+        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert summary["status"] == "diverged"
+
+    def test_broken_pipe_exits_io_failure(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_dr2_config()))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(relosplit.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        read_end, write_end = os.pipe()
+        # nobody will read: every write to the child's stdout fails with EPIPE
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "relosplit.cli", "run", str(path), str(path)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 4
+        assert "broken pipe" in proc.stderr
+        assert "Traceback" not in proc.stderr

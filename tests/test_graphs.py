@@ -6,12 +6,23 @@ from relosplit import graphs, schedules as sch
 from relosplit.driver import StopRule, run_relocated
 from relosplit.errors import (
     ConstructionError,
+    DimensionError,
     InfeasibleError,
     ParameterError,
 )
 from relosplit.linalg import BlockVector
 from relosplit.malitsky_tam import mt_graph
-from relosplit.operators import AffineMonotone, CountingOperator, NormalConePoint, Zero
+from relosplit.operators import (
+    AffineMonotone,
+    CountingOperator,
+    NegLog,
+    NormalConeBall,
+    NormalConeBox,
+    NormalConePoint,
+    Scaled,
+    Translated,
+    Zero,
+)
 
 
 def chorded_path(n=4):
@@ -254,9 +265,20 @@ class TestAffineOracle:
 
     def test_non_affine_rejected(self):
         g = mt_graph(3)
-        from relosplit.operators import NegLog
         with pytest.raises(ParameterError):
             graphs.fix_point_oracle_affine([NegLog(1)] * 3, g, 1.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: NormalConePoint([0.5]),
+        lambda: NormalConeBox([-1.0], [1.0]),
+        lambda: NormalConeBall([0.0], 1.0),
+        lambda: Scaled(Translated(NegLog(1), [1.0]), 2.0),
+        lambda: CountingOperator(NormalConeBox([-1.0], [1.0])),
+    ], ids=["point", "box", "ball", "scaled-translated-neglog", "counting-box"])
+    def test_non_affine_kind_among_affine_rejected(self, make):
+        ops = [AffineMonotone(np.eye(1), [1.0]), make(), Zero(1)]
+        with pytest.raises(ParameterError, match="affine operators"):
+            graphs.fix_point_oracle_affine(ops, mt_graph(3), 1.0)
 
 
 class TestGraphRelocatedRun:
@@ -334,6 +356,18 @@ class TestGraphRelocatedRun:
                 moves = sum(a != b for a, b in zip(trace.gammas, trace.gammas[1:]))
                 expected = iterations + 1 + moves
             assert [op.calls for op in ops] == [expected] * g.n_nodes
+
+    def test_x0_block_dimension_checked_before_any_resolvent(self, rng):
+        g = chorded_path(4)
+        ops = [CountingOperator(op) for op in affine_ops(rng, g, dim=2)]
+        # the entry check names the expected shape; a resolvent would only
+        # report a dimension mismatch of its own point
+        for shape in ((3, 3), (2, 2)):
+            with pytest.raises(DimensionError, match="3 blocks of dimension 2"):
+                graphs.graph_relocated_run(ops, g, 1.0, sch.Constant(1.0),
+                                           BlockVector.zeros(*shape),
+                                           StopRule(residual_tol=1e-9, max_iters=5))
+        assert [op.calls for op in ops] == [0] * g.n_nodes
 
     def test_consensus_residual_recorded(self, rng):
         g = mt_graph(3)

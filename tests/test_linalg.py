@@ -4,6 +4,7 @@ import pytest
 from relosplit.errors import DimensionError, ParameterError, SingularMatrixError
 from relosplit.linalg import (
     BlockVector,
+    as_block_vector,
     as_matrix,
     as_vector,
     kron_apply,
@@ -55,6 +56,49 @@ class TestConstructors:
         out = np.float64(2.0) * b
         assert isinstance(out, BlockVector)
         assert out.allclose(BlockVector([[2.0], [4.0]]))
+
+
+class TestCheckedOnce:
+    def test_asarray_is_read_only_view(self):
+        bv = BlockVector([[1.0, 2.0], [3.0, 4.0]])
+        arr = np.asarray(bv)
+        assert arr is bv.data
+        assert not arr.flags.writeable
+        assert np.asarray(bv, dtype=np.float32).dtype == np.float32
+        copied = np.array(bv, copy=True)
+        copied[0, 0] = 9.0
+        assert bv.data[0, 0] == 1.0
+
+    def test_arithmetic_results_are_read_only(self):
+        a = BlockVector([[1.0, 2.0]])
+        for out in (a + a, a - a, 2.0 * a, -a, kron_apply(np.eye(1), a)):
+            assert isinstance(out, BlockVector)
+            with pytest.raises(ValueError):
+                out.data[0, 0] = 9.0
+
+    def test_arithmetic_does_not_recheck_finiteness(self):
+        # the iteration loop detects non-finite iterates, not the arithmetic
+        big = BlockVector([[1e300, -1e300]])
+        with np.errstate(over="ignore"):
+            out = 1e10 * big
+        assert np.all(np.isinf(out.data))
+
+    def test_outside_data_still_checked(self):
+        with pytest.raises(ParameterError):
+            BlockVector([[1.0, np.inf]])
+        with pytest.raises(ParameterError):
+            BlockVector.from_blocks([[1.0], [np.nan]])
+
+    def test_as_block_vector(self):
+        bv = BlockVector.zeros(2, 3)
+        assert as_block_vector(bv, 2, 3) is bv
+        assert as_block_vector([[1.0, 2.0, 3.0]] * 2, 2, 3).allclose(
+            BlockVector([[1.0, 2.0, 3.0]] * 2))
+        for nblocks, dim in ((3, 3), (2, 2)):
+            with pytest.raises(DimensionError):
+                as_block_vector(bv, nblocks, dim)
+        with pytest.raises(ParameterError):
+            as_block_vector([[np.nan]], 1, 1)
 
 
 class TestKronApply:

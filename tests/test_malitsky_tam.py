@@ -5,7 +5,7 @@ import pytest
 
 from conftest import GAMMA_GRID, random_affine
 from relosplit import dr2, graphs, malitsky_tam as mt, schedules as sch
-from relosplit.driver import StopRule, run_relocated
+from relosplit.driver import ScheduleBudgetWarning, StopRule, run_relocated
 from relosplit.errors import DimensionError, ParameterError
 from relosplit.linalg import BlockVector
 from relosplit.operators import (
@@ -282,6 +282,36 @@ class TestAlgorithm2:
             z1 = z_flat.reshape(4, 2)[0]
             direct = problem.ops[0].resolvent(gamma, x[0])
             assert np.max(np.abs(z1 - direct)) <= 1e-12
+
+
+class TestOverflowDiverges:
+    """A stepsize ratio of 1e600 overflows the first relocation.
+
+    The run must end with status "diverged", the loop's finiteness test
+    being the only detector, instead of a finiteness check somewhere in the
+    block arithmetic raising ParameterError.
+    """
+
+    RUNNERS = {
+        "algorithm2_run": lambda p, s, x0, stop: mt.algorithm2_run(p, s, x0, stop),
+        "graph_relocated_run": lambda p, s, x0, stop: graphs.graph_relocated_run(
+            p.ops, mt.mt_graph(p.n_ops), 1.0, s, x0, stop),
+        "run_relocated": lambda p, s, x0, stop: run_relocated(
+            mt.mt_family(p), mt.mt_relocator(p), s, x0, stop),
+    }
+
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    def test_status_diverged(self, rng, runner):
+        problem = affine_problem(rng, 4)
+        schedule = sch.ExplicitList([1e-300, 1e300] * 3)
+        x0 = BlockVector(rng.standard_normal((3, 2)))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.warns(ScheduleBudgetWarning):
+            trace = self.RUNNERS[runner](problem, schedule, x0,
+                                         StopRule(residual_tol=1e-10, max_iters=50))
+        assert trace.status == "diverged"
+        assert trace.iterations == 0
+        assert not np.all(np.isfinite(trace.final_x.data))
 
 
 class TestChangeOfVariables:

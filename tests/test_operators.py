@@ -233,3 +233,65 @@ class TestCountingOperator:
         op.resolvent(1.0, [1.0])
         op.resolvent(2.0, [1.0])
         assert op.calls == 2
+
+
+class TestOperatorSemantics:
+    """value / inclusion_residual / affine_parts live on the operator classes."""
+
+    def test_affine_parts_reproduce_value(self, rng):
+        root = rng.standard_normal((3, 3))
+        inner = ops.AffineMonotone(root @ root.T, rng.standard_normal(3))
+        nested = ops.Scaled(ops.Translated(inner, rng.standard_normal(3)), 1.7)
+        for op in (nested, ops.CountingOperator(nested), ops.Zero(3),
+                   ops.ScaledIdentity(0.4, 3)):
+            m, b = op.affine_parts()
+            for _ in range(10):
+                u = rng.standard_normal(3)
+                assert np.max(np.abs(m @ u + b - op.value(u))) <= 1e-12
+
+    @pytest.mark.parametrize("op", [
+        ops.NormalConePoint([0.0, 1.0]),
+        ops.NormalConeBox([-1.0, -1.0], [1.0, 1.0]),
+        ops.NormalConeBall([0.0, 0.0], 1.0),
+        ops.NegLog(2),
+        ops.Scaled(ops.Translated(ops.NegLog(2), [1.0, 1.0]), 2.0),
+        ops.CountingOperator(ops.NormalConePoint([0.0, 1.0])),
+    ], ids=["point", "box", "ball", "neglog", "scaled-translated-neglog", "counting"])
+    def test_non_affine_parts_raise(self, op):
+        with pytest.raises(ParameterError):
+            op.affine_parts()
+
+    def test_wrappers_compose(self, rng):
+        x = rng.standard_normal(2)
+        shift = rng.standard_normal(2)
+        op = ops.CountingOperator(
+            ops.Scaled(ops.Translated(ops.ScaledIdentity(0.5, 2), shift), 3.0))
+        assert np.max(np.abs(ops.single_value(op, x) - 1.5 * (x - shift))) <= 1e-15
+        w = rng.standard_normal(2)
+        assert ops.inclusion_residual(op, x, w) == pytest.approx(
+            np.linalg.norm(w / 3.0 - 0.5 * (x - shift)), abs=1e-14)
+
+    def test_set_valued_kinds(self):
+        point = ops.Translated(ops.NormalConePoint([1.0, 0.0]), [0.0, 2.0])
+        assert ops.single_value(point, [3.0, 4.0]) is None
+        # the cone is nonempty only at the translated point (1, 2)
+        assert ops.inclusion_residual(point, [1.0, 2.0], [5.0, -7.0]) == 0.0
+        assert ops.inclusion_residual(point, [1.0, 5.0], [0.0, 0.0]) == 3.0
+        box = ops.Scaled(ops.NormalConeBox([-1.0, -1.0], [1.0, 1.0]), 2.0)
+        assert ops.single_value(box, [0.0, 0.0]) is None
+        assert ops.inclusion_residual(box, [0.0, 0.0], [0.0, 0.0]) is None
+
+    def test_neg_log_off_the_orthant(self):
+        op = ops.Scaled(ops.NegLog(2), 2.0)
+        assert ops.single_value(op, [1.0, -1.0]) is None
+        assert ops.inclusion_residual(op, [1.0, -1.0], [0.0, 0.0]) == float("inf")
+        assert ops.inclusion_residual(op, [1.0, 0.5], [-2.0, -4.0]) == 0.0
+
+    def test_entry_points_check_inputs(self):
+        op = ops.Zero(2)
+        with pytest.raises(DimensionError):
+            ops.single_value(op, [1.0])
+        with pytest.raises(DimensionError):
+            ops.inclusion_residual(op, [1.0, 2.0], [1.0])
+        with pytest.raises(ParameterError):
+            ops.single_value(op, [1.0, np.nan])
