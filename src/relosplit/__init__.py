@@ -23,7 +23,6 @@ from .driver import (
 from .dr2 import (
     DRCertificate,
     DRProblem,
-    adaptive_kappa,
     algorithm1_run,
     dr_apply,
     dr_family,
@@ -39,7 +38,6 @@ from .graphs import (
     fix_point_oracle_affine,
     graph_dr_apply,
     graph_family,
-    graph_matrices,
     graph_relocated_run,
     graph_relocator,
     graph_relocator_apply,
@@ -74,8 +72,6 @@ from .operators import (
     Zero,
     inclusion_residual,
     make_operator,
-    reflectent,
-    resolvent,
     single_value,
 )
 from .problems import ProblemInstance, make_problem, problem_names, solution_residual

@@ -38,6 +38,10 @@ EXIT_MAX_ITERS = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_IO = 4
 
+#: What float() and int() raise on a JSON value of the wrong type or size
+#: (a string, NaN or infinity into int(), an integer beyond float range)
+_BAD_VALUE = (TypeError, ValueError, OverflowError)
+
 _STATUS_EXIT = {
     "converged": EXIT_OK,
     "max_iters": EXIT_MAX_ITERS,
@@ -75,12 +79,32 @@ def schedule_from_spec(spec):
     if kind == "explicit":
         return ExplicitList(spec["values"])
     if kind == "adaptive_kappa":
-        return AdaptiveKappa(
-            gamma0=spec["gamma0"],
-            clamp_lo=spec.get("clamp_lo", 1e-4),
-            clamp_hi=spec.get("clamp_hi", 1e4),
-        )
+        clamps = {k: spec[k] for k in ("clamp_lo", "clamp_hi") if k in spec}
+        return AdaptiveKappa(gamma0=spec["gamma0"], **clamps)
     raise ParameterError(f"unknown schedule kind {kind!r}")
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse_graph(spec, errors):
+    """Type-check the {N, E, Eprime} fields; the normalized spec, or None."""
+    ok = _is_int(spec.get("N"))
+    if not ok:
+        errors.append(f"graph.N: must be an integer, got {spec.get('N')!r}")
+    for key in ("E", "Eprime"):
+        arcs = spec.get(key)
+        if not (isinstance(arcs, (list, tuple)) and all(
+                isinstance(a, (list, tuple)) and len(a) == 2 and all(map(_is_int, a))
+                for a in arcs)):
+            errors.append(f"graph.{key}: must be a list of integer pairs [i, j], "
+                          f"got {arcs!r}")
+            ok = False
+    if not ok:
+        return None
+    return {"N": spec["N"], "E": [list(a) for a in spec["E"]],
+            "Eprime": [list(a) for a in spec["Eprime"]]}
 
 
 def _as_nested_list(value):
@@ -121,13 +145,12 @@ def parse_config(doc):
             errors.append(f"problem.name: unknown problem {name!r}")
         elif params is not None and not isinstance(params, dict):
             errors.append("problem.params: must be an object")
-        elif seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)
-                                   or seed < 0):
+        elif seed is not None and not (_is_int(seed) and seed >= 0):
             errors.append(f"problem.seed: must be a non-negative integer, got {seed!r}")
         else:
             try:
                 instance = make_problem(name, params, seed)
-            except (RelosplitError, KeyError, TypeError, ValueError) as exc:
+            except (RelosplitError, KeyError, *_BAD_VALUE) as exc:
                 errors.append(f"problem.params: {exc}")
 
     algorithm = doc.get("algorithm")
@@ -146,19 +169,21 @@ def parse_config(doc):
         upper = 1 if algorithm == "mt" else 2
         try:
             valid = theta is not None and 0.0 < float(theta) < upper
-        except (TypeError, ValueError):
+        except _BAD_VALUE:
             valid = False
         if not valid:
             errors.append(f"theta: theta must lie in (0,{upper})")
 
     graph_spec = doc.get("graph")
+    graph = None
     if algorithm == "graph":
         if not isinstance(graph_spec, dict):
             errors.append("graph: required object {N, E, Eprime} for algorithm 'graph'")
         else:
+            graph = _parse_graph(graph_spec, errors)
+        if graph is not None:
             try:
-                g = build_graph(graph_spec.get("N", 0), graph_spec.get("E", []),
-                                graph_spec.get("Eprime", []))
+                g = build_graph(graph["N"], graph["E"], graph["Eprime"])
                 if instance is not None and g.n_nodes != instance.n_ops:
                     errors.append(
                         f"graph.N: graph has {g.n_nodes} nodes but the problem "
@@ -169,13 +194,13 @@ def parse_config(doc):
     elif graph_spec is not None:
         errors.append("graph: only used by algorithm 'graph'")
 
-    schedule_spec = doc.get("schedule")
-    if not isinstance(schedule_spec, dict):
+    sched_spec = doc.get("schedule")
+    if not isinstance(sched_spec, dict):
         errors.append("schedule: required object with a 'kind'")
     else:
         try:
-            schedule_from_spec(schedule_spec)
-        except (RelosplitError, KeyError, TypeError, ValueError) as exc:
+            schedule_from_spec(sched_spec)
+        except (RelosplitError, KeyError, *_BAD_VALUE) as exc:
             errors.append(f"schedule: {exc}")
 
     stop_spec = doc.get("stop")
@@ -185,14 +210,14 @@ def parse_config(doc):
         try:
             StopRule(residual_tol=float(stop_spec.get("residual_tol", 0)),
                      max_iters=int(stop_spec.get("max_iters", 0)))
-        except (RelosplitError, TypeError, ValueError) as exc:
+        except (RelosplitError, *_BAD_VALUE) as exc:
             errors.append(f"stop: {exc}")
 
     x0 = doc.get("x0")
     if x0 is not None:
         try:
             x0 = _as_nested_list(x0)
-        except (TypeError, ValueError):
+        except _BAD_VALUE:
             errors.append("x0: must be a (nested) list of numbers")
             x0 = None
 
@@ -206,15 +231,11 @@ def parse_config(doc):
     return ExperimentConfig(
         problem=dict(problem_spec),
         algorithm=algorithm,
-        schedule=dict(schedule_spec),
+        schedule=dict(sched_spec),
         stop={"residual_tol": float(stop_spec["residual_tol"]),
               "max_iters": int(stop_spec["max_iters"])},
         theta=None if theta is None else float(theta),
-        graph=None if graph_spec is None else {
-            "N": int(graph_spec["N"]),
-            "E": [[int(i), int(j)] for i, j in graph_spec["E"]],
-            "Eprime": [[int(i), int(j)] for i, j in graph_spec["Eprime"]],
-        },
+        graph=graph,
         x0=x0,
         output=None if output is None else dict(output),
     )

@@ -16,7 +16,6 @@ from .driver import OperatorFamily, Relocator, relocated_loop
 from .errors import CertificateError, DimensionError, ParameterError
 from .linalg import as_vector
 from .operators import MonotoneOperator
-from .schedules import kappa_ratio
 
 #: Residual tolerance for accepting a point as a fixed point of T_gamma.
 FIXED_POINT_TOL = 1e-9
@@ -111,17 +110,12 @@ def dr_fixed_point(cert, gamma):
     return y
 
 
-def adaptive_kappa(z, w_prev):
-    """Stepsize feedback ratio ||z|| / ||z - w_prev||; None signals z == w_prev."""
-    return kappa_ratio(as_vector(z), as_vector(w_prev))
-
-
 def dr_family(problem):
     """The DR operators as a driver family (firmly nonexpansive, alpha = 1/2)."""
 
     def apply(gamma, x):
         w, z, y = dr_apply(problem, gamma, x)
-        return w, {"z": z, "y": y, "shadow": z}
+        return w, {"shadow": z}
 
     def feedback(gamma, w):
         return problem.op_a.resolvent(gamma, as_vector(w)), w
@@ -138,8 +132,7 @@ def dr_relocator(problem):
     )
 
 
-def algorithm1_run(problem, schedule, x0, stop, solution_residual=None,
-                   pos_increment_budget=None):
+def algorithm1_run(problem, schedule, x0, stop, solution_residual=None):
     """Efficient relocated DR run; one resolvent of A and one of B per iteration.
 
     Matches the naive composition Q_{gamma_{n+1}<-gamma_n} T_{gamma_n} applied
@@ -170,5 +163,4 @@ def algorithm1_run(problem, schedule, x0, stop, solution_residual=None,
         return ratio * w + (1.0 - ratio) * z, z
 
     return relocated_loop(step, relocate, feedback, schedule, as_vector(x0), stop,
-                          solution_residual=solution_residual,
-                          pos_increment_budget=pos_increment_budget)
+                          solution_residual=solution_residual)

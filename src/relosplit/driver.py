@@ -91,11 +91,10 @@ class StopRule:
 class OperatorFamily:
     """A stepsize-parametrized family (T_gamma) of averaged operators.
 
-    apply(gamma, x) returns (T_gamma x, aux) where aux is a dict of
-    auxiliary points produced during the evaluation (e.g. the resolvent
-    sweep under key "z", and the monitored shadow point under "shadow").
-    feedback(gamma, w), when provided, computes the pair (z, w_ref) fed to
-    the adaptive stepsize rule.
+    apply(gamma, x) returns (T_gamma x, aux) where aux is a dict that may
+    name the monitored shadow point under "shadow". feedback(gamma, w), when
+    provided, computes the pair (z, w_ref) fed to the adaptive stepsize
+    rule.
     """
 
     def __init__(self, apply, averagedness_alpha, feedback=None, name=""):
@@ -117,10 +116,6 @@ class OperatorFamily:
                 "points; adaptive schedules are unavailable"
             )
         return self._feedback(gamma, x)
-
-    @property
-    def has_feedback(self):
-        return self._feedback is not None
 
 
 class Relocator:

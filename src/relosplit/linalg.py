@@ -109,10 +109,6 @@ class BlockVector:
     def dim(self):
         return self._data.shape[1]
 
-    def block(self, i):
-        """Block ``i`` (0-based) as a read-only vector view."""
-        return self._data[i]
-
     def __getitem__(self, i):
         return self._data[i]
 

@@ -126,7 +126,7 @@ def mt_family(problem):
 
     def apply(gamma, x):
         tx, z = mt_apply(problem, gamma, x)
-        return tx, {"z": z, "shadow": z}
+        return tx, {"shadow": z}
 
     def feedback(gamma, w):
         return problem.ops[0].resolvent(gamma, w[0]), w[0]
@@ -143,8 +143,7 @@ def mt_relocator(problem):
     )
 
 
-def algorithm2_run(problem, schedule, x0, stop, solution_residual=None,
-                   pos_increment_budget=None):
+def algorithm2_run(problem, schedule, x0, stop, solution_residual=None):
     """Efficient variable-stepsize MT run; N resolvents per iteration.
 
     The sweep's first entry is carried over from the previous relocation
@@ -178,8 +177,7 @@ def algorithm2_run(problem, schedule, x0, stop, solution_residual=None,
         return BlockVector._wrap(np.stack(blocks)), z1
 
     return relocated_loop(step, relocate, feedback, schedule, _check_x(problem, x0),
-                          stop, solution_residual=at_consensus(solution_residual),
-                          pos_increment_budget=pos_increment_budget)
+                          stop, solution_residual=at_consensus(solution_residual))
 
 
 @dataclass

@@ -342,16 +342,6 @@ class CountingOperator(MonotoneOperator):
         return self.inner.affine_parts()
 
 
-def resolvent(op, gamma, x):
-    """Uniform oracle entry point, J_{gamma A} x."""
-    return op.resolvent(gamma, x)
-
-
-def reflectent(op, gamma, x):
-    """Reflected resolvent, 2 J_{gamma A} x - x."""
-    return op.reflectent(gamma, x)
-
-
 def _checked_point(op, x):
     x = as_vector(x)
     if x.size != op.dim:

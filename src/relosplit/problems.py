@@ -18,18 +18,19 @@ from .operators import (
 class ProblemInstance:
     """A named list of operators plus an optional solution oracle.
 
-    Oracle forms: an analytic solution point, the affine inclusion residual
-    ||sum (M_i z + b_i)||, or a feasible-set distance. Instances without an
-    oracle simply cannot report solution residuals.
+    The oracle is a callable z -> float that the factory sets, taking a
+    checked point of R^dim: the distance to an analytic solution point, the
+    affine inclusion residual ||sum (M_i z + b_i)||, or a feasible-set
+    distance. Instances without an oracle cannot report solution residuals.
     """
 
-    def __init__(self, name, ops, dim, solution_point=None, residual_kind=None,
+    def __init__(self, name, ops, dim, solution_point=None, oracle=None,
                  dr_certificate=None, seed=None, params=None):
         self.name = name
         self.ops = list(ops)
         self.dim = dim
         self.solution_point = None if solution_point is None else as_vector(solution_point)
-        self.residual_kind = residual_kind
+        self.oracle = oracle
         self.dr_certificate = dr_certificate
         self.seed = seed
         self.params = dict(params or {})
@@ -42,7 +43,7 @@ class ProblemInstance:
 
     @property
     def has_oracle(self):
-        return self.residual_kind is not None
+        return self.oracle is not None
 
     def dr_problem(self):
         if self.n_ops != 2:
@@ -58,27 +59,30 @@ class ProblemInstance:
 def solution_residual(instance, z):
     """Distance-to-solution measure for a candidate point z.
 
-    Affine instances report the inclusion residual ||sum (M_i z + b_i)||,
-    instances with an analytic point report ||z - point||, and feasibility
-    instances report the distance to the common feasible set. Raises
-    NoOracleError when the instance carries no oracle.
+    Checks z, then asks the instance's own oracle. Raises NoOracleError when
+    the instance carries none.
     """
     z = as_vector(z)
     if z.size != instance.dim:
         raise DimensionError("candidate dimension disagrees with the problem")
-    kind = instance.residual_kind
-    if kind == "affine_inclusion":
-        total = np.zeros(instance.dim)
-        for op in instance.ops:
-            total += op.value(z)
-        return float(np.linalg.norm(total))
-    if kind == "analytic_point":
-        return float(np.linalg.norm(z - instance.solution_point))
-    if kind == "box_distance":
-        lo = instance.params["common_lo"]
-        hi = instance.params["common_hi"]
-        return float(np.linalg.norm(z - np.clip(z, lo, hi)))
-    raise NoOracleError(f"{instance.name} carries no solution oracle")
+    if instance.oracle is None:
+        raise NoOracleError(f"{instance.name} carries no solution oracle")
+    return instance.oracle(z)
+
+
+def _distance_to(point):
+    """Oracle ||z - point|| for an analytic solution point."""
+    return lambda z: float(np.linalg.norm(z - point))
+
+
+def _affine_inclusion(ops):
+    """Oracle ||sum A_i z|| for single-valued (affine) operators."""
+    return lambda z: float(np.linalg.norm(sum(op.value(z) for op in ops)))
+
+
+def _box_distance(lo, hi):
+    """Oracle ||z - clip(z, lo, hi)||, the distance to the box [lo, hi]."""
+    return lambda z: float(np.linalg.norm(z - np.clip(z, lo, hi)))
 
 
 def _indicator_neglog(params, seed):
@@ -89,7 +93,7 @@ def _indicator_neglog(params, seed):
     cert = DRCertificate(problem, z=[1.0], w=[1.0])
     return ProblemInstance(
         "indicator_neglog", [op_a, op_b], dim=1,
-        solution_point=[1.0], residual_kind="analytic_point",
+        solution_point=[1.0], oracle=_distance_to(np.array([1.0])),
         dr_certificate=cert, seed=seed, params=params,
     )
 
@@ -113,7 +117,7 @@ def _affine_consensus(params, seed):
     mean = np.mean(np.stack(centers), axis=0)
     return ProblemInstance(
         "affine_consensus", ops, dim=dim,
-        solution_point=mean, residual_kind="affine_inclusion",
+        solution_point=mean, oracle=_affine_inclusion(ops),
         seed=seed, params=params,
     )
 
@@ -139,7 +143,7 @@ def _affine_random(params, seed):
         raise ConstructionError("random affine instance failed its own oracle check")
     return ProblemInstance(
         "affine_random", ops, dim=dim,
-        solution_point=zero, residual_kind="affine_inclusion",
+        solution_point=zero, oracle=_affine_inclusion(ops),
         seed=seed, params=params,
     )
 
@@ -153,16 +157,12 @@ def _box_feasibility(params, seed):
     if len(dims) != 1:
         raise DimensionError("boxes have mixed dimensions")
     dim = ops[0].dim
-    common_lo = np.max(np.stack([op.lo for op in ops]), axis=0)
-    common_hi = np.min(np.stack([op.hi for op in ops]), axis=0)
-    feasible = bool(np.all(common_lo <= common_hi))
-    extra = dict(params)
-    if feasible:
-        extra.update(common_lo=common_lo, common_hi=common_hi)
+    lo = np.max(np.stack([op.lo for op in ops]), axis=0)
+    hi = np.min(np.stack([op.hi for op in ops]), axis=0)
     return ProblemInstance(
         "box_feasibility", ops, dim=dim,
-        residual_kind="box_distance" if feasible else None,
-        seed=seed, params=extra,
+        oracle=_box_distance(lo, hi) if np.all(lo <= hi) else None,
+        seed=seed, params=params,
     )
 
 
@@ -188,7 +188,7 @@ def _custom(params, seed):
     return ProblemInstance(
         "custom", ops, dim=ops[0].dim,
         solution_point=solution,
-        residual_kind="analytic_point" if solution is not None else None,
+        oracle=None if solution is None else _distance_to(solution),
         seed=seed, params=params,
     )
 

@@ -7,7 +7,7 @@ audits finite explicit lists, and declines to certify the state-dependent
 adaptive rule (which is instead monitored at runtime).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,21 @@ def kappa_ratio(z, w_prev):
     return float(num / denom)
 
 
+@dataclass
+class ScheduleReport:
+    """Outcome of validate_schedule, with audit sums for the increments."""
+
+    accepted: bool
+    inf_estimate: float
+    pos_increment_sum: float = 0.0
+    abs_increment_sum: float = 0.0
+    limit_estimate: float | None = None
+    reasons: list = field(default_factory=list)
+
+    def to_dict(self):
+        return asdict(self)
+
+
 class StepsizeSchedule:
     """Base class: a policy producing gamma_n for n = 0, 1, 2, ..."""
 
@@ -41,12 +56,12 @@ class StepsizeSchedule:
     def gamma_at(self, n, feedback=None):
         raise NotImplementedError
 
-    def limit(self):
-        """Analytic limit of gamma_n, or None when unknown."""
-        return None
-
     def reset(self):
         """Clear per-run state (no-op for stateless policies)."""
+
+    def report(self, horizon, declared_lower=None):
+        """This kind's ScheduleReport; validate_schedule is the checked entry point."""
+        raise ParameterError(f"unknown schedule type {type(self).__name__}")
 
 
 class Constant(StepsizeSchedule):
@@ -63,8 +78,10 @@ class Constant(StepsizeSchedule):
             raise ScheduleError("index must be >= 0")
         return self.gamma
 
-    def limit(self):
-        return self.gamma
+    def report(self, horizon, declared_lower=None):
+        return ScheduleReport(accepted=True, inf_estimate=self.gamma,
+                              limit_estimate=self.gamma,
+                              reasons=["constant schedule accepted analytically"])
 
 
 class GeometricToLimit(StepsizeSchedule):
@@ -87,8 +104,12 @@ class GeometricToLimit(StepsizeSchedule):
             raise ScheduleError("index must be >= 0")
         return self.gamma_limit + (self.start - self.gamma_limit) * self.ratio ** n
 
-    def limit(self):
-        return self.gamma_limit
+    def report(self, horizon, declared_lower=None):
+        gap = self.gamma_limit - self.start
+        return ScheduleReport(accepted=True, inf_estimate=min(self.start, self.gamma_limit),
+                              pos_increment_sum=max(gap, 0.0), abs_increment_sum=abs(gap),
+                              limit_estimate=self.gamma_limit,
+                              reasons=["geometric schedule accepted analytically"])
 
 
 class ExplicitList(StepsizeSchedule):
@@ -116,8 +137,29 @@ class ExplicitList(StepsizeSchedule):
             raise ScheduleError("index must be >= 0")
         return self.values[n] if n < len(self.values) else self.tail
 
-    def limit(self):
-        return self.tail
+    def report(self, horizon, declared_lower=None):
+        values = [self.gamma_at(n) for n in range(max(horizon, len(self.values)))]
+        reasons = []
+        accepted = True
+        for i, v in enumerate(values):
+            if v <= 0:
+                accepted = False
+                reasons.append(f"nonpositive value {v} at index {i}")
+                break
+        increments = np.diff(values)
+        pos_sum = float(np.sum(np.maximum(increments, 0.0)))
+        abs_sum = float(np.sum(np.abs(increments)))
+        if accepted:
+            reasons.append("finite positive list accepted; increment sums audited")
+        if declared_lower is not None and min(values) < declared_lower:
+            accepted = False
+            reasons.append(
+                f"value {min(values)} falls below the declared lower bound {declared_lower}"
+            )
+        return ScheduleReport(accepted=accepted, inf_estimate=float(min(values)),
+                              pos_increment_sum=pos_sum, abs_increment_sum=abs_sum,
+                              limit_estimate=self.tail if accepted else None,
+                              reasons=reasons)
 
 
 class AdaptiveKappa(StepsizeSchedule):
@@ -170,27 +212,9 @@ class AdaptiveKappa(StepsizeSchedule):
         self._n = n
         return self._gamma
 
-
-@dataclass
-class ScheduleReport:
-    """Outcome of validate_schedule, with audit sums for the increments."""
-
-    accepted: bool
-    inf_estimate: float
-    pos_increment_sum: float
-    abs_increment_sum: float
-    limit_estimate: float | None
-    reasons: list = field(default_factory=list)
-
-    def to_dict(self):
-        return {
-            "accepted": self.accepted,
-            "inf_estimate": self.inf_estimate,
-            "pos_increment_sum": self.pos_increment_sum,
-            "abs_increment_sum": self.abs_increment_sum,
-            "limit_estimate": self.limit_estimate,
-            "reasons": list(self.reasons),
-        }
+    def report(self, horizon, declared_lower=None):
+        return ScheduleReport(accepted=False, inf_estimate=self.clamp_lo,
+                              reasons=["state-dependent; monitored at runtime"])
 
 
 def validate_schedule(schedule, horizon, declared_lower=None):
@@ -200,71 +224,12 @@ def validate_schedule(schedule, horizon, declared_lower=None):
     increment sums. Explicit lists are accepted iff every value is positive
     (the sums over a finite list are always finite and are reported for
     audit). The adaptive rule is never certified here: its increments depend
-    on the iterates, so the report marks it as runtime-monitored.
+    on the iterates, so the report marks it as runtime-monitored. Each kind
+    builds its own report; a kind without one raises ParameterError.
     """
     if horizon < 2:
         raise ParameterError(f"horizon must be >= 2, got {horizon}")
-
-    if isinstance(schedule, Constant):
-        return ScheduleReport(
-            accepted=True,
-            inf_estimate=schedule.gamma,
-            pos_increment_sum=0.0,
-            abs_increment_sum=0.0,
-            limit_estimate=schedule.gamma,
-            reasons=["constant schedule accepted analytically"],
-        )
-
-    if isinstance(schedule, GeometricToLimit):
-        gap = schedule.gamma_limit - schedule.start
-        return ScheduleReport(
-            accepted=True,
-            inf_estimate=min(schedule.start, schedule.gamma_limit),
-            pos_increment_sum=max(gap, 0.0),
-            abs_increment_sum=abs(gap),
-            limit_estimate=schedule.gamma_limit,
-            reasons=["geometric schedule accepted analytically"],
-        )
-
-    if isinstance(schedule, ExplicitList):
-        values = [schedule.gamma_at(n) for n in range(max(horizon, len(schedule.values)))]
-        reasons = []
-        accepted = True
-        for i, v in enumerate(values):
-            if v <= 0:
-                accepted = False
-                reasons.append(f"nonpositive value {v} at index {i}")
-                break
-        increments = np.diff(values)
-        pos_sum = float(np.sum(np.maximum(increments, 0.0)))
-        abs_sum = float(np.sum(np.abs(increments)))
-        if accepted:
-            reasons.append("finite positive list accepted; increment sums audited")
-        if declared_lower is not None and min(values) < declared_lower:
-            accepted = False
-            reasons.append(
-                f"value {min(values)} falls below the declared lower bound {declared_lower}"
-            )
-        return ScheduleReport(
-            accepted=accepted,
-            inf_estimate=float(min(values)),
-            pos_increment_sum=pos_sum,
-            abs_increment_sum=abs_sum,
-            limit_estimate=schedule.tail if accepted else None,
-            reasons=reasons,
-        )
-
-    if isinstance(schedule, AdaptiveKappa):
-        return ScheduleReport(
-            accepted=False,
-            inf_estimate=schedule.clamp_lo,
-            pos_increment_sum=0.0,
-            abs_increment_sum=0.0,
-            limit_estimate=None,
-            reasons=["state-dependent; monitored at runtime"],
-        )
-
-    raise ParameterError(f"unknown schedule type {type(schedule).__name__}")
+    return schedule.report(horizon, declared_lower)
 
 
 def remark_counterexample_values(count=8):

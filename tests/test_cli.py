@@ -1,16 +1,24 @@
+import contextlib
+import copy
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relosplit
 from relosplit import cli
 from relosplit.driver import ScheduleBudgetWarning
 from relosplit.errors import ConfigError
+from relosplit.schedules import AdaptiveKappa
 
 
 def minimal_dr2_config(**overrides):
@@ -22,6 +30,21 @@ def minimal_dr2_config(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+GRAPH_CONFIG = {
+    "problem": {"name": "affine_random", "params": {"count": 3, "dim": 2}, "seed": 1},
+    "algorithm": "graph",
+    "theta": 1.0,
+    "graph": {"N": 3, "E": [[1, 2], [2, 3], [1, 3]], "Eprime": [[1, 2], [2, 3]]},
+    "schedule": {"kind": "explicit", "values": [2.0, 1.0, 1.5]},
+    "stop": {"residual_tol": 1e-8, "max_iters": 50},
+}
+
+
+def graph_field(key, value):
+    """Overrides that turn minimal_dr2_config into GRAPH_CONFIG with one graph field set."""
+    return {**GRAPH_CONFIG, "graph": {**GRAPH_CONFIG["graph"], key: value}}
 
 
 def geometric_dr2_config(tmp_path):
@@ -115,6 +138,15 @@ class TestParseConfig:
     def test_invalid_json_text(self):
         with pytest.raises(ConfigError):
             cli.parse_config("{not json")
+
+    def test_adaptive_clamp_defaults_come_from_the_class(self):
+        reference = AdaptiveKappa(1.0)
+        default = cli.schedule_from_spec({"kind": "adaptive_kappa", "gamma0": 1.0})
+        assert (default.clamp_lo, default.clamp_hi) == (reference.clamp_lo,
+                                                        reference.clamp_hi)
+        explicit = cli.schedule_from_spec({"kind": "adaptive_kappa", "gamma0": 1.0,
+                                           "clamp_hi": 5.0})
+        assert (explicit.clamp_lo, explicit.clamp_hi) == (reference.clamp_lo, 5.0)
 
 
 class TestExecuteExperiment:
@@ -253,7 +285,21 @@ class TestMainEntry:
         ({"problem": {"name": "affine_random", "seed": "x"}}, "problem.seed:"),
         ({"stop": {"residual_tol": float("nan"), "max_iters": 10}}, "stop:"),
         ({"stop": {"residual_tol": float("inf"), "max_iters": 10}}, "stop:"),
-    ], ids=["theta", "params", "param-value", "seed", "tol-nan", "tol-inf"])
+        ({"stop": {"residual_tol": 1e-8, "max_iters": float("inf")}}, "stop:"),
+        ({"stop": {"residual_tol": 10**400, "max_iters": 10}}, "stop:"),
+        ({"schedule": {"kind": "constant", "gamma": 10**400}}, "schedule:"),
+        ({"x0": [10**400]}, "x0:"),
+        (graph_field("N", "3x"), "graph.N:"),
+        (graph_field("N", None), "graph.N:"),
+        (graph_field("E", False), "graph.E:"),
+        (graph_field("E", [[1, 2], [2]]), "graph.E:"),
+        (graph_field("E", [[1, 2.5], [2, 3]]), "graph.E:"),
+        (graph_field("Eprime", None), "graph.Eprime:"),
+        (graph_field("Eprime", {":": None}), "graph.Eprime:"),
+    ], ids=["theta", "params", "param-value", "seed", "tol-nan", "tol-inf",
+            "max-iters-inf", "tol-huge-int", "gamma-huge-int", "x0-huge-int",
+            "graph-N-text", "graph-N-null", "graph-E-false", "graph-E-short-arc",
+            "graph-E-float-node", "graph-Eprime-null", "graph-Eprime-object"])
     def test_run_malformed_field(self, tmp_path, capsys, overrides, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(minimal_dr2_config(**overrides)))
@@ -356,3 +402,84 @@ class TestMainEntry:
         assert proc.returncode == 4
         assert "broken pipe" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+FUZZ_BASES = [
+    {
+        "problem": {"name": "affine_random", "params": {"count": 2, "dim": 2}, "seed": 1},
+        "algorithm": "dr2",
+        "schedule": {"kind": "adaptive_kappa", "gamma0": 1.0},
+        "stop": {"residual_tol": 1e-8, "max_iters": 50},
+        "x0": [0.5, -0.5],
+    },
+    {
+        "problem": {"name": "affine_consensus", "params": {"count": 3, "dim": 2}, "seed": 0},
+        "algorithm": "mt",
+        "theta": 0.5,
+        "schedule": {"kind": "geometric", "limit": 1.0, "start": 2.0, "ratio": 0.5},
+        "stop": {"residual_tol": 1e-8, "max_iters": 50},
+        "x0": [[0.0, 1.0], [1.0, 0.0]],
+    },
+    GRAPH_CONFIG,
+]
+
+# problem.params.count/dim are left out: a huge value would allocate dense
+# matrices of that size, which is a resource bound, not a parsing question
+FUZZ_PATHS = [
+    ("problem",), ("problem", "name"), ("problem", "params"), ("problem", "seed"),
+    ("algorithm",), ("theta",), ("schedule",), ("schedule", "kind"),
+    ("schedule", "gamma0"), ("schedule", "limit"), ("schedule", "ratio"),
+    ("schedule", "values"), ("schedule", "clamp_lo"), ("stop",),
+    ("stop", "residual_tol"), ("stop", "max_iters"), ("graph",), ("graph", "N"),
+    ("graph", "E"), ("graph", "Eprime"), ("x0",), ("unknown",),
+]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -10**400])
+    | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=10,
+)
+
+
+def _replace(doc, path, value):
+    target = doc
+    for key in path[:-1]:
+        target = target.get(key) if isinstance(target, dict) else None
+    if isinstance(target, dict):
+        target[path[-1]] = value
+
+
+def _cap_max_iters(doc, cap=50):
+    stop = doc.get("stop")
+    if not isinstance(stop, dict):
+        return
+    try:
+        too_many = int(stop.get("max_iters", 0)) > cap
+    except (TypeError, ValueError, OverflowError):
+        return
+    if too_many:
+        stop["max_iters"] = cap
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(base=st.sampled_from(FUZZ_BASES),
+           edits=st.lists(st.tuples(st.sampled_from(FUZZ_PATHS), JSON_VALUES),
+                          max_size=3))
+    def test_run_never_raises(self, base, edits):
+        doc = copy.deepcopy(base)
+        for path, value in edits:
+            _replace(doc, path, value)
+        _cap_max_iters(doc)
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("ignore")
+                code = cli.main(["run", path])
+        assert code in range(5), err.getvalue()

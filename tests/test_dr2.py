@@ -165,17 +165,6 @@ class TestCertificates:
                 assert gap == abs(g - d)
 
 
-class TestAdaptiveKappa:
-    def test_hand_ratio(self):
-        assert dr2.adaptive_kappa([1.0], [3.0]) == pytest.approx(0.5)
-
-    def test_zero_numerator(self):
-        assert dr2.adaptive_kappa([0.0, 0.0], [1.0, 1.0]) == 0.0
-
-    def test_converged_signal(self):
-        assert dr2.adaptive_kappa([1.0], [1.0]) is None
-
-
 class TestAlgorithm1:
     def test_constant_schedule_reduces_to_classical_dr(self):
         problem = neglog_problem()

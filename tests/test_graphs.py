@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import GAMMA_GRID, random_affine
-from relosplit import graphs, schedules as sch
+from relosplit import graphs, problems, schedules as sch
 from relosplit.driver import StopRule, run_relocated
 from relosplit.errors import (
     ConstructionError,
@@ -11,7 +11,7 @@ from relosplit.errors import (
     ParameterError,
 )
 from relosplit.linalg import BlockVector
-from relosplit.malitsky_tam import mt_graph
+from relosplit.malitsky_tam import MTProblem, mt_family, mt_graph
 from relosplit.operators import (
     AffineMonotone,
     CountingOperator,
@@ -380,3 +380,32 @@ class TestGraphRelocatedRun:
         # residual = theta * consensus for theta = 1
         for r, c in zip(trace.residuals, cons):
             assert r == pytest.approx(c, abs=1e-13)
+
+
+class TestAdaptiveFeedback:
+    def test_pair_matches_mt_under_half_scaling(self, rng):
+        # the ring graph at (2 gamma, 2 theta, 2 w) and MT at (gamma, theta, w)
+        # feed the adaptive rule the same (z_1, input of node 1's resolvent)
+        g = mt_graph(4)
+        ops = affine_ops(rng, g)
+        theta, gamma = 0.4, 0.7
+        w = BlockVector(rng.standard_normal((3, 2)))
+        graph_pair = graphs.graph_family(ops, g, 2.0 * theta).feedback(2.0 * gamma, 2.0 * w)
+        mt_pair = mt_family(MTProblem(tuple(ops), theta)).feedback(gamma, w)
+        for a, b in zip(graph_pair, mt_pair):
+            assert np.max(np.abs(np.asarray(a) - np.asarray(b))) <= 1e-12
+
+    def test_chorded_graph_converges(self):
+        # with block 0 of w as the reference point this run drove gamma down
+        # to the 1e-4 clamp and ended max_iters with an oracle residual of 3.9
+        inst = problems.make_problem("affine_random", {"count": 5, "dim": 3}, seed=8)
+        tree = [(1, 2), (2, 3), (3, 4), (4, 5)]
+        g = graphs.build_graph(5, tree + [(1, 3), (2, 5)], tree)
+        trace = graphs.graph_relocated_run(
+            inst.ops, g, 1.0, sch.AdaptiveKappa(1.0), BlockVector.zeros(4, 3),
+            StopRule(residual_tol=1e-8, max_iters=20000),
+            solution_residual=lambda z: problems.solution_residual(inst, z))
+        assert trace.status == "converged"
+        assert trace.iterations < 1000
+        assert min(trace.gammas) > 1e-4
+        assert trace.solution_residuals[-1] <= 1e-6

@@ -148,6 +148,14 @@ class TestValidateSchedule:
         with pytest.raises(ParameterError):
             sch.validate_schedule(sch.Constant(1.0), horizon=1)
 
+    def test_unknown_schedule_type_rejected(self):
+        class Halving(sch.StepsizeSchedule):
+            def gamma_at(self, n, feedback=None):
+                return 0.5 ** n
+
+        with pytest.raises(ParameterError, match="unknown schedule type Halving"):
+            sch.validate_schedule(Halving(), horizon=10)
+
     def test_cross_inequality_on_accepted_lists(self, rng):
         # sum |a_k| <= gamma_0 - gamma_low + 2 sum (a_k)_+ on accepted prefixes
         for _ in range(50):
