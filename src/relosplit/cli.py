@@ -72,20 +72,28 @@ def schedule_from_spec(spec):
     """Build a StepsizeSchedule from its config sub-schema."""
     kind = spec.get("kind")
     if kind == "constant":
-        return Constant(spec["gamma"])
+        return Constant(_number(spec["gamma"]))
     if kind == "geometric":
-        return GeometricToLimit(limit=spec["limit"], start=spec["start"],
-                                ratio=spec["ratio"])
+        return GeometricToLimit(limit=_number(spec["limit"]),
+                                start=_number(spec["start"]),
+                                ratio=_number(spec["ratio"]))
     if kind == "explicit":
-        return ExplicitList(spec["values"])
+        return ExplicitList([_number(v) for v in spec["values"]])
     if kind == "adaptive_kappa":
-        clamps = {k: spec[k] for k in ("clamp_lo", "clamp_hi") if k in spec}
-        return AdaptiveKappa(gamma0=spec["gamma0"], **clamps)
+        clamps = {k: _number(spec[k]) for k in ("clamp_lo", "clamp_hi") if k in spec}
+        return AdaptiveKappa(gamma0=_number(spec["gamma0"]), **clamps)
     raise ParameterError(f"unknown schedule kind {kind!r}")
 
 
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value):
+    """float(value), refusing JSON true/false, which float() reads as 1.0/0.0."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _parse_graph(spec, errors):
@@ -110,7 +118,7 @@ def _parse_graph(spec, errors):
 def _as_nested_list(value):
     if isinstance(value, (list, tuple)):
         return [_as_nested_list(v) for v in value]
-    return float(value)
+    return _number(value)
 
 
 def parse_config(doc):
@@ -168,7 +176,7 @@ def parse_config(doc):
     elif algorithm in ("mt", "graph"):
         upper = 1 if algorithm == "mt" else 2
         try:
-            valid = theta is not None and 0.0 < float(theta) < upper
+            valid = theta is not None and 0.0 < _number(theta) < upper
         except _BAD_VALUE:
             valid = False
         if not valid:
@@ -206,10 +214,12 @@ def parse_config(doc):
     stop_spec = doc.get("stop")
     if not isinstance(stop_spec, dict):
         errors.append("stop: required object {residual_tol, max_iters}")
+    elif not _is_int(max_iters := stop_spec.get("max_iters", 0)):
+        errors.append(f"stop: max_iters must be an integer, got {max_iters!r}")
     else:
         try:
-            StopRule(residual_tol=float(stop_spec.get("residual_tol", 0)),
-                     max_iters=int(stop_spec.get("max_iters", 0)))
+            StopRule(residual_tol=_number(stop_spec.get("residual_tol", 0)),
+                     max_iters=max_iters)
         except (RelosplitError, *_BAD_VALUE) as exc:
             errors.append(f"stop: {exc}")
 
@@ -233,7 +243,7 @@ def parse_config(doc):
         algorithm=algorithm,
         schedule=dict(sched_spec),
         stop={"residual_tol": float(stop_spec["residual_tol"]),
-              "max_iters": int(stop_spec["max_iters"])},
+              "max_iters": stop_spec["max_iters"]},
         theta=None if theta is None else float(theta),
         graph=graph,
         x0=x0,
@@ -290,10 +300,8 @@ def run_experiment(cfg, seed=None):
     return trace
 
 
-def execute_experiment(cfg, trace_out=None, summary_out=None, seed=None,
-                       stdout=None):
+def execute_experiment(cfg, trace_out=None, summary_out=None, seed=None):
     """Run one experiment and write its outputs; returns the exit code."""
-    stdout = stdout or sys.stdout
     trace = run_experiment(cfg, seed=seed)
     output = cfg.output or {}
     trace_path = trace_out or output.get("trace_path")
@@ -309,7 +317,7 @@ def execute_experiment(cfg, trace_out=None, summary_out=None, seed=None,
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(json.dumps(summary), file=stdout)
+    print(json.dumps(summary))
     return _STATUS_EXIT[trace.status]
 
 

@@ -20,6 +20,9 @@ from .operators import MonotoneOperator
 #: Residual tolerance for accepting a point as a fixed point of T_gamma.
 FIXED_POINT_TOL = 1e-9
 
+#: Tolerance of a certificate's membership tests w in Az and -w in Bz.
+CERTIFICATE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class DRProblem:
@@ -75,17 +78,17 @@ class DRCertificate:
     decidable; the fixed-point residual of z + w under T_1 is always checked.
     """
 
-    def __init__(self, problem, z, w, tol=1e-8):
+    def __init__(self, problem, z, w):
         self.problem = problem
         self.z = as_vector(z)
         self.w = as_vector(w)
         if self.z.size != problem.dim or self.w.size != problem.dim:
             raise DimensionError("certificate dimension disagrees with the problem")
         res_a = problem.op_a.inclusion_residual(self.z, self.w)
-        if res_a is not None and res_a > tol:
+        if res_a is not None and res_a > CERTIFICATE_TOL:
             raise CertificateError(f"w not in Az: membership residual {res_a:.3e}")
         res_b = problem.op_b.inclusion_residual(self.z, -self.w)
-        if res_b is not None and res_b > tol:
+        if res_b is not None and res_b > CERTIFICATE_TOL:
             raise CertificateError(f"-w not in Bz: membership residual {res_b:.3e}")
         y = self.z + self.w
         t_y, _, _ = dr_apply(problem, 1.0, y)

@@ -21,34 +21,16 @@ STATUS_DIVERGED = "diverged"
 STATUS_SCHEDULE_REJECTED = "schedule_rejected"
 
 
+#: Budget of the summed positive stepsize increments, in units of gamma_0: a
+#: practical tripwire, since the summability hypothesis is asymptotic.
+POS_INCREMENT_BUDGET = 1e3
+
+#: Grid size of the continuity check in check_relocator_axioms.
+CONTINUITY_POINTS = 60
+
+
 class ScheduleBudgetWarning(RuntimeWarning):
     """The accumulated positive stepsize increments exceeded their budget."""
-
-
-class PositiveIncrementMonitor:
-    """Accumulates (gamma_{n+1} - gamma_n)_+ and warns once above a budget.
-
-    The summability hypothesis is asymptotic and cannot be certified from a
-    finite run; the budget (default 1e3 * gamma_0) is a practical tripwire.
-    """
-
-    def __init__(self, gamma0, budget=None):
-        self.budget = float(budget) if budget is not None else 1e3 * float(gamma0)
-        self.total = 0.0
-        self._warned = False
-
-    def update(self, gamma, gamma_next):
-        self.total += max(gamma_next - gamma, 0.0)
-        if not self._warned and self.total > self.budget:
-            self._warned = True
-            warnings.warn(
-                f"positive stepsize increments exceeded budget {self.budget:.3e}; "
-                "the schedule may not satisfy the summability condition",
-                ScheduleBudgetWarning,
-                # update <- relocated_loop <- runner <- the runner's caller
-                stacklevel=4,
-            )
-        return self.total
 
 
 def ambient_norm(x):
@@ -257,8 +239,7 @@ class ConvergenceTrace:
 
 
 def relocated_loop(step, relocate, feedback, schedule, x0, stop,
-                   solution_residual=None, anchor0=None, relocator=None,
-                   pos_increment_budget=None):
+                   solution_residual=None):
     """The relocated iteration x_{n+1} = Q_{g_{n+1}<-g_n} T_{g_n} x_n.
 
     Every runner is this loop plus three hooks:
@@ -272,26 +253,28 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
     * relocate(gamma, delta, w, pre) -> (x_next, carry). It may reuse pre,
       and may hand the next step a resolvent it has already evaluated.
 
+    Every iteration, the last one included, asks the schedule for
+    gamma_{n+1} and applies the whole stop rule: a run that reaches max_iters
+    with a small residual but a moving stepsize ends "max_iters". One
+    ScheduleBudgetWarning is raised once the summed positive increments
+    exceed POS_INCREMENT_BUDGET * gamma_0.
+
     The finiteness test of each relocated iterate is the only divergence
     detector: the hooks' block arithmetic does not re-check, so an overflow
     ends the run with status "diverged" instead of raising.
 
     solution_residual is called on the shadow (or on x when the step has
-    none). anchor0, a fixed point of T_{gamma_0}, is moved by relocator
-    alongside the run and ||x_n - c_n|| is recorded with the relocator
-    bounds, mirroring the decrease inequality of the convergence proof.
+    none).
     """
     schedule.reset()
     gamma = schedule.gamma_at(0)
-    trace = ConvergenceTrace()
+    trace = ConvergenceTrace(final_x=x0)
     if gamma <= 0 or not np.isfinite(gamma):
         trace.status = STATUS_SCHEDULE_REJECTED
-        trace.final_x = x0
         return trace
-    monitor = PositiveIncrementMonitor(gamma, pos_increment_budget)
+    budget = POS_INCREMENT_BUDGET * float(gamma)
 
     x = x0
-    anchor = anchor0
     carry = None
     for n in range(stop.max_iters + 1):
         w, aux = step(gamma, x, carry)
@@ -301,36 +284,30 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
         sol = None
         if solution_residual is not None:
             sol = solution_residual(monitored)
-        scalars = aux.get("scalars")
-        if anchor is not None:
-            scalars = {**(scalars or {}), "anchor_distance": ambient_norm(x - anchor)}
         trace.record(gamma, residual, sol, point=ambient_flat(monitored),
-                     iterate=x, scalars=scalars, vectors=aux.get("vectors"))
+                     iterate=x, scalars=aux.get("scalars"), vectors=aux.get("vectors"))
 
-        gamma_next = None
-        pre = None
-        settled = True
-        if n < stop.max_iters:
-            pair = None
-            if schedule.is_adaptive:
-                pair, pre = feedback(gamma, w)
-            gamma_next = schedule.gamma_at(n + 1, feedback=pair)
-            if gamma_next <= 0 or not np.isfinite(gamma_next):
-                trace.status = STATUS_SCHEDULE_REJECTED
-                break
-            settled = stop.settled(gamma, gamma_next)
-        if residual <= stop.residual_tol and settled:
+        pair, pre = feedback(gamma, w) if schedule.is_adaptive else (None, None)
+        gamma_next = schedule.gamma_at(n + 1, feedback=pair)
+        if gamma_next <= 0 or not np.isfinite(gamma_next):
+            trace.status = STATUS_SCHEDULE_REJECTED
+            break
+        if residual <= stop.residual_tol and stop.settled(gamma, gamma_next):
             trace.status = STATUS_CONVERGED
             break
         if n == stop.max_iters:
-            trace.status = STATUS_MAX_ITERS
             break
-        trace.sum_pos_increments = monitor.update(gamma, gamma_next)
-
-        if anchor is not None:
-            bound = relocator.lipschitz_bound(gamma, gamma_next)
-            trace.extra_scalars.setdefault("relocator_bound", []).append(bound)
-            anchor = relocator.apply(gamma, gamma_next, anchor)
+        # the sum never decreases, so crossing the budget happens at most once
+        before = trace.sum_pos_increments
+        trace.sum_pos_increments += max(gamma_next - gamma, 0.0)
+        if before <= budget < trace.sum_pos_increments:
+            warnings.warn(
+                f"positive stepsize increments exceeded budget {budget:.3e}; "
+                "the schedule may not satisfy the summability condition",
+                ScheduleBudgetWarning,
+                # relocated_loop <- runner <- the runner's caller
+                stacklevel=3,
+            )
 
         x, carry = relocate(gamma, gamma_next, w, pre)
         if not ambient_isfinite(x):
@@ -343,24 +320,42 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
 
 
 def run_relocated(family, relocator, schedule, x0, stop, solution_residual=None,
-                  anchor0=None, pos_increment_budget=None):
+                  anchor0=None):
     """Run the naive relocated composition of a family and a relocator.
 
     Every step evaluates T_gamma and Q in full and reuses nothing; the
-    efficient runners are checked against it. solution_residual and anchor0
-    are as in relocated_loop.
+    efficient runners are checked against it. solution_residual is as in
+    relocated_loop. anchor0, a fixed point of T_{gamma_0}, is moved by the
+    relocator alongside the run: ||x_n - c_n|| is recorded as
+    "anchor_distance" and the relocator bounds as "relocator_bound",
+    mirroring the decrease inequality of the convergence proof.
     """
+    anchor = anchor0
+    bounds = []
+
+    def step(gamma, x, carry):
+        w, aux = family.apply(gamma, x)
+        if anchor is not None:
+            aux["scalars"] = {**(aux.get("scalars") or {}),
+                              "anchor_distance": ambient_norm(x - anchor)}
+        return w, aux
 
     def feedback(gamma, w):
         z_fb, w_fb = family.feedback(gamma, w)
         return (ambient_flat(z_fb), ambient_flat(w_fb)), None
 
-    return relocated_loop(
-        lambda gamma, x, carry: family.apply(gamma, x),
-        lambda gamma, delta, w, pre: (relocator.apply(gamma, delta, w), None),
-        feedback, schedule, x0, stop, solution_residual=solution_residual,
-        anchor0=anchor0, relocator=relocator,
-        pos_increment_budget=pos_increment_budget)
+    def relocate(gamma, delta, w, pre):
+        nonlocal anchor
+        if anchor is not None:
+            bounds.append(relocator.lipschitz_bound(gamma, delta))
+            anchor = relocator.apply(gamma, delta, anchor)
+        return relocator.apply(gamma, delta, w), None
+
+    trace = relocated_loop(step, relocate, feedback, schedule, x0, stop,
+                           solution_residual=solution_residual)
+    if bounds:
+        trace.extra_scalars["relocator_bound"] = bounds
+    return trace
 
 
 @dataclass
@@ -380,18 +375,6 @@ class RelocatorAxiomReport:
         return (self.bijection_ok and self.continuity_ok and self.semigroup_ok
                 and self.lipschitz_ok)
 
-    def to_dict(self):
-        return {
-            "bijection_ok": self.bijection_ok,
-            "continuity_ok": self.continuity_ok,
-            "semigroup_ok": self.semigroup_ok,
-            "lipschitz_ok": self.lipschitz_ok,
-            "continuity_modulus": self.continuity_modulus,
-            "max_lipschitz_ratio_excess": self.max_lipschitz_ratio_excess,
-            "violations": list(self.violations),
-            "passed": self.passed,
-        }
-
 
 def _perturb(x, rng, scale):
     if isinstance(x, BlockVector):
@@ -400,7 +383,7 @@ def _perturb(x, rng, scale):
 
 
 def check_relocator_axioms(family, relocator, fixed_points, gammas, tol=1e-9,
-                           rng=None, lipschitz_samples=40, continuity_points=60):
+                           rng=None, lipschitz_samples=40):
     """Check the four fixed-point relocator axioms on sampled data.
 
     fixed_points is a list of pairs (gamma, x) with x in Fix T_gamma; each is
@@ -457,7 +440,7 @@ def check_relocator_axioms(family, relocator, fixed_points, gammas, tol=1e-9,
                         f"semigroup fails for ({e}<-{d})({d}<-{g}) vs ({e}<-{g})"
                     )
 
-        grid = np.linspace(min(gammas), max(gammas), continuity_points)
+        grid = np.linspace(min(gammas), max(gammas), CONTINUITY_POINTS)
         images = [relocator.apply(g, float(d), x) for d in grid]
         for a, b, da, db in zip(images, images[1:], grid, grid[1:]):
             slope = ambient_norm(b - a) / (db - da)

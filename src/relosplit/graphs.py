@@ -32,6 +32,10 @@ from .errors import (
 )
 from .linalg import BlockVector, as_block_vector, kron_apply, pseudo_inverse
 
+#: Tolerance of the consistency, consensus and fixed-point tests in
+#: fix_point_oracle_affine.
+ORACLE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class GraphMatrices:
@@ -284,7 +288,7 @@ def relocator_system_residual(ops, g, gamma, delta, x, y=None):
     return (lhs - rhs).norm()
 
 
-def graph_relocator_lipschitz_bound(g, zdag_norm, gamma, delta):
+def graph_relocator_lipschitz_bound(g, gamma, delta):
     """Upper bound on the Lipschitz constant of the graph relocator.
 
     Uses the sweep recursion L_1 = ||Z row 1||, L_i = 2 sum_{(h,i) in E}
@@ -305,7 +309,7 @@ def graph_relocator_lipschitz_bound(g, zdag_norm, gamma, delta):
     coeff = (g.deg - 2 * g.indeg).astype(float) / g.deg
     radicand = float(np.sum((coeff * np.array(lips)) ** 2))
     ratio = delta / gamma
-    return ratio + abs(1.0 - ratio) * zdag_norm * np.sqrt(radicand)
+    return ratio + abs(1.0 - ratio) * g.matrices.Zdag_norm * np.sqrt(radicand)
 
 
 def consensus_point(z):
@@ -348,10 +352,9 @@ def graph_family(ops, g, theta):
 
 def graph_relocator(ops, g):
     """The pseudo-inverse relocator as a driver relocator."""
-    zdag_norm = g.matrices.Zdag_norm
     return Relocator(
         lambda gamma, delta, x: graph_relocator_apply(ops, g, gamma, delta, x),
-        lambda gamma, delta: graph_relocator_lipschitz_bound(g, zdag_norm, gamma, delta),
+        lambda gamma, delta: graph_relocator_lipschitz_bound(g, gamma, delta),
         name="graph_dr",
     )
 
@@ -396,7 +399,7 @@ def graph_relocated_run(ops, g, theta, schedule, x0, stop, solution_residual=Non
                           solution_residual=at_consensus(solution_residual))
 
 
-def fix_point_oracle_affine(ops, g, gamma, tol=1e-8):
+def fix_point_oracle_affine(ops, g, gamma):
     """A fixed point of T_gamma for affine instances, plus the consensus zero.
 
     Solves the stacked linear system gamma (M_i z_i + b_i) + ((R + P) z)_i
@@ -427,7 +430,7 @@ def fix_point_oracle_affine(ops, g, gamma, tol=1e-8):
 
     solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
     residual = np.linalg.norm(system @ solution - rhs)
-    if residual > tol * (1.0 + np.linalg.norm(rhs)):
+    if residual > ORACLE_TOL * (1.0 + np.linalg.norm(rhs)):
         raise InfeasibleError(
             f"stacked system residual {residual:.3e}: the operators admit no "
             "common zero"
@@ -437,7 +440,7 @@ def fix_point_oracle_affine(ops, g, gamma, tol=1e-8):
     v_blocks = solution[n * d:].reshape(n - 1, d)
     z_star = z_blocks.mean(axis=0)
     spread = np.max(np.abs(z_blocks - z_star[None, :]))
-    if spread > tol * (1.0 + np.linalg.norm(z_star)):
+    if spread > ORACLE_TOL * (1.0 + np.linalg.norm(z_star)):
         raise ConsistencyError(
             f"zero of the stacked system is not consensus (spread {spread:.3e})"
         )
@@ -445,7 +448,7 @@ def fix_point_oracle_affine(ops, g, gamma, tol=1e-8):
     x = BlockVector(v_blocks)
     w, _ = graph_dr_apply(ops, g, gamma, 1.0, x)
     fix_resid = (x - w).norm()
-    if fix_resid > 1e-8:
+    if fix_resid > ORACLE_TOL:
         raise ConsistencyError(
             f"oracle point fails the fixed-point test (residual {fix_resid:.3e})"
         )

@@ -18,6 +18,9 @@ from .errors import DimensionError, ParameterError, SingularMatrixError
 #: is treated as rank deficient.
 RANK_TOL = 1e-12
 
+#: Relative residual tolerance of solve_linear.
+SOLVE_TOL = 1e-10
+
 
 def as_vector(x):
     """Coerce ``x`` to a 1-D float array, rejecting non-finite entries."""
@@ -219,11 +222,11 @@ def pseudo_inverse(z):
     return zdag, float(1.0 / sigma_min)
 
 
-def solve_linear(matrix, rhs, tol=1e-10):
+def solve_linear(matrix, rhs):
     """Solve M x = b for a square well-conditioned M.
 
     Raises SingularMatrixError when numpy reports a singular factorization or
-    when the residual exceeds ``tol * (1 + ||b||)``.
+    when the residual exceeds ``SOLVE_TOL * (1 + ||b||)``.
     """
     m = as_matrix(matrix)
     b = as_vector(rhs)
@@ -238,7 +241,7 @@ def solve_linear(matrix, rhs, tol=1e-10):
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from exc
     residual = np.linalg.norm(m @ x - b)
-    if not np.all(np.isfinite(x)) or residual > tol * (1.0 + np.linalg.norm(b)):
+    if not np.all(np.isfinite(x)) or residual > SOLVE_TOL * (1.0 + np.linalg.norm(b)):
         raise SingularMatrixError(
             f"solve residual {residual:.3e} exceeds tolerance; matrix is "
             "numerically singular"

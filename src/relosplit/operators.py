@@ -39,10 +39,6 @@ class MonotoneOperator:
         x = as_vector(x)
         return 2.0 * self.resolvent(gamma, x) - x
 
-    def domain_projection(self, x):
-        """Projection of x onto the closure of dom A (identity when full)."""
-        return as_vector(x).copy()
-
     def _resolvent(self, gamma, x):
         raise NotImplementedError
 
@@ -159,9 +155,6 @@ class NormalConePoint(MonotoneOperator):
     def _resolvent(self, gamma, x):
         return self.point.copy()
 
-    def domain_projection(self, x):
-        return self.point.copy()
-
     def inclusion_residual(self, z, w):
         # every w lies in the normal cone at c, and the cone is empty elsewhere
         return float(np.linalg.norm(z - self.point))
@@ -186,9 +179,6 @@ class NormalConeBox(MonotoneOperator):
     def _resolvent(self, gamma, x):
         return np.clip(x, self.lo, self.hi)
 
-    def domain_projection(self, x):
-        return np.clip(as_vector(x), self.lo, self.hi)
-
 
 class NormalConeBall(MonotoneOperator):
     """Normal cone of the closed ball B(center, radius); J projects onto it."""
@@ -204,10 +194,7 @@ class NormalConeBall(MonotoneOperator):
         self.dim = self.center.size
 
     def _resolvent(self, gamma, x):
-        return self.domain_projection(x)
-
-    def domain_projection(self, x):
-        d = as_vector(x) - self.center
+        d = x - self.center
         dist = np.linalg.norm(d)
         if dist <= self.radius:
             return self.center + d
@@ -233,9 +220,6 @@ class NegLog(MonotoneOperator):
         root = np.sqrt(x * x + 4.0 * gamma)
         # rationalized branch for x < 0 avoids cancellation in x + root
         return np.where(x >= 0, (x + root) / 2.0, (2.0 * gamma) / (root - x))
-
-    def domain_projection(self, x):
-        return np.maximum(as_vector(x), 0.0)
 
     def value(self, x):
         return -1.0 / x if np.all(x > 0) else None
@@ -263,9 +247,6 @@ class Translated(MonotoneOperator):
 
     def _resolvent(self, gamma, x):
         return self.shift + self.inner.resolvent(gamma, x - self.shift)
-
-    def domain_projection(self, x):
-        return self.shift + self.inner.domain_projection(as_vector(x) - self.shift)
 
     def value(self, x):
         return self.inner.value(x - self.shift)
@@ -296,9 +277,6 @@ class Scaled(MonotoneOperator):
     def _resolvent(self, gamma, x):
         return self.inner.resolvent(gamma * self.sigma, x)
 
-    def domain_projection(self, x):
-        return self.inner.domain_projection(x)
-
     def value(self, x):
         inner = self.inner.value(x)
         return None if inner is None else self.sigma * inner
@@ -328,9 +306,6 @@ class CountingOperator(MonotoneOperator):
     def _resolvent(self, gamma, x):
         self.calls += 1
         return self.inner.resolvent(gamma, x)
-
-    def domain_projection(self, x):
-        return self.inner.domain_projection(x)
 
     def value(self, x):
         return self.inner.value(x)

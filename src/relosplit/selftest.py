@@ -195,9 +195,8 @@ def _lipschitz_bounds(rng):
     g = mt.mt_graph(3)
     d = 2
     ops = [_random_affine(rng, d) for _ in range(3)]
-    zdag_norm = g.matrices.Zdag_norm
     for (gamma, delta) in ((1.0, 2.0), (2.0, 1.0), (0.5, 2.0)):
-        bound = graphs.graph_relocator_lipschitz_bound(g, zdag_norm, gamma, delta)
+        bound = graphs.graph_relocator_lipschitz_bound(g, gamma, delta)
         for _ in range(100):
             u = BlockVector(3.0 * rng.standard_normal((2, d)))
             v = BlockVector(3.0 * rng.standard_normal((2, d)))

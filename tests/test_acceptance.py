@@ -204,8 +204,7 @@ def test_criterion_8_lipschitz_bounds():
     rng = np.random.default_rng(8)
     failures = []
     g3 = mt.mt_graph(3)
-    bound = graphs.graph_relocator_lipschitz_bound(g3, g3.matrices.Zdag_norm,
-                                                   1.0, 2.0)
+    bound = graphs.graph_relocator_lipschitz_bound(g3, 1.0, 2.0)
     if abs(bound - 6.526) > 1e-3:
         failures.append(f"hand-derived N=3 bound mismatch: {bound}")
     ops = [random_affine(rng, 2) for _ in range(3)]

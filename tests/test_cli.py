@@ -296,10 +296,19 @@ class TestMainEntry:
         (graph_field("E", [[1, 2.5], [2, 3]]), "graph.E:"),
         (graph_field("Eprime", None), "graph.Eprime:"),
         (graph_field("Eprime", {":": None}), "graph.Eprime:"),
+        ({"stop": {"residual_tol": 1e-8, "max_iters": 2.7}}, "stop:"),
+        ({"stop": {"residual_tol": 1e-8, "max_iters": True}}, "stop:"),
+        ({"stop": {"residual_tol": True, "max_iters": 10}}, "stop:"),
+        ({**GRAPH_CONFIG, "theta": True}, "theta:"),
+        ({"schedule": {"kind": "constant", "gamma": True}}, "schedule:"),
+        ({"schedule": {"kind": "explicit", "values": [1.0, False]}}, "schedule:"),
+        ({"x0": [False]}, "x0:"),
     ], ids=["theta", "params", "param-value", "seed", "tol-nan", "tol-inf",
             "max-iters-inf", "tol-huge-int", "gamma-huge-int", "x0-huge-int",
             "graph-N-text", "graph-N-null", "graph-E-false", "graph-E-short-arc",
-            "graph-E-float-node", "graph-Eprime-null", "graph-Eprime-object"])
+            "graph-E-float-node", "graph-Eprime-null", "graph-Eprime-object",
+            "max-iters-float", "max-iters-bool", "tol-bool",
+            "graph-theta-bool", "gamma-bool", "explicit-value-bool", "x0-bool"])
     def test_run_malformed_field(self, tmp_path, capsys, overrides, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(minimal_dr2_config(**overrides)))

@@ -243,15 +243,33 @@ class TestAlgorithm1:
         assert op_a.calls == iterations + 1
 
     def test_adaptive_resolvent_counts(self, rng):
-        # the stop test of the last iteration needs one feedback resolvent of A
-        op_a = CountingOperator(random_affine(rng, 3))
-        op_b = CountingOperator(random_affine(rng, 3))
-        trace = dr2.algorithm1_run(dr2.DRProblem(op_a, op_b), sch.AdaptiveKappa(1.0),
-                                   rng.standard_normal(3),
-                                   StopRule(residual_tol=1e-10, max_iters=2000))
-        assert trace.status == "converged"
-        assert op_a.calls == trace.iterations + 2
-        assert op_b.calls == trace.iterations + 1
+        # the stop test of the last iteration, a budget stop included, needs
+        # one feedback resolvent of A
+        for max_iters, status in ((2000, "converged"), (7, "max_iters")):
+            op_a = CountingOperator(random_affine(rng, 3))
+            op_b = CountingOperator(random_affine(rng, 3))
+            trace = dr2.algorithm1_run(dr2.DRProblem(op_a, op_b), sch.AdaptiveKappa(1.0),
+                                       rng.standard_normal(3),
+                                       StopRule(residual_tol=1e-10, max_iters=max_iters))
+            assert trace.status == status
+            assert op_a.calls == trace.iterations + 2
+            assert op_b.calls == trace.iterations + 1
+
+    @pytest.mark.parametrize("runner", ["algorithm1_run", "run_relocated"])
+    def test_budget_stop_on_moving_curve_is_max_iters(self, runner):
+        # x_n = 1 + gamma_n stays on the moving fixed-point curve, so every
+        # residual is 0, but gamma_2 = 1.25 still moves by 0.125 per step
+        problem = neglog_problem()
+        schedule = sch.GeometricToLimit(limit=1.0, start=2.0, ratio=0.5)
+        stop = StopRule(residual_tol=1e-9, max_iters=2)
+        if runner == "algorithm1_run":
+            trace = dr2.algorithm1_run(problem, schedule, np.array([3.0]), stop)
+        else:
+            trace = run_relocated(dr2.dr_family(problem), dr2.dr_relocator(problem),
+                                  schedule, np.array([3.0]), stop)
+        assert max(trace.residuals) <= stop.residual_tol
+        assert trace.status == "max_iters"
+        assert trace.iterations == 2
 
     def test_opial_surrogate(self):
         # distance to the limit fixed point settles: last-quarter oscillation

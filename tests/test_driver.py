@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from relosplit import schedules as sch
+from relosplit import dr2, schedules as sch
 from relosplit.driver import (
     ConvergenceTrace,
     OperatorFamily,
@@ -16,6 +16,7 @@ from relosplit.driver import (
     run_relocated,
 )
 from relosplit.errors import FixedPointError, ParameterError
+from relosplit.operators import NegLog, NormalConePoint
 
 
 def identity_family():
@@ -66,11 +67,26 @@ class TestRunRelocated:
 
     def test_budget_warning(self):
         family = OperatorFamily(lambda g, x: (0.9 * x, {}), 0.5)
-        growing = sch.ExplicitList([1.0 + 0.5 * n for n in range(30)])
+        growing = sch.ExplicitList([1.0 + 50.0 * n for n in range(30)])
         with pytest.warns(ScheduleBudgetWarning):
             run_relocated(family, identity_relocator(), growing,
-                          np.array([1.0]), StopRule(1e-12, 25),
-                          pos_increment_budget=2.0)
+                          np.array([1.0]), StopRule(1e-12, 25))
+
+    @pytest.mark.parametrize("runner", ["run_relocated", "algorithm1_run"])
+    def test_budget_warning_points_at_caller(self, runner):
+        # the budget is 1e3 * gamma_0; increments of 50 cross it at step 21
+        problem = dr2.DRProblem(NormalConePoint([1.0]), NegLog(1))
+        growing = sch.ExplicitList([1.0 + 50.0 * n for n in range(30)])
+        stop = StopRule(1e-12, 25)
+        with pytest.warns(ScheduleBudgetWarning) as records:
+            if runner == "run_relocated":
+                run_relocated(dr2.dr_family(problem), dr2.dr_relocator(problem),
+                              growing, np.array([3.0]), stop)
+            else:
+                dr2.algorithm1_run(problem, growing, np.array([3.0]), stop)
+        budget = [r for r in records if r.category is ScheduleBudgetWarning]
+        assert len(budget) == 1
+        assert budget[0].filename == __file__
 
     def test_sum_pos_increments(self):
         family = OperatorFamily(lambda g, x: (0.9 * x, {}), 0.5)

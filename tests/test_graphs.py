@@ -210,14 +210,12 @@ class TestGraphRelocator:
 class TestLipschitzBound:
     def test_equal_stepsizes_give_one(self):
         g = mt_graph(3)
-        assert graphs.graph_relocator_lipschitz_bound(g, g.matrices.Zdag_norm,
-                                                      1.3, 1.3) == 1.0
+        assert graphs.graph_relocator_lipschitz_bound(g, 1.3, 1.3) == 1.0
 
     def test_mt3_hand_recursion(self):
         # L_1 = 1, L_2 = 1 + sqrt(2), L_3 = 3 + sqrt(2); norm(Zdag) = 1
         g = mt_graph(3)
-        bound = graphs.graph_relocator_lipschitz_bound(g, g.matrices.Zdag_norm,
-                                                       1.0, 2.0)
+        bound = graphs.graph_relocator_lipschitz_bound(g, 1.0, 2.0)
         expected = 2.0 + np.sqrt(1.0 + (3.0 + np.sqrt(2.0)) ** 2)
         assert bound == pytest.approx(expected, abs=1e-12)
         assert bound == pytest.approx(6.526, abs=1e-3)
@@ -225,9 +223,8 @@ class TestLipschitzBound:
     def test_empirical_ratio_below_bound(self, rng):
         g = mt_graph(3)
         ops = affine_ops(rng, g)
-        zdag_norm = g.matrices.Zdag_norm
         for gamma, delta in ((1.0, 2.0), (2.0, 0.5), (0.5, 4.0)):
-            bound = graphs.graph_relocator_lipschitz_bound(g, zdag_norm, gamma, delta)
+            bound = graphs.graph_relocator_lipschitz_bound(g, gamma, delta)
             for _ in range(200):
                 u = BlockVector(4.0 * rng.standard_normal((2, 2)))
                 v = BlockVector(4.0 * rng.standard_normal((2, 2)))

@@ -260,16 +260,18 @@ class TestAlgorithm2:
             assert op.calls == iterations + 1
 
     def test_adaptive_resolvent_counts(self, rng):
-        # the stop test of the last iteration needs one feedback resolvent of A_1
-        counted = [CountingOperator(random_affine(rng, 2)) for _ in range(4)]
-        problem = mt.MTProblem(tuple(counted), theta=0.5)
-        trace = mt.algorithm2_run(problem, sch.AdaptiveKappa(1.0),
-                                  BlockVector(rng.standard_normal((3, 2))),
-                                  StopRule(residual_tol=1e-10, max_iters=5000))
-        assert trace.status == "converged"
-        assert counted[0].calls == trace.iterations + 2
-        for op in counted[1:]:
-            assert op.calls == trace.iterations + 1
+        # the stop test of the last iteration, a budget stop included, needs
+        # one feedback resolvent of A_1
+        for max_iters, status in ((5000, "converged"), (7, "max_iters")):
+            counted = [CountingOperator(random_affine(rng, 2)) for _ in range(4)]
+            problem = mt.MTProblem(tuple(counted), theta=0.5)
+            trace = mt.algorithm2_run(problem, sch.AdaptiveKappa(1.0),
+                                      BlockVector(rng.standard_normal((3, 2))),
+                                      StopRule(residual_tol=1e-10, max_iters=max_iters))
+            assert trace.status == status
+            assert counted[0].calls == trace.iterations + 2
+            for op in counted[1:]:
+                assert op.calls == trace.iterations + 1
 
     def test_shadow_identity(self, rng):
         # the carried-over z^1 equals J_{gamma_n A_1} x_n^1 recomputed
