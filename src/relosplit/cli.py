@@ -42,6 +42,13 @@ EXIT_IO = 4
 #: (a string, NaN or infinity into int(), an integer beyond float range)
 _BAD_VALUE = (TypeError, ValueError, OverflowError)
 
+#: The keys each object of a config accepts; any other key is an error
+FIELDS = ("problem", "algorithm", "schedule", "stop", "theta", "graph", "x0", "output")
+STOP_FIELDS = ("residual_tol", "max_iters")
+SCHEDULE_FIELDS = {"constant": ("kind", "gamma"), "explicit": ("kind", "values"),
+                   "geometric": ("kind", "limit", "start", "ratio"),
+                   "adaptive_kappa": ("kind", "gamma0", "clamp_lo", "clamp_hi")}
+
 _STATUS_EXIT = {
     "converged": EXIT_OK,
     "max_iters": EXIT_MAX_ITERS,
@@ -78,6 +85,8 @@ def schedule_from_spec(spec):
                                 start=_number(spec["start"]),
                                 ratio=_number(spec["ratio"]))
     if kind == "explicit":
+        if not isinstance(spec["values"], list):
+            raise TypeError(f"values must be a list of numbers, got {spec['values']!r}")
         return ExplicitList([_number(v) for v in spec["values"]])
     if kind == "adaptive_kappa":
         clamps = {k: _number(spec[k]) for k in ("clamp_lo", "clamp_hi") if k in spec}
@@ -115,6 +124,10 @@ def _parse_graph(spec, errors):
             "Eprime": [list(a) for a in spec["Eprime"]]}
 
 
+def _unknown_fields(prefix, spec, allowed):
+    return [f"{prefix}{key}: unknown field" for key in spec if key not in allowed]
+
+
 def _as_nested_list(value):
     if isinstance(value, (list, tuple)):
         return [_as_nested_list(v) for v in value]
@@ -135,11 +148,7 @@ def parse_config(doc):
     if not isinstance(doc, dict):
         raise ConfigError(["document: expected a JSON object"])
 
-    errors = []
-    known = {"problem", "algorithm", "schedule", "stop", "theta", "graph", "x0", "output"}
-    for key in doc:
-        if key not in known:
-            errors.append(f"{key}: unknown field")
+    errors = _unknown_fields("", doc, FIELDS)
 
     problem_spec = doc.get("problem")
     instance = None
@@ -206,6 +215,10 @@ def parse_config(doc):
     if not isinstance(sched_spec, dict):
         errors.append("schedule: required object with a 'kind'")
     else:
+        kind = sched_spec.get("kind")
+        # an unknown kind is reported by schedule_from_spec
+        if isinstance(kind, str) and kind in SCHEDULE_FIELDS:
+            errors += _unknown_fields("schedule.", sched_spec, SCHEDULE_FIELDS[kind])
         try:
             schedule_from_spec(sched_spec)
         except (RelosplitError, KeyError, *_BAD_VALUE) as exc:
@@ -214,6 +227,8 @@ def parse_config(doc):
     stop_spec = doc.get("stop")
     if not isinstance(stop_spec, dict):
         errors.append("stop: required object {residual_tol, max_iters}")
+    elif unknown := _unknown_fields("stop.", stop_spec, STOP_FIELDS):
+        errors += unknown
     elif not _is_int(max_iters := stop_spec.get("max_iters", 0)):
         errors.append(f"stop: max_iters must be an integer, got {max_iters!r}")
     else:

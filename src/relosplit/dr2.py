@@ -3,9 +3,10 @@
 The iteration operator is T_gamma = Id - J_{gamma A} + J_{gamma B} R_{gamma A}
 and its fixed points are {z + gamma w : w in Az, -w in Bz}, so they move with
 gamma. The relocator Q_{delta<-gamma} = (delta/gamma) Id +
-(1 - delta/gamma) J_{gamma A} carries Fix T_gamma onto Fix T_delta, and the
-efficient runner below folds the relocation into the iteration at no extra
-resolvent cost.
+(1 - delta/gamma) J_{gamma A} carries Fix T_gamma onto Fix T_delta. It is
+the graph relocator of the 2-node graph, and the efficient runner is the
+graph runner's hooks on that graph, which fold the relocation into the
+iteration at no extra resolvent cost.
 """
 
 from dataclasses import dataclass
@@ -14,6 +15,7 @@ import numpy as np
 
 from .driver import OperatorFamily, Relocator, relocated_loop
 from .errors import CertificateError, DimensionError, ParameterError
+from .graphs import build_graph, graph_hooks
 from .linalg import as_vector
 from .operators import MonotoneOperator
 
@@ -135,35 +137,23 @@ def dr_relocator(problem):
     )
 
 
+def _record_dr(sweep, disagreement, w):
+    """dr2's trace entry: the shadow z and the columns z, y, w."""
+    z, y = sweep.data
+    return {"shadow": z, "vectors": {"z": z, "y": y, "w": w}}
+
+
 def algorithm1_run(problem, schedule, x0, stop, solution_residual=None):
     """Efficient relocated DR run; one resolvent of A and one of B per iteration.
 
-    Matches the naive composition Q_{gamma_{n+1}<-gamma_n} T_{gamma_n} applied
-    by run_relocated, but reuses z_{n+1} = J_{gamma_n A} w_n both inside the
-    relocation and, by the scaling identity J_{gamma A} w_n =
-    J_{delta A} x_{n+1}, as the next step's resolvent of A. An adaptive
-    schedule evaluates that resolvent for its feedback, so its stopping
-    iteration pays one resolvent of A that no step uses. The trace records
-    the governing x_n, the shadow z_n (also the monitored point), and y_n, w_n.
+    DR is graph DR on the 2-node graph with theta = 1, so this is the graph
+    runner's hooks: z = J_{gamma A} x, y = J_{gamma B}(2z - x), w = x - (z - y).
+    The relocation's J_{gamma A} w_n is, by the scaling identity, the next
+    step's J_{delta A} x_{n+1}; an adaptive run's stopping iteration pays one
+    resolvent of A, for its feedback, that no step uses. The trace records
+    x_n, the shadow z_n (also the monitored point), and y_n, w_n.
     """
-    op_a, op_b = problem.op_a, problem.op_b
-
-    def step(gamma, x, z):
-        if z is None:
-            z = op_a.resolvent(gamma, x)
-        y = op_b.resolvent(gamma, 2.0 * z - x)
-        w = x - z + y
-        return w, {"shadow": z, "vectors": {"z": z, "y": y, "w": w}}
-
-    def feedback(gamma, w):
-        z = op_a.resolvent(gamma, w)
-        return (z, w), z
-
-    def relocate(gamma, delta, w, z):
-        if z is None:
-            z = op_a.resolvent(gamma, w)
-        ratio = delta / gamma
-        return ratio * w + (1.0 - ratio) * z, z
-
+    step, feedback, relocate = graph_hooks(
+        (problem.op_a, problem.op_b), build_graph(2, [(1, 2)], [(1, 2)]), record=_record_dr)
     return relocated_loop(step, relocate, feedback, schedule, as_vector(x0), stop,
                           solution_residual=solution_residual)

@@ -43,7 +43,10 @@ class GraphMatrices:
 
     Z: tree incidence (N x N-1); L = Z Z^T; Zdag: pseudo-inverse of Z with
     operator norm Zdag_norm; R: skew part of the off-tree coupling; P: chord
-    correction; M = C C^T with C^T = [Z^T  I].
+    correction; M = C C^T with C^T = [Z^T  I]; Kx, Kz: (Kx x + Kz z)_i is
+    the input of node i's resolvent in the sweep; Zdag_c: Zdag c with
+    c_i = d_i - 2 d_i^+, integral since c is and Z is the incidence matrix
+    of a tree.
     """
 
     Z: np.ndarray
@@ -54,6 +57,9 @@ class GraphMatrices:
     P: np.ndarray
     M: np.ndarray
     C: np.ndarray
+    Kx: np.ndarray
+    Kz: np.ndarray
+    Zdag_c: np.ndarray
 
 
 class SplittingGraph:
@@ -91,12 +97,7 @@ class SplittingGraph:
         chords = tuple(a for a in arcs if a not in set(tree))
         self.chord_arcs = chords
         self.chord_deg = _degree_vector(n, chords)
-        self._in_arcs = [[h for (h, j) in arcs if j == i] for i in _nodes(n)]
         self.matrices = _build_matrices(self)
-
-    def in_neighbors(self, node):
-        """Tails h of the arcs (h, node) of the full graph, 1-based."""
-        return tuple(self._in_arcs[node - 1])
 
     def __repr__(self):
         return (f"SplittingGraph(N={self.n_nodes}, |E|={len(self.arcs)}, "
@@ -181,8 +182,14 @@ def _build_matrices(g):
     c = np.vstack([z, np.eye(n - 1)])
     m = np.block([[lap, z], [z.T, np.eye(n - 1)]])
 
+    kz = np.zeros((n, n))
+    for (h, i) in g.arcs:
+        kz[i - 1, h - 1] = 2.0
+
     zdag, zdag_norm = pseudo_inverse(z)
-    return GraphMatrices(Z=z, L=lap, Zdag=zdag, Zdag_norm=zdag_norm, R=r, P=p, M=m, C=c)
+    return GraphMatrices(Z=z, L=lap, Zdag=zdag, Zdag_norm=zdag_norm, R=r, P=p, M=m, C=c,
+                         Kx=z / g.deg[:, None], Kz=kz / g.deg[:, None],
+                         Zdag_c=np.rint(zdag @ (g.deg - 2 * g.indeg)))
 
 
 def _check_ops(ops, g):
@@ -200,28 +207,29 @@ def _check_x(x, ops, g):
     return as_block_vector(x, g.n_nodes - 1, ops[0].dim)
 
 
-def graph_z_sweep(ops, g, gamma, x):
+def graph_z_sweep(ops, g, gamma, x, z1=None):
     """The forward resolvent sweep z_1, ..., z_N driven by x.
 
     z_i = J_{(gamma/d_i) A_i}( (2/d_i) sum_{(h,i) in E} z_h
                                + (1/d_i) sum_j Z_ij x_j ),
     evaluated in node order; the arc ordering guarantees every needed z_h is
-    already available. Exactly one resolvent per operator.
+    already available. Exactly one resolvent per operator, or A_2..A_N only
+    when z1, the first entry, is given (see graph_hooks).
     """
     if gamma <= 0:
         raise ParameterError(f"gamma must be positive, got {gamma}")
-    x = _check_x(x, ops, g)
-    z_mat = g.matrices.Z
-    blocks = []
-    for i in _nodes(g.n_nodes):
-        d_i = float(g.deg[i - 1])
-        u = np.zeros(x.dim)
-        for h in g.in_neighbors(i):
-            u += 2.0 * blocks[h - 1]
-        u += z_mat[i - 1] @ x.data
-        u /= d_i
-        blocks.append(ops[i - 1].resolvent(gamma / d_i, u))
-    return BlockVector._wrap(np.stack(blocks))
+    x = _check_x(x, ops, g).data
+    shares = g.matrices.Kx.dot(x)
+    kz = g.matrices.Kz
+    # row i of Kz weighs the z_h with h < i only, so z_i may stay zero until
+    # it is evaluated
+    z = np.zeros((g.n_nodes, x.shape[1]))
+    start = 0
+    if z1 is not None:
+        z[0], start = z1, 1
+    for i, d_i in enumerate(g.deg.tolist()[start:], start):
+        z[i] = ops[i].resolvent(gamma / d_i, shares[i] + kz[i].dot(z))
+    return BlockVector._wrap(z)
 
 
 def graph_dr_apply(ops, g, gamma, theta, x):
@@ -263,8 +271,7 @@ def graph_relocator_apply(ops, g, gamma, delta, x):
     ratio = delta / gamma
     if ratio == 1.0:
         return x
-    z = graph_z_sweep(ops, g, gamma, x)
-    e = relocation_vector_e(g, z)
+    e = relocation_vector_e(g, graph_z_sweep(ops, g, gamma, x))
     return ratio * x + (1.0 - ratio) * kron_apply(g.matrices.Zdag, e)
 
 
@@ -275,17 +282,11 @@ def relocator_system_residual(ops, g, gamma, delta, x, y=None):
     then measures how exactly the pseudo-inverse solves the system.
     """
     x = _check_x(x, ops, g)
-    if y is None:
-        y = graph_relocator_apply(ops, g, gamma, delta, x)
-    else:
-        y = _check_x(y, ops, g)
+    y = graph_relocator_apply(ops, g, gamma, delta, x) if y is None else _check_x(y, ops, g)
     ratio = delta / gamma
-    z = graph_z_sweep(ops, g, gamma, x)
-    e = relocation_vector_e(g, z)
+    e = relocation_vector_e(g, graph_z_sweep(ops, g, gamma, x))
     z_mat = g.matrices.Z
-    lhs = kron_apply(z_mat, y)
-    rhs = ratio * kron_apply(z_mat, x) + (1.0 - ratio) * e
-    return (lhs - rhs).norm()
+    return (kron_apply(z_mat, y) - ratio * kron_apply(z_mat, x) - (1.0 - ratio) * e).norm()
 
 
 def graph_relocator_lipschitz_bound(g, gamma, delta):
@@ -303,7 +304,7 @@ def graph_relocator_lipschitz_bound(g, gamma, delta):
     lips = []
     for i in _nodes(g.n_nodes):
         acc = row_norms[i - 1]
-        for h in g.in_neighbors(i):
+        for h in (h for (h, j) in g.arcs if j == i):
             acc += 2.0 * lips[h - 1] / g.deg[h - 1]
         lips.append(acc)
     coeff = (g.deg - 2 * g.indeg).astype(float) / g.deg
@@ -312,90 +313,110 @@ def graph_relocator_lipschitz_bound(g, gamma, delta):
     return ratio + abs(1.0 - ratio) * g.matrices.Zdag_norm * np.sqrt(radicand)
 
 
-def consensus_point(z):
-    """Blockwise mean of a sweep output, the natural solution estimate."""
-    if not isinstance(z, BlockVector):
-        z = BlockVector(z)
-    return z.data.mean(axis=0)
-
-
 def at_consensus(solution_residual):
-    """solution_residual composed with consensus_point; None stays None."""
+    """solution_residual at the blockwise mean of a sweep; None stays None."""
     if solution_residual is None:
         return None
-    return lambda z: solution_residual(consensus_point(z))
+    return lambda z: solution_residual(z.data.mean(axis=0))
 
 
-def _feedback_pair(g, z, x):
-    """The pair (z_1, u_1) fed to the adaptive stepsize rule.
+def _blocks(x):
+    """The (N-1, d) array of an iterate; dr2's iterate is its one block."""
+    return x.data if isinstance(x, BlockVector) else x.reshape(1, -1)
 
-    z is the sweep driven by x and u_1 = (1/d_1) sum_j Z_1j x_j is the input
-    of node 1's resolvent, so z_1 = J_{(gamma/d_1) A_1} u_1, the same pair
-    as (J_{gamma A} w, w) in dr2 and (J_{gamma A_1} w_1, w_1) in MT.
+
+def _like(x, blocks):
+    return BlockVector._wrap(blocks) if isinstance(x, BlockVector) else blocks.reshape(-1)
+
+
+def _record_sweep(z, disagreement, w):
+    return {"shadow": z,
+            "scalars": {"consensus_residual": float(np.linalg.norm(disagreement))}}
+
+
+def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep):
+    """The step, feedback and relocate hooks that every runner loops on.
+
+    They work in the running method's coordinates x = X / scale: scale 1 for
+    graph DR and dr2 (the 2-node graph, theta = 1), the ring degree for MT
+    (the ring under half-scaling), so the step is the graph step at
+    (scale gamma, scale x) divided by scale, exactly. relocate is the
+    one-resolvent relocator Q x = r x + (1 - r) (Zdag c / scale) kron z_1,
+    r = delta / gamma, z_1 = J_{(scale gamma/d_1) A_1} u_1 with input
+    u_1 = (scale/d_1) sum_j Z_1j x_j; it equals graph_relocator_apply on
+    Fix T_gamma. feedback feeds (z_1, u_1) to the adaptive rule. By the
+    resolvent scaling identity z_1 is the first entry of the next sweep, at
+    delta driven by Q x, so it is handed on: N resolvents per iteration.
+    record(z, Z^T z, w) builds the step's trace entry.
     """
-    return z[0], g.matrices.Z[0] @ np.asarray(x) / float(g.deg[0])
+    z_t = g.matrices.Z.T
+    d_1 = float(g.deg[0])
+    weights = scale * g.matrices.Kx[0]
+    column = (g.matrices.Zdag_c / scale)[:, None]
+
+    def first(gamma, blocks):
+        u = weights.dot(blocks)
+        return ops[0].resolvent(scale * gamma / d_1, u), u
+
+    def step(gamma, x, z1):
+        blocks = _blocks(x)
+        z = graph_z_sweep(ops, g, scale * gamma, BlockVector._wrap(scale * blocks), z1)
+        disagreement = z_t.dot(z.data)
+        w = _like(x, blocks - theta * disagreement)
+        return w, record(z, disagreement, w)
+
+    def feedback(gamma, w):
+        z1, u = first(gamma, _blocks(w))
+        return (z1, u), z1
+
+    def relocate(gamma, delta, w, z1):
+        blocks = _blocks(w)
+        if z1 is None:
+            z1 = first(gamma, blocks)[0]
+        ratio = delta / gamma
+        if ratio == 1.0:
+            return w, z1
+        return _like(w, ratio * blocks + (1.0 - ratio) * (column * z1)), z1
+
+    return step, feedback, relocate
 
 
 def graph_family(ops, g, theta):
-    """The graph-DR operators as a driver family (theta/2-averaged)."""
+    """The graph-DR operators (a fresh sweep) as a theta/2-averaged driver family."""
+    _, feedback, _ = graph_hooks(ops, g, theta)
 
     def apply(gamma, x):
         w, z = graph_dr_apply(ops, g, gamma, theta, x)
         return w, {"shadow": z}
 
-    def feedback(gamma, w):
-        return _feedback_pair(g, graph_z_sweep(ops, g, gamma, w), w)
-
-    return OperatorFamily(apply, averagedness_alpha=theta / 2.0, feedback=feedback,
-                          name="graph_dr")
+    return OperatorFamily(apply, averagedness_alpha=theta / 2.0,
+                          feedback=lambda gamma, w: feedback(gamma, w)[0], name="graph_dr")
 
 
 def graph_relocator(ops, g):
-    """The pseudo-inverse relocator as a driver relocator."""
-    return Relocator(
-        lambda gamma, delta, x: graph_relocator_apply(ops, g, gamma, delta, x),
-        lambda gamma, delta: graph_relocator_lipschitz_bound(g, gamma, delta),
-        name="graph_dr",
-    )
+    """The one-resolvent relocator of graph_hooks as a driver relocator.
+
+    Bound r + |1 - r| ||Zdag c|| ||Z_1|| / d_1: J_{(gamma/d_1) A_1} is nonexpansive.
+    """
+    _, _, relocate = graph_hooks(ops, g)
+    spread = np.linalg.norm(g.matrices.Zdag_c) * np.linalg.norm(g.matrices.Z[0]) / g.deg[0]
+    return Relocator(lambda gamma, delta, x: relocate(gamma, delta, _check_x(x, ops, g),
+                                                      None)[0],
+                     lambda gamma, delta: delta / gamma + abs(1.0 - delta / gamma) * spread,
+                     name="graph_dr")
 
 
 def graph_relocated_run(ops, g, theta, schedule, x0, stop, solution_residual=None):
-    """Relocated graph-DR run.
+    """Relocated graph-DR run: N resolvents per iteration.
 
-    Per iteration: one sweep for the operator step and, when the stepsize
-    actually changes, a second sweep inside the relocation. An adaptive
-    schedule pays that second sweep at every iteration, for its feedback
-    pair (z_1, the input of node 1's resolvent), and the relocation reuses
-    it. The trace records the consensus residual ||Z^T z_n|| and the
-    per-block sweep points; the solution residual, when requested, is
-    evaluated at the blockwise mean of the sweep.
+    Matches run_relocated(graph_family, graph_relocator) per iterate. The
+    trace records ||Z^T z_n|| and the sweep points; the solution residual,
+    when requested, is evaluated at the blockwise mean of the sweep.
     """
     if not 0.0 < theta < 2.0:
         raise ParameterError(f"theta must lie in (0, 2), got {theta}")
-    x0 = _check_x(x0, ops, g)
-    zdag = g.matrices.Zdag
-    z_t = g.matrices.Z.T
-
-    def step(gamma, x, carry):
-        z = graph_z_sweep(ops, g, gamma, x)
-        disagreement = kron_apply(z_t, z)
-        w = x - theta * disagreement
-        return w, {"shadow": z, "scalars": {"consensus_residual": disagreement.norm()}}
-
-    def feedback(gamma, w):
-        zw = graph_z_sweep(ops, g, gamma, w)
-        return _feedback_pair(g, zw, w), zw
-
-    def relocate(gamma, delta, w, zw):
-        ratio = delta / gamma
-        if ratio == 1.0:
-            return w, None
-        if zw is None:
-            zw = graph_z_sweep(ops, g, gamma, w)
-        e = relocation_vector_e(g, zw)
-        return ratio * w + (1.0 - ratio) * kron_apply(zdag, e), None
-
-    return relocated_loop(step, relocate, feedback, schedule, x0, stop,
+    step, feedback, relocate = graph_hooks(ops, g, theta)
+    return relocated_loop(step, relocate, feedback, schedule, _check_x(x0, ops, g), stop,
                           solution_residual=at_consensus(solution_residual))
 
 

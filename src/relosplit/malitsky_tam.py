@@ -2,9 +2,11 @@
 
 The underlying graph is the ring: a chain spanning tree plus the chord
 (1, N). After rescaling stepsize, relaxation and iterate by one half, the
-graph-DR operator on that ring collapses to the sweep below, which touches
-each operator's resolvent exactly once. Its cheap relocator only needs the
-resolvent of the first operator, so the efficient runner keeps the
+graph-DR operator on that ring collapses to the sweep of mt_apply, which
+touches each operator's resolvent exactly once. Its cheap relocator only
+needs the resolvent of the first operator: it is the graph runner's
+one-resolvent relocator on the ring. So the efficient runner is the graph
+runner's hooks in MT's coordinates, and it keeps the
 one-resolvent-per-operator cost of the stationary method.
 """
 
@@ -14,7 +16,7 @@ import numpy as np
 
 from .driver import OperatorFamily, Relocator, relocated_loop
 from .errors import DimensionError, ParameterError
-from .graphs import at_consensus, build_graph, graph_dr_apply
+from .graphs import at_consensus, build_graph, graph_dr_apply, graph_hooks
 from .linalg import BlockVector, as_block_vector
 from .operators import MonotoneOperator
 
@@ -65,17 +67,6 @@ def _check_x(problem, x):
     return as_block_vector(x, problem.n_ops - 1, problem.dim)
 
 
-def _mt_sweep(problem, gamma, x, z1=None):
-    """The chain sweep; z1 may be supplied to reuse a precomputed resolvent."""
-    n = problem.n_ops
-    ops = problem.ops
-    z = [ops[0].resolvent(gamma, x[0]) if z1 is None else z1]
-    for i in range(2, n):
-        z.append(ops[i - 1].resolvent(gamma, z[i - 2] + x[i - 1] - x[i - 2]))
-    z.append(ops[n - 1].resolvent(gamma, z[0] + z[n - 2] - x[n - 2]))
-    return z
-
-
 def mt_apply(problem, gamma, x):
     """One Malitsky-Tam step; returns (Tx, z).
 
@@ -86,10 +77,13 @@ def mt_apply(problem, gamma, x):
     if gamma <= 0:
         raise ParameterError(f"gamma must be positive, got {gamma}")
     x = _check_x(problem, x)
-    z = _mt_sweep(problem, gamma, x)
-    shifts = np.stack([z[k + 1] - z[k] for k in range(problem.n_ops - 1)])
-    tx = BlockVector._wrap(x.data + problem.theta * shifts)
-    return tx, BlockVector._wrap(np.stack(z))
+    ops, n = problem.ops, problem.n_ops
+    z = [ops[0].resolvent(gamma, x[0])]
+    for i in range(1, n - 1):
+        z.append(ops[i].resolvent(gamma, z[i - 1] + x[i] - x[i - 1]))
+    z.append(ops[n - 1].resolvent(gamma, z[0] + z[n - 2] - x[n - 2]))
+    z = np.stack(z)
+    return BlockVector._wrap(x.data + problem.theta * (z[1:] - z[:-1])), BlockVector._wrap(z)
 
 
 def mt_relocator_apply(problem, gamma, delta, x):
@@ -107,10 +101,7 @@ def mt_relocator_apply(problem, gamma, delta, x):
     if ratio == 1.0:
         return x
     q1 = ratio * x[0] + (1.0 - ratio) * problem.ops[0].resolvent(gamma, x[0])
-    blocks = [q1]
-    for i in range(1, problem.n_ops - 1):
-        blocks.append(ratio * (x[i] - x[0]) + q1)
-    return BlockVector._wrap(np.stack(blocks))
+    return BlockVector._wrap(ratio * (x.data - x[0]) + q1)
 
 
 def mt_lipschitz(n, gamma, delta):
@@ -146,36 +137,16 @@ def mt_relocator(problem):
 def algorithm2_run(problem, schedule, x0, stop, solution_residual=None):
     """Efficient variable-stepsize MT run; N resolvents per iteration.
 
-    The sweep's first entry is carried over from the previous relocation
-    step (z_1 = J_{gamma_n A_1} w_n^1 doubles as J_{gamma_{n+1} A_1}
-    x_{n+1}^1), so each iteration evaluates A_2..A_N in the sweep and A_1
-    in the update; an adaptive run's stopping iteration pays one more A_1
-    for its feedback. Matches run_relocated with the cheap relocator
-    per-iterate. The solution residual, when requested, is evaluated at
-    the blockwise mean of the sweep.
+    MT is graph DR on the ring under half-scaling, so this is the graph
+    runner's hooks with scale the ring degree (2, or 1 for N = 2), in MT's
+    coordinates. z_1 = J_{gamma_n A_1} w_n^1 of the relocation doubles as the
+    next sweep's J_{gamma_{n+1} A_1} x_{n+1}^1; an adaptive run's stopping
+    iteration pays one more A_1 for its feedback. The solution residual is
+    evaluated at the blockwise mean of the sweep.
     """
-    ops, theta = problem.ops, problem.theta
-    n_ops = problem.n_ops
-
-    def step(gamma, x, z1):
-        z = _mt_sweep(problem, gamma, x, z1=z1)
-        shifts = np.stack([z[k + 1] - z[k] for k in range(n_ops - 1)])
-        w = BlockVector._wrap(x.data + theta * shifts)
-        return w, {"shadow": BlockVector._wrap(np.stack(z)),
-                   "scalars": {"consensus_residual": float(np.linalg.norm(shifts))}}
-
-    def feedback(gamma, w):
-        z1 = ops[0].resolvent(gamma, w[0])
-        return (z1, w[0]), z1
-
-    def relocate(gamma, delta, w, z1):
-        if z1 is None:
-            z1 = ops[0].resolvent(gamma, w[0])
-        ratio = delta / gamma
-        x1 = ratio * w[0] + (1.0 - ratio) * z1
-        blocks = [x1] + [ratio * (w[i] - w[0]) + x1 for i in range(1, n_ops - 1)]
-        return BlockVector._wrap(np.stack(blocks)), z1
-
+    g = mt_graph(problem.n_ops)
+    step, feedback, relocate = graph_hooks(problem.ops, g, problem.theta,
+                                           scale=float(g.deg[0]))
     return relocated_loop(step, relocate, feedback, schedule, _check_x(problem, x0),
                           stop, solution_residual=at_consensus(solution_residual))
 

@@ -303,12 +303,24 @@ class TestMainEntry:
         ({"schedule": {"kind": "constant", "gamma": True}}, "schedule:"),
         ({"schedule": {"kind": "explicit", "values": [1.0, False]}}, "schedule:"),
         ({"x0": [False]}, "x0:"),
+        ({"schedule": {"kind": "explicit", "values": "21"}},
+         "schedule: values must be a list"),
+        ({"schedule": {"kind": "explicit", "values": {"2": 1}}},
+         "schedule: values must be a list"),
+        ({"stop": {"residual_tol": 1e-8, "max_iters": 10, "maxiter": 3}},
+         "stop.maxiter: unknown field"),
+        ({"schedule": {"kind": "constant", "gamma": 1.0, "gamma0": 5.0}},
+         "schedule.gamma0: unknown field"),
+        ({"schedule": {"kind": "adaptive_kappa", "gamma0": 1.0, "clamp": 5.0}},
+         "schedule.clamp: unknown field"),
     ], ids=["theta", "params", "param-value", "seed", "tol-nan", "tol-inf",
             "max-iters-inf", "tol-huge-int", "gamma-huge-int", "x0-huge-int",
             "graph-N-text", "graph-N-null", "graph-E-false", "graph-E-short-arc",
             "graph-E-float-node", "graph-Eprime-null", "graph-Eprime-object",
             "max-iters-float", "max-iters-bool", "tol-bool",
-            "graph-theta-bool", "gamma-bool", "explicit-value-bool", "x0-bool"])
+            "graph-theta-bool", "gamma-bool", "explicit-value-bool", "x0-bool",
+            "explicit-values-text", "explicit-values-object", "stop-unknown-key",
+            "constant-unknown-key", "adaptive-unknown-key"])
     def test_run_malformed_field(self, tmp_path, capsys, overrides, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(minimal_dr2_config(**overrides)))
@@ -411,6 +423,44 @@ class TestMainEntry:
         assert proc.returncode == 4
         assert "broken pipe" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli")
+
+#: (status, iters, exit code) of every committed config. These pin the
+#: behaviour of the three runners: a change to a runner or to the stop rule
+#: that moves one of them must say why. Off Fix T the graph relocator decides
+#: where an iterate goes, so the graph runs whose stepsize moves pin the
+#: counts of the one-resolvent relocator.
+GOLDEN = {
+    "dr2_geometric": ("converged", 197, 0),
+    "dr2_adaptive": ("converged", 69, 0),
+    "dr2_neglog": ("converged", 29, 0),
+    "dr2_geometric_budget": ("max_iters", 7, 2),
+    "dr2_adaptive_budget": ("max_iters", 7, 2),
+    "dr2_on_curve_budget": ("max_iters", 2, 2),
+    "mt_geometric": ("converged", 197, 0),
+    "mt_adaptive": ("converged", 179, 0),
+    "mt_adaptive_budget": ("max_iters", 9, 2),
+    "mt_box_explicit": ("converged", 38, 0),
+    "graph_geometric": ("converged", 340, 0),
+    "graph_adaptive": ("converged", 345, 0),
+    "graph_explicit": ("converged", 338, 0),
+    "graph_constant": ("converged", 338, 0),
+    "graph_geometric_budget": ("max_iters", 10, 2),
+}
+
+
+class TestGoldenConfigs:
+    def test_every_config_is_pinned(self):
+        names = {f[:-len(".json")] for f in os.listdir(GOLDEN_DIR) if f.endswith(".json")}
+        assert names == set(GOLDEN)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_status_iters_exit_code(self, capsys, name):
+        code = cli.main(["run", os.path.join(GOLDEN_DIR, f"{name}.json")])
+        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert (summary["status"], summary["iters"], code) == GOLDEN[name]
 
 
 FUZZ_BASES = [

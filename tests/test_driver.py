@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from relosplit import dr2, schedules as sch
+from relosplit import dr2, malitsky_tam as mt, schedules as sch
 from relosplit.driver import (
     ConvergenceTrace,
     OperatorFamily,
@@ -16,6 +16,8 @@ from relosplit.driver import (
     run_relocated,
 )
 from relosplit.errors import FixedPointError, ParameterError
+from relosplit.graphs import graph_relocated_run
+from relosplit.linalg import BlockVector
 from relosplit.operators import NegLog, NormalConePoint
 
 
@@ -72,18 +74,28 @@ class TestRunRelocated:
             run_relocated(family, identity_relocator(), growing,
                           np.array([1.0]), StopRule(1e-12, 25))
 
-    @pytest.mark.parametrize("runner", ["run_relocated", "algorithm1_run"])
+    @pytest.mark.parametrize("runner", ["run_relocated", "algorithm1_run",
+                                        "algorithm2_run", "graph_relocated_run"])
     def test_budget_warning_points_at_caller(self, runner):
-        # the budget is 1e3 * gamma_0; increments of 50 cross it at step 21
-        problem = dr2.DRProblem(NormalConePoint([1.0]), NegLog(1))
+        # the budget is 1e3 * gamma_0; increments of 50 cross it at step 21.
+        # The runners call relocated_loop directly: a frame in between would
+        # point the warning into the library
+        ops = (NormalConePoint([1.0]), NegLog(1))
+        problem = dr2.DRProblem(*ops)
         growing = sch.ExplicitList([1.0 + 50.0 * n for n in range(30)])
         stop = StopRule(1e-12, 25)
         with pytest.warns(ScheduleBudgetWarning) as records:
             if runner == "run_relocated":
                 run_relocated(dr2.dr_family(problem), dr2.dr_relocator(problem),
                               growing, np.array([3.0]), stop)
-            else:
+            elif runner == "algorithm1_run":
                 dr2.algorithm1_run(problem, growing, np.array([3.0]), stop)
+            elif runner == "algorithm2_run":
+                mt.algorithm2_run(mt.MTProblem(ops, 0.5), growing,
+                                  BlockVector([[3.0]]), stop)
+            else:
+                graph_relocated_run(ops, mt.mt_graph(2), 1.0, growing,
+                                    BlockVector([[3.0]]), stop)
         budget = [r for r in records if r.category is ScheduleBudgetWarning]
         assert len(budget) == 1
         assert budget[0].filename == __file__
