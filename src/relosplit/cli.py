@@ -16,7 +16,8 @@ import numpy as np
 from . import __version__
 from .dr2 import algorithm1_run
 from .driver import StopRule
-from .errors import ConfigError, ConstructionError, ParameterError, RelosplitError
+from .errors import (ConfigError, ConstructionError, ParameterError, RelosplitError,
+                     UnknownFieldError)
 from .graphs import build_graph, graph_relocated_run
 from .linalg import BlockVector
 from .malitsky_tam import MTProblem, algorithm2_run
@@ -45,6 +46,7 @@ _BAD_VALUE = (TypeError, ValueError, OverflowError)
 #: The keys each object of a config accepts; any other key is an error
 FIELDS = ("problem", "algorithm", "schedule", "stop", "theta", "graph", "x0", "output")
 STOP_FIELDS = ("residual_tol", "max_iters")
+GRAPH_FIELDS = ("N", "E", "Eprime")
 SCHEDULE_FIELDS = {"constant": ("kind", "gamma"), "explicit": ("kind", "values"),
                    "geometric": ("kind", "limit", "start", "ratio"),
                    "adaptive_kappa": ("kind", "gamma0", "clamp_lo", "clamp_hi")}
@@ -167,6 +169,8 @@ def parse_config(doc):
         else:
             try:
                 instance = make_problem(name, params, seed)
+            except UnknownFieldError as exc:
+                errors.append(f"problem.params.{exc}")
             except (RelosplitError, KeyError, *_BAD_VALUE) as exc:
                 errors.append(f"problem.params: {exc}")
 
@@ -196,6 +200,8 @@ def parse_config(doc):
     if algorithm == "graph":
         if not isinstance(graph_spec, dict):
             errors.append("graph: required object {N, E, Eprime} for algorithm 'graph'")
+        elif unknown := _unknown_fields("graph.", graph_spec, GRAPH_FIELDS):
+            errors += unknown
         else:
             graph = _parse_graph(graph_spec, errors)
         if graph is not None:
@@ -242,6 +248,7 @@ def parse_config(doc):
     if x0 is not None:
         try:
             x0 = _as_nested_list(x0)
+            np.array(x0, dtype=float)  # ragged nesting, such as [[], 0]
         except _BAD_VALUE:
             errors.append("x0: must be a (nested) list of numbers")
             x0 = None

@@ -261,7 +261,8 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
 
     The finiteness test of each relocated iterate is the only divergence
     detector: the hooks' block arithmetic does not re-check, so an overflow
-    ends the run with status "diverged" instead of raising.
+    ends the run with status "diverged", and numpy's overflow and invalid
+    warnings are silenced for the run.
 
     solution_residual is called on the shadow (or on x when the step has
     none).
@@ -276,44 +277,47 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
 
     x = x0
     carry = None
-    for n in range(stop.max_iters + 1):
-        w, aux = step(gamma, x, carry)
-        residual = ambient_norm(x - w)
-        shadow = aux.get("shadow")
-        monitored = shadow if shadow is not None else x
-        sol = None
-        if solution_residual is not None:
-            sol = solution_residual(monitored)
-        trace.record(gamma, residual, sol, point=ambient_flat(monitored),
-                     iterate=x, scalars=aux.get("scalars"), vectors=aux.get("vectors"))
+    # a finite but huge iterate may overflow a norm on its way to the
+    # finiteness test, which reports it as "diverged"
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(stop.max_iters + 1):
+            w, aux = step(gamma, x, carry)
+            residual = ambient_norm(x - w)
+            shadow = aux.get("shadow")
+            monitored = shadow if shadow is not None else x
+            sol = None
+            if solution_residual is not None:
+                sol = solution_residual(monitored)
+            trace.record(gamma, residual, sol, point=ambient_flat(monitored),
+                         iterate=x, scalars=aux.get("scalars"), vectors=aux.get("vectors"))
 
-        pair, pre = feedback(gamma, w) if schedule.is_adaptive else (None, None)
-        gamma_next = schedule.gamma_at(n + 1, feedback=pair)
-        if gamma_next <= 0 or not np.isfinite(gamma_next):
-            trace.status = STATUS_SCHEDULE_REJECTED
-            break
-        if residual <= stop.residual_tol and stop.settled(gamma, gamma_next):
-            trace.status = STATUS_CONVERGED
-            break
-        if n == stop.max_iters:
-            break
-        # the sum never decreases, so crossing the budget happens at most once
-        before = trace.sum_pos_increments
-        trace.sum_pos_increments += max(gamma_next - gamma, 0.0)
-        if before <= budget < trace.sum_pos_increments:
-            warnings.warn(
-                f"positive stepsize increments exceeded budget {budget:.3e}; "
-                "the schedule may not satisfy the summability condition",
-                ScheduleBudgetWarning,
-                # relocated_loop <- runner <- the runner's caller
-                stacklevel=3,
-            )
+            pair, pre = feedback(gamma, w) if schedule.is_adaptive else (None, None)
+            gamma_next = schedule.gamma_at(n + 1, feedback=pair)
+            if gamma_next <= 0 or not np.isfinite(gamma_next):
+                trace.status = STATUS_SCHEDULE_REJECTED
+                break
+            if residual <= stop.residual_tol and stop.settled(gamma, gamma_next):
+                trace.status = STATUS_CONVERGED
+                break
+            if n == stop.max_iters:
+                break
+            # the sum never decreases, so crossing the budget happens at most once
+            before = trace.sum_pos_increments
+            trace.sum_pos_increments += max(gamma_next - gamma, 0.0)
+            if before <= budget < trace.sum_pos_increments:
+                warnings.warn(
+                    f"positive stepsize increments exceeded budget {budget:.3e}; "
+                    "the schedule may not satisfy the summability condition",
+                    ScheduleBudgetWarning,
+                    # relocated_loop <- runner <- the runner's caller
+                    stacklevel=3,
+                )
 
-        x, carry = relocate(gamma, gamma_next, w, pre)
-        if not ambient_isfinite(x):
-            trace.status = STATUS_DIVERGED
-            break
-        gamma = gamma_next
+            x, carry = relocate(gamma, gamma_next, w, pre)
+            if not ambient_isfinite(x):
+                trace.status = STATUS_DIVERGED
+                break
+            gamma = gamma_next
 
     trace.final_x = x
     return trace

@@ -3,7 +3,10 @@
 Every operator exposes the same oracle: ``op.resolvent(gamma, x)`` returns
 J_{gamma A} x = (I + gamma A)^{-1} x, single-valued and defined for every x.
 Reflectents are derived as R = 2 J - Id. All resolvents are exact (no inner
-iterative solves); the affine kind reduces to a dense linear solve.
+iterative solves). The affine kind factors its matrix once, on its first
+resolvent call, into stepsize-free eigenfactors, so each later resolvent is
+a few matrix-vector products at any gamma; a matrix whose eigenvector basis
+is ill conditioned keeps a dense linear solve per call.
 
 Each kind also answers for its own semantics: ``value`` (A itself where it
 is single valued), ``inclusion_residual`` (the membership test w in A z)
@@ -20,6 +23,12 @@ from .linalg import as_matrix, as_vector, solve_linear
 #: Smallest admissible eigenvalue of M + M^T for the affine kind. Slightly
 #: negative so that exactly-skew matrices survive floating-point checks.
 PSD_TOL = -1e-10
+
+#: Largest cond_1(V) = ||V||_1 ||V^-1||_1 of the eigenvector basis of an
+#: affine M for which the factored resolvent is used; its
+#: error is about cond_1(V) * machine epsilon relative to the input. A worse
+#: basis (defective or nearly defective M) keeps the dense solve.
+EIG_COND_MAX = 1e4
 
 
 class MonotoneOperator:
@@ -110,13 +119,24 @@ class ScaledIdentity(MonotoneOperator):
 class AffineMonotone(MonotoneOperator):
     """A x = M x + b with M + M^T positive semidefinite.
 
-    The resolvent solves (I + gamma M) y = x - gamma b.
+    The resolvent solves (I + gamma M) y = r with r = x - gamma b. The first
+    call factors M = V diag(lam) V^-1 once for every gamma and keeps the
+    factors (M is a read-only copy, so they cannot go stale); then
+    y = Re(V ((V^-1 r) / (1 + gamma lam))), keeping one eigenpair of each
+    complex-conjugate pair, weighted by 2.
+
+    Monotone M has Re lam >= 0, so |1 + gamma lam| >= 1 and the error is
+    about cond_1(V) times machine epsilon at every gamma. When cond_1(V)
+    exceeds EIG_COND_MAX (defective or nearly defective M, such as
+    [[1, 1], [0, 1]]), every call instead solves I + gamma M densely with
+    ``solve_linear``, which checks its residual.
     """
 
     kind = "affine"
 
     def __init__(self, matrix, offset):
-        m = as_matrix(matrix)
+        m = as_matrix(matrix).copy()
+        m.setflags(write=False)
         b = as_vector(offset)
         if m.shape[0] != m.shape[1]:
             raise ConstructionError(f"M must be square, got shape {m.shape}")
@@ -131,9 +151,17 @@ class AffineMonotone(MonotoneOperator):
         self.matrix = m
         self.offset = b
         self.dim = b.size
+        # (left, lam, right), or () for the dense solve; built on first use
+        self._factors = None
 
     def _resolvent(self, gamma, x):
-        return solve_linear(np.eye(self.dim) + gamma * self.matrix, x - gamma * self.offset)
+        if self._factors is None:
+            self._factors = _eigen_factors(self.matrix)
+        rhs = x - gamma * self.offset
+        if not self._factors:
+            return solve_linear(np.eye(self.dim) + gamma * self.matrix, rhs)
+        left, lam, right = self._factors
+        return (left @ ((right @ rhs) / (1.0 + gamma * lam))).real
 
     def value(self, x):
         """The (single-valued) operator itself, M x + b."""
@@ -141,6 +169,27 @@ class AffineMonotone(MonotoneOperator):
 
     def affine_parts(self):
         return self.matrix.copy(), self.offset.copy()
+
+
+def _eigen_factors(m):
+    """Stepsize-free factors of M for the affine resolvent.
+
+    Returns (left, lam, right) with (I + gamma M)^-1 = Re(left diag(1 / (1 +
+    gamma lam)) right) for every gamma > 0, or () when the eigenvector basis
+    is singular or cond_1(V) exceeds EIG_COND_MAX.
+    """
+    lam, v = np.linalg.eig(m)
+    try:
+        v_inv = np.linalg.inv(v)
+    except np.linalg.LinAlgError:
+        return ()
+    if not np.linalg.norm(v, 1) * np.linalg.norm(v_inv, 1) <= EIG_COND_MAX:
+        return ()
+    # a real M's complex eigenpairs come in conjugate pairs whose terms are
+    # conjugate: keep the one with Im lam > 0 at twice the weight
+    keep = lam.imag >= 0
+    weight = np.where(lam.imag[keep] > 0, 2.0, 1.0)
+    return np.ascontiguousarray(v[:, keep]), lam[keep], weight[:, None] * v_inv[keep]
 
 
 class NormalConePoint(MonotoneOperator):

@@ -3,7 +3,7 @@
 import numpy as np
 
 from .dr2 import DRCertificate, DRProblem
-from .errors import ConstructionError, DimensionError, NoOracleError
+from .errors import ConstructionError, DimensionError, NoOracleError, UnknownFieldError
 from .linalg import as_vector
 from .operators import (
     AffineMonotone,
@@ -193,12 +193,13 @@ def _custom(params, seed):
     )
 
 
+#: Each problem's factory and the params it accepts; any other key is an error
 _FACTORIES = {
-    "indicator_neglog": _indicator_neglog,
-    "affine_consensus": _affine_consensus,
-    "affine_random": _affine_random,
-    "box_feasibility": _box_feasibility,
-    "custom": _custom,
+    "indicator_neglog": (_indicator_neglog, ()),
+    "affine_consensus": (_affine_consensus, ("c", "count", "dim", "spread")),
+    "affine_random": (_affine_random, ("count", "dim")),
+    "box_feasibility": (_box_feasibility, ("boxes",)),
+    "custom": (_custom, ("ops", "solution")),
 }
 
 
@@ -210,12 +211,17 @@ def make_problem(name, params=None, seed=None):
     (seeded monotone affine operators with a planted common zero),
     box_feasibility (normal cones of boxes; no oracle when disjoint), and
     custom (params: {"ops": [operator specs], "solution": optional point}).
+    A param the problem does not accept raises UnknownFieldError.
     """
     try:
-        factory = _FACTORIES[name]
+        factory, allowed = _FACTORIES[name]
     except KeyError:
         raise ConstructionError(f"unknown problem name {name!r}") from None
-    instance = factory(dict(params or {}), seed)
+    params = dict(params or {})
+    for key in params:
+        if key not in allowed:
+            raise UnknownFieldError(key)
+    instance = factory(params, seed)
     _validate_oracle(instance)
     return instance
 

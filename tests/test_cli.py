@@ -313,6 +313,12 @@ class TestMainEntry:
          "schedule.gamma0: unknown field"),
         ({"schedule": {"kind": "adaptive_kappa", "gamma0": 1.0, "clamp": 5.0}},
          "schedule.clamp: unknown field"),
+        ({"problem": {"name": "affine_random", "params": {"count": 2, "dimm": 5}}},
+         "problem.params.dimm: unknown field"),
+        ({"problem": {"name": "indicator_neglog", "params": {"dim": 2}}},
+         "problem.params.dim: unknown field"),
+        (graph_field("Eprim", []), "graph.Eprim: unknown field"),
+        ({"x0": [[], 0]}, "x0:"),
     ], ids=["theta", "params", "param-value", "seed", "tol-nan", "tol-inf",
             "max-iters-inf", "tol-huge-int", "gamma-huge-int", "x0-huge-int",
             "graph-N-text", "graph-N-null", "graph-E-false", "graph-E-short-arc",
@@ -320,7 +326,8 @@ class TestMainEntry:
             "max-iters-float", "max-iters-bool", "tol-bool",
             "graph-theta-bool", "gamma-bool", "explicit-value-bool", "x0-bool",
             "explicit-values-text", "explicit-values-object", "stop-unknown-key",
-            "constant-unknown-key", "adaptive-unknown-key"])
+            "constant-unknown-key", "adaptive-unknown-key", "params-unknown-key",
+            "params-unknown-key-no-params", "graph-unknown-key", "x0-ragged"])
     def test_run_malformed_field(self, tmp_path, capsys, overrides, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(minimal_dr2_config(**overrides)))

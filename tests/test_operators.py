@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GAMMA_GRID, operator_zoo
+from conftest import GAMMA_GRID, operator_zoo, random_affine
 from relosplit import operators as ops
+from relosplit import problems
 from relosplit.errors import ConstructionError, DimensionError, ParameterError
 
 finite_floats = st.floats(min_value=-10.0, max_value=10.0,
@@ -225,6 +226,81 @@ class TestAsymptoticProjection:
                 j_small = op.resolvent(1e-8, x)
                 proj = project(x)
                 assert np.linalg.norm(j_small - proj) <= 1e-3
+
+
+class TestFactoredAffineResolvent:
+    """The affine resolvent from eigenfactors of M agrees with a dense solve."""
+
+    @staticmethod
+    def assert_matches_dense(op, rng):
+        m, b = op.affine_parts()
+        for gamma in np.logspace(-3, 3, 13):
+            x = rng.standard_normal(op.dim)
+            expected = np.linalg.solve(np.eye(op.dim) + gamma * m, x - gamma * b)
+            error = np.linalg.norm(op.resolvent(gamma, x) - expected)
+            assert error <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.fixture
+    def solve_calls(self, monkeypatch):
+        calls = []
+        solve_linear = ops.solve_linear
+
+        def counting(matrix, rhs):
+            calls.append(1)
+            return solve_linear(matrix, rhs)
+
+        monkeypatch.setattr(ops, "solve_linear", counting)
+        return calls
+
+    def test_symmetric(self, rng, solve_calls):
+        for dim in (1, 2, 5, 8):
+            root = rng.standard_normal((dim, dim))
+            self.assert_matches_dense(
+                ops.AffineMonotone(root @ root.T, rng.standard_normal(dim)), rng)
+        assert not solve_calls
+
+    def test_non_symmetric(self, rng, solve_calls):
+        for dim in (2, 3, 5, 8):
+            op = random_affine(rng, dim)
+            self.assert_matches_dense(op, rng)
+            self.assert_matches_dense(ops.Scaled(ops.Translated(
+                op, rng.standard_normal(dim)), 0.3), rng)
+        assert not solve_calls
+
+    def test_skew(self, rng, solve_calls):
+        # purely imaginary spectrum: every eigenpair has a conjugate partner
+        for dim in (2, 4, 5, 8):
+            root = rng.standard_normal((dim, dim))
+            self.assert_matches_dense(
+                ops.AffineMonotone(root - root.T, rng.standard_normal(dim)), rng)
+        assert not solve_calls
+
+    @pytest.mark.parametrize("count, dim", [(6, 32), (2, 16)])
+    def test_benchmark_sizes(self, rng, solve_calls, count, dim):
+        for seed in (1, 2, 3):
+            instance = problems.make_problem("affine_random",
+                                             {"count": count, "dim": dim}, seed)
+            for op in instance.ops:
+                self.assert_matches_dense(op, rng)
+        assert not solve_calls
+
+    def test_defective_falls_back_to_dense(self, rng, solve_calls):
+        # one eigenvalue 1 with a single eigenvector: V is singular
+        op = ops.AffineMonotone([[1.0, 1.0], [0.0, 1.0]], [0.5, -1.0])
+        self.assert_matches_dense(op, rng)
+        assert len(solve_calls) == 13
+
+    def test_factored_once_on_first_use(self, rng, monkeypatch):
+        calls = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(1) or eig(m))
+        op = random_affine(rng, 4)
+        assert not calls
+        for gamma in GAMMA_GRID:
+            op.resolvent(gamma, rng.standard_normal(4))
+        assert len(calls) == 1
+        with pytest.raises(ValueError):
+            op.matrix[0, 0] = 1.0
 
 
 class TestCountingOperator:

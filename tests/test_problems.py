@@ -142,6 +142,12 @@ class TestFactory:
         with pytest.raises(ConstructionError):
             problems.make_problem("mystery_problem")
 
+    def test_unknown_param_named(self):
+        with pytest.raises(ConstructionError, match="^dimm: unknown field$"):
+            problems.make_problem("affine_random", {"count": 2, "dimm": 5})
+        with pytest.raises(ConstructionError, match="^seed: unknown field$"):
+            problems.make_problem("indicator_neglog", {"seed": 1})
+
     def test_names_listed(self):
         names = problems.problem_names()
         assert "indicator_neglog" in names
