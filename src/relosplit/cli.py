@@ -7,6 +7,7 @@ or schedule rejected, 4 I/O failure.
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -322,6 +323,22 @@ def run_experiment(cfg, seed=None):
     return trace
 
 
+def _json_safe(value):
+    """``value`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return value
+
+
+def _dumps(value, **kwargs):
+    """Strict JSON text (RFC 8259): non-finite floats are written as null."""
+    return json.dumps(_json_safe(value), allow_nan=False, **kwargs)
+
+
 def execute_experiment(cfg, trace_out=None, summary_out=None, seed=None):
     """Run one experiment and write its outputs; returns the exit code."""
     trace = run_experiment(cfg, seed=seed)
@@ -334,12 +351,11 @@ def execute_experiment(cfg, trace_out=None, summary_out=None, seed=None):
             trace.write_csv(trace_path)
         if summary_path:
             with open(summary_path, "w") as fh:
-                json.dump(summary, fh, indent=2)
-                fh.write("\n")
+                fh.write(_dumps(summary, indent=2) + "\n")
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(json.dumps(summary))
+    print(_dumps(summary))
     return _STATUS_EXIT[trace.status]
 
 
@@ -380,13 +396,13 @@ def _cmd_validate_schedule(args):
     if cfg is None:
         return code
     report = validate_schedule(schedule_from_spec(cfg.schedule), horizon=args.horizon)
-    print(json.dumps(report.to_dict(), indent=2))
+    print(_dumps(report.to_dict(), indent=2))
     return EXIT_OK if report.accepted else EXIT_CONFIG
 
 
 def _cmd_selftest(args):
     report = run_selftest(seed=args.seed or 0)
-    print(json.dumps(report.to_dict(), indent=2))
+    print(_dumps(report.to_dict(), indent=2))
     return EXIT_OK if report.passed else EXIT_CONFIG
 
 
@@ -410,7 +426,7 @@ def _cmd_compare(args):
             if b["final_residual"] else None
         ),
     }
-    print(json.dumps(comparison, indent=2))
+    print(_dumps(comparison, indent=2))
     return code
 
 

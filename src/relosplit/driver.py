@@ -45,6 +45,11 @@ def ambient_isfinite(x):
     return bool(np.all(np.isfinite(np.asarray(x, dtype=float))))
 
 
+def _floats(v):
+    """The entries of a flat vector as a list of Python floats."""
+    return np.asarray(v, dtype=float).tolist()
+
+
 @dataclass(frozen=True)
 class StopRule:
     """Terminate when the run has converged, or after max_iters iterations.
@@ -204,32 +209,35 @@ class ConvergenceTrace:
         return header, point_dim
 
     def write_csv(self, path_or_file):
-        """Serialize the trace; floats carry 17 significant digits."""
+        """Serialize the trace; floats carry 17 significant digits (``%.17g``).
+
+        Lines end in CRLF, as csv.writer writes them. Rows are formatted
+        with one template per trace and streamed, never built as a table.
+        """
         header, point_dim = self._csv_header()
+        row_format = "%d," + ",".join(["%.17g"] * (len(header) - 1)) + "\r\n"
+        nan_point = [math.nan] * point_dim
+        scalars = list(self.extra_scalars.values())
+        vectors = [(series, [math.nan] * len(series[0]))
+                   for series in self.extra_vectors.values()]
 
-        def fmt(v):
-            return format(float(v), ".17g")
-
-        def emit(fh):
-            writer = csv.writer(fh)
-            writer.writerow(header)
+        def rows():
             for n in range(len(self.residuals)):
-                row = [str(n), fmt(self.gammas[n]), fmt(self.residuals[n]),
-                       fmt(self.solution_residuals[n])]
-                point = self.points[n]
+                row = [n, self.gammas[n], self.residuals[n], self.solution_residuals[n]]
                 if point_dim:
-                    row += [fmt(v) for v in (point if point is not None
-                                             else [math.nan] * point_dim)]
+                    point = self.points[n]
+                    row += nan_point if point is None else _floats(point)
                 # step-indexed series (e.g. relocator bounds) are one entry
                 # shorter than the trace; pad the missing tail with nan
-                for series in self.extra_scalars.values():
-                    row.append(fmt(series[n] if n < len(series) else math.nan))
-                for series in self.extra_vectors.values():
-                    if n < len(series):
-                        row += [fmt(v) for v in series[n]]
-                    else:
-                        row += [fmt(math.nan)] * len(series[0])
-                writer.writerow(row)
+                for series in scalars:
+                    row.append(series[n] if n < len(series) else math.nan)
+                for series, pad in vectors:
+                    row += _floats(series[n]) if n < len(series) else pad
+                yield row_format % tuple(row)
+
+        def emit(fh):
+            csv.writer(fh).writerow(header)
+            fh.writelines(rows())
 
         if hasattr(path_or_file, "write"):
             emit(path_or_file)

@@ -24,12 +24,14 @@ SOLVE_TOL = 1e-10
 
 def as_vector(x):
     """Coerce ``x`` to a 1-D float array, rejecting non-finite entries."""
-    v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.ndim != 1:
+    v = np.asarray(x, dtype=float)
+    if v.ndim == 0:
+        v = v.reshape(1)
+    elif v.ndim != 1:
         raise DimensionError(f"expected a vector, got shape {v.shape}")
     if v.size == 0:
         raise DimensionError("vectors must have dimension >= 1")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ParameterError("vector entries must be finite")
     return v
 

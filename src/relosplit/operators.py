@@ -15,6 +15,8 @@ checked vectors; the module functions ``single_value`` and
 ``inclusion_residual`` are the checked entry points.
 """
 
+import math
+
 import numpy as np
 
 from .errors import ConstructionError, DimensionError, ParameterError
@@ -39,7 +41,7 @@ class MonotoneOperator:
 
     def resolvent(self, gamma, x):
         """Evaluate J_{gamma A} x for gamma > 0."""
-        if not np.isfinite(gamma) or gamma <= 0:
+        if not math.isfinite(gamma) or gamma <= 0:
             raise ParameterError(f"gamma must be positive, got {gamma}")
         return self._resolvent(float(gamma), _checked_point(self, x))
 

@@ -1,7 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 
 from relosplit import operators
+
+#: The committed `relosplit run` configs whose outcomes test_cli pins.
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli")
 
 GAMMA_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 

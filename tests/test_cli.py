@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relosplit
+from conftest import GOLDEN_DIR
 from relosplit import cli
 from relosplit.driver import ScheduleBudgetWarning
 from relosplit.errors import ConfigError
@@ -370,6 +371,25 @@ class TestMainEntry:
         report = json.loads(capsys.readouterr().out)
         assert {"a", "b", "iters_delta"} <= set(report)
 
+    def test_rejected_schedule_summary_is_strict_json(self, tmp_path, capsys):
+        def reject(constant):
+            raise AssertionError(f"non-JSON constant {constant}")
+
+        doc = geometric_dr2_config(tmp_path)
+        doc["schedule"] = {"kind": "explicit", "values": [0.0, 1.0]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path)]) == 3
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        for text in (line, (tmp_path / "summary.json").read_text()):
+            summary = json.loads(text, parse_constant=reject)
+            assert summary["status"] == "schedule_rejected"
+            assert summary["iters"] == -1
+            assert summary["final_residual"] is None
+        assert cli.main(["compare", str(path), str(path)]) == 3
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert report["final_residual_ratio"] is None
+
     def test_selftest_passes(self, capsys):
         code = cli.main(["selftest"])
         assert code == 0
@@ -431,8 +451,6 @@ class TestMainEntry:
         assert "broken pipe" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-
-GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli")
 
 #: (status, iters, exit code) of every committed config. These pin the
 #: behaviour of the three runners: a change to a runner or to the stop rule

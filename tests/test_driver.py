@@ -1,11 +1,14 @@
 import csv
 import io
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
 
-from relosplit import dr2, malitsky_tam as mt, schedules as sch
+from conftest import GOLDEN_DIR
+from relosplit import cli, dr2, malitsky_tam as mt, schedules as sch
 from relosplit.driver import (
     ConvergenceTrace,
     OperatorFamily,
@@ -172,6 +175,81 @@ class TestConvergenceTrace:
         trace.write_csv(buffer)
         row = next(csv.DictReader(io.StringIO(buffer.getvalue())))
         assert math.isnan(float(row["solution_residual"]))
+
+
+def reference_csv(trace):
+    """The trace CSV as csv.writer writes it, one float at a time."""
+    header, point_dim = trace._csv_header()
+
+    def fmt(v):
+        return format(float(v), ".17g")
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    for n in range(len(trace.residuals)):
+        row = [str(n), fmt(trace.gammas[n]), fmt(trace.residuals[n]),
+               fmt(trace.solution_residuals[n])]
+        point = trace.points[n]
+        if point_dim:
+            row += [fmt(v) for v in (point if point is not None
+                                     else [math.nan] * point_dim)]
+        for series in trace.extra_scalars.values():
+            row.append(fmt(series[n] if n < len(series) else math.nan))
+        for series in trace.extra_vectors.values():
+            if n < len(series):
+                row += [fmt(v) for v in series[n]]
+            else:
+                row += [fmt(math.nan)] * len(series[0])
+        writer.writerow(row)
+    return buffer.getvalue()
+
+
+class TestCsvFormat:
+    def test_exact_text(self):
+        tiny, huge, third = 5e-324, 1.7976931348623157e308, 1.0 / 3.0
+        trace = ConvergenceTrace()
+        trace.record(0.0, -0.0, solution_residual=math.nan,
+                     point=np.array([math.inf, -math.inf]),
+                     scalars={"a,b": tiny, "bound": third},
+                     vectors={"u": np.array([huge]), "v": np.array([-0.0, third])})
+        # no point, and the step-indexed "bound" and "v" stop one entry short
+        trace.record(third, tiny, scalars={"a,b": -math.inf},
+                     vectors={"u": np.array([0.0])})
+        buffer = io.StringIO()
+        trace.write_csv(buffer)
+        assert buffer.getvalue() == (
+            'n,gamma,residual,solution_residual,point_0,point_1,"a,b",bound,u_0,v_0,v_1\r\n'
+            "0,0,-0,nan,inf,-inf,4.9406564584124654e-324,0.33333333333333331,"
+            "1.7976931348623157e+308,-0,0.33333333333333331\r\n"
+            "1,0.33333333333333331,4.9406564584124654e-324,nan,nan,nan,-inf,nan,"
+            "0,nan,nan\r\n"
+        )
+
+    def test_empty_trace_is_header_only(self):
+        buffer = io.StringIO()
+        ConvergenceTrace().write_csv(buffer)
+        assert buffer.getvalue() == "n,gamma,residual,solution_residual\r\n"
+
+    @pytest.mark.parametrize(
+        "name", sorted(f[:-len(".json")] for f in os.listdir(GOLDEN_DIR) if f.endswith(".json"))
+    )
+    def test_golden_traces_match_reference(self, tmp_path, name):
+        with open(os.path.join(GOLDEN_DIR, f"{name}.json")) as fh:
+            cfg = cli.parse_config(fh.read())
+        with warnings.catch_warnings():
+            # the budget configs may trip ScheduleBudgetWarning; only the
+            # written text is under test here
+            warnings.simplefilter("ignore")
+            trace = cli.run_experiment(cfg)
+        expected = reference_csv(trace)
+        buffer = io.StringIO()
+        trace.write_csv(buffer)
+        assert buffer.getvalue() == expected
+        path = tmp_path / "trace.csv"
+        trace.write_csv(str(path))
+        with open(path, newline="") as fh:
+            assert fh.read() == expected
 
 
 class TestStopRule:

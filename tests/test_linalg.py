@@ -24,6 +24,13 @@ class TestConstructors:
 
     def test_as_vector_scalar_promotes(self):
         assert as_vector(3.0).shape == (1,)
+        assert as_vector(np.array(3.0)).tolist() == [3.0]
+
+    def test_as_vector_rejects_bad_shapes(self):
+        with pytest.raises(DimensionError):
+            as_vector([[1.0, 2.0]])
+        with pytest.raises(DimensionError):
+            as_vector([])
 
     def test_as_matrix_rejects_bad_shapes(self):
         with pytest.raises(DimensionError):

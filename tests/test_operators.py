@@ -49,6 +49,16 @@ class TestResolventExamples:
             op.resolvent(-1.0, [1.0, 2.0])
         with pytest.raises(DimensionError):
             op.resolvent(1.0, [1.0, 2.0, 3.0])
+        for gamma in (np.nan, np.inf):
+            with pytest.raises(ParameterError):
+                op.resolvent(gamma, [1.0, 2.0])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ParameterError):
+                op.resolvent(1.0, [1.0, bad])
+        for point in ([[1.0, 2.0]], []):
+            with pytest.raises(DimensionError):
+                op.resolvent(1.0, point)
+        assert ops.Zero(1).resolvent(2.0, np.array(3.0)).tolist() == [3.0]
 
 
 class TestReflectent:
