@@ -34,7 +34,9 @@ class ScheduleBudgetWarning(RuntimeWarning):
 
 
 def ambient_norm(x):
-    return float(np.linalg.norm(np.asarray(x, dtype=float)))
+    # np.linalg.norm's own arithmetic without its wrapper, so bit-identical
+    v = np.asarray(x, dtype=float).ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def ambient_flat(x):
@@ -42,7 +44,8 @@ def ambient_flat(x):
 
 
 def ambient_isfinite(x):
-    return bool(np.all(np.isfinite(np.asarray(x, dtype=float))))
+    v = np.asarray(x, dtype=float)
+    return bool(np.count_nonzero(np.isfinite(v)) == v.size)
 
 
 def _floats(v):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import OperatorFamily, Relocator, relocated_loop
+from .driver import OperatorFamily, Relocator, ambient_norm, relocated_loop
 from .errors import (
     ConsistencyError,
     ConstructionError,
@@ -317,7 +317,8 @@ def at_consensus(solution_residual):
     """solution_residual at the blockwise mean of a sweep; None stays None."""
     if solution_residual is None:
         return None
-    return lambda z: solution_residual(z.data.mean(axis=0))
+    # mean's own arithmetic without its wrapper, so bit-identical
+    return lambda z: solution_residual(z.data.sum(axis=0) / z.nblocks)
 
 
 def _blocks(x):
@@ -331,7 +332,7 @@ def _like(x, blocks):
 
 def _record_sweep(z, disagreement, w):
     return {"shadow": z,
-            "scalars": {"consensus_residual": float(np.linalg.norm(disagreement))}}
+            "scalars": {"consensus_residual": ambient_norm(disagreement)}}
 
 
 def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep):

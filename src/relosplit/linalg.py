@@ -31,7 +31,9 @@ def as_vector(x):
         raise DimensionError(f"expected a vector, got shape {v.shape}")
     if v.size == 0:
         raise DimensionError("vectors must have dimension >= 1")
-    if not np.isfinite(v).all():
+    # count_nonzero skips the Python wrapper of ndarray.all; a v.dot(v) test
+    # would warn on large finite entries
+    if np.count_nonzero(np.isfinite(v)) != v.size:
         raise ParameterError("vector entries must be finite")
     return v
 

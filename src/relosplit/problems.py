@@ -3,6 +3,7 @@
 import numpy as np
 
 from .dr2 import DRCertificate, DRProblem
+from .driver import ambient_norm
 from .errors import ConstructionError, DimensionError, NoOracleError, UnknownFieldError
 from .linalg import as_vector
 from .operators import (
@@ -20,8 +21,9 @@ class ProblemInstance:
 
     The oracle is a callable z -> float that the factory sets, taking a
     checked point of R^dim: the distance to an analytic solution point, the
-    affine inclusion residual ||sum (M_i z + b_i)||, or a feasible-set
-    distance. Instances without an oracle cannot report solution residuals.
+    affine inclusion residual ||(sum M_i) z + sum b_i|| (the sums formed
+    once, when the instance is built), or a feasible-set distance. Instances
+    without an oracle cannot report solution residuals.
     """
 
     def __init__(self, name, ops, dim, solution_point=None, oracle=None,
@@ -72,17 +74,25 @@ def solution_residual(instance, z):
 
 def _distance_to(point):
     """Oracle ||z - point|| for an analytic solution point."""
-    return lambda z: float(np.linalg.norm(z - point))
+    return lambda z: ambient_norm(z - point)
 
 
 def _affine_inclusion(ops):
-    """Oracle ||sum A_i z|| for single-valued (affine) operators."""
-    return lambda z: float(np.linalg.norm(sum(op.value(z) for op in ops)))
+    """Oracle ||sum A_i z|| for affine operators A_i z = M_i z + b_i.
+
+    M = sum M_i and b = sum b_i are formed here, once, so each call is one
+    matrix-vector product, ||M z + b||. It differs from summing the N values
+    A_i z only by rounding.
+    """
+    parts = [op.affine_parts() for op in ops]
+    m = sum(mat for mat, _ in parts)
+    b = sum(off for _, off in parts)
+    return lambda z: ambient_norm(m @ z + b)
 
 
 def _box_distance(lo, hi):
-    """Oracle ||z - clip(z, lo, hi)||, the distance to the box [lo, hi]."""
-    return lambda z: float(np.linalg.norm(z - np.clip(z, lo, hi)))
+    """Oracle ||z - clip(z, lo, hi)||, the distance to the box [lo, hi] (lo <= hi)."""
+    return lambda z: ambient_norm(z - np.minimum(np.maximum(z, lo), hi))
 
 
 def _indicator_neglog(params, seed):

@@ -10,6 +10,18 @@ GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "c
 
 GAMMA_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 
+#: Finite points at the ends of the float range; their squared norm overflows.
+EXTREME_FINITE = [1.7976931348623157e308, -1e308, 5e-324]
+
+
+def nonfinite_points(dim=5):
+    """nan, +inf and -inf at the first, a middle and the last position."""
+    for bad in (np.nan, np.inf, -np.inf):
+        for pos in (0, dim // 2, dim - 1):
+            point = np.linspace(-1.0, 1.0, dim)
+            point[pos] = bad
+            yield pytest.param(point, id=f"{bad}@{pos}")
+
 
 @pytest.fixture
 def rng():

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import GOLDEN_DIR
+from conftest import EXTREME_FINITE, GOLDEN_DIR, nonfinite_points
 from relosplit import cli, dr2, malitsky_tam as mt, schedules as sch
 from relosplit.driver import (
     ConvergenceTrace,
@@ -15,6 +15,8 @@ from relosplit.driver import (
     Relocator,
     ScheduleBudgetWarning,
     StopRule,
+    ambient_isfinite,
+    ambient_norm,
     check_relocator_axioms,
     run_relocated,
 )
@@ -250,6 +252,39 @@ class TestCsvFormat:
         trace.write_csv(str(path))
         with open(path, newline="") as fh:
             assert fh.read() == expected
+
+
+class TestAmbientKernels:
+    def test_isfinite_accepts_extreme_finite_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert ambient_isfinite(np.array(EXTREME_FINITE))
+            assert ambient_isfinite(BlockVector([EXTREME_FINITE, EXTREME_FINITE]))
+
+    @pytest.mark.parametrize("point", nonfinite_points())
+    def test_isfinite_rejects_nonfinite_at_any_position(self, point):
+        assert ambient_isfinite(point) is False
+        assert ambient_isfinite(point.reshape(1, -1)) is False
+        assert ambient_isfinite(np.stack([np.zeros(point.size), point])) is False
+
+    def test_norm_is_np_linalg_norm(self, rng):
+        arrays = [rng.standard_normal(d) * scale
+                  for d in (1, 2, 8, 32, 513) for scale in (1e-300, 1e-3, 1.0, 1e150)]
+        arrays += [rng.standard_normal((k, d)) for k, d in ((1, 8), (15, 8), (5, 32))]
+        arrays += [np.zeros(4), np.array([-0.0]), np.array([5e-324, 5e-324])]
+        for a in arrays:
+            assert ambient_norm(a) == float(np.linalg.norm(a))
+            if a.ndim == 2:
+                assert ambient_norm(BlockVector(a)) == float(np.linalg.norm(a))
+        # non-contiguous input: norm sums the raveled array in memory order
+        a = rng.standard_normal((6, 9))
+        assert ambient_norm(a.T) == float(np.linalg.norm(a.T))
+
+    def test_norm_overflow_is_inf_like_np_linalg_norm(self):
+        blocks = BlockVector([EXTREME_FINITE, EXTREME_FINITE])
+        with np.errstate(over="ignore"):
+            assert ambient_norm(blocks) == float(np.linalg.norm(np.asarray(blocks))) == math.inf
+            assert ambient_norm(np.array(EXTREME_FINITE)) == math.inf
 
 
 class TestStopRule:

@@ -320,6 +320,14 @@ class TestLipschitzBound:
                 assert (qu - qv).norm() <= bound * denom + 1e-9
 
 
+def test_at_consensus_point_is_blockwise_mean(rng):
+    assert graphs.at_consensus(None) is None
+    point_of = graphs.at_consensus(lambda point: point)
+    for nblocks, dim in ((2, 1), (3, 8), (6, 32), (16, 8), (17, 5)):
+        z = BlockVector(rng.standard_normal((nblocks, dim)) * 10.0 ** rng.integers(-8, 8))
+        assert point_of(z).tobytes() == z.data.mean(axis=0).tobytes()
+
+
 class TestAffineOracle:
     def test_zero_ops(self):
         g = mt_graph(3)

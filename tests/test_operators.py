@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GAMMA_GRID, operator_zoo, random_affine
+from conftest import EXTREME_FINITE, GAMMA_GRID, nonfinite_points, operator_zoo, random_affine
 from relosplit import operators as ops
 from relosplit import problems
 from relosplit.errors import ConstructionError, DimensionError, ParameterError
@@ -59,6 +61,30 @@ class TestResolventExamples:
             with pytest.raises(DimensionError):
                 op.resolvent(1.0, point)
         assert ops.Zero(1).resolvent(2.0, np.array(3.0)).tolist() == [3.0]
+
+    def test_extreme_finite_point_accepted_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            y = ops.Zero(3).resolvent(1.0, EXTREME_FINITE)
+        assert y.tolist() == EXTREME_FINITE
+
+    @pytest.mark.parametrize("point", nonfinite_points())
+    def test_nonfinite_point_rejected_at_any_position(self, point):
+        with pytest.raises(ParameterError, match="^vector entries must be finite$"):
+            ops.Zero(point.size).resolvent(1.0, point)
+
+    def test_box_resolvent_is_clip(self, rng):
+        lo = np.array([-1.0, 0.0, -0.0, 2.0, -3.0, 0.5])
+        hi = np.array([1.0, 0.0, 0.0, 2.0, -1.0, 4.0])
+        box = ops.NormalConeBox(lo, hi)
+        inside = lo + rng.uniform(size=6) * (hi - lo)
+        points = [inside, lo, hi, np.where(rng.uniform(size=6) < 0.5, lo, hi),
+                  np.array([-0.0, -0.0, 0.0, -0.0, 0.0, -0.0]),
+                  np.array([0.0, -0.0, -0.0, 0.0, -0.0, 0.0])]
+        points += [4.0 * rng.standard_normal(6) for _ in range(20)]
+        for x in points:
+            # byte equality also pins the sign of a zero, which the trace CSV prints
+            assert box.resolvent(0.7, x).tobytes() == np.clip(x, lo, hi).tobytes()
 
 
 class TestReflectent:

@@ -62,6 +62,26 @@ class TestAffineRandom:
         assert problems.solution_residual(inst, off) > 1e-3
 
 
+class TestAffineOracle:
+    @pytest.mark.parametrize("name, params, seed", [
+        ("affine_random", {"count": 2, "dim": 16}, 1),
+        ("affine_random", {"count": 6, "dim": 32}, 2),
+        ("affine_consensus", {"count": 4, "dim": 5, "spread": 3.0}, 3),
+        ("affine_consensus", {"c": [[1.0, -2.0], [0.5, 4.0], [-3.0, 0.0]]}, None),
+    ])
+    def test_summed_oracle_matches_sum_of_values(self, name, params, seed):
+        inst = problems.make_problem(name, params, seed=seed)
+        rng = np.random.default_rng(7)
+        points = [inst.solution_point] + [scale * rng.standard_normal(inst.dim)
+                                          for scale in (1e-6, 1.0, 1e3, 1e8)]
+        for z in points:
+            values = [op.value(z) for op in inst.ops]
+            direct = float(np.linalg.norm(sum(values)))
+            scale = 1.0 + sum(np.linalg.norm(op.matrix @ z) + np.linalg.norm(op.offset)
+                              for op in inst.ops)
+            assert abs(problems.solution_residual(inst, z) - direct) <= 1e-12 * scale
+
+
 class TestBoxFeasibility:
     def test_disjoint_boxes_have_no_oracle(self):
         inst = problems.make_problem(
@@ -78,6 +98,19 @@ class TestBoxFeasibility:
         assert inst.has_oracle
         assert problems.solution_residual(inst, [1.5]) == 0.0
         assert problems.solution_residual(inst, [0.0]) == pytest.approx(1.0)
+
+    def test_distance_is_clip_form(self):
+        boxes = [[[-1.0, 0.0, -2.0, 0.5], [1.0, 2.0, 0.0, 3.0]],
+                 [[-2.0, 0.0, -1.0, 0.0], [0.5, 3.0, 0.0, 1.5]]]
+        inst = problems.make_problem("box_feasibility", {"boxes": boxes})
+        lo, hi = np.array([-1.0, 0.0, -1.0, 0.5]), np.array([0.5, 2.0, 0.0, 1.5])
+        rng = np.random.default_rng(11)
+        points = [lo, hi, (lo + hi) / 2, np.where([1, 0, 1, 0], lo, hi),
+                  np.array([-0.0, 0.0, -0.0, 0.0])]
+        points += [3.0 * rng.standard_normal(4) for _ in range(20)]
+        for z in points:
+            assert problems.solution_residual(inst, z) == float(
+                np.linalg.norm(z - np.clip(z, lo, hi)))
 
 
 class TestCustomProblem:
