@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import os
+import reprlib
 import sys
 from dataclasses import asdict, dataclass
 
@@ -17,10 +18,8 @@ import numpy as np
 from . import __version__
 from .dr2 import algorithm1_run
 from .driver import StopRule
-from .errors import (ConfigError, ConstructionError, ParameterError, RelosplitError,
-                     UnknownFieldError)
+from .errors import ConfigError, RelosplitError, UnknownFieldError
 from .graphs import build_graph, graph_relocated_run
-from .linalg import BlockVector
 from .malitsky_tam import MTProblem, algorithm2_run
 from .problems import make_problem, problem_names, solution_residual
 from .schedules import (
@@ -40,24 +39,158 @@ EXIT_MAX_ITERS = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_IO = 4
 
-#: What float() and int() raise on a JSON value of the wrong type or size
-#: (a string, NaN or infinity into int(), an integer beyond float range)
-_BAD_VALUE = (TypeError, ValueError, OverflowError)
-
-#: The keys each object of a config accepts; any other key is an error
-FIELDS = ("problem", "algorithm", "schedule", "stop", "theta", "graph", "x0", "output")
-STOP_FIELDS = ("residual_tol", "max_iters")
-GRAPH_FIELDS = ("N", "E", "Eprime")
-SCHEDULE_FIELDS = {"constant": ("kind", "gamma"), "explicit": ("kind", "values"),
-                   "geometric": ("kind", "limit", "start", "ratio"),
-                   "adaptive_kappa": ("kind", "gamma0", "clamp_lo", "clamp_hi")}
-
 _STATUS_EXIT = {
     "converged": EXIT_OK,
     "max_iters": EXIT_MAX_ITERS,
     "diverged": EXIT_NOT_CONVERGED,
     "schedule_rejected": EXIT_NOT_CONVERGED,
 }
+
+
+def _is_list(value):
+    return isinstance(value, (list, tuple))
+
+
+def _is_nested(value):
+    return _is_list(value) and all(_is_nested(v) if _is_list(v) else NUMBER.test(v)
+                                   for v in value)
+
+
+class _Leaf:
+    """A field kind whose value is a JSON scalar or list.
+
+    A value passes when ``test`` holds and ``convert`` normalizes it without
+    raising; otherwise the error reads "<path>: must be <what>, got <value>".
+    """
+
+    def __init__(self, what, test, convert=lambda value: value):
+        self.what = what
+        self.test = test
+        self.convert = convert
+
+    def check(self, value, path, errors):
+        try:
+            if self.test(value):
+                return self.convert(value)
+        except OverflowError:  # float() of an integer that no float holds
+            errors.append(f"{path}: holds an integer beyond the float range")
+            return None
+        except (ValueError, RecursionError):  # ragged or too deeply nested lists
+            pass
+        errors.append(f"{path}: must be {self.what}, got {reprlib.repr(value)}")
+        return None
+
+
+class _Object:
+    """A JSON object kind: the keys it allows, each mapped to its kind.
+
+    A required key must be present, a key set to null counts as absent, and
+    any other key is an error. Once every field has passed, ``build`` (the
+    class the object describes) is called with them, to check their ranges.
+    ``check`` returns the normalized object of the fields that passed.
+    """
+
+    def __init__(self, required, optional=None, build=None):
+        self.required = required
+        self.optional = optional or {}
+        self.build = build
+
+    def check(self, value, path, errors):
+        if not isinstance(value, dict):
+            errors.append(f"{path}: must be an object, got {reprlib.repr(value)}")
+            return None
+        count = len(errors)
+        prefix = f"{path}." if path else ""
+        kinds = {**self.required, **self.optional}
+        errors += [f"{prefix}{key}: unknown field" for key in value if key not in kinds]
+        out = {}
+        for key, kind in kinds.items():
+            if value.get(key) is None:
+                if key in self.required:
+                    errors.append(f"{prefix}{key}: required field")
+                continue
+            before = len(errors)
+            item = kind.check(value[key], prefix + key, errors)
+            if len(errors) == before:
+                out[key] = item
+        if self.build is not None and len(errors) == count:
+            try:
+                self.build(**out)
+            except RelosplitError as exc:
+                errors.append(f"{path}: {exc}")
+        return out
+
+
+class _Tagged(_Object):
+    """A JSON object whose ``tag`` key names its variant, an _Object of the
+    other keys. Under a tag that names no variant, every variant's keys are
+    optional."""
+
+    def __init__(self, tag, variants):
+        super().__init__({tag: _one_of(*variants)}, {
+            key: kind for variant in variants.values()
+            for key, kind in {**variant.required, **variant.optional}.items()})
+        self.tag = tag
+        self.variants = variants
+
+    def check(self, value, path, errors):
+        name = value.get(self.tag) if isinstance(value, dict) else None
+        if not (isinstance(name, str) and name in self.variants):
+            return super().check(value, path, errors)
+        body = {key: item for key, item in value.items() if key != self.tag}
+        return {self.tag: name, **self.variants[name].check(body, path, errors)}
+
+
+def _one_of(*choices):
+    return _Leaf(f"one of {', '.join(choices)}",
+                 lambda value: isinstance(value, str) and value in choices)
+
+
+NUMBER = _Leaf("a number", lambda value: isinstance(value, (int, float))
+               and not isinstance(value, bool), float)
+INTEGER = _Leaf("an integer",
+                lambda value: isinstance(value, int) and not isinstance(value, bool))
+NUMBERS = _Leaf("a list of numbers",
+                lambda value: _is_list(value) and all(map(NUMBER.test, value)),
+                lambda value: [float(v) for v in value])
+NESTED_NUMBERS = _Leaf("a (nested) list of numbers", _is_nested,
+                       lambda value: np.array(value, dtype=float).tolist())
+ARCS = _Leaf("a list of integer pairs [i, j]", lambda value: _is_list(value) and all(
+    _is_list(arc) and len(arc) == 2 and all(map(INTEGER.test, arc)) for arc in value))
+#: open() refuses a NUL character, and os.fsencode a lone surrogate
+PATH = _Leaf("a file path string",
+             lambda value: isinstance(value, str) and b"\0" not in os.fsencode(value))
+
+#: Each schedule kind's keys, which are the keywords of its class
+SCHEDULES = {
+    "constant": _Object({"gamma": NUMBER}, build=Constant),
+    "geometric": _Object({"limit": NUMBER, "start": NUMBER, "ratio": NUMBER},
+                         build=GeometricToLimit),
+    "explicit": _Object({"values": NUMBERS}, build=ExplicitList),
+    "adaptive_kappa": _Object({"gamma0": NUMBER}, {"clamp_lo": NUMBER, "clamp_hi": NUMBER},
+                              build=AdaptiveKappa),
+}
+
+#: The kind of every config field. The classes the run builds check the
+#: ranges, and make_problem checks problem.params (problems._FACTORIES).
+SCHEMA = _Object(
+    {
+        "problem": _Object({"name": _one_of(*problem_names())}, {
+            "params": _Leaf("an object", lambda value: isinstance(value, dict)),
+            "seed": _Leaf("a non-negative integer",
+                          lambda value: INTEGER.test(value) and value >= 0)}),
+        "algorithm": _one_of(*ALGORITHMS),
+        "schedule": _Tagged("kind", SCHEDULES),
+        "stop": _Object({"residual_tol": NUMBER, "max_iters": INTEGER}, build=StopRule),
+    },
+    {
+        "theta": NUMBER,
+        "graph": _Object({"N": INTEGER, "E": ARCS, "Eprime": ARCS},
+                         build=lambda N, E, Eprime: build_graph(N, E, Eprime)),
+        "x0": NESTED_NUMBERS,
+        "output": _Object({}, {"trace_path": PATH, "summary_path": PATH}),
+    },
+)
 
 
 @dataclass
@@ -79,219 +212,79 @@ def config_to_dict(cfg):
 
 
 def schedule_from_spec(spec):
-    """Build a StepsizeSchedule from its config sub-schema."""
-    kind = spec.get("kind")
-    if kind == "constant":
-        return Constant(_number(spec["gamma"]))
-    if kind == "geometric":
-        return GeometricToLimit(limit=_number(spec["limit"]),
-                                start=_number(spec["start"]),
-                                ratio=_number(spec["ratio"]))
-    if kind == "explicit":
-        if not isinstance(spec["values"], list):
-            raise TypeError(f"values must be a list of numbers, got {spec['values']!r}")
-        return ExplicitList([_number(v) for v in spec["values"]])
-    if kind == "adaptive_kappa":
-        clamps = {k: _number(spec[k]) for k in ("clamp_lo", "clamp_hi") if k in spec}
-        return AdaptiveKappa(gamma0=_number(spec["gamma0"]), **clamps)
-    raise ParameterError(f"unknown schedule kind {kind!r}")
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _number(value):
-    """float(value), refusing JSON true/false, which float() reads as 1.0/0.0."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _parse_graph(spec, errors):
-    """Type-check the {N, E, Eprime} fields; the normalized spec, or None."""
-    ok = _is_int(spec.get("N"))
-    if not ok:
-        errors.append(f"graph.N: must be an integer, got {spec.get('N')!r}")
-    for key in ("E", "Eprime"):
-        arcs = spec.get(key)
-        if not (isinstance(arcs, (list, tuple)) and all(
-                isinstance(a, (list, tuple)) and len(a) == 2 and all(map(_is_int, a))
-                for a in arcs)):
-            errors.append(f"graph.{key}: must be a list of integer pairs [i, j], "
-                          f"got {arcs!r}")
-            ok = False
-    if not ok:
-        return None
-    return {"N": spec["N"], "E": [list(a) for a in spec["E"]],
-            "Eprime": [list(a) for a in spec["Eprime"]]}
-
-
-def _unknown_fields(prefix, spec, allowed):
-    return [f"{prefix}{key}: unknown field" for key in spec if key not in allowed]
-
-
-def _as_nested_list(value):
-    if isinstance(value, (list, tuple)):
-        return [_as_nested_list(v) for v in value]
-    return _number(value)
+    """Build the StepsizeSchedule of a schedule object that passed SCHEMA."""
+    params = dict(spec)
+    return SCHEDULES[params.pop("kind")].build(**params)
 
 
 def parse_config(doc):
     """Validate a config document (mapping or JSON text) into ExperimentConfig.
 
+    SCHEMA checks the kind of every field, the constructors the run uses
+    check their ranges, and the checks across fields (theta and x0 against
+    the algorithm, the graph and dr2's arity against the problem) follow.
     All violations are aggregated into a single ConfigError whose messages
-    are path-qualified, e.g. "schedule.gamma: must be positive".
+    are path-qualified, e.g. "schedule.gamma: must be a number, got '1.0'".
     """
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError([f"document: invalid JSON ({exc})"]) from exc
     if not isinstance(doc, dict):
         raise ConfigError(["document: expected a JSON object"])
 
-    errors = _unknown_fields("", doc, FIELDS)
+    errors = []
+    fields = SCHEMA.check(doc, "", errors)
 
-    problem_spec = doc.get("problem")
     instance = None
-    if not isinstance(problem_spec, dict):
-        errors.append("problem: required object with a 'name'")
-    else:
-        name = problem_spec.get("name")
-        params = problem_spec.get("params")
-        seed = problem_spec.get("seed")
-        if name not in problem_names():
-            errors.append(f"problem.name: unknown problem {name!r}")
-        elif params is not None and not isinstance(params, dict):
-            errors.append("problem.params: must be an object")
-        elif seed is not None and not (_is_int(seed) and seed >= 0):
-            errors.append(f"problem.seed: must be a non-negative integer, got {seed!r}")
-        else:
-            try:
-                instance = make_problem(name, params, seed)
-            except UnknownFieldError as exc:
-                errors.append(f"problem.params.{exc}")
-            except (RelosplitError, KeyError, *_BAD_VALUE) as exc:
-                errors.append(f"problem.params: {exc}")
+    if "problem" in fields:
+        problem = fields["problem"]
+        try:
+            instance = make_problem(problem["name"], problem.get("params"),
+                                    problem.get("seed"))
+        except UnknownFieldError as exc:
+            errors.append(f"problem.params.{exc}")
+        except (RelosplitError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            errors.append(f"problem.params: {exc}")
 
-    algorithm = doc.get("algorithm")
-    if algorithm not in ALGORITHMS:
-        errors.append(f"algorithm: must be one of {ALGORITHMS}, got {algorithm!r}")
-
-    theta = doc.get("theta")
+    algorithm = fields.get("algorithm")
+    theta = fields.get("theta")
     if algorithm == "dr2":
         if theta is not None:
             errors.append("theta: not used by dr2")
         if instance is not None and instance.n_ops != 2:
-            errors.append(
-                f"problem: dr2 needs exactly 2 operators, got {instance.n_ops}"
-            )
-    elif algorithm in ("mt", "graph"):
+            errors.append(f"problem: dr2 needs exactly 2 operators, got {instance.n_ops}")
+    elif algorithm is not None:
         upper = 1 if algorithm == "mt" else 2
-        try:
-            valid = theta is not None and 0.0 < _number(theta) < upper
-        except _BAD_VALUE:
-            valid = False
-        if not valid:
+        # a theta that is not a number has been reported by SCHEMA
+        if doc.get("theta") is None or theta is not None and not 0.0 < theta < upper:
             errors.append(f"theta: theta must lie in (0,{upper})")
 
-    graph_spec = doc.get("graph")
-    graph = None
-    if algorithm == "graph":
-        if not isinstance(graph_spec, dict):
-            errors.append("graph: required object {N, E, Eprime} for algorithm 'graph'")
-        elif unknown := _unknown_fields("graph.", graph_spec, GRAPH_FIELDS):
-            errors += unknown
-        else:
-            graph = _parse_graph(graph_spec, errors)
-        if graph is not None:
-            try:
-                g = build_graph(graph["N"], graph["E"], graph["Eprime"])
-                if instance is not None and g.n_nodes != instance.n_ops:
-                    errors.append(
-                        f"graph.N: graph has {g.n_nodes} nodes but the problem "
-                        f"has {instance.n_ops} operators"
-                    )
-            except ConstructionError as exc:
-                errors.append(f"graph: {exc}")
-    elif graph_spec is not None:
+    graph = fields.get("graph")
+    if algorithm == "graph" and doc.get("graph") is None:
+        errors.append("graph: required object {N, E, Eprime} for algorithm 'graph'")
+    elif algorithm != "graph" and graph is not None:
         errors.append("graph: only used by algorithm 'graph'")
+    elif graph is not None and instance is not None and graph["N"] != instance.n_ops:
+        errors.append(f"graph.N: graph has {graph['N']} nodes but the problem "
+                      f"has {instance.n_ops} operators")
 
-    sched_spec = doc.get("schedule")
-    if not isinstance(sched_spec, dict):
-        errors.append("schedule: required object with a 'kind'")
-    else:
-        kind = sched_spec.get("kind")
-        # an unknown kind is reported by schedule_from_spec
-        if isinstance(kind, str) and kind in SCHEDULE_FIELDS:
-            errors += _unknown_fields("schedule.", sched_spec, SCHEDULE_FIELDS[kind])
-        try:
-            schedule_from_spec(sched_spec)
-        except (RelosplitError, KeyError, *_BAD_VALUE) as exc:
-            errors.append(f"schedule: {exc}")
-
-    stop_spec = doc.get("stop")
-    if not isinstance(stop_spec, dict):
-        errors.append("stop: required object {residual_tol, max_iters}")
-    elif unknown := _unknown_fields("stop.", stop_spec, STOP_FIELDS):
-        errors += unknown
-    elif not _is_int(max_iters := stop_spec.get("max_iters", 0)):
-        errors.append(f"stop: max_iters must be an integer, got {max_iters!r}")
-    else:
-        try:
-            StopRule(residual_tol=_number(stop_spec.get("residual_tol", 0)),
-                     max_iters=max_iters)
-        except (RelosplitError, *_BAD_VALUE) as exc:
-            errors.append(f"stop: {exc}")
-
-    x0 = doc.get("x0")
-    if x0 is not None:
-        try:
-            x0 = _as_nested_list(x0)
-            np.array(x0, dtype=float)  # ragged nesting, such as [[], 0]
-        except _BAD_VALUE:
-            errors.append("x0: must be a (nested) list of numbers")
-            x0 = None
-
-    output = doc.get("output")
-    if output is not None:
-        if not isinstance(output, dict) or not set(output) <= {"trace_path", "summary_path"}:
-            errors.append("output: object with optional trace_path/summary_path")
+    x0 = fields.get("x0")
+    if x0 is not None and instance is not None and algorithm is not None:
+        shape = _x0_shape(algorithm, instance)
+        if np.shape(x0) != shape:
+            errors.append(f"x0: expected shape {shape}, got shape {np.shape(x0)}")
 
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(
-        problem=dict(problem_spec),
-        algorithm=algorithm,
-        schedule=dict(sched_spec),
-        stop={"residual_tol": float(stop_spec["residual_tol"]),
-              "max_iters": stop_spec["max_iters"]},
-        theta=None if theta is None else float(theta),
-        graph=graph,
-        x0=x0,
-        output=None if output is None else dict(output),
-    )
+    return ExperimentConfig(**fields)
 
 
-def _initial_vector(x0, dim):
-    if x0 is None:
-        return np.zeros(dim)
-    arr = np.asarray(x0, dtype=float)
-    if arr.shape != (dim,):
-        raise ConfigError([f"x0: expected {dim} entries, got shape {arr.shape}"])
-    return arr
-
-
-def _initial_blocks(x0, nblocks, dim):
-    if x0 is None:
-        return BlockVector.zeros(nblocks, dim)
-    arr = np.asarray(x0, dtype=float)
-    if arr.shape != (nblocks, dim):
-        raise ConfigError(
-            [f"x0: expected {nblocks} blocks of {dim} entries, got shape {arr.shape}"]
-        )
-    return BlockVector(arr)
+def _x0_shape(algorithm, instance):
+    """dr2 starts from a point; mt and graph from one block fewer than there
+    are operators (a config's graph has one node per operator)."""
+    return (instance.dim,) if algorithm == "dr2" else (instance.n_ops - 1, instance.dim)
 
 
 def run_experiment(cfg, seed=None):
@@ -304,21 +297,19 @@ def run_experiment(cfg, seed=None):
     residual_fn = None
     if instance.has_oracle:
         residual_fn = lambda z: solution_residual(instance, z)  # noqa: E731
+    x0 = (np.zeros(_x0_shape(cfg.algorithm, instance)) if cfg.x0 is None
+          else np.asarray(cfg.x0, dtype=float))
 
     if cfg.algorithm == "dr2":
-        trace = algorithm1_run(instance.dr_problem(), schedule,
-                               _initial_vector(cfg.x0, instance.dim), stop,
+        trace = algorithm1_run(instance.dr_problem(), schedule, x0, stop,
                                solution_residual=residual_fn)
     elif cfg.algorithm == "mt":
         problem = MTProblem(tuple(instance.ops), theta=cfg.theta)
-        trace = algorithm2_run(problem, schedule,
-                               _initial_blocks(cfg.x0, instance.n_ops - 1, instance.dim),
-                               stop, solution_residual=residual_fn)
+        trace = algorithm2_run(problem, schedule, x0, stop, solution_residual=residual_fn)
     else:
         g = build_graph(cfg.graph["N"], cfg.graph["E"], cfg.graph["Eprime"])
-        trace = graph_relocated_run(instance.ops, g, cfg.theta, schedule,
-                                    _initial_blocks(cfg.x0, g.n_nodes - 1, instance.dim),
-                                    stop, solution_residual=residual_fn)
+        trace = graph_relocated_run(instance.ops, g, cfg.theta, schedule, x0, stop,
+                                    solution_residual=residual_fn)
     trace.seed = problem_seed
     return trace
 

@@ -397,14 +397,18 @@ def inclusion_residual(op, point, value):
     return op.inclusion_residual(_checked_point(op, point), _checked_point(op, value))
 
 
-_SIMPLE_KINDS = {
-    "zero": lambda p: Zero(dim=p["dim"]),
-    "scaled_identity": lambda p: ScaledIdentity(lam=p["lam"], dim=p["dim"]),
-    "affine": lambda p: AffineMonotone(matrix=p["M"], offset=p["b"]),
-    "normal_cone_point": lambda p: NormalConePoint(point=p["c"]),
-    "normal_cone_box": lambda p: NormalConeBox(lo=p["lo"], hi=p["hi"]),
-    "normal_cone_ball": lambda p: NormalConeBall(center=p["center"], radius=p["radius"]),
-    "neg_log": lambda p: NegLog(dim=p["dim"]),
+#: Each spec kind's class, and the constructor keyword each of its keys
+#: fills; any other key is an error. "inner" holds a nested spec.
+_KINDS = {
+    "zero": (Zero, {"dim": "dim"}),
+    "scaled_identity": (ScaledIdentity, {"lam": "lam", "dim": "dim"}),
+    "affine": (AffineMonotone, {"M": "matrix", "b": "offset"}),
+    "normal_cone_point": (NormalConePoint, {"c": "point"}),
+    "normal_cone_box": (NormalConeBox, {"lo": "lo", "hi": "hi"}),
+    "normal_cone_ball": (NormalConeBall, {"center": "center", "radius": "radius"}),
+    "neg_log": (NegLog, {"dim": "dim"}),
+    "translated": (Translated, {"inner": "inner", "shift": "shift"}),
+    "scaled": (Scaled, {"inner": "inner", "sigma": "sigma"}),
 }
 
 
@@ -413,24 +417,22 @@ def make_operator(spec):
 
     ``spec`` is a mapping with a "kind" key plus kind-specific parameters,
     e.g. {"kind": "normal_cone_point", "c": [1.0]}. The nested kinds
-    "translated" and "scaled" take an "inner" sub-description.
+    "translated" and "scaled" take an "inner" sub-description. A missing or
+    unknown parameter raises ConstructionError naming the kind and the key.
     """
     if not isinstance(spec, dict):
         raise ConstructionError("operator spec must be a mapping")
-    try:
-        kind = spec["kind"]
-    except KeyError:
-        raise ConstructionError("operator spec is missing 'kind'") from None
-    params = {k: v for k, v in spec.items() if k != "kind"}
-    try:
-        if kind == "translated":
-            return Translated(make_operator(params["inner"]), params["shift"])
-        if kind == "scaled":
-            return Scaled(make_operator(params["inner"]), params["sigma"])
-        builder = _SIMPLE_KINDS[kind]
-    except KeyError as exc:
-        raise ConstructionError(f"unknown or incomplete operator kind {kind!r}") from exc
-    try:
-        return builder(params)
-    except KeyError as exc:
-        raise ConstructionError(f"operator kind {kind!r} is missing parameter {exc}") from exc
+    kind = spec.get("kind")
+    if not (isinstance(kind, str) and kind in _KINDS):
+        raise ConstructionError(f"unknown operator kind {kind!r}")
+    cls, keywords = _KINDS[kind]
+    for key in spec:
+        if key != "kind" and key not in keywords:
+            raise ConstructionError(f"operator kind {kind!r} has unknown field {key!r}")
+    for key in keywords:
+        if key not in spec:
+            raise ConstructionError(f"operator kind {kind!r} is missing parameter {key!r}")
+    args = {keywords[key]: spec[key] for key in keywords}
+    if "inner" in args:
+        args["inner"] = make_operator(args["inner"])
+    return cls(**args)

@@ -1,5 +1,7 @@
 """Bundled test problems with known solutions or independent oracles."""
 
+import numbers
+
 import numpy as np
 
 from .dr2 import DRCertificate, DRProblem
@@ -95,6 +97,14 @@ def _box_distance(lo, hi):
     return lambda z: ambient_norm(z - np.minimum(np.maximum(z, lo), hi))
 
 
+def _int_param(params, key, default):
+    """params[key] (default if absent), which must be an integer, not a bool."""
+    value = params.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConstructionError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _indicator_neglog(params, seed):
     op_a = NormalConePoint([1.0])
     op_b = NegLog(1)
@@ -112,8 +122,8 @@ def _affine_consensus(params, seed):
     if "c" in params:
         centers = [as_vector(c) for c in params["c"]]
     else:
-        count = int(params.get("count", 3))
-        dim = int(params.get("dim", 1))
+        count = _int_param(params, "count", 3)
+        dim = _int_param(params, "dim", 1)
         spread = float(params.get("spread", 1.0))
         rng = np.random.default_rng(seed)
         centers = [spread * rng.standard_normal(dim) for _ in range(count)]
@@ -133,8 +143,8 @@ def _affine_consensus(params, seed):
 
 
 def _affine_random(params, seed):
-    count = int(params.get("count", 3))
-    dim = int(params.get("dim", 2))
+    count = _int_param(params, "count", 3)
+    dim = _int_param(params, "dim", 2)
     if count < 2:
         raise ConstructionError("affine_random needs at least 2 operators")
     rng = np.random.default_rng(seed)

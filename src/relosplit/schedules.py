@@ -91,8 +91,9 @@ class GeometricToLimit(StepsizeSchedule):
         limit = float(limit)
         start = float(start)
         ratio = float(ratio)
-        if limit <= 0 or start <= 0:
-            raise ParameterError("limit and start must be positive")
+        if not (np.isfinite(limit) and np.isfinite(start)) or limit <= 0 or start <= 0:
+            raise ParameterError(f"limit and start must be positive and finite, "
+                                 f"got {limit} and {start}")
         if not 0.0 < ratio < 1.0:
             raise ParameterError(f"ratio must lie in (0, 1), got {ratio}")
         self.gamma_limit = limit

@@ -269,6 +269,18 @@ class TestMainEntry:
         assert (tmp_path / "run0" / "summary.json").exists()
         assert (tmp_path / "run1" / "summary.json").exists()
 
+    def test_run_batch_checks_x0_before_running(self, tmp_path, capsys):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(geometric_dr2_config(tmp_path)))
+        bad = tmp_path / "badx0.json"
+        bad.write_text(json.dumps(minimal_dr2_config(x0=[1.0, 2.0])))
+        code = cli.main(["run", str(good), str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"{bad}: x0:" in captured.err
+        assert captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == ["badx0.json", "good.json"]
+
     def test_run_invalid_config(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"algorithm": "dr2"}))
@@ -286,9 +298,9 @@ class TestMainEntry:
         ({"problem": {"name": "affine_random", "seed": "x"}}, "problem.seed:"),
         ({"stop": {"residual_tol": float("nan"), "max_iters": 10}}, "stop:"),
         ({"stop": {"residual_tol": float("inf"), "max_iters": 10}}, "stop:"),
-        ({"stop": {"residual_tol": 1e-8, "max_iters": float("inf")}}, "stop:"),
-        ({"stop": {"residual_tol": 10**400, "max_iters": 10}}, "stop:"),
-        ({"schedule": {"kind": "constant", "gamma": 10**400}}, "schedule:"),
+        ({"stop": {"residual_tol": 1e-8, "max_iters": float("inf")}}, "stop.max_iters:"),
+        ({"stop": {"residual_tol": 10**400, "max_iters": 10}}, "stop.residual_tol:"),
+        ({"schedule": {"kind": "constant", "gamma": 10**400}}, "schedule.gamma:"),
         ({"x0": [10**400]}, "x0:"),
         (graph_field("N", "3x"), "graph.N:"),
         (graph_field("N", None), "graph.N:"),
@@ -297,17 +309,17 @@ class TestMainEntry:
         (graph_field("E", [[1, 2.5], [2, 3]]), "graph.E:"),
         (graph_field("Eprime", None), "graph.Eprime:"),
         (graph_field("Eprime", {":": None}), "graph.Eprime:"),
-        ({"stop": {"residual_tol": 1e-8, "max_iters": 2.7}}, "stop:"),
-        ({"stop": {"residual_tol": 1e-8, "max_iters": True}}, "stop:"),
-        ({"stop": {"residual_tol": True, "max_iters": 10}}, "stop:"),
+        ({"stop": {"residual_tol": 1e-8, "max_iters": 2.7}}, "stop.max_iters:"),
+        ({"stop": {"residual_tol": 1e-8, "max_iters": True}}, "stop.max_iters:"),
+        ({"stop": {"residual_tol": True, "max_iters": 10}}, "stop.residual_tol:"),
         ({**GRAPH_CONFIG, "theta": True}, "theta:"),
-        ({"schedule": {"kind": "constant", "gamma": True}}, "schedule:"),
-        ({"schedule": {"kind": "explicit", "values": [1.0, False]}}, "schedule:"),
+        ({"schedule": {"kind": "constant", "gamma": True}}, "schedule.gamma:"),
+        ({"schedule": {"kind": "explicit", "values": [1.0, False]}}, "schedule.values:"),
         ({"x0": [False]}, "x0:"),
         ({"schedule": {"kind": "explicit", "values": "21"}},
-         "schedule: values must be a list"),
+         "schedule.values: must be a list"),
         ({"schedule": {"kind": "explicit", "values": {"2": 1}}},
-         "schedule: values must be a list"),
+         "schedule.values: must be a list"),
         ({"stop": {"residual_tol": 1e-8, "max_iters": 10, "maxiter": 3}},
          "stop.maxiter: unknown field"),
         ({"schedule": {"kind": "constant", "gamma": 1.0, "gamma0": 5.0}},
@@ -320,6 +332,35 @@ class TestMainEntry:
          "problem.params.dim: unknown field"),
         (graph_field("Eprim", []), "graph.Eprim: unknown field"),
         ({"x0": [[], 0]}, "x0:"),
+        ({"schedule": {"kind": "constant", "gamma": "1.0"}}, "schedule.gamma:"),
+        ({"stop": {"residual_tol": "1e-8", "max_iters": 10}}, "stop.residual_tol:"),
+        ({**GRAPH_CONFIG, "theta": "1.0"}, "theta:"),
+        ({"problem": {"name": "indicator_neglog", "sead": 3}}, "problem.sead: unknown field"),
+        ({"problem": {"name": "affine_random", "seed": -1}}, "problem.seed:"),
+        ({"output": {"summary_path": True}}, "output.summary_path:"),
+        ({"output": {"trace_path": 7}}, "output.trace_path:"),
+        ({"output": {"trace_path": "t\0.csv"}}, "output.trace_path:"),
+        ({"output": {"summary_path": "\ud800.json"}}, "output.summary_path:"),
+        ({"schedule": {"kind": "geometric", "limit": float("nan"), "start": 1.0,
+                       "ratio": 0.5}}, "schedule: limit and start must be positive"),
+        ({"x0": [1.0, 2.0]}, "x0: expected shape (1,)"),
+        ({"problem": {"name": "custom", "params": {"ops": [
+            {"kind": "normal_cone_point", "c": [1.0], "bogus": 3},
+            {"kind": "neg_log", "dim": 1}]}}},
+         "problem.params: operator kind 'normal_cone_point' has unknown field 'bogus'"),
+        ({"problem": {"name": "custom", "params": {"ops": [
+            {"kind": "normal_cone_point", "c": [1.0]},
+            {"kind": "translated", "shift": [0.0],
+             "inner": {"kind": "neg_log", "dim": 1, "bogus": 3}}]}}},
+         "problem.params: operator kind 'neg_log' has unknown field 'bogus'"),
+        ({"problem": {"name": "affine_random", "params": {"count": 2.7}}},
+         "problem.params: count must be an integer"),
+        ({"problem": {"name": "affine_random", "params": {"count": "2"}}},
+         "problem.params: count must be an integer"),
+        ({"problem": {"name": "affine_random", "params": {"dim": True}}},
+         "problem.params: dim must be an integer"),
+        ({"problem": {"name": "affine_consensus", "params": {"count": 2, "dim": 2.7}}},
+         "problem.params: dim must be an integer"),
     ], ids=["theta", "params", "param-value", "seed", "tol-nan", "tol-inf",
             "max-iters-inf", "tol-huge-int", "gamma-huge-int", "x0-huge-int",
             "graph-N-text", "graph-N-null", "graph-E-false", "graph-E-short-arc",
@@ -328,7 +369,12 @@ class TestMainEntry:
             "graph-theta-bool", "gamma-bool", "explicit-value-bool", "x0-bool",
             "explicit-values-text", "explicit-values-object", "stop-unknown-key",
             "constant-unknown-key", "adaptive-unknown-key", "params-unknown-key",
-            "params-unknown-key-no-params", "graph-unknown-key", "x0-ragged"])
+            "params-unknown-key-no-params", "graph-unknown-key", "x0-ragged",
+            "gamma-text", "tol-text", "graph-theta-text", "problem-unknown-key",
+            "seed-negative", "summary-path-bool", "trace-path-int", "trace-path-nul",
+            "summary-path-lone-surrogate", "geometric-limit-nan", "x0-dr2-shape",
+            "custom-op-unknown-key", "custom-nested-op-unknown-key",
+            "count-float", "count-text", "dim-bool", "consensus-dim-float"])
     def test_run_malformed_field(self, tmp_path, capsys, overrides, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(minimal_dr2_config(**overrides)))
@@ -495,6 +541,7 @@ FUZZ_BASES = [
         "schedule": {"kind": "adaptive_kappa", "gamma0": 1.0},
         "stop": {"residual_tol": 1e-8, "max_iters": 50},
         "x0": [0.5, -0.5],
+        "output": {"trace_path": "trace.csv", "summary_path": "summary.json"},
     },
     {
         "problem": {"name": "affine_consensus", "params": {"count": 3, "dim": 2}, "seed": 0},
@@ -507,20 +554,25 @@ FUZZ_BASES = [
     GRAPH_CONFIG,
 ]
 
-# problem.params.count/dim are left out: a huge value would allocate dense
-# matrices of that size, which is a resource bound, not a parsing question
-FUZZ_PATHS = [
-    ("problem",), ("problem", "name"), ("problem", "params"), ("problem", "seed"),
-    ("algorithm",), ("theta",), ("schedule",), ("schedule", "kind"),
-    ("schedule", "gamma0"), ("schedule", "limit"), ("schedule", "ratio"),
-    ("schedule", "values"), ("schedule", "clamp_lo"), ("stop",),
-    ("stop", "residual_tol"), ("stop", "max_iters"), ("graph",), ("graph", "N"),
-    ("graph", "E"), ("graph", "Eprime"), ("x0",), ("unknown",),
-]
 
+def schema_paths(kind=cli.SCHEMA, prefix=()):
+    """The path of every field the config schema declares, parents first."""
+    fields = {**getattr(kind, "required", {}), **getattr(kind, "optional", {})}
+    for key, sub in fields.items():
+        yield prefix + (key,)
+        yield from schema_paths(sub, prefix + (key,))
+
+
+# problem.params.count/dim are left out: a huge value would allocate dense
+# matrices of that size, which is a resource bound, not a parsing question.
+# (The schema hands problem.params to the problem, so no path goes below it.)
+FUZZ_PATHS = [*schema_paths(), ("unknown",)]
+
+# no "/" in text: a fuzzed output path then names a file in the working
+# directory, which each example sets to its own temporary directory
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -10**400])
-    | st.floats() | st.text(max_size=6),
+    | st.floats() | st.text(st.characters(exclude_characters="/"), max_size=6),
     lambda inner: (st.lists(inner, max_size=4)
                    | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
     max_leaves=10,
@@ -547,6 +599,23 @@ def _cap_max_iters(doc, cap=50):
         stop["max_iters"] = cap
 
 
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+
+
+class TestReadme:
+    def test_json_example_parses(self):
+        with open(README) as fh:
+            example = fh.read().split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = cli.parse_config(example)
+        assert (cfg.algorithm, cfg.schedule["kind"]) == ("dr2", "geometric")
+
+    def test_every_schema_field_is_named(self):
+        with open(README) as fh:
+            text = fh.read()
+        fields = [".".join(path) for path in schema_paths()]
+        assert [f for f in fields if f"`{f}`" not in text] == []
+
+
 class TestConfigFuzz:
     @settings(max_examples=300, deadline=None)
     @given(base=st.sampled_from(FUZZ_BASES),
@@ -558,12 +627,18 @@ class TestConfigFuzz:
             _replace(doc, path, value)
         _cap_max_iters(doc)
         out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "cfg.json")
             with open(path, "w") as fh:
                 json.dump(doc, fh)
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                    warnings.catch_warnings(), np.errstate(all="ignore"):
-                warnings.simplefilter("ignore")
-                code = cli.main(["run", path])
+            # relative output paths land in tmp
+            os.chdir(tmp)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                        warnings.catch_warnings(), np.errstate(all="ignore"):
+                    warnings.simplefilter("ignore")
+                    code = cli.main(["run", path])
+            finally:
+                os.chdir(cwd)
         assert code in range(5), err.getvalue()

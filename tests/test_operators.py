@@ -148,6 +148,19 @@ class TestMakeOperator:
         with pytest.raises(ConstructionError):
             ops.make_operator({"kind": "normal_cone_box", "lo": [1.0], "hi": [0.0]})
 
+    @pytest.mark.parametrize("spec, kind", [
+        ({"kind": "normal_cone_point", "c": [1.0], "bogus": 3}, "normal_cone_point"),
+        ({"kind": "scaled", "sigma": 2.0, "bogus": 3,
+          "inner": {"kind": "neg_log", "dim": 1}}, "scaled"),
+        ({"kind": "scaled", "sigma": 2.0,
+          "inner": {"kind": "translated", "shift": [1.0],
+                    "inner": {"kind": "neg_log", "dim": 1, "bogus": 3}}}, "neg_log"),
+    ], ids=["flat", "wrapper", "nested-inner"])
+    def test_unknown_key_names_kind_and_key(self, spec, kind):
+        with pytest.raises(ConstructionError,
+                           match=f"operator kind '{kind}' has unknown field 'bogus'"):
+            ops.make_operator(spec)
+
 
 class TestScalingIdentity:
     """J_{beta A}((beta/alpha) x + (1 - beta/alpha) J_{alpha A} x) = J_{alpha A} x."""

@@ -43,6 +43,13 @@ class TestGammaAt:
         with pytest.raises(ParameterError):
             sch.ExplicitList([])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["limit", "start"])
+    def test_geometric_rejects_nonfinite(self, field, bad):
+        params = {"limit": 1.0, "start": 2.0, "ratio": 0.5, field: bad}
+        with pytest.raises(ParameterError, match="positive and finite"):
+            sch.GeometricToLimit(**params)
+
 
 class TestAdaptiveKappa:
     def test_hand_example(self):
