@@ -33,18 +33,23 @@ class ScheduleBudgetWarning(RuntimeWarning):
     """The accumulated positive stepsize increments exceeded their budget."""
 
 
+def _values(x):
+    """The float array of a point; a BlockVector's own (k, d) array, no copy."""
+    return x.data if isinstance(x, BlockVector) else np.asarray(x, dtype=float)
+
+
 def ambient_norm(x):
     # np.linalg.norm's own arithmetic without its wrapper, so bit-identical
-    v = np.asarray(x, dtype=float).ravel(order="K")
+    v = _values(x).ravel(order="K")
     return math.sqrt(v.dot(v))
 
 
 def ambient_flat(x):
-    return np.asarray(x, dtype=float).ravel().copy()
+    return _values(x).flatten()
 
 
 def ambient_isfinite(x):
-    v = np.asarray(x, dtype=float)
+    v = _values(x)
     return bool(np.count_nonzero(np.isfinite(v)) == v.size)
 
 
@@ -136,6 +141,8 @@ class ConvergenceTrace:
     residuals[n] is ||x_n - T_{gamma_n} x_n||; points[n] holds the flattened
     monitored (shadow) point when the family produces one. iterates keeps the
     governing x_n themselves for programmatic use; they are not serialized.
+    A recorded vector that is the monitored point itself shares its array:
+    points[n] is extra_vectors[key][n] (dr2's "z").
     """
 
     gammas: list = field(default_factory=list)
@@ -152,17 +159,26 @@ class ConvergenceTrace:
 
     def record(self, gamma, residual, solution_residual=None, point=None,
                iterate=None, scalars=None, vectors=None):
+        """Append one iteration: scalars as floats, arrays as flat copies.
+
+        The point is copied once. A vector that is the point object itself
+        is recorded as that same copy, so it is stored once and formatted
+        once by write_csv; any other vector gets its own copy. The iterate
+        is kept as given.
+        """
         self.gammas.append(float(gamma))
         self.residuals.append(float(residual))
         self.solution_residuals.append(
             float(solution_residual) if solution_residual is not None else math.nan
         )
-        self.points.append(None if point is None else np.asarray(point, dtype=float).ravel())
+        flat = None if point is None else ambient_flat(point)
+        self.points.append(flat)
         self.iterates.append(iterate)
         for key, value in (scalars or {}).items():
             self.extra_scalars.setdefault(key, []).append(float(value))
         for key, value in (vectors or {}).items():
-            self.extra_vectors.setdefault(key, []).append(ambient_flat(value))
+            self.extra_vectors.setdefault(key, []).append(
+                flat if flat is not None and value is point else ambient_flat(value))
 
     def __len__(self):
         return len(self.residuals)
@@ -214,28 +230,42 @@ class ConvergenceTrace:
     def write_csv(self, path_or_file):
         """Serialize the trace; floats carry 17 significant digits (``%.17g``).
 
-        Lines end in CRLF, as csv.writer writes them. Rows are formatted
-        with one template per trace and streamed, never built as a table.
+        Lines end in CRLF, as csv.writer writes them. Rows are streamed,
+        never built as a table. Each row formats its point once; a vector
+        entry that is the point's own array (see record) reuses that text.
         """
         header, point_dim = self._csv_header()
-        row_format = "%d," + ",".join(["%.17g"] * (len(header) - 1)) + "\r\n"
-        nan_point = [math.nan] * point_dim
+        point_format = ",".join(["%.17g"] * point_dim)
+        nan_point = point_format % ((math.nan,) * point_dim)
         scalars = list(self.extra_scalars.values())
-        vectors = [(series, [math.nan] * len(series[0]))
-                   for series in self.extra_vectors.values()]
+        vectors = []
+        for series in self.extra_vectors.values():
+            vector_format = ",".join(["%.17g"] * len(series[0]))
+            vectors.append((series, vector_format,
+                            vector_format % ((math.nan,) * len(series[0]))))
+        # the point and each vector enter the row as one preformatted field
+        row_format = ("%d,%.17g,%.17g,%.17g" + ",%s" * (point_dim > 0)
+                      + ",%.17g" * len(scalars) + ",%s" * len(vectors) + "\r\n")
 
         def rows():
             for n in range(len(self.residuals)):
+                point = self.points[n]
+                point_text = (nan_point if point is None
+                              else point_format % tuple(_floats(point)))
                 row = [n, self.gammas[n], self.residuals[n], self.solution_residuals[n]]
                 if point_dim:
-                    point = self.points[n]
-                    row += nan_point if point is None else _floats(point)
+                    row.append(point_text)
                 # step-indexed series (e.g. relocator bounds) are one entry
                 # shorter than the trace; pad the missing tail with nan
                 for series in scalars:
                     row.append(series[n] if n < len(series) else math.nan)
-                for series, pad in vectors:
-                    row += _floats(series[n]) if n < len(series) else pad
+                for series, vector_format, pad in vectors:
+                    if n >= len(series):
+                        row.append(pad)
+                    elif series[n] is point:
+                        row.append(point_text)
+                    else:
+                        row.append(vector_format % tuple(_floats(series[n])))
                 yield row_format % tuple(row)
 
         def emit(fh):
@@ -281,7 +311,7 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
     schedule.reset()
     gamma = schedule.gamma_at(0)
     trace = ConvergenceTrace(final_x=x0)
-    if gamma <= 0 or not np.isfinite(gamma):
+    if gamma <= 0 or not math.isfinite(gamma):
         trace.status = STATUS_SCHEDULE_REJECTED
         return trace
     budget = POS_INCREMENT_BUDGET * float(gamma)
@@ -299,12 +329,12 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
             sol = None
             if solution_residual is not None:
                 sol = solution_residual(monitored)
-            trace.record(gamma, residual, sol, point=ambient_flat(monitored),
+            trace.record(gamma, residual, sol, point=monitored,
                          iterate=x, scalars=aux.get("scalars"), vectors=aux.get("vectors"))
 
             pair, pre = feedback(gamma, w) if schedule.is_adaptive else (None, None)
             gamma_next = schedule.gamma_at(n + 1, feedback=pair)
-            if gamma_next <= 0 or not np.isfinite(gamma_next):
+            if gamma_next <= 0 or not math.isfinite(gamma_next):
                 trace.status = STATUS_SCHEDULE_REJECTED
                 break
             if residual <= stop.residual_tol and stop.settled(gamma, gamma_next):

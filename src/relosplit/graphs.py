@@ -317,8 +317,8 @@ def at_consensus(solution_residual):
     """solution_residual at the blockwise mean of a sweep; None stays None."""
     if solution_residual is None:
         return None
-    # mean's own arithmetic without its wrapper, so bit-identical
-    return lambda z: solution_residual(z.data.sum(axis=0) / z.nblocks)
+    # mean's own arithmetic without its wrappers, so bit-identical
+    return lambda z: solution_residual(np.add.reduce(z.data, axis=0) / z.nblocks)
 
 
 def _blocks(x):

@@ -16,6 +16,7 @@ checked vectors; the module functions ``single_value`` and
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -72,16 +73,23 @@ class MonotoneOperator:
         return f"<{type(self).__name__} dim={self.dim}>"
 
 
+def _checked_dim(kind, dim):
+    """A dim field, an integer >= 1; a bool, a float or text is an error."""
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
+        raise ConstructionError(f"operator kind {kind!r}: dim must be an integer, "
+                                f"got {dim!r}")
+    if dim < 1:
+        raise ConstructionError(f"operator kind {kind!r}: dim must be >= 1")
+    return int(dim)
+
+
 class Zero(MonotoneOperator):
     """A = 0, so J = Id."""
 
     kind = "zero"
 
     def __init__(self, dim):
-        dim = int(dim)
-        if dim < 1:
-            raise ConstructionError("dim must be >= 1")
-        self.dim = dim
+        self.dim = _checked_dim(self.kind, dim)
 
     def _resolvent(self, gamma, x):
         return x.copy()
@@ -99,14 +107,15 @@ class ScaledIdentity(MonotoneOperator):
     kind = "scaled_identity"
 
     def __init__(self, lam, dim):
+        if isinstance(lam, bool) or not isinstance(lam, numbers.Real):
+            raise ConstructionError(f"operator kind {self.kind!r}: lam must be a number, "
+                                    f"got {lam!r}")
         lam = float(lam)
         if not np.isfinite(lam) or lam < 0:
-            raise ConstructionError(f"lam must be >= 0, got {lam}")
-        dim = int(dim)
-        if dim < 1:
-            raise ConstructionError("dim must be >= 1")
+            raise ConstructionError(f"operator kind {self.kind!r}: lam must be >= 0, "
+                                    f"got {lam}")
         self.lam = lam
-        self.dim = dim
+        self.dim = _checked_dim(self.kind, dim)
 
     def _resolvent(self, gamma, x):
         return x / (1.0 + gamma * self.lam)
@@ -163,7 +172,10 @@ class AffineMonotone(MonotoneOperator):
         if not self._factors:
             return solve_linear(np.eye(self.dim) + gamma * self.matrix, rhs)
         left, lam, right = self._factors
-        return (left @ ((right @ rhs) / (1.0 + gamma * lam))).real
+        # left @, not left.dot: when one eigenpair is kept (d = 2, a complex
+        # pair), dot takes its scalar path, whose complex product rounds
+        # differently from matmul's
+        return (left @ (right.dot(rhs) / (1.0 + gamma * lam))).real
 
     def value(self, x):
         """The (single-valued) operator itself, M x + b."""
@@ -263,10 +275,7 @@ class NegLog(MonotoneOperator):
     kind = "neg_log"
 
     def __init__(self, dim):
-        dim = int(dim)
-        if dim < 1:
-            raise ConstructionError("dim must be >= 1")
-        self.dim = dim
+        self.dim = _checked_dim(self.kind, dim)
 
     def _resolvent(self, gamma, x):
         root = np.sqrt(x * x + 4.0 * gamma)

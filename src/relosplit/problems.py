@@ -89,7 +89,7 @@ def _affine_inclusion(ops):
     parts = [op.affine_parts() for op in ops]
     m = sum(mat for mat, _ in parts)
     b = sum(off for _, off in parts)
-    return lambda z: ambient_norm(m @ z + b)
+    return lambda z: ambient_norm(m.dot(z) + b)
 
 
 def _box_distance(lo, hi):

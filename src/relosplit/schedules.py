@@ -7,6 +7,7 @@ audits finite explicit lists, and declines to certify the state-dependent
 adaptive rule (which is instead monitored at runtime).
 """
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -24,13 +25,15 @@ def kappa_ratio(z, w_prev):
     w = np.asarray(w_prev, dtype=float).ravel()
     if z.size != w.size:
         raise ParameterError("feedback points have different dimensions")
-    denom = np.linalg.norm(z - w)
+    # np.linalg.norm's own arithmetic without its wrapper, so bit-identical
+    gap = z - w
+    denom = math.sqrt(gap.dot(gap))
     if denom == 0.0:
         return None
-    num = np.linalg.norm(z)
+    num = math.sqrt(z.dot(z))
     if num == 0.0:
         return 0.0
-    return float(num / denom)
+    return num / denom
 
 
 @dataclass
@@ -209,7 +212,7 @@ class AdaptiveKappa(StepsizeSchedule):
         z, w_prev = feedback
         kappa = kappa_ratio(z, w_prev)
         if kappa is not None:
-            self._gamma = float(np.clip(kappa * self._gamma, self.clamp_lo, self.clamp_hi))
+            self._gamma = min(max(kappa * self._gamma, self.clamp_lo), self.clamp_hi)
         self._n = n
         return self._gamma
 

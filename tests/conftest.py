@@ -2,8 +2,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from relosplit import operators
+
+# every run draws the same examples, so a property test fails on every run
+# or on none
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 #: The committed `relosplit run` configs whose outcomes test_cli pins.
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli")

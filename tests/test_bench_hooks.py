@@ -64,6 +64,8 @@ def test_resolvent_count_and_uninstall(tracer_module):
     assert trace.iterations == 197
     # one resolvent per operator per iteration, the paper's cost model
     assert tracer.calls("operators.resolvent") == n_ops * (trace.iterations + 1) == 792
+    # one sweep per step; the relocation reuses its first resolvent
+    assert tracer.calls("graphs.sweep") == trace.iterations + 1
     assert tracer.calls("malitsky_tam.run") == 1
     assert tracer.calls("driver.trace_record") == trace.iterations + 1
     modules_after, classes_after = _bindings()

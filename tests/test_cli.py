@@ -361,6 +361,28 @@ class TestMainEntry:
          "problem.params: dim must be an integer"),
         ({"problem": {"name": "affine_consensus", "params": {"count": 2, "dim": 2.7}}},
          "problem.params: dim must be an integer"),
+        ({"problem": {"name": "custom", "params": {"ops": [
+            {"kind": "normal_cone_point", "c": [1.0]}, {"kind": "zero", "dim": 1.9}]}}},
+         "problem.params: operator kind 'zero': dim must be an integer"),
+        ({"problem": {"name": "custom", "params": {"ops": [
+            {"kind": "normal_cone_point", "c": [1.0]}, {"kind": "neg_log", "dim": "2"}]}}},
+         "problem.params: operator kind 'neg_log': dim must be an integer"),
+        ({"problem": {"name": "custom", "params": {"ops": [
+            {"kind": "normal_cone_point", "c": [1.0]},
+            {"kind": "scaled_identity", "lam": 1.0, "dim": True}]}}},
+         "problem.params: operator kind 'scaled_identity': dim must be an integer"),
+        ({"problem": {"name": "custom", "params": {"ops": [
+            {"kind": "normal_cone_point", "c": [1.0]},
+            {"kind": "translated", "shift": [0.0], "inner": {"kind": "neg_log", "dim": 1.9}}]}}},
+         "problem.params: operator kind 'neg_log': dim must be an integer"),
+        ({"problem": {"name": "custom", "params": {"ops": [
+            {"kind": "normal_cone_point", "c": [1.0]},
+            {"kind": "scaled_identity", "lam": "1.5", "dim": 1}]}}},
+         "problem.params: operator kind 'scaled_identity': lam must be a number"),
+        ({"problem": {"name": "custom", "params": {"ops": [
+            {"kind": "normal_cone_point", "c": [1.0]},
+            {"kind": "scaled_identity", "lam": True, "dim": 1}]}}},
+         "problem.params: operator kind 'scaled_identity': lam must be a number"),
     ], ids=["theta", "params", "param-value", "seed", "tol-nan", "tol-inf",
             "max-iters-inf", "tol-huge-int", "gamma-huge-int", "x0-huge-int",
             "graph-N-text", "graph-N-null", "graph-E-false", "graph-E-short-arc",
@@ -374,7 +396,10 @@ class TestMainEntry:
             "seed-negative", "summary-path-bool", "trace-path-int", "trace-path-nul",
             "summary-path-lone-surrogate", "geometric-limit-nan", "x0-dr2-shape",
             "custom-op-unknown-key", "custom-nested-op-unknown-key",
-            "count-float", "count-text", "dim-bool", "consensus-dim-float"])
+            "count-float", "count-text", "dim-bool", "consensus-dim-float",
+            "zero-dim-float", "neg-log-dim-text", "scaled-identity-dim-bool",
+            "nested-neg-log-dim-float", "scaled-identity-lam-text",
+            "scaled-identity-lam-bool"])
     def test_run_malformed_field(self, tmp_path, capsys, overrides, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(minimal_dr2_config(**overrides)))

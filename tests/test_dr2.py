@@ -229,6 +229,10 @@ class TestAlgorithm1:
         for gamma, x, z in zip(trace.gammas, trace.iterates, trace.points):
             direct = problem.op_a.resolvent(gamma, x)
             assert np.max(np.abs(direct - z)) <= 1e-12
+        # the shadow is recorded once: the "z" column shares the point's array
+        shared = trace.extra_vectors["z"]
+        assert len(shared) == len(trace.points)
+        assert all(z is point for z, point in zip(shared, trace.points))
 
     def test_one_resolvent_per_operator_per_iteration(self):
         op_a = CountingOperator(NormalConePoint([1.0]))

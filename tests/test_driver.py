@@ -228,6 +228,21 @@ class TestCsvFormat:
             "0,nan,nan\r\n"
         )
 
+    def test_shared_and_equal_vectors_print_the_same_text(self, rng):
+        # "z" is the point object itself (as dr2 records its shadow), "c" an
+        # equal but distinct array; row 1 has no point, so nothing is shared
+        trace = ConvergenceTrace()
+        for point in (rng.standard_normal(3), None):
+            z = rng.standard_normal(3) if point is None else point
+            trace.record(1.0, 0.5, point=point, vectors={"z": z, "c": z.copy()})
+        assert trace.extra_vectors["z"][0] is trace.points[0]
+        assert trace.extra_vectors["c"][0] is not trace.points[0]
+        buffer = io.StringIO()
+        trace.write_csv(buffer)
+        assert buffer.getvalue() == reference_csv(trace)
+        row = buffer.getvalue().splitlines()[1].split(",")
+        assert row[4:7] == row[7:10] == row[10:13]
+
     def test_empty_trace_is_header_only(self):
         buffer = io.StringIO()
         ConvergenceTrace().write_csv(buffer)
@@ -252,6 +267,25 @@ class TestCsvFormat:
         trace.write_csv(str(path))
         with open(path, newline="") as fh:
             assert fh.read() == expected
+
+
+class TestRecord:
+    def test_copies_the_callers_arrays(self):
+        point, vector = np.array([1.0, 2.0]), np.array([3.0])
+        trace = ConvergenceTrace()
+        trace.record(1.0, 0.0, point=point, vectors={"p": point, "v": vector})
+        point[0] = vector[0] = 9.0
+        assert trace.points[0].tolist() == [1.0, 2.0]
+        assert trace.extra_vectors["p"][0] is trace.points[0]
+        assert trace.extra_vectors["v"][0].tolist() == [3.0]
+
+    def test_flattens_a_block_vector_point(self):
+        trace = ConvergenceTrace()
+        blocks = BlockVector([[1.0, 2.0], [3.0, 4.0]])
+        trace.record(1.0, 0.0, point=blocks, vectors={"z": blocks})
+        assert trace.points[0].tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert trace.points[0].flags.writeable
+        assert trace.extra_vectors["z"][0] is trace.points[0]
 
 
 class TestAmbientKernels:

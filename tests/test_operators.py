@@ -109,6 +109,11 @@ class TestMakeOperator:
         op = ops.make_operator({"kind": "zero", "dim": 2})
         assert isinstance(op, ops.Zero) and op.dim == 2
 
+    def test_dim_takes_any_integer_type(self):
+        for op in (ops.Zero(np.int64(2)), ops.NegLog(np.int32(2)),
+                   ops.ScaledIdentity(np.float64(0.5), np.int64(2))):
+            assert type(op.dim) is int and op.dim == 2
+
     def test_normal_cone_point(self):
         op = ops.make_operator({"kind": "normal_cone_point", "c": [1.0]})
         assert op.resolvent(5.0, [42.0])[0] == 1.0

@@ -92,7 +92,43 @@ class TestAdaptiveKappa:
         assert schedule.gamma_at(1) == g1
 
 
+def reference_kappa(z, w):
+    """kappa_ratio as np.linalg.norm computes it."""
+    z, w = np.ravel(z), np.ravel(w)
+    denom = np.linalg.norm(z - w)
+    if denom == 0.0:
+        return None
+    num = np.linalg.norm(z)
+    return 0.0 if num == 0.0 else float(num / denom)
+
+
 class TestKappaRatio:
+    def test_matches_np_linalg_norm(self, rng):
+        cases = [(z, z.copy()) for z in (np.zeros(3), rng.standard_normal(3))]
+        cases += [(np.zeros(4), rng.standard_normal(4)), (np.array([-0.0]), np.array([0.0]))]
+        cases += [(rng.standard_normal(d) * s, rng.standard_normal(d) * t)
+                  for d in (1, 2, 16, 33) for s in (1e-150, 1.0, 1e150) for t in (1e-3, 1e3)]
+        for z, w in cases:
+            assert sch.kappa_ratio(z, w) == reference_kappa(z, w)
+        assert sch.kappa_ratio(cases[0][0], cases[0][1]) is None
+        assert sch.kappa_ratio(*cases[2]) == 0.0
+
+    def test_adaptive_clamp_matches_np_clip(self, rng):
+        lo, hi = 0.5, 2.0
+        schedule = sch.AdaptiveKappa(gamma0=1.0, clamp_lo=lo, clamp_hi=hi)
+        gamma = schedule.gamma_at(0)
+        gammas = []
+        for n in range(1, 200):
+            z = rng.standard_normal(3)
+            w = z + rng.standard_normal(3) * 10.0 ** rng.uniform(-1.5, 1.5)
+            expected = float(np.clip(reference_kappa(z, w) * gamma, lo, hi))
+            gamma = schedule.gamma_at(n, feedback=(z, w))
+            assert type(gamma) is float and gamma == expected
+            gammas.append(gamma)
+        assert lo in gammas and hi in gammas
+        assert any(lo < g < hi for g in gammas)
+
+
     def test_hand_value(self):
         assert sch.kappa_ratio([1.0], [3.0]) == pytest.approx(0.5)
 
