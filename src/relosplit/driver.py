@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FixedPointError, ParameterError, ScheduleError
-from .linalg import BlockVector
+from .linalg import BlockVector, _all_finite
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters"
@@ -49,8 +49,7 @@ def ambient_flat(x):
 
 
 def ambient_isfinite(x):
-    v = _values(x)
-    return bool(np.count_nonzero(np.isfinite(v)) == v.size)
+    return _all_finite(_values(x))
 
 
 def _floats(v):

@@ -46,7 +46,8 @@ class GraphMatrices:
     correction; M = C C^T with C^T = [Z^T  I]; Kx, Kz: (Kx x + Kz z)_i is
     the input of node i's resolvent in the sweep; Zdag_c: Zdag c with
     c_i = d_i - 2 d_i^+, integral since c is and Z is the incidence matrix
-    of a tree.
+    of a tree; sweep_rows: the pair (d_i, row i of Kz) of each node, in
+    node order, as the sweep reads them.
     """
 
     Z: np.ndarray
@@ -60,6 +61,7 @@ class GraphMatrices:
     Kx: np.ndarray
     Kz: np.ndarray
     Zdag_c: np.ndarray
+    sweep_rows: tuple
 
 
 class SplittingGraph:
@@ -186,10 +188,12 @@ def _build_matrices(g):
     for (h, i) in g.arcs:
         kz[i - 1, h - 1] = 2.0
 
+    kz /= g.deg[:, None]
     zdag, zdag_norm = pseudo_inverse(z)
     return GraphMatrices(Z=z, L=lap, Zdag=zdag, Zdag_norm=zdag_norm, R=r, P=p, M=m, C=c,
-                         Kx=z / g.deg[:, None], Kz=kz / g.deg[:, None],
-                         Zdag_c=np.rint(zdag @ (g.deg - 2 * g.indeg)))
+                         Kx=z / g.deg[:, None], Kz=kz,
+                         Zdag_c=np.rint(zdag @ (g.deg - 2 * g.indeg)),
+                         sweep_rows=tuple(zip(g.deg.tolist(), kz)))
 
 
 def _check_ops(ops, g):
@@ -220,15 +224,16 @@ def graph_z_sweep(ops, g, gamma, x, z1=None):
         raise ParameterError(f"gamma must be positive, got {gamma}")
     x = _check_x(x, ops, g).data
     shares = g.matrices.Kx.dot(x)
-    kz = g.matrices.Kz
     # row i of Kz weighs the z_h with h < i only, so z_i may stay zero until
     # it is evaluated
     z = np.zeros((g.n_nodes, x.shape[1]))
     start = 0
     if z1 is not None:
         z[0], start = z1, 1
-    for i, d_i in enumerate(g.deg.tolist()[start:], start):
-        z[i] = ops[i].resolvent(gamma / d_i, shares[i] + kz[i].dot(z))
+    rows = g.matrices.sweep_rows
+    for i in range(start, g.n_nodes):
+        d_i, kz_i = rows[i]
+        z[i] = ops[i].resolvent(gamma / d_i, shares[i] + kz_i.dot(z))
     return BlockVector._wrap(z)
 
 

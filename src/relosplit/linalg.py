@@ -22,6 +22,18 @@ RANK_TOL = 1e-12
 SOLVE_TOL = 1e-10
 
 
+def _all_finite(a):
+    """True when every entry of the float array ``a`` is finite.
+
+    One C-level pass: ``np.isfinite(a)`` holds a zero byte exactly where an
+    entry is not finite, and ``bytes.__contains__`` finds it. No numpy
+    Python-level wrapper runs (``ndarray.all`` and ``np.count_nonzero`` are
+    Python functions), and unlike a ``v.dot(v)`` test this never warns on
+    large finite entries, whose squares overflow.
+    """
+    return 0 not in np.isfinite(a).tobytes()
+
+
 def as_vector(x):
     """Coerce ``x`` to a 1-D float array, rejecting non-finite entries."""
     v = np.asarray(x, dtype=float)
@@ -31,9 +43,7 @@ def as_vector(x):
         raise DimensionError(f"expected a vector, got shape {v.shape}")
     if v.size == 0:
         raise DimensionError("vectors must have dimension >= 1")
-    # count_nonzero skips the Python wrapper of ndarray.all; a v.dot(v) test
-    # would warn on large finite entries
-    if np.count_nonzero(np.isfinite(v)) != v.size:
+    if not _all_finite(v):
         raise ParameterError("vector entries must be finite")
     return v
 
@@ -43,7 +53,7 @@ def as_matrix(m):
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
         raise DimensionError(f"expected a matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not _all_finite(a):
         raise ParameterError("matrix entries must be finite")
     return a
 
@@ -77,7 +87,7 @@ class BlockVector:
             arr = arr.copy()
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise DimensionError("need k >= 1 blocks of dimension d >= 1")
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise ParameterError("block entries must be finite")
         arr.setflags(write=False)
         self._data = arr
@@ -245,7 +255,7 @@ def solve_linear(matrix, rhs):
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from exc
     residual = np.linalg.norm(m @ x - b)
-    if not np.all(np.isfinite(x)) or residual > SOLVE_TOL * (1.0 + np.linalg.norm(b)):
+    if not _all_finite(x) or residual > SOLVE_TOL * (1.0 + np.linalg.norm(b)):
         raise SingularMatrixError(
             f"solve residual {residual:.3e} exceeds tolerance; matrix is "
             "numerically singular"

@@ -83,6 +83,14 @@ def _checked_dim(kind, dim):
     return int(dim)
 
 
+def _checked_number(kind, key, value):
+    """A number field, a real that is not a bool; text or a bool is an error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConstructionError(f"operator kind {kind!r}: {key} must be a number, "
+                                f"got {value!r}")
+    return float(value)
+
+
 class Zero(MonotoneOperator):
     """A = 0, so J = Id."""
 
@@ -107,10 +115,7 @@ class ScaledIdentity(MonotoneOperator):
     kind = "scaled_identity"
 
     def __init__(self, lam, dim):
-        if isinstance(lam, bool) or not isinstance(lam, numbers.Real):
-            raise ConstructionError(f"operator kind {self.kind!r}: lam must be a number, "
-                                    f"got {lam!r}")
-        lam = float(lam)
+        lam = _checked_number(self.kind, "lam", lam)
         if not np.isfinite(lam) or lam < 0:
             raise ConstructionError(f"operator kind {self.kind!r}: lam must be >= 0, "
                                     f"got {lam}")
@@ -250,7 +255,7 @@ class NormalConeBall(MonotoneOperator):
     kind = "normal_cone_ball"
 
     def __init__(self, center, radius):
-        radius = float(radius)
+        radius = _checked_number(self.kind, "radius", radius)
         if not np.isfinite(radius) or radius <= 0:
             raise ConstructionError(f"radius must be > 0, got {radius}")
         self.center = as_vector(center)
@@ -328,7 +333,7 @@ class Scaled(MonotoneOperator):
     def __init__(self, inner, sigma):
         if not isinstance(inner, MonotoneOperator):
             raise ConstructionError("inner must be a MonotoneOperator")
-        sigma = float(sigma)
+        sigma = _checked_number(self.kind, "sigma", sigma)
         if not np.isfinite(sigma) or sigma <= 0:
             raise ConstructionError(f"sigma must be > 0, got {sigma}")
         self.inner = inner

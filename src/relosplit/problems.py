@@ -105,6 +105,14 @@ def _int_param(params, key, default):
     return int(value)
 
 
+def _number_param(params, key, default):
+    """params[key] (default if absent), which must be a number, not a bool or text."""
+    value = params.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConstructionError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _indicator_neglog(params, seed):
     op_a = NormalConePoint([1.0])
     op_b = NegLog(1)
@@ -124,7 +132,7 @@ def _affine_consensus(params, seed):
     else:
         count = _int_param(params, "count", 3)
         dim = _int_param(params, "dim", 1)
-        spread = float(params.get("spread", 1.0))
+        spread = _number_param(params, "spread", 1.0)
         rng = np.random.default_rng(seed)
         centers = [spread * rng.standard_normal(dim) for _ in range(count)]
     if len(centers) < 2:

@@ -29,6 +29,21 @@ def nonfinite_points(dim=5):
             yield pytest.param(point, id=f"{bad}@{pos}")
 
 
+def strided_real(values):
+    """``values`` as the strided, non-contiguous ``.real`` view of a complex array.
+
+    This is the kind of array AffineMonotone's factored resolvent returns and
+    the sweep hands on as z1. Every imaginary part is nan, so a finiteness
+    test that read past the view's strides would see it.
+    """
+    values = np.asarray(values, dtype=float)
+    full = np.full(values.shape, complex(0.0, np.nan))
+    full.real = values
+    view = full.real
+    assert not view.flags.c_contiguous and view.strides[-1] == 16
+    return view
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -383,6 +383,28 @@ class TestMainEntry:
             {"kind": "normal_cone_point", "c": [1.0]},
             {"kind": "scaled_identity", "lam": True, "dim": 1}]}}},
          "problem.params: operator kind 'scaled_identity': lam must be a number"),
+        ({"problem": {"name": "custom", "params": {"ops": [
+            {"kind": "normal_cone_point", "c": [1.0]},
+            {"kind": "normal_cone_ball", "center": [0.0], "radius": "1.5"}]}}},
+         "problem.params: operator kind 'normal_cone_ball': radius must be a number"),
+        ({"problem": {"name": "custom", "params": {"ops": [
+            {"kind": "normal_cone_point", "c": [1.0]},
+            {"kind": "normal_cone_ball", "center": [0.0], "radius": True}]}}},
+         "problem.params: operator kind 'normal_cone_ball': radius must be a number"),
+        ({"problem": {"name": "custom", "params": {"ops": [
+            {"kind": "normal_cone_point", "c": [1.0]},
+            {"kind": "scaled", "sigma": "2.0", "inner": {"kind": "neg_log", "dim": 1}}]}}},
+         "problem.params: operator kind 'scaled': sigma must be a number"),
+        ({"problem": {"name": "custom", "params": {"ops": [
+            {"kind": "normal_cone_point", "c": [1.0]},
+            {"kind": "scaled", "sigma": True, "inner": {"kind": "neg_log", "dim": 1}}]}}},
+         "problem.params: operator kind 'scaled': sigma must be a number"),
+        ({"problem": {"name": "affine_consensus",
+                      "params": {"count": 2, "dim": 1, "spread": "1.0"}}},
+         "problem.params: spread must be a number"),
+        ({"problem": {"name": "affine_consensus",
+                      "params": {"count": 2, "dim": 1, "spread": True}}},
+         "problem.params: spread must be a number"),
     ], ids=["theta", "params", "param-value", "seed", "tol-nan", "tol-inf",
             "max-iters-inf", "tol-huge-int", "gamma-huge-int", "x0-huge-int",
             "graph-N-text", "graph-N-null", "graph-E-false", "graph-E-short-arc",
@@ -399,7 +421,9 @@ class TestMainEntry:
             "count-float", "count-text", "dim-bool", "consensus-dim-float",
             "zero-dim-float", "neg-log-dim-text", "scaled-identity-dim-bool",
             "nested-neg-log-dim-float", "scaled-identity-lam-text",
-            "scaled-identity-lam-bool"])
+            "scaled-identity-lam-bool", "ball-radius-text", "ball-radius-bool",
+            "scaled-sigma-text", "scaled-sigma-bool", "consensus-spread-text",
+            "consensus-spread-bool"])
     def test_run_malformed_field(self, tmp_path, capsys, overrides, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(minimal_dr2_config(**overrides)))

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import EXTREME_FINITE, GOLDEN_DIR, nonfinite_points
+from conftest import EXTREME_FINITE, GOLDEN_DIR, nonfinite_points, strided_real
 from relosplit import cli, dr2, malitsky_tam as mt, schedules as sch
 from relosplit.driver import (
     ConvergenceTrace,
@@ -300,6 +300,17 @@ class TestAmbientKernels:
         assert ambient_isfinite(point) is False
         assert ambient_isfinite(point.reshape(1, -1)) is False
         assert ambient_isfinite(np.stack([np.zeros(point.size), point])) is False
+
+    def test_isfinite_strided_view_extreme_finite_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert ambient_isfinite(strided_real(EXTREME_FINITE)) is True
+            assert ambient_isfinite(strided_real([EXTREME_FINITE, EXTREME_FINITE])) is True
+
+    @pytest.mark.parametrize("point", nonfinite_points())
+    def test_isfinite_strided_view_rejects_nonfinite_at_any_position(self, point):
+        assert ambient_isfinite(strided_real(point)) is False
+        assert ambient_isfinite(strided_real(np.stack([np.zeros(point.size), point]))) is False
 
     def test_norm_is_np_linalg_norm(self, rng):
         arrays = [rng.standard_normal(d) * scale

@@ -214,6 +214,62 @@ def bench_graph():
     return graphs.build_graph(6, tree + [(1, 3), (2, 5), (4, 6)], tree)
 
 
+def reference_sweep(ops, g, gamma, x, z1=None):
+    """The sweep loop that GraphMatrices.sweep_rows replaced, kept as reference.
+
+    It takes the dense row Kz[i] and g.deg.tolist() afresh on every sweep;
+    graph_z_sweep must reproduce its output bit for bit.
+    """
+    x = x.data
+    shares = g.matrices.Kx.dot(x)
+    kz = g.matrices.Kz
+    z = np.zeros((g.n_nodes, x.shape[1]))
+    start = 0
+    if z1 is not None:
+        z[0], start = z1, 1
+    for i, d_i in enumerate(g.deg.tolist()[start:], start):
+        z[i] = ops[i].resolvent(gamma / d_i, shares[i] + kz[i].dot(z))
+    return z
+
+
+class TestSweepRows:
+    """graph_z_sweep reads each node's (d_i, Kz row) from rows built once per graph."""
+
+    def ring_boxes(self, rng):
+        # the ring-box workload's shape: 16 boxes in R^8, swept at scale 2
+        g = mt_graph(16)
+        centers = rng.standard_normal((16, 8))
+        ops = [NormalConeBox(c - rng.uniform(0.05, 1.0, 8), c + rng.uniform(0.05, 1.0, 8))
+               for c in centers]
+        return g, ops, float(g.deg[0])
+
+    def cases(self, rng):
+        two = graphs.build_graph(2, [(1, 2)], [(1, 2)])
+        yield self.ring_boxes(rng)
+        yield two, affine_ops(rng, two, dim=3), 1.0
+        yield bench_graph(), affine_ops(rng, bench_graph(), dim=32), 1.0
+
+    def test_rows_are_degrees_and_kz_rows(self):
+        for g in (mt_graph(16), bench_graph()):
+            rows = g.matrices.sweep_rows
+            assert [d for d, _ in rows] == g.deg.tolist()
+            for i, (_, kz_i) in enumerate(rows):
+                assert kz_i.tobytes() == g.matrices.Kz[i].tobytes()
+
+    def test_bit_identical_to_reference_loop(self, rng):
+        for g, ops, scale in self.cases(rng):
+            d_1 = float(g.deg[0])
+            for gamma in GAMMA_GRID:
+                x = BlockVector(scale * 3.0 * rng.standard_normal((g.n_nodes - 1, ops[0].dim)))
+                swept = graphs.graph_z_sweep(ops, g, scale * gamma, x)
+                assert swept.data.tobytes() == reference_sweep(ops, g, scale * gamma, x).tobytes()
+                # z1 as the hooks hand it on: node 1's resolvent at its own input
+                z1 = ops[0].resolvent(scale * gamma / d_1, g.matrices.Kx[0].dot(x.data))
+                swept = graphs.graph_z_sweep(ops, g, scale * gamma, x, z1)
+                expected = reference_sweep(ops, g, scale * gamma, x, z1)
+                assert swept.data.tobytes() == expected.tobytes()
+
+
 class TestOneResolventRelocator:
     """graph_relocator: Q x = r x + (1 - r) (Zdag c) kron z_1, A_1 only."""
 

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import EXTREME_FINITE, nonfinite_points
+from conftest import EXTREME_FINITE, nonfinite_points, strided_real
 from relosplit.errors import DimensionError, ParameterError, SingularMatrixError
 from relosplit.linalg import (
     BlockVector,
@@ -35,6 +35,17 @@ class TestConstructors:
     def test_as_vector_rejects_nonfinite_at_any_position(self, point):
         with pytest.raises(ParameterError, match="^vector entries must be finite$"):
             as_vector(point)
+
+    def test_as_vector_strided_view_extreme_finite_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            v = as_vector(strided_real(EXTREME_FINITE))
+        assert v.tolist() == EXTREME_FINITE
+
+    @pytest.mark.parametrize("point", nonfinite_points())
+    def test_as_vector_strided_view_rejects_nonfinite_at_any_position(self, point):
+        with pytest.raises(ParameterError, match="^vector entries must be finite$"):
+            as_vector(strided_real(point))
 
     def test_as_vector_scalar_promotes(self):
         assert as_vector(3.0).shape == (1,)
