@@ -46,8 +46,10 @@ class GraphMatrices:
     correction; M = C C^T with C^T = [Z^T  I]; Kx, Kz: (Kx x + Kz z)_i is
     the input of node i's resolvent in the sweep; Zdag_c: Zdag c with
     c_i = d_i - 2 d_i^+, integral since c is and Z is the incidence matrix
-    of a tree; sweep_rows: the pair (d_i, row i of Kz) of each node, in
-    node order, as the sweep reads them.
+    of a tree; sweep_rows: the pair (d_i, [row i of Kz | e_i]) of each node,
+    in node order, e_i the i-th unit vector of length N. The sweep forms
+    node i's input as that length-2N row times the stacked [z; Kx x], one
+    product per node.
     """
 
     Z: np.ndarray
@@ -193,7 +195,7 @@ def _build_matrices(g):
     return GraphMatrices(Z=z, L=lap, Zdag=zdag, Zdag_norm=zdag_norm, R=r, P=p, M=m, C=c,
                          Kx=z / g.deg[:, None], Kz=kz,
                          Zdag_c=np.rint(zdag @ (g.deg - 2 * g.indeg)),
-                         sweep_rows=tuple(zip(g.deg.tolist(), kz)))
+                         sweep_rows=tuple(zip(g.deg.tolist(), np.hstack([kz, np.eye(n)]))))
 
 
 def _check_ops(ops, g):
@@ -223,17 +225,25 @@ def graph_z_sweep(ops, g, gamma, x, z1=None):
     if gamma <= 0:
         raise ParameterError(f"gamma must be positive, got {gamma}")
     x = _check_x(x, ops, g).data
-    shares = g.matrices.Kx.dot(x)
-    # row i of Kz weighs the z_h with h < i only, so z_i may stay zero until
-    # it is evaluated
-    z = np.zeros((g.n_nodes, x.shape[1]))
+    n = g.n_nodes
+    # the result is allocated first and the z rows are copied into it: no
+    # writable base is left behind, and the buffer, the newest heap block, is
+    # freed on return. A view of the buffer, or a copy allocated after it,
+    # left the heap more fragmented (peak RSS +0.2 to +0.8 MB on graph-affine)
+    z = np.empty((n, x.shape[1]))
+    # rows 0..N-1 hold z, rows N..2N-1 hold Kx x. Row i of Kz weighs the
+    # z_h with h < i only, so z_i may stay zero until it is evaluated; the
+    # node's own share comes last in its row, after every z term
+    buf = np.zeros((2 * n, x.shape[1]))
+    np.dot(g.matrices.Kx, x, out=buf[n:])
     start = 0
     if z1 is not None:
-        z[0], start = z1, 1
+        buf[0], start = z1, 1
     rows = g.matrices.sweep_rows
-    for i in range(start, g.n_nodes):
-        d_i, kz_i = rows[i]
-        z[i] = ops[i].resolvent(gamma / d_i, shares[i] + kz_i.dot(z))
+    for i in range(start, n):
+        d_i, row_i = rows[i]
+        buf[i] = ops[i].resolvent(gamma / d_i, row_i.dot(buf))
+    z[:] = buf[:n]
     return BlockVector._wrap(z)
 
 

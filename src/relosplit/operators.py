@@ -91,6 +91,26 @@ def _checked_number(kind, key, value):
     return float(value)
 
 
+def _checked_numbers(label, key, value):
+    """A vector or matrix field: nested lists of numbers, or a numeric array.
+
+    A text or bool leaf is an error, since np.asarray(dtype=float) would
+    read "1.0" and true as 1.0. Runs where outside data enters, once per
+    field, never inside a resolvent. Returns value unchanged.
+    """
+    stack = [value]
+    while stack:
+        leaf = stack.pop()
+        if isinstance(leaf, (list, tuple)):
+            stack.extend(reversed(leaf))
+        elif isinstance(leaf, np.ndarray):
+            if leaf.dtype.kind not in "iuf":
+                stack.append(leaf.tolist())
+        elif isinstance(leaf, bool) or not isinstance(leaf, numbers.Real):
+            raise ConstructionError(f"{label}: {key} must hold numbers, got {leaf!r}")
+    return value
+
+
 class Zero(MonotoneOperator):
     """A = 0, so J = Id."""
 
@@ -412,7 +432,8 @@ def inclusion_residual(op, point, value):
 
 
 #: Each spec kind's class, and the constructor keyword each of its keys
-#: fills; any other key is an error. "inner" holds a nested spec.
+#: fills; any other key is an error. "inner" holds a nested spec, and the
+#: keys of _ARRAY_KEYS hold vectors or matrices.
 _KINDS = {
     "zero": (Zero, {"dim": "dim"}),
     "scaled_identity": (ScaledIdentity, {"lam": "lam", "dim": "dim"}),
@@ -424,6 +445,7 @@ _KINDS = {
     "translated": (Translated, {"inner": "inner", "shift": "shift"}),
     "scaled": (Scaled, {"inner": "inner", "sigma": "sigma"}),
 }
+_ARRAY_KEYS = frozenset({"M", "b", "c", "lo", "hi", "center", "shift"})
 
 
 def make_operator(spec):
@@ -432,7 +454,8 @@ def make_operator(spec):
     ``spec`` is a mapping with a "kind" key plus kind-specific parameters,
     e.g. {"kind": "normal_cone_point", "c": [1.0]}. The nested kinds
     "translated" and "scaled" take an "inner" sub-description. A missing or
-    unknown parameter raises ConstructionError naming the kind and the key.
+    unknown parameter, or a text or bool entry in a vector or matrix, raises
+    ConstructionError naming the kind and the key.
     """
     if not isinstance(spec, dict):
         raise ConstructionError("operator spec must be a mapping")
@@ -446,6 +469,8 @@ def make_operator(spec):
     for key in keywords:
         if key not in spec:
             raise ConstructionError(f"operator kind {kind!r} is missing parameter {key!r}")
+        if key in _ARRAY_KEYS:
+            _checked_numbers(f"operator kind {kind!r}", key, spec[key])
     args = {keywords[key]: spec[key] for key in keywords}
     if "inner" in args:
         args["inner"] = make_operator(args["inner"])

@@ -13,6 +13,7 @@ from .operators import (
     NegLog,
     NormalConeBox,
     NormalConePoint,
+    _checked_numbers,
     make_operator,
     single_value,
 )
@@ -128,7 +129,8 @@ def _indicator_neglog(params, seed):
 
 def _affine_consensus(params, seed):
     if "c" in params:
-        centers = [as_vector(c) for c in params["c"]]
+        centers = [as_vector(c) for c in
+                   _checked_numbers("problem 'affine_consensus'", "c", params["c"])]
     else:
         count = _int_param(params, "count", 3)
         dim = _int_param(params, "dim", 1)
@@ -180,6 +182,7 @@ def _box_feasibility(params, seed):
     boxes = params.get("boxes")
     if not boxes or len(boxes) < 2:
         raise ConstructionError("box_feasibility needs at least 2 boxes")
+    _checked_numbers("problem 'box_feasibility'", "boxes", boxes)
     ops = [NormalConeBox(lo, hi) for (lo, hi) in boxes]
     dims = {op.dim for op in ops}
     if len(dims) != 1:
@@ -204,7 +207,7 @@ def _custom(params, seed):
         raise DimensionError("custom operators act on mixed dimensions")
     solution = params.get("solution")
     if solution is not None:
-        solution = as_vector(solution)
+        solution = as_vector(_checked_numbers("problem 'custom'", "solution", solution))
         # when every operator is single valued at the declared point, the
         # zero-of-the-sum claim is checkable directly
         values = [single_value(op, solution) for op in ops]

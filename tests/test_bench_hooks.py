@@ -71,3 +71,32 @@ def test_resolvent_count_and_uninstall(tracer_module):
     modules_after, classes_after = _bindings()
     assert _same(modules, modules_after)
     assert _same(classes, classes_after)
+
+
+def _chorded_six():
+    tree = [(i, i + 1) for i in range(1, 6)]
+    return rs.build_graph(6, tree + [(1, 3), (2, 5), (4, 6)], tree)
+
+
+@pytest.mark.parametrize("runner, n_ops, iterations", [
+    (lambda inst, schedule, stop: rs.algorithm1_run(inst.dr_problem(), schedule,
+                                                    [0.0, 0.0], stop), 2, 197),
+    (lambda inst, schedule, stop: rs.graph_relocated_run(
+        inst.ops, _chorded_six(), 1.0, schedule, rs.BlockVector.zeros(5, 2), stop), 6, 422),
+], ids=["dr2", "chorded-graph"])
+def test_resolvent_count_of_dr2_and_graph_runs(tracer_module, runner, n_ops, iterations):
+    # a geometric schedule: an adaptive run adds one feedback resolvent on
+    # its last iteration
+    instance = rs.make_problem("affine_random", {"count": n_ops, "dim": 2}, seed=0)
+    tracer = tracer_module["Tracer"]()
+    tracer.install(rs)
+    try:
+        trace = runner(instance, rs.GeometricToLimit(1.0, 2.0, 0.9),
+                       rs.StopRule(residual_tol=1e-10, max_iters=5000))
+    finally:
+        tracer.uninstall()
+
+    assert trace.status == "converged"
+    assert trace.iterations == iterations
+    assert tracer.calls("operators.resolvent") == n_ops * (iterations + 1)
+    assert tracer.calls("graphs.sweep") == iterations + 1

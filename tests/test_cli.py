@@ -405,6 +405,52 @@ class TestMainEntry:
         ({"problem": {"name": "affine_consensus",
                       "params": {"count": 2, "dim": 1, "spread": True}}},
          "problem.params: spread must be a number"),
+        ({"problem": {"name": "box_feasibility",
+                      "params": {"boxes": [[["0"], ["1"]], [["0.5"], ["2"]]]}}},
+         "problem.params: problem 'box_feasibility': boxes must hold numbers"),
+        ({"problem": {"name": "box_feasibility",
+                      "params": {"boxes": [[[0.0], [True]], [[0.5], [2.0]]]}}},
+         "problem.params: problem 'box_feasibility': boxes must hold numbers"),
+        ({"problem": {"name": "affine_consensus", "params": {"c": [["1.0"], [2.0]]}}},
+         "problem.params: problem 'affine_consensus': c must hold numbers"),
+        ({"problem": {"name": "affine_consensus", "params": {"c": [[1.0], [False]]}}},
+         "problem.params: problem 'affine_consensus': c must hold numbers"),
+        ({"problem": {"name": "custom", "params": {"solution": ["1.0"], "ops": [
+            {"kind": "normal_cone_point", "c": [1.0]}, {"kind": "neg_log", "dim": 1}]}}},
+         "problem.params: problem 'custom': solution must hold numbers"),
+        ({"problem": {"name": "custom", "params": {"solution": [True], "ops": [
+            {"kind": "normal_cone_point", "c": [1.0]}, {"kind": "neg_log", "dim": 1}]}}},
+         "problem.params: problem 'custom': solution must hold numbers"),
+        ({"problem": {"name": "custom", "params": {"ops": [
+            {"kind": "normal_cone_point", "c": ["1.0"]}, {"kind": "neg_log", "dim": 1}]}}},
+         "problem.params: operator kind 'normal_cone_point': c must hold numbers"),
+        ({"problem": {"name": "custom", "params": {"ops": [
+            {"kind": "normal_cone_point", "c": [True]}, {"kind": "neg_log", "dim": 1}]}}},
+         "problem.params: operator kind 'normal_cone_point': c must hold numbers"),
+        ({"problem": {"name": "custom", "params": {"ops": [
+            {"kind": "normal_cone_point", "c": [1.0]},
+            {"kind": "normal_cone_box", "lo": ["0"], "hi": [2.0]}]}}},
+         "problem.params: operator kind 'normal_cone_box': lo must hold numbers"),
+        ({"problem": {"name": "custom", "params": {"ops": [
+            {"kind": "normal_cone_point", "c": [1.0]},
+            {"kind": "normal_cone_box", "lo": [0.0], "hi": [True]}]}}},
+         "problem.params: operator kind 'normal_cone_box': hi must hold numbers"),
+        ({"problem": {"name": "custom", "params": {"ops": [
+            {"kind": "normal_cone_point", "c": [1.0]},
+            {"kind": "affine", "M": [["1"]], "b": [0.0]}]}}},
+         "problem.params: operator kind 'affine': M must hold numbers"),
+        ({"problem": {"name": "custom", "params": {"ops": [
+            {"kind": "normal_cone_point", "c": [1.0]},
+            {"kind": "affine", "M": [[1.0]], "b": [True]}]}}},
+         "problem.params: operator kind 'affine': b must hold numbers"),
+        ({"problem": {"name": "custom", "params": {"ops": [
+            {"kind": "normal_cone_point", "c": [1.0]},
+            {"kind": "translated", "shift": "0", "inner": {"kind": "neg_log", "dim": 1}}]}}},
+         "problem.params: operator kind 'translated': shift must hold numbers"),
+        ({"problem": {"name": "custom", "params": {"ops": [
+            {"kind": "normal_cone_point", "c": [1.0]},
+            {"kind": "normal_cone_ball", "center": [True], "radius": 1.0}]}}},
+         "problem.params: operator kind 'normal_cone_ball': center must hold numbers"),
     ], ids=["theta", "params", "param-value", "seed", "tol-nan", "tol-inf",
             "max-iters-inf", "tol-huge-int", "gamma-huge-int", "x0-huge-int",
             "graph-N-text", "graph-N-null", "graph-E-false", "graph-E-short-arc",
@@ -423,7 +469,10 @@ class TestMainEntry:
             "nested-neg-log-dim-float", "scaled-identity-lam-text",
             "scaled-identity-lam-bool", "ball-radius-text", "ball-radius-bool",
             "scaled-sigma-text", "scaled-sigma-bool", "consensus-spread-text",
-            "consensus-spread-bool"])
+            "consensus-spread-bool", "boxes-text", "boxes-bool", "consensus-c-text",
+            "consensus-c-bool", "solution-text", "solution-bool", "point-c-text",
+            "point-c-bool", "box-lo-text", "box-hi-bool", "affine-M-text", "affine-b-bool",
+            "translated-shift-text", "ball-center-bool"])
     def test_run_malformed_field(self, tmp_path, capsys, overrides, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(minimal_dr2_config(**overrides)))

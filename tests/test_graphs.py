@@ -215,10 +215,11 @@ def bench_graph():
 
 
 def reference_sweep(ops, g, gamma, x, z1=None):
-    """The sweep loop that GraphMatrices.sweep_rows replaced, kept as reference.
+    """The sweep loop as it was before GraphMatrices.sweep_rows, kept as reference.
 
-    It takes the dense row Kz[i] and g.deg.tolist() afresh on every sweep;
-    graph_z_sweep must reproduce its output bit for bit.
+    It takes the dense row Kz[i] and g.deg.tolist() afresh on every sweep and
+    adds node i's share of Kx x after the Kz product; graph_z_sweep forms the
+    same input as one product over the stacked [z; Kx x].
     """
     x = x.data
     shares = g.matrices.Kx.dot(x)
@@ -232,8 +233,17 @@ def reference_sweep(ops, g, gamma, x, z1=None):
     return z
 
 
+def random_graph(rng, n):
+    """A random arc-ordered graph on n nodes: a random tree plus random chords."""
+    tree = [(int(rng.integers(1, j)), j) for j in range(2, n + 1)]
+    chords = [(i, j) for j in range(2, n + 1) for i in range(1, j)
+              if (i, j) not in tree and rng.random() < 0.3]
+    return graphs.build_graph(n, tree + chords, tree)
+
+
 class TestSweepRows:
-    """graph_z_sweep reads each node's (d_i, Kz row) from rows built once per graph."""
+    """graph_z_sweep forms each node's input as one row, built once per graph,
+    times one buffer holding z and Kx x."""
 
     def ring_boxes(self, rng):
         # the ring-box workload's shape: 16 boxes in R^8, swept at scale 2
@@ -248,26 +258,60 @@ class TestSweepRows:
         yield self.ring_boxes(rng)
         yield two, affine_ops(rng, two, dim=3), 1.0
         yield bench_graph(), affine_ops(rng, bench_graph(), dim=32), 1.0
+        for g in (mt_graph(3), mt_graph(5), chorded_path()):
+            for dim in (2, 8, 32):
+                yield g, affine_ops(rng, g, dim=dim), 1.0
+
+    def sweeps(self, rng, g, ops, scale):
+        """(gamma, x, z1) triples, z1 None or node 1's resolvent as the hooks hand it on."""
+        d_1 = float(g.deg[0])
+        for gamma in GAMMA_GRID:
+            x = BlockVector(scale * 3.0 * rng.standard_normal((g.n_nodes - 1, ops[0].dim)))
+            yield scale * gamma, x, None
+            z1 = ops[0].resolvent(scale * gamma / d_1, g.matrices.Kx[0].dot(x.data))
+            yield scale * gamma, x, z1
 
     def test_rows_are_degrees_and_kz_rows(self):
         for g in (mt_graph(16), bench_graph()):
             rows = g.matrices.sweep_rows
+            n = g.n_nodes
             assert [d for d, _ in rows] == g.deg.tolist()
-            for i, (_, kz_i) in enumerate(rows):
-                assert kz_i.tobytes() == g.matrices.Kz[i].tobytes()
+            for i, (_, row) in enumerate(rows):
+                assert row.shape == (2 * n,)
+                assert row[:n].tobytes() == g.matrices.Kz[i].tobytes()
+                assert row[n:].tobytes() == np.eye(n)[i].tobytes()
 
     def test_bit_identical_to_reference_loop(self, rng):
+        # each input here has at most two nonzero terms, or three or more that
+        # the BLAS kernels tried so far group as the reference does
         for g, ops, scale in self.cases(rng):
-            d_1 = float(g.deg[0])
-            for gamma in GAMMA_GRID:
-                x = BlockVector(scale * 3.0 * rng.standard_normal((g.n_nodes - 1, ops[0].dim)))
-                swept = graphs.graph_z_sweep(ops, g, scale * gamma, x)
-                assert swept.data.tobytes() == reference_sweep(ops, g, scale * gamma, x).tobytes()
-                # z1 as the hooks hand it on: node 1's resolvent at its own input
-                z1 = ops[0].resolvent(scale * gamma / d_1, g.matrices.Kx[0].dot(x.data))
-                swept = graphs.graph_z_sweep(ops, g, scale * gamma, x, z1)
-                expected = reference_sweep(ops, g, scale * gamma, x, z1)
-                assert swept.data.tobytes() == expected.tobytes()
+            for gamma, x, z1 in self.sweeps(rng, g, ops, scale):
+                swept = graphs.graph_z_sweep(ops, g, gamma, x, z1)
+                assert swept.data.tobytes() == reference_sweep(ops, g, gamma, x, z1).tobytes()
+
+    def test_swept_array_is_read_only(self, rng):
+        g = bench_graph()
+        ops = affine_ops(rng, g, dim=4)
+        swept = graphs.graph_z_sweep(ops, g, 1.0, BlockVector(rng.standard_normal((5, 4))))
+        data = swept.data
+        assert not data.flags.writeable
+        assert data.base is None or not data.base.flags.writeable
+        with pytest.raises(ValueError):
+            data[0, 0] = 1.0
+
+    def test_random_graphs_match_reference_to_rounding(self, rng):
+        # where three or more terms meet in one node's input, the BLAS may
+        # group the product differently from the reference's Kz product plus
+        # share, so the two may differ in the last bits; agreement is then
+        # demanded to 1e-12 relative, about 4500 ulps
+        for _ in range(60):
+            g = random_graph(rng, int(rng.integers(2, 14)))
+            ops = affine_ops(rng, g, dim=int(rng.choice([2, 8])))
+            for gamma, x, z1 in self.sweeps(rng, g, ops, 1.0):
+                swept = graphs.graph_z_sweep(ops, g, gamma, x, z1).data
+                expected = reference_sweep(ops, g, gamma, x, z1)
+                bound = 1e-12 * max(1.0, float(np.max(np.abs(expected))))
+                assert np.max(np.abs(swept - expected)) <= bound
 
 
 class TestOneResolventRelocator:

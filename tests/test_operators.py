@@ -153,6 +153,16 @@ class TestMakeOperator:
         with pytest.raises(ConstructionError):
             ops.make_operator({"kind": "normal_cone_box", "lo": [1.0], "hi": [0.0]})
 
+    def test_array_fields_take_numeric_arrays_and_refuse_text_and_bools(self):
+        op = ops.make_operator({"kind": "affine", "M": np.eye(2, dtype=np.int64),
+                                "b": (np.float32(0.5), 1)})
+        assert isinstance(op, ops.AffineMonotone)
+        for bad in (np.array([True]), np.array(["1.0"]), np.array([1.0, "x"], dtype=object),
+                    [np.bool_(True)], "1.0"):
+            with pytest.raises(ConstructionError,
+                               match="operator kind 'normal_cone_point': c must hold numbers"):
+                ops.make_operator({"kind": "normal_cone_point", "c": bad})
+
     @pytest.mark.parametrize("spec, kind", [
         ({"kind": "normal_cone_point", "c": [1.0], "bogus": 3}, "normal_cone_point"),
         ({"kind": "scaled", "sigma": 2.0, "bogus": 3,
