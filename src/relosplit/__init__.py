@@ -17,7 +17,6 @@ from .driver import (
     Relocator,
     ScheduleBudgetWarning,
     StopRule,
-    check_relocator_axioms,
     run_relocated,
 )
 from .dr2 import (
@@ -26,7 +25,6 @@ from .dr2 import (
     algorithm1_run,
     dr_apply,
     dr_family,
-    dr_fixed_point,
     dr_lipschitz,
     dr_relocator,
     dr_relocator_apply,
@@ -35,16 +33,12 @@ from .graphs import (
     GraphMatrices,
     SplittingGraph,
     build_graph,
-    fix_point_oracle_affine,
     graph_dr_apply,
     graph_family,
     graph_relocated_run,
     graph_relocator,
-    graph_relocator_apply,
-    graph_relocator_lipschitz_bound,
     graph_z_sweep,
     relocation_vector_e,
-    relocator_system_residual,
 )
 from .linalg import BlockVector, kron_apply, pseudo_inverse, solve_linear
 from .malitsky_tam import (
@@ -56,7 +50,6 @@ from .malitsky_tam import (
     mt_lipschitz,
     mt_relocator,
     mt_relocator_apply,
-    mt_vs_graph_equivalence,
 )
 from .operators import (
     AffineMonotone,
@@ -85,4 +78,13 @@ from .schedules import (
     kappa_ratio,
     validate_schedule,
 )
-from .selftest import run_selftest
+from .selftest import (
+    check_relocator_axioms,
+    dr_fixed_point,
+    fix_point_oracle_affine,
+    graph_relocator_apply,
+    graph_relocator_lipschitz_bound,
+    mt_vs_graph_equivalence,
+    relocator_system_residual,
+    run_selftest,
+)

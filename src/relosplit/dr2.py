@@ -101,20 +101,6 @@ class DRCertificate:
             )
 
 
-def dr_fixed_point(cert, gamma):
-    """The point z + gamma w of Fix T_gamma encoded by a certificate."""
-    if gamma <= 0:
-        raise ParameterError(f"gamma must be positive, got {gamma}")
-    y = cert.z + gamma * cert.w
-    t_y, _, _ = dr_apply(cert.problem, gamma, y)
-    resid = float(np.linalg.norm(y - t_y))
-    if resid > FIXED_POINT_TOL:
-        raise CertificateError(
-            f"certificate point has residual {resid:.3e} at gamma={gamma}"
-        )
-    return y
-
-
 def dr_family(problem):
     """The DR operators as a driver family (firmly nonexpansive, alpha = 1/2)."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FixedPointError, ParameterError, ScheduleError
+from .errors import ParameterError, ScheduleError
 from .linalg import BlockVector, _all_finite
 
 STATUS_CONVERGED = "converged"
@@ -24,9 +24,6 @@ STATUS_SCHEDULE_REJECTED = "schedule_rejected"
 #: Budget of the summed positive stepsize increments, in units of gamma_0: a
 #: practical tripwire, since the summability hypothesis is asymptotic.
 POS_INCREMENT_BUDGET = 1e3
-
-#: Grid size of the continuity check in check_relocator_axioms.
-CONTINUITY_POINTS = 60
 
 
 class ScheduleBudgetWarning(RuntimeWarning):
@@ -400,125 +397,3 @@ def run_relocated(family, relocator, schedule, x0, stop, solution_residual=None,
     if bounds:
         trace.extra_scalars["relocator_bound"] = bounds
     return trace
-
-
-@dataclass
-class RelocatorAxiomReport:
-    """Outcome of the fixed-point relocator axiom harness."""
-
-    bijection_ok: bool
-    continuity_ok: bool
-    semigroup_ok: bool
-    lipschitz_ok: bool
-    continuity_modulus: float
-    max_lipschitz_ratio_excess: float
-    violations: list = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return (self.bijection_ok and self.continuity_ok and self.semigroup_ok
-                and self.lipschitz_ok)
-
-
-def _perturb(x, rng, scale):
-    if isinstance(x, BlockVector):
-        return BlockVector(x.data + scale * rng.standard_normal(x.data.shape))
-    return np.asarray(x, dtype=float) + scale * rng.standard_normal(np.shape(x))
-
-
-def check_relocator_axioms(family, relocator, fixed_points, gammas, tol=1e-9,
-                           rng=None, lipschitz_samples=40):
-    """Check the four fixed-point relocator axioms on sampled data.
-
-    fixed_points is a list of pairs (gamma, x) with x in Fix T_gamma; each is
-    verified against the residual test up front (FixedPointError otherwise).
-    The checks performed over the gamma grid are: relocated points are fixed
-    points and the reverse relocation inverts (bijection); delta -> Q x has a
-    finite difference quotient on a fine grid (continuity); compositions
-    collapse (semigroup); and sampled Lipschitz ratios stay within the
-    declared bound (up to tol).
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    gammas = [float(g) for g in gammas]
-    if not gammas or not fixed_points:
-        raise ParameterError("need at least one gamma and one fixed point")
-
-    for g, x in fixed_points:
-        w, _ = family.apply(g, x)
-        resid = ambient_norm(x - w)
-        if resid > tol:
-            raise FixedPointError(
-                f"supplied pair (gamma={g}, x={ambient_flat(x)}) has "
-                f"fixed-point residual {resid:.3e} > {tol}"
-            )
-
-    violations = []
-    bijection_ok = True
-    semigroup_ok = True
-    lipschitz_ok = True
-    continuity_modulus = 0.0
-    max_excess = -math.inf
-
-    for g, x in fixed_points:
-        for d in gammas:
-            y = relocator.apply(g, d, x)
-            resid = ambient_norm(y - family.apply(d, y)[0])
-            if resid > tol:
-                bijection_ok = False
-                violations.append(
-                    f"Q_({d}<-{g}) image has fixed-point residual {resid:.3e}"
-                )
-            back = relocator.apply(d, g, y)
-            if ambient_norm(back - x) > tol:
-                bijection_ok = False
-                violations.append(
-                    f"Q_({g}<-{d}) Q_({d}<-{g}) differs from identity at gamma={g}"
-                )
-            for e in gammas:
-                composed = relocator.apply(d, e, y)
-                direct = relocator.apply(g, e, x)
-                if ambient_norm(composed - direct) > tol:
-                    semigroup_ok = False
-                    violations.append(
-                        f"semigroup fails for ({e}<-{d})({d}<-{g}) vs ({e}<-{g})"
-                    )
-
-        grid = np.linspace(min(gammas), max(gammas), CONTINUITY_POINTS)
-        images = [relocator.apply(g, float(d), x) for d in grid]
-        for a, b, da, db in zip(images, images[1:], grid, grid[1:]):
-            slope = ambient_norm(b - a) / (db - da)
-            continuity_modulus = max(continuity_modulus, slope)
-    continuity_ok = math.isfinite(continuity_modulus)
-    if not continuity_ok:
-        violations.append("delta -> Q x is not finitely Lipschitz on the grid")
-
-    base_points = [x for _, x in fixed_points]
-    for g in sorted({g for g, _ in fixed_points}):
-        for d in gammas:
-            bound = relocator.lipschitz_bound(g, d)
-            for _ in range(lipschitz_samples):
-                base = base_points[rng.integers(len(base_points))]
-                u = _perturb(base, rng, scale=2.0)
-                v = _perturb(base, rng, scale=2.0)
-                denom = ambient_norm(u - v)
-                if denom == 0.0:
-                    continue
-                ratio = ambient_norm(relocator.apply(g, d, u) - relocator.apply(g, d, v)) / denom
-                max_excess = max(max_excess, ratio - bound)
-                if ratio > bound + tol:
-                    lipschitz_ok = False
-                    violations.append(
-                        f"Lipschitz ratio {ratio:.6f} exceeds bound {bound:.6f} "
-                        f"for ({d}<-{g})"
-                    )
-
-    return RelocatorAxiomReport(
-        bijection_ok=bijection_ok,
-        continuity_ok=continuity_ok,
-        semigroup_ok=semigroup_ok,
-        lipschitz_ok=lipschitz_ok,
-        continuity_modulus=continuity_modulus,
-        max_lipschitz_ratio_excess=max_excess,
-        violations=violations,
-    )

@@ -23,19 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import OperatorFamily, Relocator, ambient_norm, relocated_loop
-from .errors import (
-    ConsistencyError,
-    ConstructionError,
-    DimensionError,
-    InfeasibleError,
-    ParameterError,
-)
+from .errors import ConstructionError, DimensionError, ParameterError
 from .linalg import BlockVector, as_block_vector, kron_apply, pseudo_inverse
-
-#: Tolerance of the consistency, consensus and fixed-point tests in
-#: fix_point_oracle_affine.
-ORACLE_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class GraphMatrices:
@@ -274,60 +263,6 @@ def relocation_vector_e(g, z):
     return BlockVector._wrap(raw - mean[None, :])
 
 
-def graph_relocator_apply(ops, g, gamma, delta, x):
-    """Q_{delta<-gamma} x = (delta/gamma) x + (1 - delta/gamma) Zdag e(x).
-
-    e(x) is built from the sweep of x at gamma, so a relocation costs one
-    full sweep (N resolvents) unless delta == gamma, where Q is the identity.
-    """
-    if gamma <= 0 or delta <= 0:
-        raise ParameterError("gamma and delta must be positive")
-    x = _check_x(x, ops, g)
-    ratio = delta / gamma
-    if ratio == 1.0:
-        return x
-    e = relocation_vector_e(g, graph_z_sweep(ops, g, gamma, x))
-    return ratio * x + (1.0 - ratio) * kron_apply(g.matrices.Zdag, e)
-
-
-def relocator_system_residual(ops, g, gamma, delta, x, y=None):
-    """Residual of the relocation system Z y = (delta/gamma) Z x + (1 - delta/gamma) e(x).
-
-    When y is omitted it is computed with graph_relocator_apply; the residual
-    then measures how exactly the pseudo-inverse solves the system.
-    """
-    x = _check_x(x, ops, g)
-    y = graph_relocator_apply(ops, g, gamma, delta, x) if y is None else _check_x(y, ops, g)
-    ratio = delta / gamma
-    e = relocation_vector_e(g, graph_z_sweep(ops, g, gamma, x))
-    z_mat = g.matrices.Z
-    return (kron_apply(z_mat, y) - ratio * kron_apply(z_mat, x) - (1.0 - ratio) * e).norm()
-
-
-def graph_relocator_lipschitz_bound(g, gamma, delta):
-    """Upper bound on the Lipschitz constant of the graph relocator.
-
-    Uses the sweep recursion L_1 = ||Z row 1||, L_i = 2 sum_{(h,i) in E}
-    L_h / d_h + ||Z row i||, then
-    delta/gamma + |1 - delta/gamma| * ||Zdag|| * sqrt(sum ((d_i - 2 d_i^+)^2
-    / d_i^2) L_i^2).
-    """
-    if gamma <= 0 or delta <= 0:
-        raise ParameterError("gamma and delta must be positive")
-    z_mat = g.matrices.Z
-    row_norms = np.linalg.norm(z_mat, axis=1)
-    lips = []
-    for i in _nodes(g.n_nodes):
-        acc = row_norms[i - 1]
-        for h in (h for (h, j) in g.arcs if j == i):
-            acc += 2.0 * lips[h - 1] / g.deg[h - 1]
-        lips.append(acc)
-    coeff = (g.deg - 2 * g.indeg).astype(float) / g.deg
-    radicand = float(np.sum((coeff * np.array(lips)) ** 2))
-    ratio = delta / gamma
-    return ratio + abs(1.0 - ratio) * g.matrices.Zdag_norm * np.sqrt(radicand)
-
-
 def at_consensus(solution_residual):
     """solution_residual at the blockwise mean of a sweep; None stays None."""
     if solution_residual is None:
@@ -359,10 +294,11 @@ def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep):
     (scale gamma, scale x) divided by scale, exactly. relocate is the
     one-resolvent relocator Q x = r x + (1 - r) (Zdag c / scale) kron z_1,
     r = delta / gamma, z_1 = J_{(scale gamma/d_1) A_1} u_1 with input
-    u_1 = (scale/d_1) sum_j Z_1j x_j; it equals graph_relocator_apply on
-    Fix T_gamma. feedback feeds (z_1, u_1) to the adaptive rule. By the
-    resolvent scaling identity z_1 is the first entry of the next sweep, at
-    delta driven by Q x, so it is handed on: N resolvents per iteration.
+    u_1 = (scale/d_1) sum_j Z_1j x_j; on Fix T_gamma it equals the
+    pseudo-inverse relocator, selftest.graph_relocator_apply. feedback
+    feeds (z_1, u_1) to the adaptive rule. By the resolvent scaling
+    identity z_1 is the first entry of the next sweep, at delta driven by
+    Q x, so it is handed on: N resolvents per iteration.
     record(z, Z^T z, w) builds the step's trace entry.
     """
     z_t = g.matrices.Z.T
@@ -434,59 +370,3 @@ def graph_relocated_run(ops, g, theta, schedule, x0, stop, solution_residual=Non
     step, feedback, relocate = graph_hooks(ops, g, theta)
     return relocated_loop(step, relocate, feedback, schedule, _check_x(x0, ops, g), stop,
                           solution_residual=at_consensus(solution_residual))
-
-
-def fix_point_oracle_affine(ops, g, gamma):
-    """A fixed point of T_gamma for affine instances, plus the consensus zero.
-
-    Solves the stacked linear system gamma (M_i z_i + b_i) + ((R + P) z)_i
-    = (Z v)_i, Z^T z = 0 in the least-squares sense (minimum-norm member
-    when the solution set has positive dimension), returns (x, z_star) with
-    x = v and z_star the consensus block, and verifies the fixed-point
-    residual via graph_dr_apply. Raises InfeasibleError when the system is
-    inconsistent, i.e. the operators have no common zero.
-    """
-    if gamma <= 0:
-        raise ParameterError(f"gamma must be positive, got {gamma}")
-    _check_ops(ops, g)
-    n = g.n_nodes
-    d = ops[0].dim
-    parts = [op.affine_parts() for op in ops]
-    eye_d = np.eye(d)
-    mats = g.matrices
-
-    size = (2 * n - 1) * d
-    system = np.zeros((size, size))
-    rhs = np.zeros(size)
-    system[: n * d, : n * d] = np.kron(mats.R + mats.P, eye_d)
-    for i, (m_i, b_i) in enumerate(parts):
-        system[i * d:(i + 1) * d, i * d:(i + 1) * d] += gamma * m_i
-        rhs[i * d:(i + 1) * d] = -gamma * b_i
-    system[: n * d, n * d:] = -np.kron(mats.Z, eye_d)
-    system[n * d:, : n * d] = np.kron(mats.Z.T, eye_d)
-
-    solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    residual = np.linalg.norm(system @ solution - rhs)
-    if residual > ORACLE_TOL * (1.0 + np.linalg.norm(rhs)):
-        raise InfeasibleError(
-            f"stacked system residual {residual:.3e}: the operators admit no "
-            "common zero"
-        )
-
-    z_blocks = solution[: n * d].reshape(n, d)
-    v_blocks = solution[n * d:].reshape(n - 1, d)
-    z_star = z_blocks.mean(axis=0)
-    spread = np.max(np.abs(z_blocks - z_star[None, :]))
-    if spread > ORACLE_TOL * (1.0 + np.linalg.norm(z_star)):
-        raise ConsistencyError(
-            f"zero of the stacked system is not consensus (spread {spread:.3e})"
-        )
-
-    x = BlockVector(v_blocks)
-    w, _ = graph_dr_apply(ops, g, gamma, 1.0, x)
-    fix_resid = (x - w).norm()
-    if fix_resid > ORACLE_TOL:
-        raise ConsistencyError(
-            f"oracle point fails the fixed-point test (residual {fix_resid:.3e})"
-        )
-    return x, z_star

@@ -16,7 +16,7 @@ import numpy as np
 
 from .driver import OperatorFamily, Relocator, relocated_loop
 from .errors import DimensionError, ParameterError
-from .graphs import at_consensus, build_graph, graph_dr_apply, graph_hooks
+from .graphs import at_consensus, build_graph, graph_hooks
 from .linalg import BlockVector, as_block_vector
 from .operators import MonotoneOperator
 
@@ -149,39 +149,3 @@ def algorithm2_run(problem, schedule, x0, stop, solution_residual=None):
                                            scale=float(g.deg[0]))
     return relocated_loop(step, relocate, feedback, schedule, _check_x(problem, x0),
                           stop, solution_residual=at_consensus(solution_residual))
-
-
-@dataclass
-class EquivalenceReport:
-    """Result of the ring-graph vs MT operator comparison."""
-
-    max_operator_diff: float
-    max_sweep_diff: float
-    tol: float
-
-    @property
-    def passed(self):
-        return self.max_operator_diff <= self.tol and self.max_sweep_diff <= self.tol
-
-
-def mt_vs_graph_equivalence(problem, gamma, x, tol=1e-10):
-    """Check the half-scaling equivalence with the ring graph for N >= 3.
-
-    Applying the graph-DR operator at stepsize 2 gamma, relaxation 2 theta
-    and iterate 2x, then halving, must reproduce mt_apply; the resolvent
-    sweeps must agree without any scaling. For N = 2 compare with the
-    two-operator DR step directly instead.
-    """
-    if problem.n_ops < 3:
-        raise ParameterError("the ring comparison needs N >= 3")
-    if gamma <= 0:
-        raise ParameterError(f"gamma must be positive, got {gamma}")
-    x = _check_x(problem, x)
-    g = mt_graph(problem.n_ops)
-    w_graph, z_graph = graph_dr_apply(list(problem.ops), g, 2.0 * gamma,
-                                      2.0 * problem.theta, 2.0 * x)
-    tx, z_mt = mt_apply(problem, gamma, x)
-    op_diff = float(np.max(np.abs(0.5 * w_graph.data - tx.data)))
-    sweep_diff = float(np.max(np.abs(z_graph.data - z_mt.data)))
-    return EquivalenceReport(max_operator_diff=op_diff, max_sweep_diff=sweep_diff,
-                             tol=tol)

@@ -98,11 +98,17 @@ def _box_distance(lo, hi):
     return lambda z: ambient_norm(z - np.minimum(np.maximum(z, lo), hi))
 
 
-def _int_param(params, key, default):
-    """params[key] (default if absent), which must be an integer, not a bool."""
+#: What a list-valued param may be: a JSON list, or a sequence from Python.
+_SEQUENCE = (list, tuple, np.ndarray)
+
+
+def _int_param(params, key, default, low):
+    """params[key] (default if absent), which must be an integer >= low, not a bool."""
     value = params.get(key, default)
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConstructionError(f"{key} must be an integer, got {value!r}")
+    if value < low:
+        raise ConstructionError(f"{key} must be >= {low}, got {value}")
     return int(value)
 
 
@@ -129,11 +135,13 @@ def _indicator_neglog(params, seed):
 
 def _affine_consensus(params, seed):
     if "c" in params:
+        if not isinstance(params["c"], _SEQUENCE):
+            raise ConstructionError("problem 'affine_consensus': c must be a list of centers")
         centers = [as_vector(c) for c in
                    _checked_numbers("problem 'affine_consensus'", "c", params["c"])]
     else:
-        count = _int_param(params, "count", 3)
-        dim = _int_param(params, "dim", 1)
+        count = _int_param(params, "count", 3, 2)
+        dim = _int_param(params, "dim", 1, 1)
         spread = _number_param(params, "spread", 1.0)
         rng = np.random.default_rng(seed)
         centers = [spread * rng.standard_normal(dim) for _ in range(count)]
@@ -153,10 +161,8 @@ def _affine_consensus(params, seed):
 
 
 def _affine_random(params, seed):
-    count = _int_param(params, "count", 3)
-    dim = _int_param(params, "dim", 2)
-    if count < 2:
-        raise ConstructionError("affine_random needs at least 2 operators")
+    count = _int_param(params, "count", 3, 2)
+    dim = _int_param(params, "dim", 2, 1)
     rng = np.random.default_rng(seed)
     zero = rng.standard_normal(dim)
     mats, offs = [], []
@@ -180,7 +186,11 @@ def _affine_random(params, seed):
 
 def _box_feasibility(params, seed):
     boxes = params.get("boxes")
-    if not boxes or len(boxes) < 2:
+    if not (isinstance(boxes, _SEQUENCE)
+            and all(isinstance(box, _SEQUENCE) and len(box) == 2 for box in boxes)):
+        raise ConstructionError(
+            "problem 'box_feasibility': boxes must be a list of [lo, hi] pairs")
+    if len(boxes) < 2:
         raise ConstructionError("box_feasibility needs at least 2 boxes")
     _checked_numbers("problem 'box_feasibility'", "boxes", boxes)
     ops = [NormalConeBox(lo, hi) for (lo, hi) in boxes]
@@ -199,8 +209,9 @@ def _box_feasibility(params, seed):
 
 def _custom(params, seed):
     specs = params.get("ops")
-    if not specs or len(specs) < 2:
-        raise ConstructionError("custom needs at least 2 operator specs")
+    if not isinstance(specs, _SEQUENCE) or len(specs) < 2:
+        raise ConstructionError(
+            "problem 'custom': ops must be a list of at least 2 operator specs")
     ops = [make_operator(spec) for spec in specs]
     dims = {op.dim for op in ops}
     if len(dims) != 1:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from relosplit import operators
+# the invariant suite's sample instances, which the test modules share
+from relosplit.selftest import GAMMA_GRID, operator_zoo, random_affine  # noqa: F401
 
 # every run draws the same examples, so a property test fails on every run
 # or on none
@@ -13,8 +14,6 @@ settings.load_profile("derandomized")
 
 #: The committed `relosplit run` configs whose outcomes test_cli pins.
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli")
-
-GAMMA_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 #: Finite points at the ends of the float range; their squared norm overflows.
 EXTREME_FINITE = [1.7976931348623157e308, -1e308, 5e-324]
@@ -47,30 +46,6 @@ def strided_real(values):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
-
-
-def random_affine(rng, dim, scale=1.0):
-    """A random monotone affine operator: PSD symmetric part plus skew."""
-    root = scale * rng.standard_normal((dim, dim)) / np.sqrt(dim)
-    skew = scale * rng.standard_normal((dim, dim))
-    return operators.AffineMonotone(root @ root.T + (skew - skew.T),
-                                    scale * rng.standard_normal(dim))
-
-
-def operator_zoo(rng, dim=3):
-    """One instance of every catalog kind, including the nested wrappers."""
-    inner = operators.NegLog(dim)
-    return [
-        operators.Zero(dim),
-        operators.ScaledIdentity(1.5, dim),
-        random_affine(rng, dim),
-        operators.NormalConePoint(rng.standard_normal(dim)),
-        operators.NormalConeBox(-np.ones(dim), np.ones(dim)),
-        operators.NormalConeBall(rng.standard_normal(dim), 1.5),
-        operators.NegLog(dim),
-        operators.Translated(inner, rng.standard_normal(dim)),
-        operators.Scaled(inner, 2.0),
-    ]
 
 
 @pytest.fixture

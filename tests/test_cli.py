@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import relosplit
 from conftest import GOLDEN_DIR
-from relosplit import cli
+from relosplit import cli, operators, selftest
 from relosplit.driver import ScheduleBudgetWarning
 from relosplit.errors import ConfigError
 from relosplit.schedules import AdaptiveKappa
@@ -451,6 +451,21 @@ class TestMainEntry:
             {"kind": "normal_cone_point", "c": [1.0]},
             {"kind": "normal_cone_ball", "center": [True], "radius": 1.0}]}}},
          "problem.params: operator kind 'normal_cone_ball': center must hold numbers"),
+        ({"problem": {"name": "box_feasibility", "params": {"boxes": 5}}},
+         "problem.params: problem 'box_feasibility': boxes must be a list of [lo, hi] pairs"),
+        ({"problem": {"name": "box_feasibility", "params": {"boxes": [1.0, 2.0]}}},
+         "problem.params: problem 'box_feasibility': boxes must be a list of [lo, hi] pairs"),
+        ({"problem": {"name": "box_feasibility",
+                      "params": {"boxes": [[[0.0], [1.0], [2.0]], [[0.5], [2.0]]]}}},
+         "problem.params: problem 'box_feasibility': boxes must be a list of [lo, hi] pairs"),
+        ({"problem": {"name": "affine_consensus", "params": {"c": 3}}},
+         "problem.params: problem 'affine_consensus': c must be a list of centers"),
+        ({"problem": {"name": "custom", "params": {"ops": 5}}},
+         "problem.params: problem 'custom': ops must be a list of at least 2 operator specs"),
+        ({"problem": {"name": "affine_consensus", "params": {"dim": -1}}},
+         "problem.params: dim must be >= 1"),
+        ({"problem": {"name": "affine_random", "params": {"dim": 0}}},
+         "problem.params: dim must be >= 1"),
     ], ids=["theta", "params", "param-value", "seed", "tol-nan", "tol-inf",
             "max-iters-inf", "tol-huge-int", "gamma-huge-int", "x0-huge-int",
             "graph-N-text", "graph-N-null", "graph-E-false", "graph-E-short-arc",
@@ -472,7 +487,9 @@ class TestMainEntry:
             "consensus-spread-bool", "boxes-text", "boxes-bool", "consensus-c-text",
             "consensus-c-bool", "solution-text", "solution-bool", "point-c-text",
             "point-c-bool", "box-lo-text", "box-hi-bool", "affine-M-text", "affine-b-bool",
-            "translated-shift-text", "ball-center-bool"])
+            "translated-shift-text", "ball-center-bool", "boxes-int", "boxes-flat",
+            "boxes-triple", "consensus-c-int", "custom-ops-int", "consensus-dim-negative",
+            "random-dim-zero"])
     def test_run_malformed_field(self, tmp_path, capsys, overrides, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(minimal_dr2_config(**overrides)))
@@ -539,9 +556,17 @@ class TestMainEntry:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True
-        names = {g["name"] for g in report["groups"]}
-        assert "negative_controls" in names
-        assert all(g["checks"] > 0 for g in report["groups"])
+        # the floors are the check counts of the smaller suite these groups
+        # grew from, so a group that loses checks fails here; the suite's zoo
+        # holds every operator kind
+        floor = {"resolvent_identities": 280, "relocator_axioms": 29, "schedules": 4,
+                 "graph_algebra": 30, "graph_relocator": 50, "lipschitz_bounds": 500,
+                 "equivalences": 12, "convergence": 2, "negative_controls": 2}
+        checks = {g["name"]: g["checks"] for g in report["groups"]}
+        assert checks.keys() == floor.keys()
+        assert all(checks[name] >= floor[name] for name in floor), checks
+        kinds = {op.kind for op in selftest.operator_zoo(np.random.default_rng(0))}
+        assert kinds == set(operators._KINDS)
 
     @pytest.mark.parametrize("argv", [
         ["run", "{cfg}", "--seed", "-1"],

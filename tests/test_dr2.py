@@ -5,7 +5,7 @@ import pytest
 
 from conftest import GAMMA_GRID, random_affine
 from relosplit import dr2, schedules as sch
-from relosplit.driver import StopRule, check_relocator_axioms, run_relocated
+from relosplit.driver import StopRule, run_relocated
 from relosplit.errors import CertificateError, DimensionError, ParameterError
 from relosplit.operators import (
     CountingOperator,
@@ -13,6 +13,7 @@ from relosplit.operators import (
     NormalConePoint,
     Zero,
 )
+from relosplit.selftest import check_relocator_axioms, dr_fixed_point
 
 SQRT5 = math.sqrt(5.0)
 
@@ -130,13 +131,13 @@ class TestCertificates:
         problem = neglog_problem()
         cert = neglog_certificate(problem)
         for gamma in GAMMA_GRID:
-            assert dr2.dr_fixed_point(cert, gamma)[0] == 1.0 + gamma
+            assert dr_fixed_point(cert, gamma)[0] == 1.0 + gamma
 
     def test_zero_displacement(self):
         problem = dr2.DRProblem(Zero(1), Zero(1))
         cert = dr2.DRCertificate(problem, z=[0.5], w=[0.0])
         for gamma in (0.5, 1.0, 2.0):
-            assert dr2.dr_fixed_point(cert, gamma)[0] == 0.5
+            assert dr_fixed_point(cert, gamma)[0] == 0.5
 
     def test_affine_certificate_from_solve(self, rng):
         a, b = random_affine(rng, 3), random_affine(rng, 3)
@@ -145,7 +146,7 @@ class TestCertificates:
         m = a.matrix + b.matrix
         z = np.linalg.solve(m, -(a.offset + b.offset))
         cert = dr2.DRCertificate(problem, z=z, w=a.value(z))
-        y = dr2.dr_fixed_point(cert, 2.0)
+        y = dr_fixed_point(cert, 2.0)
         w, _, _ = dr2.dr_apply(problem, 2.0, y)
         assert np.linalg.norm(y - w) <= 1e-9
 
@@ -160,8 +161,8 @@ class TestCertificates:
         cert = neglog_certificate(neglog_problem())
         for g in GAMMA_GRID:
             for d in GAMMA_GRID:
-                gap = abs(dr2.dr_fixed_point(cert, g)[0]
-                          - dr2.dr_fixed_point(cert, d)[0])
+                gap = abs(dr_fixed_point(cert, g)[0]
+                          - dr_fixed_point(cert, d)[0])
                 assert gap == abs(g - d)
 
 
@@ -291,7 +292,7 @@ class TestAlgorithm1:
         problem = neglog_problem()
         schedule = sch.ExplicitList([1.0, 2.0, 0.5, 1.5, 1.0, 1.0])
         cert = neglog_certificate(problem)
-        anchor0 = dr2.dr_fixed_point(cert, 1.0)
+        anchor0 = dr_fixed_point(cert, 1.0)
         trace = run_relocated(dr2.dr_family(problem), dr2.dr_relocator(problem),
                               schedule, np.array([5.0]),
                               StopRule(residual_tol=1e-14, max_iters=5),
@@ -306,7 +307,7 @@ class TestDRAxiomsHarness:
     def test_neglog_instance_passes(self, rng):
         problem = neglog_problem()
         cert = neglog_certificate(problem)
-        fixed_points = [(g, dr2.dr_fixed_point(cert, g)) for g in GAMMA_GRID]
+        fixed_points = [(g, dr_fixed_point(cert, g)) for g in GAMMA_GRID]
         report = check_relocator_axioms(
             dr2.dr_family(problem), dr2.dr_relocator(problem),
             fixed_points, GAMMA_GRID, tol=1e-9, rng=rng)
@@ -316,7 +317,7 @@ class TestDRAxiomsHarness:
     def test_broken_relocator_flagged(self, rng):
         problem = neglog_problem()
         cert = neglog_certificate(problem)
-        fixed_points = [(1.0, dr2.dr_fixed_point(cert, 1.0))]
+        fixed_points = [(1.0, dr_fixed_point(cert, 1.0))]
         from relosplit.driver import Relocator
         broken = Relocator(
             lambda g, d, x: dr2.dr_relocator_apply(problem.op_a, g, d, x) + 0.1,

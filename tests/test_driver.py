@@ -17,13 +17,13 @@ from relosplit.driver import (
     StopRule,
     ambient_isfinite,
     ambient_norm,
-    check_relocator_axioms,
     run_relocated,
 )
 from relosplit.errors import FixedPointError, ParameterError
 from relosplit.graphs import graph_relocated_run
 from relosplit.linalg import BlockVector
 from relosplit.operators import NegLog, NormalConePoint
+from relosplit.selftest import check_relocator_axioms
 
 
 def identity_family():

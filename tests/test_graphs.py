@@ -4,7 +4,7 @@ import pytest
 from conftest import GAMMA_GRID, random_affine
 from relosplit import graphs, problems, schedules as sch
 from relosplit.dr2 import dr_relocator_apply
-from relosplit.driver import StopRule, check_relocator_axioms, run_relocated
+from relosplit.driver import StopRule, run_relocated
 from relosplit.errors import (
     ConstructionError,
     DimensionError,
@@ -24,12 +24,14 @@ from relosplit.operators import (
     Translated,
     Zero,
 )
-
-
-def chorded_path(n=4):
-    """Path spanning tree with two extra chords."""
-    tree = [(i, i + 1) for i in range(1, n)]
-    return graphs.build_graph(n, tree + [(1, 3), (2, 4)], tree)
+from relosplit.selftest import (
+    check_relocator_axioms,
+    chorded_path,
+    fix_point_oracle_affine,
+    graph_relocator_apply,
+    graph_relocator_lipschitz_bound,
+    relocator_system_residual,
+)
 
 
 def affine_ops(rng, g, dim=2):
@@ -166,7 +168,7 @@ class TestGraphRelocator:
         g = mt_graph(3)
         ops = affine_ops(rng, g)
         x = BlockVector(rng.standard_normal((2, 2)))
-        assert graphs.graph_relocator_apply(ops, g, 1.3, 1.3, x).allclose(x)
+        assert graph_relocator_apply(ops, g, 1.3, 1.3, x).allclose(x)
 
     def test_zero_ops_fixed_point(self):
         # consensus x = ((1),(1)) stays put: Zdag e = ((1),(1))
@@ -174,7 +176,7 @@ class TestGraphRelocator:
         ops = [Zero(1)] * 3
         x = BlockVector([[1.0], [1.0]])
         for delta in (0.5, 2.0, 4.0):
-            y = graphs.graph_relocator_apply(ops, g, 1.0, delta, x)
+            y = graph_relocator_apply(ops, g, 1.0, delta, x)
             assert y.allclose(x, tol=1e-12)
 
     def test_system_residual_random(self, rng):
@@ -183,28 +185,28 @@ class TestGraphRelocator:
             for _ in range(100):
                 x = BlockVector(3.0 * rng.standard_normal((g.n_nodes - 1, 2)))
                 gamma, delta = rng.choice(GAMMA_GRID, size=2)
-                resid = graphs.relocator_system_residual(ops, g, gamma, delta, x)
+                resid = relocator_system_residual(ops, g, gamma, delta, x)
                 assert resid <= 1e-10
 
     def test_fixed_point_transport(self, rng):
         for g in (mt_graph(3), mt_graph(4), chorded_path()):
             ops = affine_ops(rng, g)
             for gamma in (0.5, 1.0, 2.0):
-                x_fix, _ = graphs.fix_point_oracle_affine(ops, g, gamma)
+                x_fix, _ = fix_point_oracle_affine(ops, g, gamma)
                 for delta in GAMMA_GRID:
-                    y = graphs.graph_relocator_apply(ops, g, gamma, delta, x_fix)
+                    y = graph_relocator_apply(ops, g, gamma, delta, x_fix)
                     w, _ = graphs.graph_dr_apply(ops, g, delta, 1.0, y)
                     assert (y - w).norm() <= 1e-8
 
     def test_semigroup_on_fixed_points(self, rng):
         g = mt_graph(4)
         ops = affine_ops(rng, g)
-        x_fix, _ = graphs.fix_point_oracle_affine(ops, g, 1.0)
+        x_fix, _ = fix_point_oracle_affine(ops, g, 1.0)
         for d in GAMMA_GRID:
             for e in GAMMA_GRID:
-                step = graphs.graph_relocator_apply(ops, g, 1.0, d, x_fix)
-                two_step = graphs.graph_relocator_apply(ops, g, d, e, step)
-                direct = graphs.graph_relocator_apply(ops, g, 1.0, e, x_fix)
+                step = graph_relocator_apply(ops, g, 1.0, d, x_fix)
+                two_step = graph_relocator_apply(ops, g, d, e, step)
+                direct = graph_relocator_apply(ops, g, 1.0, e, x_fix)
                 assert (two_step - direct).norm() <= 1e-9
 
 
@@ -320,7 +322,7 @@ class TestOneResolventRelocator:
     def test_axioms_on_chorded_six_node_graph(self, rng):
         g = bench_graph()
         ops = affine_ops(rng, g)
-        fixed_points = [(gamma, graphs.fix_point_oracle_affine(ops, g, gamma)[0])
+        fixed_points = [(gamma, fix_point_oracle_affine(ops, g, gamma)[0])
                         for gamma in (0.5, 1.0, 2.0)]
         report = check_relocator_axioms(graphs.graph_family(ops, g, 1.0),
                                         graphs.graph_relocator(ops, g),
@@ -332,10 +334,10 @@ class TestOneResolventRelocator:
             ops = affine_ops(rng, g)
             relocator = graphs.graph_relocator(ops, g)
             for gamma in (0.5, 1.0, 2.0):
-                x_fix, _ = graphs.fix_point_oracle_affine(ops, g, gamma)
+                x_fix, _ = fix_point_oracle_affine(ops, g, gamma)
                 for delta in GAMMA_GRID:
                     cheap = relocator.apply(gamma, delta, x_fix)
-                    full = graphs.graph_relocator_apply(ops, g, gamma, delta, x_fix)
+                    full = graph_relocator_apply(ops, g, gamma, delta, x_fix)
                     assert (cheap - full).norm() <= 1e-12
 
     def test_half_scaled_ring_is_mt_relocator(self, rng):
@@ -383,7 +385,7 @@ class TestOneResolventRelocator:
             bound = relocator.lipschitz_bound(gamma, delta)
             assert bound == pytest.approx(ratio + abs(1.0 - ratio) * spread, abs=1e-12)
             # 3.7 to 5.2 times tighter here than the pseudo-inverse bound
-            assert bound < graphs.graph_relocator_lipschitz_bound(g, gamma, delta)
+            assert bound < graph_relocator_lipschitz_bound(g, gamma, delta)
             for _ in range(100):
                 u = BlockVector(4.0 * rng.standard_normal((5, 2)))
                 v = BlockVector(4.0 * rng.standard_normal((5, 2)))
@@ -396,12 +398,12 @@ class TestOneResolventRelocator:
 class TestLipschitzBound:
     def test_equal_stepsizes_give_one(self):
         g = mt_graph(3)
-        assert graphs.graph_relocator_lipschitz_bound(g, 1.3, 1.3) == 1.0
+        assert graph_relocator_lipschitz_bound(g, 1.3, 1.3) == 1.0
 
     def test_mt3_hand_recursion(self):
         # L_1 = 1, L_2 = 1 + sqrt(2), L_3 = 3 + sqrt(2); norm(Zdag) = 1
         g = mt_graph(3)
-        bound = graphs.graph_relocator_lipschitz_bound(g, 1.0, 2.0)
+        bound = graph_relocator_lipschitz_bound(g, 1.0, 2.0)
         expected = 2.0 + np.sqrt(1.0 + (3.0 + np.sqrt(2.0)) ** 2)
         assert bound == pytest.approx(expected, abs=1e-12)
         assert bound == pytest.approx(6.526, abs=1e-3)
@@ -410,13 +412,13 @@ class TestLipschitzBound:
         g = mt_graph(3)
         ops = affine_ops(rng, g)
         for gamma, delta in ((1.0, 2.0), (2.0, 0.5), (0.5, 4.0)):
-            bound = graphs.graph_relocator_lipschitz_bound(g, gamma, delta)
+            bound = graph_relocator_lipschitz_bound(g, gamma, delta)
             for _ in range(200):
                 u = BlockVector(4.0 * rng.standard_normal((2, 2)))
                 v = BlockVector(4.0 * rng.standard_normal((2, 2)))
                 denom = (u - v).norm()
-                qu = graphs.graph_relocator_apply(ops, g, gamma, delta, u)
-                qv = graphs.graph_relocator_apply(ops, g, gamma, delta, v)
+                qu = graph_relocator_apply(ops, g, gamma, delta, u)
+                qv = graph_relocator_apply(ops, g, gamma, delta, v)
                 assert (qu - qv).norm() <= bound * denom + 1e-9
 
 
@@ -431,7 +433,7 @@ def test_at_consensus_point_is_blockwise_mean(rng):
 class TestAffineOracle:
     def test_zero_ops(self):
         g = mt_graph(3)
-        x_fix, z_star = graphs.fix_point_oracle_affine([Zero(1)] * 3, g, 1.0)
+        x_fix, z_star = fix_point_oracle_affine([Zero(1)] * 3, g, 1.0)
         w, _ = graphs.graph_dr_apply([Zero(1)] * 3, g, 1.0, 1.0, x_fix)
         assert (x_fix - w).norm() <= 1e-10
 
@@ -440,7 +442,7 @@ class TestAffineOracle:
         g = mt_graph(3)
         cs = [np.array([1.0]), np.array([3.0]), np.array([5.0])]
         ops = [AffineMonotone(np.eye(1), -c) for c in cs]
-        x_fix, z_star = graphs.fix_point_oracle_affine(ops, g, 1.0)
+        x_fix, z_star = fix_point_oracle_affine(ops, g, 1.0)
         assert z_star[0] == pytest.approx(3.0, abs=1e-10)
         w, z = graphs.graph_dr_apply(ops, g, 1.0, 1.0, x_fix)
         assert (x_fix - w).norm() <= 1e-8
@@ -452,12 +454,12 @@ class TestAffineOracle:
         g = mt_graph(3)
         ops = [AffineMonotone(np.zeros((1, 1)), [float(b)]) for b in (1.0, 1.0, 1.0)]
         with pytest.raises(InfeasibleError):
-            graphs.fix_point_oracle_affine(ops, g, 1.0)
+            fix_point_oracle_affine(ops, g, 1.0)
 
     def test_non_affine_rejected(self):
         g = mt_graph(3)
         with pytest.raises(ParameterError):
-            graphs.fix_point_oracle_affine([NegLog(1)] * 3, g, 1.0)
+            fix_point_oracle_affine([NegLog(1)] * 3, g, 1.0)
 
     @pytest.mark.parametrize("make", [
         lambda: NormalConePoint([0.5]),
@@ -469,7 +471,7 @@ class TestAffineOracle:
     def test_non_affine_kind_among_affine_rejected(self, make):
         ops = [AffineMonotone(np.eye(1), [1.0]), make(), Zero(1)]
         with pytest.raises(ParameterError, match="affine operators"):
-            graphs.fix_point_oracle_affine(ops, mt_graph(3), 1.0)
+            fix_point_oracle_affine(ops, mt_graph(3), 1.0)
 
 
 class TestGraphRelocatedRun:

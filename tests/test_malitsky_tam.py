@@ -14,6 +14,11 @@ from relosplit.operators import (
     NormalConePoint,
     Zero,
 )
+from relosplit.selftest import (
+    fix_point_oracle_affine,
+    graph_relocator_apply,
+    mt_vs_graph_equivalence,
+)
 
 SQRT5 = math.sqrt(5.0)
 
@@ -160,11 +165,11 @@ class TestMTRelocator:
             ops = list(problem.ops)
             g = mt.mt_graph(n)
             for gamma in (0.5, 1.0):
-                x_graph, _ = graphs.fix_point_oracle_affine(ops, g, 2.0 * gamma)
+                x_graph, _ = fix_point_oracle_affine(ops, g, 2.0 * gamma)
                 x_mt = 0.5 * x_graph
                 for delta in GAMMA_GRID:
                     cheap = mt.mt_relocator_apply(problem, gamma, delta, x_mt)
-                    full = graphs.graph_relocator_apply(ops, g, 2.0 * gamma,
+                    full = graph_relocator_apply(ops, g, 2.0 * gamma,
                                                         2.0 * delta, x_graph)
                     assert (0.5 * full - cheap).norm() <= 1e-9
 
@@ -324,17 +329,17 @@ class TestChangeOfVariables:
                 for _ in range(10):
                     x = BlockVector(rng.standard_normal((n - 1, 2)))
                     gamma = float(rng.choice((0.5, 1.0, 2.0)))
-                    report = mt.mt_vs_graph_equivalence(problem, gamma, x)
+                    report = mt_vs_graph_equivalence(problem, gamma, x)
                     assert report.passed, (report.max_operator_diff,
                                            report.max_sweep_diff)
 
     def test_zero_ops_both_sides_telescope(self, rng):
         problem = mt.MTProblem(tuple(Zero(2) for _ in range(4)), theta=0.5)
         x = BlockVector(rng.standard_normal((3, 2)))
-        report = mt.mt_vs_graph_equivalence(problem, 1.0, x)
+        report = mt_vs_graph_equivalence(problem, 1.0, x)
         assert report.passed
 
     def test_n2_rejected(self):
         problem = neglog_mt()
         with pytest.raises(ParameterError):
-            mt.mt_vs_graph_equivalence(problem, 1.0, BlockVector([[1.0]]))
+            mt_vs_graph_equivalence(problem, 1.0, BlockVector([[1.0]]))

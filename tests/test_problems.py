@@ -3,6 +3,7 @@ import pytest
 
 from relosplit import dr2, problems
 from relosplit.errors import ConstructionError, NoOracleError
+from relosplit.selftest import dr_fixed_point
 
 
 class TestIndicatorNeglog:
@@ -16,7 +17,7 @@ class TestIndicatorNeglog:
     def test_certificate_fixed_points_exact(self):
         inst = problems.make_problem("indicator_neglog")
         for gamma in (0.25, 0.5, 1.0, 2.0, 4.0):
-            y = dr2.dr_fixed_point(inst.dr_certificate, gamma)
+            y = dr_fixed_point(inst.dr_certificate, gamma)
             assert y[0] == 1.0 + gamma
 
     def test_dr_problem_helper(self):
