@@ -9,7 +9,6 @@ import argparse
 import json
 import math
 import os
-import reprlib
 import sys
 from dataclasses import asdict, dataclass
 
@@ -18,10 +17,22 @@ import numpy as np
 from . import __version__
 from .dr2 import algorithm1_run
 from .driver import StopRule
-from .errors import ConfigError, RelosplitError, UnknownFieldError
+from .errors import ConfigError, RelosplitError
 from .graphs import build_graph, graph_relocated_run
+from .kinds import (
+    INTEGER,
+    NESTED_NUMBERS,
+    NUMBER,
+    NUMBERS,
+    Leaf,
+    ListOf,
+    Object,
+    Tagged,
+    checked,
+    one_of,
+)
 from .malitsky_tam import MTProblem, algorithm2_run
-from .problems import make_problem, problem_names, solution_residual
+from .problems import PROBLEM, make_problem, solution_residual
 from .schedules import (
     AdaptiveKappa,
     Constant,
@@ -47,148 +58,38 @@ _STATUS_EXIT = {
 }
 
 
-def _is_list(value):
-    return isinstance(value, (list, tuple))
-
-
-def _is_nested(value):
-    return _is_list(value) and all(_is_nested(v) if _is_list(v) else NUMBER.test(v)
-                                   for v in value)
-
-
-class _Leaf:
-    """A field kind whose value is a JSON scalar or list.
-
-    A value passes when ``test`` holds and ``convert`` normalizes it without
-    raising; otherwise the error reads "<path>: must be <what>, got <value>".
-    """
-
-    def __init__(self, what, test, convert=lambda value: value):
-        self.what = what
-        self.test = test
-        self.convert = convert
-
-    def check(self, value, path, errors):
-        try:
-            if self.test(value):
-                return self.convert(value)
-        except OverflowError:  # float() of an integer that no float holds
-            errors.append(f"{path}: holds an integer beyond the float range")
-            return None
-        except (ValueError, RecursionError):  # ragged or too deeply nested lists
-            pass
-        errors.append(f"{path}: must be {self.what}, got {reprlib.repr(value)}")
-        return None
-
-
-class _Object:
-    """A JSON object kind: the keys it allows, each mapped to its kind.
-
-    A required key must be present, a key set to null counts as absent, and
-    any other key is an error. Once every field has passed, ``build`` (the
-    class the object describes) is called with them, to check their ranges.
-    ``check`` returns the normalized object of the fields that passed.
-    """
-
-    def __init__(self, required, optional=None, build=None):
-        self.required = required
-        self.optional = optional or {}
-        self.build = build
-
-    def check(self, value, path, errors):
-        if not isinstance(value, dict):
-            errors.append(f"{path}: must be an object, got {reprlib.repr(value)}")
-            return None
-        count = len(errors)
-        prefix = f"{path}." if path else ""
-        kinds = {**self.required, **self.optional}
-        errors += [f"{prefix}{key}: unknown field" for key in value if key not in kinds]
-        out = {}
-        for key, kind in kinds.items():
-            if value.get(key) is None:
-                if key in self.required:
-                    errors.append(f"{prefix}{key}: required field")
-                continue
-            before = len(errors)
-            item = kind.check(value[key], prefix + key, errors)
-            if len(errors) == before:
-                out[key] = item
-        if self.build is not None and len(errors) == count:
-            try:
-                self.build(**out)
-            except RelosplitError as exc:
-                errors.append(f"{path}: {exc}")
-        return out
-
-
-class _Tagged(_Object):
-    """A JSON object whose ``tag`` key names its variant, an _Object of the
-    other keys. Under a tag that names no variant, every variant's keys are
-    optional."""
-
-    def __init__(self, tag, variants):
-        super().__init__({tag: _one_of(*variants)}, {
-            key: kind for variant in variants.values()
-            for key, kind in {**variant.required, **variant.optional}.items()})
-        self.tag = tag
-        self.variants = variants
-
-    def check(self, value, path, errors):
-        name = value.get(self.tag) if isinstance(value, dict) else None
-        if not (isinstance(name, str) and name in self.variants):
-            return super().check(value, path, errors)
-        body = {key: item for key, item in value.items() if key != self.tag}
-        return {self.tag: name, **self.variants[name].check(body, path, errors)}
-
-
-def _one_of(*choices):
-    return _Leaf(f"one of {', '.join(choices)}",
-                 lambda value: isinstance(value, str) and value in choices)
-
-
-NUMBER = _Leaf("a number", lambda value: isinstance(value, (int, float))
-               and not isinstance(value, bool), float)
-INTEGER = _Leaf("an integer",
-                lambda value: isinstance(value, int) and not isinstance(value, bool))
-NUMBERS = _Leaf("a list of numbers",
-                lambda value: _is_list(value) and all(map(NUMBER.test, value)),
-                lambda value: [float(v) for v in value])
-NESTED_NUMBERS = _Leaf("a (nested) list of numbers", _is_nested,
-                       lambda value: np.array(value, dtype=float).tolist())
-ARCS = _Leaf("a list of integer pairs [i, j]", lambda value: _is_list(value) and all(
-    _is_list(arc) and len(arc) == 2 and all(map(INTEGER.test, arc)) for arc in value))
-#: open() refuses a NUL character, and os.fsencode a lone surrogate
-PATH = _Leaf("a file path string",
-             lambda value: isinstance(value, str) and b"\0" not in os.fsencode(value))
+ARCS = ListOf(ListOf(INTEGER, 2, 2))
+#: open() refuses a NUL character, and os.fsencode a lone surrogate; an empty
+#: path names no file
+PATH = Leaf("a file path string", lambda value: isinstance(value, str) and value != ""
+            and b"\0" not in os.fsencode(value))
 
 #: Each schedule kind's keys, which are the keywords of its class
-SCHEDULES = {
-    "constant": _Object({"gamma": NUMBER}, build=Constant),
-    "geometric": _Object({"limit": NUMBER, "start": NUMBER, "ratio": NUMBER},
-                         build=GeometricToLimit),
-    "explicit": _Object({"values": NUMBERS}, build=ExplicitList),
-    "adaptive_kappa": _Object({"gamma0": NUMBER}, {"clamp_lo": NUMBER, "clamp_hi": NUMBER},
-                              build=AdaptiveKappa),
-}
+SCHEDULE = Tagged("kind", {
+    "constant": Object({"gamma": NUMBER}, build=Constant),
+    "geometric": Object({"limit": NUMBER, "start": NUMBER, "ratio": NUMBER},
+                        build=GeometricToLimit),
+    "explicit": Object({"values": NUMBERS}, build=ExplicitList),
+    "adaptive_kappa": Object({"gamma0": NUMBER}, {"clamp_lo": NUMBER, "clamp_hi": NUMBER},
+                             build=AdaptiveKappa),
+})
 
-#: The kind of every config field. The classes the run builds check the
-#: ranges, and make_problem checks problem.params (problems._FACTORIES).
-SCHEMA = _Object(
+#: The kind of every config field, down to problem.params and each operator
+#: spec. The objects build what they describe (the problem instance, the
+#: schedule, the stop rule, the graph), whose classes check the ranges.
+SCHEMA = Object(
     {
-        "problem": _Object({"name": _one_of(*problem_names())}, {
-            "params": _Leaf("an object", lambda value: isinstance(value, dict)),
-            "seed": _Leaf("a non-negative integer",
-                          lambda value: INTEGER.test(value) and value >= 0)}),
-        "algorithm": _one_of(*ALGORITHMS),
-        "schedule": _Tagged("kind", SCHEDULES),
-        "stop": _Object({"residual_tol": NUMBER, "max_iters": INTEGER}, build=StopRule),
+        "problem": PROBLEM,
+        "algorithm": one_of(*ALGORITHMS),
+        "schedule": SCHEDULE,
+        "stop": Object({"residual_tol": NUMBER, "max_iters": INTEGER}, build=StopRule),
     },
     {
         "theta": NUMBER,
-        "graph": _Object({"N": INTEGER, "E": ARCS, "Eprime": ARCS},
-                         build=lambda N, E, Eprime: build_graph(N, E, Eprime)),
+        "graph": Object({"N": INTEGER, "E": ARCS, "Eprime": ARCS},
+                        build=lambda N, E, Eprime: build_graph(N, E, Eprime)),
         "x0": NESTED_NUMBERS,
-        "output": _Object({}, {"trace_path": PATH, "summary_path": PATH}),
+        "output": Object({}, {"trace_path": PATH, "summary_path": PATH}),
     },
 )
 
@@ -212,17 +113,17 @@ def config_to_dict(cfg):
 
 
 def schedule_from_spec(spec):
-    """Build the StepsizeSchedule of a schedule object that passed SCHEMA."""
-    params = dict(spec)
-    return SCHEDULES[params.pop("kind")].build(**params)
+    """Build the StepsizeSchedule of a schedule object (a config's "schedule")."""
+    return checked(SCHEDULE, spec)
 
 
 def parse_config(doc):
     """Validate a config document (mapping or JSON text) into ExperimentConfig.
 
-    SCHEMA checks the kind of every field, the constructors the run uses
-    check their ranges, and the checks across fields (theta and x0 against
-    the algorithm, the graph and dr2's arity against the problem) follow.
+    SCHEMA checks the kind of every field, down to each operator spec, and
+    builds what the run uses, whose constructors check the ranges; the
+    checks across fields (theta and x0 against the algorithm, the graph and
+    dr2's arity against the problem) follow.
     All violations are aggregated into a single ConfigError whose messages
     are path-qualified, e.g. "schedule.gamma: must be a number, got '1.0'".
     """
@@ -237,17 +138,7 @@ def parse_config(doc):
     errors = []
     fields = SCHEMA.check(doc, "", errors)
 
-    instance = None
-    if "problem" in fields:
-        problem = fields["problem"]
-        try:
-            instance = make_problem(problem["name"], problem.get("params"),
-                                    problem.get("seed"))
-        except UnknownFieldError as exc:
-            errors.append(f"problem.params.{exc}")
-        except (RelosplitError, KeyError, TypeError, ValueError, OverflowError) as exc:
-            errors.append(f"problem.params: {exc}")
-
+    instance = fields.get("problem")
     algorithm = fields.get("algorithm")
     theta = fields.get("theta")
     if algorithm == "dr2":
@@ -266,19 +157,20 @@ def parse_config(doc):
         errors.append("graph: required object {N, E, Eprime} for algorithm 'graph'")
     elif algorithm != "graph" and graph is not None:
         errors.append("graph: only used by algorithm 'graph'")
-    elif graph is not None and instance is not None and graph["N"] != instance.n_ops:
-        errors.append(f"graph.N: graph has {graph['N']} nodes but the problem "
+    elif graph is not None and instance is not None and graph.n_nodes != instance.n_ops:
+        errors.append(f"graph.N: graph has {graph.n_nodes} nodes but the problem "
                       f"has {instance.n_ops} operators")
 
     x0 = fields.get("x0")
     if x0 is not None and instance is not None and algorithm is not None:
         shape = _x0_shape(algorithm, instance)
-        if np.shape(x0) != shape:
-            errors.append(f"x0: expected shape {shape}, got shape {np.shape(x0)}")
+        if x0.shape != shape:
+            errors.append(f"x0: expected shape {shape}, got shape {x0.shape}")
 
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(**fields)
+    # the config keeps the document's own (checked) fields, so it stays JSON
+    return ExperimentConfig(**{key: doc[key] for key in fields})
 
 
 def _x0_shape(algorithm, instance):

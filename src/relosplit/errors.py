@@ -21,13 +21,6 @@ class ConstructionError(RelosplitError, ValueError):
     """An operator or graph description violates its invariants."""
 
 
-class UnknownFieldError(ConstructionError):
-    """A description carries a key its kind does not accept."""
-
-    def __init__(self, field):
-        super().__init__(f"{field}: unknown field")
-
-
 class ConsistencyError(RelosplitError):
     """An internal algebraic identity failed beyond numerical tolerance."""
 

@@ -16,14 +16,15 @@ checked vectors; the module functions ``single_value`` and
 """
 
 import math
-import numbers
 
 import numpy as np
 
 from .errors import ConstructionError, DimensionError, ParameterError
+from .kinds import NESTED_NUMBERS, NUMBER, Object, Tagged, checked, integer
 from .linalg import as_matrix, as_vector, solve_linear
 
-#: Smallest admissible eigenvalue of M + M^T for the affine kind. Slightly
+#: Smallest admissible eigenvalue of M + M^T for the affine kind (half of it
+#: for the symmetric part (M + M^T)/2, which is what is tested). Slightly
 #: negative so that exactly-skew matrices survive floating-point checks.
 PSD_TOL = -1e-10
 
@@ -32,6 +33,9 @@ PSD_TOL = -1e-10
 #: error is about cond_1(V) * machine epsilon relative to the input. A worse
 #: basis (defective or nearly defective M) keeps the dense solve.
 EIG_COND_MAX = 1e4
+
+#: The kind of an operator's dimension
+DIM = integer(1)
 
 
 class MonotoneOperator:
@@ -73,51 +77,13 @@ class MonotoneOperator:
         return f"<{type(self).__name__} dim={self.dim}>"
 
 
-def _checked_dim(kind, dim):
-    """A dim field, an integer >= 1; a bool, a float or text is an error."""
-    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
-        raise ConstructionError(f"operator kind {kind!r}: dim must be an integer, "
-                                f"got {dim!r}")
-    if dim < 1:
-        raise ConstructionError(f"operator kind {kind!r}: dim must be >= 1")
-    return int(dim)
-
-
-def _checked_number(kind, key, value):
-    """A number field, a real that is not a bool; text or a bool is an error."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConstructionError(f"operator kind {kind!r}: {key} must be a number, "
-                                f"got {value!r}")
-    return float(value)
-
-
-def _checked_numbers(label, key, value):
-    """A vector or matrix field: nested lists of numbers, or a numeric array.
-
-    A text or bool leaf is an error, since np.asarray(dtype=float) would
-    read "1.0" and true as 1.0. Runs where outside data enters, once per
-    field, never inside a resolvent. Returns value unchanged.
-    """
-    stack = [value]
-    while stack:
-        leaf = stack.pop()
-        if isinstance(leaf, (list, tuple)):
-            stack.extend(reversed(leaf))
-        elif isinstance(leaf, np.ndarray):
-            if leaf.dtype.kind not in "iuf":
-                stack.append(leaf.tolist())
-        elif isinstance(leaf, bool) or not isinstance(leaf, numbers.Real):
-            raise ConstructionError(f"{label}: {key} must hold numbers, got {leaf!r}")
-    return value
-
-
 class Zero(MonotoneOperator):
     """A = 0, so J = Id."""
 
     kind = "zero"
 
     def __init__(self, dim):
-        self.dim = _checked_dim(self.kind, dim)
+        self.dim = checked(DIM, dim, "dim")
 
     def _resolvent(self, gamma, x):
         return x.copy()
@@ -135,12 +101,12 @@ class ScaledIdentity(MonotoneOperator):
     kind = "scaled_identity"
 
     def __init__(self, lam, dim):
-        lam = _checked_number(self.kind, "lam", lam)
+        lam = checked(NUMBER, lam, "lam")
         if not np.isfinite(lam) or lam < 0:
             raise ConstructionError(f"operator kind {self.kind!r}: lam must be >= 0, "
                                     f"got {lam}")
         self.lam = lam
-        self.dim = _checked_dim(self.kind, dim)
+        self.dim = checked(DIM, dim, "dim")
 
     def _resolvent(self, gamma, x):
         return x / (1.0 + gamma * self.lam)
@@ -178,10 +144,12 @@ class AffineMonotone(MonotoneOperator):
             raise ConstructionError(f"M must be square, got shape {m.shape}")
         if m.shape[0] != b.size:
             raise ConstructionError("M and b dimensions disagree")
-        sym_eigs = np.linalg.eigvalsh(m + m.T)
-        if sym_eigs[0] < PSD_TOL:
+        # the symmetric part (M + M^T)/2 is formed in halves, so no entry
+        # overflows; an eigenvalue that is NaN fails the test as well
+        low = np.linalg.eigvalsh(0.5 * m + 0.5 * m.T)[0]
+        if not low >= 0.5 * PSD_TOL:
             raise ConstructionError(
-                f"M + M^T has eigenvalue {sym_eigs[0]:.3e} < {PSD_TOL}; "
+                f"(M + M^T)/2 has eigenvalue {low:.3e} < {0.5 * PSD_TOL}; "
                 "operator would not be monotone"
             )
         self.matrix = m
@@ -275,7 +243,7 @@ class NormalConeBall(MonotoneOperator):
     kind = "normal_cone_ball"
 
     def __init__(self, center, radius):
-        radius = _checked_number(self.kind, "radius", radius)
+        radius = checked(NUMBER, radius, "radius")
         if not np.isfinite(radius) or radius <= 0:
             raise ConstructionError(f"radius must be > 0, got {radius}")
         self.center = as_vector(center)
@@ -300,7 +268,7 @@ class NegLog(MonotoneOperator):
     kind = "neg_log"
 
     def __init__(self, dim):
-        self.dim = _checked_dim(self.kind, dim)
+        self.dim = checked(DIM, dim, "dim")
 
     def _resolvent(self, gamma, x):
         root = np.sqrt(x * x + 4.0 * gamma)
@@ -353,7 +321,7 @@ class Scaled(MonotoneOperator):
     def __init__(self, inner, sigma):
         if not isinstance(inner, MonotoneOperator):
             raise ConstructionError("inner must be a MonotoneOperator")
-        sigma = _checked_number(self.kind, "sigma", sigma)
+        sigma = checked(NUMBER, sigma, "sigma")
         if not np.isfinite(sigma) or sigma <= 0:
             raise ConstructionError(f"sigma must be > 0, got {sigma}")
         self.inner = inner
@@ -431,21 +399,25 @@ def inclusion_residual(op, point, value):
     return op.inclusion_residual(_checked_point(op, point), _checked_point(op, value))
 
 
-#: Each spec kind's class, and the constructor keyword each of its keys
-#: fills; any other key is an error. "inner" holds a nested spec, and the
-#: keys of _ARRAY_KEYS hold vectors or matrices.
-_KINDS = {
-    "zero": (Zero, {"dim": "dim"}),
-    "scaled_identity": (ScaledIdentity, {"lam": "lam", "dim": "dim"}),
-    "affine": (AffineMonotone, {"M": "matrix", "b": "offset"}),
-    "normal_cone_point": (NormalConePoint, {"c": "point"}),
-    "normal_cone_box": (NormalConeBox, {"lo": "lo", "hi": "hi"}),
-    "normal_cone_ball": (NormalConeBall, {"center": "center", "radius": "radius"}),
-    "neg_log": (NegLog, {"dim": "dim"}),
-    "translated": (Translated, {"inner": "inner", "shift": "shift"}),
-    "scaled": (Scaled, {"inner": "inner", "sigma": "sigma"}),
-}
-_ARRAY_KEYS = frozenset({"M", "b", "c", "lo", "hi", "center", "shift"})
+#: Each operator spec kind: its keys, each mapped to its field kind, and the
+#: class built from them. "inner" holds a nested spec, so the table is filled
+#: in after the Tagged kind that refers to it.
+SPECS = {}
+OPERATOR = Tagged("kind", SPECS)
+SPECS.update({
+    "zero": Object({"dim": DIM}, build=Zero),
+    "scaled_identity": Object({"lam": NUMBER, "dim": DIM}, build=ScaledIdentity),
+    "affine": Object({"M": NESTED_NUMBERS, "b": NESTED_NUMBERS},
+                     build=lambda M, b: AffineMonotone(M, b)),
+    "normal_cone_point": Object({"c": NESTED_NUMBERS}, build=lambda c: NormalConePoint(c)),
+    "normal_cone_box": Object({"lo": NESTED_NUMBERS, "hi": NESTED_NUMBERS},
+                              build=NormalConeBox),
+    "normal_cone_ball": Object({"center": NESTED_NUMBERS, "radius": NUMBER},
+                               build=NormalConeBall),
+    "neg_log": Object({"dim": DIM}, build=NegLog),
+    "translated": Object({"inner": OPERATOR, "shift": NESTED_NUMBERS}, build=Translated),
+    "scaled": Object({"inner": OPERATOR, "sigma": NUMBER}, build=Scaled),
+})
 
 
 def make_operator(spec):
@@ -453,25 +425,8 @@ def make_operator(spec):
 
     ``spec`` is a mapping with a "kind" key plus kind-specific parameters,
     e.g. {"kind": "normal_cone_point", "c": [1.0]}. The nested kinds
-    "translated" and "scaled" take an "inner" sub-description. A missing or
-    unknown parameter, or a text or bool entry in a vector or matrix, raises
-    ConstructionError naming the kind and the key.
+    "translated" and "scaled" take an "inner" sub-description. Any fault
+    raises ConstructionError naming the field by its path in the spec
+    (``inner.dim: must be an integer, got 1.9``, ``bogus: unknown field``).
     """
-    if not isinstance(spec, dict):
-        raise ConstructionError("operator spec must be a mapping")
-    kind = spec.get("kind")
-    if not (isinstance(kind, str) and kind in _KINDS):
-        raise ConstructionError(f"unknown operator kind {kind!r}")
-    cls, keywords = _KINDS[kind]
-    for key in spec:
-        if key != "kind" and key not in keywords:
-            raise ConstructionError(f"operator kind {kind!r} has unknown field {key!r}")
-    for key in keywords:
-        if key not in spec:
-            raise ConstructionError(f"operator kind {kind!r} is missing parameter {key!r}")
-        if key in _ARRAY_KEYS:
-            _checked_numbers(f"operator kind {kind!r}", key, spec[key])
-    args = {keywords[key]: spec[key] for key in keywords}
-    if "inner" in args:
-        args["inner"] = make_operator(args["inner"])
-    return cls(**args)
+    return checked(OPERATOR, spec)

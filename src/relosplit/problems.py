@@ -1,20 +1,21 @@
 """Bundled test problems with known solutions or independent oracles."""
 
-import numbers
+from functools import partial
 
 import numpy as np
 
 from .dr2 import DRCertificate, DRProblem
 from .driver import ambient_norm
-from .errors import ConstructionError, DimensionError, NoOracleError, UnknownFieldError
+from .errors import ConstructionError, DimensionError, NoOracleError
+from .kinds import NESTED_NUMBERS, NUMBER, ListOf, Object, Tagged, checked, integer
 from .linalg import as_vector
 from .operators import (
+    DIM,
+    OPERATOR,
     AffineMonotone,
     NegLog,
     NormalConeBox,
     NormalConePoint,
-    _checked_numbers,
-    make_operator,
     single_value,
 )
 
@@ -98,28 +99,6 @@ def _box_distance(lo, hi):
     return lambda z: ambient_norm(z - np.minimum(np.maximum(z, lo), hi))
 
 
-#: What a list-valued param may be: a JSON list, or a sequence from Python.
-_SEQUENCE = (list, tuple, np.ndarray)
-
-
-def _int_param(params, key, default, low):
-    """params[key] (default if absent), which must be an integer >= low, not a bool."""
-    value = params.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConstructionError(f"{key} must be an integer, got {value!r}")
-    if value < low:
-        raise ConstructionError(f"{key} must be >= {low}, got {value}")
-    return int(value)
-
-
-def _number_param(params, key, default):
-    """params[key] (default if absent), which must be a number, not a bool or text."""
-    value = params.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConstructionError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
 def _indicator_neglog(params, seed):
     op_a = NormalConePoint([1.0])
     op_b = NegLog(1)
@@ -135,18 +114,11 @@ def _indicator_neglog(params, seed):
 
 def _affine_consensus(params, seed):
     if "c" in params:
-        if not isinstance(params["c"], _SEQUENCE):
-            raise ConstructionError("problem 'affine_consensus': c must be a list of centers")
-        centers = [as_vector(c) for c in
-                   _checked_numbers("problem 'affine_consensus'", "c", params["c"])]
+        centers = [as_vector(c) for c in params["c"]]
     else:
-        count = _int_param(params, "count", 3, 2)
-        dim = _int_param(params, "dim", 1, 1)
-        spread = _number_param(params, "spread", 1.0)
         rng = np.random.default_rng(seed)
-        centers = [spread * rng.standard_normal(dim) for _ in range(count)]
-    if len(centers) < 2:
-        raise ConstructionError("affine_consensus needs at least 2 centers")
+        centers = [params.get("spread", 1.0) * rng.standard_normal(params.get("dim", 1))
+                   for _ in range(params.get("count", 3))]
     dims = {c.size for c in centers}
     if len(dims) != 1:
         raise DimensionError("centers have mixed dimensions")
@@ -161,8 +133,8 @@ def _affine_consensus(params, seed):
 
 
 def _affine_random(params, seed):
-    count = _int_param(params, "count", 3, 2)
-    dim = _int_param(params, "dim", 2, 1)
+    count = params.get("count", 3)
+    dim = params.get("dim", 2)
     rng = np.random.default_rng(seed)
     zero = rng.standard_normal(dim)
     mats, offs = [], []
@@ -185,14 +157,7 @@ def _affine_random(params, seed):
 
 
 def _box_feasibility(params, seed):
-    boxes = params.get("boxes")
-    if not (isinstance(boxes, _SEQUENCE)
-            and all(isinstance(box, _SEQUENCE) and len(box) == 2 for box in boxes)):
-        raise ConstructionError(
-            "problem 'box_feasibility': boxes must be a list of [lo, hi] pairs")
-    if len(boxes) < 2:
-        raise ConstructionError("box_feasibility needs at least 2 boxes")
-    _checked_numbers("problem 'box_feasibility'", "boxes", boxes)
+    boxes = params["boxes"]
     ops = [NormalConeBox(lo, hi) for (lo, hi) in boxes]
     dims = {op.dim for op in ops}
     if len(dims) != 1:
@@ -208,23 +173,19 @@ def _box_feasibility(params, seed):
 
 
 def _custom(params, seed):
-    specs = params.get("ops")
-    if not isinstance(specs, _SEQUENCE) or len(specs) < 2:
-        raise ConstructionError(
-            "problem 'custom': ops must be a list of at least 2 operator specs")
-    ops = [make_operator(spec) for spec in specs]
+    ops = params["ops"]
     dims = {op.dim for op in ops}
     if len(dims) != 1:
         raise DimensionError("custom operators act on mixed dimensions")
     solution = params.get("solution")
     if solution is not None:
-        solution = as_vector(_checked_numbers("problem 'custom'", "solution", solution))
+        solution = as_vector(solution)
         # when every operator is single valued at the declared point, the
         # zero-of-the-sum claim is checkable directly
         values = [single_value(op, solution) for op in ops]
         if all(v is not None for v in values):
             total = np.linalg.norm(sum(values))
-            if total > 1e-8:
+            if not total <= 1e-8:
                 raise ConstructionError(
                     f"declared solution has sum residual {total:.3e}")
     return ProblemInstance(
@@ -235,14 +196,35 @@ def _custom(params, seed):
     )
 
 
-#: Each problem's factory and the params it accepts; any other key is an error
+#: Each problem's factory and the kind of its params
 _FACTORIES = {
-    "indicator_neglog": (_indicator_neglog, ()),
-    "affine_consensus": (_affine_consensus, ("c", "count", "dim", "spread")),
-    "affine_random": (_affine_random, ("count", "dim")),
-    "box_feasibility": (_box_feasibility, ("boxes",)),
-    "custom": (_custom, ("ops", "solution")),
+    "indicator_neglog": (_indicator_neglog, Object({})),
+    "affine_consensus": (_affine_consensus, Object({}, {
+        "c": ListOf(NESTED_NUMBERS, 2), "count": integer(2), "dim": DIM, "spread": NUMBER})),
+    "affine_random": (_affine_random, Object({}, {"count": integer(2), "dim": DIM})),
+    "box_feasibility": (_box_feasibility, Object({
+        "boxes": ListOf(ListOf(NESTED_NUMBERS, 2, 2), 2)})),
+    "custom": (_custom, Object({"ops": ListOf(OPERATOR, 2)}, {"solution": NESTED_NUMBERS})),
 }
+
+
+def _instance(factory, params=None, seed=None):
+    """The instance ``factory`` makes of checked params; its solution point,
+    when it has one and an oracle, must pass that oracle."""
+    instance = factory(params or {}, seed)
+    if instance.solution_point is not None and instance.has_oracle:
+        resid = solution_residual(instance, instance.solution_point)
+        if not resid <= 1e-8:
+            raise ConstructionError(f"{instance.name}: oracle point has residual {resid:.3e}")
+    return instance
+
+
+#: The config's problem object, whose name picks the kind of its params;
+#: they are required when that kind has a required key
+PROBLEM = Tagged("name", {
+    name: Object({"params": params} if params.required else {},
+                 {"params": params, "seed": integer(0)}, build=partial(_instance, factory))
+    for name, (factory, params) in _FACTORIES.items()})
 
 
 def make_problem(name, params=None, seed=None):
@@ -253,29 +235,14 @@ def make_problem(name, params=None, seed=None):
     (seeded monotone affine operators with a planted common zero),
     box_feasibility (normal cones of boxes; no oracle when disjoint), and
     custom (params: {"ops": [operator specs], "solution": optional point}).
-    A param the problem does not accept raises UnknownFieldError.
+    A param the problem does not accept, or one of the wrong kind, raises
+    ConstructionError naming it by its path in params (``dimm: unknown
+    field``, ``ops[1].dim: must be an integer, got 1.9``).
     """
-    try:
-        factory, allowed = _FACTORIES[name]
-    except KeyError:
-        raise ConstructionError(f"unknown problem name {name!r}") from None
-    params = dict(params or {})
-    for key in params:
-        if key not in allowed:
-            raise UnknownFieldError(key)
-    instance = factory(params, seed)
-    _validate_oracle(instance)
-    return instance
-
-
-def _validate_oracle(instance):
-    if instance.solution_point is None or not instance.has_oracle:
-        return
-    resid = solution_residual(instance, instance.solution_point)
-    if resid > 1e-8:
-        raise ConstructionError(
-            f"{instance.name}: oracle point has residual {resid:.3e}"
-        )
+    if name not in _FACTORIES:
+        raise ConstructionError(f"unknown problem name {name!r}")
+    factory, kind = _FACTORIES[name]
+    return _instance(factory, checked(kind, params or {}), seed)
 
 
 def problem_names():

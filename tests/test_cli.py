@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import relosplit
 from conftest import GOLDEN_DIR
-from relosplit import cli, operators, selftest
+from relosplit import cli, kinds, operators, selftest
 from relosplit.driver import ScheduleBudgetWarning
 from relosplit.errors import ConfigError
 from relosplit.schedules import AdaptiveKappa
@@ -269,17 +269,19 @@ class TestMainEntry:
         assert (tmp_path / "run0" / "summary.json").exists()
         assert (tmp_path / "run1" / "summary.json").exists()
 
-    def test_run_batch_checks_x0_before_running(self, tmp_path, capsys):
+    @pytest.mark.parametrize("x0", [[1.0, 2.0], [float("nan")]], ids=["shape", "nan"])
+    def test_run_batch_checks_x0_before_running(self, tmp_path, capsys, x0):
         good = tmp_path / "good.json"
         good.write_text(json.dumps(geometric_dr2_config(tmp_path)))
         bad = tmp_path / "badx0.json"
-        bad.write_text(json.dumps(minimal_dr2_config(x0=[1.0, 2.0])))
-        code = cli.main(["run", str(good), str(bad)])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert f"{bad}: x0:" in captured.err
-        assert captured.out == ""
-        assert sorted(os.listdir(tmp_path)) == ["badx0.json", "good.json"]
+        bad.write_text(json.dumps(minimal_dr2_config(x0=x0)))
+        for command in ("run", "compare"):
+            code = cli.main([command, str(good), str(bad)])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert f"{bad}: x0:" in captured.err
+            assert captured.out == ""
+            assert sorted(os.listdir(tmp_path)) == ["badx0.json", "good.json"]
 
     def test_run_invalid_config(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -294,7 +296,7 @@ class TestMainEntry:
          "theta:"),
         ({"problem": {"name": "indicator_neglog", "params": [1, 2]}}, "problem.params:"),
         ({"problem": {"name": "affine_random", "params": {"count": "abc"}}},
-         "problem.params:"),
+         "problem.params.count: must be an integer, got 'abc'"),
         ({"problem": {"name": "affine_random", "seed": "x"}}, "problem.seed:"),
         ({"stop": {"residual_tol": float("nan"), "max_iters": 10}}, "stop:"),
         ({"stop": {"residual_tol": float("inf"), "max_iters": 10}}, "stop:"),
@@ -305,8 +307,8 @@ class TestMainEntry:
         (graph_field("N", "3x"), "graph.N:"),
         (graph_field("N", None), "graph.N:"),
         (graph_field("E", False), "graph.E:"),
-        (graph_field("E", [[1, 2], [2]]), "graph.E:"),
-        (graph_field("E", [[1, 2.5], [2, 3]]), "graph.E:"),
+        (graph_field("E", [[1, 2], [2]]), "graph.E[1]: must hold 2 items, got 1"),
+        (graph_field("E", [[1, 2.5], [2, 3]]), "graph.E[0][1]: must be an integer, got 2.5"),
         (graph_field("Eprime", None), "graph.Eprime:"),
         (graph_field("Eprime", {":": None}), "graph.Eprime:"),
         ({"stop": {"residual_tol": 1e-8, "max_iters": 2.7}}, "stop.max_iters:"),
@@ -314,7 +316,7 @@ class TestMainEntry:
         ({"stop": {"residual_tol": True, "max_iters": 10}}, "stop.residual_tol:"),
         ({**GRAPH_CONFIG, "theta": True}, "theta:"),
         ({"schedule": {"kind": "constant", "gamma": True}}, "schedule.gamma:"),
-        ({"schedule": {"kind": "explicit", "values": [1.0, False]}}, "schedule.values:"),
+        ({"schedule": {"kind": "explicit", "values": [1.0, False]}}, "schedule.values[1]: must be a number, got False"),
         ({"x0": [False]}, "x0:"),
         ({"schedule": {"kind": "explicit", "values": "21"}},
          "schedule.values: must be a list"),
@@ -347,125 +349,142 @@ class TestMainEntry:
         ({"problem": {"name": "custom", "params": {"ops": [
             {"kind": "normal_cone_point", "c": [1.0], "bogus": 3},
             {"kind": "neg_log", "dim": 1}]}}},
-         "problem.params: operator kind 'normal_cone_point' has unknown field 'bogus'"),
+         "problem.params.ops[0].bogus: unknown field"),
         ({"problem": {"name": "custom", "params": {"ops": [
             {"kind": "normal_cone_point", "c": [1.0]},
             {"kind": "translated", "shift": [0.0],
              "inner": {"kind": "neg_log", "dim": 1, "bogus": 3}}]}}},
-         "problem.params: operator kind 'neg_log' has unknown field 'bogus'"),
+         "problem.params.ops[1].inner.bogus: unknown field"),
         ({"problem": {"name": "affine_random", "params": {"count": 2.7}}},
-         "problem.params: count must be an integer"),
+         "problem.params.count: must be an integer, got 2.7"),
         ({"problem": {"name": "affine_random", "params": {"count": "2"}}},
-         "problem.params: count must be an integer"),
+         "problem.params.count: must be an integer, got '2'"),
         ({"problem": {"name": "affine_random", "params": {"dim": True}}},
-         "problem.params: dim must be an integer"),
+         "problem.params.dim: must be an integer, got True"),
         ({"problem": {"name": "affine_consensus", "params": {"count": 2, "dim": 2.7}}},
-         "problem.params: dim must be an integer"),
+         "problem.params.dim: must be an integer, got 2.7"),
         ({"problem": {"name": "custom", "params": {"ops": [
             {"kind": "normal_cone_point", "c": [1.0]}, {"kind": "zero", "dim": 1.9}]}}},
-         "problem.params: operator kind 'zero': dim must be an integer"),
+         "problem.params.ops[1].dim: must be an integer, got 1.9"),
         ({"problem": {"name": "custom", "params": {"ops": [
             {"kind": "normal_cone_point", "c": [1.0]}, {"kind": "neg_log", "dim": "2"}]}}},
-         "problem.params: operator kind 'neg_log': dim must be an integer"),
+         "problem.params.ops[1].dim: must be an integer, got '2'"),
         ({"problem": {"name": "custom", "params": {"ops": [
             {"kind": "normal_cone_point", "c": [1.0]},
             {"kind": "scaled_identity", "lam": 1.0, "dim": True}]}}},
-         "problem.params: operator kind 'scaled_identity': dim must be an integer"),
+         "problem.params.ops[1].dim: must be an integer, got True"),
         ({"problem": {"name": "custom", "params": {"ops": [
             {"kind": "normal_cone_point", "c": [1.0]},
             {"kind": "translated", "shift": [0.0], "inner": {"kind": "neg_log", "dim": 1.9}}]}}},
-         "problem.params: operator kind 'neg_log': dim must be an integer"),
+         "problem.params.ops[1].inner.dim: must be an integer, got 1.9"),
         ({"problem": {"name": "custom", "params": {"ops": [
             {"kind": "normal_cone_point", "c": [1.0]},
             {"kind": "scaled_identity", "lam": "1.5", "dim": 1}]}}},
-         "problem.params: operator kind 'scaled_identity': lam must be a number"),
+         "problem.params.ops[1].lam: must be a number, got '1.5'"),
         ({"problem": {"name": "custom", "params": {"ops": [
             {"kind": "normal_cone_point", "c": [1.0]},
             {"kind": "scaled_identity", "lam": True, "dim": 1}]}}},
-         "problem.params: operator kind 'scaled_identity': lam must be a number"),
+         "problem.params.ops[1].lam: must be a number, got True"),
         ({"problem": {"name": "custom", "params": {"ops": [
             {"kind": "normal_cone_point", "c": [1.0]},
             {"kind": "normal_cone_ball", "center": [0.0], "radius": "1.5"}]}}},
-         "problem.params: operator kind 'normal_cone_ball': radius must be a number"),
+         "problem.params.ops[1].radius: must be a number, got '1.5'"),
         ({"problem": {"name": "custom", "params": {"ops": [
             {"kind": "normal_cone_point", "c": [1.0]},
             {"kind": "normal_cone_ball", "center": [0.0], "radius": True}]}}},
-         "problem.params: operator kind 'normal_cone_ball': radius must be a number"),
+         "problem.params.ops[1].radius: must be a number, got True"),
         ({"problem": {"name": "custom", "params": {"ops": [
             {"kind": "normal_cone_point", "c": [1.0]},
             {"kind": "scaled", "sigma": "2.0", "inner": {"kind": "neg_log", "dim": 1}}]}}},
-         "problem.params: operator kind 'scaled': sigma must be a number"),
+         "problem.params.ops[1].sigma: must be a number, got '2.0'"),
         ({"problem": {"name": "custom", "params": {"ops": [
             {"kind": "normal_cone_point", "c": [1.0]},
             {"kind": "scaled", "sigma": True, "inner": {"kind": "neg_log", "dim": 1}}]}}},
-         "problem.params: operator kind 'scaled': sigma must be a number"),
+         "problem.params.ops[1].sigma: must be a number, got True"),
         ({"problem": {"name": "affine_consensus",
                       "params": {"count": 2, "dim": 1, "spread": "1.0"}}},
-         "problem.params: spread must be a number"),
+         "problem.params.spread: must be a number, got '1.0'"),
         ({"problem": {"name": "affine_consensus",
                       "params": {"count": 2, "dim": 1, "spread": True}}},
-         "problem.params: spread must be a number"),
+         "problem.params.spread: must be a number, got True"),
         ({"problem": {"name": "box_feasibility",
                       "params": {"boxes": [[["0"], ["1"]], [["0.5"], ["2"]]]}}},
-         "problem.params: problem 'box_feasibility': boxes must hold numbers"),
+         "problem.params.boxes[0][0]: must be a (nested) list of finite numbers, got ['0']"),
         ({"problem": {"name": "box_feasibility",
                       "params": {"boxes": [[[0.0], [True]], [[0.5], [2.0]]]}}},
-         "problem.params: problem 'box_feasibility': boxes must hold numbers"),
+         "problem.params.boxes[0][1]: must be a (nested) list of finite numbers, got [True]"),
         ({"problem": {"name": "affine_consensus", "params": {"c": [["1.0"], [2.0]]}}},
-         "problem.params: problem 'affine_consensus': c must hold numbers"),
+         "problem.params.c[0]: must be a (nested) list of finite numbers, got ['1.0']"),
         ({"problem": {"name": "affine_consensus", "params": {"c": [[1.0], [False]]}}},
-         "problem.params: problem 'affine_consensus': c must hold numbers"),
+         "problem.params.c[1]: must be a (nested) list of finite numbers, got [False]"),
         ({"problem": {"name": "custom", "params": {"solution": ["1.0"], "ops": [
             {"kind": "normal_cone_point", "c": [1.0]}, {"kind": "neg_log", "dim": 1}]}}},
-         "problem.params: problem 'custom': solution must hold numbers"),
+         "problem.params.solution: must be a (nested) list of finite numbers, got ['1.0']"),
         ({"problem": {"name": "custom", "params": {"solution": [True], "ops": [
             {"kind": "normal_cone_point", "c": [1.0]}, {"kind": "neg_log", "dim": 1}]}}},
-         "problem.params: problem 'custom': solution must hold numbers"),
+         "problem.params.solution: must be a (nested) list of finite numbers, got [True]"),
         ({"problem": {"name": "custom", "params": {"ops": [
             {"kind": "normal_cone_point", "c": ["1.0"]}, {"kind": "neg_log", "dim": 1}]}}},
-         "problem.params: operator kind 'normal_cone_point': c must hold numbers"),
+         "problem.params.ops[0].c: must be a (nested) list of finite numbers, got ['1.0']"),
         ({"problem": {"name": "custom", "params": {"ops": [
             {"kind": "normal_cone_point", "c": [True]}, {"kind": "neg_log", "dim": 1}]}}},
-         "problem.params: operator kind 'normal_cone_point': c must hold numbers"),
+         "problem.params.ops[0].c: must be a (nested) list of finite numbers, got [True]"),
         ({"problem": {"name": "custom", "params": {"ops": [
             {"kind": "normal_cone_point", "c": [1.0]},
             {"kind": "normal_cone_box", "lo": ["0"], "hi": [2.0]}]}}},
-         "problem.params: operator kind 'normal_cone_box': lo must hold numbers"),
+         "problem.params.ops[1].lo: must be a (nested) list of finite numbers, got ['0']"),
         ({"problem": {"name": "custom", "params": {"ops": [
             {"kind": "normal_cone_point", "c": [1.0]},
             {"kind": "normal_cone_box", "lo": [0.0], "hi": [True]}]}}},
-         "problem.params: operator kind 'normal_cone_box': hi must hold numbers"),
+         "problem.params.ops[1].hi: must be a (nested) list of finite numbers, got [True]"),
         ({"problem": {"name": "custom", "params": {"ops": [
             {"kind": "normal_cone_point", "c": [1.0]},
             {"kind": "affine", "M": [["1"]], "b": [0.0]}]}}},
-         "problem.params: operator kind 'affine': M must hold numbers"),
+         "problem.params.ops[1].M: must be a (nested) list of finite numbers, got [['1']]"),
         ({"problem": {"name": "custom", "params": {"ops": [
             {"kind": "normal_cone_point", "c": [1.0]},
             {"kind": "affine", "M": [[1.0]], "b": [True]}]}}},
-         "problem.params: operator kind 'affine': b must hold numbers"),
+         "problem.params.ops[1].b: must be a (nested) list of finite numbers, got [True]"),
         ({"problem": {"name": "custom", "params": {"ops": [
             {"kind": "normal_cone_point", "c": [1.0]},
             {"kind": "translated", "shift": "0", "inner": {"kind": "neg_log", "dim": 1}}]}}},
-         "problem.params: operator kind 'translated': shift must hold numbers"),
+         "problem.params.ops[1].shift: must be a (nested) list of finite numbers, got '0'"),
         ({"problem": {"name": "custom", "params": {"ops": [
             {"kind": "normal_cone_point", "c": [1.0]},
             {"kind": "normal_cone_ball", "center": [True], "radius": 1.0}]}}},
-         "problem.params: operator kind 'normal_cone_ball': center must hold numbers"),
+         "problem.params.ops[1].center: must be a (nested) list of finite numbers, got [True]"),
         ({"problem": {"name": "box_feasibility", "params": {"boxes": 5}}},
-         "problem.params: problem 'box_feasibility': boxes must be a list of [lo, hi] pairs"),
+         "problem.params.boxes: must be a list, got 5"),
         ({"problem": {"name": "box_feasibility", "params": {"boxes": [1.0, 2.0]}}},
-         "problem.params: problem 'box_feasibility': boxes must be a list of [lo, hi] pairs"),
+         "problem.params.boxes[0]: must be a list, got 1.0"),
         ({"problem": {"name": "box_feasibility",
                       "params": {"boxes": [[[0.0], [1.0], [2.0]], [[0.5], [2.0]]]}}},
-         "problem.params: problem 'box_feasibility': boxes must be a list of [lo, hi] pairs"),
+         "problem.params.boxes[0]: must hold 2 items, got 3"),
         ({"problem": {"name": "affine_consensus", "params": {"c": 3}}},
-         "problem.params: problem 'affine_consensus': c must be a list of centers"),
+         "problem.params.c: must be a list, got 3"),
         ({"problem": {"name": "custom", "params": {"ops": 5}}},
-         "problem.params: problem 'custom': ops must be a list of at least 2 operator specs"),
+         "problem.params.ops: must be a list, got 5"),
         ({"problem": {"name": "affine_consensus", "params": {"dim": -1}}},
-         "problem.params: dim must be >= 1"),
+         "problem.params.dim: must be >= 1, got -1"),
         ({"problem": {"name": "affine_random", "params": {"dim": 0}}},
-         "problem.params: dim must be >= 1"),
+         "problem.params.dim: must be >= 1, got 0"),
+        ({"output": {"trace_path": "", "summary_path": ""}},
+         "output.trace_path: must be a file path string, got ''"),
+        ({"x0": [float("inf")]}, "x0: must be a (nested) list of finite numbers, got [inf]"),
+        ({"problem": {"name": "custom", "params": {"ops": [
+            {"kind": "normal_cone_point", "c": [1.0]},
+            {"kind": "affine", "M": [[1.0], [1.0, 2.0]], "b": [0.0, 0.0]}]}}},
+         "problem.params.ops[1].M: must be a (nested) list of finite numbers, got [[1.0], "),
+        ({"problem": {"name": "custom", "params": {"ops": [
+            {"kind": "normal_cone_point", "c": [float("nan")]},
+            {"kind": "neg_log", "dim": 1}]}}},
+         "problem.params.ops[0].c: must be a (nested) list of finite numbers, got [nan]"),
+        ({"problem": {"name": "custom", "params": {"ops": [{"kind": "neg_log", "dim": 1}]}}},
+         "problem.params.ops: must hold at least 2 items, got 1"),
+        ({"problem": {"name": "custom"}}, "problem.params: required field"),
+        ({"problem": {"name": "custom", "params": {"ops": [
+            {"kind": "normal_cone_point", "c": [1.0]}, {"kind": "mystery"}]}}},
+         "problem.params.ops[1].kind: must be one of zero, scaled_identity, affine"),
     ], ids=["theta", "params", "param-value", "seed", "tol-nan", "tol-inf",
             "max-iters-inf", "tol-huge-int", "gamma-huge-int", "x0-huge-int",
             "graph-N-text", "graph-N-null", "graph-E-false", "graph-E-short-arc",
@@ -489,7 +508,8 @@ class TestMainEntry:
             "point-c-bool", "box-lo-text", "box-hi-bool", "affine-M-text", "affine-b-bool",
             "translated-shift-text", "ball-center-bool", "boxes-int", "boxes-flat",
             "boxes-triple", "consensus-c-int", "custom-ops-int", "consensus-dim-negative",
-            "random-dim-zero"])
+            "random-dim-zero", "output-paths-empty", "x0-inf", "affine-M-ragged",
+            "point-c-nan", "custom-one-op", "custom-no-params", "custom-op-unknown-kind"])
     def test_run_malformed_field(self, tmp_path, capsys, overrides, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(minimal_dr2_config(**overrides)))
@@ -566,7 +586,7 @@ class TestMainEntry:
         assert checks.keys() == floor.keys()
         assert all(checks[name] >= floor[name] for name in floor), checks
         kinds = {op.kind for op in selftest.operator_zoo(np.random.default_rng(0))}
-        assert kinds == set(operators._KINDS)
+        assert kinds == set(operators.SPECS)
 
     @pytest.mark.parametrize("argv", [
         ["run", "{cfg}", "--seed", "-1"],
@@ -642,6 +662,7 @@ GOLDEN = {
     "graph_explicit": ("converged", 338, 0),
     "graph_constant": ("converged", 338, 0),
     "graph_geometric_budget": ("max_iters", 10, 2),
+    "mt_custom_specs": ("converged", 141, 0),
 }
 
 
@@ -675,21 +696,49 @@ FUZZ_BASES = [
         "x0": [[0.0, 1.0], [1.0, 0.0]],
     },
     GRAPH_CONFIG,
+    {
+        "problem": {"name": "custom", "params": {"ops": [
+            {"kind": "affine", "M": [[2.0, 1.0], [-1.0, 2.0]], "b": [-3.0, 1.0]},
+            {"kind": "scaled", "sigma": 2.0,
+             "inner": {"kind": "translated", "shift": [0.5, 0.5],
+                       "inner": {"kind": "normal_cone_ball", "center": [0.0, 0.0],
+                                 "radius": 1.0}}},
+        ], "solution": [1.4, 0.2]}},
+        "algorithm": "dr2",
+        "schedule": {"kind": "constant", "gamma": 1.0},
+        "stop": {"residual_tol": 1e-8, "max_iters": 50},
+        "x0": [0.0, 0.0],
+    },
 ]
 
 
-def schema_paths(kind=cli.SCHEMA, prefix=()):
-    """The path of every field the config schema declares, parents first."""
-    fields = {**getattr(kind, "required", {}), **getattr(kind, "optional", {})}
-    for key, sub in fields.items():
-        yield prefix + (key,)
-        yield from schema_paths(sub, prefix + (key,))
+def schema_paths(kind=cli.SCHEMA, prefix=(), above=()):
+    """The path of every field the config schema declares, parents first.
+
+    A tagged object's tag and its variants' keys share the object's path,
+    the items of a list sit at "<list>[]", and a kind is not walked again
+    below itself (an operator spec's "inner" is a spec). A path that more
+    than one variant declares is listed once.
+    """
+    paths = []
+    if isinstance(kind, kinds.ListOf):
+        paths += schema_paths(kind.item, prefix[:-1] + (prefix[-1] + "[]",), above)
+    elif isinstance(kind, kinds.Tagged) and kind not in above:
+        paths.append(prefix + (kind.tag,))
+        for variant in kind.variants.values():
+            paths += schema_paths(variant, prefix, above + (kind,))
+    elif isinstance(kind, kinds.Object):
+        for key, sub in {**kind.required, **kind.optional}.items():
+            paths.append(prefix + (key,))
+            paths += schema_paths(sub, prefix + (key,), above)
+    return list(dict.fromkeys(paths))
 
 
-# problem.params.count/dim are left out: a huge value would allocate dense
-# matrices of that size, which is a resource bound, not a parsing question.
-# (The schema hands problem.params to the problem, so no path goes below it.)
-FUZZ_PATHS = [*schema_paths(), ("unknown",)]
+# problem.params.count/dim and an operator spec's dim are left out: a huge
+# value would allocate dense matrices of that size, which is a resource
+# bound, not a parsing question.
+FUZZ_PATHS = [*(path for path in schema_paths() if path[-1] not in ("count", "dim")),
+              ("unknown",)]
 
 # no "/" in text: a fuzzed output path then names a file in the working
 # directory, which each example sets to its own temporary directory
@@ -703,11 +752,19 @@ JSON_VALUES = st.recursive(
 
 
 def _replace(doc, path, value):
-    target = doc
-    for key in path[:-1]:
-        target = target.get(key) if isinstance(target, dict) else None
-    if isinstance(target, dict):
-        target[path[-1]] = value
+    """Set the field at ``path`` to a copy of ``value``; a "<list>[]" step
+    sets it in every item of the list."""
+    if not isinstance(doc, dict):
+        return
+    key, rest = path[0], path[1:]
+    if not rest:
+        doc[key] = copy.deepcopy(value)
+    elif key.endswith("[]"):
+        items = doc.get(key[:-2])
+        for item in items if isinstance(items, list) else []:
+            _replace(item, rest, value)
+    else:
+        _replace(doc.get(key), rest, value)
 
 
 def _cap_max_iters(doc, cap=50):
@@ -736,6 +793,7 @@ class TestReadme:
         with open(README) as fh:
             text = fh.read()
         fields = [".".join(path) for path in schema_paths()]
+        assert "problem.params.ops[].inner" in fields
         assert [f for f in fields if f"`{f}`" not in text] == []
 
 
