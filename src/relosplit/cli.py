@@ -10,7 +10,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from collections.abc import Callable
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -18,7 +20,7 @@ from . import __version__
 from .dr2 import algorithm1_run
 from .driver import StopRule
 from .errors import ConfigError, RelosplitError
-from .graphs import build_graph, graph_relocated_run
+from .graphs import SplittingGraph, build_graph, graph_relocated_run
 from .kinds import (
     INTEGER,
     NESTED_NUMBERS,
@@ -32,12 +34,13 @@ from .kinds import (
     one_of,
 )
 from .malitsky_tam import MTProblem, algorithm2_run
-from .problems import PROBLEM, make_problem, solution_residual
+from .problems import PROBLEM, SEED, ProblemInstance, solution_residual
 from .schedules import (
     AdaptiveKappa,
     Constant,
     ExplicitList,
     GeometricToLimit,
+    StepsizeSchedule,
     validate_schedule,
 )
 from .selftest import run_selftest
@@ -94,22 +97,20 @@ SCHEMA = Object(
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class ExperimentConfig:
-    """Validated, JSON-serializable experiment description."""
+    """A checked config: the objects its schema built, and its algorithm's
+    runner bound to them (see ``parse_config``)."""
 
-    problem: dict
+    problem: ProblemInstance
     algorithm: str
-    schedule: dict
-    stop: dict
-    theta: float | None = None
-    graph: dict | None = None
-    x0: list | None = None
-    output: dict | None = None
-
-
-def config_to_dict(cfg):
-    return {k: v for k, v in asdict(cfg).items() if v is not None}
+    schedule: StepsizeSchedule
+    stop: StopRule
+    x0: np.ndarray
+    runner: Callable
+    theta: float | None
+    graph: SplittingGraph | None
+    output: dict
 
 
 def schedule_from_spec(spec):
@@ -117,13 +118,16 @@ def schedule_from_spec(spec):
     return checked(SCHEDULE, spec)
 
 
-def parse_config(doc):
-    """Validate a config document (mapping or JSON text) into ExperimentConfig.
+def parse_config(doc, seed=None):
+    """Check a config document (mapping or JSON text) and build what it
+    describes, as an ExperimentConfig; ``seed``, when given, replaces
+    problem.seed before the build.
 
     SCHEMA checks the kind of every field, down to each operator spec, and
-    builds what the run uses, whose constructors check the ranges; the
-    checks across fields (theta and x0 against the algorithm, the graph and
-    dr2's arity against the problem) follow.
+    builds the problem instance, the schedule, the stop rule and the graph,
+    whose constructors check the ranges. Then one branch per algorithm
+    checks its rules across the fields (theta, the graph, dr2's arity and
+    x0's shape) and binds its runner to what SCHEMA built.
     All violations are aggregated into a single ConfigError whose messages
     are path-qualified, e.g. "schedule.gamma: must be a number, got '1.0'".
     """
@@ -136,73 +140,62 @@ def parse_config(doc):
         raise ConfigError(["document: expected a JSON object"])
 
     errors = []
+    problem = doc.get("problem")
+    if seed is not None and isinstance(problem, dict):
+        if problem.get("seed") is not None:  # replaced, and still checked
+            SEED.check(problem["seed"], "problem.seed", errors)
+        doc = {**doc, "problem": {**problem, "seed": seed}}
     fields = SCHEMA.check(doc, "", errors)
+    problem, algorithm, theta, graph, x0 = map(
+        fields.get, ("problem", "algorithm", "theta", "graph", "x0"))
 
-    instance = fields.get("problem")
-    algorithm = fields.get("algorithm")
-    theta = fields.get("theta")
-    if algorithm == "dr2":
-        if theta is not None:
-            errors.append("theta: not used by dr2")
-        if instance is not None and instance.n_ops != 2:
-            errors.append(f"problem: dr2 needs exactly 2 operators, got {instance.n_ops}")
-    elif algorithm is not None:
-        upper = 1 if algorithm == "mt" else 2
+    def theta_in(upper):
         # a theta that is not a number has been reported by SCHEMA
         if doc.get("theta") is None or theta is not None and not 0.0 < theta < upper:
             errors.append(f"theta: theta must lie in (0,{upper})")
 
-    graph = fields.get("graph")
-    if algorithm == "graph" and doc.get("graph") is None:
-        errors.append("graph: required object {N, E, Eprime} for algorithm 'graph'")
-    elif algorithm != "graph" and graph is not None:
+    # a runner is bound once every check so far has passed, and called as
+    # runner(schedule, x0, stop, solution_residual=...)
+    shape = runner = None
+    if algorithm == "dr2":  # no theta, 2 operators, x0 a point
+        if theta is not None:
+            errors.append("theta: not used by dr2")
+        if problem is not None and problem.n_ops != 2:
+            errors.append(f"problem: dr2 needs exactly 2 operators, got {problem.n_ops}")
+        shape = None if problem is None else (problem.dim,)
+        runner = None if errors else partial(algorithm1_run, problem.dr_problem())
+    elif algorithm == "mt":  # theta in (0,1), x0 one block fewer than operators
+        theta_in(1)
+        shape = None if problem is None else (problem.n_ops - 1, problem.dim)
+        runner = None if errors else partial(algorithm2_run, MTProblem(problem.ops, theta))
+    elif algorithm == "graph":  # theta in (0,2), a graph with one node per operator
+        theta_in(2)
+        if doc.get("graph") is None:
+            errors.append("graph: required object {N, E, Eprime} for algorithm 'graph'")
+        elif graph is not None and problem is not None and graph.n_nodes != problem.n_ops:
+            errors.append(f"graph.N: graph has {graph.n_nodes} nodes but the problem "
+                          f"has {problem.n_ops} operators")
+        shape = None if problem is None else (problem.n_ops - 1, problem.dim)
+        runner = None if errors else partial(graph_relocated_run, problem.ops, graph, theta)
+    if algorithm != "graph" and graph is not None:
         errors.append("graph: only used by algorithm 'graph'")
-    elif graph is not None and instance is not None and graph.n_nodes != instance.n_ops:
-        errors.append(f"graph.N: graph has {graph.n_nodes} nodes but the problem "
-                      f"has {instance.n_ops} operators")
-
-    x0 = fields.get("x0")
-    if x0 is not None and instance is not None and algorithm is not None:
-        shape = _x0_shape(algorithm, instance)
-        if x0.shape != shape:
-            errors.append(f"x0: expected shape {shape}, got shape {x0.shape}")
-
+    if shape is not None and x0 is not None and x0.shape != shape:
+        errors.append(f"x0: expected shape {shape}, got shape {x0.shape}")
     if errors:
         raise ConfigError(errors)
-    # the config keeps the document's own (checked) fields, so it stays JSON
-    return ExperimentConfig(**{key: doc[key] for key in fields})
+    return ExperimentConfig(
+        problem=problem, algorithm=algorithm, schedule=fields["schedule"], stop=fields["stop"],
+        x0=np.zeros(shape) if x0 is None else x0, runner=runner, theta=theta, graph=graph,
+        output=fields.get("output", {}))
 
 
-def _x0_shape(algorithm, instance):
-    """dr2 starts from a point; mt and graph from one block fewer than there
-    are operators (a config's graph has one node per operator)."""
-    return (instance.dim,) if algorithm == "dr2" else (instance.n_ops - 1, instance.dim)
-
-
-def run_experiment(cfg, seed=None):
-    """Execute a validated config; returns the ConvergenceTrace."""
-    problem_seed = seed if seed is not None else cfg.problem.get("seed")
-    instance = make_problem(cfg.problem["name"], cfg.problem.get("params"),
-                            problem_seed)
-    schedule = schedule_from_spec(cfg.schedule)
-    stop = StopRule(**cfg.stop)
+def run_experiment(cfg):
+    """Run a checked config's algorithm; returns the ConvergenceTrace."""
     residual_fn = None
-    if instance.has_oracle:
-        residual_fn = lambda z: solution_residual(instance, z)  # noqa: E731
-    x0 = (np.zeros(_x0_shape(cfg.algorithm, instance)) if cfg.x0 is None
-          else np.asarray(cfg.x0, dtype=float))
-
-    if cfg.algorithm == "dr2":
-        trace = algorithm1_run(instance.dr_problem(), schedule, x0, stop,
-                               solution_residual=residual_fn)
-    elif cfg.algorithm == "mt":
-        problem = MTProblem(tuple(instance.ops), theta=cfg.theta)
-        trace = algorithm2_run(problem, schedule, x0, stop, solution_residual=residual_fn)
-    else:
-        g = build_graph(cfg.graph["N"], cfg.graph["E"], cfg.graph["Eprime"])
-        trace = graph_relocated_run(instance.ops, g, cfg.theta, schedule, x0, stop,
-                                    solution_residual=residual_fn)
-    trace.seed = problem_seed
+    if cfg.problem.has_oracle:
+        residual_fn = lambda z: solution_residual(cfg.problem, z)  # noqa: E731
+    trace = cfg.runner(cfg.schedule, cfg.x0, cfg.stop, solution_residual=residual_fn)
+    trace.seed = cfg.problem.seed
     return trace
 
 
@@ -222,12 +215,11 @@ def _dumps(value, **kwargs):
     return json.dumps(_json_safe(value), allow_nan=False, **kwargs)
 
 
-def execute_experiment(cfg, trace_out=None, summary_out=None, seed=None):
+def execute_experiment(cfg, trace_out=None, summary_out=None):
     """Run one experiment and write its outputs; returns the exit code."""
-    trace = run_experiment(cfg, seed=seed)
-    output = cfg.output or {}
-    trace_path = trace_out or output.get("trace_path")
-    summary_path = summary_out or output.get("summary_path")
+    trace = run_experiment(cfg)
+    trace_path = trace_out or cfg.output.get("trace_path")
+    summary_path = summary_out or cfg.output.get("summary_path")
     summary = trace.summary()
     try:
         if trace_path:
@@ -242,19 +234,24 @@ def execute_experiment(cfg, trace_out=None, summary_out=None, seed=None):
     return _STATUS_EXIT[trace.status]
 
 
-def _load_config(path):
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return None, EXIT_IO
-    try:
-        return parse_config(text), EXIT_OK
-    except ConfigError as exc:
-        for message in exc.errors:
-            print(f"{path}: {message}", file=sys.stderr)
-        return None, EXIT_CONFIG
+def _load_configs(paths, seed=None):
+    """The checked configs at ``paths``, all loaded before any runs, and
+    EXIT_OK; or None and the exit code of the first that fails to load."""
+    configs = []
+    for path in paths:
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+            return None, EXIT_IO
+        try:
+            configs.append(parse_config(text, seed))
+        except ConfigError as exc:
+            for message in exc.errors:
+                print(f"{path}: {message}", file=sys.stderr)
+            return None, EXIT_CONFIG
+    return configs, EXIT_OK
 
 
 def _cmd_run(args):
@@ -262,23 +259,18 @@ def _cmd_run(args):
         print("error: --trace-out/--summary-out need a single config",
               file=sys.stderr)
         return EXIT_CONFIG
-    configs = []
-    for path in args.configs:
-        cfg, code = _load_config(path)
-        if cfg is None:
-            return code
-        configs.append(cfg)
-
-    return max(execute_experiment(cfg, trace_out=args.trace_out,
-                                  summary_out=args.summary_out, seed=args.seed)
+    configs, code = _load_configs(args.configs, args.seed)
+    if configs is None:
+        return code
+    return max(execute_experiment(cfg, trace_out=args.trace_out, summary_out=args.summary_out)
                for cfg in configs)
 
 
 def _cmd_validate_schedule(args):
-    cfg, code = _load_config(args.config)
-    if cfg is None:
+    configs, code = _load_configs([args.config])
+    if configs is None:
         return code
-    report = validate_schedule(schedule_from_spec(cfg.schedule), horizon=args.horizon)
+    report = validate_schedule(configs[0].schedule, horizon=args.horizon)
     print(_dumps(report.to_dict(), indent=2))
     return EXIT_OK if report.accepted else EXIT_CONFIG
 
@@ -290,16 +282,12 @@ def _cmd_selftest(args):
 
 
 def _cmd_compare(args):
-    summaries = []
-    code = EXIT_OK
-    for path in (args.config_a, args.config_b):
-        cfg, load_code = _load_config(path)
-        if cfg is None:
-            return load_code
-        trace = run_experiment(cfg, seed=args.seed)
-        summaries.append(trace.summary())
-        code = max(code, _STATUS_EXIT[trace.status])
-    a, b = summaries
+    configs, code = _load_configs((args.config_a, args.config_b), args.seed)
+    if configs is None:
+        return code
+    traces = [run_experiment(cfg) for cfg in configs]
+    a, b = (trace.summary() for trace in traces)
+    code = max(_STATUS_EXIT[trace.status] for trace in traces)
     comparison = {
         "a": a,
         "b": b,

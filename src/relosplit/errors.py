@@ -18,7 +18,15 @@ class SingularMatrixError(RelosplitError, ValueError):
 
 
 class ConstructionError(RelosplitError, ValueError):
-    """An operator or graph description violates its invariants."""
+    """An operator or graph description violates its invariants.
+
+    ``field``, when given, names the field at fault by its path in the
+    object being built; a config check reports the fault at that field.
+    """
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class ConsistencyError(RelosplitError):

@@ -105,7 +105,8 @@ class Object:
     any other key is an error. Once every field has passed, ``build`` (the
     class the object describes) is called with them, to check their ranges,
     and ``check`` returns what it built; without ``build``, the dict of the
-    fields that passed.
+    fields that passed. A fault ``build`` raises is reported at the object,
+    or at the field a ConstructionError names.
     """
 
     def __init__(self, required, optional=None, build=None):
@@ -137,7 +138,8 @@ class Object:
             try:
                 return self.build(**out)
             except RelosplitError as exc:
-                errors.append(_at(path, str(exc)))
+                field = getattr(exc, "field", None)
+                errors.append(_at(prefix + field if field else path, str(exc)))
         return None
 
 
@@ -165,6 +167,23 @@ class Tagged:
         return self.variants[name].check(body, path, errors)
 
 
+class Array:
+    """A non-empty float array of ``ndim`` dimensions, read as NESTED_NUMBERS
+    reads it: a fault in its entries is reported as that kind reports it,
+    and one in its shape reads "<path>: must be <what>, got shape <shape>"."""
+
+    def __init__(self, ndim, what):
+        self.ndim = ndim
+        self.what = what
+
+    def check(self, value, path, errors):
+        out = NESTED_NUMBERS.check(value, path, errors)
+        if out is not None and (out.ndim != self.ndim or out.size == 0):
+            errors.append(_at(path, f"must be {self.what}, got shape {out.shape}"))
+            return None
+        return out
+
+
 def one_of(*choices):
     return Leaf(f"one of {', '.join(choices)}",
                 lambda value: isinstance(value, str) and value in choices)
@@ -187,3 +206,5 @@ NUMBERS = ListOf(NUMBER)
 #: or a NaN or infinite entry, is refused where it is read
 NESTED_NUMBERS = Leaf("a (nested) list of finite numbers", _is_nested,
                       lambda value: np.array(value, dtype=float))
+VECTOR = Array(1, "a non-empty vector")
+MATRIX = Array(2, "a non-empty matrix")

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import ConstructionError, DimensionError, ParameterError
-from .kinds import NESTED_NUMBERS, NUMBER, Object, Tagged, checked, integer
+from .kinds import MATRIX, NUMBER, VECTOR, Object, Tagged, checked, integer
 from .linalg import as_matrix, as_vector, solve_linear
 
 #: Smallest admissible eigenvalue of M + M^T for the affine kind (half of it
@@ -199,7 +199,15 @@ def _eigen_factors(m):
     return np.ascontiguousarray(v[:, keep]), lam[keep], weight[:, None] * v_inv[keep]
 
 
-class NormalConePoint(MonotoneOperator):
+class _NormalCone(MonotoneOperator):
+    """Normal cone of a closed convex set C; J projects onto C at every gamma."""
+
+    def inclusion_residual(self, z, w):
+        # w lies in the cone at z exactly when z is the projection of z + w
+        return float(np.linalg.norm(z - self._resolvent(1.0, z + w)))
+
+
+class NormalConePoint(_NormalCone):
     """Normal cone of the singleton {c}; J is the constant map c."""
 
     kind = "normal_cone_point"
@@ -211,12 +219,8 @@ class NormalConePoint(MonotoneOperator):
     def _resolvent(self, gamma, x):
         return self.point.copy()
 
-    def inclusion_residual(self, z, w):
-        # every w lies in the normal cone at c, and the cone is empty elsewhere
-        return float(np.linalg.norm(z - self.point))
 
-
-class NormalConeBox(MonotoneOperator):
+class NormalConeBox(_NormalCone):
     """Normal cone of the box [lo, hi]; J clips componentwise."""
 
     kind = "normal_cone_box"
@@ -236,8 +240,12 @@ class NormalConeBox(MonotoneOperator):
         # np.clip's arithmetic (lo <= hi) at half its call cost
         return np.minimum(np.maximum(x, self.lo), self.hi)
 
+    def value(self, x):
+        # the cone is {0} inside the box and set valued on its boundary
+        return np.zeros(self.dim) if np.all((self.lo < x) & (x < self.hi)) else None
 
-class NormalConeBall(MonotoneOperator):
+
+class NormalConeBall(_NormalCone):
     """Normal cone of the closed ball B(center, radius); J projects onto it."""
 
     kind = "normal_cone_ball"
@@ -256,6 +264,10 @@ class NormalConeBall(MonotoneOperator):
         if dist <= self.radius:
             return self.center + d
         return self.center + d * (self.radius / dist)
+
+    def value(self, x):
+        # the cone is {0} inside the ball and set valued on its sphere
+        return np.zeros(self.dim) if np.linalg.norm(x - self.center) < self.radius else None
 
 
 class NegLog(MonotoneOperator):
@@ -383,8 +395,8 @@ def _checked_point(op, x):
 def single_value(op, x):
     """Evaluate A(x) for kinds where the operator is single valued at x.
 
-    Returns None for set-valued kinds (the normal cones) and for points
-    outside the domain.
+    Returns None where A is set valued (a normal cone off the interior of
+    its set) and for points outside the domain.
     """
     return op.value(_checked_point(op, x))
 
@@ -407,15 +419,12 @@ OPERATOR = Tagged("kind", SPECS)
 SPECS.update({
     "zero": Object({"dim": DIM}, build=Zero),
     "scaled_identity": Object({"lam": NUMBER, "dim": DIM}, build=ScaledIdentity),
-    "affine": Object({"M": NESTED_NUMBERS, "b": NESTED_NUMBERS},
-                     build=lambda M, b: AffineMonotone(M, b)),
-    "normal_cone_point": Object({"c": NESTED_NUMBERS}, build=lambda c: NormalConePoint(c)),
-    "normal_cone_box": Object({"lo": NESTED_NUMBERS, "hi": NESTED_NUMBERS},
-                              build=NormalConeBox),
-    "normal_cone_ball": Object({"center": NESTED_NUMBERS, "radius": NUMBER},
-                               build=NormalConeBall),
+    "affine": Object({"M": MATRIX, "b": VECTOR}, build=lambda M, b: AffineMonotone(M, b)),
+    "normal_cone_point": Object({"c": VECTOR}, build=lambda c: NormalConePoint(c)),
+    "normal_cone_box": Object({"lo": VECTOR, "hi": VECTOR}, build=NormalConeBox),
+    "normal_cone_ball": Object({"center": VECTOR, "radius": NUMBER}, build=NormalConeBall),
     "neg_log": Object({"dim": DIM}, build=NegLog),
-    "translated": Object({"inner": OPERATOR, "shift": NESTED_NUMBERS}, build=Translated),
+    "translated": Object({"inner": OPERATOR, "shift": VECTOR}, build=Translated),
     "scaled": Object({"inner": OPERATOR, "sigma": NUMBER}, build=Scaled),
 })
 

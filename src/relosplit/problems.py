@@ -7,21 +7,23 @@ import numpy as np
 from .dr2 import DRCertificate, DRProblem
 from .driver import ambient_norm
 from .errors import ConstructionError, DimensionError, NoOracleError
-from .kinds import NESTED_NUMBERS, NUMBER, ListOf, Object, Tagged, checked, integer
+from .kinds import NUMBER, VECTOR, ListOf, Object, Tagged, checked, integer
 from .linalg import as_vector
-from .operators import (
-    DIM,
-    OPERATOR,
-    AffineMonotone,
-    NegLog,
-    NormalConeBox,
-    NormalConePoint,
-    single_value,
-)
+from .operators import DIM, OPERATOR, AffineMonotone, NegLog, NormalConeBox, NormalConePoint
+
+#: The kind of a problem's seed
+SEED = integer(0)
+
+#: Largest residual a solution point may leave: the sum residual, or the
+#: inclusion residual of the one set-valued operator of a custom problem
+SOLUTION_TOL = 1e-8
 
 
 class ProblemInstance:
-    """A named list of operators plus an optional solution oracle.
+    """A named list of operators on one R^dim plus an optional solution oracle.
+
+    dim is the operators' common dimension; operators of mixed dimensions
+    raise DimensionError.
 
     The oracle is a callable z -> float that the factory sets, taking a
     checked point of R^dim: the distance to an analytic solution point, the
@@ -30,17 +32,20 @@ class ProblemInstance:
     without an oracle cannot report solution residuals.
     """
 
-    def __init__(self, name, ops, dim, solution_point=None, oracle=None,
+    def __init__(self, name, ops, solution_point=None, oracle=None,
                  dr_certificate=None, seed=None, params=None):
+        dims = {op.dim for op in ops}
+        if len(dims) != 1:
+            raise DimensionError(f"operators act on mixed dimensions {sorted(dims)}")
         self.name = name
         self.ops = list(ops)
-        self.dim = dim
+        self.dim = dims.pop()
         self.solution_point = None if solution_point is None else as_vector(solution_point)
         self.oracle = oracle
         self.dr_certificate = dr_certificate
         self.seed = seed
         self.params = dict(params or {})
-        if self.solution_point is not None and self.solution_point.size != dim:
+        if self.solution_point is not None and self.solution_point.size != self.dim:
             raise DimensionError("solution point dimension disagrees with the problem")
 
     @property
@@ -106,7 +111,7 @@ def _indicator_neglog(params, seed):
     # w = 1 lies in the normal cone at the feasible point and -1 = (-ln)'(1).
     cert = DRCertificate(problem, z=[1.0], w=[1.0])
     return ProblemInstance(
-        "indicator_neglog", [op_a, op_b], dim=1,
+        "indicator_neglog", [op_a, op_b],
         solution_point=[1.0], oracle=_distance_to(np.array([1.0])),
         dr_certificate=cert, seed=seed, params=params,
     )
@@ -114,22 +119,19 @@ def _indicator_neglog(params, seed):
 
 def _affine_consensus(params, seed):
     if "c" in params:
-        centers = [as_vector(c) for c in params["c"]]
+        centers = params["c"]
     else:
         rng = np.random.default_rng(seed)
         centers = [params.get("spread", 1.0) * rng.standard_normal(params.get("dim", 1))
                    for _ in range(params.get("count", 3))]
-    dims = {c.size for c in centers}
-    if len(dims) != 1:
-        raise DimensionError("centers have mixed dimensions")
-    dim = centers[0].size
-    ops = [AffineMonotone(np.eye(dim), -c) for c in centers]
-    mean = np.mean(np.stack(centers), axis=0)
-    return ProblemInstance(
-        "affine_consensus", ops, dim=dim,
-        solution_point=mean, oracle=_affine_inclusion(ops),
+    instance = ProblemInstance(
+        "affine_consensus", [AffineMonotone(np.eye(c.size), -c) for c in centers],
         seed=seed, params=params,
     )
+    # the centers share one dimension once the instance holds their operators
+    instance.solution_point = np.mean(np.stack(centers), axis=0)
+    instance.oracle = _affine_inclusion(instance.ops)
+    return instance
 
 
 def _affine_random(params, seed):
@@ -146,65 +148,67 @@ def _affine_random(params, seed):
     # adjust the last offset so that the drawn point is a common zero
     offs[-1] = -sum(m @ zero for m in mats) - sum(offs[:-1])
     ops = [AffineMonotone(m, b) for m, b in zip(mats, offs)]
-    total = sum(op.value(zero) for op in ops)
-    if np.linalg.norm(total) > 1e-8:
-        raise ConstructionError("random affine instance failed its own oracle check")
     return ProblemInstance(
-        "affine_random", ops, dim=dim,
+        "affine_random", ops,
         solution_point=zero, oracle=_affine_inclusion(ops),
         seed=seed, params=params,
     )
 
 
 def _box_feasibility(params, seed):
-    boxes = params["boxes"]
-    ops = [NormalConeBox(lo, hi) for (lo, hi) in boxes]
-    dims = {op.dim for op in ops}
-    if len(dims) != 1:
-        raise DimensionError("boxes have mixed dimensions")
-    dim = ops[0].dim
-    lo = np.max(np.stack([op.lo for op in ops]), axis=0)
-    hi = np.min(np.stack([op.hi for op in ops]), axis=0)
-    return ProblemInstance(
-        "box_feasibility", ops, dim=dim,
-        oracle=_box_distance(lo, hi) if np.all(lo <= hi) else None,
+    instance = ProblemInstance(
+        "box_feasibility", [NormalConeBox(lo, hi) for (lo, hi) in params["boxes"]],
         seed=seed, params=params,
     )
+    # the boxes share one dimension once the instance holds their cones
+    lo = np.max(np.stack([op.lo for op in instance.ops]), axis=0)
+    hi = np.min(np.stack([op.hi for op in instance.ops]), axis=0)
+    if np.all(lo <= hi):
+        instance.oracle = _box_distance(lo, hi)
+    return instance
 
 
 def _custom(params, seed):
-    ops = params["ops"]
-    dims = {op.dim for op in ops}
-    if len(dims) != 1:
-        raise DimensionError("custom operators act on mixed dimensions")
     solution = params.get("solution")
-    if solution is not None:
-        solution = as_vector(solution)
-        # when every operator is single valued at the declared point, the
-        # zero-of-the-sum claim is checkable directly
-        values = [single_value(op, solution) for op in ops]
-        if all(v is not None for v in values):
-            total = np.linalg.norm(sum(values))
-            if not total <= 1e-8:
-                raise ConstructionError(
-                    f"declared solution has sum residual {total:.3e}")
     return ProblemInstance(
-        "custom", ops, dim=ops[0].dim,
-        solution_point=solution,
+        "custom", params["ops"], solution_point=solution,
         oracle=None if solution is None else _distance_to(solution),
         seed=seed, params=params,
     )
+
+
+def _custom_params(**params):
+    """custom's params, once the declared solution is decided: at most one
+    operator may be set valued there, and minus the sum of the others'
+    values must pass its inclusion residual (with none, the sum must
+    vanish). A solution of the wrong dimension is left to the problem.
+    """
+    ops, solution = params["ops"], params.get("solution")
+    if solution is not None and {op.dim for op in ops} == {solution.size}:
+        values = [op.value(solution) for op in ops]
+        set_valued = [i for i, value in enumerate(values) if value is None]
+        if len(set_valued) > 1:
+            names = ", ".join(f"ops[{i}]" for i in set_valued)
+            raise ConstructionError(f"{names} are set valued there; a declared solution is "
+                                    "checked only where at most one operator is", field="solution")
+        total = sum(value for value in values if value is not None)
+        resid = (ops[set_valued[0]].inclusion_residual(solution, -total) if set_valued
+                 else float(np.linalg.norm(total)))
+        if not resid <= SOLUTION_TOL:
+            raise ConstructionError(f"not a solution: residual {resid:.3e} > {SOLUTION_TOL:g}",
+                                    field="solution")
+    return params
 
 
 #: Each problem's factory and the kind of its params
 _FACTORIES = {
     "indicator_neglog": (_indicator_neglog, Object({})),
     "affine_consensus": (_affine_consensus, Object({}, {
-        "c": ListOf(NESTED_NUMBERS, 2), "count": integer(2), "dim": DIM, "spread": NUMBER})),
+        "c": ListOf(VECTOR, 2), "count": integer(2), "dim": DIM, "spread": NUMBER})),
     "affine_random": (_affine_random, Object({}, {"count": integer(2), "dim": DIM})),
-    "box_feasibility": (_box_feasibility, Object({
-        "boxes": ListOf(ListOf(NESTED_NUMBERS, 2, 2), 2)})),
-    "custom": (_custom, Object({"ops": ListOf(OPERATOR, 2)}, {"solution": NESTED_NUMBERS})),
+    "box_feasibility": (_box_feasibility, Object({"boxes": ListOf(ListOf(VECTOR, 2, 2), 2)})),
+    "custom": (_custom, Object({"ops": ListOf(OPERATOR, 2)}, {"solution": VECTOR},
+                               build=_custom_params)),
 }
 
 
@@ -214,7 +218,7 @@ def _instance(factory, params=None, seed=None):
     instance = factory(params or {}, seed)
     if instance.solution_point is not None and instance.has_oracle:
         resid = solution_residual(instance, instance.solution_point)
-        if not resid <= 1e-8:
+        if not resid <= SOLUTION_TOL:
             raise ConstructionError(f"{instance.name}: oracle point has residual {resid:.3e}")
     return instance
 
@@ -223,7 +227,7 @@ def _instance(factory, params=None, seed=None):
 #: they are required when that kind has a required key
 PROBLEM = Tagged("name", {
     name: Object({"params": params} if params.required else {},
-                 {"params": params, "seed": integer(0)}, build=partial(_instance, factory))
+                 {"params": params, "seed": SEED}, build=partial(_instance, factory))
     for name, (factory, params) in _FACTORIES.items()})
 
 

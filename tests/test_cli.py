@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import copy
 import csv
@@ -19,7 +20,7 @@ from conftest import GOLDEN_DIR
 from relosplit import cli, kinds, operators, selftest
 from relosplit.driver import ScheduleBudgetWarning
 from relosplit.errors import ConfigError
-from relosplit.schedules import AdaptiveKappa
+from relosplit.schedules import AdaptiveKappa, Constant, GeometricToLimit
 
 
 def minimal_dr2_config(**overrides):
@@ -66,26 +67,8 @@ class TestParseConfig:
     def test_minimal_dr2(self):
         cfg = cli.parse_config(minimal_dr2_config())
         assert cfg.algorithm == "dr2"
-        assert cfg.schedule["kind"] == "constant"
-
-    def test_round_trip(self, tmp_path):
-        cfg = cli.parse_config(geometric_dr2_config(tmp_path))
-        assert cli.parse_config(cli.config_to_dict(cfg)) == cfg
-
-    def test_round_trip_graph_config(self):
-        doc = {
-            "problem": {"name": "affine_random",
-                        "params": {"count": 3, "dim": 2}, "seed": 1},
-            "algorithm": "graph",
-            "theta": 1.0,
-            "graph": {"N": 3, "E": [[1, 2], [2, 3], [1, 3]],
-                      "Eprime": [[1, 2], [2, 3]]},
-            "schedule": {"kind": "explicit", "values": [2.0, 1.0, 1.0]},
-            "stop": {"residual_tol": 1e-8, "max_iters": 50},
-            "x0": [[0.0, 0.0], [0.0, 0.0]],
-        }
-        cfg = cli.parse_config(doc)
-        assert cli.parse_config(cli.config_to_dict(cfg)) == cfg
+        assert isinstance(cfg.schedule, Constant) and cfg.schedule.gamma == 1.0
+        assert cfg.x0.shape == (1,) and not cfg.x0.any()
 
     def test_mt_theta_out_of_range(self):
         doc = {
@@ -270,11 +253,12 @@ class TestMainEntry:
         assert (tmp_path / "run1" / "summary.json").exists()
 
     @pytest.mark.parametrize("x0", [[1.0, 2.0], [float("nan")]], ids=["shape", "nan"])
-    def test_run_batch_checks_x0_before_running(self, tmp_path, capsys, x0):
+    def test_run_batch_checks_x0_before_running(self, tmp_path, capsys, monkeypatch, x0):
         good = tmp_path / "good.json"
         good.write_text(json.dumps(geometric_dr2_config(tmp_path)))
         bad = tmp_path / "badx0.json"
         bad.write_text(json.dumps(minimal_dr2_config(x0=x0)))
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("a config ran"))
         for command in ("run", "compare"):
             code = cli.main([command, str(good), str(bad)])
             captured = capsys.readouterr()
@@ -289,6 +273,38 @@ class TestMainEntry:
         code = cli.main(["run", str(path)])
         assert code == 1
         assert "problem" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["dr2_geometric", "mt_custom_specs", "graph_geometric"])
+    def test_run_builds_each_object_once(self, monkeypatch, capsys, name):
+        built = collections.Counter()
+        for cls in (relosplit.ProblemInstance, relosplit.SplittingGraph):
+            def counted(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+                built[_cls] += 1
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
+        assert cli.main(["run", os.path.join(GOLDEN_DIR, f"{name}.json")]) == 0
+        capsys.readouterr()
+        assert built[relosplit.ProblemInstance] == 1
+        # dr2 and mt build their own 2-node graph or ring; a graph config's
+        # graph is the only one its run builds
+        assert built[relosplit.SplittingGraph] == 1
+
+    def test_run_seed_replaces_the_config_seed(self, tmp_path, capsys):
+        with open(os.path.join(GOLDEN_DIR, "graph_geometric.json")) as fh:
+            doc = json.load(fh)
+        path = tmp_path / "cfg.json"
+        seeded = tmp_path / "seeded.json"
+        path.write_text(json.dumps(doc))
+        seeded.write_text(json.dumps({**doc, "problem": {**doc["problem"], "seed": 7}}))
+        assert cli.main(["run", str(path), "--seed", "7"]) == 0
+        with_flag = capsys.readouterr().out
+        assert cli.main(["run", str(seeded)]) == 0
+        assert capsys.readouterr().out == with_flag
+        assert json.loads(with_flag)["seed"] == 7
+        # the config's own seed is still checked where --seed replaces it
+        path.write_text(json.dumps({**doc, "problem": {**doc["problem"], "seed": "x"}}))
+        assert cli.main(["run", str(path), "--seed", "7"]) == 1
+        assert f"{path}: problem.seed: must be an integer, got 'x'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("overrides, field", [
         ({"algorithm": "mt", "theta": "abc",
@@ -485,6 +501,30 @@ class TestMainEntry:
         ({"problem": {"name": "custom", "params": {"ops": [
             {"kind": "normal_cone_point", "c": [1.0]}, {"kind": "mystery"}]}}},
          "problem.params.ops[1].kind: must be one of zero, scaled_identity, affine"),
+        ({"problem": {"name": "custom", "params": {"solution": [[1.0, 2.0]], "ops": [
+            {"kind": "normal_cone_point", "c": [1.0, 2.0]}, {"kind": "zero", "dim": 2}]}}},
+         "problem.params.solution: must be a non-empty vector, got shape (1, 2)"),
+        ({"problem": {"name": "custom", "params": {"ops": [
+            {"kind": "normal_cone_point", "c": []}, {"kind": "neg_log", "dim": 1}]}}},
+         "problem.params.ops[0].c: must be a non-empty vector, got shape (0,)"),
+        ({"problem": {"name": "custom", "params": {"ops": [
+            {"kind": "normal_cone_point", "c": [1.0, 2.0]},
+            {"kind": "affine", "M": [[1.0, 0.0], [0.0, 1.0]], "b": [[0.0, 0.0]]}]}}},
+         "problem.params.ops[1].b: must be a non-empty vector, got shape (1, 2)"),
+        ({"problem": {"name": "custom", "params": {"ops": [
+            {"kind": "normal_cone_point", "c": [1.0, 2.0]},
+            {"kind": "affine", "M": [1.0, 2.0], "b": [0.0, 0.0]}]}}},
+         "problem.params.ops[1].M: must be a non-empty matrix, got shape (2,)"),
+        ({"problem": {"name": "custom", "params": {"solution": [0.0], "ops": [
+            {"kind": "normal_cone_point", "c": [1.0]}, {"kind": "zero", "dim": 1}]}}},
+         "problem.params.solution: not a solution: residual 1.000e+00 > 1e-08"),
+        ({"problem": {"name": "custom", "params": {"solution": [1.0], "ops": [
+            {"kind": "normal_cone_point", "c": [1.0]},
+            {"kind": "normal_cone_box", "lo": [0.0], "hi": [1.0]}]}}},
+         "problem.params.solution: ops[0], ops[1] are set valued there"),
+        ({"problem": {"name": "custom", "params": {"ops": [
+            {"kind": "normal_cone_point", "c": [1.0]}, {"kind": "zero", "dim": 2}]}}},
+         "problem: operators act on mixed dimensions [1, 2]"),
     ], ids=["theta", "params", "param-value", "seed", "tol-nan", "tol-inf",
             "max-iters-inf", "tol-huge-int", "gamma-huge-int", "x0-huge-int",
             "graph-N-text", "graph-N-null", "graph-E-false", "graph-E-short-arc",
@@ -509,7 +549,9 @@ class TestMainEntry:
             "translated-shift-text", "ball-center-bool", "boxes-int", "boxes-flat",
             "boxes-triple", "consensus-c-int", "custom-ops-int", "consensus-dim-negative",
             "random-dim-zero", "output-paths-empty", "x0-inf", "affine-M-ragged",
-            "point-c-nan", "custom-one-op", "custom-no-params", "custom-op-unknown-kind"])
+            "point-c-nan", "custom-one-op", "custom-no-params", "custom-op-unknown-kind",
+            "solution-matrix", "point-c-empty", "affine-b-matrix", "affine-M-vector",
+            "solution-wrong", "solution-two-set-valued", "custom-mixed-dims"])
     def test_run_malformed_field(self, tmp_path, capsys, overrides, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(minimal_dr2_config(**overrides)))
@@ -787,7 +829,7 @@ class TestReadme:
         with open(README) as fh:
             example = fh.read().split("```json\n", 1)[1].split("```", 1)[0]
         cfg = cli.parse_config(example)
-        assert (cfg.algorithm, cfg.schedule["kind"]) == ("dr2", "geometric")
+        assert cfg.algorithm == "dr2" and isinstance(cfg.schedule, GeometricToLimit)
 
     def test_every_schema_field_is_named(self):
         with open(README) as fh:

@@ -423,8 +423,23 @@ class TestOperatorSemantics:
         assert ops.inclusion_residual(point, [1.0, 2.0], [5.0, -7.0]) == 0.0
         assert ops.inclusion_residual(point, [1.0, 5.0], [0.0, 0.0]) == 3.0
         box = ops.Scaled(ops.NormalConeBox([-1.0, -1.0], [1.0, 1.0]), 2.0)
-        assert ops.single_value(box, [0.0, 0.0]) is None
-        assert ops.inclusion_residual(box, [0.0, 0.0], [0.0, 0.0]) is None
+        # single valued, {0}, inside the box only
+        assert ops.single_value(box, [0.0, 0.5]).tolist() == [0.0, 0.0]
+        assert ops.single_value(box, [1.0, 0.5]) is None
+        assert ops.single_value(box, [3.0, 0.5]) is None
+        # the residual is ||z - P(z + w)||: 0 exactly on the cone, at the
+        # interior, on a face and outside the box
+        assert ops.inclusion_residual(box, [0.0, 0.0], [0.0, 0.0]) == 0.0
+        assert ops.inclusion_residual(box, [0.0, 0.0], [1.0, 0.0]) == 0.5
+        assert ops.inclusion_residual(box, [1.0, 0.0], [4.0, 0.0]) == 0.0
+        assert ops.inclusion_residual(box, [1.0, 0.0], [4.0, 1.0]) == 0.5
+        assert ops.inclusion_residual(box, [3.0, 0.0], [0.0, 0.0]) == 2.0
+        ball = ops.NormalConeBall([0.0, 0.0], 1.0)
+        assert ops.single_value(ball, [0.0, 0.5]).tolist() == [0.0, 0.0]
+        assert ops.single_value(ball, [0.6, 0.8]) is None
+        assert ops.inclusion_residual(ball, [0.6, 0.8], [3.0, 4.0]) == pytest.approx(0.0, abs=1e-15)
+        assert ops.inclusion_residual(ball, [0.6, 0.8], [-3.0, -4.0]) == pytest.approx(2.0)
+        assert ops.inclusion_residual(ball, [0.0, 0.5], [0.0, 1.0]) == 0.5
 
     def test_neg_log_off_the_orthant(self):
         op = ops.Scaled(ops.NegLog(2), 2.0)

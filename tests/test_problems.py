@@ -114,6 +114,12 @@ class TestBoxFeasibility:
                 np.linalg.norm(z - np.clip(z, lo, hi)))
 
 
+CUSTOM_AFFINE = {"kind": "affine", "M": [[2.0, 1.0], [-1.0, 2.0]], "b": [-3.0, 1.0]}
+CUSTOM_BALL = {"kind": "scaled", "sigma": 2.0, "inner": {
+    "kind": "translated", "shift": [0.5, 0.5],
+    "inner": {"kind": "normal_cone_ball", "center": [0.0, 0.0], "radius": 1.0}}}
+
+
 class TestCustomProblem:
     def test_operator_specs(self):
         inst = problems.make_problem("custom", {
@@ -136,6 +142,35 @@ class TestCustomProblem:
                 ],
                 "solution": [2.0],
             })
+
+    @pytest.mark.parametrize("ops, solution", [
+        # the mt_custom_specs golden config and the fuzz test's custom base:
+        # both solutions lie inside the ball, where its cone is {0}
+        ([CUSTOM_AFFINE, CUSTOM_BALL, {"kind": "affine", "M": [[1.0, 0.0], [0.0, 1.0]],
+                                      "b": [0.0, -2.0]}], [0.8, 0.6]),
+        ([CUSTOM_AFFINE, CUSTOM_BALL], [1.4, 0.2]),
+    ])
+    def test_declared_solution_with_one_set_valued_operator(self, ops, solution):
+        inst = problems.make_problem("custom", {"ops": ops, "solution": solution})
+        assert problems.solution_residual(inst, solution) == 0.0
+
+    def test_wrong_declared_solution_rejected(self):
+        ops = [CUSTOM_AFFINE, CUSTOM_BALL, {"kind": "affine", "M": [[1.0, 0.0], [0.0, 1.0]],
+                                            "b": [0.0, -2.0]}]
+        with pytest.raises(ConstructionError, match=r"^solution: not a solution: residual"):
+            problems.make_problem("custom", {"ops": ops, "solution": [5.0, -7.0]})
+
+    def test_two_set_valued_operators_refuse_the_declaration(self):
+        # (1.4, 0.2) lies on the edge of the box and inside the ball: with the
+        # ball's shift moved to (1.4, 1.2) it lies on the sphere too
+        ball = {**CUSTOM_BALL, "inner": {**CUSTOM_BALL["inner"], "shift": [1.4, 1.2]}}
+        ops = [CUSTOM_AFFINE, CUSTOM_BALL, {"kind": "normal_cone_box", "lo": [0.0, 0.2],
+                                            "hi": [2.0, 2.0]}]
+        # one set valued operator, the box, whose cone holds minus the others' sum (0)
+        problems.make_problem("custom", {"ops": ops, "solution": [1.4, 0.2]})
+        with pytest.raises(ConstructionError, match=r"^solution: ops\[1\], ops\[2\] are set valued"):
+            problems.make_problem("custom", {"ops": [CUSTOM_AFFINE, ball, ops[2]],
+                                             "solution": [1.4, 0.2]})
 
     def test_needs_two_specs(self):
         with pytest.raises(ConstructionError):
