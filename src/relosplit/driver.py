@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, ScheduleError
+from .kinds import INTEGER, NUMBER, checked
 from .linalg import BlockVector, _all_finite
 
 STATUS_CONVERGED = "converged"
@@ -70,9 +71,9 @@ class StopRule:
     max_iters: int
 
     def __post_init__(self):
-        if not math.isfinite(self.residual_tol) or self.residual_tol <= 0:
+        if not 0.0 < checked(NUMBER, self.residual_tol, "residual_tol") < math.inf:
             raise ParameterError("residual_tol must be positive and finite")
-        if self.max_iters < 1:
+        if checked(INTEGER, self.max_iters, "max_iters") < 1:
             raise ParameterError("max_iters must be >= 1")
 
     def settled(self, gamma, gamma_next):
@@ -132,7 +133,9 @@ class Relocator:
 
 @dataclass
 class ConvergenceTrace:
-    """Per-iteration record of a run.
+    """Per-iteration record of a run, a table: every row carries row 0's
+    fields (its scalar keys, its vector keys, and a point exactly when row 0
+    had one), so every series is as long as the trace.
 
     residuals[n] is ||x_n - T_{gamma_n} x_n||; points[n] holds the flattened
     monitored (shadow) point when the family produces one. iterates keeps the
@@ -155,25 +158,36 @@ class ConvergenceTrace:
 
     def record(self, gamma, residual, solution_residual=None, point=None,
                iterate=None, scalars=None, vectors=None):
-        """Append one iteration: scalars as floats, arrays as flat copies.
+        """Append one row: scalars as floats, arrays as flat copies.
 
-        The point is copied once. A vector that is the point object itself
-        is recorded as that same copy, so it is stored once and formatted
-        once by write_csv; any other vector gets its own copy. The iterate
-        is kept as given.
+        A row with other fields than row 0 is refused, by a ParameterError
+        naming it. The point is copied once, and a vector that is the point
+        object itself is recorded as that copy, so write_csv formats it
+        once. The iterate is kept as given.
         """
+        scalars = scalars or {}
+        vectors = vectors or {}
+        if not self.residuals:
+            self.extra_scalars = {key: [] for key in scalars}
+            self.extra_vectors = {key: [] for key in vectors}
+        elif (scalars.keys() != self.extra_scalars.keys()
+              or vectors.keys() != self.extra_vectors.keys()
+              or (point is None) != (self.points[0] is None)):
+            row0 = (self.points[0] is not None, list(self.extra_scalars), list(self.extra_vectors))
+            raise ParameterError(
+                f"trace row {len(self)} has other fields than row 0 (point, scalars, vectors): "
+                f"{point is not None, list(scalars), list(vectors)}, not {row0}")
         self.gammas.append(float(gamma))
         self.residuals.append(float(residual))
         self.solution_residuals.append(
-            float(solution_residual) if solution_residual is not None else math.nan
-        )
+            math.nan if solution_residual is None else float(solution_residual))
         flat = None if point is None else ambient_flat(point)
         self.points.append(flat)
         self.iterates.append(iterate)
-        for key, value in (scalars or {}).items():
-            self.extra_scalars.setdefault(key, []).append(float(value))
-        for key, value in (vectors or {}).items():
-            self.extra_vectors.setdefault(key, []).append(
+        for key, value in scalars.items():
+            self.extra_scalars[key].append(float(value))
+        for key, value in vectors.items():
+            self.extra_vectors[key].append(
                 flat if flat is not None and value is point else ambient_flat(value))
 
     def __len__(self):
@@ -202,23 +216,17 @@ class ConvergenceTrace:
         }
         if self.points and self.points[-1] is not None:
             out["final_point"] = [float(v) for v in self.points[-1]]
-        last_solution = self.solution_residuals[-1] if self.solution_residuals else math.nan
-        if not math.isnan(last_solution):
-            out["final_solution_residual"] = last_solution
+        if self.solution_residuals and not math.isnan(self.solution_residuals[-1]):
+            out["final_solution_residual"] = self.solution_residuals[-1]
         if self.seed is not None:
             out["seed"] = self.seed
         return out
 
     def _csv_header(self):
         header = ["n", "gamma", "residual", "solution_residual"]
-        point_dim = 0
-        for p in self.points:
-            if p is not None:
-                point_dim = len(p)
-                break
+        point_dim = len(self.points[0]) if self.points and self.points[0] is not None else 0
         header += [f"point_{i}" for i in range(point_dim)]
-        for key in self.extra_scalars:
-            header.append(key)
+        header += list(self.extra_scalars)
         for key, series in self.extra_vectors.items():
             header += [f"{key}_{i}" for i in range(len(series[0]))]
         return header, point_dim
@@ -232,13 +240,9 @@ class ConvergenceTrace:
         """
         header, point_dim = self._csv_header()
         point_format = ",".join(["%.17g"] * point_dim)
-        nan_point = point_format % ((math.nan,) * point_dim)
         scalars = list(self.extra_scalars.values())
-        vectors = []
-        for series in self.extra_vectors.values():
-            vector_format = ",".join(["%.17g"] * len(series[0]))
-            vectors.append((series, vector_format,
-                            vector_format % ((math.nan,) * len(series[0]))))
+        vectors = [(series, ",".join(["%.17g"] * len(series[0])))
+                   for series in self.extra_vectors.values()]
         # the point and each vector enter the row as one preformatted field
         row_format = ("%d,%.17g,%.17g,%.17g" + ",%s" * (point_dim > 0)
                       + ",%.17g" * len(scalars) + ",%s" * len(vectors) + "\r\n")
@@ -246,22 +250,16 @@ class ConvergenceTrace:
         def rows():
             for n in range(len(self.residuals)):
                 point = self.points[n]
-                point_text = (nan_point if point is None
-                              else point_format % tuple(_floats(point)))
                 row = [n, self.gammas[n], self.residuals[n], self.solution_residuals[n]]
                 if point_dim:
+                    point_text = point_format % tuple(_floats(point))
                     row.append(point_text)
-                # step-indexed series (e.g. relocator bounds) are one entry
-                # shorter than the trace; pad the missing tail with nan
                 for series in scalars:
-                    row.append(series[n] if n < len(series) else math.nan)
-                for series, vector_format, pad in vectors:
-                    if n >= len(series):
-                        row.append(pad)
-                    elif series[n] is point:
-                        row.append(point_text)
-                    else:
-                        row.append(vector_format % tuple(_floats(series[n])))
+                    row.append(series[n])
+                for series, vector_format in vectors:
+                    # only a row with a point can share it with a vector (see record)
+                    row.append(point_text if series[n] is point
+                               else vector_format % tuple(_floats(series[n])))
                 yield row_format % tuple(row)
 
         def emit(fh):
@@ -322,9 +320,7 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
             residual = ambient_norm(x - w)
             shadow = aux.get("shadow")
             monitored = shadow if shadow is not None else x
-            sol = None
-            if solution_residual is not None:
-                sol = solution_residual(monitored)
+            sol = None if solution_residual is None else solution_residual(monitored)
             trace.record(gamma, residual, sol, point=monitored,
                          iterate=x, scalars=aux.get("scalars"), vectors=aux.get("vectors"))
 
@@ -360,40 +356,18 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
     return trace
 
 
-def run_relocated(family, relocator, schedule, x0, stop, solution_residual=None,
-                  anchor0=None):
+def run_relocated(family, relocator, schedule, x0, stop, solution_residual=None):
     """Run the naive relocated composition of a family and a relocator.
 
     Every step evaluates T_gamma and Q in full and reuses nothing; the
     efficient runners are checked against it. solution_residual is as in
-    relocated_loop. anchor0, a fixed point of T_{gamma_0}, is moved by the
-    relocator alongside the run: ||x_n - c_n|| is recorded as
-    "anchor_distance" and the relocator bounds as "relocator_bound",
-    mirroring the decrease inequality of the convergence proof.
+    relocated_loop.
     """
-    anchor = anchor0
-    bounds = []
-
-    def step(gamma, x, carry):
-        w, aux = family.apply(gamma, x)
-        if anchor is not None:
-            aux["scalars"] = {**(aux.get("scalars") or {}),
-                              "anchor_distance": ambient_norm(x - anchor)}
-        return w, aux
 
     def feedback(gamma, w):
         z_fb, w_fb = family.feedback(gamma, w)
         return (ambient_flat(z_fb), ambient_flat(w_fb)), None
 
-    def relocate(gamma, delta, w, pre):
-        nonlocal anchor
-        if anchor is not None:
-            bounds.append(relocator.lipschitz_bound(gamma, delta))
-            anchor = relocator.apply(gamma, delta, anchor)
-        return relocator.apply(gamma, delta, w), None
-
-    trace = relocated_loop(step, relocate, feedback, schedule, x0, stop,
-                           solution_residual=solution_residual)
-    if bounds:
-        trace.extra_scalars["relocator_bound"] = bounds
-    return trace
+    return relocated_loop(lambda gamma, x, carry: family.apply(gamma, x),
+                          lambda gamma, delta, w, pre: (relocator.apply(gamma, delta, w), None),
+                          feedback, schedule, x0, stop, solution_residual=solution_residual)

@@ -33,7 +33,7 @@ class ProblemInstance:
     """
 
     def __init__(self, name, ops, solution_point=None, oracle=None,
-                 dr_certificate=None, seed=None, params=None):
+                 dr_certificate=None, seed=None):
         dims = {op.dim for op in ops}
         if len(dims) != 1:
             raise DimensionError(f"operators act on mixed dimensions {sorted(dims)}")
@@ -44,7 +44,6 @@ class ProblemInstance:
         self.oracle = oracle
         self.dr_certificate = dr_certificate
         self.seed = seed
-        self.params = dict(params or {})
         if self.solution_point is not None and self.solution_point.size != self.dim:
             raise DimensionError("solution point dimension disagrees with the problem")
 
@@ -110,11 +109,8 @@ def _indicator_neglog(params, seed):
     problem = DRProblem(op_a, op_b)
     # w = 1 lies in the normal cone at the feasible point and -1 = (-ln)'(1).
     cert = DRCertificate(problem, z=[1.0], w=[1.0])
-    return ProblemInstance(
-        "indicator_neglog", [op_a, op_b],
-        solution_point=[1.0], oracle=_distance_to(np.array([1.0])),
-        dr_certificate=cert, seed=seed, params=params,
-    )
+    return ProblemInstance("indicator_neglog", [op_a, op_b], solution_point=[1.0],
+                           oracle=_distance_to(np.array([1.0])), dr_certificate=cert, seed=seed)
 
 
 def _affine_consensus(params, seed):
@@ -125,9 +121,7 @@ def _affine_consensus(params, seed):
         centers = [params.get("spread", 1.0) * rng.standard_normal(params.get("dim", 1))
                    for _ in range(params.get("count", 3))]
     instance = ProblemInstance(
-        "affine_consensus", [AffineMonotone(np.eye(c.size), -c) for c in centers],
-        seed=seed, params=params,
-    )
+        "affine_consensus", [AffineMonotone(np.eye(c.size), -c) for c in centers], seed=seed)
     # the centers share one dimension once the instance holds their operators
     instance.solution_point = np.mean(np.stack(centers), axis=0)
     instance.oracle = _affine_inclusion(instance.ops)
@@ -148,18 +142,13 @@ def _affine_random(params, seed):
     # adjust the last offset so that the drawn point is a common zero
     offs[-1] = -sum(m @ zero for m in mats) - sum(offs[:-1])
     ops = [AffineMonotone(m, b) for m, b in zip(mats, offs)]
-    return ProblemInstance(
-        "affine_random", ops,
-        solution_point=zero, oracle=_affine_inclusion(ops),
-        seed=seed, params=params,
-    )
+    return ProblemInstance("affine_random", ops, solution_point=zero,
+                           oracle=_affine_inclusion(ops), seed=seed)
 
 
 def _box_feasibility(params, seed):
     instance = ProblemInstance(
-        "box_feasibility", [NormalConeBox(lo, hi) for (lo, hi) in params["boxes"]],
-        seed=seed, params=params,
-    )
+        "box_feasibility", [NormalConeBox(lo, hi) for (lo, hi) in params["boxes"]], seed=seed)
     # the boxes share one dimension once the instance holds their cones
     lo = np.max(np.stack([op.lo for op in instance.ops]), axis=0)
     hi = np.min(np.stack([op.hi for op in instance.ops]), axis=0)
@@ -170,11 +159,8 @@ def _box_feasibility(params, seed):
 
 def _custom(params, seed):
     solution = params.get("solution")
-    return ProblemInstance(
-        "custom", params["ops"], solution_point=solution,
-        oracle=None if solution is None else _distance_to(solution),
-        seed=seed, params=params,
-    )
+    return ProblemInstance("custom", params["ops"], solution_point=solution,
+                           oracle=None if solution is None else _distance_to(solution), seed=seed)
 
 
 def _custom_params(**params):

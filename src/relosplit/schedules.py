@@ -62,7 +62,7 @@ class StepsizeSchedule:
     def reset(self):
         """Clear per-run state (no-op for stateless policies)."""
 
-    def report(self, horizon, declared_lower=None):
+    def report(self, horizon):
         """This kind's ScheduleReport; validate_schedule is the checked entry point."""
         raise ParameterError(f"unknown schedule type {type(self).__name__}")
 
@@ -81,7 +81,7 @@ class Constant(StepsizeSchedule):
             raise ScheduleError("index must be >= 0")
         return self.gamma
 
-    def report(self, horizon, declared_lower=None):
+    def report(self, horizon):
         return ScheduleReport(accepted=True, inf_estimate=self.gamma,
                               limit_estimate=self.gamma,
                               reasons=["constant schedule accepted analytically"])
@@ -108,7 +108,7 @@ class GeometricToLimit(StepsizeSchedule):
             raise ScheduleError("index must be >= 0")
         return self.gamma_limit + (self.start - self.gamma_limit) * self.ratio ** n
 
-    def report(self, horizon, declared_lower=None):
+    def report(self, horizon):
         gap = self.gamma_limit - self.start
         return ScheduleReport(accepted=True, inf_estimate=min(self.start, self.gamma_limit),
                               pos_increment_sum=max(gap, 0.0), abs_increment_sum=abs(gap),
@@ -141,7 +141,7 @@ class ExplicitList(StepsizeSchedule):
             raise ScheduleError("index must be >= 0")
         return self.values[n] if n < len(self.values) else self.tail
 
-    def report(self, horizon, declared_lower=None):
+    def report(self, horizon):
         values = [self.gamma_at(n) for n in range(max(horizon, len(self.values)))]
         reasons = []
         accepted = True
@@ -155,11 +155,6 @@ class ExplicitList(StepsizeSchedule):
         abs_sum = float(np.sum(np.abs(increments)))
         if accepted:
             reasons.append("finite positive list accepted; increment sums audited")
-        if declared_lower is not None and min(values) < declared_lower:
-            accepted = False
-            reasons.append(
-                f"value {min(values)} falls below the declared lower bound {declared_lower}"
-            )
         return ScheduleReport(accepted=accepted, inf_estimate=float(min(values)),
                               pos_increment_sum=pos_sum, abs_increment_sum=abs_sum,
                               limit_estimate=self.tail if accepted else None,
@@ -216,12 +211,12 @@ class AdaptiveKappa(StepsizeSchedule):
         self._n = n
         return self._gamma
 
-    def report(self, horizon, declared_lower=None):
+    def report(self, horizon):
         return ScheduleReport(accepted=False, inf_estimate=self.clamp_lo,
                               reasons=["state-dependent; monitored at runtime"])
 
 
-def validate_schedule(schedule, horizon, declared_lower=None):
+def validate_schedule(schedule, horizon):
     """Decide whether a schedule satisfies the convergence conditions.
 
     Constant and geometric families are accepted analytically with exact
@@ -233,7 +228,7 @@ def validate_schedule(schedule, horizon, declared_lower=None):
     """
     if horizon < 2:
         raise ParameterError(f"horizon must be >= 2, got {horizon}")
-    return schedule.report(horizon, declared_lower)
+    return schedule.report(horizon)
 
 
 def remark_counterexample_values(count=8):

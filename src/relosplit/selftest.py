@@ -509,14 +509,20 @@ def graph_algebra(rng):
     """On the rings N = 3..6 and the chorded path: L = Z Z^T, M = C C^T,
     R skew and Z^T 1 = 0 to 1e-12, Zdag Z = I to 1e-10, and the degree
     identities (sum d_i = 2|E|, in- and out-degrees sum to |E|, node 1 a
-    source)."""
+    source). L and M are held to their definitions, L the tree's degree
+    matrix minus its adjacency matrix and M = [[L, Z], [Z^T, I]], so a
+    wrong incidence matrix Z fails them."""
     result = GroupResult("graph_algebra")
     for g in [mt.mt_graph(n) for n in (3, 4, 5, 6)] + [chorded_path()]:
         m = g.matrices
         n = g.n_nodes
+        lap = np.diag(g.tree_deg.astype(float))
+        for i, j in g.tree_arcs:
+            lap[i - 1, j - 1] = lap[j - 1, i - 1] = -1.0
+        blocks = np.block([[lap, m.Z], [m.Z.T, np.eye(n - 1)]])
         identities = {
-            "L=ZZ^T": (np.max(np.abs(m.L - m.Z @ m.Z.T)), 1e-12),
-            "M=CC^T": (np.max(np.abs(m.M - m.C @ m.C.T)), 1e-12),
+            "L=ZZ^T": (np.max(np.abs([m.L - lap, m.Z @ m.Z.T - lap])), 1e-12),
+            "M=CC^T": (np.max(np.abs([m.M - blocks, m.C @ m.C.T - blocks])), 1e-12),
             "R skew": (np.max(np.abs(m.R + m.R.T)), 1e-12),
             "Z^T 1=0": (np.max(np.abs(m.Z.T @ np.ones(n))), 1e-12),
             "Zdag Z=I": (np.max(np.abs(m.Zdag @ m.Z - np.eye(n - 1))), 1e-10),

@@ -267,6 +267,20 @@ class TestMainEntry:
             assert captured.out == ""
             assert sorted(os.listdir(tmp_path)) == ["badx0.json", "good.json"]
 
+    @pytest.mark.parametrize("flag", ["--trace-out", "--summary-out"])
+    def test_run_output_flag_needs_a_single_config(self, tmp_path, capsys, monkeypatch,
+                                                   flag):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            path.write_text(json.dumps(minimal_dr2_config()))
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("a config ran"))
+        code = cli.main(["run", *map(str, paths), flag, str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: --trace-out/--summary-out need a single config\n"
+        assert captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == ["a.json", "b.json"]
+
     def test_run_invalid_config(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"algorithm": "dr2"}))
@@ -525,6 +539,15 @@ class TestMainEntry:
         ({"problem": {"name": "custom", "params": {"ops": [
             {"kind": "normal_cone_point", "c": [1.0]}, {"kind": "zero", "dim": 2}]}}},
          "problem: operators act on mixed dimensions [1, 2]"),
+        ({"theta": 0.5}, "theta: not used by dr2"),
+        ({key: value for key, value in GRAPH_CONFIG.items() if key != "graph"},
+         "graph: required object {N, E, Eprime} for algorithm 'graph'"),
+        ({**GRAPH_CONFIG,
+          "problem": {"name": "affine_random", "params": {"count": 5, "dim": 2}, "seed": 1},
+          "graph": {"N": 6, "E": [[i, i + 1] for i in range(1, 6)],
+                    "Eprime": [[i, i + 1] for i in range(1, 6)]}},
+         "graph.N: graph has 6 nodes but the problem has 5 operators"),
+        ({"graph": GRAPH_CONFIG["graph"]}, "graph: only used by algorithm 'graph'"),
     ], ids=["theta", "params", "param-value", "seed", "tol-nan", "tol-inf",
             "max-iters-inf", "tol-huge-int", "gamma-huge-int", "x0-huge-int",
             "graph-N-text", "graph-N-null", "graph-E-false", "graph-E-short-arc",
@@ -551,7 +574,8 @@ class TestMainEntry:
             "random-dim-zero", "output-paths-empty", "x0-inf", "affine-M-ragged",
             "point-c-nan", "custom-one-op", "custom-no-params", "custom-op-unknown-kind",
             "solution-matrix", "point-c-empty", "affine-b-matrix", "affine-M-vector",
-            "solution-wrong", "solution-two-set-valued", "custom-mixed-dims"])
+            "solution-wrong", "solution-two-set-valued", "custom-mixed-dims", "dr2-theta",
+            "graph-missing", "graph-N-mismatch", "dr2-graph"])
     def test_run_malformed_field(self, tmp_path, capsys, overrides, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(minimal_dr2_config(**overrides)))

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import GAMMA_GRID, random_affine
 from relosplit import dr2, schedules as sch
-from relosplit.driver import StopRule, run_relocated
+from relosplit.driver import StopRule, ambient_norm, run_relocated
 from relosplit.errors import CertificateError, DimensionError, ParameterError
 from relosplit.operators import (
     CountingOperator,
@@ -287,20 +287,23 @@ class TestAlgorithm1:
         tail = dists[3 * len(dists) // 4:]
         assert max(tail) - min(tail) <= 1e-4
 
-    def test_anchor_decrease_inequality(self, rng):
-        # ||x_{n+1} - c_{n+1}|| <= L ||x_n - c_n|| for the relocated anchor
+    def test_anchor_decrease_inequality(self):
+        # ||x_{n+1} - c_{n+1}|| <= L_n ||x_n - c_n||, where the anchor c_n, a
+        # fixed point of T_{gamma_n}, is replayed by the relocator over the
+        # trace's own gammas and L_n bounds Q_{gamma_{n+1}<-gamma_n}
         problem = neglog_problem()
+        relocator = dr2.dr_relocator(problem)
         schedule = sch.ExplicitList([1.0, 2.0, 0.5, 1.5, 1.0, 1.0])
-        cert = neglog_certificate(problem)
-        anchor0 = dr_fixed_point(cert, 1.0)
-        trace = run_relocated(dr2.dr_family(problem), dr2.dr_relocator(problem),
-                              schedule, np.array([5.0]),
-                              StopRule(residual_tol=1e-14, max_iters=5),
-                              anchor0=anchor0)
-        dist = trace.extra_scalars["anchor_distance"]
-        bounds = trace.extra_scalars["relocator_bound"]
-        for n in range(len(bounds)):
-            assert dist[n + 1] <= bounds[n] * dist[n] + 1e-12
+        anchor = dr_fixed_point(neglog_certificate(problem), 1.0)
+        trace = run_relocated(dr2.dr_family(problem), relocator, schedule, np.array([5.0]),
+                              StopRule(residual_tol=1e-14, max_iters=5))
+        assert len(trace) == 6
+        for n in range(len(trace) - 1):
+            gamma, delta = trace.gammas[n], trace.gammas[n + 1]
+            dist = ambient_norm(trace.iterates[n] - anchor)
+            anchor = relocator.apply(gamma, delta, anchor)
+            assert (ambient_norm(trace.iterates[n + 1] - anchor)
+                    <= relocator.lipschitz_bound(gamma, delta) * dist + 1e-12)
 
 
 class TestDRAxiomsHarness:

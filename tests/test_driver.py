@@ -19,7 +19,7 @@ from relosplit.driver import (
     ambient_norm,
     run_relocated,
 )
-from relosplit.errors import FixedPointError, ParameterError
+from relosplit.errors import ConstructionError, FixedPointError, ParameterError
 from relosplit.graphs import graph_relocated_run
 from relosplit.linalg import BlockVector
 from relosplit.operators import NegLog, NormalConePoint
@@ -192,17 +192,11 @@ def reference_csv(trace):
     for n in range(len(trace.residuals)):
         row = [str(n), fmt(trace.gammas[n]), fmt(trace.residuals[n]),
                fmt(trace.solution_residuals[n])]
-        point = trace.points[n]
         if point_dim:
-            row += [fmt(v) for v in (point if point is not None
-                                     else [math.nan] * point_dim)]
-        for series in trace.extra_scalars.values():
-            row.append(fmt(series[n] if n < len(series) else math.nan))
+            row += [fmt(v) for v in trace.points[n]]
+        row += [fmt(series[n]) for series in trace.extra_scalars.values()]
         for series in trace.extra_vectors.values():
-            if n < len(series):
-                row += [fmt(v) for v in series[n]]
-            else:
-                row += [fmt(math.nan)] * len(series[0])
+            row += [fmt(v) for v in series[n]]
         writer.writerow(row)
     return buffer.getvalue()
 
@@ -215,27 +209,30 @@ class TestCsvFormat:
                      point=np.array([math.inf, -math.inf]),
                      scalars={"a,b": tiny, "bound": third},
                      vectors={"u": np.array([huge]), "v": np.array([-0.0, third])})
-        # no point, and the step-indexed "bound" and "v" stop one entry short
-        trace.record(third, tiny, scalars={"a,b": -math.inf},
-                     vectors={"u": np.array([0.0])})
+        trace.record(third, tiny, point=np.array([math.nan, 0.0]),
+                     scalars={"a,b": -math.inf, "bound": math.nan},
+                     vectors={"u": np.array([0.0]), "v": np.array([1.0, -huge])})
         buffer = io.StringIO()
         trace.write_csv(buffer)
         assert buffer.getvalue() == (
             'n,gamma,residual,solution_residual,point_0,point_1,"a,b",bound,u_0,v_0,v_1\r\n'
             "0,0,-0,nan,inf,-inf,4.9406564584124654e-324,0.33333333333333331,"
             "1.7976931348623157e+308,-0,0.33333333333333331\r\n"
-            "1,0.33333333333333331,4.9406564584124654e-324,nan,nan,nan,-inf,nan,"
-            "0,nan,nan\r\n"
+            "1,0.33333333333333331,4.9406564584124654e-324,nan,nan,0,-inf,nan,"
+            "0,1,-1.7976931348623157e+308\r\n"
         )
 
     def test_shared_and_equal_vectors_print_the_same_text(self, rng):
-        # "z" is the point object itself (as dr2 records its shadow), "c" an
-        # equal but distinct array; row 1 has no point, so nothing is shared
+        # in row 0 "z" is the point object itself (as dr2 records its
+        # shadow), in row 1 an array of its own; "c" is always an equal but
+        # distinct array
         trace = ConvergenceTrace()
-        for point in (rng.standard_normal(3), None):
-            z = rng.standard_normal(3) if point is None else point
+        for shared in (True, False):
+            point = rng.standard_normal(3)
+            z = point if shared else rng.standard_normal(3)
             trace.record(1.0, 0.5, point=point, vectors={"z": z, "c": z.copy()})
         assert trace.extra_vectors["z"][0] is trace.points[0]
+        assert trace.extra_vectors["z"][1] is not trace.points[1]
         assert trace.extra_vectors["c"][0] is not trace.points[0]
         buffer = io.StringIO()
         trace.write_csv(buffer)
@@ -286,6 +283,37 @@ class TestRecord:
         assert trace.points[0].tolist() == [1.0, 2.0, 3.0, 4.0]
         assert trace.points[0].flags.writeable
         assert trace.extra_vectors["z"][0] is trace.points[0]
+
+
+    @pytest.mark.parametrize("first, second", [
+        ({"vectors": {"z": np.array([1.0])}}, {}),
+        ({"scalars": {"a": 1.0}}, {"scalars": {"a": 1.0, "b": 2.0}}),
+        ({"scalars": {"a": 1.0}}, {"scalars": {"b": 1.0}}),
+        ({"point": np.array([1.0])}, {}),
+        ({}, {"point": np.array([1.0])}),
+    ], ids=["vector-left-out", "scalar-added", "scalar-renamed", "point-left-out",
+            "point-added"])
+    def test_a_row_with_other_fields_is_refused(self, first, second):
+        trace = ConvergenceTrace()
+        trace.record(1.0, 0.5, **first)
+        with pytest.raises(ParameterError, match="^trace row 1 has other fields than row 0"):
+            trace.record(1.0, 0.25, **second)
+        assert len(trace) == 1
+        assert all(len(series) == 1 for series in trace.extra_scalars.values())
+        assert all(len(series) == 1 for series in trace.extra_vectors.values())
+
+    def test_run_refuses_a_step_that_leaves_a_vector_out(self):
+        # the family leaves "v" out of iteration 1 only: a trace that took
+        # the row would print iteration 2's "v" in row 1
+        steps = []
+
+        def apply(gamma, x):
+            steps.append(x)
+            return 0.5 * x, {"vectors": {} if len(steps) == 2 else {"v": 2.0 * x}}
+
+        with pytest.raises(ParameterError, match="^trace row 1 "):
+            run_relocated(OperatorFamily(apply, 0.5), identity_relocator(),
+                          sch.Constant(1.0), np.array([8.0]), StopRule(1e-12, 5))
 
 
 class TestAmbientKernels:
@@ -339,6 +367,18 @@ class TestStopRule:
                 StopRule(residual_tol=tol, max_iters=5)
         with pytest.raises(ParameterError):
             StopRule(residual_tol=1e-6, max_iters=0)
+
+    @pytest.mark.parametrize("residual_tol, max_iters, message", [
+        (1e-8, 2.5, "max_iters: must be an integer, got 2.5"),
+        (1e-8, True, "max_iters: must be an integer, got True"),
+        (1e-8, "10", "max_iters: must be an integer, got '10'"),
+        ("1", 10, "residual_tol: must be a number, got '1'"),
+        (True, 10, "residual_tol: must be a number, got True"),
+    ], ids=["iters-float", "iters-bool", "iters-text", "tol-text", "tol-bool"])
+    def test_field_kinds(self, residual_tol, max_iters, message):
+        with pytest.raises(ConstructionError) as info:
+            StopRule(residual_tol, max_iters)
+        assert str(info.value) == message
 
     def test_settled(self):
         rule = StopRule(residual_tol=1e-6, max_iters=5)

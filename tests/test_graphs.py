@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import GAMMA_GRID, random_affine
-from relosplit import graphs, problems, schedules as sch
+from relosplit import graphs, problems, schedules as sch, selftest
 from relosplit.dr2 import dr_relocator_apply
 from relosplit.driver import StopRule, run_relocated
 from relosplit.errors import (
@@ -96,6 +98,27 @@ class TestGraphMatrices:
             assert int(g.deg.sum()) == 2 * len(g.arcs)
             assert int(g.indeg[1:].sum()) == len(g.arcs)
             assert int(g.outdeg[:-1].sum()) == len(g.arcs)
+
+    def test_graph_algebra_catches_a_miswired_incidence_matrix(self, monkeypatch):
+        build = graphs._build_matrices
+
+        def miswired(g):
+            # the first tree arc leaves its head for another node, and L, M
+            # and C are formed from that Z as _build_matrices forms them
+            m = build(g)
+            z = m.Z.copy()
+            i, j = g.tree_arcs[0]
+            z[j - 1, 0] = 0.0
+            z[next(v for v in range(g.n_nodes) if v not in (i - 1, j - 1)), 0] = -1.0
+            lap = z @ z.T
+            return dataclasses.replace(
+                m, Z=z, L=lap, C=np.vstack([z, np.eye(g.n_nodes - 1)]),
+                M=np.block([[lap, z], [z.T, np.eye(g.n_nodes - 1)]]))
+
+        monkeypatch.setattr(graphs, "_build_matrices", miswired)
+        failures = selftest.graph_algebra(np.random.default_rng(6)).failures
+        for label in ("L=ZZ^T", "M=CC^T"):
+            assert sum(label in failure for failure in failures) == 5
 
 
 class TestGraphDRApply:

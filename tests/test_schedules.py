@@ -182,11 +182,6 @@ class TestValidateSchedule:
         assert report.reasons == ["state-dependent; monitored at runtime"]
         assert report.inf_estimate > 0
 
-    def test_declared_lower_enforced(self):
-        report = sch.validate_schedule(sch.ExplicitList([1.0, 0.5, 2.0]),
-                                       horizon=10, declared_lower=0.75)
-        assert not report.accepted
-
     def test_horizon_too_short(self):
         with pytest.raises(ParameterError):
             sch.validate_schedule(sch.Constant(1.0), horizon=1)
