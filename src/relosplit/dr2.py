@@ -140,6 +140,7 @@ def algorithm1_run(problem, schedule, x0, stop, solution_residual=None):
     x_n, the shadow z_n (also the monitored point), and y_n, w_n.
     """
     step, feedback, relocate = graph_hooks(
-        (problem.op_a, problem.op_b), build_graph(2, [(1, 2)], [(1, 2)]), record=_record_dr)
+        (problem.op_a, problem.op_b), build_graph(2, [(1, 2)], [(1, 2)]), record=_record_dr,
+        vector=True)
     return relocated_loop(step, relocate, feedback, schedule, as_vector(x0), stop,
                           solution_residual=solution_residual)

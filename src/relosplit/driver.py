@@ -31,8 +31,14 @@ class ScheduleBudgetWarning(RuntimeWarning):
     """The accumulated positive stepsize increments exceeded their budget."""
 
 
+_FLOAT = np.dtype(float)
+
+
 def _values(x):
-    """The float array of a point; a BlockVector's own (k, d) array, no copy."""
+    """The float array of a point, no copy: a float ndarray as it is, a
+    BlockVector's own (k, d) array."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT:
+        return x
     return x.data if isinstance(x, BlockVector) else np.asarray(x, dtype=float)
 
 
@@ -135,7 +141,8 @@ class Relocator:
 class ConvergenceTrace:
     """Per-iteration record of a run, a table: every row carries row 0's
     fields (its scalar keys, its vector keys, and a point exactly when row 0
-    had one), so every series is as long as the trace.
+    had one), so every series is as long as the trace, and its point and
+    vectors have row 0's lengths, so every row fills the CSV header.
 
     residuals[n] is ||x_n - T_{gamma_n} x_n||; points[n] holds the flattened
     monitored (shadow) point when the family produces one. iterates keeps the
@@ -155,40 +162,56 @@ class ConvergenceTrace:
     sum_pos_increments: float = 0.0
     final_x: object = None
     seed: int | None = None
+    #: row 0's point length (None without a point) and its vector lengths
+    _lengths: tuple = field(default=None, init=False, repr=False)
 
     def record(self, gamma, residual, solution_residual=None, point=None,
                iterate=None, scalars=None, vectors=None):
         """Append one row: scalars as floats, arrays as flat copies.
 
-        A row with other fields than row 0 is refused, by a ParameterError
-        naming it. The point is copied once, and a vector that is the point
-        object itself is recorded as that copy, so write_csv formats it
-        once. The iterate is kept as given.
+        A row with other fields than row 0, or a point or a vector of
+        another length, is refused by a ParameterError naming it, and
+        nothing of it is recorded. The point is copied once, and a vector
+        that is the point object itself is recorded as that copy, so
+        write_csv formats it once. The iterate is kept as given.
         """
         scalars = scalars or {}
         vectors = vectors or {}
+        flat = None if point is None else _values(point).flatten()
         if not self.residuals:
             self.extra_scalars = {key: [] for key in scalars}
             self.extra_vectors = {key: [] for key in vectors}
+            self._lengths = (None if flat is None else flat.size, {})
         elif (scalars.keys() != self.extra_scalars.keys()
               or vectors.keys() != self.extra_vectors.keys()
-              or (point is None) != (self.points[0] is None)):
-            row0 = (self.points[0] is not None, list(self.extra_scalars), list(self.extra_vectors))
-            raise ParameterError(
-                f"trace row {len(self)} has other fields than row 0 (point, scalars, vectors): "
-                f"{point is not None, list(scalars), list(vectors)}, not {row0}")
+              or (None if flat is None else flat.size) != self._lengths[0]):
+            self._refuse(flat, scalars, vectors)
+        # row 0 sets each vector's length, every later row must repeat it
+        lengths = self._lengths[1]
+        flats = []
+        for key, value in vectors.items():
+            value = flat if flat is not None and value is point else _values(value).flatten()
+            if lengths.setdefault(key, value.size) != value.size:
+                self._refuse(flat, scalars, vectors)
+            flats.append((key, value))
         self.gammas.append(float(gamma))
         self.residuals.append(float(residual))
         self.solution_residuals.append(
             math.nan if solution_residual is None else float(solution_residual))
-        flat = None if point is None else ambient_flat(point)
         self.points.append(flat)
         self.iterates.append(iterate)
         for key, value in scalars.items():
             self.extra_scalars[key].append(float(value))
-        for key, value in vectors.items():
-            self.extra_vectors[key].append(
-                flat if flat is not None and value is point else ambient_flat(value))
+        for key, value in flats:
+            self.extra_vectors[key].append(value)
+
+    def _refuse(self, flat, scalars, vectors):
+        row = (None if flat is None else flat.size, list(scalars),
+               {key: _values(value).size for key, value in vectors.items()})
+        row0 = (self._lengths[0], list(self.extra_scalars), self._lengths[1])
+        raise ParameterError(
+            f"trace row {len(self)} has other fields than row 0 (point length, scalars, "
+            f"vector lengths): {row}, not {row0}")
 
     def __len__(self):
         return len(self.residuals)
@@ -312,39 +335,43 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
 
     x = x0
     carry = None
+    # what every iteration looks up, bound once
+    record, gamma_at, adaptive = trace.record, schedule.gamma_at, schedule.is_adaptive
+    tol, settled, max_iters = stop.residual_tol, stop.settled, stop.max_iters
     # a finite but huge iterate may overflow a norm on its way to the
     # finiteness test, which reports it as "diverged"
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(stop.max_iters + 1):
+        for n in range(max_iters + 1):
             w, aux = step(gamma, x, carry)
             residual = ambient_norm(x - w)
             shadow = aux.get("shadow")
             monitored = shadow if shadow is not None else x
             sol = None if solution_residual is None else solution_residual(monitored)
-            trace.record(gamma, residual, sol, point=monitored,
-                         iterate=x, scalars=aux.get("scalars"), vectors=aux.get("vectors"))
+            record(gamma, residual, sol, point=monitored,
+                   iterate=x, scalars=aux.get("scalars"), vectors=aux.get("vectors"))
 
-            pair, pre = feedback(gamma, w) if schedule.is_adaptive else (None, None)
-            gamma_next = schedule.gamma_at(n + 1, feedback=pair)
+            pair, pre = feedback(gamma, w) if adaptive else (None, None)
+            gamma_next = gamma_at(n + 1, feedback=pair)
             if gamma_next <= 0 or not math.isfinite(gamma_next):
                 trace.status = STATUS_SCHEDULE_REJECTED
                 break
-            if residual <= stop.residual_tol and stop.settled(gamma, gamma_next):
+            if residual <= tol and settled(gamma, gamma_next):
                 trace.status = STATUS_CONVERGED
                 break
-            if n == stop.max_iters:
+            if n == max_iters:
                 break
             # the sum never decreases, so crossing the budget happens at most once
-            before = trace.sum_pos_increments
-            trace.sum_pos_increments += max(gamma_next - gamma, 0.0)
-            if before <= budget < trace.sum_pos_increments:
-                warnings.warn(
-                    f"positive stepsize increments exceeded budget {budget:.3e}; "
-                    "the schedule may not satisfy the summability condition",
-                    ScheduleBudgetWarning,
-                    # relocated_loop <- runner <- the runner's caller
-                    stacklevel=3,
-                )
+            if gamma_next > gamma:
+                before = trace.sum_pos_increments
+                trace.sum_pos_increments += gamma_next - gamma
+                if before <= budget < trace.sum_pos_increments:
+                    warnings.warn(
+                        f"positive stepsize increments exceeded budget {budget:.3e}; "
+                        "the schedule may not satisfy the summability condition",
+                        ScheduleBudgetWarning,
+                        # relocated_loop <- runner <- the runner's caller
+                        stacklevel=3,
+                    )
 
             x, carry = relocate(gamma, gamma_next, w, pre)
             if not ambient_isfinite(x):

@@ -38,7 +38,9 @@ class GraphMatrices:
     of a tree; sweep_rows: the pair (d_i, [row i of Kz | e_i]) of each node,
     in node order, e_i the i-th unit vector of length N. The sweep forms
     node i's input as that length-2N row times the stacked [z; Kx x], one
-    product per node.
+    product per node. handoff_row: on the 2-node graph, (Kz_21, Kx_21), the
+    two terms of node 2's input (2/d_2) z_1 + (1/d_2) Z_21 x_1 once z_1 is
+    handed on; None on larger graphs.
     """
 
     Z: np.ndarray
@@ -53,6 +55,7 @@ class GraphMatrices:
     Kz: np.ndarray
     Zdag_c: np.ndarray
     sweep_rows: tuple
+    handoff_row: np.ndarray | None
 
 
 class SplittingGraph:
@@ -180,11 +183,12 @@ def _build_matrices(g):
         kz[i - 1, h - 1] = 2.0
 
     kz /= g.deg[:, None]
+    kx = z / g.deg[:, None]
     zdag, zdag_norm = pseudo_inverse(z)
     return GraphMatrices(Z=z, L=lap, Zdag=zdag, Zdag_norm=zdag_norm, R=r, P=p, M=m, C=c,
-                         Kx=z / g.deg[:, None], Kz=kz,
-                         Zdag_c=np.rint(zdag @ (g.deg - 2 * g.indeg)),
-                         sweep_rows=tuple(zip(g.deg.tolist(), np.hstack([kz, np.eye(n)]))))
+                         Kx=kx, Kz=kz, Zdag_c=np.rint(zdag @ (g.deg - 2 * g.indeg)),
+                         sweep_rows=tuple(zip(g.deg.tolist(), np.hstack([kz, np.eye(n)]))),
+                         handoff_row=np.array([kz[1, 0], kx[1, 0]]) if n == 2 else None)
 
 
 def _check_ops(ops, g):
@@ -210,6 +214,13 @@ def graph_z_sweep(ops, g, gamma, x, z1=None):
     evaluated in node order; the arc ordering guarantees every needed z_h is
     already available. Exactly one resolvent per operator, or A_2..A_N only
     when z1, the first entry, is given (see graph_hooks).
+
+    Node i's input is one product, of its row in GraphMatrices.sweep_rows
+    and a buffer stacking z and Kx x. When z1 is given on the 2-node graph,
+    one node is left and its input has two terms: it is the product of
+    GraphMatrices.handoff_row and [z_1; x_1], held in the result's own rows,
+    with no buffer. Either product adds the same nonzero terms once each,
+    so the two paths give the same bytes.
     """
     if gamma <= 0:
         raise ParameterError(f"gamma must be positive, got {gamma}")
@@ -220,6 +231,11 @@ def graph_z_sweep(ops, g, gamma, x, z1=None):
     # freed on return. A view of the buffer, or a copy allocated after it,
     # left the heap more fragmented (peak RSS +0.2 to +0.8 MB on graph-affine)
     z = np.empty((n, x.shape[1]))
+    rows = g.matrices.sweep_rows
+    if z1 is not None and n == 2:
+        z[0], z[1] = z1, x[0]
+        z[1] = ops[1].resolvent(gamma / rows[1][0], g.matrices.handoff_row.dot(z))
+        return BlockVector._wrap(z)
     # rows 0..N-1 hold z, rows N..2N-1 hold Kx x. Row i of Kz weighs the
     # z_h with h < i only, so z_i may stay zero until it is evaluated; the
     # node's own share comes last in its row, after every z term
@@ -228,7 +244,6 @@ def graph_z_sweep(ops, g, gamma, x, z1=None):
     start = 0
     if z1 is not None:
         buf[0], start = z1, 1
-    rows = g.matrices.sweep_rows
     for i in range(start, n):
         d_i, row_i = rows[i]
         buf[i] = ops[i].resolvent(gamma / d_i, row_i.dot(buf))
@@ -271,21 +286,12 @@ def at_consensus(solution_residual):
     return lambda z: solution_residual(np.add.reduce(z.data, axis=0) / z.nblocks)
 
 
-def _blocks(x):
-    """The (N-1, d) array of an iterate; dr2's iterate is its one block."""
-    return x.data if isinstance(x, BlockVector) else x.reshape(1, -1)
-
-
-def _like(x, blocks):
-    return BlockVector._wrap(blocks) if isinstance(x, BlockVector) else blocks.reshape(-1)
-
-
 def _record_sweep(z, disagreement, w):
     return {"shadow": z,
             "scalars": {"consensus_residual": ambient_norm(disagreement)}}
 
 
-def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep):
+def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep, vector=False):
     """The step, feedback and relocate hooks that every runner loops on.
 
     They work in the running method's coordinates x = X / scale: scale 1 for
@@ -299,36 +305,62 @@ def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep):
     feeds (z_1, u_1) to the adaptive rule. By the resolvent scaling
     identity z_1 is the first entry of the next sweep, at delta driven by
     Q x, so it is handed on: N resolvents per iteration.
-    record(z, Z^T z, w) builds the step's trace entry.
+    record(z, Z^T z, w) builds the step's trace entry. The iterate is a
+    BlockVector of N - 1 blocks or, with vector=True on the 2-node graph,
+    the plain vector that is dr2's one block.
+
+    What is fixed for the run is decided here, once: the kind of iterate,
+    and which array coefficients are exactly 1 and so are not multiplied
+    by: scale (graph DR, dr2, and MT for N = 2), theta (dr2, and graph DR
+    when theta = 1) and the relocator's column Zdag c / scale = [1] (the
+    2-node graph). A product by 1 returns its operand bit for bit, so the
+    folds change no result. u_1 stays the product (s Kx[0]) x even where
+    s Kx[0] is the unit vector e_1 (the 2-node graph, and MT's rings): the
+    product turns a -0 entry of x_1 into +0, and the block itself does not.
     """
     z_t = g.matrices.Z.T
-    d_1 = float(g.deg[0])
+    op_1, d_1 = ops[0], float(g.deg[0])
     weights = scale * g.matrices.Kx[0]
     column = (g.matrices.Zdag_c / scale)[:, None]
+    unit_scale, unit_theta = scale == 1.0, theta == 1.0
+    unit_column = column.shape == (1, 1) and column[0, 0] == 1.0
+    if vector:
+        # the 2-node graph's one row of Z^T and of the column, so the
+        # disagreement and the shift come out as plain vectors as well
+        z_t, column = z_t[0], column[0]
 
-    def first(gamma, blocks):
-        u = weights.dot(blocks)
-        return ops[0].resolvent(scale * gamma / d_1, u), u
+    def first(gamma, values):
+        u = weights.dot(values.reshape(1, -1) if vector else values)
+        return op_1.resolvent(scale * gamma / d_1, u), u
 
     def step(gamma, x, z1):
-        blocks = _blocks(x)
-        z = graph_z_sweep(ops, g, scale * gamma, BlockVector._wrap(scale * blocks), z1)
+        values = x if vector else x.data
+        if vector:
+            x = BlockVector._wrap(values.reshape(1, -1))
+        if not unit_scale:
+            gamma, x = scale * gamma, BlockVector._wrap(scale * x.data)
+        z = graph_z_sweep(ops, g, gamma, x, z1)
         disagreement = z_t.dot(z.data)
-        w = _like(x, blocks - theta * disagreement)
+        w = values - disagreement if unit_theta else values - theta * disagreement
+        if not vector:
+            w = BlockVector._wrap(w)
         return w, record(z, disagreement, w)
 
     def feedback(gamma, w):
-        z1, u = first(gamma, _blocks(w))
+        z1, u = first(gamma, w if vector else w.data)
         return (z1, u), z1
 
     def relocate(gamma, delta, w, z1):
-        blocks = _blocks(w)
+        values = w if vector else w.data
         if z1 is None:
-            z1 = first(gamma, blocks)[0]
+            z1 = first(gamma, values)[0]
         ratio = delta / gamma
         if ratio == 1.0:
             return w, z1
-        return _like(w, ratio * blocks + (1.0 - ratio) * (column * z1)), z1
+        x = ratio * values + (1.0 - ratio) * (z1 if unit_column else column * z1)
+        if not vector:
+            x = BlockVector._wrap(x)
+        return x, z1
 
     return step, feedback, relocate
 

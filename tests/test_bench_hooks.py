@@ -78,13 +78,14 @@ def _chorded_six():
     return rs.build_graph(6, tree + [(1, 3), (2, 5), (4, 6)], tree)
 
 
-@pytest.mark.parametrize("runner, n_ops, iterations", [
+@pytest.mark.parametrize("runner, span, n_ops, iterations", [
     (lambda inst, schedule, stop: rs.algorithm1_run(inst.dr_problem(), schedule,
-                                                    [0.0, 0.0], stop), 2, 197),
+                                                    [0.0, 0.0], stop), "dr2.run", 2, 197),
     (lambda inst, schedule, stop: rs.graph_relocated_run(
-        inst.ops, _chorded_six(), 1.0, schedule, rs.BlockVector.zeros(5, 2), stop), 6, 422),
+        inst.ops, _chorded_six(), 1.0, schedule, rs.BlockVector.zeros(5, 2), stop),
+     "graphs.run", 6, 422),
 ], ids=["dr2", "chorded-graph"])
-def test_resolvent_count_of_dr2_and_graph_runs(tracer_module, runner, n_ops, iterations):
+def test_resolvent_count_of_dr2_and_graph_runs(tracer_module, runner, span, n_ops, iterations):
     # a geometric schedule: an adaptive run adds one feedback resolvent on
     # its last iteration
     instance = rs.make_problem("affine_random", {"count": n_ops, "dim": 2}, seed=0)
@@ -100,3 +101,5 @@ def test_resolvent_count_of_dr2_and_graph_runs(tracer_module, runner, n_ops, ite
     assert trace.iterations == iterations
     assert tracer.calls("operators.resolvent") == n_ops * (iterations + 1)
     assert tracer.calls("graphs.sweep") == iterations + 1
+    assert tracer.calls(span) == 1
+    assert tracer.calls("driver.trace_record") == iterations + 1

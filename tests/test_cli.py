@@ -687,6 +687,57 @@ class TestMainEntry:
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["status"] == "diverged"
 
+    def test_overflowing_shadow_reports_diverged(self, tmp_path, capsys):
+        # the three sweep points are near 7e307 each, so their blockwise
+        # mean, the shadow the oracle is handed, overflows to inf while the
+        # iterate is still finite; the relocation by 1e300 / 1e-3 then
+        # overflows the iterate
+        doc = {
+            "problem": {"name": "affine_consensus", "params": {"count": 3, "dim": 1},
+                        "seed": 0},
+            "algorithm": "graph",
+            "theta": 1.0,
+            "graph": {"N": 3, "E": [[1, 2], [2, 3]], "Eprime": [[1, 2], [2, 3]]},
+            "schedule": {"kind": "explicit", "values": [1e-3, 1e300]},
+            "stop": {"residual_tol": 1e-10, "max_iters": 5},
+            "x0": [[7e307], [7e307]],
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.warns(ScheduleBudgetWarning):
+            code = cli.main(["run", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert "error" not in err
+        summary = json.loads(out.strip().splitlines()[-1])
+        assert summary["status"] == "diverged"
+        assert summary["iters"] == 0
+        # the oracle's value at the overflowed shadow, inf, is written as null
+        assert summary["final_solution_residual"] is None
+
+    def test_importing_the_cli_leaves_the_invariant_suite_unloaded(self):
+        # the package serves the suite's names on first use; a run does not
+        # import the suite
+        names = sorted(relosplit._SELFTEST_NAMES)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(relosplit.__file__)))
+        code = ("import sys, relosplit, relosplit.cli\n"
+                "assert 'relosplit.selftest' not in sys.modules\n"
+                f"for name in {names!r}:\n"
+                "    assert callable(getattr(relosplit, name)), name\n"
+                "assert 'relosplit.selftest' in sys.modules\n"
+                "try:\n"
+                "    relosplit.no_such_name\n"
+                "except AttributeError:\n"
+                "    pass\n"
+                "else:\n"
+                "    raise AssertionError('no AttributeError')\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert all(getattr(relosplit, name) is getattr(selftest, name) for name in names)
+        assert len(names) == 8
+
     def test_broken_pipe_exits_io_failure(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(minimal_dr2_config()))

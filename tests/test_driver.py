@@ -291,8 +291,10 @@ class TestRecord:
         ({"scalars": {"a": 1.0}}, {"scalars": {"b": 1.0}}),
         ({"point": np.array([1.0])}, {}),
         ({}, {"point": np.array([1.0])}),
+        ({"point": np.array([1.0, 2.0])}, {"point": np.array([1.0, 2.0, 3.0])}),
+        ({"vectors": {"v": np.array([1.0])}}, {"vectors": {"v": np.array([1.0, 2.0])}}),
     ], ids=["vector-left-out", "scalar-added", "scalar-renamed", "point-left-out",
-            "point-added"])
+            "point-added", "point-longer", "vector-longer"])
     def test_a_row_with_other_fields_is_refused(self, first, second):
         trace = ConvergenceTrace()
         trace.record(1.0, 0.5, **first)
@@ -301,6 +303,11 @@ class TestRecord:
         assert len(trace) == 1
         assert all(len(series) == 1 for series in trace.extra_scalars.values())
         assert all(len(series) == 1 for series in trace.extra_vectors.values())
+        # the refused row left nothing behind: the table is still whole
+        buffer = io.StringIO()
+        trace.write_csv(buffer)
+        assert buffer.getvalue() == reference_csv(trace)
+        assert len(buffer.getvalue().splitlines()) == 2
 
     def test_run_refuses_a_step_that_leaves_a_vector_out(self):
         # the family leaves "v" out of iteration 1 only: a trace that took

@@ -258,6 +258,34 @@ def reference_sweep(ops, g, gamma, x, z1=None):
     return z
 
 
+def signed_zeros(rng, a):
+    """A copy of ``a`` with about half its entries replaced by +0 or -0."""
+    out = np.array(a, dtype=float)
+    mask = rng.random(out.shape) < 0.5
+    out[mask] = np.where(rng.random(out.shape) < 0.5, 0.0, -0.0)[mask]
+    return out
+
+
+def reference_step(ops, g, theta, scale, gamma, blocks, z1=None):
+    """graph_hooks' step as it was before the unit folds, kept as reference,
+    on a (k, d) block array: scale and theta are products. Returns (w, z)."""
+    z = graphs.graph_z_sweep(ops, g, scale * gamma, BlockVector(scale * blocks), z1).data
+    return blocks - theta * g.matrices.Z.T.dot(z), z
+
+
+def reference_relocate(ops, g, scale, gamma, delta, blocks):
+    """graph_hooks' relocation as it was before the unit folds, kept as
+    reference, on a (k, d) block array: u_1 = (s Kx[0]) x and the shift
+    (Zdag c / s) z_1 are products. Returns (Q x, z_1, u_1)."""
+    u = (scale * g.matrices.Kx[0]).dot(blocks)
+    z1 = ops[0].resolvent(scale * gamma / float(g.deg[0]), u)
+    ratio = delta / gamma
+    if ratio == 1.0:
+        return blocks, z1, u
+    column = (g.matrices.Zdag_c / scale)[:, None]
+    return ratio * blocks + (1.0 - ratio) * (column * z1), z1, u
+
+
 def random_graph(rng, n):
     """A random arc-ordered graph on n nodes: a random tree plus random chords."""
     tree = [(int(rng.integers(1, j)), j) for j in range(2, n + 1)]
@@ -282,19 +310,23 @@ class TestSweepRows:
         two = graphs.build_graph(2, [(1, 2)], [(1, 2)])
         yield self.ring_boxes(rng)
         yield two, affine_ops(rng, two, dim=3), 1.0
+        # boxes around 0: a clip keeps a signed zero of its input
+        yield two, [NormalConeBox(-np.ones(3), np.ones(3)) for _ in range(2)], 1.0
         yield bench_graph(), affine_ops(rng, bench_graph(), dim=32), 1.0
         for g in (mt_graph(3), mt_graph(5), chorded_path()):
             for dim in (2, 8, 32):
                 yield g, affine_ops(rng, g, dim=dim), 1.0
 
     def sweeps(self, rng, g, ops, scale):
-        """(gamma, x, z1) triples, z1 None or node 1's resolvent as the hooks hand it on."""
+        """(gamma, x, z1) triples, z1 None or node 1's resolvent as the hooks hand it on,
+        and the last pair again with +0 and -0 entries in x and z1."""
         d_1 = float(g.deg[0])
         for gamma in GAMMA_GRID:
             x = BlockVector(scale * 3.0 * rng.standard_normal((g.n_nodes - 1, ops[0].dim)))
             yield scale * gamma, x, None
             z1 = ops[0].resolvent(scale * gamma / d_1, g.matrices.Kx[0].dot(x.data))
             yield scale * gamma, x, z1
+            yield scale * gamma, BlockVector(signed_zeros(rng, x.data)), signed_zeros(rng, z1)
 
     def test_rows_are_degrees_and_kz_rows(self):
         for g in (mt_graph(16), bench_graph()):
@@ -337,6 +369,57 @@ class TestSweepRows:
                 expected = reference_sweep(ops, g, gamma, x, z1)
                 bound = 1e-12 * max(1.0, float(np.max(np.abs(expected))))
                 assert np.max(np.abs(swept - expected)) <= bound
+
+
+class TestHookFolds:
+    """graph_hooks folds the coefficients that are exactly 1 (scale, theta and the
+    2-node graph's relocator column) and takes a plain vector for dr2; every
+    hook gives the bytes of reference_step's and reference_relocate's products."""
+
+    def cases(self, rng):
+        """(graph, ops, theta, scale, vector): the 2-node graph as dr2 and as a
+        graph, rings as MT (scale 2) and as graphs, the chorded benchmark graph."""
+        two = graphs.build_graph(2, [(1, 2)], [(1, 2)])
+        yield two, affine_ops(rng, two, dim=3), 1.0, 1.0, True
+        yield two, affine_ops(rng, two, dim=3), 0.5, 1.0, False
+        for n in (3, 5, 16):
+            g = mt_graph(n)
+            # boxes around 0: a clip keeps a signed zero, so z_1 carries -0 too
+            boxes = [NormalConeBox(-rng.uniform(0.5, 2.0, 4), rng.uniform(0.5, 2.0, 4))
+                     for _ in range(n)]
+            yield g, boxes, 0.5, float(g.deg[0]), False
+            yield g, affine_ops(rng, g, dim=4), 1.0, 1.0, False
+        yield bench_graph(), affine_ops(rng, bench_graph(), dim=4), 1.0, 1.0, False
+
+    def test_hooks_give_the_reference_bytes(self, rng):
+        for g, ops, theta, scale, vector in self.cases(rng):
+            step, feedback, relocate = graphs.graph_hooks(ops, g, theta, scale, vector=vector)
+            for _ in range(10):
+                blocks = signed_zeros(rng, 3.0 * rng.standard_normal((g.n_nodes - 1,
+                                                                      ops[0].dim)))
+                x = blocks[0] if vector else BlockVector(blocks)
+                gamma, delta = (float(v) for v in rng.choice(GAMMA_GRID, size=2))
+                ref_next, ref_z1, ref_u = reference_relocate(ops, g, scale, gamma, delta,
+                                                             blocks)
+                for carry in (None, ref_z1):
+                    w, aux = step(gamma, x, carry)
+                    ref_w, ref_z = reference_step(ops, g, theta, scale, gamma, blocks, carry)
+                    assert np.asarray(w).tobytes() == ref_w.tobytes()
+                    assert aux["shadow"].data.tobytes() == ref_z.tobytes()
+                (z1, u), pre = feedback(gamma, x)
+                assert pre is z1
+                assert (z1.tobytes(), u.tobytes()) == (ref_z1.tobytes(), ref_u.tobytes())
+                for handed in (None, pre):
+                    x_next, z1_next = relocate(gamma, delta, x, handed)
+                    assert np.asarray(x_next).tobytes() == ref_next.tobytes()
+                    assert z1_next.tobytes() == ref_z1.tobytes()
+            # s Kx[0] is e_1 on the 2-node graph and on MT's rings, 0.5 e_1 on
+            # the rest; either way u_1 is the product, which turns -0 into +0
+            weights = scale * g.matrices.Kx[0]
+            assert weights.tolist() == [scale / g.deg[0]] + [0.0] * (g.n_nodes - 2)
+            blocks = np.full((g.n_nodes - 1, ops[0].dim), -0.0)
+            u = feedback(1.0, blocks[0] if vector else BlockVector(blocks))[0][1]
+            assert not np.signbit(u).any()
 
 
 class TestOneResolventRelocator:
