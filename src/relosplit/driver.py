@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ParameterError, ScheduleError
 from .kinds import INTEGER, NUMBER, checked
-from .linalg import BlockVector, _all_finite
+from .linalg import BlockVector, _all_finite, as_stepsize
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters"
@@ -120,7 +120,9 @@ class Relocator:
     """A family Q_{delta<-gamma} mapping Fix T_gamma onto Fix T_delta.
 
     lipschitz_bound(gamma, delta) must return a global Lipschitz constant
-    for Q_{delta<-gamma}; it equals 1 when delta == gamma.
+    for Q_{delta<-gamma}; it equals 1 when delta == gamma. apply refuses a
+    gamma or delta that is not finite and > 0 by a ParameterError and hands
+    both on as floats.
     """
 
     def __init__(self, apply, lipschitz_bound, name=""):
@@ -129,9 +131,7 @@ class Relocator:
         self.name = name
 
     def apply(self, gamma, delta, x):
-        if gamma <= 0 or delta <= 0:
-            raise ParameterError("relocator stepsizes must be positive")
-        return self._apply(gamma, delta, x)
+        return self._apply(as_stepsize(gamma), as_stepsize(delta, "delta"), x)
 
     def lipschitz_bound(self, gamma, delta):
         return float(self._bound(gamma, delta))

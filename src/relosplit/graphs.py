@@ -24,7 +24,8 @@ import numpy as np
 
 from .driver import OperatorFamily, Relocator, ambient_norm, relocated_loop
 from .errors import ConstructionError, DimensionError, ParameterError
-from .linalg import BlockVector, as_block_vector, kron_apply, pseudo_inverse
+from .linalg import (BlockVector, as_block_vector, as_stepsize, as_vector, kron_apply,
+                     pseudo_inverse)
 
 @dataclass(frozen=True)
 class GraphMatrices:
@@ -221,11 +222,19 @@ def graph_z_sweep(ops, g, gamma, x, z1=None):
     GraphMatrices.handoff_row and [z_1; x_1], held in the result's own rows,
     with no buffer. Either product adds the same nonzero terms once each,
     so the two paths give the same bytes.
+
+    gamma, x and z1 are checked here, once; the resolvents are called with
+    check=False. A BlockVector x passes as it is (see linalg), so an
+    iterate that has overflowed yields a non-finite sweep, which the
+    runners' loop reports as "diverged".
     """
-    if gamma <= 0:
-        raise ParameterError(f"gamma must be positive, got {gamma}")
+    gamma = as_stepsize(gamma)
     x = _check_x(x, ops, g).data
     n = g.n_nodes
+    if z1 is not None:
+        z1 = as_vector(z1)
+        if z1.size != x.shape[1]:
+            raise DimensionError(f"z1 must lie in R^{x.shape[1]}, got dimension {z1.size}")
     # the result is allocated first and the z rows are copied into it: no
     # writable base is left behind, and the buffer, the newest heap block, is
     # freed on return. A view of the buffer, or a copy allocated after it,
@@ -234,7 +243,7 @@ def graph_z_sweep(ops, g, gamma, x, z1=None):
     rows = g.matrices.sweep_rows
     if z1 is not None and n == 2:
         z[0], z[1] = z1, x[0]
-        z[1] = ops[1].resolvent(gamma / rows[1][0], g.matrices.handoff_row.dot(z))
+        z[1] = ops[1].resolvent(gamma / rows[1][0], g.matrices.handoff_row.dot(z), check=False)
         return BlockVector._wrap(z)
     # rows 0..N-1 hold z, rows N..2N-1 hold Kx x. Row i of Kz weighs the
     # z_h with h < i only, so z_i may stay zero until it is evaluated; the
@@ -246,7 +255,7 @@ def graph_z_sweep(ops, g, gamma, x, z1=None):
         buf[0], start = z1, 1
     for i in range(start, n):
         d_i, row_i = rows[i]
-        buf[i] = ops[i].resolvent(gamma / d_i, row_i.dot(buf))
+        buf[i] = ops[i].resolvent(gamma / d_i, row_i.dot(buf), check=False)
     z[:] = buf[:n]
     return BlockVector._wrap(z)
 
@@ -304,7 +313,10 @@ def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep, vector=False
     pseudo-inverse relocator, selftest.graph_relocator_apply. feedback
     feeds (z_1, u_1) to the adaptive rule. By the resolvent scaling
     identity z_1 is the first entry of the next sweep, at delta driven by
-    Q x, so it is handed on: N resolvents per iteration.
+    Q x, so it is handed on: N resolvents per iteration. Every one of them
+    is called with check=False: the sweep checks its own inputs at its
+    entry, and A_1's input in relocate and feedback is computed from the
+    step's output, so an overflow reaches the loop's finiteness test.
     record(z, Z^T z, w) builds the step's trace entry. The iterate is a
     BlockVector of N - 1 blocks or, with vector=True on the 2-node graph,
     the plain vector that is dr2's one block.
@@ -331,7 +343,7 @@ def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep, vector=False
 
     def first(gamma, values):
         u = weights.dot(values.reshape(1, -1) if vector else values)
-        return op_1.resolvent(scale * gamma / d_1, u), u
+        return op_1.resolvent(scale * gamma / d_1, u, check=False), u
 
     def step(gamma, x, z1):
         values = x if vector else x.data
@@ -373,8 +385,12 @@ def graph_family(ops, g, theta):
         w, z = graph_dr_apply(ops, g, gamma, theta, x)
         return w, {"shadow": z}
 
-    return OperatorFamily(apply, averagedness_alpha=theta / 2.0,
-                          feedback=lambda gamma, w: feedback(gamma, w)[0], name="graph_dr")
+    def checked_feedback(gamma, w):
+        # the hooks' feedback resolves unchecked, so gamma and w are checked here
+        return feedback(as_stepsize(gamma), _check_x(w, ops, g))[0]
+
+    return OperatorFamily(apply, averagedness_alpha=theta / 2.0, feedback=checked_feedback,
+                          name="graph_dr")
 
 
 def graph_relocator(ops, g):

@@ -3,12 +3,14 @@
 Everything here is desk scale (d up to a few dozen, a handful of blocks),
 so plain dense numpy routines are used throughout.
 
-Data from outside the library is checked where it enters: ``as_vector``,
-``as_matrix``, ``BlockVector(...)``, ``BlockVector.from_blocks`` and
-``as_block_vector``. Block vectors the library computes itself (arithmetic,
+Data from outside the library is checked where it enters: ``as_stepsize``,
+``as_vector``, ``as_matrix``, ``BlockVector(...)``, ``BlockVector.from_blocks``
+and ``as_block_vector``. Block vectors the library computes itself (arithmetic,
 ``kron_apply``, sweeps, relocations) are wrapped without a copy or a
 re-check; the iteration loop tests the iterate for finiteness once per step.
 """
+
+import math
 
 import numpy as np
 
@@ -32,6 +34,13 @@ def _all_finite(a):
     large finite entries, whose squares overflow.
     """
     return 0 not in np.isfinite(a).tobytes()
+
+
+def as_stepsize(gamma, name="gamma"):
+    """Coerce a stepsize to a float, rejecting one that is not finite and > 0."""
+    if not 0.0 < gamma < math.inf:
+        raise ParameterError(f"{name} must be positive, got {gamma}")
+    return float(gamma)
 
 
 def as_vector(x):

@@ -8,6 +8,12 @@ resolvent call, into stepsize-free eigenfactors, so each later resolvent is
 a few matrix-vector products at any gamma; a matrix whose eigenvector basis
 is ill conditioned keeps a dense linear solve per call.
 
+``resolvent`` checks gamma and x. ``resolvent(gamma, x, check=False)`` skips
+the checks, for a caller that checked its inputs once, at its own entry: the
+runners' sweeps and relocators, and the nested kinds, which hand their inner
+operator a point computed from one already checked. Every call still goes
+through this one method, so a wrapper around it sees every resolvent.
+
 Each kind also answers for its own semantics: ``value`` (A itself where it
 is single valued), ``inclusion_residual`` (the membership test w in A z)
 and ``affine_parts`` (A u = M u + b, affine kinds only). These methods take
@@ -15,13 +21,11 @@ checked vectors; the module functions ``single_value`` and
 ``inclusion_residual`` are the checked entry points.
 """
 
-import math
-
 import numpy as np
 
 from .errors import ConstructionError, DimensionError, ParameterError
 from .kinds import MATRIX, NUMBER, VECTOR, Object, Tagged, checked, integer
-from .linalg import as_matrix, as_vector, solve_linear
+from .linalg import as_matrix, as_stepsize, as_vector, solve_linear
 
 #: Smallest admissible eigenvalue of M + M^T for the affine kind (half of it
 #: for the symmetric part (M + M^T)/2, which is what is tested). Slightly
@@ -44,11 +48,19 @@ class MonotoneOperator:
     dim = None
     kind = "abstract"
 
-    def resolvent(self, gamma, x):
-        """Evaluate J_{gamma A} x for gamma > 0."""
-        if not math.isfinite(gamma) or gamma <= 0:
-            raise ParameterError(f"gamma must be positive, got {gamma}")
-        return self._resolvent(float(gamma), _checked_point(self, x))
+    def resolvent(self, gamma, x, *, check=True):
+        """Evaluate J_{gamma A} x for gamma > 0.
+
+        gamma must be finite and positive, and x a finite vector of R^dim;
+        ParameterError or DimensionError says which is not. With check=False
+        nothing is checked: the caller vouches for a float gamma > 0 and a
+        float vector x of R^dim, and a non-finite entry of x passes through
+        to the result. The runners' sweeps and relocators pass it for the
+        points they compute themselves, from inputs checked at their entry.
+        """
+        if not check:
+            return self._resolvent(gamma, x)
+        return self._resolvent(as_stepsize(gamma), _checked_point(self, x))
 
     def reflectent(self, gamma, x):
         """Evaluate R_{gamma A} x = 2 J_{gamma A} x - x."""
@@ -312,7 +324,7 @@ class Translated(MonotoneOperator):
         self.dim = inner.dim
 
     def _resolvent(self, gamma, x):
-        return self.shift + self.inner.resolvent(gamma, x - self.shift)
+        return self.shift + self.inner.resolvent(gamma, x - self.shift, check=False)
 
     def value(self, x):
         return self.inner.value(x - self.shift)
@@ -341,7 +353,7 @@ class Scaled(MonotoneOperator):
         self.dim = inner.dim
 
     def _resolvent(self, gamma, x):
-        return self.inner.resolvent(gamma * self.sigma, x)
+        return self.inner.resolvent(gamma * self.sigma, x, check=False)
 
     def value(self, x):
         inner = self.inner.value(x)
@@ -371,7 +383,7 @@ class CountingOperator(MonotoneOperator):
 
     def _resolvent(self, gamma, x):
         self.calls += 1
-        return self.inner.resolvent(gamma, x)
+        return self.inner.resolvent(gamma, x, check=False)
 
     def value(self, x):
         return self.inner.value(x)

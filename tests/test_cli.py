@@ -687,6 +687,35 @@ class TestMainEntry:
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["status"] == "diverged"
 
+    @pytest.mark.parametrize("doc", [
+        # 2 x0, the sweep's input at MT's scale 2, overflows
+        {"problem": {"name": "affine_consensus", "params": {"count": 3, "dim": 1},
+                     "seed": 0},
+         "algorithm": "mt", "theta": 0.5, "x0": [[1.2e308], [1.2e308]],
+         "schedule": {"kind": "constant", "gamma": 1.0},
+         "stop": {"residual_tol": 1e-10, "max_iters": 50}},
+        # gamma b_3 = 1e308 * -10 overflows inside node 3's resolvent
+        {"problem": {"name": "affine_consensus",
+                     "params": {"count": 3, "dim": 1, "c": [[0], [0], [10]]}, "seed": 0},
+         "algorithm": "graph", "theta": 1.0,
+         "graph": {"N": 3, "E": [[1, 2], [1, 3], [2, 3]], "Eprime": [[1, 2], [2, 3]]},
+         "schedule": {"kind": "constant", "gamma": 1e308},
+         "stop": {"residual_tol": 1e-10, "max_iters": 50}},
+    ], ids=["mt-x0", "graph-gamma"])
+    def test_overflow_inside_a_step_reports_diverged(self, tmp_path, capsys, doc):
+        # the sweep and the relocator resolve unchecked, so the overflowed
+        # point reaches the loop's finiteness test instead of a resolvent's
+        # check; no numpy warning escapes the run either
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["run", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert err == ""
+        summary = json.loads(out.strip().splitlines()[-1])
+        assert summary["status"] == "diverged"
+        assert summary["iters"] == 0
+
     def test_overflowing_shadow_reports_diverged(self, tmp_path, capsys):
         # the three sweep points are near 7e307 each, so their blockwise
         # mean, the shadow the oracle is handed, overflows to inf while the

@@ -1,10 +1,11 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import GAMMA_GRID, random_affine
-from relosplit import graphs, problems, schedules as sch, selftest
+from relosplit import graphs, linalg, problems, schedules as sch, selftest
 from relosplit.dr2 import dr_relocator_apply
 from relosplit.driver import StopRule, run_relocated
 from relosplit.errors import (
@@ -14,7 +15,13 @@ from relosplit.errors import (
     ParameterError,
 )
 from relosplit.linalg import BlockVector
-from relosplit.malitsky_tam import MTProblem, mt_family, mt_graph, mt_relocator_apply
+from relosplit.malitsky_tam import (
+    MTProblem,
+    algorithm2_run,
+    mt_family,
+    mt_graph,
+    mt_relocator_apply,
+)
 from relosplit.operators import (
     AffineMonotone,
     CountingOperator,
@@ -499,6 +506,99 @@ class TestOneResolventRelocator:
                 qv = relocator.apply(gamma, delta, v)
                 assert (qu - qv).norm() <= bound * (u - v).norm() + 1e-9
         assert relocator.lipschitz_bound(1.3, 1.3) == 1.0
+
+
+class TestEntryChecks:
+    """The runners resolve with check=False, so each public entry that reaches
+    those resolvents checks its own arguments, once, before any resolvent."""
+
+    GRAPHS = {"2-node": lambda: graphs.build_graph(2, [(1, 2)], [(1, 2)]),
+              "3-ring": lambda: mt_graph(3)}
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, 0.0, -1.0])
+    def test_sweep_refuses_gamma(self, rng, graph, gamma):
+        g = self.GRAPHS[graph]()
+        ops = [CountingOperator(op) for op in affine_ops(rng, g)]
+        with pytest.raises(ParameterError, match="^gamma must be positive"):
+            graphs.graph_z_sweep(ops, g, gamma, BlockVector.zeros(g.n_nodes - 1, 2),
+                                 np.zeros(2))
+        assert [op.calls for op in ops] == [0] * g.n_nodes
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    @pytest.mark.parametrize("z1, error, message", [
+        ([np.inf, 0.0], ParameterError, "^vector entries must be finite$"),
+        ([0.0, np.nan], ParameterError, "^vector entries must be finite$"),
+        ([0.0, 0.0, 0.0], DimensionError, "^z1 must lie in R\\^2, got dimension 3$"),
+        ([0.0], DimensionError, "^z1 must lie in R\\^2, got dimension 1$"),
+    ], ids=["inf", "nan", "too-long", "too-short"])
+    def test_sweep_refuses_z1(self, rng, graph, z1, error, message):
+        g = self.GRAPHS[graph]()
+        ops = [CountingOperator(op) for op in affine_ops(rng, g)]
+        with pytest.raises(error, match=message):
+            graphs.graph_z_sweep(ops, g, 1.0, BlockVector.zeros(g.n_nodes - 1, 2), z1)
+        assert [op.calls for op in ops] == [0] * g.n_nodes
+
+    @pytest.mark.parametrize("gamma, delta, name", [
+        (np.nan, 1.0, "gamma"), (np.inf, 1.0, "gamma"),
+        (1.0, np.nan, "delta"), (1.0, np.inf, "delta"), (1.0, 0.0, "delta"),
+    ])
+    def test_relocator_refuses_stepsizes(self, rng, gamma, delta, name):
+        g = bench_graph()
+        ops = [CountingOperator(op) for op in affine_ops(rng, g)]
+        with pytest.raises(ParameterError, match=f"^{name} must be positive"):
+            graphs.graph_relocator(ops, g).apply(gamma, delta, BlockVector.zeros(5, 2))
+        assert [op.calls for op in ops] == [0] * 6
+
+    @pytest.mark.parametrize("gamma, w, error", [
+        (np.nan, np.zeros((5, 2)), ParameterError),
+        (np.inf, np.zeros((5, 2)), ParameterError),
+        (1.0, [[np.inf, 0.0]] + [[0.0, 0.0]] * 4, ParameterError),
+        (1.0, np.zeros((4, 2)), DimensionError),
+    ], ids=["nan-gamma", "inf-gamma", "inf-w", "short-w"])
+    def test_family_feedback_refuses(self, rng, gamma, w, error):
+        g = bench_graph()
+        ops = [CountingOperator(op) for op in affine_ops(rng, g)]
+        with pytest.raises(error):
+            graphs.graph_family(ops, g, 1.0).feedback(gamma, w)
+        assert [op.calls for op in ops] == [0] * 6
+
+
+@pytest.fixture
+def as_vector_calls(monkeypatch):
+    """A one-entry list counting linalg.as_vector calls, under every name a
+    relosplit module binds it to."""
+    calls = [0]
+    original = linalg.as_vector
+
+    def counted(x):
+        calls[0] += 1
+        return original(x)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "relosplit" or name.startswith("relosplit.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_ops, run", [
+    (4, lambda ops, schedule, stop: algorithm2_run(MTProblem(tuple(ops), 0.5), schedule,
+                                                   BlockVector.zeros(3, 2), stop)),
+    (6, lambda ops, schedule, stop: graphs.graph_relocated_run(
+        ops, bench_graph(), 1.0, schedule, BlockVector.zeros(5, 2), stop)),
+], ids=["mt", "chorded-graph"])
+def test_runs_check_points_once_per_iteration_not_per_resolvent(as_vector_calls, n_ops, run):
+    # the sweep checks the z_1 handed on to it, one point per iteration after
+    # the first, and no resolvent checks its point
+    instance = problems.make_problem("affine_consensus", {"count": n_ops, "dim": 2}, seed=0)
+    as_vector_calls[0] = 0
+    trace = run(instance.ops, sch.GeometricToLimit(1.0, 2.0, 0.9),
+                StopRule(residual_tol=1e-10, max_iters=5000))
+    assert trace.status == "converged"
+    assert trace.iterations > 100
+    assert as_vector_calls[0] <= trace.iterations + 1
 
 
 class TestLipschitzBound:

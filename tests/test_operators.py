@@ -62,6 +62,21 @@ class TestResolventExamples:
                 op.resolvent(1.0, point)
         assert ops.Zero(1).resolvent(2.0, np.array(3.0)).tolist() == [3.0]
 
+    def test_unchecked_resolvent_hands_its_inputs_on(self):
+        # check=False is for callers that checked their inputs once already:
+        # nothing is checked again, so a non-finite point reaches the result,
+        # through the nested kinds too, where a loop's finiteness test sees it
+        box = ops.NormalConeBox([-1.0, -1.0], [1.0, 1.0])
+        out = box.resolvent(1.0, np.array([np.inf, -np.inf]), check=False)
+        assert out.tolist() == [1.0, -1.0]
+        nested = ops.CountingOperator(
+            ops.Scaled(ops.Translated(ops.ScaledIdentity(1.0, 1), [1.0]), 2.0))
+        assert np.isnan(nested.resolvent(1.0, np.array([np.nan]), check=False)).all()
+        assert nested.resolvent(1.0, np.array([np.inf]), check=False).tolist() == [np.inf]
+        assert nested.calls == 2
+        with pytest.raises(ParameterError, match="^vector entries must be finite$"):
+            nested.resolvent(1.0, np.array([np.inf]))
+
     def test_extreme_finite_point_accepted_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
