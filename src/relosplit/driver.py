@@ -162,38 +162,38 @@ class ConvergenceTrace:
     sum_pos_increments: float = 0.0
     final_x: object = None
     seed: int | None = None
-    #: row 0's point length (None without a point) and its vector lengths
-    _lengths: tuple = field(default=None, init=False, repr=False)
+    #: row 0's signature: its scalar keys, its point length (None without a
+    #: point) and its vector lengths by key
+    _row0: tuple = field(default=None, init=False, repr=False)
 
     def record(self, gamma, residual, solution_residual=None, point=None,
                iterate=None, scalars=None, vectors=None):
         """Append one row: scalars as floats, arrays as flat copies.
 
-        A row with other fields than row 0, or a point or a vector of
-        another length, is refused by a ParameterError naming it, and
-        nothing of it is recorded. The point is copied once, and a vector
-        that is the point object itself is recorded as that copy, so
-        write_csv formats it once. The iterate is kept as given.
+        A row whose signature (scalar keys, point length, vector lengths by
+        key) is not row 0's is refused by a ParameterError naming it, and
+        nothing of it is recorded; the order of its keys is free. The point
+        is copied once, and a vector that is the point object itself is
+        recorded as that copy, so write_csv formats it once. The iterate is
+        kept as given.
         """
         scalars = scalars or {}
-        vectors = vectors or {}
         flat = None if point is None else _values(point).flatten()
+        flats, sizes = {}, {}
+        if vectors:
+            for key, value in vectors.items():
+                value = flat if flat is not None and value is point else _values(value).flatten()
+                flats[key], sizes[key] = value, value.size
+        signature = (scalars.keys(), None if flat is None else flat.size, sizes)
         if not self.residuals:
             self.extra_scalars = {key: [] for key in scalars}
-            self.extra_vectors = {key: [] for key in vectors}
-            self._lengths = (None if flat is None else flat.size, {})
-        elif (scalars.keys() != self.extra_scalars.keys()
-              or vectors.keys() != self.extra_vectors.keys()
-              or (None if flat is None else flat.size) != self._lengths[0]):
-            self._refuse(flat, scalars, vectors)
-        # row 0 sets each vector's length, every later row must repeat it
-        lengths = self._lengths[1]
-        flats = []
-        for key, value in vectors.items():
-            value = flat if flat is not None and value is point else _values(value).flatten()
-            if lengths.setdefault(key, value.size) != value.size:
-                self._refuse(flat, scalars, vectors)
-            flats.append((key, value))
+            self.extra_vectors = {key: [] for key in flats}
+            self._row0 = (frozenset(scalars), *signature[1:])
+        elif signature != self._row0:
+            raise ParameterError(
+                f"trace row {len(self)} has other fields than row 0 (point length, scalars, "
+                f"vector lengths): {(signature[1], list(scalars), signature[2])}, not "
+                f"{(self._row0[1], list(self.extra_scalars), self._row0[2])}")
         self.gammas.append(float(gamma))
         self.residuals.append(float(residual))
         self.solution_residuals.append(
@@ -202,16 +202,8 @@ class ConvergenceTrace:
         self.iterates.append(iterate)
         for key, value in scalars.items():
             self.extra_scalars[key].append(float(value))
-        for key, value in flats:
+        for key, value in flats.items():
             self.extra_vectors[key].append(value)
-
-    def _refuse(self, flat, scalars, vectors):
-        row = (None if flat is None else flat.size, list(scalars),
-               {key: _values(value).size for key, value in vectors.items()})
-        row0 = (self._lengths[0], list(self.extra_scalars), self._lengths[1])
-        raise ParameterError(
-            f"trace row {len(self)} has other fields than row 0 (point length, scalars, "
-            f"vector lengths): {row}, not {row0}")
 
     def __len__(self):
         return len(self.residuals)
@@ -317,10 +309,13 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
     ScheduleBudgetWarning is raised once the summed positive increments
     exceed POS_INCREMENT_BUDGET * gamma_0.
 
-    The finiteness test of each relocated iterate is the only divergence
+    The finiteness test of each relocated iterate is the divergence
     detector: the hooks' block arithmetic does not re-check, so an overflow
     ends the run with status "diverged", and numpy's overflow and invalid
-    warnings are silenced for the run.
+    warnings are silenced for the run. A rejected gamma_{n+1} also ends it
+    "diverged" when the step's output T_gamma x_n is not finite, since an
+    adaptive rule fed an overflowed point rejects it; that test runs only
+    on the rejection.
 
     solution_residual is called on the shadow (or on x when the step has
     none).
@@ -353,7 +348,10 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
             pair, pre = feedback(gamma, w) if adaptive else (None, None)
             gamma_next = gamma_at(n + 1, feedback=pair)
             if gamma_next <= 0 or not math.isfinite(gamma_next):
-                trace.status = STATUS_SCHEDULE_REJECTED
+                # an adaptive rule fed an overflowed step rejects it: the
+                # step diverged, not the schedule
+                trace.status = (STATUS_SCHEDULE_REJECTED if ambient_isfinite(w)
+                                else STATUS_DIVERGED)
                 break
             if residual <= tol and settled(gamma, gamma_next):
                 trace.status = STATUS_CONVERGED

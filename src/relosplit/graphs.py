@@ -207,7 +207,23 @@ def _check_x(x, ops, g):
     return as_block_vector(x, g.n_nodes - 1, ops[0].dim)
 
 
-def graph_z_sweep(ops, g, gamma, x, z1=None):
+def sweep_workspace(ops, g):
+    """A sweep's working memory, built once for a run of many sweeps.
+
+    Returns (buf, z_rows, kx_rows, nodes): the (2N, d) buffer that stacks z
+    and Kx x, its two halves, and per node i the tuple (resolvent of A_i,
+    d_i, its row of GraphMatrices.sweep_rows, row i of buf). Each resolvent
+    is bound here, so a wrapper around MonotoneOperator.resolvent that is
+    installed before the workspace is built sees every call.
+    """
+    n = g.n_nodes
+    buf = np.zeros((2 * n, ops[0].dim))
+    nodes = tuple((op.resolvent, d_i, row_i, buf[i])
+                  for i, (op, (d_i, row_i)) in enumerate(zip(ops, g.matrices.sweep_rows)))
+    return buf, buf[:n], buf[n:], nodes
+
+
+def graph_z_sweep(ops, g, gamma, x, z1=None, work=None):
     """The forward resolvent sweep z_1, ..., z_N driven by x.
 
     z_i = J_{(gamma/d_i) A_i}( (2/d_i) sum_{(h,i) in E} z_h
@@ -217,46 +233,53 @@ def graph_z_sweep(ops, g, gamma, x, z1=None):
     when z1, the first entry, is given (see graph_hooks).
 
     Node i's input is one product, of its row in GraphMatrices.sweep_rows
-    and a buffer stacking z and Kx x. When z1 is given on the 2-node graph,
-    one node is left and its input has two terms: it is the product of
+    and a buffer stacking z and Kx x; the node's resolvent writes z_i into
+    its buffer row (out=). When z1 is given on the 2-node graph, one node is
+    left and its input has two terms: it is the product of
     GraphMatrices.handoff_row and [z_1; x_1], held in the result's own rows,
     with no buffer. Either product adds the same nonzero terms once each,
     so the two paths give the same bytes.
 
-    gamma, x and z1 are checked here, once; the resolvents are called with
-    check=False. A BlockVector x passes as it is (see linalg), so an
-    iterate that has overflowed yields a non-finite sweep, which the
-    runners' loop reports as "diverged".
+    Without work, gamma, x and z1 are checked here, once, and the buffer is
+    allocated for this call. work, a sweep_workspace of ops and g, is a
+    runner's: its sweep checks nothing, so the runner vouches for a float
+    gamma > 0, which may be inf once scaled, a float (N - 1, d) array x and
+    a float z1 of R^d. An iterate or a stepsize that has overflowed then
+    yields a non-finite sweep, which the runners' loop reports as
+    "diverged". The resolvents are called with check=False either way.
     """
-    gamma = as_stepsize(gamma)
-    x = _check_x(x, ops, g).data
+    if work is None:
+        gamma = as_stepsize(gamma)
+        x = _check_x(x, ops, g).data
+        if z1 is not None:
+            z1 = as_vector(z1)
+            if z1.size != x.shape[1]:
+                raise DimensionError(f"z1 must lie in R^{x.shape[1]}, got dimension {z1.size}")
     n = g.n_nodes
-    if z1 is not None:
-        z1 = as_vector(z1)
-        if z1.size != x.shape[1]:
-            raise DimensionError(f"z1 must lie in R^{x.shape[1]}, got dimension {z1.size}")
     # the result is allocated first and the z rows are copied into it: no
-    # writable base is left behind, and the buffer, the newest heap block, is
-    # freed on return. A view of the buffer, or a copy allocated after it,
-    # left the heap more fragmented (peak RSS +0.2 to +0.8 MB on graph-affine)
+    # writable base is left behind, and a buffer allocated for the call, the
+    # newest heap block, is freed on return. A view of the buffer, or a copy
+    # allocated after it, left the heap more fragmented (peak RSS +0.2 to
+    # +0.8 MB on graph-affine)
     z = np.empty((n, x.shape[1]))
-    rows = g.matrices.sweep_rows
     if z1 is not None and n == 2:
         z[0], z[1] = z1, x[0]
-        z[1] = ops[1].resolvent(gamma / rows[1][0], g.matrices.handoff_row.dot(z), check=False)
+        ops[1].resolvent(gamma / g.matrices.sweep_rows[1][0], g.matrices.handoff_row.dot(z),
+                         check=False, out=z[1])
         return BlockVector._wrap(z)
+    buf, z_rows, kx_rows, nodes = sweep_workspace(ops, g) if work is None else work
     # rows 0..N-1 hold z, rows N..2N-1 hold Kx x. Row i of Kz weighs the
-    # z_h with h < i only, so z_i may stay zero until it is evaluated; the
-    # node's own share comes last in its row, after every z term
-    buf = np.zeros((2 * n, x.shape[1]))
-    np.dot(g.matrices.Kx, x, out=buf[n:])
-    start = 0
+    # z_h with h < i only, and the z rows are zeroed first: a zero weight
+    # times an entry an earlier sweep left is nan where that entry is not
+    # finite, and may carry its sign into a zero input. The node's own share
+    # comes last in its row, after every z term
+    z_rows.fill(0.0)
+    np.dot(g.matrices.Kx, x, out=kx_rows)
     if z1 is not None:
-        buf[0], start = z1, 1
-    for i in range(start, n):
-        d_i, row_i = rows[i]
-        buf[i] = ops[i].resolvent(gamma / d_i, row_i.dot(buf), check=False)
-    z[:] = buf[:n]
+        buf[0], nodes = z1, nodes[1:]
+    for resolvent, d_i, row_i, out in nodes:
+        resolvent(gamma / d_i, row_i.dot(buf), check=False, out=out)
+    z[:] = z_rows
     return BlockVector._wrap(z)
 
 
@@ -313,10 +336,18 @@ def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep, vector=False
     pseudo-inverse relocator, selftest.graph_relocator_apply. feedback
     feeds (z_1, u_1) to the adaptive rule. By the resolvent scaling
     identity z_1 is the first entry of the next sweep, at delta driven by
-    Q x, so it is handed on: N resolvents per iteration. Every one of them
-    is called with check=False: the sweep checks its own inputs at its
-    entry, and A_1's input in relocate and feedback is computed from the
-    step's output, so an overflow reaches the loop's finiteness test.
+    Q x, so it is handed on: N resolvents per iteration.
+
+    Nothing is checked after the runner's entry. The hooks build one
+    sweep_workspace for the run and hand the step's sweep the plain
+    (scaled) iterate array, the scaled gamma and the z_1 that relocate
+    computed, with that workspace, so the sweep re-checks none of them and
+    writes each node into its own buffer row. Every resolvent is called
+    with check=False. This is safe: the runner checked x_0, the loop tests
+    gamma and every relocated iterate, and z_1 is the hooks' own output. An
+    overflow, of the iterate or of scale * gamma, reaches the loop's
+    finiteness test as a non-finite sweep.
+
     record(z, Z^T z, w) builds the step's trace entry. The iterate is a
     BlockVector of N - 1 blocks or, with vector=True on the 2-node graph,
     the plain vector that is dr2's one block.
@@ -331,7 +362,7 @@ def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep, vector=False
     product turns a -0 entry of x_1 into +0, and the block itself does not.
     """
     z_t = g.matrices.Z.T
-    op_1, d_1 = ops[0], float(g.deg[0])
+    d_1 = float(g.deg[0])
     weights = scale * g.matrices.Kx[0]
     column = (g.matrices.Zdag_c / scale)[:, None]
     unit_scale, unit_theta = scale == 1.0, theta == 1.0
@@ -341,17 +372,19 @@ def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep, vector=False
         # disagreement and the shift come out as plain vectors as well
         z_t, column = z_t[0], column[0]
 
+    work = sweep_workspace(ops, g)
+    resolvent_1 = ops[0].resolvent
+
     def first(gamma, values):
         u = weights.dot(values.reshape(1, -1) if vector else values)
-        return op_1.resolvent(scale * gamma / d_1, u, check=False), u
+        return resolvent_1(scale * gamma / d_1, u, check=False), u
 
     def step(gamma, x, z1):
         values = x if vector else x.data
-        if vector:
-            x = BlockVector._wrap(values.reshape(1, -1))
+        point = values.reshape(1, -1) if vector else values
         if not unit_scale:
-            gamma, x = scale * gamma, BlockVector._wrap(scale * x.data)
-        z = graph_z_sweep(ops, g, gamma, x, z1)
+            gamma, point = scale * gamma, scale * point
+        z = graph_z_sweep(ops, g, gamma, point, z1, work=work)
         disagreement = z_t.dot(z.data)
         w = values - disagreement if unit_theta else values - theta * disagreement
         if not vector:

@@ -11,8 +11,12 @@ is ill conditioned keeps a dense linear solve per call.
 ``resolvent`` checks gamma and x. ``resolvent(gamma, x, check=False)`` skips
 the checks, for a caller that checked its inputs once, at its own entry: the
 runners' sweeps and relocators, and the nested kinds, which hand their inner
-operator a point computed from one already checked. Every call still goes
-through this one method, so a wrapper around it sees every resolvent.
+operator a point computed from one already checked. ``out=row`` writes the
+result into a float row of R^dim and returns that row: the box kind
+projects in place, every other kind copies its result in. The runners'
+sweep uses it to write each node into its row of a buffer kept for the run.
+Every call still goes through this one method, so a wrapper around it sees
+every resolvent.
 
 Each kind also answers for its own semantics: ``value`` (A itself where it
 is single valued), ``inclusion_residual`` (the membership test w in A z)
@@ -48,19 +52,25 @@ class MonotoneOperator:
     dim = None
     kind = "abstract"
 
-    def resolvent(self, gamma, x, *, check=True):
+    def resolvent(self, gamma, x, *, check=True, out=None):
         """Evaluate J_{gamma A} x for gamma > 0.
 
         gamma must be finite and positive, and x a finite vector of R^dim;
         ParameterError or DimensionError says which is not. With check=False
-        nothing is checked: the caller vouches for a float gamma > 0 and a
-        float vector x of R^dim, and a non-finite entry of x passes through
-        to the result. The runners' sweeps and relocators pass it for the
-        points they compute themselves, from inputs checked at their entry.
+        nothing is checked: the caller vouches for a float gamma > 0, which
+        may be inf (a runner's gamma times its scale can overflow), and a
+        float vector x of R^dim; a non-finite gamma or entry of x passes
+        through to the result. The runners' sweeps and relocators pass it
+        for the points they compute themselves, from inputs checked at their
+        entry. out, a writable float array of shape (dim,), receives the
+        result, which is then out itself; its bytes are those of the call
+        without out.
         """
-        if not check:
+        if check:
+            gamma, x = as_stepsize(gamma), _checked_point(self, x)
+        if out is None:
             return self._resolvent(gamma, x)
-        return self._resolvent(as_stepsize(gamma), _checked_point(self, x))
+        return self._resolvent_into(gamma, x, out)
 
     def reflectent(self, gamma, x):
         """Evaluate R_{gamma A} x = 2 J_{gamma A} x - x."""
@@ -69,6 +79,10 @@ class MonotoneOperator:
 
     def _resolvent(self, gamma, x):
         raise NotImplementedError
+
+    def _resolvent_into(self, gamma, x, out):
+        out[...] = self._resolvent(gamma, x)
+        return out
 
     def value(self, x):
         """A(x) where A is single valued at x, else None."""
@@ -251,6 +265,11 @@ class NormalConeBox(_NormalCone):
     def _resolvent(self, gamma, x):
         # np.clip's arithmetic (lo <= hi) at half its call cost
         return np.minimum(np.maximum(x, self.lo), self.hi)
+
+    def _resolvent_into(self, gamma, x, out):
+        # the same two ufuncs, writing into out: no temporary
+        np.maximum(x, self.lo, out=out)
+        return np.minimum(out, self.hi, out=out)
 
     def value(self, x):
         # the cone is {0} inside the box and set valued on its boundary

@@ -431,8 +431,8 @@ class SelftestReport:
 def resolvent_identities(rng):
     """Every catalog kind, 200 samples at 4 sigma: the scaling identity
     J_b((b/a) x + (1 - b/a) J_a x) = J_a x and firm nonexpansiveness, to 1e-10,
-    and the unchecked resolvent (check=False) equal to the checked one bit for
-    bit."""
+    and the unchecked resolvent (check=False), returned or written into a
+    row (out=row), equal to the checked one bit for bit."""
     result = GroupResult("resolvent_identities")
     for op in operator_zoo(rng):
         for _ in range(200):
@@ -442,6 +442,11 @@ def resolvent_identities(rng):
             jx = op.resolvent(alpha, x)
             result.check(op.resolvent(alpha, x, check=False).tobytes() == jx.tobytes(),
                          f"{op.kind}: the unchecked resolvent differs from the checked one")
+            row = np.full(op.dim, np.nan)
+            result.check(op.resolvent(alpha, x, check=False, out=row) is row
+                         and row.tobytes() == jx.tobytes(),
+                         f"{op.kind}: the resolvent written into a row differs from the "
+                         "checked one")
             moved = (beta / alpha) * x + (1.0 - beta / alpha) * jx
             err = np.linalg.norm(op.resolvent(beta, moved) - jx)
             result.check(err <= 1e-10, f"{op.kind}: scaling identity off by {err:.2e}")

@@ -701,11 +701,25 @@ class TestMainEntry:
          "graph": {"N": 3, "E": [[1, 2], [1, 3], [2, 3]], "Eprime": [[1, 2], [2, 3]]},
          "schedule": {"kind": "constant", "gamma": 1e308},
          "stop": {"residual_tol": 1e-10, "max_iters": 50}},
-    ], ids=["mt-x0", "graph-gamma"])
+        # the adaptive rule, fed the overflowed step, rejects gamma_1
+        {"problem": {"name": "affine_consensus", "params": {"count": 3, "dim": 1},
+                     "seed": 0},
+         "algorithm": "mt", "theta": 0.5, "x0": [[1.2e308], [1.2e308]],
+         "schedule": {"kind": "adaptive_kappa", "gamma0": 1.0},
+         "stop": {"residual_tol": 1e-10, "max_iters": 50}},
+        # MT's scale 2 takes gamma = 1e308 to inf, which the runner's sweep
+        # hands on unchecked
+        {"problem": {"name": "affine_consensus",
+                     "params": {"count": 3, "dim": 1, "c": [[0], [0], [10]]}, "seed": 0},
+         "algorithm": "mt", "theta": 0.5,
+         "schedule": {"kind": "constant", "gamma": 1e308},
+         "stop": {"residual_tol": 1e-10, "max_iters": 50}},
+    ], ids=["mt-x0", "graph-gamma", "mt-x0-adaptive", "mt-gamma"])
     def test_overflow_inside_a_step_reports_diverged(self, tmp_path, capsys, doc):
         # the sweep and the relocator resolve unchecked, so the overflowed
         # point reaches the loop's finiteness test instead of a resolvent's
-        # check; no numpy warning escapes the run either
+        # check, and a gamma rejected after an overflowed step is blamed on
+        # the step; no numpy warning escapes the run either
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         code = cli.main(["run", str(path)])

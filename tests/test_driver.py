@@ -285,6 +285,22 @@ class TestRecord:
         assert trace.extra_vectors["z"][0] is trace.points[0]
 
 
+    def test_a_row_with_its_keys_in_another_order_lands_in_row_0s_columns(self):
+        trace = ConvergenceTrace()
+        trace.record(1.0, 0.5, point=np.array([1.0]), scalars={"a": 1.0, "b": 2.0},
+                     vectors={"u": np.array([3.0]), "v": np.array([4.0, 5.0])})
+        trace.record(1.0, 0.25, point=np.array([6.0]), scalars={"b": 8.0, "a": 7.0},
+                     vectors={"v": np.array([10.0, 11.0]), "u": np.array([9.0])})
+        assert list(trace.extra_scalars) == ["a", "b"]
+        assert trace.extra_scalars == {"a": [1.0, 7.0], "b": [2.0, 8.0]}
+        assert list(trace.extra_vectors) == ["u", "v"]
+        assert [v.tolist() for v in trace.extra_vectors["u"]] == [[3.0], [9.0]]
+        assert [v.tolist() for v in trace.extra_vectors["v"]] == [[4.0, 5.0], [10.0, 11.0]]
+        buffer = io.StringIO()
+        trace.write_csv(buffer)
+        assert buffer.getvalue() == reference_csv(trace)
+        assert buffer.getvalue().splitlines()[2] == "1,1,0.25,nan,6,7,8,9,10,11"
+
     @pytest.mark.parametrize("first, second", [
         ({"vectors": {"z": np.array([1.0])}}, {}),
         ({"scalars": {"a": 1.0}}, {"scalars": {"a": 1.0, "b": 2.0}}),

@@ -378,6 +378,52 @@ class TestSweepRows:
                 assert np.max(np.abs(swept - expected)) <= bound
 
 
+class TestSweepWorkspace:
+    """A runner's sweep writes into the one sweep_workspace of its run, sweep
+    after sweep, and checks nothing; every sweep gives the bytes of the
+    public, checked sweep, whatever the buffer held before."""
+
+    def boxes(self, rng, n, dim=4):
+        # boxes around 0: a clip keeps a signed zero of its input
+        return [NormalConeBox(-rng.uniform(0.5, 2.0, dim), rng.uniform(0.5, 2.0, dim))
+                for _ in range(n)]
+
+    def cases(self, rng):
+        """(graph, ops, scale): the 2-node graph, the 3-, 5- and 16-rings at
+        MT's scale 2 and at scale 1, and the chorded benchmark graph."""
+        yield graphs.build_graph(2, [(1, 2)], [(1, 2)]), self.boxes(rng, 2), 1.0
+        for n in (3, 5, 16):
+            for scale in (2.0, 1.0):
+                yield mt_graph(n), self.boxes(rng, n), scale
+        yield bench_graph(), self.boxes(rng, 6), 1.0
+
+    def sweeps(self, rng, g, ops, scale):
+        """Three (gamma, x, z1) in a row, as a runner makes them: the first
+        without z1, then with the z1 that node 1's resolvent hands on; x and
+        z1 hold +0 and -0 entries."""
+        d_1 = float(g.deg[0])
+        z1 = None
+        for _ in range(3):
+            gamma = scale * float(rng.choice(GAMMA_GRID))
+            x = scale * signed_zeros(rng, 3.0 * rng.standard_normal((g.n_nodes - 1,
+                                                                     ops[0].dim)))
+            yield gamma, x, z1
+            z1 = signed_zeros(rng, ops[0].resolvent(gamma / d_1, g.matrices.Kx[0].dot(x)))
+
+    @pytest.mark.parametrize("stale", [0.0, -1.0, np.nan], ids=["zeros", "negative", "nan"])
+    def test_reused_workspace_gives_the_checked_sweeps_bytes(self, rng, stale):
+        for g, ops, scale in self.cases(rng):
+            work = graphs.sweep_workspace(ops, g)
+            # what an earlier run, or a sweep that overflowed, may have left
+            work[0].fill(stale)
+            for gamma, x, z1 in self.sweeps(rng, g, ops, scale):
+                swept = graphs.graph_z_sweep(ops, g, gamma, x, z1, work=work)
+                checked = graphs.graph_z_sweep(ops, g, gamma, BlockVector(x), z1)
+                assert swept.data.tobytes() == checked.data.tobytes()
+                assert not swept.data.flags.writeable
+                assert not np.shares_memory(swept.data, work[0])
+
+
 class TestHookFolds:
     """graph_hooks folds the coefficients that are exactly 1 (scale, theta and the
     2-node graph's relocator column) and takes a plain vector for dr2; every
@@ -589,16 +635,20 @@ def as_vector_calls(monkeypatch):
     (6, lambda ops, schedule, stop: graphs.graph_relocated_run(
         ops, bench_graph(), 1.0, schedule, BlockVector.zeros(5, 2), stop)),
 ], ids=["mt", "chorded-graph"])
-def test_runs_check_points_once_per_iteration_not_per_resolvent(as_vector_calls, n_ops, run):
-    # the sweep checks the z_1 handed on to it, one point per iteration after
-    # the first, and no resolvent checks its point
+def test_runs_check_points_once_per_run_not_per_iteration(as_vector_calls, n_ops, run):
+    # the runner checks x0 at its entry (a BlockVector, checked when it was
+    # built), and the sweep, handed the run's workspace, checks nothing: no
+    # point check, after 20 iterations or to convergence
     instance = problems.make_problem("affine_consensus", {"count": n_ops, "dim": 2}, seed=0)
-    as_vector_calls[0] = 0
-    trace = run(instance.ops, sch.GeometricToLimit(1.0, 2.0, 0.9),
-                StopRule(residual_tol=1e-10, max_iters=5000))
+    calls = []
+    for max_iters in (20, 5000):
+        as_vector_calls[0] = 0
+        trace = run(instance.ops, sch.GeometricToLimit(1.0, 2.0, 0.9),
+                    StopRule(residual_tol=1e-10, max_iters=max_iters))
+        calls.append(as_vector_calls[0])
     assert trace.status == "converged"
     assert trace.iterations > 100
-    assert as_vector_calls[0] <= trace.iterations + 1
+    assert calls == [0, 0]
 
 
 class TestLipschitzBound:
