@@ -17,7 +17,7 @@ from .driver import OperatorFamily, Relocator, relocated_loop
 from .errors import CertificateError, DimensionError, ParameterError
 from .graphs import build_graph, graph_hooks
 from .linalg import as_vector
-from .operators import MonotoneOperator
+from .operators import MonotoneOperator, stepsize_free
 
 #: Residual tolerance for accepting a point as a fixed point of T_gamma.
 FIXED_POINT_TOL = 1e-9
@@ -102,7 +102,8 @@ class DRCertificate:
 
 
 def dr_family(problem):
-    """The DR operators as a driver family (firmly nonexpansive, alpha = 1/2)."""
+    """The DR operators as a driver family (firmly nonexpansive, alpha = 1/2),
+    stepsize free when A and B both are."""
 
     def apply(gamma, x):
         w, z, y = dr_apply(problem, gamma, x)
@@ -111,7 +112,8 @@ def dr_family(problem):
     def feedback(gamma, w):
         return problem.op_a.resolvent(gamma, as_vector(w)), w
 
-    return OperatorFamily(apply, averagedness_alpha=0.5, feedback=feedback, name="dr2")
+    return OperatorFamily(apply, feedback=feedback, name="dr2",
+                          stepsize_free=stepsize_free((problem.op_a, problem.op_b)))
 
 
 def dr_relocator(problem):
@@ -137,10 +139,12 @@ def algorithm1_run(problem, schedule, x0, stop, solution_residual=None):
     The relocation's J_{gamma A} w_n is, by the scaling identity, the next
     step's J_{delta A} x_{n+1}; an adaptive run's stopping iteration pays one
     resolvent of A, for its feedback, that no step uses. The trace records
-    x_n, the shadow z_n (also the monitored point), and y_n, w_n.
+    x_n, the shadow z_n (also the monitored point), and y_n, w_n. When A
+    and B are both stepsize free, the run stops at its first residual within
+    tolerance (see driver.StopRule).
     """
+    ops = (problem.op_a, problem.op_b)
     step, feedback, relocate = graph_hooks(
-        (problem.op_a, problem.op_b), build_graph(2, [(1, 2)], [(1, 2)]), record=_record_dr,
-        vector=True)
+        ops, build_graph(2, [(1, 2)], [(1, 2)]), record=_record_dr, vector=True)
     return relocated_loop(step, relocate, feedback, schedule, as_vector(x0), stop,
-                          solution_residual=solution_residual)
+                          solution_residual=solution_residual, stepsize_free=stepsize_free(ops))

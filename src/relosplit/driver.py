@@ -2,7 +2,8 @@
 
 The driver is agnostic to the ambient space: iterates may be plain 1-D
 arrays or BlockVectors. Families bundle the parametrized operator T_gamma
-with its averagedness constant; relocators bundle Q with a Lipschitz bound.
+with its feedback and whether it is stepsize free; relocators bundle Q with
+a Lipschitz bound.
 """
 
 import csv
@@ -71,6 +72,13 @@ class StopRule:
     second condition matters: an iterate sitting exactly on the moving
     fixed-point curve has residual zero at every n, yet it only approaches
     Fix T at the limit stepsize as the schedule settles.
+
+    A run whose resolvents read no stepsize (every operator stepsize free,
+    such as normal cones, whose resolvent is a projection at every gamma)
+    skips the second condition: there T_gamma is one operator and Fix
+    T_gamma does not move, so the residual test alone gives what the settle
+    test guards, an iterate whose residual under T at the limit stepsize is
+    within residual_tol.
     """
 
     residual_tol: float
@@ -92,16 +100,17 @@ class OperatorFamily:
     apply(gamma, x) returns (T_gamma x, aux) where aux is a dict that may
     name the monitored shadow point under "shadow". feedback(gamma, w), when
     provided, computes the pair (z, w_ref) fed to the adaptive stepsize
-    rule.
+    rule. stepsize_free declares that T_gamma is the same operator at every
+    gamma > 0 (its fixed-point set does not move), so run_relocated stops
+    at the first residual within tolerance; it defaults to False, which is
+    always safe.
     """
 
-    def __init__(self, apply, averagedness_alpha, feedback=None, name=""):
-        if not 0.0 < averagedness_alpha < 1.0:
-            raise ParameterError("averagedness_alpha must lie in (0, 1)")
+    def __init__(self, apply, feedback=None, name="", stepsize_free=False):
         self._apply = apply
-        self.averagedness_alpha = float(averagedness_alpha)
         self._feedback = feedback
         self.name = name
+        self.stepsize_free = bool(stepsize_free)
 
     def apply(self, gamma, x):
         result, aux = self._apply(gamma, x)
@@ -289,7 +298,7 @@ class ConvergenceTrace:
 
 
 def relocated_loop(step, relocate, feedback, schedule, x0, stop,
-                   solution_residual=None):
+                   solution_residual=None, stepsize_free=False):
     """The relocated iteration x_{n+1} = Q_{g_{n+1}<-g_n} T_{g_n} x_n.
 
     Every runner is this loop plus three hooks:
@@ -305,7 +314,12 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
 
     Every iteration, the last one included, asks the schedule for
     gamma_{n+1} and applies the whole stop rule: a run that reaches max_iters
-    with a small residual but a moving stepsize ends "max_iters". One
+    with a small residual but a moving stepsize ends "max_iters". With
+    stepsize_free, which a runner passes when no resolvent it calls reads
+    gamma, the stop rule is the residual test alone: T_gamma and its
+    fixed-point set are then the same at every gamma, so waiting for the
+    stepsize to settle cannot change the answer. gamma_{n+1} is still asked
+    for first, so a rejected one still ends the run. One
     ScheduleBudgetWarning is raised once the summed positive increments
     exceed POS_INCREMENT_BUDGET * gamma_0.
 
@@ -353,7 +367,7 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
                 trace.status = (STATUS_SCHEDULE_REJECTED if ambient_isfinite(w)
                                 else STATUS_DIVERGED)
                 break
-            if residual <= tol and settled(gamma, gamma_next):
+            if residual <= tol and (stepsize_free or settled(gamma, gamma_next)):
                 trace.status = STATUS_CONVERGED
                 break
             if n == max_iters:
@@ -386,7 +400,7 @@ def run_relocated(family, relocator, schedule, x0, stop, solution_residual=None)
 
     Every step evaluates T_gamma and Q in full and reuses nothing; the
     efficient runners are checked against it. solution_residual is as in
-    relocated_loop.
+    relocated_loop, and a stepsize-free family stops as its runner does.
     """
 
     def feedback(gamma, w):
@@ -395,4 +409,5 @@ def run_relocated(family, relocator, schedule, x0, stop, solution_residual=None)
 
     return relocated_loop(lambda gamma, x, carry: family.apply(gamma, x),
                           lambda gamma, delta, w, pre: (relocator.apply(gamma, delta, w), None),
-                          feedback, schedule, x0, stop, solution_residual=solution_residual)
+                          feedback, schedule, x0, stop, solution_residual=solution_residual,
+                          stepsize_free=family.stepsize_free)

@@ -26,6 +26,7 @@ from .driver import OperatorFamily, Relocator, ambient_norm, relocated_loop
 from .errors import ConstructionError, DimensionError, ParameterError
 from .linalg import (BlockVector, as_block_vector, as_stepsize, as_vector, kron_apply,
                      pseudo_inverse)
+from .operators import stepsize_free
 
 @dataclass(frozen=True)
 class GraphMatrices:
@@ -411,7 +412,8 @@ def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep, vector=False
 
 
 def graph_family(ops, g, theta):
-    """The graph-DR operators (a fresh sweep) as a theta/2-averaged driver family."""
+    """The graph-DR operators (a fresh sweep) as a theta/2-averaged driver family,
+    stepsize free when every operator is."""
     _, feedback, _ = graph_hooks(ops, g, theta)
 
     def apply(gamma, x):
@@ -422,8 +424,8 @@ def graph_family(ops, g, theta):
         # the hooks' feedback resolves unchecked, so gamma and w are checked here
         return feedback(as_stepsize(gamma), _check_x(w, ops, g))[0]
 
-    return OperatorFamily(apply, averagedness_alpha=theta / 2.0, feedback=checked_feedback,
-                          name="graph_dr")
+    return OperatorFamily(apply, feedback=checked_feedback, name="graph_dr",
+                          stepsize_free=stepsize_free(ops))
 
 
 def graph_relocator(ops, g):
@@ -444,10 +446,13 @@ def graph_relocated_run(ops, g, theta, schedule, x0, stop, solution_residual=Non
 
     Matches run_relocated(graph_family, graph_relocator) per iterate. The
     trace records ||Z^T z_n|| and the sweep points; the solution residual,
-    when requested, is evaluated at the blockwise mean of the sweep.
+    when requested, is evaluated at the blockwise mean of the sweep. When
+    every operator is stepsize free, the run stops at its first residual
+    within tolerance (see driver.StopRule).
     """
     if not 0.0 < theta < 2.0:
         raise ParameterError(f"theta must lie in (0, 2), got {theta}")
     step, feedback, relocate = graph_hooks(ops, g, theta)
     return relocated_loop(step, relocate, feedback, schedule, _check_x(x0, ops, g), stop,
-                          solution_residual=at_consensus(solution_residual))
+                          solution_residual=at_consensus(solution_residual),
+                          stepsize_free=stepsize_free(ops))

@@ -18,7 +18,7 @@ from .driver import OperatorFamily, Relocator, relocated_loop
 from .errors import DimensionError, ParameterError
 from .graphs import at_consensus, build_graph, graph_hooks
 from .linalg import BlockVector, as_block_vector
-from .operators import MonotoneOperator
+from .operators import MonotoneOperator, stepsize_free
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,8 @@ def mt_lipschitz(n, gamma, delta):
 
 
 def mt_family(problem):
-    """The MT operators as a driver family (theta-averaged)."""
+    """The MT operators as a driver family (theta-averaged), stepsize free
+    when every operator is."""
 
     def apply(gamma, x):
         tx, z = mt_apply(problem, gamma, x)
@@ -122,8 +123,8 @@ def mt_family(problem):
     def feedback(gamma, w):
         return problem.ops[0].resolvent(gamma, w[0]), w[0]
 
-    return OperatorFamily(apply, averagedness_alpha=problem.theta,
-                          feedback=feedback, name="malitsky_tam")
+    return OperatorFamily(apply, feedback=feedback, name="malitsky_tam",
+                          stepsize_free=stepsize_free(problem.ops))
 
 
 def mt_relocator(problem):
@@ -142,10 +143,13 @@ def algorithm2_run(problem, schedule, x0, stop, solution_residual=None):
     coordinates. z_1 = J_{gamma_n A_1} w_n^1 of the relocation doubles as the
     next sweep's J_{gamma_{n+1} A_1} x_{n+1}^1; an adaptive run's stopping
     iteration pays one more A_1 for its feedback. The solution residual is
-    evaluated at the blockwise mean of the sweep.
+    evaluated at the blockwise mean of the sweep. When every operator is
+    stepsize free (boxes, balls, points), the run stops at its first
+    residual within tolerance (see driver.StopRule).
     """
     g = mt_graph(problem.n_ops)
     step, feedback, relocate = graph_hooks(problem.ops, g, problem.theta,
                                            scale=float(g.deg[0]))
     return relocated_loop(step, relocate, feedback, schedule, _check_x(problem, x0),
-                          stop, solution_residual=at_consensus(solution_residual))
+                          stop, solution_residual=at_consensus(solution_residual),
+                          stepsize_free=stepsize_free(problem.ops))

@@ -23,6 +23,16 @@ is single valued), ``inclusion_residual`` (the membership test w in A z)
 and ``affine_parts`` (A u = M u + b, affine kinds only). These methods take
 checked vectors; the module functions ``single_value`` and
 ``inclusion_residual`` are the checked entry points.
+
+A kind whose resolvent is the same map at every gamma > 0 declares the class
+attribute ``stepsize_free = True``: the normal cones, whose resolvent is the
+projection onto their set, and the zero operator, whose resolvent is the
+identity. The nested kinds and the counting wrapper report their inner
+operator's value; every other kind says False. A kind may under-declare,
+never over-declare. When every operator of a run is stepsize free, T_gamma
+is one operator for every gamma, its fixed-point set does not move with the
+stepsize, and the runners stop at the first small residual (see
+``driver.StopRule``).
 """
 
 import numpy as np
@@ -51,6 +61,8 @@ class MonotoneOperator:
 
     dim = None
     kind = "abstract"
+    #: whether J_{gamma A} is the same map at every gamma > 0
+    stepsize_free = False
 
     def resolvent(self, gamma, x, *, check=True, out=None):
         """Evaluate J_{gamma A} x for gamma > 0.
@@ -107,6 +119,7 @@ class Zero(MonotoneOperator):
     """A = 0, so J = Id."""
 
     kind = "zero"
+    stepsize_free = True
 
     def __init__(self, dim):
         self.dim = checked(DIM, dim, "dim")
@@ -228,6 +241,8 @@ def _eigen_factors(m):
 class _NormalCone(MonotoneOperator):
     """Normal cone of a closed convex set C; J projects onto C at every gamma."""
 
+    stepsize_free = True
+
     def inclusion_residual(self, z, w):
         # w lies in the cone at z exactly when z is the projection of z + w
         return float(np.linalg.norm(z - self._resolvent(1.0, z + w)))
@@ -342,6 +357,10 @@ class Translated(MonotoneOperator):
         self.shift = shift
         self.dim = inner.dim
 
+    @property
+    def stepsize_free(self):
+        return self.inner.stepsize_free
+
     def _resolvent(self, gamma, x):
         return self.shift + self.inner.resolvent(gamma, x - self.shift, check=False)
 
@@ -370,6 +389,10 @@ class Scaled(MonotoneOperator):
         self.inner = inner
         self.sigma = sigma
         self.dim = inner.dim
+
+    @property
+    def stepsize_free(self):
+        return self.inner.stepsize_free
 
     def _resolvent(self, gamma, x):
         return self.inner.resolvent(gamma * self.sigma, x, check=False)
@@ -400,6 +423,10 @@ class CountingOperator(MonotoneOperator):
         self.dim = inner.dim
         self.calls = 0
 
+    @property
+    def stepsize_free(self):
+        return self.inner.stepsize_free
+
     def _resolvent(self, gamma, x):
         self.calls += 1
         return self.inner.resolvent(gamma, x, check=False)
@@ -412,6 +439,11 @@ class CountingOperator(MonotoneOperator):
 
     def affine_parts(self):
         return self.inner.affine_parts()
+
+
+def stepsize_free(ops):
+    """Whether every operator's resolvent is the same map at every gamma > 0."""
+    return all(op.stepsize_free for op in ops)
 
 
 def _checked_point(op, x):

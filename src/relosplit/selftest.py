@@ -431,8 +431,10 @@ class SelftestReport:
 def resolvent_identities(rng):
     """Every catalog kind, 200 samples at 4 sigma: the scaling identity
     J_b((b/a) x + (1 - b/a) J_a x) = J_a x and firm nonexpansiveness, to 1e-10,
-    and the unchecked resolvent (check=False), returned or written into a
-    row (out=row), equal to the checked one bit for bit."""
+    the unchecked resolvent (check=False), returned or written into a
+    row (out=row), equal to the checked one bit for bit, and the kind's
+    stepsize_free declaration: a kind that declares it gives J_{2a} x = J_a x
+    bit for bit, and a nested kind reports its inner operator's value."""
     result = GroupResult("resolvent_identities")
     for op in operator_zoo(rng):
         for _ in range(200):
@@ -447,6 +449,12 @@ def resolvent_identities(rng):
                          and row.tobytes() == jx.tobytes(),
                          f"{op.kind}: the resolvent written into a row differs from the "
                          "checked one")
+            inner = getattr(op, "inner", op)
+            result.check(op.stepsize_free == inner.stepsize_free
+                         and (not op.stepsize_free
+                              or op.resolvent(2.0 * alpha, x).tobytes() == jx.tobytes()),
+                         f"{op.kind}: declares stepsize_free={op.stepsize_free}, but its "
+                         "resolvent reads the stepsize or its inner operator says otherwise")
             moved = (beta / alpha) * x + (1.0 - beta / alpha) * jx
             err = np.linalg.norm(op.resolvent(beta, moved) - jx)
             result.check(err <= 1e-10, f"{op.kind}: scaling identity off by {err:.2e}")

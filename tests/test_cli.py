@@ -817,6 +817,7 @@ GOLDEN = {
     "mt_adaptive": ("converged", 179, 0),
     "mt_adaptive_budget": ("max_iters", 9, 2),
     "mt_box_explicit": ("converged", 38, 0),
+    "mt_box_geometric": ("converged", 38, 0),
     "graph_geometric": ("converged", 340, 0),
     "graph_adaptive": ("converged", 345, 0),
     "graph_explicit": ("converged", 338, 0),

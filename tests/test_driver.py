@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import EXTREME_FINITE, GOLDEN_DIR, nonfinite_points, strided_real
-from relosplit import cli, dr2, malitsky_tam as mt, schedules as sch
+from relosplit import cli, dr2, graphs, malitsky_tam as mt, schedules as sch
 from relosplit.driver import (
     ConvergenceTrace,
     OperatorFamily,
@@ -22,13 +22,12 @@ from relosplit.driver import (
 from relosplit.errors import ConstructionError, FixedPointError, ParameterError
 from relosplit.graphs import graph_relocated_run
 from relosplit.linalg import BlockVector
-from relosplit.operators import NegLog, NormalConePoint
-from relosplit.selftest import check_relocator_axioms
+from relosplit.operators import AffineMonotone, NegLog, NormalConeBox, NormalConePoint
+from relosplit.selftest import check_relocator_axioms, chorded_path
 
 
 def identity_family():
-    return OperatorFamily(lambda gamma, x: (x, {}), averagedness_alpha=0.5,
-                          name="identity")
+    return OperatorFamily(lambda gamma, x: (x, {}), name="identity")
 
 
 def identity_relocator():
@@ -48,7 +47,7 @@ class TestRunRelocated:
 
     def test_max_iters_status(self):
         # contraction towards 1 never reaches a 1e-30-ish residual in 5 steps
-        family = OperatorFamily(lambda g, x: (0.5 * x, {}), 0.5)
+        family = OperatorFamily(lambda g, x: (0.5 * x, {}))
         trace = run_relocated(family, identity_relocator(), sch.Constant(1.0),
                               np.array([8.0]), StopRule(1e-12, 5))
         assert trace.status == "max_iters"
@@ -57,7 +56,7 @@ class TestRunRelocated:
 
     def test_schedule_rejected(self):
         schedule = sch.ExplicitList([1.0, -1.0])
-        family = OperatorFamily(lambda g, x: (0.5 * x, {}), 0.5)
+        family = OperatorFamily(lambda g, x: (0.5 * x, {}))
         trace = run_relocated(family, identity_relocator(), schedule,
                               np.array([8.0]), StopRule(1e-12, 50))
         assert trace.status == "schedule_rejected"
@@ -67,13 +66,13 @@ class TestRunRelocated:
             with np.errstate(over="ignore"):
                 return 1e200 * x, {}
 
-        family = OperatorFamily(blow_up, 0.5)
+        family = OperatorFamily(blow_up)
         trace = run_relocated(family, identity_relocator(), sch.Constant(1.0),
                               np.array([1.0]), StopRule(1e-12, 10))
         assert trace.status == "diverged"
 
     def test_budget_warning(self):
-        family = OperatorFamily(lambda g, x: (0.9 * x, {}), 0.5)
+        family = OperatorFamily(lambda g, x: (0.9 * x, {}))
         growing = sch.ExplicitList([1.0 + 50.0 * n for n in range(30)])
         with pytest.warns(ScheduleBudgetWarning):
             run_relocated(family, identity_relocator(), growing,
@@ -106,7 +105,7 @@ class TestRunRelocated:
         assert budget[0].filename == __file__
 
     def test_sum_pos_increments(self):
-        family = OperatorFamily(lambda g, x: (0.9 * x, {}), 0.5)
+        family = OperatorFamily(lambda g, x: (0.9 * x, {}))
         schedule = sch.ExplicitList([1.0, 2.0, 1.5, 3.0])
         trace = run_relocated(family, identity_relocator(), schedule,
                               np.array([1.0]), StopRule(1e-14, 3))
@@ -115,14 +114,14 @@ class TestRunRelocated:
     def test_adaptive_requires_feedback_hook(self):
         from relosplit.errors import ScheduleError
 
-        family = OperatorFamily(lambda g, x: (0.5 * x, {}), 0.5)  # no hook
+        family = OperatorFamily(lambda g, x: (0.5 * x, {}))  # no hook
         with pytest.raises(ScheduleError):
             run_relocated(family, identity_relocator(), sch.AdaptiveKappa(1.0),
                           np.array([1.0]), StopRule(1e-12, 5))
 
     def test_adaptive_with_feedback_hook(self):
         family = OperatorFamily(
-            lambda g, x: (0.5 * x, {}), 0.5,
+            lambda g, x: (0.5 * x, {}),
             feedback=lambda g, w: (0.5 * w, w),
         )
         trace = run_relocated(family, identity_relocator(), sch.AdaptiveKappa(1.0),
@@ -335,7 +334,7 @@ class TestRecord:
             return 0.5 * x, {"vectors": {} if len(steps) == 2 else {"v": 2.0 * x}}
 
         with pytest.raises(ParameterError, match="^trace row 1 "):
-            run_relocated(OperatorFamily(apply, 0.5), identity_relocator(),
+            run_relocated(OperatorFamily(apply), identity_relocator(),
                           sch.Constant(1.0), np.array([8.0]), StopRule(1e-12, 5))
 
 
@@ -409,10 +408,101 @@ class TestStopRule:
         assert not rule.settled(1.0, 1.1)
 
 
+class WaitingBox(NormalConeBox):
+    """A box with the same arithmetic that does not declare its resolvent
+    stepsize free, so a run on it waits for the stepsize to settle."""
+
+    stepsize_free = False
+
+
+def box_run(method, box=NormalConeBox, affine=False):
+    """(the runner's trace, run_relocated's trace) on boxes planted around one
+    point, under the moving schedule 2 -> 1 at ratio 0.9. With affine, the
+    last operator is A x = x - c instead, c the point the boxes share."""
+    rng = np.random.default_rng(3)
+    count, dim = {"mt": (5, 3), "graph": (4, 3), "dr2": (2, 3)}[method]
+    center = rng.standard_normal(dim)
+    ops = [box(center - rng.uniform(0.05, 1.0, dim), center + rng.uniform(0.05, 1.0, dim))
+           for _ in range(count)]
+    lo = np.max([op.lo for op in ops], axis=0)
+    hi = np.min([op.hi for op in ops], axis=0)
+    if affine:
+        ops[-1] = AffineMonotone(np.eye(dim), -center)
+
+    def oracle(z):
+        # the distance to the boxes' intersection, or to c with the affine operator
+        return float(np.linalg.norm(z - (center if affine else np.clip(z, lo, hi))))
+
+    stop = StopRule(1e-10, 5000)
+
+    def schedule():
+        return sch.GeometricToLimit(limit=1.0, start=2.0, ratio=0.9)
+
+    if method == "dr2":
+        problem = dr2.DRProblem(*ops)
+        x0 = 3.0 * rng.standard_normal(dim)
+        return (dr2.algorithm1_run(problem, schedule(), x0, stop, solution_residual=oracle),
+                run_relocated(dr2.dr_family(problem), dr2.dr_relocator(problem), schedule(),
+                              x0, stop))
+    x0 = BlockVector(3.0 * rng.standard_normal((count - 1, dim)))
+    if method == "mt":
+        problem = mt.MTProblem(tuple(ops), theta=0.5)
+        return (mt.algorithm2_run(problem, schedule(), x0, stop, solution_residual=oracle),
+                run_relocated(mt.mt_family(problem), mt.mt_relocator(problem), schedule(),
+                              x0, stop))
+    g = chorded_path(count)
+    return (graphs.graph_relocated_run(ops, g, 1.0, schedule(), x0, stop,
+                                       solution_residual=oracle),
+            run_relocated(graphs.graph_family(ops, g, 1.0), graphs.graph_relocator(ops, g),
+                          schedule(), x0, stop))
+
+
+def csv_lines(trace):
+    buffer = io.StringIO()
+    trace.write_csv(buffer)
+    return buffer.getvalue().splitlines()
+
+
+def iterate_values(trace):
+    return [np.asarray(x.data if isinstance(x, BlockVector) else x) for x in trace.iterates]
+
+
+class TestStepsizeFreeStop:
+    """A run whose every operator is stepsize free stops at its first residual
+    within tolerance; one with a stepsize-dependent operator waits for gamma."""
+
+    @pytest.mark.parametrize("method", ["mt", "graph", "dr2"])
+    def test_stops_at_the_first_small_residual_while_gamma_moves(self, method):
+        trace, naive = box_run(method)
+        waiting, _ = box_run(method, box=WaitingBox)
+        n, tol = trace.iterations, 1e-10
+        assert trace.status == waiting.status == "converged"
+        assert trace.residuals[n] <= tol < min(trace.residuals[:n])
+        # gamma_{n+1} is still moving: the settle test would not have stopped
+        assert abs(waiting.gammas[n + 1] - trace.gammas[n]) > tol * max(1.0, trace.gammas[n])
+        assert trace.solution_residuals[n] <= 1e-8
+        # the naive composition of the family and relocator stops there too
+        assert naive.status == "converged" and naive.iterations == n
+        for a, b in zip(iterate_values(trace), iterate_values(naive)):
+            assert np.max(np.abs(a - b)) <= 1e-12
+        # the run is, row for row, the head of the run that waits for gamma
+        assert waiting.iterations > n
+        assert csv_lines(trace) == csv_lines(waiting)[:n + 2]
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(iterate_values(trace), iterate_values(waiting)))
+
+    def test_one_stepsize_dependent_operator_waits_for_gamma(self):
+        trace, naive = box_run("mt", affine=True)
+        n = trace.iterations
+        assert trace.status == naive.status == "converged"
+        assert (n, naive.iterations) == (258, 258)
+        assert StopRule(1e-10, 1).settled(trace.gammas[n], 1.0 + 0.9 ** (n + 1))
+
+
 class TestAxiomHarness:
     def test_identity_relocator_with_constant_family(self):
         # T independent of gamma, Q = Id: all axioms trivially pass
-        family = OperatorFamily(lambda g, x: (0.5 * x, {}), 0.5)
+        family = OperatorFamily(lambda g, x: (0.5 * x, {}))
         fixed_points = [(g, np.zeros(2)) for g in (0.5, 1.0, 2.0)]
         report = check_relocator_axioms(family, identity_relocator(),
                                         fixed_points, (0.5, 1.0, 2.0))
@@ -420,7 +510,7 @@ class TestAxiomHarness:
         assert report.continuity_modulus == 0.0
 
     def test_shifted_relocator_flagged(self):
-        family = OperatorFamily(lambda g, x: (0.5 * x, {}), 0.5)
+        family = OperatorFamily(lambda g, x: (0.5 * x, {}))
         broken = Relocator(lambda g, d, x: x + 0.1, lambda g, d: 1.0)
         fixed_points = [(1.0, np.zeros(2))]
         report = check_relocator_axioms(family, broken, fixed_points,
@@ -431,7 +521,7 @@ class TestAxiomHarness:
         assert report.violations
 
     def test_non_fixed_point_rejected(self):
-        family = OperatorFamily(lambda g, x: (0.5 * x, {}), 0.5)
+        family = OperatorFamily(lambda g, x: (0.5 * x, {}))
         with pytest.raises(FixedPointError):
             check_relocator_axioms(family, identity_relocator(),
                                    [(1.0, np.array([1.0, 1.0]))], (1.0,))

@@ -312,6 +312,30 @@ class TestAsymptoticProjection:
                 assert np.linalg.norm(j_small - proj) <= 1e-3
 
 
+class TestStepsizeFree:
+    """stepsize_free declares that J_{gamma A} is one map at every gamma > 0."""
+
+    #: the kinds whose resolvent ignores gamma: the projections and Id
+    DECLARED = {"zero", "normal_cone_point", "normal_cone_box", "normal_cone_ball"}
+
+    def test_each_kind_declares_what_it_is(self, zoo):
+        assert {op.kind for op in zoo if op.stepsize_free} == self.DECLARED
+
+    def test_a_declared_resolvent_gives_the_same_bytes_at_every_stepsize(self, rng):
+        for op in operator_zoo(rng):
+            # the nested kinds and the counting wrapper, around every kind
+            wrapped = [ops.Translated(op, rng.standard_normal(op.dim)), ops.Scaled(op, 2.0),
+                       ops.CountingOperator(op)]
+            assert [w.stepsize_free for w in wrapped] == [op.stepsize_free] * 3
+            for each in (op, *wrapped):
+                if not each.stepsize_free:
+                    continue
+                for _ in range(20):
+                    x = 4.0 * rng.standard_normal(op.dim)
+                    outs = {each.resolvent(gamma, x).tobytes() for gamma in GAMMA_GRID}
+                    assert len(outs) == 1, each.kind
+
+
 class TestFactoredAffineResolvent:
     """The affine resolvent from eigenfactors of M agrees with a dense solve."""
 
