@@ -4,16 +4,18 @@ Every operator exposes the same oracle: ``op.resolvent(gamma, x)`` returns
 J_{gamma A} x = (I + gamma A)^{-1} x, single-valued and defined for every x.
 Reflectents are derived as R = 2 J - Id. All resolvents are exact (no inner
 iterative solves). The affine kind factors its matrix once, on its first
-resolvent call, into stepsize-free eigenfactors, so each later resolvent is
-a few matrix-vector products at any gamma; a matrix whose eigenvector basis
-is ill conditioned keeps a dense linear solve per call.
+resolvent call, into stepsize-free eigenfactors that take gamma as an entry
+of their input, so each later resolvent is two real matrix-vector products
+and one complex division at any gamma; a matrix whose eigenvector basis is
+ill conditioned keeps a dense linear solve per call.
 
 ``resolvent`` checks gamma and x. ``resolvent(gamma, x, check=False)`` skips
 the checks, for a caller that checked its inputs once, at its own entry: the
 runners' sweeps and relocators, and the nested kinds, which hand their inner
 operator a point computed from one already checked. ``out=row`` writes the
 result into a float row of R^dim and returns that row: the box kind
-projects in place, every other kind copies its result in. The runners'
+projects in place and the factored affine kind writes its last product
+into the row, while every other kind copies its result in. The runners'
 sweep uses it to write each node into its row of a buffer kept for the run.
 Every call still goes through this one method, so a wrapper around it sees
 every resolvent.
@@ -74,9 +76,9 @@ class MonotoneOperator:
         float vector x of R^dim; a non-finite gamma or entry of x passes
         through to the result. The runners' sweeps and relocators pass it
         for the points they compute themselves, from inputs checked at their
-        entry. out, a writable float array of shape (dim,), receives the
-        result, which is then out itself; its bytes are those of the call
-        without out.
+        entry. out, a writable, C-contiguous float64 array of shape (dim,),
+        receives the result, which is then out itself; its bytes are those
+        of the call without out.
         """
         if check:
             gamma, x = as_stepsize(gamma), _checked_point(self, x)
@@ -162,9 +164,15 @@ class AffineMonotone(MonotoneOperator):
 
     The resolvent solves (I + gamma M) y = r with r = x - gamma b. The first
     call factors M = V diag(lam) V^-1 once for every gamma and keeps the
-    factors (M is a read-only copy, so they cannot go stale); then
+    factors (M and b are read-only copies, so they cannot go stale); then
     y = Re(V ((V^-1 r) / (1 + gamma lam))), keeping one eigenpair of each
-    complex-conjugate pair, weighted by 2.
+    complex-conjugate pair, weighted by 2. The stepsize enters as an entry
+    of the input, [x; -gamma; 1], so one real matrix-vector product gives
+    both V^-1 r and 1 + gamma lam (see ``_eigen_factors``), and a call is
+    that product, one complex division and one product with V, written
+    straight into its result. At the benchmark's sizes (d = 16 and 32) a
+    call costs numpy's per-call overhead more than arithmetic, so it is
+    the count of numpy calls, about five, that sets its time.
 
     Monotone M has Re lam >= 0, so |1 + gamma lam| >= 1 and the error is
     about cond_1(V) times machine epsilon at every gamma. When cond_1(V)
@@ -177,8 +185,9 @@ class AffineMonotone(MonotoneOperator):
 
     def __init__(self, matrix, offset):
         m = as_matrix(matrix).copy()
-        m.setflags(write=False)
-        b = as_vector(offset)
+        b = as_vector(offset).copy()
+        for frozen in (m, b):
+            frozen.setflags(write=False)
         if m.shape[0] != m.shape[1]:
             raise ConstructionError(f"M must be square, got shape {m.shape}")
         if m.shape[0] != b.size:
@@ -194,20 +203,32 @@ class AffineMonotone(MonotoneOperator):
         self.matrix = m
         self.offset = b
         self.dim = b.size
-        # (left, lam, right), or () for the dense solve; built on first use
+        # (left, full), or () for the dense solve; built on first use
         self._factors = None
 
     def _resolvent(self, gamma, x):
+        return self._resolvent_into(gamma, x, np.empty(self.dim))
+
+    def _resolvent_into(self, gamma, x, out):
         if self._factors is None:
-            self._factors = _eigen_factors(self.matrix)
-        rhs = x - gamma * self.offset
+            self._factors = _eigen_factors(self.matrix, self.offset)
         if not self._factors:
-            return solve_linear(np.eye(self.dim) + gamma * self.matrix, rhs)
-        left, lam, right = self._factors
-        # left @, not left.dot: when one eigenpair is kept (d = 2, a complex
-        # pair), dot takes its scalar path, whose complex product rounds
-        # differently from matmul's
-        return (left @ (right.dot(rhs) / (1.0 + gamma * lam))).real
+            out[...] = solve_linear(np.eye(self.dim) + gamma * self.matrix,
+                                    x - gamma * self.offset)
+            return out
+        left, full = self._factors
+        d = self.dim
+        # one real product of full and [x; -gamma; 1] gives the numerators
+        # R (x - gamma b) and the denominators 1 + gamma lam, interleaved
+        # (Re, Im), so the numerators form the first half of t
+        xa = np.empty(d + 2)
+        xa[:d] = x
+        xa[d] = -gamma
+        xa[d + 1] = 1.0
+        t = full.dot(xa).view(complex)
+        k = t.size // 2
+        c = np.divide(t[:k], t[k:], out=t[:k])
+        return np.dot(left, c.view(float), out=out)
 
     def value(self, x):
         """The (single-valued) operator itself, M x + b."""
@@ -217,12 +238,24 @@ class AffineMonotone(MonotoneOperator):
         return self.matrix.copy(), self.offset.copy()
 
 
-def _eigen_factors(m):
-    """Stepsize-free factors of M for the affine resolvent.
+def _eigen_factors(m, b):
+    """Stepsize-free factors of A u = M u + b for the affine resolvent.
 
-    Returns (left, lam, right) with (I + gamma M)^-1 = Re(left diag(1 / (1 +
-    gamma lam)) right) for every gamma > 0, or () when the eigenvector basis
-    is singular or cond_1(V) exceeds EIG_COND_MAX.
+    Factors M = V diag(lam) V^-1 and keeps k eigenpairs, one of each complex
+    conjugate pair, whose rows R of V^-1 are weighted by 2, so that
+    (I + gamma M)^-1 r = Re(L diag(1 / (1 + gamma lam)) R r) with L the kept
+    columns of V. Returns (left, full), both real:
+
+    - left, (d x 2k), holds the columns (Re l_j, -Im l_j), so left.dot(t) is
+      Re(L c) when t holds the (Re, Im) pairs of c;
+    - full, (4k x (d + 2)), holds R in its first 2k rows as (Re, Im) row
+      pairs, with R b in column d; its last 2k rows hold (-Re lam_j,
+      -Im lam_j) in column d and (1, 0) in column d + 1. So full.dot([x;
+      -gamma; 1]) is R (x - gamma b) followed by 1 + gamma lam, as (Re, Im)
+      pairs.
+
+    Returns () when the eigenvector basis is singular or cond_1(V) exceeds
+    EIG_COND_MAX.
     """
     lam, v = np.linalg.eig(m)
     try:
@@ -235,7 +268,16 @@ def _eigen_factors(m):
     # conjugate: keep the one with Im lam > 0 at twice the weight
     keep = lam.imag >= 0
     weight = np.where(lam.imag[keep] > 0, 2.0, 1.0)
-    return np.ascontiguousarray(v[:, keep]), lam[keep], weight[:, None] * v_inv[keep]
+    rows = weight[:, None] * v_inv[keep]
+    d, k = m.shape[0], rows.shape[0]
+    full = np.zeros((2 * k, d + 2), dtype=complex)
+    full[:k, :d], full[:k, d] = rows, rows.dot(b)
+    full[k:, d], full[k:, d + 1] = -lam[keep], 1.0
+    # complex row j becomes the real rows 2j (Re) and 2j + 1 (Im), and
+    # complex column j of V the real columns 2j (Re) and 2j + 1 (-Im)
+    full = np.stack([full.real, full.imag], axis=1).reshape(4 * k, d + 2)
+    left = np.stack([v[:, keep].real, -v[:, keep].imag], axis=2).reshape(d, 2 * k)
+    return left, full
 
 
 class _NormalCone(MonotoneOperator):

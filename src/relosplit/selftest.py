@@ -432,9 +432,11 @@ def resolvent_identities(rng):
     """Every catalog kind, 200 samples at 4 sigma: the scaling identity
     J_b((b/a) x + (1 - b/a) J_a x) = J_a x and firm nonexpansiveness, to 1e-10,
     the unchecked resolvent (check=False), returned or written into a
-    row (out=row), equal to the checked one bit for bit, and the kind's
-    stepsize_free declaration: a kind that declares it gives J_{2a} x = J_a x
-    bit for bit, and a nested kind reports its inner operator's value."""
+    row (out=row), equal to the checked one bit for bit, the affine kind's
+    factored resolvent against a dense solve of (I + a M) y = x - a b, to
+    1e-12 relative, and the kind's stepsize_free declaration: a kind that
+    declares it gives J_{2a} x = J_a x bit for bit, and a nested kind reports
+    its inner operator's value."""
     result = GroupResult("resolvent_identities")
     for op in operator_zoo(rng):
         for _ in range(200):
@@ -449,6 +451,12 @@ def resolvent_identities(rng):
                          and row.tobytes() == jx.tobytes(),
                          f"{op.kind}: the resolvent written into a row differs from the "
                          "checked one")
+            if op.kind == "affine":
+                m, b = op.affine_parts()
+                dense = np.linalg.solve(np.eye(op.dim) + alpha * m, x - alpha * b)
+                err = np.linalg.norm(jx - dense)
+                result.check(err <= 1e-12 * np.linalg.norm(dense),
+                             f"affine: the factored resolvent is off a dense solve by {err:.2e}")
             inner = getattr(op, "inner", op)
             result.check(op.stepsize_free == inner.stepsize_free
                          and (not op.stepsize_free

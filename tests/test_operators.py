@@ -345,8 +345,14 @@ class TestFactoredAffineResolvent:
         for gamma in np.logspace(-3, 3, 13):
             x = rng.standard_normal(op.dim)
             expected = np.linalg.solve(np.eye(op.dim) + gamma * m, x - gamma * b)
-            error = np.linalg.norm(op.resolvent(gamma, x) - expected)
+            result = op.resolvent(gamma, x)
+            error = np.linalg.norm(result - expected)
             assert error <= 1e-12 * np.linalg.norm(expected)
+            # written into a row of a larger buffer, as the runners' sweep
+            # hands it in, the result has the same bytes
+            row = np.full((2, op.dim), np.nan)[1]
+            assert op.resolvent(gamma, x, check=False, out=row) is row
+            assert row.tobytes() == result.tobytes()
 
     @pytest.fixture
     def solve_calls(self, monkeypatch):
@@ -392,11 +398,43 @@ class TestFactoredAffineResolvent:
                 self.assert_matches_dense(op, rng)
         assert not solve_calls
 
+    def test_one_kept_complex_pair(self, rng, solve_calls):
+        # d = 2 with eigenvalues 0.5 +- 2i: one eigenpair is kept, at twice
+        # the weight, so each product has a single (Re, Im) pair
+        op = ops.AffineMonotone([[0.5, -2.0], [2.0, 0.5]], [1.0, -3.0])
+        self.assert_matches_dense(op, rng)
+        left, _ = op._factors
+        assert left.shape == (2, 2)
+        assert not solve_calls
+
+    def test_overflowing_step_is_non_finite_and_silent(self):
+        op = ops.AffineMonotone([[1.0, 0.0], [0.0, 2.0]], [-10.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                for gamma in (1e308, float("inf")):
+                    row = op.resolvent(gamma, np.array([1.0, 1.0]), check=False)
+                    assert not np.all(np.isfinite(row))
+
+    def test_offset_is_a_read_only_copy(self, rng):
+        m, b = [[1.0, 2.0, 0.0], [-2.0, 1.0, 0.0], [0.0, 0.0, 3.0]], rng.standard_normal(3)
+        op, reference = ops.AffineMonotone(m, b), ops.AffineMonotone(m, b.copy())
+        x = rng.standard_normal(3)
+        # edited before the first resolvent builds the factors, and after
+        for edit in (100.0, -300.0):
+            b += edit
+            assert op.resolvent(0.5, x).tobytes() == reference.resolvent(0.5, x).tobytes()
+            assert op.value(x).tobytes() == reference.value(x).tobytes()
+        assert not op.offset.flags.writeable
+        with pytest.raises(ValueError):
+            op.offset[0] = 1.0
+
     def test_defective_falls_back_to_dense(self, rng, solve_calls):
         # one eigenvalue 1 with a single eigenvector: V is singular
         op = ops.AffineMonotone([[1.0, 1.0], [0.0, 1.0]], [0.5, -1.0])
         self.assert_matches_dense(op, rng)
-        assert len(solve_calls) == 13
+        # one solve per resolvent: 13 stepsizes, each returned and written into a row
+        assert len(solve_calls) == 2 * 13
 
     def test_factored_once_on_first_use(self, rng, monkeypatch):
         calls = []
