@@ -79,6 +79,12 @@ class StopRule:
     T_gamma does not move, so the residual test alone gives what the settle
     test guards, an iterate whose residual under T at the limit stepsize is
     within residual_tol.
+
+    A run whose schedule declares its limit does not wait for gamma either:
+    at its first residual within residual_tol with gamma still moving,
+    relocated_loop relocates straight to the limit and holds gamma there, so
+    this rule, unchanged, decides at the next iteration, a real step at the
+    limit stepsize.
     """
 
     residual_tol: float
@@ -169,6 +175,8 @@ class ConvergenceTrace:
     extra_vectors: dict = field(default_factory=dict)
     status: str = STATUS_MAX_ITERS
     sum_pos_increments: float = 0.0
+    #: the row whose relocation went straight to the schedule's limit
+    relocated_to_limit_at: int | None = None
     final_x: object = None
     seed: int | None = None
     #: row 0's signature: its scalar keys, its point length (None without a
@@ -238,6 +246,8 @@ class ConvergenceTrace:
             "final_gamma": self.final_gamma,
             "sum_pos_increments": self.sum_pos_increments,
         }
+        if self.relocated_to_limit_at is not None:
+            out["relocated_to_limit_at"] = self.relocated_to_limit_at
         if self.points and self.points[-1] is not None:
             out["final_point"] = [float(v) for v in self.points[-1]]
         if self.solution_residuals and not math.isnan(self.solution_residuals[-1]):
@@ -323,6 +333,18 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
     ScheduleBudgetWarning is raised once the summed positive increments
     exceed POS_INCREMENT_BUDGET * gamma_0.
 
+    The first time the residual is within tolerance while gamma_{n+1} has
+    not settled, a schedule that declares a positive limit (see
+    StepsizeSchedule.limit) gets gamma_{n+1} = limit in place of its next
+    value: the relocator maps Fix T_{gamma_n} onto Fix T at the limit for
+    any pair of stepsizes, so one relocation makes the trip that following
+    the schedule makes along the moving fixed-point curve. From then on the
+    schedule is not asked again and gamma stays at the limit, so the next
+    iteration settles, and the stop rule ends the run "converged" there or
+    keeps iterating at the constant limit. The trace names that row in
+    relocated_to_limit_at. The budget's last iteration does not relocate,
+    so a run whose budget ends at that crossing still ends "max_iters".
+
     The finiteness test of each relocated iterate is the divergence
     detector: the hooks' block arithmetic does not re-check, so an overflow
     ends the run with status "diverged", and numpy's overflow and invalid
@@ -346,6 +368,10 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
     carry = None
     # what every iteration looks up, bound once
     record, gamma_at, adaptive = trace.record, schedule.gamma_at, schedule.is_adaptive
+    # only a positive, finite limit is a stepsize to relocate to
+    limit = schedule.limit
+    if limit is not None and not 0.0 < limit < math.inf:
+        limit = None
     tol, settled, max_iters = stop.residual_tol, stop.settled, stop.max_iters
     # a finite but huge iterate may overflow a norm on its way to the
     # finiteness test, which reports it as "diverged"
@@ -367,9 +393,17 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
                 trace.status = (STATUS_SCHEDULE_REJECTED if ambient_isfinite(w)
                                 else STATUS_DIVERGED)
                 break
-            if residual <= tol and (stepsize_free or settled(gamma, gamma_next)):
-                trace.status = STATUS_CONVERGED
-                break
+            if residual <= tol:
+                if stepsize_free or settled(gamma, gamma_next):
+                    trace.status = STATUS_CONVERGED
+                    break
+                if limit is not None and n < max_iters:
+                    # relocate straight onto Fix T at the limit and hold
+                    # gamma there: the next iteration settles, so this runs
+                    # once
+                    trace.relocated_to_limit_at = n
+                    gamma_next = limit
+                    gamma_at = lambda index, feedback=None: limit
             if n == max_iters:
                 break
             # the sum never decreases, so crossing the budget happens at most once

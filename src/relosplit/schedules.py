@@ -55,6 +55,12 @@ class StepsizeSchedule:
     """Base class: a policy producing gamma_n for n = 0, 1, 2, ..."""
 
     is_adaptive = False
+    #: The positive value gamma_n tends to, when the kind knows it before the
+    #: run, else None. Once a run's residual is within tolerance while gamma
+    #: still moves, relocated_loop relocates straight to this limit and holds
+    #: gamma there; with None it follows the schedule until gamma settles.
+    #: validate_schedule reports it as limit_estimate.
+    limit = None
 
     def gamma_at(self, n, feedback=None):
         raise NotImplementedError
@@ -81,9 +87,13 @@ class Constant(StepsizeSchedule):
             raise ScheduleError("index must be >= 0")
         return self.gamma
 
+    @property
+    def limit(self):
+        return self.gamma
+
     def report(self, horizon):
         return ScheduleReport(accepted=True, inf_estimate=self.gamma,
-                              limit_estimate=self.gamma,
+                              limit_estimate=self.limit,
                               reasons=["constant schedule accepted analytically"])
 
 
@@ -108,11 +118,15 @@ class GeometricToLimit(StepsizeSchedule):
             raise ScheduleError("index must be >= 0")
         return self.gamma_limit + (self.start - self.gamma_limit) * self.ratio ** n
 
+    @property
+    def limit(self):
+        return self.gamma_limit
+
     def report(self, horizon):
         gap = self.gamma_limit - self.start
         return ScheduleReport(accepted=True, inf_estimate=min(self.start, self.gamma_limit),
                               pos_increment_sum=max(gap, 0.0), abs_increment_sum=abs(gap),
-                              limit_estimate=self.gamma_limit,
+                              limit_estimate=self.limit,
                               reasons=["geometric schedule accepted analytically"])
 
 
@@ -136,6 +150,13 @@ class ExplicitList(StepsizeSchedule):
     def tail(self):
         return self.values[-1]
 
+    @property
+    def limit(self):
+        """The tail, when every value is positive. A list with a nonpositive
+        value declares none, so a run cannot relocate past the value that
+        ends it schedule_rejected."""
+        return self.tail if min(self.values) > 0 else None
+
     def gamma_at(self, n, feedback=None):
         if n < 0:
             raise ScheduleError("index must be >= 0")
@@ -157,7 +178,7 @@ class ExplicitList(StepsizeSchedule):
             reasons.append("finite positive list accepted; increment sums audited")
         return ScheduleReport(accepted=accepted, inf_estimate=float(min(values)),
                               pos_increment_sum=pos_sum, abs_increment_sum=abs_sum,
-                              limit_estimate=self.tail if accepted else None,
+                              limit_estimate=self.limit,
                               reasons=reasons)
 
 

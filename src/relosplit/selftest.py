@@ -375,6 +375,15 @@ def _neglog():
     return inst.dr_problem(), inst.dr_certificate
 
 
+class _WaitingGeometric(sch.GeometricToLimit):
+    """A geometric schedule that declares no limit: a run on it follows the
+    moving stepsize until it settles, never relocating straight to the limit
+    (x = 3 on the 1-D instance is on the moving fixed-point curve, so the
+    limit relocation would end its run after one step)."""
+
+    limit = None
+
+
 def _max_gap(xs, ys):
     """The largest distance between paired iterates of two runs."""
     return max(ambient_norm(x - y) for x, y in zip(xs, ys))
@@ -641,7 +650,7 @@ def equivalences(rng):
     gap = _max_gap(trace.iterates, classical)
     result.check(gap <= 1e-12, f"constant-stepsize MT off classical MT by {gap:.2e}")
 
-    schedule = sch.GeometricToLimit(limit=1.0, start=2.0, ratio=0.5)
+    schedule = _WaitingGeometric(limit=1.0, start=2.0, ratio=0.5)
     stop = StopRule(residual_tol=1e-14, max_iters=60)
     efficient = dr2.algorithm1_run(problem, schedule, x0, stop)
     naive = run_relocated(dr2.dr_family(problem), dr2.dr_relocator(problem),
@@ -672,19 +681,30 @@ def equivalences(rng):
 
 
 def convergence(rng):
-    """Relocated DR on the 1-D instance reaches x = 2, z = 1 (1e-6) within
-    500 iterations; variable-stepsize MT on a random N = 4, d = 8 consensus
+    """Relocated DR on the 1-D instance, following the moving stepsize from
+    x = 3, reaches x = 2, z = 1 (1e-6) within 500 iterations; from the same
+    start, on the moving fixed-point curve, a schedule that declares its
+    limit 1 relocates straight there, landing on Fix T_1 = {2} (1e-12) and
+    ending converged; variable-stepsize MT on a random N = 4, d = 8 consensus
     problem, run to 1e-12, ends within 5000 iterations at consensus residual
     <= 1e-8 and solution residual <= 1e-6."""
     result = GroupResult("convergence")
     problem, _ = _neglog()
-    schedule = sch.GeometricToLimit(limit=1.0, start=2.0, ratio=0.5)
-    trace = dr2.algorithm1_run(problem, schedule, np.array([3.0]),
-                               StopRule(residual_tol=1e-10, max_iters=500))
+    stop = StopRule(residual_tol=1e-10, max_iters=500)
+    trace = dr2.algorithm1_run(problem, _WaitingGeometric(limit=1.0, start=2.0, ratio=0.5),
+                               np.array([3.0]), stop)
     result.check(trace.status == "converged"
                  and abs(trace.iterates[-1][0] - 2.0) <= 1e-6
                  and abs(trace.points[-1][0] - 1.0) <= 1e-6,
                  f"1-D instance ended {trace.status} at x={trace.iterates[-1][0]}")
+    schedule = sch.GeometricToLimit(limit=1.0, start=2.0, ratio=0.5)
+    trace = dr2.algorithm1_run(problem, schedule, np.array([3.0]), stop)
+    jump = trace.relocated_to_limit_at
+    result.check(trace.status == "converged" and jump is not None
+                 and trace.gammas[jump + 1] == schedule.limit
+                 and abs(trace.iterates[jump + 1][0] - 2.0) <= 1e-12,
+                 f"the relocation to the limit {schedule.limit} did not land on "
+                 f"Fix T = {{2}} (relocated at row {jump}, ended {trace.status})")
 
     inst = problems.make_problem("affine_consensus", {"count": 4, "dim": 8, "spread": 2.0},
                                  seed=int(rng.integers(2 ** 32)))

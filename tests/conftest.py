@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from relosplit.schedules import ExplicitList, GeometricToLimit
 # the invariant suite's sample instances, which the test modules share
 from relosplit.selftest import GAMMA_GRID, operator_zoo, random_affine  # noqa: F401
 
@@ -17,6 +18,19 @@ GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "c
 
 #: Finite points at the ends of the float range; their squared norm overflows.
 EXTREME_FINITE = [1.7976931348623157e308, -1e308, 5e-324]
+
+
+class WaitingGeometric(GeometricToLimit):
+    """A geometric schedule that declares no limit, so a run on it follows
+    gamma_n until it settles instead of relocating straight to the limit."""
+
+    limit = None
+
+
+class WaitingList(ExplicitList):
+    """An explicit list that declares no limit (see WaitingGeometric)."""
+
+    limit = None
 
 
 def nonfinite_points(dim=5):

@@ -61,9 +61,9 @@ def test_resolvent_count_and_uninstall(tracer_module):
         tracer.uninstall()
 
     assert trace.status == "converged"
-    assert trace.iterations == 197
+    assert trace.iterations == 184
     # one resolvent per operator per iteration, the paper's cost model
-    assert tracer.calls("operators.resolvent") == n_ops * (trace.iterations + 1) == 792
+    assert tracer.calls("operators.resolvent") == n_ops * (trace.iterations + 1) == 740
     # one sweep per step; the relocation reuses its first resolvent
     assert tracer.calls("graphs.sweep") == trace.iterations + 1
     assert tracer.calls("malitsky_tam.run") == 1
@@ -80,7 +80,7 @@ def _chorded_six():
 
 @pytest.mark.parametrize("runner, span, n_ops, iterations", [
     (lambda inst, schedule, stop: rs.algorithm1_run(inst.dr_problem(), schedule,
-                                                    [0.0, 0.0], stop), "dr2.run", 2, 197),
+                                                    [0.0, 0.0], stop), "dr2.run", 2, 125),
     (lambda inst, schedule, stop: rs.graph_relocated_run(
         inst.ops, _chorded_six(), 1.0, schedule, rs.BlockVector.zeros(5, 2), stop),
      "graphs.run", 6, 422),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import GAMMA_GRID, random_affine
+from conftest import GAMMA_GRID, WaitingGeometric, random_affine
 from relosplit import dr2, schedules as sch
 from relosplit.driver import StopRule, ambient_norm, run_relocated
 from relosplit.errors import CertificateError, DimensionError, ParameterError
@@ -179,8 +179,11 @@ class TestAlgorithm1:
         assert abs(trace.iterates[-1][0] - 2.0) <= 1e-6
 
     def test_geometric_matches_scalar_oracle(self):
+        # a schedule without a declared limit: x_0 = 3 is on the moving
+        # curve, so a run that knew the limit would relocate onto Fix T_1 at
+        # once (see test_on_curve_start_relocates_onto_fix_t_at_the_limit)
         problem = neglog_problem()
-        schedule = sch.GeometricToLimit(limit=1.0, start=2.0, ratio=0.5)
+        schedule = WaitingGeometric(limit=1.0, start=2.0, ratio=0.5)
         trace = dr2.algorithm1_run(problem, schedule, np.array([3.0]),
                                    StopRule(residual_tol=1e-16, max_iters=60))
         xs, zs = oracle_algorithm1(lambda n: 1.0 + 0.5 ** n, 3.0, 60)
@@ -239,7 +242,9 @@ class TestAlgorithm1:
         op_a = CountingOperator(NormalConePoint([1.0]))
         op_b = CountingOperator(NegLog(1))
         problem = dr2.DRProblem(op_a, op_b)
-        schedule = sch.GeometricToLimit(limit=1.0, start=2.0, ratio=0.5)
+        # no declared limit: the run follows the moving stepsize for all 30
+        # iterations instead of relocating onto Fix T_1 at once
+        schedule = WaitingGeometric(limit=1.0, start=2.0, ratio=0.5)
         trace = dr2.algorithm1_run(problem, schedule, np.array([3.0]),
                                    StopRule(residual_tol=1e-16, max_iters=30))
         iterations = trace.iterations
@@ -263,9 +268,10 @@ class TestAlgorithm1:
     @pytest.mark.parametrize("runner", ["algorithm1_run", "run_relocated"])
     def test_budget_stop_on_moving_curve_is_max_iters(self, runner):
         # x_n = 1 + gamma_n stays on the moving fixed-point curve, so every
-        # residual is 0, but gamma_2 = 1.25 still moves by 0.125 per step
+        # residual is 0, but gamma_2 = 1.25 still moves by 0.125 per step.
+        # The schedule declares no limit, which a run would relocate to
         problem = neglog_problem()
-        schedule = sch.GeometricToLimit(limit=1.0, start=2.0, ratio=0.5)
+        schedule = WaitingGeometric(limit=1.0, start=2.0, ratio=0.5)
         stop = StopRule(residual_tol=1e-9, max_iters=2)
         if runner == "algorithm1_run":
             trace = dr2.algorithm1_run(problem, schedule, np.array([3.0]), stop)
@@ -276,10 +282,32 @@ class TestAlgorithm1:
         assert trace.status == "max_iters"
         assert trace.iterations == 2
 
-    def test_opial_surrogate(self):
-        # distance to the limit fixed point settles: last-quarter oscillation
+    @pytest.mark.parametrize("runner", ["algorithm1_run", "run_relocated"])
+    def test_on_curve_start_relocates_onto_fix_t_at_the_limit(self, runner):
+        # x_0 = 3 = 1 + gamma_0 is on the moving curve: residual 0 while gamma
+        # moves, so the first relocation goes straight to the limit 1 and
+        # lands on Fix T_1 = {2}, where the settled stop rule ends the run
         problem = neglog_problem()
         schedule = sch.GeometricToLimit(limit=1.0, start=2.0, ratio=0.5)
+        stop = StopRule(residual_tol=1e-9, max_iters=500)
+        if runner == "algorithm1_run":
+            trace = dr2.algorithm1_run(problem, schedule, np.array([3.0]), stop)
+        else:
+            trace = run_relocated(dr2.dr_family(problem), dr2.dr_relocator(problem),
+                                  schedule, np.array([3.0]), stop)
+        assert trace.status == "converged"
+        assert trace.iterations == 1
+        assert trace.relocated_to_limit_at == 0
+        assert trace.gammas == [2.0, 1.0]
+        assert trace.iterates[1].tolist() == [2.0]
+        assert trace.points[1].tolist() == [1.0]
+        assert trace.residuals == [0.0, 0.0]
+
+    def test_opial_surrogate(self):
+        # distance to the limit fixed point settles: last-quarter oscillation
+        # along the moving stepsize, on a schedule without a declared limit
+        problem = neglog_problem()
+        schedule = WaitingGeometric(limit=1.0, start=2.0, ratio=0.5)
         trace = dr2.algorithm1_run(problem, schedule, np.array([3.0]),
                                    StopRule(residual_tol=1e-16, max_iters=200))
         target = 2.0  # the unique point of Fix T_1

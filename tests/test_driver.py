@@ -7,8 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import EXTREME_FINITE, GOLDEN_DIR, nonfinite_points, strided_real
-from relosplit import cli, dr2, graphs, malitsky_tam as mt, schedules as sch
+from conftest import (EXTREME_FINITE, GOLDEN_DIR, WaitingGeometric, WaitingList,
+                      nonfinite_points, strided_real)
+from relosplit import cli, dr2, graphs, malitsky_tam as mt, problems, schedules as sch
 from relosplit.driver import (
     ConvergenceTrace,
     OperatorFamily,
@@ -110,6 +111,42 @@ class TestRunRelocated:
         trace = run_relocated(family, identity_relocator(), schedule,
                               np.array([1.0]), StopRule(1e-14, 3))
         assert trace.sum_pos_increments == pytest.approx(1.0 + 1.5)
+
+    def test_a_moving_gamma_relocates_straight_to_the_limit(self):
+        # every residual is 0: at n = 0 gamma_1 = 1.5 still moves, so the
+        # relocation goes to the tail 2 and the next iteration settles there
+        trace = run_relocated(identity_family(), identity_relocator(),
+                              sch.ExplicitList([1.0, 1.5, 2.0]), np.array([1.0]),
+                              StopRule(1e-12, 10))
+        assert trace.status == "converged"
+        assert trace.gammas == [1.0, 2.0]
+        assert trace.relocated_to_limit_at == 0
+        assert trace.summary()["relocated_to_limit_at"] == 0
+        assert trace.sum_pos_increments == 1.0
+
+    @pytest.mark.parametrize("values", [[1.0, 1.5, 2.0, -1.0, 3.0], [1.0, 1.5, 2.0, 0.0]],
+                             ids=["nonpositive-inside", "nonpositive-tail"])
+    def test_a_list_with_a_nonpositive_value_is_not_skipped(self, values):
+        # such a list declares no limit, so the run reaches the value that
+        # rejects it, as a run that never meets a small residual does
+        schedule = sch.ExplicitList(values)
+        assert schedule.limit is None
+        trace = run_relocated(identity_family(), identity_relocator(), schedule,
+                              np.array([1.0]), StopRule(1e-12, 10))
+        assert trace.status == "schedule_rejected"
+        assert trace.gammas == [1.0, 1.5, 2.0]
+        assert "relocated_to_limit_at" not in trace.summary()
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_a_declared_limit_that_is_no_stepsize_is_not_relocated_to(self, bad):
+        class Declared(sch.ExplicitList):
+            limit = bad
+
+        trace = run_relocated(identity_family(), identity_relocator(),
+                              Declared([1.0, 1.5, 2.0]), np.array([1.0]), StopRule(1e-12, 10))
+        assert trace.status == "converged"
+        assert trace.gammas == [1.0, 1.5, 2.0]
+        assert trace.relocated_to_limit_at is None
 
     def test_adaptive_requires_feedback_hook(self):
         from relosplit.errors import ScheduleError
@@ -415,7 +452,7 @@ class WaitingBox(NormalConeBox):
     stepsize_free = False
 
 
-def box_run(method, box=NormalConeBox, affine=False):
+def box_run(method, box=NormalConeBox, affine=False, geometric=sch.GeometricToLimit):
     """(the runner's trace, run_relocated's trace) on boxes planted around one
     point, under the moving schedule 2 -> 1 at ratio 0.9. With affine, the
     last operator is A x = x - c instead, c the point the boxes share."""
@@ -436,7 +473,7 @@ def box_run(method, box=NormalConeBox, affine=False):
     stop = StopRule(1e-10, 5000)
 
     def schedule():
-        return sch.GeometricToLimit(limit=1.0, start=2.0, ratio=0.9)
+        return geometric(limit=1.0, start=2.0, ratio=0.9)
 
     if method == "dr2":
         problem = dr2.DRProblem(*ops)
@@ -474,7 +511,9 @@ class TestStepsizeFreeStop:
     @pytest.mark.parametrize("method", ["mt", "graph", "dr2"])
     def test_stops_at_the_first_small_residual_while_gamma_moves(self, method):
         trace, naive = box_run(method)
-        waiting, _ = box_run(method, box=WaitingBox)
+        # on a schedule without a declared limit, so this run follows gamma
+        # until it settles rather than relocating straight to the limit
+        waiting, _ = box_run(method, box=WaitingBox, geometric=WaitingGeometric)
         n, tol = trace.iterations, 1e-10
         assert trace.status == waiting.status == "converged"
         assert trace.residuals[n] <= tol < min(trace.residuals[:n])
@@ -497,6 +536,102 @@ class TestStepsizeFreeStop:
         assert trace.status == naive.status == "converged"
         assert (n, naive.iterations) == (258, 258)
         assert StopRule(1e-10, 1).settled(trace.gammas[n], 1.0 + 0.9 ** (n + 1))
+
+
+def affine_run(method, schedule, stop=StopRule(1e-10, 5000)):
+    """(the runner's trace, run_relocated's trace) on an affine problem from
+    x0 = 0, each on a fresh schedule()."""
+    if method == "dr2":
+        instance = problems.make_problem("affine_random", {"count": 2, "dim": 3}, seed=3)
+        problem = instance.dr_problem()
+        x0 = np.zeros(3)
+        return (dr2.algorithm1_run(problem, schedule(), x0, stop),
+                run_relocated(dr2.dr_family(problem), dr2.dr_relocator(problem), schedule(),
+                              x0, stop))
+    ops = tuple(problems.make_problem("affine_consensus", {"count": 4, "dim": 2}, seed=0).ops)
+    x0 = BlockVector.zeros(3, 2)
+    if method == "mt":
+        problem = mt.MTProblem(ops, theta=0.5)
+        return (mt.algorithm2_run(problem, schedule(), x0, stop),
+                run_relocated(mt.mt_family(problem), mt.mt_relocator(problem), schedule(),
+                              x0, stop))
+    g = chorded_path(4)
+    return (graphs.graph_relocated_run(ops, g, 1.0, schedule(), x0, stop),
+            run_relocated(graphs.graph_family(ops, g, 1.0), graphs.graph_relocator(ops, g),
+                          schedule(), x0, stop))
+
+
+#: the moving schedules of the limit relocation tests, each with its twin
+#: that declares no limit: 2 -> 1 geometric, and a list rising from 0.5 to 1
+MOVING = {
+    "geometric": lambda cls=sch.GeometricToLimit: cls(limit=1.0, start=2.0, ratio=0.95),
+    "explicit": lambda cls=sch.ExplicitList: cls([1.0 - 0.5 * 0.95 ** n for n in range(800)]),
+}
+WAITING = {"geometric": WaitingGeometric, "explicit": WaitingList}
+
+
+class TestLimitRelocation:
+    """Once the residual is within tolerance while gamma moves, the run
+    relocates straight onto Fix T at the schedule's limit and holds gamma
+    there; the unchanged stop rule decides at the next iteration."""
+
+    @pytest.mark.parametrize("kind", sorted(MOVING))
+    @pytest.mark.parametrize("method", ["dr2", "mt", "graph"])
+    def test_runner_relocates_to_the_limit_as_the_naive_run_does(self, method, kind):
+        schedule = MOVING[kind]
+        trace, naive = affine_run(method, schedule)
+        waiting, _ = affine_run(method, lambda: schedule(WAITING[kind]))
+        tol, limit, jump = 1e-10, schedule().limit, trace.relocated_to_limit_at
+        assert trace.status == naive.status == waiting.status == "converged"
+        # the first residual within tolerance, while gamma still moved
+        assert trace.residuals[jump] <= tol < min(trace.residuals[:jump])
+        assert not StopRule(tol, 1).settled(trace.gammas[jump], waiting.gammas[jump + 1])
+        # the next iteration is a real step at the limit, and the last
+        assert trace.iterations == naive.iterations == jump + 1
+        assert trace.gammas[jump + 1] == trace.final_gamma == limit
+        assert trace.final_residual <= tol
+        assert trace.summary()["relocated_to_limit_at"] == naive.relocated_to_limit_at == jump
+        for a, b in zip(iterate_values(trace), iterate_values(naive)):
+            assert np.max(np.abs(a - b)) <= 1e-12
+        assert naive.gammas == trace.gammas
+        # up to the relocation, the run is row for row the one that waits
+        assert waiting.iterations > trace.iterations
+        assert "relocated_to_limit_at" not in waiting.summary()
+        assert csv_lines(trace)[:jump + 2] == csv_lines(waiting)[:jump + 2]
+
+    @pytest.mark.parametrize("method", ["dr2", "mt", "graph"])
+    def test_a_budget_at_the_crossing_ends_max_iters(self, method):
+        trace, _ = affine_run(method, MOVING["geometric"])
+        jump = trace.relocated_to_limit_at
+        stopped, naive = affine_run(method, MOVING["geometric"], StopRule(1e-10, jump))
+        assert stopped.status == naive.status == "max_iters"
+        assert stopped.iterations == jump
+        assert stopped.final_residual <= 1e-10
+        assert stopped.final_gamma == trace.gammas[jump] != 1.0
+        assert stopped.relocated_to_limit_at is None
+        assert "relocated_to_limit_at" not in stopped.summary()
+
+    @pytest.mark.parametrize("method", ["dr2", "mt", "graph"])
+    def test_adaptive_runs_ask_the_schedule_every_iteration(self, method, monkeypatch):
+        # an adaptive rule declares no limit, so its run follows the rule to
+        # the end, as it did before the limit relocation
+        asked = []
+        gamma_at = sch.AdaptiveKappa.gamma_at
+
+        def counted(self, n, feedback=None):
+            asked.append(n)
+            return gamma_at(self, n, feedback)
+
+        monkeypatch.setattr(sch.AdaptiveKappa, "gamma_at", counted)
+        trace, naive = affine_run(method, lambda: sch.AdaptiveKappa(1.0))
+        n = trace.iterations
+        assert trace.status == naive.status == "converged"
+        assert naive.iterations == n
+        assert asked == [*range(n + 2)] * 2
+        assert trace.relocated_to_limit_at is naive.relocated_to_limit_at is None
+        assert "relocated_to_limit_at" not in trace.summary()
+        for a, b in zip(iterate_values(trace), iterate_values(naive)):
+            assert np.max(np.abs(a - b)) <= 1e-10
 
 
 class TestAxiomHarness:

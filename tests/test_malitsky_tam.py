@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import GAMMA_GRID, random_affine
+from conftest import GAMMA_GRID, WaitingGeometric, random_affine
 from relosplit import dr2, graphs, malitsky_tam as mt, schedules as sch
 from relosplit.driver import ScheduleBudgetWarning, StopRule, run_relocated
 from relosplit.errors import DimensionError, ParameterError
@@ -211,9 +211,10 @@ class TestAlgorithm2:
             x, _ = mt.mt_apply(problem, 1.0, x)
 
     def test_n2_neglog_shadow_converges(self):
-        # scalar oracle: the shadow z-blocks approach the solution z = 1
+        # scalar oracle: the shadow z-blocks approach the solution z = 1 along
+        # the moving stepsize (the schedule declares no limit to relocate to)
         problem = neglog_mt(theta=0.5)
-        schedule = sch.GeometricToLimit(limit=1.0, start=2.0, ratio=0.5)
+        schedule = WaitingGeometric(limit=1.0, start=2.0, ratio=0.5)
         trace = mt.algorithm2_run(problem, schedule, BlockVector([[3.0]]),
                                   StopRule(residual_tol=1e-12, max_iters=500))
         assert trace.status == "converged"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import WaitingGeometric
 from relosplit import dr2, problems
 from relosplit.errors import ConstructionError, NoOracleError
 from relosplit.selftest import dr_fixed_point
@@ -190,8 +191,11 @@ class TestBundledConvergence:
         schedule = sch.GeometricToLimit(limit=1.0, start=2.0, ratio=0.5)
         stop = StopRule(residual_tol=1e-9, max_iters=3000)
 
+        # x0 = 3 is on the moving fixed-point curve: a schedule without a
+        # declared limit makes the run follow gamma rather than relocate at once
         inst = problems.make_problem("indicator_neglog")
-        trace = dr2.algorithm1_run(inst.dr_problem(), schedule,
+        trace = dr2.algorithm1_run(inst.dr_problem(),
+                                   WaitingGeometric(limit=1.0, start=2.0, ratio=0.5),
                                    np.array([3.0]), stop)
         assert trace.status == "converged"
 

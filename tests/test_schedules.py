@@ -213,3 +213,52 @@ class TestValidateSchedule:
             report = sch.validate_schedule(sch.ExplicitList(values), horizon=20)
             identity = 2.0 * report.pos_increment_sum - (values[-1] - values[0])
             assert report.abs_increment_sum == pytest.approx(identity, abs=1e-12)
+
+
+class TestLimit:
+    """Each kind declares the value gamma_n tends to; validate_schedule
+    reports that declaration as limit_estimate."""
+
+    def test_each_kind_declares_its_limit(self):
+        assert sch.Constant(2.0).limit == 2.0
+        assert sch.GeometricToLimit(limit=0.5, start=1.5, ratio=0.5).limit == 0.5
+        assert sch.ExplicitList([2.0, 0.5, 1.5]).limit == 1.5
+        assert sch.AdaptiveKappa(1.0).limit is None
+        assert sch.StepsizeSchedule.limit is None
+
+    @pytest.mark.parametrize("values", [[1.0, 2.0, 0.0], [1.0, -1.0], [1.0, -1.0, 2.0]],
+                             ids=["zero-tail", "negative-tail", "negative-inside"])
+    def test_a_list_with_a_nonpositive_value_declares_none(self, values):
+        assert sch.ExplicitList(values).limit is None
+
+    @pytest.mark.parametrize("schedule, expected", [
+        (sch.Constant(2.0),
+         {"accepted": True, "inf_estimate": 2.0, "pos_increment_sum": 0.0,
+          "abs_increment_sum": 0.0, "limit_estimate": 2.0,
+          "reasons": ["constant schedule accepted analytically"]}),
+        (sch.GeometricToLimit(limit=1.0, start=0.5, ratio=0.5),
+         {"accepted": True, "inf_estimate": 0.5, "pos_increment_sum": 0.5,
+          "abs_increment_sum": 0.5, "limit_estimate": 1.0,
+          "reasons": ["geometric schedule accepted analytically"]}),
+        (sch.ExplicitList([2.0, 0.5, 1.5, 1.0]),
+         {"accepted": True, "inf_estimate": 0.5, "pos_increment_sum": 1.0,
+          "abs_increment_sum": 3.0, "limit_estimate": 1.0,
+          "reasons": ["finite positive list accepted; increment sums audited"]}),
+        (sch.ExplicitList([1.0, -1.0, 2.0]),
+         {"accepted": False, "inf_estimate": -1.0, "pos_increment_sum": 3.0,
+          "abs_increment_sum": 5.0, "limit_estimate": None,
+          "reasons": ["nonpositive value -1.0 at index 1"]}),
+        (sch.ExplicitList([1.0, 2.0, 0.0]),
+         {"accepted": False, "inf_estimate": 0.0, "pos_increment_sum": 1.0,
+          "abs_increment_sum": 3.0, "limit_estimate": None,
+          "reasons": ["nonpositive value 0.0 at index 2"]}),
+        (sch.AdaptiveKappa(1.0),
+         {"accepted": False, "inf_estimate": 0.0001, "pos_increment_sum": 0.0,
+          "abs_increment_sum": 0.0, "limit_estimate": None,
+          "reasons": ["state-dependent; monitored at runtime"]}),
+    ], ids=["constant", "geometric", "explicit", "explicit-negative-inside",
+            "explicit-zero-tail", "adaptive"])
+    def test_validate_schedule_reports_the_declared_limit(self, schedule, expected):
+        report = sch.validate_schedule(schedule, horizon=6)
+        assert report.to_dict() == expected
+        assert report.limit_estimate == schedule.limit
