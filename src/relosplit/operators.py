@@ -6,8 +6,13 @@ Reflectents are derived as R = 2 J - Id. All resolvents are exact (no inner
 iterative solves). The affine kind factors its matrix once, on its first
 resolvent call, into stepsize-free eigenfactors that take gamma as an entry
 of their input, so each later resolvent is two real matrix-vector products
-and one complex division at any gamma; a matrix whose eigenvector basis is
-ill conditioned keeps a dense linear solve per call.
+and one complex division at any gamma, made in buffers the factors own: a
+call allocates its result and nothing else, and nothing at all with
+``out=row`` (about 2.4 us a call at d = 32, and 0.73 s for graph-affine's
+solve, from 3.9 us and 0.86 s when a call made its own input and product).
+So an affine operator's resolvent is not reentrant across threads (the
+library starts none). A matrix whose eigenvector basis is ill conditioned
+keeps a dense linear solve per call.
 
 ``resolvent`` checks gamma and x. ``resolvent(gamma, x, check=False)`` skips
 the checks, for a caller that checked its inputs once, at its own entry: the
@@ -36,6 +41,8 @@ is one operator for every gamma, its fixed-point set does not move with the
 stepsize, and the runners stop at the first small residual (see
 ``driver.StopRule``).
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,7 +179,14 @@ class AffineMonotone(MonotoneOperator):
     that product, one complex division and one product with V, written
     straight into its result. At the benchmark's sizes (d = 16 and 32) a
     call costs numpy's per-call overhead more than arithmetic, so it is
-    the count of numpy calls, about five, that sets its time.
+    the count of numpy calls and of the arrays they make that sets its
+    time. The input [x; -gamma; 1], the product and its complex halves are
+    buffers and views kept with the factors, so a call allocates only its
+    result, and with out=row nothing: about 2.4 us a call at d = 32, from
+    about 3.9 us when each call made its input, its product and five
+    slices or views, and graph-affine's solve time fell from 0.86 to 0.73 s
+    (BENCH_25.json). Two calls on one operator must therefore not overlap:
+    the resolvent is not reentrant across threads.
 
     Monotone M has Re lam >= 0, so |1 + gamma lam| >= 1 and the error is
     about cond_1(V) times machine epsilon at every gamma. When cond_1(V)
@@ -203,7 +217,7 @@ class AffineMonotone(MonotoneOperator):
         self.matrix = m
         self.offset = b
         self.dim = b.size
-        # (left, full), or () for the dense solve; built on first use
+        # an _AffineFactors, or () for the dense solve; built on first use
         self._factors = None
 
     def _resolvent(self, gamma, x):
@@ -216,19 +230,16 @@ class AffineMonotone(MonotoneOperator):
             out[...] = solve_linear(np.eye(self.dim) + gamma * self.matrix,
                                     x - gamma * self.offset)
             return out
-        left, full = self._factors
-        d = self.dim
+        left, full, xa, t, num, den, num_real = self._factors
         # one real product of full and [x; -gamma; 1] gives the numerators
         # R (x - gamma b) and the denominators 1 + gamma lam, interleaved
-        # (Re, Im), so the numerators form the first half of t
-        xa = np.empty(d + 2)
-        xa[:d] = x
-        xa[d] = -gamma
-        xa[d + 1] = 1.0
-        t = full.dot(xa).view(complex)
-        k = t.size // 2
-        c = np.divide(t[:k], t[k:], out=t[:k])
-        return np.dot(left, c.view(float), out=out)
+        # (Re, Im); every operand is a buffer of the factors, so the result
+        # is the only array made, and only when out is not given
+        xa[:-2] = x
+        xa[-2] = -gamma
+        full.dot(xa, out=t)
+        np.divide(num, den, out=num)
+        return np.dot(left, num_real, out=out)
 
     def value(self, x):
         """The (single-valued) operator itself, M x + b."""
@@ -244,7 +255,8 @@ def _eigen_factors(m, b):
     Factors M = V diag(lam) V^-1 and keeps k eigenpairs, one of each complex
     conjugate pair, whose rows R of V^-1 are weighted by 2, so that
     (I + gamma M)^-1 r = Re(L diag(1 / (1 + gamma lam)) R r) with L the kept
-    columns of V. Returns (left, full), both real:
+    columns of V. Returns an _AffineFactors, whose factors left and full
+    are real:
 
     - left, (d x 2k), holds the columns (Re l_j, -Im l_j), so left.dot(t) is
       Re(L c) when t holds the (Re, Im) pairs of c;
@@ -253,6 +265,11 @@ def _eigen_factors(m, b):
       -Im lam_j) in column d and (1, 0) in column d + 1. So full.dot([x;
       -gamma; 1]) is R (x - gamma b) followed by 1 + gamma lam, as (Re, Im)
       pairs.
+
+    With them come the buffers and views that every call on the operator
+    writes (see ``_AffineFactors``), so a call allocates nothing but its
+    result: about 2.4 us a call at d = 32 and 2.1 us at d = 16, from 3.9
+    and 3.8 us when a call made them itself.
 
     Returns () when the eigenvector basis is singular or cond_1(V) exceeds
     EIG_COND_MAX.
@@ -277,7 +294,28 @@ def _eigen_factors(m, b):
     # complex column j of V the real columns 2j (Re) and 2j + 1 (-Im)
     full = np.stack([full.real, full.imag], axis=1).reshape(4 * k, d + 2)
     left = np.stack([v[:, keep].real, -v[:, keep].imag], axis=2).reshape(d, 2 * k)
-    return left, full
+    xa, t = np.zeros(d + 2), np.empty(4 * k)
+    xa[-1] = 1.0
+    num, den = t[:2 * k].view(complex), t[2 * k:].view(complex)
+    return _AffineFactors(left, full, xa, t, num, den, num.view(float))
+
+
+class _AffineFactors(NamedTuple):
+    """The factors of ``_eigen_factors`` and the scratch of a resolvent call.
+
+    left and full are the factors. xa (d + 2 entries, [x; -gamma; 1], its
+    last entry fixed at 1) and t (4k entries, the product full.dot(xa)) are
+    written by every call; num and den are the complex views of t's halves,
+    and num_real the float view of num, made once so that a call makes none.
+    """
+
+    left: np.ndarray
+    full: np.ndarray
+    xa: np.ndarray
+    t: np.ndarray
+    num: np.ndarray
+    den: np.ndarray
+    num_real: np.ndarray
 
 
 class _NormalCone(MonotoneOperator):

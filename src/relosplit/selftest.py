@@ -443,7 +443,8 @@ def resolvent_identities(rng):
     the unchecked resolvent (check=False), returned or written into a
     row (out=row), equal to the checked one bit for bit, the affine kind's
     factored resolvent against a dense solve of (I + a M) y = x - a b, to
-    1e-12 relative, and the kind's stepsize_free declaration: a kind that
+    1e-12 relative, and unchanged by a second call at another stepsize, and
+    the kind's stepsize_free declaration: a kind that
     declares it gives J_{2a} x = J_a x bit for bit, and a nested kind reports
     its inner operator's value."""
     result = GroupResult("resolvent_identities")
@@ -466,6 +467,12 @@ def resolvent_identities(rng):
                 err = np.linalg.norm(jx - dense)
                 result.check(err <= 1e-12 * np.linalg.norm(dense),
                              f"affine: the factored resolvent is off a dense solve by {err:.2e}")
+                # the kind keeps scratch buffers between calls; a result must
+                # not be one of them
+                kept = jx.tobytes()
+                op.resolvent(beta, y)
+                result.check(jx.tobytes() == kept,
+                             "affine: a second call at another stepsize changed a result")
             inner = getattr(op, "inner", op)
             result.check(op.stepsize_free == inner.stepsize_free
                          and (not op.stepsize_free

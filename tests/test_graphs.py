@@ -20,6 +20,7 @@ from relosplit.malitsky_tam import (
     algorithm2_run,
     mt_family,
     mt_graph,
+    mt_relocator,
     mt_relocator_apply,
 )
 from relosplit.operators import (
@@ -790,6 +791,36 @@ class TestGraphRelocatedRun:
                 assert len(direct.iterates) == len(naive.iterates)
                 for a, b in zip(direct.iterates, naive.iterates):
                     assert np.max(np.abs(a.data - b.data)) <= 1e-12
+
+    @pytest.mark.parametrize("runner", ["graph", "mt_naive"])
+    def test_one_operator_object_at_two_nodes(self, rng, runner):
+        # the affine kind keeps scratch buffers between calls, so a run that
+        # calls one object at nodes 1 and 3 must give the bytes of a run on
+        # two equal but distinct operators. The graph runner writes every
+        # result into a row of its own; the naive MT step keeps z_1, as
+        # returned, over the calls at nodes 2 to N
+        g = chorded_path(5) if runner == "graph" else mt_graph(5)
+        shared = random_affine(rng, 3)
+        others = affine_ops(rng, g, dim=3)
+        x0 = BlockVector(rng.standard_normal((4, 3)))
+        stop = StopRule(residual_tol=1e-14, max_iters=40)
+
+        def run(ops, schedule):
+            if runner == "graph":
+                return graphs.graph_relocated_run(ops, g, 1.0, schedule, x0, stop)
+            problem = MTProblem(ops, 0.5)
+            return run_relocated(mt_family(problem), mt_relocator(problem),
+                                 schedule, x0, stop)
+
+        for schedule in (sch.ExplicitList([2.0, 1.0, 1.4, 0.9, 1.0]), sch.AdaptiveKappa(1.0)):
+            one, two = (run([shared, others[1], third, others[3], others[4]], schedule)
+                        for third in (shared, AffineMonotone(shared.matrix, shared.offset)))
+            assert one.status == two.status and one.gammas == two.gammas
+            assert len(one.iterates) == len(two.iterates) > 5
+            for a, b in zip(one.iterates, two.iterates):
+                assert a.data.tobytes() == b.data.tobytes()
+            for a, b in zip(one.points, two.points):
+                assert a.tobytes() == b.tobytes()
 
     def test_resolvent_counts(self, rng):
         # N resolvents per iteration: every operator is called once per

@@ -403,8 +403,7 @@ class TestFactoredAffineResolvent:
         # the weight, so each product has a single (Re, Im) pair
         op = ops.AffineMonotone([[0.5, -2.0], [2.0, 0.5]], [1.0, -3.0])
         self.assert_matches_dense(op, rng)
-        left, _ = op._factors
-        assert left.shape == (2, 2)
+        assert op._factors.left.shape == (2, 2)
         assert not solve_calls
 
     def test_overflowing_step_is_non_finite_and_silent(self):
@@ -447,6 +446,58 @@ class TestFactoredAffineResolvent:
         assert len(calls) == 1
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 1.0
+
+
+class TestAffineScratch:
+    """The factored affine kind writes every call into buffers its factors
+    own; no result may be one of them, and no call may read another's."""
+
+    @staticmethod
+    def alone(op, gamma, x):
+        """The bytes of the first call on op, a fresh operator, off a dense
+        solve by at most 1e-12 relative."""
+        y = op.resolvent(gamma, x.copy())
+        m, b = op.affine_parts()
+        dense = np.linalg.solve(np.eye(op.dim) + gamma * m, x - gamma * b)
+        assert np.linalg.norm(y - dense) <= 1e-12 * np.linalg.norm(dense)
+        return y.tobytes()
+
+    @staticmethod
+    def fresh(op):
+        return ops.AffineMonotone(op.matrix, op.offset)
+
+    def test_a_returned_result_keeps_its_bytes(self, rng):
+        op = random_affine(rng, 5)
+        kept = []
+        for gamma in GAMMA_GRID:
+            x = rng.standard_normal(5)
+            kept.append((op.resolvent(gamma, x, check=False),
+                         self.alone(self.fresh(op), gamma, x)))
+        for y, expected in kept:
+            assert y.tobytes() == expected
+
+    def test_input_row_is_the_output_row(self, rng):
+        op = random_affine(rng, 5)
+        row = rng.standard_normal((2, 5))[1]
+        for gamma in GAMMA_GRID:
+            expected = self.alone(self.fresh(op), gamma, row)
+            assert op.resolvent(gamma, row, check=False, out=row) is row
+            assert row.tobytes() == expected
+
+    def test_nested_and_inner_operator_called_alternately(self, rng):
+        op = random_affine(rng, 5)
+        shift = rng.standard_normal(5)
+
+        def nest(inner):
+            return ops.Scaled(ops.Translated(inner, shift), 0.3)
+
+        nested, kept = nest(op), []
+        for gamma in GAMMA_GRID:
+            x = rng.standard_normal(5)
+            kept.append((nested.resolvent(gamma, x), self.alone(nest(self.fresh(op)), gamma, x)))
+            kept.append((op.resolvent(gamma, x), self.alone(self.fresh(op), gamma, x)))
+        for y, expected in kept:
+            assert y.tobytes() == expected
 
 
 class TestCountingOperator:
