@@ -191,11 +191,13 @@ def parse_config(doc, seed=None):
 def run_experiment(cfg):
     """Run a checked config's algorithm; returns the ConvergenceTrace.
 
-    The runner hands the instance's oracle its own shadow, a point of R^dim,
-    so the oracle is called as it is, not through the checked
-    problems.solution_residual. A shadow that is no longer finite gives a
-    non-finite residual, not an error: the run goes on, and ends "diverged"
-    once its iterate overflows.
+    The trace keeps the instance's oracle and calls it, where its
+    solution-residual column is read (the summary's last row, every row of
+    the CSV), on a recorded shadow of R^dim, so the oracle is called as it
+    is, not through the checked problems.solution_residual. The run itself
+    calls no oracle. A shadow that is no longer finite gives a non-finite
+    residual, not an error: the run goes on, and ends "diverged" once its
+    iterate overflows.
     """
     trace = cfg.runner(cfg.schedule, cfg.x0, cfg.stop, solution_residual=cfg.problem.oracle)
     trace.seed = cfg.problem.seed

@@ -9,6 +9,7 @@ a Lipschitz bound.
 import csv
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,6 +153,27 @@ class Relocator:
         return float(self._bound(gamma, delta))
 
 
+class _SolutionResiduals(Sequence):
+    """A trace's solution-residual column, computed where it is read: row n
+    is the trace's oracle at points[n], or nan without an oracle or a point.
+    Nothing is kept, so each read calls the oracle again, and an error of the
+    oracle is raised by the read."""
+
+    def __init__(self, trace):
+        self._trace = trace
+
+    def __len__(self):
+        return len(self._trace.residuals)
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return [self[i] for i in range(*n.indices(len(self)))]
+        point = self._trace.points[n]
+        # the oracle may meet an overflowed point, as the run did
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._trace._solution_residual(point)
+
+
 @dataclass
 class ConvergenceTrace:
     """Per-iteration record of a run, a table: every row carries row 0's
@@ -164,11 +186,16 @@ class ConvergenceTrace:
     governing x_n themselves for programmatic use; they are not serialized.
     A recorded vector that is the monitored point itself shares its array:
     points[n] is extra_vectors[key][n] (dr2's "z").
+
+    solution_residuals[n] is oracle(points[n]), evaluated only when it is
+    read: by summary() (the last row), by write_csv (every row) or by
+    indexing the column. It is nan without an oracle. The oracle is handed
+    the flat copy that record keeps, and an error it raises comes from the
+    read, not from the run.
     """
 
     gammas: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
-    solution_residuals: list = field(default_factory=list)
     points: list = field(default_factory=list)
     iterates: list = field(default_factory=list)
     extra_scalars: dict = field(default_factory=dict)
@@ -179,12 +206,14 @@ class ConvergenceTrace:
     relocated_to_limit_at: int | None = None
     final_x: object = None
     seed: int | None = None
+    #: the solution-residual oracle, called on a recorded point when its row
+    #: of solution_residuals is read
+    oracle: object = None
     #: row 0's signature: its scalar keys, its point length (None without a
     #: point) and its vector lengths by key
     _row0: tuple = field(default=None, init=False, repr=False)
 
-    def record(self, gamma, residual, solution_residual=None, point=None,
-               iterate=None, scalars=None, vectors=None):
+    def record(self, gamma, residual, point=None, iterate=None, scalars=None, vectors=None):
         """Append one row: scalars as floats, arrays as flat copies.
 
         A row whose signature (scalar keys, point length, vector lengths by
@@ -213,8 +242,6 @@ class ConvergenceTrace:
                 f"{(self._row0[1], list(self.extra_scalars), self._row0[2])}")
         self.gammas.append(float(gamma))
         self.residuals.append(float(residual))
-        self.solution_residuals.append(
-            math.nan if solution_residual is None else float(solution_residual))
         self.points.append(flat)
         self.iterates.append(iterate)
         for key, value in scalars.items():
@@ -224,6 +251,17 @@ class ConvergenceTrace:
 
     def __len__(self):
         return len(self.residuals)
+
+    @property
+    def solution_residuals(self):
+        return _SolutionResiduals(self)
+
+    def _solution_residual(self, point):
+        """The oracle at one recorded point, nan without either; numpy's
+        overflow and invalid warnings are the caller's to silence."""
+        if self.oracle is None or point is None:
+            return math.nan
+        return float(self.oracle(point))
 
     @property
     def iterations(self):
@@ -250,8 +288,10 @@ class ConvergenceTrace:
             out["relocated_to_limit_at"] = self.relocated_to_limit_at
         if self.points and self.points[-1] is not None:
             out["final_point"] = [float(v) for v in self.points[-1]]
-        if self.solution_residuals and not math.isnan(self.solution_residuals[-1]):
-            out["final_solution_residual"] = self.solution_residuals[-1]
+        if self.residuals:
+            solution = self.solution_residuals[-1]
+            if not math.isnan(solution):
+                out["final_solution_residual"] = solution
         if self.seed is not None:
             out["seed"] = self.seed
         return out
@@ -271,6 +311,8 @@ class ConvergenceTrace:
         Lines end in CRLF, as csv.writer writes them. Rows are streamed,
         never built as a table. Each row formats its point once; a vector
         entry that is the point's own array (see record) reuses that text.
+        The oracle is called once per row, as the row is written, so an error
+        it raises stops the file after the rows before it.
         """
         header, point_dim = self._csv_header()
         point_format = ",".join(["%.17g"] * point_dim)
@@ -281,10 +323,12 @@ class ConvergenceTrace:
         row_format = ("%d,%.17g,%.17g,%.17g" + ",%s" * (point_dim > 0)
                       + ",%.17g" * len(scalars) + ",%s" * len(vectors) + "\r\n")
 
+        solution_residual = self._solution_residual
+
         def rows():
             for n in range(len(self.residuals)):
                 point = self.points[n]
-                row = [n, self.gammas[n], self.residuals[n], self.solution_residuals[n]]
+                row = [n, self.gammas[n], self.residuals[n], solution_residual(point)]
                 if point_dim:
                     point_text = point_format % tuple(_floats(point))
                     row.append(point_text)
@@ -298,7 +342,9 @@ class ConvergenceTrace:
 
         def emit(fh):
             csv.writer(fh).writerow(header)
-            fh.writelines(rows())
+            # the oracle may meet an overflowed point, as the run did
+            with np.errstate(over="ignore", invalid="ignore"):
+                fh.writelines(rows())
 
         if hasattr(path_or_file, "write"):
             emit(path_or_file)
@@ -353,12 +399,14 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
     adaptive rule fed an overflowed point rejects it; that test runs only
     on the rejection.
 
-    solution_residual is called on the shadow (or on x when the step has
-    none).
+    The loop calls no solution_residual: the trace keeps it as its oracle
+    and calls it on a row's recorded point, the flat copy of the shadow (or
+    of x when the step has none), only when that row of solution_residuals
+    is read (see ConvergenceTrace). An error it raises comes at that read.
     """
     schedule.reset()
     gamma = schedule.gamma_at(0)
-    trace = ConvergenceTrace(final_x=x0)
+    trace = ConvergenceTrace(final_x=x0, oracle=solution_residual)
     if gamma <= 0 or not math.isfinite(gamma):
         trace.status = STATUS_SCHEDULE_REJECTED
         return trace
@@ -381,8 +429,7 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
             residual = ambient_norm(x - w)
             shadow = aux.get("shadow")
             monitored = shadow if shadow is not None else x
-            sol = None if solution_residual is None else solution_residual(monitored)
-            record(gamma, residual, sol, point=monitored,
+            record(gamma, residual, point=monitored,
                    iterate=x, scalars=aux.get("scalars"), vectors=aux.get("vectors"))
 
             pair, pre = feedback(gamma, w) if adaptive else (None, None)
@@ -434,7 +481,9 @@ def run_relocated(family, relocator, schedule, x0, stop, solution_residual=None)
 
     Every step evaluates T_gamma and Q in full and reuses nothing; the
     efficient runners are checked against it. solution_residual is as in
-    relocated_loop, and a stepsize-free family stops as its runner does.
+    relocated_loop: the trace calls it on the flat copy of a row's monitored
+    point when that row is read. A stepsize-free family stops as its runner
+    does.
     """
 
     def feedback(gamma, w):

@@ -311,12 +311,15 @@ def relocation_vector_e(g, z):
     return BlockVector._wrap(raw - mean[None, :])
 
 
-def at_consensus(solution_residual):
-    """solution_residual at the blockwise mean of a sweep; None stays None."""
+def at_consensus(solution_residual, nblocks):
+    """solution_residual at the blockwise mean of a sweep of nblocks blocks,
+    given as the flat copy a trace records of it; None stays None. The trace
+    calls it only when its solution-residual column is read."""
     if solution_residual is None:
         return None
     # mean's own arithmetic without its wrappers, so bit-identical
-    return lambda z: solution_residual(np.add.reduce(z.data, axis=0) / z.nblocks)
+    return lambda z: solution_residual(
+        np.add.reduce(z.reshape(nblocks, -1), axis=0) / nblocks)
 
 
 def _record_sweep(z, disagreement, w):
@@ -446,13 +449,13 @@ def graph_relocated_run(ops, g, theta, schedule, x0, stop, solution_residual=Non
 
     Matches run_relocated(graph_family, graph_relocator) per iterate. The
     trace records ||Z^T z_n|| and the sweep points; the solution residual,
-    when requested, is evaluated at the blockwise mean of the sweep. When
-    every operator is stepsize free, the run stops at its first residual
-    within tolerance (see driver.StopRule).
+    when requested, is evaluated at the blockwise mean of the sweep when the
+    trace's column is read. When every operator is stepsize free, the run
+    stops at its first residual within tolerance (see driver.StopRule).
     """
     if not 0.0 < theta < 2.0:
         raise ParameterError(f"theta must lie in (0, 2), got {theta}")
     step, feedback, relocate = graph_hooks(ops, g, theta)
     return relocated_loop(step, relocate, feedback, schedule, _check_x(x0, ops, g), stop,
-                          solution_residual=at_consensus(solution_residual),
+                          solution_residual=at_consensus(solution_residual, g.n_nodes),
                           stepsize_free=stepsize_free(ops))

@@ -143,13 +143,13 @@ def algorithm2_run(problem, schedule, x0, stop, solution_residual=None):
     coordinates. z_1 = J_{gamma_n A_1} w_n^1 of the relocation doubles as the
     next sweep's J_{gamma_{n+1} A_1} x_{n+1}^1; an adaptive run's stopping
     iteration pays one more A_1 for its feedback. The solution residual is
-    evaluated at the blockwise mean of the sweep. When every operator is
-    stepsize free (boxes, balls, points), the run stops at its first
-    residual within tolerance (see driver.StopRule).
+    evaluated at the blockwise mean of the sweep when the trace's column is
+    read. When every operator is stepsize free (boxes, balls, points), the
+    run stops at its first residual within tolerance (see driver.StopRule).
     """
     g = mt_graph(problem.n_ops)
     step, feedback, relocate = graph_hooks(problem.ops, g, problem.theta,
                                            scale=float(g.deg[0]))
     return relocated_loop(step, relocate, feedback, schedule, _check_x(problem, x0),
-                          stop, solution_residual=at_consensus(solution_residual),
+                          stop, solution_residual=at_consensus(solution_residual, g.n_nodes),
                           stepsize_free=stepsize_free(problem.ops))

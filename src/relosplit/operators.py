@@ -388,7 +388,8 @@ class NormalConeBall(_NormalCone):
         d = x - self.center
         dist = np.linalg.norm(d)
         if dist <= self.radius:
-            return self.center + d
+            # x itself: center + (x - center) can round away from it
+            return x.copy()
         return self.center + d * (self.radius / dist)
 
     def value(self, x):

@@ -179,10 +179,11 @@ class TestConvergenceTrace:
         assert summary["final_gamma"] == 2.0
 
     def test_csv_roundtrip_17_digits(self):
-        trace = ConvergenceTrace()
+        # the oracle reads each row's value back from its point
+        trace = ConvergenceTrace(oracle=lambda point: point[0])
         values = [1.0 / 3.0, math.pi, 1e-17, 123456.789012345678]
         for v in values:
-            trace.record(gamma=v, residual=v, solution_residual=v,
+            trace.record(gamma=v, residual=v,
                          point=np.array([v, -v]), vectors={"z": np.array([v])})
         buffer = io.StringIO()
         trace.write_csv(buffer)
@@ -192,6 +193,7 @@ class TestConvergenceTrace:
         for row, v in zip(rows, values):
             assert float(row["gamma"]) == v
             assert float(row["residual"]) == v
+            assert float(row["solution_residual"]) == v
             assert float(row["point_0"]) == v
             assert float(row["point_1"]) == -v
             assert float(row["z_0"]) == v
@@ -241,8 +243,8 @@ class TestCsvFormat:
     def test_exact_text(self):
         tiny, huge, third = 5e-324, 1.7976931348623157e308, 1.0 / 3.0
         trace = ConvergenceTrace()
-        trace.record(0.0, -0.0, solution_residual=math.nan,
-                     point=np.array([math.inf, -math.inf]),
+        # no oracle: the solution_residual column reads nan
+        trace.record(0.0, -0.0, point=np.array([math.inf, -math.inf]),
                      scalars={"a,b": tiny, "bound": third},
                      vectors={"u": np.array([huge]), "v": np.array([-0.0, third])})
         trace.record(third, tiny, point=np.array([math.nan, 0.0]),
@@ -300,6 +302,87 @@ class TestCsvFormat:
         trace.write_csv(str(path))
         with open(path, newline="") as fh:
             assert fh.read() == expected
+
+
+class CountingOracle:
+    """An oracle that counts its calls: the norm of the point it is handed,
+    or a ValueError with fail."""
+
+    def __init__(self, fail=False):
+        self.calls, self.fail = 0, fail
+
+    def __call__(self, point):
+        self.calls += 1
+        if self.fail:
+            raise ValueError("the oracle failed")
+        return ambient_norm(point)
+
+
+def oracle_runs(oracle):
+    """A finished run of each runner (dr2, MT, graph and run_relocated on the
+    DR family), on boxes that share the unit box, each handed oracle."""
+    rng = np.random.default_rng(5)
+    ops = [NormalConeBox(-1.0 - rng.uniform(size=2), 1.0 + rng.uniform(size=2))
+           for _ in range(4)]
+    pair, x0 = dr2.DRProblem(*ops[:2]), BlockVector(4.0 * rng.standard_normal((3, 2)))
+    point = x0.data[0] + 2.0
+    schedule, stop = sch.GeometricToLimit(limit=1.0, start=2.0, ratio=0.5), StopRule(1e-10, 500)
+    return {
+        "dr2": dr2.algorithm1_run(pair, schedule, point, stop, solution_residual=oracle),
+        "mt": mt.algorithm2_run(mt.MTProblem(tuple(ops), theta=0.5), schedule, x0, stop,
+                                solution_residual=oracle),
+        "graph": graph_relocated_run(ops, chorded_path(4), 1.0, schedule, x0, stop,
+                                     solution_residual=oracle),
+        "run_relocated": run_relocated(dr2.dr_family(pair), dr2.dr_relocator(pair),
+                                       schedule, point, stop, solution_residual=oracle),
+    }
+
+
+class TestLazySolutionResidual:
+    """The loop calls no oracle: the trace calls it on a recorded point when
+    a row of its solution-residual column is read."""
+
+    @pytest.mark.parametrize("name", ["dr2", "mt", "graph", "run_relocated"])
+    def test_calls_are_counted_where_the_column_is_read(self, name):
+        oracle = CountingOracle()
+        trace = oracle_runs(oracle)[name]
+        assert trace.status == "converged" and len(trace) > 2
+        assert oracle.calls == 0
+        assert len(trace.solution_residuals) == len(trace) and oracle.calls == 0
+        summary = trace.summary()
+        assert oracle.calls == 1
+        buffer = io.StringIO()
+        trace.write_csv(buffer)
+        assert oracle.calls == 1 + len(trace)
+        # the graph runners hand the oracle the blockwise mean of the sweep
+        points = [p.reshape(-1, 2).mean(axis=0) for p in trace.points]
+        column = [float(row["solution_residual"])
+                  for row in csv.DictReader(io.StringIO(buffer.getvalue()))]
+        assert column == pytest.approx([ambient_norm(p) for p in points], rel=1e-15)
+        assert summary["final_solution_residual"] == column[-1]
+        assert trace.solution_residuals[0] == column[0] and oracle.calls == 2 + len(trace)
+
+    def test_without_an_oracle_the_column_reads_nan(self):
+        trace = oracle_runs(None)["graph"]
+        assert "final_solution_residual" not in trace.summary()
+        assert all(math.isnan(v) for v in trace.solution_residuals)
+        assert math.isnan(trace.solution_residuals[-1])
+
+    @pytest.mark.parametrize("name", ["dr2", "mt", "graph", "run_relocated"])
+    def test_a_failing_oracle_raises_where_the_column_is_read(self, name):
+        oracle = CountingOracle(fail=True)
+        trace = oracle_runs(oracle)[name]
+        # the run itself completes and reports its usual status
+        assert trace.status == "converged" and oracle.calls == 0
+        assert len(trace.solution_residuals) == len(trace)
+        with pytest.raises(ValueError, match="^the oracle failed$"):
+            trace.summary()
+        with pytest.raises(ValueError, match="^the oracle failed$"):
+            trace.write_csv(io.StringIO())
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="^the oracle failed$"):
+                trace.solution_residuals[n]
+        assert oracle.calls == 4
 
 
 class TestRecord:

@@ -680,11 +680,12 @@ class TestLipschitzBound:
 
 
 def test_at_consensus_point_is_blockwise_mean(rng):
-    assert graphs.at_consensus(None) is None
-    point_of = graphs.at_consensus(lambda point: point)
+    assert graphs.at_consensus(None, 2) is None
     for nblocks, dim in ((2, 1), (3, 8), (6, 32), (16, 8), (17, 5)):
+        # handed the flat copy a trace records of the sweep
+        point_of = graphs.at_consensus(lambda point: point, nblocks)
         z = BlockVector(rng.standard_normal((nblocks, dim)) * 10.0 ** rng.integers(-8, 8))
-        assert point_of(z).tobytes() == z.data.mean(axis=0).tobytes()
+        assert point_of(z.data.flatten()).tobytes() == z.data.mean(axis=0).tobytes()
 
 
 class TestAffineOracle:

@@ -101,6 +101,22 @@ class TestResolventExamples:
             # byte equality also pins the sign of a zero, which the trace CSV prints
             assert box.resolvent(0.7, x).tobytes() == np.clip(x, lo, hi).tobytes()
 
+    def test_ball_resolvent_returns_an_interior_point_bit_for_bit(self, rng):
+        # center + (x - center) rounds x = 0.3 about centre -0.675 by 5.6e-17
+        ball = ops.NormalConeBall([-0.675], 1.0)
+        x = np.array([0.3])
+        assert ball.resolvent(1.0, x).tobytes() == x.tobytes()
+        center = rng.standard_normal(4)
+        ball = ops.NormalConeBall(center, 2.0)
+        for _ in range(50):
+            x = center + rng.uniform(-0.45, 0.45, 4)
+            for out in (None, np.empty(4)):
+                y = ball.resolvent(0.7, x, out=out)
+                assert y.tobytes() == x.tobytes() and y is not x
+        # outside, the projection lands on the sphere
+        y = ball.resolvent(1.0, center + 3.0)
+        assert abs(np.linalg.norm(y - center) - 2.0) <= 1e-12
+
 
 class TestReflectent:
     def test_zero(self):
