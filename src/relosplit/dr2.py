@@ -125,9 +125,9 @@ def dr_relocator(problem):
     )
 
 
-def _record_dr(sweep, disagreement, w):
+def _record_dr(sweep, w):
     """dr2's trace entry: the shadow z and the columns z, y, w."""
-    z, y = sweep.data
+    z, y = sweep
     return {"shadow": z, "vectors": {"z": z, "y": y, "w": w}}
 
 

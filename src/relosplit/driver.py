@@ -1,9 +1,11 @@
 """Generic relocated fixed-point iteration x_{n+1} = Q_{g_{n+1}<-g_n} T_{g_n} x_n.
 
 The driver is agnostic to the ambient space: iterates may be plain 1-D
-arrays or BlockVectors. Families bundle the parametrized operator T_gamma
-with its feedback and whether it is stepsize free; relocators bundle Q with
-a Lipschitz bound.
+arrays or BlockVectors. The loop itself carries plain float arrays and
+makes one BlockVector per relocated iterate when x_0 is one, so a trace
+keeps its iterates in x_0's type. Families bundle the parametrized
+operator T_gamma with its feedback and whether it is stepsize free;
+relocators bundle Q with a Lipschitz bound.
 """
 
 import csv
@@ -153,25 +155,36 @@ class Relocator:
         return float(self._bound(gamma, delta))
 
 
-class _SolutionResiduals(Sequence):
-    """A trace's solution-residual column, computed where it is read: row n
-    is the trace's oracle at points[n], or nan without an oracle or a point.
-    Nothing is kept, so each read calls the oracle again, and an error of the
-    oracle is raised by the read."""
+class _PointColumn(Sequence):
+    """A trace column computed where it is read: row n is fn(points[n]), a
+    float, or nan without fn or a point. Nothing is kept, so each read calls
+    fn again, and an error of fn is raised by the read. The solution-residual
+    column and the columns of ConvergenceTrace.point_columns are these.
 
-    def __init__(self, trace):
-        self._trace = trace
+    It holds the trace's list of points, which grows with the trace, and not
+    the trace: a trace that kept a column holding itself would be a
+    reference cycle, freed only by the cyclic collector, so a run's rows
+    would outlive it (peak RSS 56 -> 200 MB on graph-affine)."""
+
+    def __init__(self, points, fn):
+        self._points, self._fn = points, fn
 
     def __len__(self):
-        return len(self._trace.residuals)
+        return len(self._points)
 
     def __getitem__(self, n):
         if isinstance(n, slice):
             return [self[i] for i in range(*n.indices(len(self)))]
-        point = self._trace.points[n]
-        # the oracle may meet an overflowed point, as the run did
+        # fn may meet an overflowed point, as the run did
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._trace._solution_residual(point)
+            return self.at(self._points[n])
+
+    def at(self, point):
+        """fn at one recorded point, nan without either; numpy's overflow and
+        invalid warnings are the caller's to silence."""
+        if self._fn is None or point is None:
+            return math.nan
+        return float(self._fn(point))
 
 
 @dataclass
@@ -191,7 +204,10 @@ class ConvergenceTrace:
     read: by summary() (the last row), by write_csv (every row) or by
     indexing the column. It is nan without an oracle. The oracle is handed
     the flat copy that record keeps, and an error it raises comes from the
-    read, not from the run.
+    read, not from the run. point_columns names further columns of that
+    kind: extra_scalars[name][n] is fn(points[n]), computed as it is read,
+    and they follow the recorded scalars in extra_scalars and in the CSV
+    (the graph runners' consensus_residual).
     """
 
     gammas: list = field(default_factory=list)
@@ -206,9 +222,15 @@ class ConvergenceTrace:
     relocated_to_limit_at: int | None = None
     final_x: object = None
     seed: int | None = None
+    #: the row at which the summed positive increments crossed their budget
+    #: and ScheduleBudgetWarning was raised
+    budget_exceeded_at: int | None = None
     #: the solution-residual oracle, called on a recorded point when its row
     #: of solution_residuals is read
     oracle: object = None
+    #: name -> function of a recorded point: the extra scalar columns
+    #: computed where they are read
+    point_columns: dict = field(default_factory=dict)
     #: row 0's signature: its scalar keys, its point length (None without a
     #: point) and its vector lengths by key
     _row0: tuple = field(default=None, init=False, repr=False)
@@ -233,6 +255,8 @@ class ConvergenceTrace:
         signature = (scalars.keys(), None if flat is None else flat.size, sizes)
         if not self.residuals:
             self.extra_scalars = {key: [] for key in scalars}
+            self.extra_scalars.update((key, _PointColumn(self.points, fn))
+                                      for key, fn in self.point_columns.items())
             self.extra_vectors = {key: [] for key in flats}
             self._row0 = (frozenset(scalars), *signature[1:])
         elif signature != self._row0:
@@ -254,14 +278,7 @@ class ConvergenceTrace:
 
     @property
     def solution_residuals(self):
-        return _SolutionResiduals(self)
-
-    def _solution_residual(self, point):
-        """The oracle at one recorded point, nan without either; numpy's
-        overflow and invalid warnings are the caller's to silence."""
-        if self.oracle is None or point is None:
-            return math.nan
-        return float(self.oracle(point))
+        return _PointColumn(self.points, self.oracle)
 
     @property
     def iterations(self):
@@ -286,6 +303,8 @@ class ConvergenceTrace:
         }
         if self.relocated_to_limit_at is not None:
             out["relocated_to_limit_at"] = self.relocated_to_limit_at
+        if self.budget_exceeded_at is not None:
+            out["budget_exceeded_at"] = self.budget_exceeded_at
         if self.points and self.points[-1] is not None:
             out["final_point"] = [float(v) for v in self.points[-1]]
         if self.residuals:
@@ -311,8 +330,9 @@ class ConvergenceTrace:
         Lines end in CRLF, as csv.writer writes them. Rows are streamed,
         never built as a table. Each row formats its point once; a vector
         entry that is the point's own array (see record) reuses that text.
-        The oracle is called once per row, as the row is written, so an error
-        it raises stops the file after the rows before it.
+        The oracle, and each point column, is called once per row, as the
+        row is written, so an error it raises stops the file after the rows
+        before it.
         """
         header, point_dim = self._csv_header()
         point_format = ",".join(["%.17g"] * point_dim)
@@ -323,7 +343,7 @@ class ConvergenceTrace:
         row_format = ("%d,%.17g,%.17g,%.17g" + ",%s" * (point_dim > 0)
                       + ",%.17g" * len(scalars) + ",%s" * len(vectors) + "\r\n")
 
-        solution_residual = self._solution_residual
+        solution_residual = self.solution_residuals.at
 
         def rows():
             for n in range(len(self.residuals)):
@@ -333,7 +353,8 @@ class ConvergenceTrace:
                     point_text = point_format % tuple(_floats(point))
                     row.append(point_text)
                 for series in scalars:
-                    row.append(series[n])
+                    row.append(series.at(point) if type(series) is _PointColumn
+                               else series[n])
                 for series, vector_format in vectors:
                     # only a row with a point can share it with a vector (see record)
                     row.append(point_text if series[n] is point
@@ -354,10 +375,14 @@ class ConvergenceTrace:
 
 
 def relocated_loop(step, relocate, feedback, schedule, x0, stop,
-                   solution_residual=None, stepsize_free=False):
+                   solution_residual=None, stepsize_free=False, point_columns=None):
     """The relocated iteration x_{n+1} = Q_{g_{n+1}<-g_n} T_{g_n} x_n.
 
-    Every runner is this loop plus three hooks:
+    Every runner is this loop plus three hooks. They take and return plain
+    float arrays: the loop hands step x_0's own array (see _values) and
+    makes one object of x_0's type per relocated iterate, so a run started
+    from a BlockVector keeps BlockVectors in trace.iterates and final_x at
+    the cost of one BlockVector._wrap per relocation.
 
     * step(gamma, x, carry) -> (T_gamma x, aux). aux may name the monitored
       "shadow" point and extra "scalars"/"vectors" to record. carry is what
@@ -377,7 +402,8 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
     stepsize to settle cannot change the answer. gamma_{n+1} is still asked
     for first, so a rejected one still ends the run. One
     ScheduleBudgetWarning is raised once the summed positive increments
-    exceed POS_INCREMENT_BUDGET * gamma_0.
+    exceed POS_INCREMENT_BUDGET * gamma_0; the trace names its row in
+    budget_exceeded_at.
 
     The first time the residual is within tolerance while gamma_{n+1} has
     not settled, a schedule that declares a positive limit (see
@@ -403,16 +429,21 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
     and calls it on a row's recorded point, the flat copy of the shadow (or
     of x when the step has none), only when that row of solution_residuals
     is read (see ConvergenceTrace). An error it raises comes at that read.
+    point_columns, a dict of name -> function of that flat copy, adds
+    scalar columns computed the same way (ConvergenceTrace.point_columns).
     """
     schedule.reset()
     gamma = schedule.gamma_at(0)
-    trace = ConvergenceTrace(final_x=x0, oracle=solution_residual)
+    trace = ConvergenceTrace(final_x=x0, oracle=solution_residual,
+                             point_columns=point_columns or {})
     if gamma <= 0 or not math.isfinite(gamma):
         trace.status = STATUS_SCHEDULE_REJECTED
         return trace
     budget = POS_INCREMENT_BUDGET * float(gamma)
 
-    x = x0
+    # the hooks work on x's array; iterate is what the trace keeps of it
+    x, iterate = _values(x0), x0
+    wrap = BlockVector._wrap if isinstance(x0, BlockVector) else None
     carry = None
     # what every iteration looks up, bound once
     record, gamma_at, adaptive = trace.record, schedule.gamma_at, schedule.is_adaptive
@@ -426,18 +457,20 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(max_iters + 1):
             w, aux = step(gamma, x, carry)
-            residual = ambient_norm(x - w)
+            # ambient_norm's arithmetic on a fresh C-ordered difference
+            gap = (x - w).ravel()
+            residual = math.sqrt(gap.dot(gap))
             shadow = aux.get("shadow")
             monitored = shadow if shadow is not None else x
             record(gamma, residual, point=monitored,
-                   iterate=x, scalars=aux.get("scalars"), vectors=aux.get("vectors"))
+                   iterate=iterate, scalars=aux.get("scalars"), vectors=aux.get("vectors"))
 
             pair, pre = feedback(gamma, w) if adaptive else (None, None)
             gamma_next = gamma_at(n + 1, feedback=pair)
             if gamma_next <= 0 or not math.isfinite(gamma_next):
                 # an adaptive rule fed an overflowed step rejects it: the
                 # step diverged, not the schedule
-                trace.status = (STATUS_SCHEDULE_REJECTED if ambient_isfinite(w)
+                trace.status = (STATUS_SCHEDULE_REJECTED if _all_finite(w)
                                 else STATUS_DIVERGED)
                 break
             if residual <= tol:
@@ -458,6 +491,7 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
                 before = trace.sum_pos_increments
                 trace.sum_pos_increments += gamma_next - gamma
                 if before <= budget < trace.sum_pos_increments:
+                    trace.budget_exceeded_at = n
                     warnings.warn(
                         f"positive stepsize increments exceeded budget {budget:.3e}; "
                         "the schedule may not satisfy the summability condition",
@@ -467,12 +501,13 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
                     )
 
             x, carry = relocate(gamma, gamma_next, w, pre)
-            if not ambient_isfinite(x):
+            iterate = x if wrap is None else wrap(x)
+            if not _all_finite(x):
                 trace.status = STATUS_DIVERGED
                 break
             gamma = gamma_next
 
-    trace.final_x = x
+    trace.final_x = iterate
     return trace
 
 
@@ -483,14 +518,21 @@ def run_relocated(family, relocator, schedule, x0, stop, solution_residual=None)
     efficient runners are checked against it. solution_residual is as in
     relocated_loop: the trace calls it on the flat copy of a row's monitored
     point when that row is read. A stepsize-free family stops as its runner
-    does.
+    does. The family and the relocator see points of x0's type, as the
+    loop's plain arrays are wrapped back (unchecked) for them.
     """
+    wrap = BlockVector._wrap if isinstance(x0, BlockVector) else (lambda x: x)
+
+    def step(gamma, x, carry):
+        w, aux = family.apply(gamma, wrap(x))
+        return _values(w), aux
 
     def feedback(gamma, w):
-        z_fb, w_fb = family.feedback(gamma, w)
+        z_fb, w_fb = family.feedback(gamma, wrap(w))
         return (ambient_flat(z_fb), ambient_flat(w_fb)), None
 
-    return relocated_loop(lambda gamma, x, carry: family.apply(gamma, x),
-                          lambda gamma, delta, w, pre: (relocator.apply(gamma, delta, w), None),
+    return relocated_loop(step,
+                          lambda gamma, delta, w, pre: (
+                              _values(relocator.apply(gamma, delta, wrap(w))), None),
                           feedback, schedule, x0, stop, solution_residual=solution_residual,
                           stepsize_free=family.stepsize_free)

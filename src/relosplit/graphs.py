@@ -213,13 +213,18 @@ def sweep_workspace(ops, g):
 
     Returns (buf, z_rows, kx_rows, nodes): the (2N, d) buffer that stacks z
     and Kx x, its two halves, and per node i the tuple (resolvent of A_i,
-    d_i, its row of GraphMatrices.sweep_rows, row i of buf). Each resolvent
-    is bound here, so a wrapper around MonotoneOperator.resolvent that is
-    installed before the workspace is built sees every call.
+    d_i, its row of GraphMatrices.sweep_rows, A_i's input row, row i of
+    buf). The input row is MonotoneOperator.input_row(): the sweep writes
+    node i's input there and the resolvent reads it in place, so a factored
+    affine operator copies no input. One operator object at two nodes gives
+    both the same row, which is safe because the sweep fills each node's
+    row just before that node's call. Each resolvent is bound here, so a
+    wrapper around MonotoneOperator.resolvent that is installed before the
+    workspace is built sees every call.
     """
     n = g.n_nodes
     buf = np.zeros((2 * n, ops[0].dim))
-    nodes = tuple((op.resolvent, d_i, row_i, buf[i])
+    nodes = tuple((op.resolvent, d_i, row_i, op.input_row(), buf[i])
                   for i, (op, (d_i, row_i)) in enumerate(zip(ops, g.matrices.sweep_rows)))
     return buf, buf[:n], buf[n:], nodes
 
@@ -234,29 +239,37 @@ def graph_z_sweep(ops, g, gamma, x, z1=None, work=None):
     when z1, the first entry, is given (see graph_hooks).
 
     Node i's input is one product, of its row in GraphMatrices.sweep_rows
-    and a buffer stacking z and Kx x; the node's resolvent writes z_i into
-    its buffer row (out=). When z1 is given on the 2-node graph, one node is
-    left and its input has two terms: it is the product of
+    and a buffer stacking z and Kx x, written into A_i's input row (see
+    sweep_workspace); the node's resolvent reads it there and writes z_i
+    into its buffer row (out=). When z1 is given on the 2-node graph, one
+    node is left and its input has two terms: it is the product of
     GraphMatrices.handoff_row and [z_1; x_1], held in the result's own rows,
-    with no buffer. Either product adds the same nonzero terms once each,
-    so the two paths give the same bytes.
+    written into the same input row. Either product adds the same nonzero
+    terms once each, so the two paths give the same bytes.
 
-    Without work, gamma, x and z1 are checked here, once, and the buffer is
-    allocated for this call. work, a sweep_workspace of ops and g, is a
-    runner's: its sweep checks nothing, so the runner vouches for a float
-    gamma > 0, which may be inf once scaled, a float (N - 1, d) array x and
-    a float z1 of R^d. An iterate or a stepsize that has overflowed then
-    yields a non-finite sweep, which the runners' loop reports as
-    "diverged". The resolvents are called with check=False either way.
+    Without work, gamma, x and z1 are checked here, once, the workspace is
+    built for this call, and the result is a BlockVector. work, a
+    sweep_workspace of ops and g, is a runner's: its sweep checks nothing,
+    so the runner vouches for a float gamma > 0, which may be inf once
+    scaled, a float (N - 1, d) array x and a float z1 of R^d, and the
+    result is the read-only (N, d) array itself. An iterate or a stepsize
+    that has overflowed then yields a non-finite sweep, which the runners'
+    loop reports as "diverged". The resolvents are called with check=False
+    either way. A sweep writes its operators' input rows, so it is not
+    reentrant: two sweeps on one workspace, or on operators they share,
+    must not overlap.
     """
-    if work is None:
+    checked = work is None
+    if checked:
         gamma = as_stepsize(gamma)
         x = _check_x(x, ops, g).data
         if z1 is not None:
             z1 = as_vector(z1)
             if z1.size != x.shape[1]:
                 raise DimensionError(f"z1 must lie in R^{x.shape[1]}, got dimension {z1.size}")
+        work = sweep_workspace(ops, g)
     n = g.n_nodes
+    buf, z_rows, kx_rows, nodes = work
     # the result is allocated first and the z rows are copied into it: no
     # writable base is left behind, and a buffer allocated for the call, the
     # newest heap block, is freed on return. A view of the buffer, or a copy
@@ -264,24 +277,26 @@ def graph_z_sweep(ops, g, gamma, x, z1=None, work=None):
     # +0.8 MB on graph-affine)
     z = np.empty((n, x.shape[1]))
     if z1 is not None and n == 2:
+        resolvent, d_2, _, input_2, _ = nodes[1]
         z[0], z[1] = z1, x[0]
-        ops[1].resolvent(gamma / g.matrices.sweep_rows[1][0], g.matrices.handoff_row.dot(z),
-                         check=False, out=z[1])
-        return BlockVector._wrap(z)
-    buf, z_rows, kx_rows, nodes = sweep_workspace(ops, g) if work is None else work
-    # rows 0..N-1 hold z, rows N..2N-1 hold Kx x. Row i of Kz weighs the
-    # z_h with h < i only, and the z rows are zeroed first: a zero weight
-    # times an entry an earlier sweep left is nan where that entry is not
-    # finite, and may carry its sign into a zero input. The node's own share
-    # comes last in its row, after every z term
-    z_rows.fill(0.0)
-    np.dot(g.matrices.Kx, x, out=kx_rows)
-    if z1 is not None:
-        buf[0], nodes = z1, nodes[1:]
-    for resolvent, d_i, row_i, out in nodes:
-        resolvent(gamma / d_i, row_i.dot(buf), check=False, out=out)
-    z[:] = z_rows
-    return BlockVector._wrap(z)
+        g.matrices.handoff_row.dot(z, out=input_2)
+        resolvent(gamma / d_2, input_2, check=False, out=z[1])
+    else:
+        # rows 0..N-1 hold z, rows N..2N-1 hold Kx x. Row i of Kz weighs
+        # the z_h with h < i only, and the z rows are zeroed first: a zero
+        # weight times an entry an earlier sweep left is nan where that
+        # entry is not finite, and may carry its sign into a zero input.
+        # The node's own share comes last in its row, after every z term
+        z_rows.fill(0.0)
+        np.dot(g.matrices.Kx, x, out=kx_rows)
+        if z1 is not None:
+            buf[0], nodes = z1, nodes[1:]
+        for resolvent, d_i, row_i, input_i, out in nodes:
+            row_i.dot(buf, out=input_i)
+            resolvent(gamma / d_i, input_i, check=False, out=out)
+        z[:] = z_rows
+    z.setflags(write=False)
+    return BlockVector._wrap(z) if checked else z
 
 
 def graph_dr_apply(ops, g, gamma, theta, x):
@@ -322,9 +337,18 @@ def at_consensus(solution_residual, nblocks):
         np.add.reduce(z.reshape(nblocks, -1), axis=0) / nblocks)
 
 
-def _record_sweep(z, disagreement, w):
-    return {"shadow": z,
-            "scalars": {"consensus_residual": ambient_norm(disagreement)}}
+def consensus_columns(g):
+    """The trace column consensus_residual, ||Z^T z|| of a sweep z of g, as a
+    function of the flat copy a trace records of z (see
+    driver.ConvergenceTrace.point_columns). The trace calls it only when the
+    column is read; its bytes are those of the norm of the step's own
+    product Z^T z."""
+    z_t, nblocks = g.matrices.Z.T, g.n_nodes
+    return {"consensus_residual": lambda z: ambient_norm(z_t.dot(z.reshape(nblocks, -1)))}
+
+
+def _record_sweep(z, w):
+    return {"shadow": z}
 
 
 def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep, vector=False):
@@ -342,28 +366,35 @@ def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep, vector=False
     identity z_1 is the first entry of the next sweep, at delta driven by
     Q x, so it is handed on: N resolvents per iteration.
 
+    The hooks take and return plain float arrays, as relocated_loop carries
+    them: the iterate is an (N - 1, d) array or, with vector=True on the
+    2-node graph, dr2's plain (d,) vector, and the step's sweep is the
+    read-only (N, d) array of graph_z_sweep. The loop makes the one
+    BlockVector of each relocated iterate that the trace keeps.
+
     Nothing is checked after the runner's entry. The hooks build one
-    sweep_workspace for the run and hand the step's sweep the plain
-    (scaled) iterate array, the scaled gamma and the z_1 that relocate
-    computed, with that workspace, so the sweep re-checks none of them and
-    writes each node into its own buffer row. Every resolvent is called
-    with check=False. This is safe: the runner checked x_0, the loop tests
-    gamma and every relocated iterate, and z_1 is the hooks' own output. An
-    overflow, of the iterate or of scale * gamma, reaches the loop's
-    finiteness test as a non-finite sweep.
+    sweep_workspace for the run and hand the step's sweep the (scaled)
+    iterate array, the scaled gamma and the z_1 that relocate computed,
+    with that workspace, so the sweep re-checks none of them, writes each
+    node's input into its operator's input row and each z_i into its own
+    buffer row. Every resolvent is called with check=False. This is safe:
+    the runner checked x_0, the loop tests gamma and every relocated
+    iterate, and z_1 is the hooks' own output. An overflow, of the iterate
+    or of scale * gamma, reaches the loop's finiteness test as a non-finite
+    sweep. Since the workspace and the operators' input rows are written
+    by every step, the hooks of one run are not reentrant.
 
-    record(z, Z^T z, w) builds the step's trace entry. The iterate is a
-    BlockVector of N - 1 blocks or, with vector=True on the 2-node graph,
-    the plain vector that is dr2's one block.
+    record(z, w) builds the step's trace entry from the sweep and T x.
 
-    What is fixed for the run is decided here, once: the kind of iterate,
-    and which array coefficients are exactly 1 and so are not multiplied
-    by: scale (graph DR, dr2, and MT for N = 2), theta (dr2, and graph DR
-    when theta = 1) and the relocator's column Zdag c / scale = [1] (the
-    2-node graph). A product by 1 returns its operand bit for bit, so the
-    folds change no result. u_1 stays the product (s Kx[0]) x even where
-    s Kx[0] is the unit vector e_1 (the 2-node graph, and MT's rings): the
-    product turns a -0 entry of x_1 into +0, and the block itself does not.
+    What is fixed for the run is decided here, once: the shape of the
+    iterate, and which array coefficients are exactly 1 and so are not
+    multiplied by: scale (graph DR, dr2, and MT for N = 2), theta (dr2, and
+    graph DR when theta = 1) and the relocator's column Zdag c / scale = [1]
+    (the 2-node graph). A product by 1 returns its operand bit for bit, so
+    the folds change no result. u_1 stays the product (s Kx[0]) x even
+    where s Kx[0] is the unit vector e_1 (the 2-node graph, and MT's rings):
+    the product turns a -0 entry of x_1 into +0, and the block itself does
+    not.
     """
     z_t = g.matrices.Z.T
     d_1 = float(g.deg[0])
@@ -371,45 +402,41 @@ def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep, vector=False
     column = (g.matrices.Zdag_c / scale)[:, None]
     unit_scale, unit_theta = scale == 1.0, theta == 1.0
     unit_column = column.shape == (1, 1) and column[0, 0] == 1.0
+    # the sweep and u_1 read the iterate as N - 1 blocks, a view
+    blocks = (g.n_nodes - 1, ops[0].dim)
     if vector:
         # the 2-node graph's one row of Z^T and of the column, so the
         # disagreement and the shift come out as plain vectors as well
         z_t, column = z_t[0], column[0]
 
     work = sweep_workspace(ops, g)
-    resolvent_1 = ops[0].resolvent
+    resolvent_1, _, _, input_1, _ = work[3][0]
 
-    def first(gamma, values):
-        u = weights.dot(values.reshape(1, -1) if vector else values)
+    def first(gamma, x, u=None):
+        # u, when given, is A_1's input row: the relocation keeps no u_1
+        u = weights.dot(x.reshape(blocks), out=u)
         return resolvent_1(scale * gamma / d_1, u, check=False), u
 
     def step(gamma, x, z1):
-        values = x if vector else x.data
-        point = values.reshape(1, -1) if vector else values
+        point = x.reshape(blocks)
         if not unit_scale:
             gamma, point = scale * gamma, scale * point
         z = graph_z_sweep(ops, g, gamma, point, z1, work=work)
-        disagreement = z_t.dot(z.data)
-        w = values - disagreement if unit_theta else values - theta * disagreement
-        if not vector:
-            w = BlockVector._wrap(w)
-        return w, record(z, disagreement, w)
+        disagreement = z_t.dot(z)
+        w = x - disagreement if unit_theta else x - theta * disagreement
+        return w, record(z, w)
 
     def feedback(gamma, w):
-        z1, u = first(gamma, w if vector else w.data)
+        z1, u = first(gamma, w)
         return (z1, u), z1
 
     def relocate(gamma, delta, w, z1):
-        values = w if vector else w.data
         if z1 is None:
-            z1 = first(gamma, values)[0]
+            z1 = first(gamma, w, input_1)[0]
         ratio = delta / gamma
         if ratio == 1.0:
             return w, z1
-        x = ratio * values + (1.0 - ratio) * (z1 if unit_column else column * z1)
-        if not vector:
-            x = BlockVector._wrap(x)
-        return x, z1
+        return ratio * w + (1.0 - ratio) * (z1 if unit_column else column * z1), z1
 
     return step, feedback, relocate
 
@@ -425,7 +452,7 @@ def graph_family(ops, g, theta):
 
     def checked_feedback(gamma, w):
         # the hooks' feedback resolves unchecked, so gamma and w are checked here
-        return feedback(as_stepsize(gamma), _check_x(w, ops, g))[0]
+        return feedback(as_stepsize(gamma), _check_x(w, ops, g).data)[0]
 
     return OperatorFamily(apply, feedback=checked_feedback, name="graph_dr",
                           stepsize_free=stepsize_free(ops))
@@ -438,9 +465,11 @@ def graph_relocator(ops, g):
     """
     _, _, relocate = graph_hooks(ops, g)
     spread = np.linalg.norm(g.matrices.Zdag_c) * np.linalg.norm(g.matrices.Z[0]) / g.deg[0]
-    return Relocator(lambda gamma, delta, x: relocate(gamma, delta, _check_x(x, ops, g),
-                                                      None)[0],
-                     lambda gamma, delta: delta / gamma + abs(1.0 - delta / gamma) * spread,
+
+    def apply(gamma, delta, x):
+        return BlockVector._wrap(relocate(gamma, delta, _check_x(x, ops, g).data, None)[0])
+
+    return Relocator(apply, lambda gamma, delta: delta / gamma + abs(1.0 - delta / gamma) * spread,
                      name="graph_dr")
 
 
@@ -448,14 +477,15 @@ def graph_relocated_run(ops, g, theta, schedule, x0, stop, solution_residual=Non
     """Relocated graph-DR run: N resolvents per iteration.
 
     Matches run_relocated(graph_family, graph_relocator) per iterate. The
-    trace records ||Z^T z_n|| and the sweep points; the solution residual,
-    when requested, is evaluated at the blockwise mean of the sweep when the
-    trace's column is read. When every operator is stepsize free, the run
-    stops at its first residual within tolerance (see driver.StopRule).
+    trace records the sweep points; its consensus_residual column
+    ||Z^T z_n|| and the solution residual, when requested, at the blockwise
+    mean of the sweep are computed from them when they are read. When every
+    operator is stepsize free, the run stops at its first residual within
+    tolerance (see driver.StopRule).
     """
     if not 0.0 < theta < 2.0:
         raise ParameterError(f"theta must lie in (0, 2), got {theta}")
     step, feedback, relocate = graph_hooks(ops, g, theta)
     return relocated_loop(step, relocate, feedback, schedule, _check_x(x0, ops, g), stop,
                           solution_residual=at_consensus(solution_residual, g.n_nodes),
-                          stepsize_free=stepsize_free(ops))
+                          stepsize_free=stepsize_free(ops), point_columns=consensus_columns(g))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .driver import OperatorFamily, Relocator, relocated_loop
 from .errors import DimensionError, ParameterError
-from .graphs import at_consensus, build_graph, graph_hooks
+from .graphs import at_consensus, build_graph, consensus_columns, graph_hooks
 from .linalg import BlockVector, as_block_vector
 from .operators import MonotoneOperator, stepsize_free
 
@@ -142,9 +142,9 @@ def algorithm2_run(problem, schedule, x0, stop, solution_residual=None):
     runner's hooks with scale the ring degree (2, or 1 for N = 2), in MT's
     coordinates. z_1 = J_{gamma_n A_1} w_n^1 of the relocation doubles as the
     next sweep's J_{gamma_{n+1} A_1} x_{n+1}^1; an adaptive run's stopping
-    iteration pays one more A_1 for its feedback. The solution residual is
-    evaluated at the blockwise mean of the sweep when the trace's column is
-    read. When every operator is stepsize free (boxes, balls, points), the
+    iteration pays one more A_1 for its feedback. The consensus_residual
+    column ||Z^T z_n|| and the solution residual, at the blockwise mean of
+    the sweep, are computed from the recorded sweep when they are read. When every operator is stepsize free (boxes, balls, points), the
     run stops at its first residual within tolerance (see driver.StopRule).
     """
     g = mt_graph(problem.n_ops)
@@ -152,4 +152,5 @@ def algorithm2_run(problem, schedule, x0, stop, solution_residual=None):
                                            scale=float(g.deg[0]))
     return relocated_loop(step, relocate, feedback, schedule, _check_x(problem, x0),
                           stop, solution_residual=at_consensus(solution_residual, g.n_nodes),
-                          stepsize_free=stepsize_free(problem.ops))
+                          stepsize_free=stepsize_free(problem.ops),
+                          point_columns=consensus_columns(g))

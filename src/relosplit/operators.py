@@ -4,7 +4,7 @@ Every operator exposes the same oracle: ``op.resolvent(gamma, x)`` returns
 J_{gamma A} x = (I + gamma A)^{-1} x, single-valued and defined for every x.
 Reflectents are derived as R = 2 J - Id. All resolvents are exact (no inner
 iterative solves). The affine kind factors its matrix once, on its first
-resolvent call, into stepsize-free eigenfactors that take gamma as an entry
+resolvent or ``input_row`` call, into stepsize-free eigenfactors that take gamma as an entry
 of their input, so each later resolvent is two real matrix-vector products
 and one complex division at any gamma, made in buffers the factors own: a
 call allocates its result and nothing else, and nothing at all with
@@ -24,6 +24,20 @@ into the row, while every other kind copies its result in. The runners'
 sweep uses it to write each node into its row of a buffer kept for the run.
 Every call still goes through this one method, so a wrapper around it sees
 every resolvent.
+
+``input_row()`` returns the row an operator's resolvent reads its input
+from. The factored affine kind returns the x part of its own [x; -gamma; 1]
+buffer, and a call handed that very row skips its copy; every other kind
+returns a fresh row, which the caller owns. The runners' sweep writes each
+node's input into its operator's row, so a graph-affine iteration copies no
+resolvent input (see ``graphs.sweep_workspace``): a call from the row takes
+about 1.8 us at d = 32 and 1.5 us at d = 16, against 2.0 and 1.6 us when it
+copies its input in, and 2.3 and 2.0 us before its last product dropped
+np.dot's dispatcher. The row is shared by every
+caller of one operator object and rewritten by its calls, so it is filled
+just before the call that reads it, and an affine operator's resolvent is
+not reentrant: two calls on one object must not overlap, across threads or
+through a callback (the library starts no thread and makes no such call).
 
 Each kind also answers for its own semantics: ``value`` (A itself where it
 is single valued), ``inclusion_residual`` (the membership test w in A z)
@@ -92,6 +106,17 @@ class MonotoneOperator:
         if out is None:
             return self._resolvent(gamma, x)
         return self._resolvent_into(gamma, x, out)
+
+    def input_row(self):
+        """A float row of R^dim that a caller may fill with the input of its
+        next resolvent call: the runners' sweep writes each node's input
+        into its operator's row, built once per run. The default is a fresh
+        array; a kind that copies its input into a buffer of its own returns
+        that buffer, and its resolvent then skips the copy. The row is the
+        operator's, not the caller's: any call on the operator may overwrite
+        it, so it is filled just before the call that reads it.
+        """
+        return np.empty(self.dim)
 
     def reflectent(self, gamma, x):
         """Evaluate R_{gamma A} x = 2 J_{gamma A} x - x."""
@@ -188,6 +213,16 @@ class AffineMonotone(MonotoneOperator):
     (BENCH_25.json). Two calls on one operator must therefore not overlap:
     the resolvent is not reentrant across threads.
 
+    input_row() is the x part of that input buffer, so a caller that
+    writes its point there, as the runners' sweep does, hands it over with
+    no copy: the call then writes gamma, makes the product and the
+    division, and ends in left.dot(num_real, out=out), the method that
+    reaches the same C routine as np.dot without its dispatcher: about
+    1.8 us a call at d = 32 from the row and 2.0 us with the copy, from
+    2.3 us with np.dot (minima of 21 timeit rounds). The row is the
+    operator's, shared by every node it sits at, and any call overwrites
+    it.
+
     Monotone M has Re lam >= 0, so |1 + gamma lam| >= 1 and the error is
     about cond_1(V) times machine epsilon at every gamma. When cond_1(V)
     exceeds EIG_COND_MAX (defective or nearly defective M, such as
@@ -220,6 +255,14 @@ class AffineMonotone(MonotoneOperator):
         # an _AffineFactors, or () for the dense solve; built on first use
         self._factors = None
 
+    def input_row(self):
+        """The factors' own input row, the x of [x; -gamma; 1], which the
+        factors are built for if they are missing; the dense fallback has
+        none and returns a fresh row."""
+        if self._factors is None:
+            self._factors = _eigen_factors(self.matrix, self.offset)
+        return self._factors.x if self._factors else np.empty(self.dim)
+
     def _resolvent(self, gamma, x):
         return self._resolvent_into(gamma, x, np.empty(self.dim))
 
@@ -230,16 +273,18 @@ class AffineMonotone(MonotoneOperator):
             out[...] = solve_linear(np.eye(self.dim) + gamma * self.matrix,
                                     x - gamma * self.offset)
             return out
-        left, full, xa, t, num, den, num_real = self._factors
+        left, full, xa, x_row, t, num, den, num_real = self._factors
         # one real product of full and [x; -gamma; 1] gives the numerators
         # R (x - gamma b) and the denominators 1 + gamma lam, interleaved
         # (Re, Im); every operand is a buffer of the factors, so the result
-        # is the only array made, and only when out is not given
-        xa[:-2] = x
+        # is the only array made, and only when out is not given. An input
+        # written into input_row() is already in place
+        if x is not x_row:
+            x_row[...] = x
         xa[-2] = -gamma
         full.dot(xa, out=t)
         np.divide(num, den, out=num)
-        return np.dot(left, num_real, out=out)
+        return left.dot(num_real, out=out)
 
     def value(self, x):
         """The (single-valued) operator itself, M x + b."""
@@ -297,7 +342,7 @@ def _eigen_factors(m, b):
     xa, t = np.zeros(d + 2), np.empty(4 * k)
     xa[-1] = 1.0
     num, den = t[:2 * k].view(complex), t[2 * k:].view(complex)
-    return _AffineFactors(left, full, xa, t, num, den, num.view(float))
+    return _AffineFactors(left, full, xa, xa[:d], t, num, den, num.view(float))
 
 
 class _AffineFactors(NamedTuple):
@@ -305,13 +350,15 @@ class _AffineFactors(NamedTuple):
 
     left and full are the factors. xa (d + 2 entries, [x; -gamma; 1], its
     last entry fixed at 1) and t (4k entries, the product full.dot(xa)) are
-    written by every call; num and den are the complex views of t's halves,
+    written by every call; x is the view of xa's first d entries, the
+    operator's input row, num and den are the complex views of t's halves,
     and num_real the float view of num, made once so that a call makes none.
     """
 
     left: np.ndarray
     full: np.ndarray
     xa: np.ndarray
+    x: np.ndarray
     t: np.ndarray
     num: np.ndarray
     den: np.ndarray

@@ -1,8 +1,10 @@
 import csv
+import gc
 import io
 import math
 import os
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -104,6 +106,27 @@ class TestRunRelocated:
         budget = [r for r in records if r.category is ScheduleBudgetWarning]
         assert len(budget) == 1
         assert budget[0].filename == __file__
+
+    def test_budget_row_in_summary(self):
+        # increments of 50 cross the budget 1e3 * gamma_0 with gamma_21, the
+        # stepsize that row 20 asks for
+        family = OperatorFamily(lambda g, x: (0.9 * x, {}))
+        growing = sch.ExplicitList([1.0 + 50.0 * n for n in range(30)])
+        with pytest.warns(ScheduleBudgetWarning):
+            trace = run_relocated(family, identity_relocator(), growing,
+                                  np.array([1.0]), StopRule(1e-12, 25))
+        assert trace.budget_exceeded_at == trace.summary()["budget_exceeded_at"] == 20
+        assert trace.iterations == 25
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ScheduleBudgetWarning)
+            within = run_relocated(family, identity_relocator(), growing,
+                                   np.array([1.0]), StopRule(1e-12, 20))
+        assert within.budget_exceeded_at is None
+        assert "budget_exceeded_at" not in within.summary()
+        # the key is added after the ones a summary had before
+        keys = list(trace.summary())
+        assert keys[:keys.index("budget_exceeded_at")] == [
+            "status", "iters", "final_residual", "final_gamma", "sum_pos_increments"]
 
     def test_sum_pos_increments(self):
         family = OperatorFamily(lambda g, x: (0.9 * x, {}))
@@ -383,6 +406,55 @@ class TestLazySolutionResidual:
             with pytest.raises(ValueError, match="^the oracle failed$"):
                 trace.solution_residuals[n]
         assert oracle.calls == 4
+
+
+class TestPointColumns:
+    """Columns computed where they are read from a row's recorded point, as
+    the solution-residual column is: the graph runners' consensus_residual."""
+
+    def test_a_point_column_is_called_where_it_is_read(self):
+        column = CountingOracle()
+        trace = ConvergenceTrace(point_columns={"c": column})
+        for n in range(3):
+            trace.record(1.0, 0.5, point=np.array([0.0, n]), scalars={"a": 7.0})
+        assert column.calls == 0
+        assert list(trace.extra_scalars) == ["a", "c"]
+        assert len(trace.extra_scalars["c"]) == 3 and column.calls == 0
+        assert trace.extra_scalars["c"][-1] == 2.0 and column.calls == 1
+        buffer = io.StringIO()
+        trace.write_csv(buffer)
+        assert column.calls == 4
+        rows = list(csv.reader(io.StringIO(buffer.getvalue())))
+        assert rows[0] == ["n", "gamma", "residual", "solution_residual", "point_0",
+                           "point_1", "a", "c"]
+        assert [row[-1] for row in rows[1:]] == ["0", "1", "2"]
+        assert trace.extra_scalars["c"][:] == [0.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("name, graph", [("mt", mt.mt_graph(4)),
+                                             ("graph", chorded_path(4))])
+    def test_graph_runs_read_consensus_from_the_recorded_sweep(self, name, graph):
+        trace = oracle_runs(None)[name]
+        column = trace.extra_scalars["consensus_residual"]
+        assert not isinstance(column, list) and len(column) == len(trace)
+        z_t = graph.matrices.Z.T
+        assert column[:] == [ambient_norm(z_t.dot(p.reshape(4, -1))) for p in trace.points]
+        buffer = io.StringIO()
+        trace.write_csv(buffer)
+        header = buffer.getvalue().split("\r\n", 1)[0]
+        assert header.endswith(",consensus_residual")
+
+    def test_a_trace_is_freed_without_the_cyclic_collector(self):
+        # a column that held its trace would make a cycle, and every row of a
+        # finished run would wait for the collector
+        gc.disable()
+        try:
+            runs = oracle_runs(CountingOracle())
+            assert runs["graph"].extra_scalars["consensus_residual"][0] >= 0.0
+            refs = [weakref.ref(trace) for trace in runs.values()]
+            del runs
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
 
 class TestRecord:

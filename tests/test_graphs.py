@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import sys
 
 import numpy as np
@@ -420,9 +421,11 @@ class TestSweepWorkspace:
             for gamma, x, z1 in self.sweeps(rng, g, ops, scale):
                 swept = graphs.graph_z_sweep(ops, g, gamma, x, z1, work=work)
                 checked = graphs.graph_z_sweep(ops, g, gamma, BlockVector(x), z1)
-                assert swept.data.tobytes() == checked.data.tobytes()
-                assert not swept.data.flags.writeable
-                assert not np.shares_memory(swept.data, work[0])
+                # a runner's sweep is the plain array, the checked one a BlockVector
+                assert type(swept) is np.ndarray
+                assert swept.tobytes() == checked.data.tobytes()
+                assert not swept.flags.writeable
+                assert not np.shares_memory(swept, work[0])
 
 
 class TestHookFolds:
@@ -451,7 +454,8 @@ class TestHookFolds:
             for _ in range(10):
                 blocks = signed_zeros(rng, 3.0 * rng.standard_normal((g.n_nodes - 1,
                                                                       ops[0].dim)))
-                x = blocks[0] if vector else BlockVector(blocks)
+                # the hooks take the loop's plain arrays
+                x = blocks[0] if vector else blocks
                 gamma, delta = (float(v) for v in rng.choice(GAMMA_GRID, size=2))
                 ref_next, ref_z1, ref_u = reference_relocate(ops, g, scale, gamma, delta,
                                                              blocks)
@@ -459,7 +463,7 @@ class TestHookFolds:
                     w, aux = step(gamma, x, carry)
                     ref_w, ref_z = reference_step(ops, g, theta, scale, gamma, blocks, carry)
                     assert np.asarray(w).tobytes() == ref_w.tobytes()
-                    assert aux["shadow"].data.tobytes() == ref_z.tobytes()
+                    assert aux["shadow"].tobytes() == ref_z.tobytes()
                 (z1, u), pre = feedback(gamma, x)
                 assert pre is z1
                 assert (z1.tobytes(), u.tobytes()) == (ref_z1.tobytes(), ref_u.tobytes())
@@ -472,7 +476,7 @@ class TestHookFolds:
             weights = scale * g.matrices.Kx[0]
             assert weights.tolist() == [scale / g.deg[0]] + [0.0] * (g.n_nodes - 2)
             blocks = np.full((g.n_nodes - 1, ops[0].dim), -0.0)
-            u = feedback(1.0, blocks[0] if vector else BlockVector(blocks))[0][1]
+            u = feedback(1.0, blocks[0] if vector else blocks)[0][1]
             assert not np.signbit(u).any()
 
 
@@ -650,6 +654,105 @@ def test_runs_check_points_once_per_run_not_per_iteration(as_vector_calls, n_ops
     assert trace.status == "converged"
     assert trace.iterations > 100
     assert calls == [0, 0]
+
+
+@pytest.fixture
+def wrap_calls(monkeypatch):
+    """A one-entry list counting BlockVector._wrap calls."""
+    calls = [0]
+    original = vars(BlockVector)["_wrap"].__func__
+
+    def counted(cls, arr):
+        calls[0] += 1
+        return original(cls, arr)
+
+    monkeypatch.setattr(BlockVector, "_wrap", classmethod(counted))
+    return calls
+
+
+@pytest.mark.parametrize("n_ops, run", [
+    (4, lambda ops, schedule, stop: algorithm2_run(MTProblem(tuple(ops), 0.5), schedule,
+                                                   BlockVector.zeros(3, 2), stop)),
+    (6, lambda ops, schedule, stop: graphs.graph_relocated_run(
+        ops, bench_graph(), 1.0, schedule, BlockVector.zeros(5, 2), stop)),
+], ids=["mt", "chorded-graph"])
+def test_runs_wrap_one_block_vector_per_relocated_iterate(wrap_calls, n_ops, run):
+    # the hooks and the loop carry plain arrays; the loop wraps each
+    # relocated iterate once, for trace.iterates and final_x
+    instance = problems.make_problem("affine_consensus", {"count": n_ops, "dim": 2}, seed=0)
+    for schedule in (sch.GeometricToLimit(1.0, 2.0, 0.9), sch.AdaptiveKappa(1.0)):
+        wrap_calls[0] = 0
+        trace = run(instance.ops, schedule, StopRule(residual_tol=1e-10, max_iters=5000))
+        assert trace.status == "converged"
+        assert trace.iterations > 100
+        assert wrap_calls[0] == trace.iterations
+        assert all(type(x) is BlockVector for x in trace.iterates)
+        assert trace.final_x is trace.iterates[-1]
+
+
+class TestInputRows:
+    """The sweep writes each node's input into its operator's input row, where
+    a factored affine resolvent reads it in place. One operator object at
+    two nodes shares one row, and runs are unchanged by it."""
+
+    @staticmethod
+    def csv_bytes(trace):
+        out = io.StringIO()
+        trace.write_csv(out)
+        return out.getvalue()
+
+    def assert_same_run(self, a, b):
+        assert (a.status, a.iterations) == (b.status, b.iterations)
+        assert self.csv_bytes(a) == self.csv_bytes(b)
+        assert [x.data.tobytes() for x in a.iterates] == [x.data.tobytes() for x in b.iterates]
+
+    def cases(self, rng):
+        """(graph, ops, node, shared, runner, its naive family and relocator):
+        the chorded graph with node 5 sharing node 1's operator, and the
+        4-ring as MT with node 3 sharing node 2's."""
+        g = bench_graph()
+        ops = affine_ops(rng, g, dim=3)
+        ops[4] = ops[0]
+        yield (g, ops, 4, 0,
+               lambda ops, schedule, stop: graphs.graph_relocated_run(
+                   ops, g, 1.0, schedule, BlockVector.zeros(5, 3), stop),
+               lambda ops: (graphs.graph_family(ops, g, 1.0), graphs.graph_relocator(ops, g)))
+        ring = mt_graph(4)
+        ops = affine_ops(rng, ring, dim=3)
+        ops[2] = ops[1]
+        yield (ring, ops, 2, 1,
+               lambda ops, schedule, stop: algorithm2_run(
+                   MTProblem(tuple(ops), 0.5), schedule, BlockVector.zeros(3, 3), stop),
+               lambda ops: (mt_family(MTProblem(tuple(ops), 0.5)),
+                            mt_relocator(MTProblem(tuple(ops), 0.5))))
+
+    def test_one_operator_at_two_nodes_shares_its_row(self, rng):
+        for g, ops, node, shared, _, _ in self.cases(rng):
+            rows = [node_i[3] for node_i in graphs.sweep_workspace(ops, g)[3]]
+            assert rows[node] is rows[shared]
+            assert np.shares_memory(rows[node], ops[shared]._factors.xa)
+            assert not any(np.shares_memory(rows[i], rows[j])
+                           for i in range(len(ops)) for j in range(i)
+                           if {i, j} != {node, shared})
+
+    @pytest.mark.parametrize("schedule", [sch.GeometricToLimit(1.0, 2.0, 0.9),
+                                          sch.AdaptiveKappa(1.0)],
+                             ids=["geometric", "adaptive"])
+    def test_shared_operator_runs_as_equal_distinct_ones(self, rng, schedule):
+        stop = StopRule(residual_tol=1e-10, max_iters=400)
+        for _, ops, node, shared, run, family_and_relocator in self.cases(rng):
+            distinct = list(ops)
+            distinct[node] = AffineMonotone(ops[shared].matrix, ops[shared].offset)
+            trace = run(ops, schedule, stop)
+            assert trace.iterations > 20
+            self.assert_same_run(trace, run(distinct, schedule, stop))
+            # a second run on the same objects finds their rows as the first left them
+            self.assert_same_run(trace, run(ops, schedule, stop))
+            naive = run_relocated(*family_and_relocator(ops), schedule,
+                                  trace.iterates[0], stop)
+            assert naive.iterations == trace.iterations
+            for a, b in zip(trace.iterates, naive.iterates):
+                assert np.max(np.abs(a.data - b.data)) <= 1e-12
 
 
 class TestLipschitzBound:

@@ -500,6 +500,29 @@ class TestAffineScratch:
             assert op.resolvent(gamma, row, check=False, out=row) is row
             assert row.tobytes() == expected
 
+    def test_a_call_reads_its_input_row_in_place(self, rng):
+        op = random_affine(rng, 5)
+        row = op.input_row()
+        assert op.input_row() is row
+        assert row.shape == (5,) and np.shares_memory(row, op._factors.xa)
+        out = np.empty(5)
+        for gamma in GAMMA_GRID:
+            x = rng.standard_normal(5)
+            row[...] = x
+            assert op.resolvent(gamma, row, check=False, out=out) is out
+            assert out.tobytes() == self.alone(self.fresh(op), gamma, x)
+            row[...] = x
+            assert op.resolvent(gamma, row, check=False).tobytes() == out.tobytes()
+
+    def test_other_kinds_give_a_fresh_row(self, rng):
+        # the dense fallback, a kind with no input buffer and a wrapper
+        dense = ops.AffineMonotone([[1.0, 1.0], [0.0, 1.0]], [0.5, -1.0])
+        for op in (dense, ops.NormalConeBox([-1.0, -1.0], [1.0, 1.0]),
+                   ops.CountingOperator(random_affine(rng, 2))):
+            a, b = op.input_row(), op.input_row()
+            assert a.shape == (2,) and a.dtype == float and a.flags.writeable
+            assert not np.shares_memory(a, b)
+
     def test_nested_and_inner_operator_called_alternately(self, rng):
         op = random_affine(rng, 5)
         shift = rng.standard_normal(5)
