@@ -47,13 +47,14 @@ class DRProblem:
 def dr_apply(problem, gamma, x):
     """One Douglas-Rachford step; returns (w, z, y).
 
-    z = J_{gamma A} x, y = J_{gamma B}(2z - x) and w = x - z + y = T_gamma x.
-    Exactly one resolvent of A and one of B are evaluated.
+    z = J_{gamma A} x, y = J_{gamma B}(2z - x) and w = x - (z - y) = T_gamma x,
+    grouped as the runner's step groups it. Exactly one resolvent of A and
+    one of B are evaluated.
     """
     x = as_vector(x)
     z = problem.op_a.resolvent(gamma, x)
     y = problem.op_b.resolvent(gamma, 2.0 * z - x)
-    w = x - z + y
+    w = x - (z - y)
     return w, z, y
 
 

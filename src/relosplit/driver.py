@@ -56,10 +56,6 @@ def ambient_flat(x):
     return _values(x).flatten()
 
 
-def ambient_isfinite(x):
-    return _all_finite(_values(x))
-
-
 def _floats(v):
     """The entries of a flat vector as a list of Python floats."""
     return np.asarray(v, dtype=float).tolist()

@@ -1,10 +1,13 @@
 import os
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from relosplit.schedules import ExplicitList, GeometricToLimit
+from relosplit import dr2, graphs, malitsky_tam as mt, schedules as sch
+from relosplit.driver import StopRule, run_relocated
+from relosplit.linalg import BlockVector
 # the invariant suite's sample instances, which the test modules share
 from relosplit.selftest import GAMMA_GRID, operator_zoo, random_affine  # noqa: F401
 
@@ -20,17 +23,47 @@ GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "c
 EXTREME_FINITE = [1.7976931348623157e308, -1e308, 5e-324]
 
 
-class WaitingGeometric(GeometricToLimit):
+class WaitingGeometric(sch.GeometricToLimit):
     """A geometric schedule that declares no limit, so a run on it follows
     gamma_n until it settles instead of relocating straight to the limit."""
 
     limit = None
 
 
-class WaitingList(ExplicitList):
-    """An explicit list that declares no limit (see WaitingGeometric)."""
+class Case(NamedTuple):
+    """A method ("graph", "mt" or "dr2") on ops, one per node, from x0, an
+    (N - 1, d) array or dr2's (d,) vector; graph only for "graph"."""
 
-    limit = None
+    method: str
+    ops: tuple
+    schedule: sch.StepsizeSchedule
+    x0: np.ndarray
+    stop: StopRule
+    theta: float = 1.0
+    graph: graphs.SplittingGraph | None = None
+    #: what test_differential's pinned case must reach, as the test it pins
+    #: did: its end, a least number of iterations, and a relocation to the limit
+    status: str | None = None
+    min_iters: int = 0
+    relocates: bool = False
+
+
+def run(case, ops, naive=False, **kw):
+    """The method's runner on ops or, naive, run_relocated on its family and
+    relocator; kw goes to the call (solution_residual)."""
+    if case.method == "dr2":
+        p, args = dr2.DRProblem(*ops), (case.schedule, case.x0, case.stop)
+        return (run_relocated(dr2.dr_family(p), dr2.dr_relocator(p), *args, **kw) if naive
+                else dr2.algorithm1_run(p, *args, **kw))
+    args = (case.schedule, BlockVector(case.x0), case.stop)
+    if case.method == "mt":
+        p = mt.MTProblem(ops, case.theta)
+        return (run_relocated(mt.mt_family(p), mt.mt_relocator(p), *args, **kw) if naive
+                else mt.algorithm2_run(p, *args, **kw))
+    g, theta = case.graph, case.theta
+    return (run_relocated(graphs.graph_family(ops, g, theta), graphs.graph_relocator(ops, g),
+                          *args, **kw) if naive
+            else graphs.graph_relocated_run(ops, g, theta, *args, **kw))
 
 
 def nonfinite_points(dim=5):

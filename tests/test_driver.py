@@ -9,22 +9,21 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import (EXTREME_FINITE, GOLDEN_DIR, WaitingGeometric, WaitingList,
-                      nonfinite_points, strided_real)
-from relosplit import cli, dr2, graphs, malitsky_tam as mt, problems, schedules as sch
+from conftest import (EXTREME_FINITE, GOLDEN_DIR, Case, WaitingGeometric,
+                      nonfinite_points, run, strided_real)
+from relosplit import cli, dr2, malitsky_tam as mt, problems, schedules as sch
 from relosplit.driver import (
     ConvergenceTrace,
     OperatorFamily,
     Relocator,
     ScheduleBudgetWarning,
     StopRule,
-    ambient_isfinite,
     ambient_norm,
     run_relocated,
 )
 from relosplit.errors import ConstructionError, FixedPointError, ParameterError
 from relosplit.graphs import graph_relocated_run
-from relosplit.linalg import BlockVector
+from relosplit.linalg import BlockVector, _all_finite
 from relosplit.operators import AffineMonotone, NegLog, NormalConeBox, NormalConePoint
 from relosplit.selftest import check_relocator_axioms, chorded_path
 
@@ -347,18 +346,14 @@ def oracle_runs(oracle):
     rng = np.random.default_rng(5)
     ops = [NormalConeBox(-1.0 - rng.uniform(size=2), 1.0 + rng.uniform(size=2))
            for _ in range(4)]
-    pair, x0 = dr2.DRProblem(*ops[:2]), BlockVector(4.0 * rng.standard_normal((3, 2)))
-    point = x0.data[0] + 2.0
+    x0 = 4.0 * rng.standard_normal((3, 2))
     schedule, stop = sch.GeometricToLimit(limit=1.0, start=2.0, ratio=0.5), StopRule(1e-10, 500)
-    return {
-        "dr2": dr2.algorithm1_run(pair, schedule, point, stop, solution_residual=oracle),
-        "mt": mt.algorithm2_run(mt.MTProblem(tuple(ops), theta=0.5), schedule, x0, stop,
-                                solution_residual=oracle),
-        "graph": graph_relocated_run(ops, chorded_path(4), 1.0, schedule, x0, stop,
-                                     solution_residual=oracle),
-        "run_relocated": run_relocated(dr2.dr_family(pair), dr2.dr_relocator(pair),
-                                       schedule, point, stop, solution_residual=oracle),
-    }
+    pair = Case("dr2", tuple(ops[:2]), schedule, x0[0] + 2.0, stop)
+    ring = Case("mt", tuple(ops), schedule, x0, stop, 0.5)
+    graph = ring._replace(method="graph", theta=1.0, graph=chorded_path(4))
+    runs = {"dr2": pair, "mt": ring, "graph": graph, "run_relocated": pair}
+    return {name: run(case, case.ops, name == "run_relocated", solution_residual=oracle)
+            for name, case in runs.items()}
 
 
 class TestLazySolutionResidual:
@@ -531,28 +526,29 @@ class TestRecord:
 
 
 class TestAmbientKernels:
+    # _all_finite is the loop's divergence test of each relocated iterate
     def test_isfinite_accepts_extreme_finite_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert ambient_isfinite(np.array(EXTREME_FINITE))
-            assert ambient_isfinite(BlockVector([EXTREME_FINITE, EXTREME_FINITE]))
+            assert _all_finite(np.array(EXTREME_FINITE))
+            assert _all_finite(np.array([EXTREME_FINITE, EXTREME_FINITE]))
 
     @pytest.mark.parametrize("point", nonfinite_points())
     def test_isfinite_rejects_nonfinite_at_any_position(self, point):
-        assert ambient_isfinite(point) is False
-        assert ambient_isfinite(point.reshape(1, -1)) is False
-        assert ambient_isfinite(np.stack([np.zeros(point.size), point])) is False
+        assert _all_finite(point) is False
+        assert _all_finite(point.reshape(1, -1)) is False
+        assert _all_finite(np.stack([np.zeros(point.size), point])) is False
 
     def test_isfinite_strided_view_extreme_finite_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert ambient_isfinite(strided_real(EXTREME_FINITE)) is True
-            assert ambient_isfinite(strided_real([EXTREME_FINITE, EXTREME_FINITE])) is True
+            assert _all_finite(strided_real(EXTREME_FINITE)) is True
+            assert _all_finite(strided_real([EXTREME_FINITE, EXTREME_FINITE])) is True
 
     @pytest.mark.parametrize("point", nonfinite_points())
     def test_isfinite_strided_view_rejects_nonfinite_at_any_position(self, point):
-        assert ambient_isfinite(strided_real(point)) is False
-        assert ambient_isfinite(strided_real(np.stack([np.zeros(point.size), point]))) is False
+        assert _all_finite(strided_real(point)) is False
+        assert _all_finite(strided_real(np.stack([np.zeros(point.size), point]))) is False
 
     def test_norm_is_np_linalg_norm(self, rng):
         arrays = [rng.standard_normal(d) * scale
@@ -625,28 +621,11 @@ def box_run(method, box=NormalConeBox, affine=False, geometric=sch.GeometricToLi
         # the distance to the boxes' intersection, or to c with the affine operator
         return float(np.linalg.norm(z - (center if affine else np.clip(z, lo, hi))))
 
-    stop = StopRule(1e-10, 5000)
-
-    def schedule():
-        return geometric(limit=1.0, start=2.0, ratio=0.9)
-
-    if method == "dr2":
-        problem = dr2.DRProblem(*ops)
-        x0 = 3.0 * rng.standard_normal(dim)
-        return (dr2.algorithm1_run(problem, schedule(), x0, stop, solution_residual=oracle),
-                run_relocated(dr2.dr_family(problem), dr2.dr_relocator(problem), schedule(),
-                              x0, stop))
-    x0 = BlockVector(3.0 * rng.standard_normal((count - 1, dim)))
-    if method == "mt":
-        problem = mt.MTProblem(tuple(ops), theta=0.5)
-        return (mt.algorithm2_run(problem, schedule(), x0, stop, solution_residual=oracle),
-                run_relocated(mt.mt_family(problem), mt.mt_relocator(problem), schedule(),
-                              x0, stop))
-    g = chorded_path(count)
-    return (graphs.graph_relocated_run(ops, g, 1.0, schedule(), x0, stop,
-                                       solution_residual=oracle),
-            run_relocated(graphs.graph_family(ops, g, 1.0), graphs.graph_relocator(ops, g),
-                          schedule(), x0, stop))
+    x0 = 3.0 * rng.standard_normal(dim if method == "dr2" else (count - 1, dim))
+    case = Case(method, tuple(ops), geometric(limit=1.0, start=2.0, ratio=0.9), x0,
+                StopRule(1e-10, 5000), 0.5 if method == "mt" else 1.0,
+                chorded_path(count) if method == "graph" else None)
+    return run(case, case.ops, solution_residual=oracle), run(case, case.ops, naive=True)
 
 
 def csv_lines(trace):
@@ -697,32 +676,19 @@ def affine_run(method, schedule, stop=StopRule(1e-10, 5000)):
     """(the runner's trace, run_relocated's trace) on an affine problem from
     x0 = 0, each on a fresh schedule()."""
     if method == "dr2":
-        instance = problems.make_problem("affine_random", {"count": 2, "dim": 3}, seed=3)
-        problem = instance.dr_problem()
-        x0 = np.zeros(3)
-        return (dr2.algorithm1_run(problem, schedule(), x0, stop),
-                run_relocated(dr2.dr_family(problem), dr2.dr_relocator(problem), schedule(),
-                              x0, stop))
-    ops = tuple(problems.make_problem("affine_consensus", {"count": 4, "dim": 2}, seed=0).ops)
-    x0 = BlockVector.zeros(3, 2)
-    if method == "mt":
-        problem = mt.MTProblem(ops, theta=0.5)
-        return (mt.algorithm2_run(problem, schedule(), x0, stop),
-                run_relocated(mt.mt_family(problem), mt.mt_relocator(problem), schedule(),
-                              x0, stop))
-    g = chorded_path(4)
-    return (graphs.graph_relocated_run(ops, g, 1.0, schedule(), x0, stop),
-            run_relocated(graphs.graph_family(ops, g, 1.0), graphs.graph_relocator(ops, g),
-                          schedule(), x0, stop))
+        pair = problems.make_problem("affine_random", {"count": 2, "dim": 3}, seed=3).dr_problem()
+        ops, x0 = (pair.op_a, pair.op_b), np.zeros(3)
+    else:
+        ops = tuple(problems.make_problem("affine_consensus", {"count": 4, "dim": 2}, seed=0).ops)
+        x0 = np.zeros((3, 2))
+    case = Case(method, ops, None, x0, stop, 0.5 if method == "mt" else 1.0,
+                chorded_path(4) if method == "graph" else None)
+    return tuple(run(case._replace(schedule=schedule()), ops, naive) for naive in (False, True))
 
 
-#: the moving schedules of the limit relocation tests, each with its twin
-#: that declares no limit: 2 -> 1 geometric, and a list rising from 0.5 to 1
-MOVING = {
-    "geometric": lambda cls=sch.GeometricToLimit: cls(limit=1.0, start=2.0, ratio=0.95),
-    "explicit": lambda cls=sch.ExplicitList: cls([1.0 - 0.5 * 0.95 ** n for n in range(800)]),
-}
-WAITING = {"geometric": WaitingGeometric, "explicit": WaitingList}
+def moving():
+    """The limit relocation tests' moving schedule: 2 -> 1 geometric."""
+    return sch.GeometricToLimit(limit=1.0, start=2.0, ratio=0.95)
 
 
 class TestLimitRelocation:
@@ -730,35 +696,11 @@ class TestLimitRelocation:
     relocates straight onto Fix T at the schedule's limit and holds gamma
     there; the unchanged stop rule decides at the next iteration."""
 
-    @pytest.mark.parametrize("kind", sorted(MOVING))
-    @pytest.mark.parametrize("method", ["dr2", "mt", "graph"])
-    def test_runner_relocates_to_the_limit_as_the_naive_run_does(self, method, kind):
-        schedule = MOVING[kind]
-        trace, naive = affine_run(method, schedule)
-        waiting, _ = affine_run(method, lambda: schedule(WAITING[kind]))
-        tol, limit, jump = 1e-10, schedule().limit, trace.relocated_to_limit_at
-        assert trace.status == naive.status == waiting.status == "converged"
-        # the first residual within tolerance, while gamma still moved
-        assert trace.residuals[jump] <= tol < min(trace.residuals[:jump])
-        assert not StopRule(tol, 1).settled(trace.gammas[jump], waiting.gammas[jump + 1])
-        # the next iteration is a real step at the limit, and the last
-        assert trace.iterations == naive.iterations == jump + 1
-        assert trace.gammas[jump + 1] == trace.final_gamma == limit
-        assert trace.final_residual <= tol
-        assert trace.summary()["relocated_to_limit_at"] == naive.relocated_to_limit_at == jump
-        for a, b in zip(iterate_values(trace), iterate_values(naive)):
-            assert np.max(np.abs(a - b)) <= 1e-12
-        assert naive.gammas == trace.gammas
-        # up to the relocation, the run is row for row the one that waits
-        assert waiting.iterations > trace.iterations
-        assert "relocated_to_limit_at" not in waiting.summary()
-        assert csv_lines(trace)[:jump + 2] == csv_lines(waiting)[:jump + 2]
-
     @pytest.mark.parametrize("method", ["dr2", "mt", "graph"])
     def test_a_budget_at_the_crossing_ends_max_iters(self, method):
-        trace, _ = affine_run(method, MOVING["geometric"])
+        trace, _ = affine_run(method, moving)
         jump = trace.relocated_to_limit_at
-        stopped, naive = affine_run(method, MOVING["geometric"], StopRule(1e-10, jump))
+        stopped, naive = affine_run(method, moving, StopRule(1e-10, jump))
         assert stopped.status == naive.status == "max_iters"
         assert stopped.iterations == jump
         assert stopped.final_residual <= 1e-10

@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import sys
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from conftest import GAMMA_GRID, random_affine
 from relosplit import graphs, linalg, problems, schedules as sch, selftest
 from relosplit.dr2 import dr_relocator_apply
-from relosplit.driver import StopRule, run_relocated
+from relosplit.driver import StopRule
 from relosplit.errors import (
     ConstructionError,
     DimensionError,
@@ -21,7 +20,6 @@ from relosplit.malitsky_tam import (
     algorithm2_run,
     mt_family,
     mt_graph,
-    mt_relocator,
     mt_relocator_apply,
 )
 from relosplit.operators import (
@@ -692,67 +690,21 @@ def test_runs_wrap_one_block_vector_per_relocated_iterate(wrap_calls, n_ops, run
 
 class TestInputRows:
     """The sweep writes each node's input into its operator's input row, where
-    a factored affine resolvent reads it in place. One operator object at
-    two nodes shares one row, and runs are unchanged by it."""
-
-    @staticmethod
-    def csv_bytes(trace):
-        out = io.StringIO()
-        trace.write_csv(out)
-        return out.getvalue()
-
-    def assert_same_run(self, a, b):
-        assert (a.status, a.iterations) == (b.status, b.iterations)
-        assert self.csv_bytes(a) == self.csv_bytes(b)
-        assert [x.data.tobytes() for x in a.iterates] == [x.data.tobytes() for x in b.iterates]
-
-    def cases(self, rng):
-        """(graph, ops, node, shared, runner, its naive family and relocator):
-        the chorded graph with node 5 sharing node 1's operator, and the
-        4-ring as MT with node 3 sharing node 2's."""
-        g = bench_graph()
-        ops = affine_ops(rng, g, dim=3)
-        ops[4] = ops[0]
-        yield (g, ops, 4, 0,
-               lambda ops, schedule, stop: graphs.graph_relocated_run(
-                   ops, g, 1.0, schedule, BlockVector.zeros(5, 3), stop),
-               lambda ops: (graphs.graph_family(ops, g, 1.0), graphs.graph_relocator(ops, g)))
-        ring = mt_graph(4)
-        ops = affine_ops(rng, ring, dim=3)
-        ops[2] = ops[1]
-        yield (ring, ops, 2, 1,
-               lambda ops, schedule, stop: algorithm2_run(
-                   MTProblem(tuple(ops), 0.5), schedule, BlockVector.zeros(3, 3), stop),
-               lambda ops: (mt_family(MTProblem(tuple(ops), 0.5)),
-                            mt_relocator(MTProblem(tuple(ops), 0.5))))
+    a factored affine resolvent reads it in place; one object at two nodes
+    shares one row. test_differential checks that runs are unchanged by it."""
 
     def test_one_operator_at_two_nodes_shares_its_row(self, rng):
-        for g, ops, node, shared, _, _ in self.cases(rng):
+        # the chorded graph with node 5 sharing node 1's operator, and the
+        # 4-ring with node 3 sharing node 2's
+        for g, node, shared in ((bench_graph(), 4, 0), (mt_graph(4), 2, 1)):
+            ops = affine_ops(rng, g, dim=3)
+            ops[node] = ops[shared]
             rows = [node_i[3] for node_i in graphs.sweep_workspace(ops, g)[3]]
             assert rows[node] is rows[shared]
             assert np.shares_memory(rows[node], ops[shared]._factors.xa)
             assert not any(np.shares_memory(rows[i], rows[j])
                            for i in range(len(ops)) for j in range(i)
                            if {i, j} != {node, shared})
-
-    @pytest.mark.parametrize("schedule", [sch.GeometricToLimit(1.0, 2.0, 0.9),
-                                          sch.AdaptiveKappa(1.0)],
-                             ids=["geometric", "adaptive"])
-    def test_shared_operator_runs_as_equal_distinct_ones(self, rng, schedule):
-        stop = StopRule(residual_tol=1e-10, max_iters=400)
-        for _, ops, node, shared, run, family_and_relocator in self.cases(rng):
-            distinct = list(ops)
-            distinct[node] = AffineMonotone(ops[shared].matrix, ops[shared].offset)
-            trace = run(ops, schedule, stop)
-            assert trace.iterations > 20
-            self.assert_same_run(trace, run(distinct, schedule, stop))
-            # a second run on the same objects finds their rows as the first left them
-            self.assert_same_run(trace, run(ops, schedule, stop))
-            naive = run_relocated(*family_and_relocator(ops), schedule,
-                                  trace.iterates[0], stop)
-            assert naive.iterations == trace.iterations
-            for a, b in zip(trace.iterates, naive.iterates):
-                assert np.max(np.abs(a.data - b.data)) <= 1e-12
 
 
 class TestLipschitzBound:
@@ -836,17 +788,6 @@ class TestAffineOracle:
 
 
 class TestGraphRelocatedRun:
-    def test_constant_schedule_is_plain_graph_dr(self, rng):
-        g = mt_graph(3)
-        ops = affine_ops(rng, g)
-        x0 = BlockVector(rng.standard_normal((2, 2)))
-        trace = graphs.graph_relocated_run(ops, g, 1.0, sch.Constant(1.0), x0,
-                                           StopRule(residual_tol=1e-13, max_iters=40))
-        x = x0
-        for n, iterate in enumerate(trace.iterates):
-            assert np.max(np.abs(iterate.data - x.data)) <= 1e-12, f"n={n}"
-            x, _ = graphs.graph_dr_apply(ops, g, 1.0, 1.0, x)
-
     def test_normal_cone_points_consensus_in_one_sweep(self, rng):
         g = mt_graph(3)
         p = rng.standard_normal(2)
@@ -872,76 +813,6 @@ class TestGraphRelocatedRun:
         z_final = trace.points[-1].reshape(3, 2)
         for block in z_final:
             assert np.linalg.norm(block - z_star) <= 1e-6
-
-    def test_matches_generic_driver(self, rng):
-        # the chorded path and the adaptive schedule reach the reuse of the
-        # feedback resolvent inside the relocation. The step's carried z_1 is
-        # the scaling identity's value, equal to the naive run's fresh
-        # resolvent up to rounding, so adaptive stepsizes agree to 1e-12
-        for g in (mt_graph(4), chorded_path(5)):
-            ops = affine_ops(rng, g)
-            x0 = BlockVector(rng.standard_normal((g.n_nodes - 1, 2)))
-            stop = StopRule(residual_tol=1e-14, max_iters=30)
-            for schedule in (sch.ExplicitList([2.0, 1.0, 1.4, 0.9, 1.0]),
-                             sch.AdaptiveKappa(1.0)):
-                direct = graphs.graph_relocated_run(ops, g, 0.8, schedule, x0, stop)
-                naive = run_relocated(graphs.graph_family(ops, g, 0.8),
-                                      graphs.graph_relocator(ops, g), schedule, x0, stop)
-                assert direct.status == naive.status
-                if schedule.is_adaptive:
-                    assert direct.gammas == pytest.approx(naive.gammas, abs=1e-12)
-                else:
-                    assert direct.gammas == naive.gammas
-                assert len(direct.iterates) == len(naive.iterates)
-                for a, b in zip(direct.iterates, naive.iterates):
-                    assert np.max(np.abs(a.data - b.data)) <= 1e-12
-
-    @pytest.mark.parametrize("runner", ["graph", "mt_naive"])
-    def test_one_operator_object_at_two_nodes(self, rng, runner):
-        # the affine kind keeps scratch buffers between calls, so a run that
-        # calls one object at nodes 1 and 3 must give the bytes of a run on
-        # two equal but distinct operators. The graph runner writes every
-        # result into a row of its own; the naive MT step keeps z_1, as
-        # returned, over the calls at nodes 2 to N
-        g = chorded_path(5) if runner == "graph" else mt_graph(5)
-        shared = random_affine(rng, 3)
-        others = affine_ops(rng, g, dim=3)
-        x0 = BlockVector(rng.standard_normal((4, 3)))
-        stop = StopRule(residual_tol=1e-14, max_iters=40)
-
-        def run(ops, schedule):
-            if runner == "graph":
-                return graphs.graph_relocated_run(ops, g, 1.0, schedule, x0, stop)
-            problem = MTProblem(ops, 0.5)
-            return run_relocated(mt_family(problem), mt_relocator(problem),
-                                 schedule, x0, stop)
-
-        for schedule in (sch.ExplicitList([2.0, 1.0, 1.4, 0.9, 1.0]), sch.AdaptiveKappa(1.0)):
-            one, two = (run([shared, others[1], third, others[3], others[4]], schedule)
-                        for third in (shared, AffineMonotone(shared.matrix, shared.offset)))
-            assert one.status == two.status and one.gammas == two.gammas
-            assert len(one.iterates) == len(two.iterates) > 5
-            for a, b in zip(one.iterates, two.iterates):
-                assert a.data.tobytes() == b.data.tobytes()
-            for a, b in zip(one.points, two.points):
-                assert a.tobytes() == b.tobytes()
-
-    def test_resolvent_counts(self, rng):
-        # N resolvents per iteration: every operator is called once per
-        # recorded iteration, A_1 in the relocation; an adaptive run's
-        # stopping iteration pays one more A_1 for its feedback
-        g = chorded_path(5)
-        stop = StopRule(residual_tol=1e-10, max_iters=3000)
-        for schedule in (sch.Constant(1.0),
-                         sch.GeometricToLimit(limit=1.0, start=2.0, ratio=0.9),
-                         sch.AdaptiveKappa(1.0)):
-            ops = [CountingOperator(op) for op in affine_ops(rng, g)]
-            trace = graphs.graph_relocated_run(ops, g, 1.0, schedule,
-                                               BlockVector.zeros(4, 2), stop)
-            assert trace.status == "converged"
-            calls = trace.iterations + 1
-            first = calls + 1 if schedule.is_adaptive else calls
-            assert [op.calls for op in ops] == [first] + [calls] * (g.n_nodes - 1)
 
     def test_x0_block_dimension_checked_before_any_resolvent(self, rng):
         g = chorded_path(4)

@@ -200,16 +200,6 @@ class TestMTLipschitz:
 
 
 class TestAlgorithm2:
-    def test_constant_schedule_reduces_to_classical_mt(self, rng):
-        problem = affine_problem(rng, 4)
-        x0 = BlockVector(rng.standard_normal((3, 2)))
-        trace = mt.algorithm2_run(problem, sch.Constant(1.0), x0,
-                                  StopRule(residual_tol=1e-15, max_iters=60))
-        x = x0
-        for n, iterate in enumerate(trace.iterates):
-            assert np.max(np.abs(iterate.data - x.data)) <= 1e-12, f"n={n}"
-            x, _ = mt.mt_apply(problem, 1.0, x)
-
     def test_n2_neglog_shadow_converges(self):
         # scalar oracle: the shadow z-blocks approach the solution z = 1 along
         # the moving stepsize (the schedule declares no limit to relocate to)
@@ -234,50 +224,6 @@ class TestAlgorithm2:
         z_final = trace.points[-1].reshape(4, 3)
         for block in z_final:
             assert np.linalg.norm(block - mean) <= 1e-6
-
-    def test_matches_run_relocated_per_iterate(self, rng):
-        for n in (2, 3, 5):
-            problem = affine_problem(rng, n)
-            x0 = BlockVector(rng.standard_normal((n - 1, 2)))
-            stop = StopRule(residual_tol=1e-14, max_iters=40)
-            for schedule in (sch.GeometricToLimit(limit=1.0, start=2.0, ratio=0.5),
-                             sch.ExplicitList([2.0, 0.7, 1.3, 1.0]),
-                             sch.AdaptiveKappa(1.0)):
-                eff = mt.algorithm2_run(problem, schedule, x0, stop)
-                naive = run_relocated(mt.mt_family(problem), mt.mt_relocator(problem),
-                                      schedule, x0, stop)
-                assert eff.status == naive.status
-                assert len(eff.iterates) == len(naive.iterates)
-                for a, b in zip(eff.iterates, naive.iterates):
-                    assert np.max(np.abs(a.data - b.data)) <= 1e-12
-
-    def test_n_resolvents_per_iteration(self, rng):
-        counted = [CountingOperator(random_affine(rng, 2)) for _ in range(4)]
-        problem = mt.MTProblem(tuple(counted), theta=0.5)
-        schedule = sch.GeometricToLimit(limit=1.0, start=2.0, ratio=0.5)
-        x0 = BlockVector(rng.standard_normal((3, 2)))
-        trace = mt.algorithm2_run(problem, schedule, x0,
-                                  StopRule(residual_tol=1e-15, max_iters=25))
-        iterations = trace.iterations
-        # A_1: one call at start-up plus one per completed iteration
-        assert counted[0].calls == iterations + 1
-        # A_2..A_N: one call per sweep, i.e. per recorded iteration
-        for op in counted[1:]:
-            assert op.calls == iterations + 1
-
-    def test_adaptive_resolvent_counts(self, rng):
-        # the stop test of the last iteration, a budget stop included, needs
-        # one feedback resolvent of A_1
-        for max_iters, status in ((5000, "converged"), (7, "max_iters")):
-            counted = [CountingOperator(random_affine(rng, 2)) for _ in range(4)]
-            problem = mt.MTProblem(tuple(counted), theta=0.5)
-            trace = mt.algorithm2_run(problem, sch.AdaptiveKappa(1.0),
-                                      BlockVector(rng.standard_normal((3, 2))),
-                                      StopRule(residual_tol=1e-10, max_iters=max_iters))
-            assert trace.status == status
-            assert counted[0].calls == trace.iterations + 2
-            for op in counted[1:]:
-                assert op.calls == trace.iterations + 1
 
     def test_shadow_identity(self, rng):
         # the carried-over z^1 equals J_{gamma_n A_1} x_n^1 recomputed
