@@ -129,7 +129,7 @@ def dr_relocator(problem):
 def _record_dr(sweep, w):
     """dr2's trace entry: the shadow z and the columns z, y, w."""
     z, y = sweep
-    return {"shadow": z, "vectors": {"z": z, "y": y, "w": w}}
+    return z, {"z": z, "y": y, "w": w}
 
 
 def algorithm1_run(problem, schedule, x0, stop, solution_residual=None):

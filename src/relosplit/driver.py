@@ -103,7 +103,8 @@ class OperatorFamily:
     """A stepsize-parametrized family (T_gamma) of averaged operators.
 
     apply(gamma, x) returns (T_gamma x, aux) where aux is a dict that may
-    name the monitored shadow point under "shadow". feedback(gamma, w), when
+    name the monitored shadow point under "shadow" and a dict of vectors to
+    record under "vectors". feedback(gamma, w), when
     provided, computes the pair (z, w_ref) fed to the adaptive stepsize
     rule. stepsize_free declares that T_gamma is the same operator at every
     gamma > 0 (its fixed-point set does not move), so run_relocated stops
@@ -186,9 +187,9 @@ class _PointColumn(Sequence):
 @dataclass
 class ConvergenceTrace:
     """Per-iteration record of a run, a table: every row carries row 0's
-    fields (its scalar keys, its vector keys, and a point exactly when row 0
-    had one), so every series is as long as the trace, and its point and
-    vectors have row 0's lengths, so every row fills the CSV header.
+    fields (its vector keys, and a point exactly when row 0 had one), so
+    every series is as long as the trace, and its point and vectors have
+    row 0's lengths, so every row fills the CSV header.
 
     residuals[n] is ||x_n - T_{gamma_n} x_n||; points[n] holds the flattened
     monitored (shadow) point when the family produces one. iterates keeps the
@@ -201,9 +202,9 @@ class ConvergenceTrace:
     indexing the column. It is nan without an oracle. The oracle is handed
     the flat copy that record keeps, and an error it raises comes from the
     read, not from the run. point_columns names further columns of that
-    kind: extra_scalars[name][n] is fn(points[n]), computed as it is read,
-    and they follow the recorded scalars in extra_scalars and in the CSV
-    (the graph runners' consensus_residual).
+    kind: extra_scalars[name][n] is fn(points[n]), computed as it is read
+    (the graph runners' consensus_residual). extra_scalars holds these
+    columns only; a row records no scalars of its own.
     """
 
     gammas: list = field(default_factory=list)
@@ -227,45 +228,42 @@ class ConvergenceTrace:
     #: name -> function of a recorded point: the extra scalar columns
     #: computed where they are read
     point_columns: dict = field(default_factory=dict)
-    #: row 0's signature: its scalar keys, its point length (None without a
-    #: point) and its vector lengths by key
+    #: row 0's signature: its point length (None without a point) and its
+    #: vector lengths by key
     _row0: tuple = field(default=None, init=False, repr=False)
 
-    def record(self, gamma, residual, point=None, iterate=None, scalars=None, vectors=None):
-        """Append one row: scalars as floats, arrays as flat copies.
+    def record(self, gamma, residual, point=None, iterate=None, vectors=None):
+        """Append one row: arrays as flat copies.
 
-        A row whose signature (scalar keys, point length, vector lengths by
-        key) is not row 0's is refused by a ParameterError naming it, and
-        nothing of it is recorded; the order of its keys is free. The point
-        is copied once, and a vector that is the point object itself is
-        recorded as that copy, so write_csv formats it once. The iterate is
-        kept as given.
+        A row whose signature (point length, vector lengths by key) is not
+        row 0's is refused by a ParameterError naming it, and nothing of it
+        is recorded; the order of its keys is free. The point is copied
+        once, and a vector that is the point object itself is recorded as
+        that copy, so write_csv formats it once. These copies are the only
+        ones, so a point or vector may be a buffer its caller overwrites
+        next. The iterate is kept as given.
         """
-        scalars = scalars or {}
         flat = None if point is None else _values(point).flatten()
-        flats, sizes = {}, {}
+        flats = {}
         if vectors:
             for key, value in vectors.items():
-                value = flat if flat is not None and value is point else _values(value).flatten()
-                flats[key], sizes[key] = value, value.size
-        signature = (scalars.keys(), None if flat is None else flat.size, sizes)
+                flats[key] = (flat if flat is not None and value is point
+                              else _values(value).flatten())
+        signature = (None if flat is None else flat.size,
+                     {key: value.size for key, value in flats.items()})
         if not self.residuals:
-            self.extra_scalars = {key: [] for key in scalars}
-            self.extra_scalars.update((key, _PointColumn(self.points, fn))
-                                      for key, fn in self.point_columns.items())
+            self.extra_scalars = {key: _PointColumn(self.points, fn)
+                                  for key, fn in self.point_columns.items()}
             self.extra_vectors = {key: [] for key in flats}
-            self._row0 = (frozenset(scalars), *signature[1:])
+            self._row0 = signature
         elif signature != self._row0:
             raise ParameterError(
-                f"trace row {len(self)} has other fields than row 0 (point length, scalars, "
-                f"vector lengths): {(signature[1], list(scalars), signature[2])}, not "
-                f"{(self._row0[1], list(self.extra_scalars), self._row0[2])}")
+                f"trace row {len(self)} has other fields than row 0 (point length, "
+                f"vector lengths): {signature}, not {self._row0}")
         self.gammas.append(float(gamma))
         self.residuals.append(float(residual))
         self.points.append(flat)
         self.iterates.append(iterate)
-        for key, value in scalars.items():
-            self.extra_scalars[key].append(float(value))
         for key, value in flats.items():
             self.extra_vectors[key].append(value)
 
@@ -332,12 +330,12 @@ class ConvergenceTrace:
         """
         header, point_dim = self._csv_header()
         point_format = ",".join(["%.17g"] * point_dim)
-        scalars = list(self.extra_scalars.values())
+        columns = [series.at for series in self.extra_scalars.values()]
         vectors = [(series, ",".join(["%.17g"] * len(series[0])))
                    for series in self.extra_vectors.values()]
         # the point and each vector enter the row as one preformatted field
         row_format = ("%d,%.17g,%.17g,%.17g" + ",%s" * (point_dim > 0)
-                      + ",%.17g" * len(scalars) + ",%s" * len(vectors) + "\r\n")
+                      + ",%.17g" * len(columns) + ",%s" * len(vectors) + "\r\n")
 
         solution_residual = self.solution_residuals.at
 
@@ -348,9 +346,8 @@ class ConvergenceTrace:
                 if point_dim:
                     point_text = point_format % tuple(_floats(point))
                     row.append(point_text)
-                for series in scalars:
-                    row.append(series.at(point) if type(series) is _PointColumn
-                               else series[n])
+                for column in columns:
+                    row.append(column(point))
                 for series, vector_format in vectors:
                     # only a row with a point can share it with a vector (see record)
                     row.append(point_text if series[n] is point
@@ -380,9 +377,11 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
     from a BlockVector keeps BlockVectors in trace.iterates and final_x at
     the cost of one BlockVector._wrap per relocation.
 
-    * step(gamma, x, carry) -> (T_gamma x, aux). aux may name the monitored
-      "shadow" point and extra "scalars"/"vectors" to record. carry is what
-      the previous relocate handed on (None at n = 0).
+    * step(gamma, x, carry) -> (T_gamma x, shadow, vectors): the monitored
+      point, or None to monitor x, and a dict of vectors to record, or
+      None. The trace copies both (see ConvergenceTrace.record), so they
+      may be buffers the next step overwrites. carry is what the previous
+      relocate handed on (None at n = 0).
     * feedback(gamma, w) -> (pair, pre), called only for adaptive schedules:
       pair is the (z, w_ref) fed to the schedule, pre the resolvent of w
       that it evaluated, passed on to relocate (None otherwise).
@@ -452,14 +451,11 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
     # finiteness test, which reports it as "diverged"
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(max_iters + 1):
-            w, aux = step(gamma, x, carry)
+            w, shadow, vectors = step(gamma, x, carry)
             # ambient_norm's arithmetic on a fresh C-ordered difference
             gap = (x - w).ravel()
             residual = math.sqrt(gap.dot(gap))
-            shadow = aux.get("shadow")
-            monitored = shadow if shadow is not None else x
-            record(gamma, residual, point=monitored,
-                   iterate=iterate, scalars=aux.get("scalars"), vectors=aux.get("vectors"))
+            record(gamma, residual, x if shadow is None else shadow, iterate, vectors)
 
             pair, pre = feedback(gamma, w) if adaptive else (None, None)
             gamma_next = gamma_at(n + 1, feedback=pair)
@@ -521,7 +517,7 @@ def run_relocated(family, relocator, schedule, x0, stop, solution_residual=None)
 
     def step(gamma, x, carry):
         w, aux = family.apply(gamma, wrap(x))
-        return _values(w), aux
+        return _values(w), aux.get("shadow"), aux.get("vectors")
 
     def feedback(gamma, w):
         z_fb, w_fb = family.feedback(gamma, wrap(w))

@@ -248,16 +248,17 @@ def graph_z_sweep(ops, g, gamma, x, z1=None, work=None):
     terms once each, so the two paths give the same bytes.
 
     Without work, gamma, x and z1 are checked here, once, the workspace is
-    built for this call, and the result is a BlockVector. work, a
+    built for this call, and the result is a BlockVector of its own. work, a
     sweep_workspace of ops and g, is a runner's: its sweep checks nothing,
     so the runner vouches for a float gamma > 0, which may be inf once
     scaled, a float (N - 1, d) array x and a float z1 of R^d, and the
-    result is the read-only (N, d) array itself. An iterate or a stepsize
-    that has overflowed then yields a non-finite sweep, which the runners'
-    loop reports as "diverged". The resolvents are called with check=False
-    either way. A sweep writes its operators' input rows, so it is not
-    reentrant: two sweeps on one workspace, or on operators they share,
-    must not overlap.
+    result is the workspace's own (N, d) z rows, valid until the next sweep
+    on that workspace: a caller that keeps a sweep copies it. An iterate or
+    a stepsize that has overflowed then yields a non-finite sweep, which
+    the runners' loop reports as "diverged". The resolvents are called with
+    check=False either way. A sweep writes its operators' input rows, so it
+    is not reentrant: two sweeps on one workspace, or on operators they
+    share, must not overlap.
     """
     checked = work is None
     if checked:
@@ -268,15 +269,8 @@ def graph_z_sweep(ops, g, gamma, x, z1=None, work=None):
             if z1.size != x.shape[1]:
                 raise DimensionError(f"z1 must lie in R^{x.shape[1]}, got dimension {z1.size}")
         work = sweep_workspace(ops, g)
-    n = g.n_nodes
-    buf, z_rows, kx_rows, nodes = work
-    # the result is allocated first and the z rows are copied into it: no
-    # writable base is left behind, and a buffer allocated for the call, the
-    # newest heap block, is freed on return. A view of the buffer, or a copy
-    # allocated after it, left the heap more fragmented (peak RSS +0.2 to
-    # +0.8 MB on graph-affine)
-    z = np.empty((n, x.shape[1]))
-    if z1 is not None and n == 2:
+    buf, z, kx_rows, nodes = work
+    if z1 is not None and g.n_nodes == 2:
         resolvent, d_2, _, input_2, _ = nodes[1]
         z[0], z[1] = z1, x[0]
         g.matrices.handoff_row.dot(z, out=input_2)
@@ -287,16 +281,14 @@ def graph_z_sweep(ops, g, gamma, x, z1=None, work=None):
         # weight times an entry an earlier sweep left is nan where that
         # entry is not finite, and may carry its sign into a zero input.
         # The node's own share comes last in its row, after every z term
-        z_rows.fill(0.0)
+        z.fill(0.0)
         np.dot(g.matrices.Kx, x, out=kx_rows)
         if z1 is not None:
             buf[0], nodes = z1, nodes[1:]
         for resolvent, d_i, row_i, input_i, out in nodes:
             row_i.dot(buf, out=input_i)
             resolvent(gamma / d_i, input_i, check=False, out=out)
-        z[:] = z_rows
-    z.setflags(write=False)
-    return BlockVector._wrap(z) if checked else z
+    return BlockVector._wrap(z.copy()) if checked else z
 
 
 def graph_dr_apply(ops, g, gamma, theta, x):
@@ -348,7 +340,7 @@ def consensus_columns(g):
 
 
 def _record_sweep(z, w):
-    return {"shadow": z}
+    return z, None
 
 
 def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep, vector=False):
@@ -369,8 +361,9 @@ def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep, vector=False
     The hooks take and return plain float arrays, as relocated_loop carries
     them: the iterate is an (N - 1, d) array or, with vector=True on the
     2-node graph, dr2's plain (d,) vector, and the step's sweep is the
-    read-only (N, d) array of graph_z_sweep. The loop makes the one
-    BlockVector of each relocated iterate that the trace keeps.
+    workspace's (N, d) z rows, which the next step overwrites; the trace's
+    record copies them. The loop makes the one BlockVector of each
+    relocated iterate that the trace keeps.
 
     Nothing is checked after the runner's entry. The hooks build one
     sweep_workspace for the run and hand the step's sweep the (scaled)
@@ -384,7 +377,8 @@ def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep, vector=False
     sweep. Since the workspace and the operators' input rows are written
     by every step, the hooks of one run are not reentrant.
 
-    record(z, w) builds the step's trace entry from the sweep and T x.
+    record(z, w) returns the step's (shadow, vectors) for the trace from the
+    sweep and T x: the monitored point and a dict of vectors, or None.
 
     What is fixed for the run is decided here, once: the shape of the
     iterate, and which array coefficients are exactly 1 and so are not
@@ -424,7 +418,7 @@ def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep, vector=False
         z = graph_z_sweep(ops, g, gamma, point, z1, work=work)
         disagreement = z_t.dot(z)
         w = x - disagreement if unit_theta else x - theta * disagreement
-        return w, record(z, w)
+        return (w, *record(z, w))
 
     def feedback(gamma, w):
         z1, u = first(gamma, w)

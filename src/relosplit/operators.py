@@ -263,6 +263,13 @@ class AffineMonotone(MonotoneOperator):
             self._factors = _eigen_factors(self.matrix, self.offset)
         return self._factors.x if self._factors else np.empty(self.dim)
 
+    def __getstate__(self):
+        # copy and pickle copy each array of the factors on its own, which
+        # cuts x, num, den and num_real loose from the xa and t that a call
+        # writes: a copy would return its original's last result. So a copy
+        # leaves the factors out and builds its own on first use
+        return {**self.__dict__, "_factors": None}
+
     def _resolvent(self, gamma, x):
         return self._resolvent_into(gamma, x, np.empty(self.dim))
 

@@ -1,10 +1,14 @@
-"""The benchmark's layer tracer still sees the library's layers.
+"""The benchmark still runs on the library, and its tracer still sees the
+library's layers.
 
-perfbench/tracer.py counts calls by wrapping public names of relosplit from
-outside. A refactor that stops calling a wrapped name (say, a runner that
-bypasses ``MonotoneOperator.resolvent``) would make the per-layer counts read
-0 without any error. These tests install the tracer, run a tiny solve and
-pin the counts the paper's cost model predicts.
+perfbench/workloads.py builds, solves and checks each workload through the
+library's public names, and perfbench/tracer.py counts calls by wrapping
+them from outside. A refactor that renames what a workload uses would stop
+the benchmark, and one that stops calling a wrapped name (say, a runner that
+bypasses ``MonotoneOperator.resolvent``) would make the per-layer counts
+read 0 without any error. These tests run the tiny workloads through their
+own checks, install the tracer, run a tiny solve and pin the counts the
+paper's cost model predicts.
 """
 
 import os
@@ -15,18 +19,60 @@ import pytest
 import relosplit as rs
 import relosplit.cli  # noqa: F401  the tracer wraps cli functions as well
 
-TRACER_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                           "perfbench", "tracer.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+
+def _from_source(monkeypatch, name):
+    """The namespace of perfbench/<name>.py, executed from source, so
+    nothing is written under perfbench/."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = os.path.join(PERFBENCH, f"{name}.py")
+    namespace = {"__name__": f"perfbench_{name}", "__file__": path}
+    with open(path) as fh:
+        exec(compile(fh.read(), path, "exec"), namespace)
+    return namespace
 
 
 @pytest.fixture
 def tracer_module(monkeypatch):
-    # executed from source, so nothing is written under perfbench/
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    namespace = {"__name__": "perfbench_tracer", "__file__": TRACER_PATH}
-    with open(TRACER_PATH) as fh:
-        exec(compile(fh.read(), TRACER_PATH, "exec"), namespace)
-    return namespace
+    return _from_source(monkeypatch, "tracer")
+
+
+@pytest.fixture
+def workloads_module(monkeypatch):
+    return _from_source(monkeypatch, "workloads")
+
+
+def _checked(workload, staged):
+    """The failures of each instance of a workload, solved as the benchmark
+    solves it."""
+    built = workload.build(rs, staged)
+    outcomes = [outcome for unit in workload.units(built)
+                for outcome in workload.outcomes(rs, unit, workload.solve(rs, unit))]
+    return outcomes, workload.check(rs, built, outcomes)
+
+
+@pytest.mark.parametrize("name", ["ring-box", "graph-affine", "cli-dr2"])
+def test_tiny_workloads_pass_their_checks(workloads_module, tmp_path, name):
+    # cli-dr2 writes its configs, traces and summaries into tmp_path
+    workload = workloads_module["make_workload"](name, tiny=True)
+    outcomes, failures = _checked(workload, workload.stage(workload.generate(3), str(tmp_path)))
+    assert len(outcomes) == len(failures) == workload.count
+    assert failures == [[]] * workload.count
+
+
+def test_a_perturbed_iterate_fails_the_ring_box_check(workloads_module):
+    # as perfbench/smoke.py perturbs it: 1e-9 on one entry of iterate 5
+    class PerturbedRing(workloads_module["RingBox"]):
+        def solve(self, rs, item):
+            trace = super().solve(rs, item)
+            trace.iterates[5] = rs.BlockVector(trace.iterates[5].data + 1e-9)
+            return trace
+
+    workload = PerturbedRing(tiny=True)
+    _, failures = _checked(workload, workload.generate(3))
+    assert failures[0] == ["iterate 5 differs from the naive run by 1.000e-09"]
 
 
 def _bindings():

@@ -60,8 +60,9 @@ def check(case):
     gamma. Returns the runner's trace."""
     counted = {id(op): CountingOperator(op) for op in case.ops}
     ops = tuple(counted[id(op)] for op in case.ops)
-    # the affine kind alone keeps buffers; each is rebuilt on its own arrays,
-    # as a deep copy's runs were not byte-equal to the original's
+    # the affine kind alone keeps buffers; each node gets an object of its
+    # own, rebuilt on the same arrays (a deep copy would keep one object at
+    # two nodes)
     distinct = (tuple(AffineMonotone(op.matrix, op.offset) if isinstance(op, AffineMonotone)
                       else op for op in case.ops) if len(counted) < len(ops) else None)
     with warnings.catch_warnings():

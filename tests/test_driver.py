@@ -221,10 +221,8 @@ class TestConvergenceTrace:
             assert float(row["z_0"]) == v
 
     def test_csv_header_order(self):
-        trace = ConvergenceTrace()
-        trace.record(1.0, 0.5, point=np.array([1.0]),
-                     scalars={"consensus_residual": 0.1},
-                     vectors={"z": np.array([1.0, 2.0])})
+        trace = ConvergenceTrace(point_columns={"consensus_residual": lambda point: 0.1})
+        trace.record(1.0, 0.5, point=np.array([1.0]), vectors={"z": np.array([1.0, 2.0])})
         buffer = io.StringIO()
         trace.write_csv(buffer)
         header = buffer.getvalue().splitlines()[0]
@@ -264,13 +262,16 @@ def reference_csv(trace):
 class TestCsvFormat:
     def test_exact_text(self):
         tiny, huge, third = 5e-324, 1.7976931348623157e308, 1.0 / 3.0
-        trace = ConvergenceTrace()
+        # each row's two point columns, by the bytes of its point
+        columns = {np.array([math.inf, -math.inf]).tobytes(): (tiny, third),
+                   np.array([math.nan, 0.0]).tobytes(): (-math.inf, math.nan)}
         # no oracle: the solution_residual column reads nan
+        trace = ConvergenceTrace(point_columns={
+            "a,b": lambda point: columns[point.tobytes()][0],
+            "bound": lambda point: columns[point.tobytes()][1]})
         trace.record(0.0, -0.0, point=np.array([math.inf, -math.inf]),
-                     scalars={"a,b": tiny, "bound": third},
                      vectors={"u": np.array([huge]), "v": np.array([-0.0, third])})
         trace.record(third, tiny, point=np.array([math.nan, 0.0]),
-                     scalars={"a,b": -math.inf, "bound": math.nan},
                      vectors={"u": np.array([0.0]), "v": np.array([1.0, -huge])})
         buffer = io.StringIO()
         trace.write_csv(buffer)
@@ -411,9 +412,9 @@ class TestPointColumns:
         column = CountingOracle()
         trace = ConvergenceTrace(point_columns={"c": column})
         for n in range(3):
-            trace.record(1.0, 0.5, point=np.array([0.0, n]), scalars={"a": 7.0})
+            trace.record(1.0, 0.5, point=np.array([0.0, n]))
         assert column.calls == 0
-        assert list(trace.extra_scalars) == ["a", "c"]
+        assert list(trace.extra_scalars) == ["c"]
         assert len(trace.extra_scalars["c"]) == 3 and column.calls == 0
         assert trace.extra_scalars["c"][-1] == 2.0 and column.calls == 1
         buffer = io.StringIO()
@@ -421,7 +422,7 @@ class TestPointColumns:
         assert column.calls == 4
         rows = list(csv.reader(io.StringIO(buffer.getvalue())))
         assert rows[0] == ["n", "gamma", "residual", "solution_residual", "point_0",
-                           "point_1", "a", "c"]
+                           "point_1", "c"]
         assert [row[-1] for row in rows[1:]] == ["0", "1", "2"]
         assert trace.extra_scalars["c"][:] == [0.0, 1.0, 2.0]
 
@@ -473,37 +474,32 @@ class TestRecord:
 
     def test_a_row_with_its_keys_in_another_order_lands_in_row_0s_columns(self):
         trace = ConvergenceTrace()
-        trace.record(1.0, 0.5, point=np.array([1.0]), scalars={"a": 1.0, "b": 2.0},
+        trace.record(1.0, 0.5, point=np.array([1.0]),
                      vectors={"u": np.array([3.0]), "v": np.array([4.0, 5.0])})
-        trace.record(1.0, 0.25, point=np.array([6.0]), scalars={"b": 8.0, "a": 7.0},
+        trace.record(1.0, 0.25, point=np.array([6.0]),
                      vectors={"v": np.array([10.0, 11.0]), "u": np.array([9.0])})
-        assert list(trace.extra_scalars) == ["a", "b"]
-        assert trace.extra_scalars == {"a": [1.0, 7.0], "b": [2.0, 8.0]}
         assert list(trace.extra_vectors) == ["u", "v"]
         assert [v.tolist() for v in trace.extra_vectors["u"]] == [[3.0], [9.0]]
         assert [v.tolist() for v in trace.extra_vectors["v"]] == [[4.0, 5.0], [10.0, 11.0]]
         buffer = io.StringIO()
         trace.write_csv(buffer)
         assert buffer.getvalue() == reference_csv(trace)
-        assert buffer.getvalue().splitlines()[2] == "1,1,0.25,nan,6,7,8,9,10,11"
+        assert buffer.getvalue().splitlines()[2] == "1,1,0.25,nan,6,9,10,11"
 
     @pytest.mark.parametrize("first, second", [
         ({"vectors": {"z": np.array([1.0])}}, {}),
-        ({"scalars": {"a": 1.0}}, {"scalars": {"a": 1.0, "b": 2.0}}),
-        ({"scalars": {"a": 1.0}}, {"scalars": {"b": 1.0}}),
         ({"point": np.array([1.0])}, {}),
         ({}, {"point": np.array([1.0])}),
         ({"point": np.array([1.0, 2.0])}, {"point": np.array([1.0, 2.0, 3.0])}),
         ({"vectors": {"v": np.array([1.0])}}, {"vectors": {"v": np.array([1.0, 2.0])}}),
-    ], ids=["vector-left-out", "scalar-added", "scalar-renamed", "point-left-out",
-            "point-added", "point-longer", "vector-longer"])
+    ], ids=["vector-left-out", "point-left-out", "point-added", "point-longer",
+            "vector-longer"])
     def test_a_row_with_other_fields_is_refused(self, first, second):
         trace = ConvergenceTrace()
         trace.record(1.0, 0.5, **first)
         with pytest.raises(ParameterError, match="^trace row 1 has other fields than row 0"):
             trace.record(1.0, 0.25, **second)
         assert len(trace) == 1
-        assert all(len(series) == 1 for series in trace.extra_scalars.values())
         assert all(len(series) == 1 for series in trace.extra_vectors.values())
         # the refused row left nothing behind: the table is still whole
         buffer = io.StringIO()

@@ -1,10 +1,11 @@
 import dataclasses
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import GAMMA_GRID, random_affine
+from conftest import GAMMA_GRID, Case, random_affine, run as run_case
 from relosplit import graphs, linalg, problems, schedules as sch, selftest
 from relosplit.dr2 import dr_relocator_apply
 from relosplit.driver import StopRule
@@ -380,8 +381,9 @@ class TestSweepRows:
 
 class TestSweepWorkspace:
     """A runner's sweep writes into the one sweep_workspace of its run, sweep
-    after sweep, and checks nothing; every sweep gives the bytes of the
-    public, checked sweep, whatever the buffer held before."""
+    after sweep, checks nothing and returns the workspace's own z rows; every
+    sweep gives the bytes of the public, checked sweep, whatever the buffer
+    held before."""
 
     def boxes(self, rng, n, dim=4):
         # boxes around 0: a clip keeps a signed zero of its input
@@ -419,11 +421,71 @@ class TestSweepWorkspace:
             for gamma, x, z1 in self.sweeps(rng, g, ops, scale):
                 swept = graphs.graph_z_sweep(ops, g, gamma, x, z1, work=work)
                 checked = graphs.graph_z_sweep(ops, g, gamma, BlockVector(x), z1)
-                # a runner's sweep is the plain array, the checked one a BlockVector
-                assert type(swept) is np.ndarray
+                # a runner's sweep is the workspace's z rows, the checked one
+                # a BlockVector of its own
+                assert swept is work[1]
                 assert swept.tobytes() == checked.data.tobytes()
-                assert not swept.flags.writeable
-                assert not np.shares_memory(swept, work[0])
+                assert not np.shares_memory(checked.data, work[0])
+
+    def test_a_workspace_sweep_allocates_no_array(self, rng):
+        # numpy reports each array's data to tracemalloc in a domain of its
+        # own, so the filter keeps arrays and drops Python objects
+        arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+        for g, ops, scale in self.cases(rng):
+            work = graphs.sweep_workspace(ops, g)
+            sweeps = list(self.sweeps(rng, g, ops, scale))
+            tracemalloc.start()
+            try:
+                for gamma, x, z1 in sweeps:
+                    before = tracemalloc.take_snapshot().filter_traces(arrays)
+                    swept = graphs.graph_z_sweep(ops, g, gamma, x, z1, work=work)
+                    after = tracemalloc.take_snapshot().filter_traces(arrays)
+                    assert [d for d in after.compare_to(before, "filename")
+                            if d.count_diff or d.size_diff] == []
+                    assert swept is work[1]
+            finally:
+                tracemalloc.stop()
+
+
+class TestTraceRows:
+    """A runner's sweep is overwritten by the next step, so the trace's record
+    makes the one copy of each row: no recorded row is the workspace's memory
+    or another row's, and a later run on the same operators changes none."""
+
+    def cases(self, rng):
+        """dr2, MT on the 4-ring and the chorded graph, on affine operators,
+        whose resolvents hand z1 on from buffers of their own."""
+        two = graphs.build_graph(2, [(1, 2)], [(1, 2)])
+        for method, g, theta in (("dr2", two, 1.0), ("mt", mt_graph(4), 0.5),
+                                 ("graph", bench_graph(), 1.0)):
+            shape = (3,) if method == "dr2" else (g.n_nodes - 1, 3)
+            yield Case(method, tuple(affine_ops(rng, g, dim=3)),
+                       sch.GeometricToLimit(1.0, 2.0, 0.9), rng.standard_normal(shape),
+                       StopRule(1e-10, 300), theta, None if method == "mt" else g)
+
+    def test_rows_are_copies_a_later_run_leaves_alone(self, rng, monkeypatch):
+        workspaces = []
+        build = graphs.sweep_workspace
+        monkeypatch.setattr(graphs, "sweep_workspace",
+                            lambda ops, g: workspaces.append(build(ops, g)) or workspaces[-1])
+        for case in self.cases(rng):
+            workspaces.clear()
+            trace = run_case(case, case.ops)
+            (buf, *_), = workspaces
+            assert len(trace) > 20
+            vectors = trace.extra_vectors
+            rows = [*trace.points, *(v for key, series in vectors.items() if key != "z"
+                                     for v in series)]
+            # dr2's "z" is the recorded point itself (see ConvergenceTrace)
+            assert all(z is point for z, point in zip(vectors.get("z", ()), trace.points))
+            # each row owns its data, so no two rows share memory
+            assert all(row.flags.owndata for row in rows)
+            assert len({id(row) for row in rows}) == len(rows)
+            iterates = [np.asarray(x) for x in trace.iterates]
+            assert not any(np.shares_memory(a, buf) for a in rows + iterates)
+            recorded = [a.tobytes() for a in rows + iterates]
+            run_case(case._replace(x0=-3.0 * case.x0), case.ops)
+            assert [a.tobytes() for a in rows + iterates] == recorded
 
 
 class TestHookFolds:
@@ -458,10 +520,10 @@ class TestHookFolds:
                 ref_next, ref_z1, ref_u = reference_relocate(ops, g, scale, gamma, delta,
                                                              blocks)
                 for carry in (None, ref_z1):
-                    w, aux = step(gamma, x, carry)
+                    w, shadow, vectors = step(gamma, x, carry)
                     ref_w, ref_z = reference_step(ops, g, theta, scale, gamma, blocks, carry)
                     assert np.asarray(w).tobytes() == ref_w.tobytes()
-                    assert aux["shadow"].tobytes() == ref_z.tobytes()
+                    assert shadow.tobytes() == ref_z.tobytes() and vectors is None
                 (z1, u), pre = feedback(gamma, x)
                 assert pre is z1
                 assert (z1.tobytes(), u.tobytes()) == (ref_z1.tobytes(), ref_u.tobytes())

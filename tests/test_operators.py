@@ -1,3 +1,6 @@
+import copy
+import io
+import pickle
 import warnings
 
 import numpy as np
@@ -6,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EXTREME_FINITE, GAMMA_GRID, nonfinite_points, operator_zoo, random_affine
-from relosplit import operators as ops
-from relosplit import problems
+from relosplit import dr2, operators as ops
+from relosplit import problems, schedules as sch
+from relosplit.driver import StopRule
 from relosplit.errors import ConstructionError, DimensionError, ParameterError
 
 finite_floats = st.floats(min_value=-10.0, max_value=10.0,
@@ -537,6 +541,45 @@ class TestAffineScratch:
             kept.append((op.resolvent(gamma, x), self.alone(self.fresh(op), gamma, x)))
         for y, expected in kept:
             assert y.tobytes() == expected
+
+
+COPIES = {"deepcopy": copy.deepcopy, "pickle": lambda obj: pickle.loads(pickle.dumps(obj))}
+
+
+@pytest.mark.parametrize("make_copy", COPIES.values(), ids=COPIES.keys())
+class TestAffineCopies:
+    """A copy of an AffineMonotone, made before or after its first call,
+    computes the original's resolvents and runs, byte for byte. Copying
+    copies each array of the factors on its own, so it would cut the views
+    that a call writes through loose from their buffers."""
+
+    def test_a_copy_gives_its_originals_resolvent(self, rng, make_copy):
+        for seed in range(24):
+            op = problems.make_problem("affine_random", {"count": 2, "dim": 4}, seed=seed).ops[0]
+            before = make_copy(op)
+            op.resolvent(1.0, rng.standard_normal(4))
+            after = make_copy(op)
+            for gamma in GAMMA_GRID:
+                x = rng.standard_normal(4)
+                expected = op.resolvent(gamma, x).tobytes()
+                assert before.resolvent(gamma, x).tobytes() == expected
+                assert after.resolvent(gamma, x).tobytes() == expected
+
+    def test_a_copy_runs_as_its_original(self, make_copy):
+        problem = problems.make_problem("affine_random", {"count": 2, "dim": 3},
+                                        seed=3).dr_problem()
+        args = (sch.GeometricToLimit(1.0, 2.0, 0.9), np.zeros(3), StopRule(1e-10, 2000))
+        before = make_copy(problem)
+        runs = [dr2.algorithm1_run(problem, *args)]
+        after = make_copy(problem)
+        runs += [dr2.algorithm1_run(twin, *args) for twin in (before, after)]
+        texts = []
+        for trace in runs:
+            buffer = io.StringIO()
+            trace.write_csv(buffer)
+            texts.append((buffer.getvalue(), [x.tobytes() for x in trace.iterates]))
+        assert runs[0].status == "converged" and runs[0].iterations > 50
+        assert texts[1] == texts[0] and texts[2] == texts[0]
 
 
 class TestCountingOperator:
