@@ -40,9 +40,7 @@ class GraphMatrices:
     of a tree; sweep_rows: the pair (d_i, [row i of Kz | e_i]) of each node,
     in node order, e_i the i-th unit vector of length N. The sweep forms
     node i's input as that length-2N row times the stacked [z; Kx x], one
-    product per node. handoff_row: on the 2-node graph, (Kz_21, Kx_21), the
-    two terms of node 2's input (2/d_2) z_1 + (1/d_2) Z_21 x_1 once z_1 is
-    handed on; None on larger graphs.
+    product per node, on every graph.
     """
 
     Z: np.ndarray
@@ -57,7 +55,6 @@ class GraphMatrices:
     Kz: np.ndarray
     Zdag_c: np.ndarray
     sweep_rows: tuple
-    handoff_row: np.ndarray | None
 
 
 class SplittingGraph:
@@ -189,8 +186,7 @@ def _build_matrices(g):
     zdag, zdag_norm = pseudo_inverse(z)
     return GraphMatrices(Z=z, L=lap, Zdag=zdag, Zdag_norm=zdag_norm, R=r, P=p, M=m, C=c,
                          Kx=kx, Kz=kz, Zdag_c=np.rint(zdag @ (g.deg - 2 * g.indeg)),
-                         sweep_rows=tuple(zip(g.deg.tolist(), np.hstack([kz, np.eye(n)]))),
-                         handoff_row=np.array([kz[1, 0], kx[1, 0]]) if n == 2 else None)
+                         sweep_rows=tuple(zip(g.deg.tolist(), np.hstack([kz, np.eye(n)]))))
 
 
 def _check_ops(ops, g):
@@ -241,11 +237,9 @@ def graph_z_sweep(ops, g, gamma, x, z1=None, work=None):
     Node i's input is one product, of its row in GraphMatrices.sweep_rows
     and a buffer stacking z and Kx x, written into A_i's input row (see
     sweep_workspace); the node's resolvent reads it there and writes z_i
-    into its buffer row (out=). When z1 is given on the 2-node graph, one
-    node is left and its input has two terms: it is the product of
-    GraphMatrices.handoff_row and [z_1; x_1], held in the result's own rows,
-    written into the same input row. Either product adds the same nonzero
-    terms once each, so the two paths give the same bytes.
+    into its buffer row (out=). A given z1 is written into the first z row
+    and the sweep starts at node 2. Every graph, dr2's 2-node graph
+    included, runs this one body.
 
     Without work, gamma, x and z1 are checked here, once, the workspace is
     built for this call, and the result is a BlockVector of its own. work, a
@@ -270,24 +264,18 @@ def graph_z_sweep(ops, g, gamma, x, z1=None, work=None):
                 raise DimensionError(f"z1 must lie in R^{x.shape[1]}, got dimension {z1.size}")
         work = sweep_workspace(ops, g)
     buf, z, kx_rows, nodes = work
-    if z1 is not None and g.n_nodes == 2:
-        resolvent, d_2, _, input_2, _ = nodes[1]
-        z[0], z[1] = z1, x[0]
-        g.matrices.handoff_row.dot(z, out=input_2)
-        resolvent(gamma / d_2, input_2, check=False, out=z[1])
-    else:
-        # rows 0..N-1 hold z, rows N..2N-1 hold Kx x. Row i of Kz weighs
-        # the z_h with h < i only, and the z rows are zeroed first: a zero
-        # weight times an entry an earlier sweep left is nan where that
-        # entry is not finite, and may carry its sign into a zero input.
-        # The node's own share comes last in its row, after every z term
-        z.fill(0.0)
-        np.dot(g.matrices.Kx, x, out=kx_rows)
-        if z1 is not None:
-            buf[0], nodes = z1, nodes[1:]
-        for resolvent, d_i, row_i, input_i, out in nodes:
-            row_i.dot(buf, out=input_i)
-            resolvent(gamma / d_i, input_i, check=False, out=out)
+    # rows 0..N-1 hold z, rows N..2N-1 hold Kx x. Row i of Kz weighs the
+    # z_h with h < i only, and the z rows are zeroed first: a zero weight
+    # times an entry an earlier sweep left is nan where that entry is not
+    # finite, and may carry its sign into a zero input. The node's own
+    # share comes last in its row, after every z term
+    z.fill(0.0)
+    np.dot(g.matrices.Kx, x, out=kx_rows)
+    if z1 is not None:
+        buf[0], nodes = z1, nodes[1:]
+    for resolvent, d_i, row_i, input_i, out in nodes:
+        row_i.dot(buf, out=input_i)
+        resolvent(gamma / d_i, input_i, check=False, out=out)
     return BlockVector._wrap(z.copy()) if checked else z
 
 
@@ -343,7 +331,7 @@ def _record_sweep(z, w):
     return z, None
 
 
-def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep, vector=False):
+def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep):
     """The step, feedback and relocate hooks that every runner loops on.
 
     They work in the running method's coordinates x = X / scale: scale 1 for
@@ -359,11 +347,14 @@ def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep, vector=False
     Q x, so it is handed on: N resolvents per iteration.
 
     The hooks take and return plain float arrays, as relocated_loop carries
-    them: the iterate is an (N - 1, d) array or, with vector=True on the
-    2-node graph, dr2's plain (d,) vector, and the step's sweep is the
-    workspace's (N, d) z rows, which the next step overwrites; the trace's
-    record copies them. The loop makes the one BlockVector of each
-    relocated iterate that the trace keeps.
+    them: the iterate is an (N - 1, d) array or, on the 2-node graph, dr2's
+    plain (d,) vector as well, and the step's sweep is the workspace's
+    (N, d) z rows, which the next step overwrites; the trace's record copies
+    them. On the 2-node graph the hooks read the one row of Z^T and of the
+    relocator's column as 1-D arrays, so the disagreement and the shift
+    broadcast to the iterate's own shape, (d,) or (1, d), with the same
+    products. The loop makes the one BlockVector of each relocated iterate
+    that the trace keeps.
 
     Nothing is checked after the runner's entry. The hooks build one
     sweep_workspace for the run and hand the step's sweep the (scaled)
@@ -380,12 +371,12 @@ def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep, vector=False
     record(z, w) returns the step's (shadow, vectors) for the trace from the
     sweep and T x: the monitored point and a dict of vectors, or None.
 
-    What is fixed for the run is decided here, once: the shape of the
-    iterate, and which array coefficients are exactly 1 and so are not
-    multiplied by: scale (graph DR, dr2, and MT for N = 2), theta (dr2, and
-    graph DR when theta = 1) and the relocator's column Zdag c / scale = [1]
-    (the 2-node graph). A product by 1 returns its operand bit for bit, so
-    the folds change no result. u_1 stays the product (s Kx[0]) x even
+    What is fixed for the run is decided here, once: which array
+    coefficients are exactly 1 and so are not multiplied by: scale (graph
+    DR, dr2, and MT for N = 2), theta (dr2, and graph DR when theta = 1) and
+    the relocator's column Zdag c / scale = [1] (the 2-node graph). A
+    product by 1 returns its operand bit for bit, so the folds change no
+    result. u_1 stays the product (s Kx[0]) x even
     where s Kx[0] is the unit vector e_1 (the 2-node graph, and MT's rings):
     the product turns a -0 entry of x_1 into +0, and the block itself does
     not.
@@ -398,9 +389,8 @@ def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep, vector=False
     unit_column = column.shape == (1, 1) and column[0, 0] == 1.0
     # the sweep and u_1 read the iterate as N - 1 blocks, a view
     blocks = (g.n_nodes - 1, ops[0].dim)
-    if vector:
-        # the 2-node graph's one row of Z^T and of the column, so the
-        # disagreement and the shift come out as plain vectors as well
+    if g.n_nodes == 2:
+        # one row each, so T x and Q x take the shape of the iterate
         z_t, column = z_t[0], column[0]
 
     work = sweep_workspace(ops, g)

@@ -270,6 +270,12 @@ class AffineMonotone(MonotoneOperator):
         # leaves the factors out and builds its own on first use
         return {**self.__dict__, "_factors": None}
 
+    def __setstate__(self, state):
+        # a copy's M and b come back writeable, so they are frozen again
+        self.__dict__.update(state)
+        for frozen in (self.matrix, self.offset):
+            frozen.setflags(write=False)
+
     def _resolvent(self, gamma, x):
         return self._resolvent_into(gamma, x, np.empty(self.dim))
 

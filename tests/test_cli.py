@@ -832,6 +832,7 @@ GOLDEN = {
     "graph_explicit": ("converged", 338, 0),
     "graph_constant": ("converged", 338, 0),
     "graph_geometric_budget": ("max_iters", 10, 2),
+    "graph_two_node_geometric": ("converged", 91, 0),
     "mt_custom_specs": ("converged", 141, 0),
 }
 

@@ -490,53 +490,55 @@ class TestTraceRows:
 
 class TestHookFolds:
     """graph_hooks folds the coefficients that are exactly 1 (scale, theta and the
-    2-node graph's relocator column) and takes a plain vector for dr2; every
-    hook gives the bytes of reference_step's and reference_relocate's products."""
+    2-node graph's relocator column); every hook gives the bytes of
+    reference_step's and reference_relocate's products, in the shape of the
+    iterate it is handed."""
 
     def cases(self, rng):
-        """(graph, ops, theta, scale, vector): the 2-node graph as dr2 and as a
-        graph, rings as MT (scale 2) and as graphs, the chorded benchmark graph."""
+        """(graph, ops, theta, scale, shape): the 2-node graph as dr2, on a
+        plain vector, and as a graph, on one block; rings as MT (scale 2) and
+        as graphs, the chorded benchmark graph. shape is the iterate's."""
         two = graphs.build_graph(2, [(1, 2)], [(1, 2)])
-        yield two, affine_ops(rng, two, dim=3), 1.0, 1.0, True
-        yield two, affine_ops(rng, two, dim=3), 0.5, 1.0, False
+        yield two, affine_ops(rng, two, dim=3), 1.0, 1.0, (3,)
+        yield two, affine_ops(rng, two, dim=3), 0.5, 1.0, (1, 3)
         for n in (3, 5, 16):
             g = mt_graph(n)
             # boxes around 0: a clip keeps a signed zero, so z_1 carries -0 too
             boxes = [NormalConeBox(-rng.uniform(0.5, 2.0, 4), rng.uniform(0.5, 2.0, 4))
                      for _ in range(n)]
-            yield g, boxes, 0.5, float(g.deg[0]), False
-            yield g, affine_ops(rng, g, dim=4), 1.0, 1.0, False
-        yield bench_graph(), affine_ops(rng, bench_graph(), dim=4), 1.0, 1.0, False
+            yield g, boxes, 0.5, float(g.deg[0]), (n - 1, 4)
+            yield g, affine_ops(rng, g, dim=4), 1.0, 1.0, (n - 1, 4)
+        yield bench_graph(), affine_ops(rng, bench_graph(), dim=4), 1.0, 1.0, (5, 4)
 
     def test_hooks_give_the_reference_bytes(self, rng):
-        for g, ops, theta, scale, vector in self.cases(rng):
-            step, feedback, relocate = graphs.graph_hooks(ops, g, theta, scale, vector=vector)
+        for g, ops, theta, scale, shape in self.cases(rng):
+            step, feedback, relocate = graphs.graph_hooks(ops, g, theta, scale)
             for _ in range(10):
                 blocks = signed_zeros(rng, 3.0 * rng.standard_normal((g.n_nodes - 1,
                                                                       ops[0].dim)))
                 # the hooks take the loop's plain arrays
-                x = blocks[0] if vector else blocks
+                x = blocks.reshape(shape)
                 gamma, delta = (float(v) for v in rng.choice(GAMMA_GRID, size=2))
                 ref_next, ref_z1, ref_u = reference_relocate(ops, g, scale, gamma, delta,
                                                              blocks)
                 for carry in (None, ref_z1):
                     w, shadow, vectors = step(gamma, x, carry)
                     ref_w, ref_z = reference_step(ops, g, theta, scale, gamma, blocks, carry)
-                    assert np.asarray(w).tobytes() == ref_w.tobytes()
+                    assert w.shape == shape and w.tobytes() == ref_w.tobytes()
                     assert shadow.tobytes() == ref_z.tobytes() and vectors is None
                 (z1, u), pre = feedback(gamma, x)
                 assert pre is z1
                 assert (z1.tobytes(), u.tobytes()) == (ref_z1.tobytes(), ref_u.tobytes())
                 for handed in (None, pre):
                     x_next, z1_next = relocate(gamma, delta, x, handed)
-                    assert np.asarray(x_next).tobytes() == ref_next.tobytes()
+                    assert x_next.shape == shape and x_next.tobytes() == ref_next.tobytes()
                     assert z1_next.tobytes() == ref_z1.tobytes()
             # s Kx[0] is e_1 on the 2-node graph and on MT's rings, 0.5 e_1 on
             # the rest; either way u_1 is the product, which turns -0 into +0
             weights = scale * g.matrices.Kx[0]
             assert weights.tolist() == [scale / g.deg[0]] + [0.0] * (g.n_nodes - 2)
             blocks = np.full((g.n_nodes - 1, ops[0].dim), -0.0)
-            u = feedback(1.0, blocks[0] if vector else blocks)[0][1]
+            u = feedback(1.0, blocks.reshape(shape))[0][1]
             assert not np.signbit(u).any()
 
 

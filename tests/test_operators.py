@@ -559,6 +559,9 @@ class TestAffineCopies:
             before = make_copy(op)
             op.resolvent(1.0, rng.standard_normal(4))
             after = make_copy(op)
+            # M and b stay read only, as the original's are
+            assert not any(a.flags.writeable for twin in (before, after)
+                           for a in (twin.matrix, twin.offset))
             for gamma in GAMMA_GRID:
                 x = rng.standard_normal(4)
                 expected = op.resolvent(gamma, x).tobytes()

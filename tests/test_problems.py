@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import WaitingGeometric
-from relosplit import dr2, problems
+from relosplit import cli, dr2, problems
 from relosplit.errors import ConstructionError, NoOracleError
 from relosplit.selftest import dr_fixed_point
 
@@ -51,12 +51,35 @@ class TestAffineConsensus:
             problems.make_problem("affine_consensus", {"c": [[1.0]]})
 
 
-class TestAffineRandom:
-    def test_planted_zero_validates(self):
-        inst = problems.make_problem("affine_random",
-                                     {"count": 4, "dim": 3}, seed=3)
+class TestSolutionPoints:
+    """A factory's solution point is a zero by construction, so building a
+    problem does not ask its oracle: the oracle accepts the point at unit
+    scale, and at large scale, where its residual is rounding, the problem
+    still builds."""
+
+    @pytest.mark.parametrize("name, params, seed", [
+        ("indicator_neglog", None, None),
+        ("affine_consensus", {"count": 4, "dim": 3}, 3),
+        ("affine_random", {"count": 4, "dim": 3}, 3),
+    ])
+    def test_planted_zero_validates(self, name, params, seed):
+        inst = problems.make_problem(name, params, seed=seed)
         assert problems.solution_residual(inst, inst.solution_point) <= 1e-8
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_large_spread_builds(self, seed):
+        doc = {"problem": {"name": "affine_consensus",
+                           "params": {"count": 3, "dim": 4, "spread": 1e9}},
+               "algorithm": "mt", "theta": 0.5,
+               "schedule": {"kind": "geometric", "limit": 1.0, "start": 2.0, "ratio": 0.9},
+               "stop": {"residual_tol": 1e-10, "max_iters": 50}}
+        inst = cli.parse_config(doc, seed=seed).problem
+        # the centres' mean, each centre minus its operator's offset
+        assert inst.solution_point.tolist() == np.mean(
+            [-op.offset for op in inst.ops], axis=0).tolist()
+
+
+class TestAffineRandom:
     def test_nonzero_candidate_has_positive_residual(self):
         inst = problems.make_problem("affine_random",
                                      {"count": 3, "dim": 2}, seed=5)
