@@ -140,12 +140,14 @@ def algorithm1_run(problem, schedule, x0, stop, solution_residual=None):
     The relocation's J_{gamma A} w_n is, by the scaling identity, the next
     step's J_{delta A} x_{n+1}; an adaptive run's stopping iteration pays one
     resolvent of A, for its feedback, that no step uses. The trace records
-    x_n, the shadow z_n (also the monitored point), and y_n, w_n. When A
+    the shadow z_n (also the monitored point), y_n and w_n, and replays x_n
+    from w_n and z_n when its iterates are read. When A
     and B are both stepsize free, the run stops at its first residual within
     tolerance (see driver.StopRule).
     """
     ops = (problem.op_a, problem.op_b)
-    step, feedback, relocate = graph_hooks(ops, build_graph(2, [(1, 2)], [(1, 2)]),
-                                           record=_record_dr)
+    step, feedback, relocate, replay = graph_hooks(ops, build_graph(2, [(1, 2)], [(1, 2)]),
+                                                   record=_record_dr)
     return relocated_loop(step, relocate, feedback, schedule, as_vector(x0), stop,
-                          solution_residual=solution_residual, stepsize_free=stepsize_free(ops))
+                          solution_residual=solution_residual, stepsize_free=stepsize_free(ops),
+                          replay=replay)

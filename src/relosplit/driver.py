@@ -1,9 +1,10 @@
 """Generic relocated fixed-point iteration x_{n+1} = Q_{g_{n+1}<-g_n} T_{g_n} x_n.
 
 The driver is agnostic to the ambient space: iterates may be plain 1-D
-arrays or BlockVectors. The loop itself carries plain float arrays and
-makes one BlockVector per relocated iterate when x_0 is one, so a trace
-keeps its iterates in x_0's type. Families bundle the parametrized
+arrays or BlockVectors. The loop itself carries plain float arrays, and a
+trace hands its iterates out in x_0's type. A run handed a replay hook (every
+runner's) keeps no iterate per row: its trace rebuilds them from x_0 and the
+recorded rows when they are first read. Families bundle the parametrized
 operator T_gamma with its feedback and whether it is stepsize free;
 relocators bundle Q with a Lipschitz bound.
 """
@@ -192,10 +193,20 @@ class ConvergenceTrace:
     row 0's lengths, so every row fills the CSV header.
 
     residuals[n] is ||x_n - T_{gamma_n} x_n||; points[n] holds the flattened
-    monitored (shadow) point when the family produces one. iterates keeps the
-    governing x_n themselves for programmatic use; they are not serialized.
-    A recorded vector that is the monitored point itself shares its array:
-    points[n] is extra_vectors[key][n] (dr2's "z").
+    monitored (shadow) point when the family produces one. iterates[n] is
+    the governing x_n itself, in x_0's type, for programmatic use; iterates
+    are not serialized. A recorded vector that is the monitored point itself
+    shares its array: points[n] is extra_vectors[key][n] (dr2's "z").
+
+    A trace that record appends to keeps each row's iterate as given. A
+    runner's trace keeps none: relocated_loop hands it a replay hook and a
+    private copy of x_0, and iterates is then computed where it is read,
+    once: the first read replays x_1, x_2, ... from x_0, gammas, points and
+    extra_vectors, by the arithmetic the run did (see relocated_loop), and
+    the list it builds is kept, so a later read returns that same list and
+    an assignment into it holds. The replay reads the rows as they are at
+    that first read: writing into points (or a vector) before it changes
+    the iterates it returns.
 
     solution_residuals[n] is oracle(points[n]), evaluated only when it is
     read: by summary() (the last row), by write_csv (every row) or by
@@ -210,7 +221,6 @@ class ConvergenceTrace:
     gammas: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
     points: list = field(default_factory=list)
-    iterates: list = field(default_factory=list)
     extra_scalars: dict = field(default_factory=dict)
     extra_vectors: dict = field(default_factory=dict)
     status: str = STATUS_MAX_ITERS
@@ -231,6 +241,11 @@ class ConvergenceTrace:
     #: row 0's signature: its point length (None without a point) and its
     #: vector lengths by key
     _row0: tuple = field(default=None, init=False, repr=False)
+    #: the iterates as recorded, or None until a replayed trace's first read
+    _iterates: list = field(default_factory=list, init=False, repr=False)
+    #: (replay, a private copy of x_0's array, x_0's wrap or None) of a
+    #: trace whose iterates are replayed (see relocated_loop), else None
+    _replay: tuple = field(default=None, init=False, repr=False)
 
     def record(self, gamma, residual, point=None, iterate=None, vectors=None):
         """Append one row: arrays as flat copies.
@@ -241,7 +256,8 @@ class ConvergenceTrace:
         once, and a vector that is the point object itself is recorded as
         that copy, so write_csv formats it once. These copies are the only
         ones, so a point or vector may be a buffer its caller overwrites
-        next. The iterate is kept as given.
+        next. The iterate is kept as given, except by a trace whose iterates
+        are replayed, which keeps none.
         """
         flat = None if point is None else _values(point).flatten()
         flats = {}
@@ -263,12 +279,23 @@ class ConvergenceTrace:
         self.gammas.append(float(gamma))
         self.residuals.append(float(residual))
         self.points.append(flat)
-        self.iterates.append(iterate)
+        if self._replay is None:
+            self._iterates.append(iterate)
         for key, value in flats.items():
             self.extra_vectors[key].append(value)
 
     def __len__(self):
         return len(self.residuals)
+
+    @property
+    def iterates(self):
+        if self._iterates is None:
+            replay, x0, wrap = self._replay
+            # the replay's arithmetic may meet an overflowed row, as the run did
+            with np.errstate(over="ignore", invalid="ignore"):
+                xs = replay(x0, self.gammas, self.points, self.extra_vectors)
+                self._iterates = list(xs) if wrap is None else [wrap(x) for x in xs]
+        return self._iterates
 
     @property
     def solution_residuals(self):
@@ -368,14 +395,14 @@ class ConvergenceTrace:
 
 
 def relocated_loop(step, relocate, feedback, schedule, x0, stop,
-                   solution_residual=None, stepsize_free=False, point_columns=None):
+                   solution_residual=None, stepsize_free=False, point_columns=None,
+                   replay=None):
     """The relocated iteration x_{n+1} = Q_{g_{n+1}<-g_n} T_{g_n} x_n.
 
-    Every runner is this loop plus three hooks. They take and return plain
-    float arrays: the loop hands step x_0's own array (see _values) and
-    makes one object of x_0's type per relocated iterate, so a run started
-    from a BlockVector keeps BlockVectors in trace.iterates and final_x at
-    the cost of one BlockVector._wrap per relocation.
+    Every runner is this loop plus four hooks. They take and return plain
+    float arrays: the loop hands step x_0's own array (see _values), and
+    trace.iterates and final_x hold objects of x_0's type, so a run started
+    from a BlockVector gets BlockVectors back.
 
     * step(gamma, x, carry) -> (T_gamma x, shadow, vectors): the monitored
       point, or None to monitor x, and a dict of vectors to record, or
@@ -387,6 +414,14 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
       that it evaluated, passed on to relocate (None otherwise).
     * relocate(gamma, delta, w, pre) -> (x_next, carry). It may reuse pre,
       and may hand the next step a resolvent it has already evaluated.
+    * replay(x0, gammas, points, vectors), optional, yields x_0, x_1, ...,
+      one per row, from a private copy of x_0's array and the trace's
+      columns: the arithmetic of step and relocate on what their rows
+      recorded, calling no resolvent. With it the trace keeps that copy and
+      no iterate per row, and builds trace.iterates on its first read (see
+      ConvergenceTrace); the loop then makes one object of x_0's type, for
+      final_x. Without it, as for run_relocated, the trace keeps each
+      iterate, one object of x_0's type per relocation.
 
     Every iteration, the last one included, asks the schedule for
     gamma_{n+1} and applies the whole stop rule: a run that reaches max_iters
@@ -436,9 +471,12 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
         return trace
     budget = POS_INCREMENT_BUDGET * float(gamma)
 
-    # the hooks work on x's array; iterate is what the trace keeps of it
+    # the hooks work on x's array; iterate is what a trace without a
+    # replay keeps of it
     x, iterate = _values(x0), x0
     wrap = BlockVector._wrap if isinstance(x0, BlockVector) else None
+    if replay is not None:
+        trace._replay, trace._iterates = (replay, x.copy(), wrap), None
     carry = None
     # what every iteration looks up, bound once
     record, gamma_at, adaptive = trace.record, schedule.gamma_at, schedule.is_adaptive
@@ -493,12 +531,16 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
                     )
 
             x, carry = relocate(gamma, gamma_next, w, pre)
-            iterate = x if wrap is None else wrap(x)
+            if replay is None:
+                iterate = x if wrap is None else wrap(x)
             if not _all_finite(x):
                 trace.status = STATUS_DIVERGED
                 break
             gamma = gamma_next
 
+    if replay is not None:
+        # a diverged run's final_x is the overflowed iterate, which no row records
+        iterate = x if wrap is None else wrap(x)
     trace.final_x = iterate
     return trace
 

@@ -332,7 +332,7 @@ def _record_sweep(z, w):
 
 
 def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep):
-    """The step, feedback and relocate hooks that every runner loops on.
+    """The step, feedback, relocate and replay hooks that every runner loops on.
 
     They work in the running method's coordinates x = X / scale: scale 1 for
     graph DR and dr2 (the 2-node graph, theta = 1), the ring degree for MT
@@ -353,8 +353,19 @@ def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep):
     them. On the 2-node graph the hooks read the one row of Z^T and of the
     relocator's column as 1-D arrays, so the disagreement and the shift
     broadcast to the iterate's own shape, (d,) or (1, d), with the same
-    products. The loop makes the one BlockVector of each relocated iterate
-    that the trace keeps.
+    products.
+
+    replay rebuilds a run's iterates from its trace (see
+    driver.relocated_loop): w_n = x_n - theta Z^T z_n from the recorded
+    sweep z_n, or the recorded w_n itself when record keeps T x under "w"
+    (dr2's does), and x_{n+1} = r w_n + (1 - r) (Zdag c / scale) z_1 with r
+    = gammas[n + 1] / gammas[n] and z_1 the first block of the sweep
+    recorded at row n + 1, which by the scaling identity is the z_1 that
+    relocate computed; x_{n+1} is w_n when r is 1. These are step's and
+    relocate's expressions in their order, so the bytes are the run's, and
+    no resolvent is called. It reads the recorded point as the sweep, so it
+    holds for a record whose point is the sweep's flat copy (the default)
+    or, when it keeps T x under "w", the sweep's first row (dr2's z).
 
     Nothing is checked after the runner's entry. The hooks build one
     sweep_workspace for the run and hand the step's sweep the (scaled)
@@ -417,18 +428,33 @@ def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep):
     def relocate(gamma, delta, w, z1):
         if z1 is None:
             z1 = first(gamma, w, input_1)[0]
-        ratio = delta / gamma
-        if ratio == 1.0:
-            return w, z1
-        return ratio * w + (1.0 - ratio) * (z1 if unit_column else column * z1), z1
+        return relocation(delta / gamma, w, z1), z1
 
-    return step, feedback, relocate
+    def relocation(ratio, w, z1):
+        if ratio == 1.0:
+            return w
+        return ratio * w + (1.0 - ratio) * (z1 if unit_column else column * z1)
+
+    def replay(x, gammas, sweeps, vectors):
+        ws = vectors.get("w")
+        yield x
+        for n in range(1, len(gammas)):
+            if ws is None:
+                disagreement = z_t.dot(sweeps[n - 1].reshape(-1, blocks[1]))
+                w = x - disagreement if unit_theta else x - theta * disagreement
+            else:
+                # a copy: an iterate shares no array with a recorded column
+                w = ws[n - 1].copy()
+            x = relocation(gammas[n] / gammas[n - 1], w, sweeps[n][:blocks[1]])
+            yield x
+
+    return step, feedback, relocate, replay
 
 
 def graph_family(ops, g, theta):
     """The graph-DR operators (a fresh sweep) as a theta/2-averaged driver family,
     stepsize free when every operator is."""
-    _, feedback, _ = graph_hooks(ops, g, theta)
+    feedback = graph_hooks(ops, g, theta)[1]
 
     def apply(gamma, x):
         w, z = graph_dr_apply(ops, g, gamma, theta, x)
@@ -447,7 +473,7 @@ def graph_relocator(ops, g):
 
     Bound r + |1 - r| ||Zdag c|| ||Z_1|| / d_1: J_{(gamma/d_1) A_1} is nonexpansive.
     """
-    _, _, relocate = graph_hooks(ops, g)
+    relocate = graph_hooks(ops, g)[2]
     spread = np.linalg.norm(g.matrices.Zdag_c) * np.linalg.norm(g.matrices.Z[0]) / g.deg[0]
 
     def apply(gamma, delta, x):
@@ -469,7 +495,8 @@ def graph_relocated_run(ops, g, theta, schedule, x0, stop, solution_residual=Non
     """
     if not 0.0 < theta < 2.0:
         raise ParameterError(f"theta must lie in (0, 2), got {theta}")
-    step, feedback, relocate = graph_hooks(ops, g, theta)
+    step, feedback, relocate, replay = graph_hooks(ops, g, theta)
     return relocated_loop(step, relocate, feedback, schedule, _check_x(x0, ops, g), stop,
                           solution_residual=at_consensus(solution_residual, g.n_nodes),
-                          stepsize_free=stepsize_free(ops), point_columns=consensus_columns(g))
+                          stepsize_free=stepsize_free(ops), point_columns=consensus_columns(g),
+                          replay=replay)

@@ -148,9 +148,9 @@ def algorithm2_run(problem, schedule, x0, stop, solution_residual=None):
     run stops at its first residual within tolerance (see driver.StopRule).
     """
     g = mt_graph(problem.n_ops)
-    step, feedback, relocate = graph_hooks(problem.ops, g, problem.theta,
-                                           scale=float(g.deg[0]))
+    step, feedback, relocate, replay = graph_hooks(problem.ops, g, problem.theta,
+                                                   scale=float(g.deg[0]))
     return relocated_loop(step, relocate, feedback, schedule, _check_x(problem, x0),
                           stop, solution_residual=at_consensus(solution_residual, g.n_nodes),
                           stepsize_free=stepsize_free(problem.ops),
-                          point_columns=consensus_columns(g))
+                          point_columns=consensus_columns(g), replay=replay)

@@ -15,8 +15,13 @@ from .operators import DIM, OPERATOR, AffineMonotone, NegLog, NormalConeBox, Nor
 SEED = integer(0)
 
 #: Largest residual a declared custom solution may leave: the sum residual,
-#: or the inclusion residual of its one set-valued operator
+#: or the inclusion residual of its one set-valued operator, beyond the
+#: rounding allowance of _custom_params
 SOLUTION_TOL = 1e-8
+
+#: The rounding allowance of a declared solution's residual, in units of eps
+#: times the 1-norms of the solution and of the operators' values summed there
+ROUNDING_ULPS = 1e3
 
 
 class ProblemInstance:
@@ -167,7 +172,12 @@ def _custom_params(**params):
     """custom's params, once the declared solution is decided: at most one
     operator may be set valued there, and minus the sum of the others'
     values must pass its inclusion residual (with none, the sum must
-    vanish). A solution of the wrong dimension is left to the problem.
+    vanish). It passes at SOLUTION_TOL plus a rounding allowance that grows
+    with the terms summed, ROUNDING_ULPS eps (sum_i ||value_i||_1 +
+    ||solution||_1), so a solution at scale 1e9 is not refused on rounding
+    alone. The 1-norms bound the 2-norms, and have no squares to overflow,
+    so a residual that overflowed is still refused. A solution of the wrong
+    dimension is left to the problem.
     """
     ops, solution = params["ops"], params.get("solution")
     if solution is not None and {op.dim for op in ops} == {solution.size}:
@@ -180,8 +190,11 @@ def _custom_params(**params):
         total = sum(value for value in values if value is not None)
         resid = (ops[set_valued[0]].inclusion_residual(solution, -total) if set_valued
                  else float(np.linalg.norm(total)))
-        if not resid <= SOLUTION_TOL:
-            raise ConstructionError(f"not a solution: residual {resid:.3e} > {SOLUTION_TOL:g}",
+        terms = [value for value in values if value is not None] + [solution]
+        tol = SOLUTION_TOL + ROUNDING_ULPS * np.finfo(float).eps * float(
+            sum(np.abs(term).sum() for term in terms))
+        if not resid <= tol:
+            raise ConstructionError(f"not a solution: residual {resid:.3e} > {tol:.3g}",
                                     field="solution")
     return params
 

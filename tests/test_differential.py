@@ -2,22 +2,27 @@
 Q_{gamma_{n+1}<-gamma_n} T_{gamma_n} x_n of its method's family and
 relocator, at one resolvent per operator per iteration. check() states it
 for one case; the fuzz draws cases, and the pinned ones are those of the
-hand-built tests it replaced."""
+hand-built tests it replaced. A runner's trace replays its iterates from its
+rows when they are read; check() pins them, and final_x, to the bytes of a
+run of the same hooks whose trace stores them."""
 
+import contextlib
 import copy
 import io
 import itertools
 import math
 import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import Case, WaitingGeometric, operator_zoo, random_affine, run
-from relosplit import graphs, malitsky_tam as mt, problems, schedules as sch
+from relosplit import driver, dr2, graphs, malitsky_tam as mt, problems, schedules as sch
 from relosplit.driver import ScheduleBudgetWarning, StopRule, ambient_flat
+from relosplit.linalg import BlockVector
 from relosplit.operators import (AffineMonotone, CountingOperator, NegLog, NormalConePoint,
                                  ScaledIdentity)
 from relosplit.selftest import chorded_path, fix_point_oracle_affine
@@ -39,6 +44,24 @@ def written(trace):
     return out.getvalue(), [ambient_flat(x).tobytes() for x in trace.iterates]
 
 
+def stored(case, ops):
+    """run(case, ops) with its runner's loop handed no replay: the same hooks
+    and arguments, and a trace that stores each iterate as the run made it."""
+
+    def loop(*args, replay, **kw):
+        return driver.relocated_loop(*args, **kw)
+
+    with contextlib.ExitStack() as patches:
+        for runner in (dr2, graphs, mt):
+            patches.enter_context(mock.patch.object(runner, "relocated_loop", loop))
+        return run(case, ops)
+
+
+def final(trace):
+    """The bytes of a run's final_x, and its type."""
+    return type(trace.final_x), ambient_flat(trace.final_x).tobytes()
+
+
 def waiting(schedule):
     """A copy of schedule that declares no limit: a run on it waits for gamma."""
     twin = copy.copy(schedule)
@@ -57,7 +80,9 @@ def check(case):
     shares, writes the counted run's bytes, and so does a run on equal
     distinct objects. A limit relocation comes at the first residual within
     tolerance, and up to it the run writes the bytes of one that waits for
-    gamma. Returns the runner's trace."""
+    gamma. The iterates a runner's trace replays, and its final_x, are of
+    x0's type and have the bytes of a stored run's. Returns the runner's
+    trace."""
     counted = {id(op): CountingOperator(op) for op in case.ops}
     ops = tuple(counted[id(op)] for op in case.ops)
     # the affine kind alone keeps buffers; each node gets an object of its
@@ -70,6 +95,7 @@ def check(case):
         trace = run(case, ops)
         calls = {key: op.calls for key, op in counted.items()}
         raw, naive = run(case, case.ops), run(case, case.ops, naive=True)
+        kept = stored(case, case.ops)
         apart = raw if distinct is None else run(case, distinct)
         jump = trace.relocated_to_limit_at
         slow = None if jump is None else run(case._replace(schedule=waiting(case.schedule)),
@@ -90,7 +116,10 @@ def check(case):
     first = id(case.ops[0])
     assert calls == {key: nodes * len(trace) + (key == first and case.schedule.is_adaptive)
                      for key, nodes in Counter(map(id, case.ops)).items()}
-    assert written(trace) == written(raw) == written(apart)
+    assert written(trace) == written(raw) == written(apart) == written(kept)
+    x0_type = np.ndarray if case.method == "dr2" else BlockVector
+    assert {type(x) for x in raw.iterates} == {type(x) for x in kept.iterates} == {x0_type}
+    assert final(trace) == final(raw) == final(kept)
     if jump is not None:
         assert (trace.residuals[jump] <= case.stop.residual_tol
                 < min(trace.residuals[:jump], default=math.inf))
@@ -253,3 +282,21 @@ def pinned_cases():
 @pytest.mark.parametrize("case", pinned_cases())
 def test_pinned_cases(case):
     check(case)
+
+
+def test_an_overflowing_run_replays_its_rows_and_keeps_its_overflowed_iterate():
+    # MT's relocations by factors up to 1e100 grow the iterate until x_5 overflows:
+    # the trace's rows replay without a warning (pytest makes a RuntimeWarning
+    # an error), and final_x is the overflowed iterate, which no row records
+    ops = problems.make_problem("affine_consensus", {"count": 3, "dim": 1, "c": [[0], [0], [10]]},
+                                seed=0).ops
+    gammas = [1e-300, 1e-200, 1e-100, 1.0, 1e100, 1e200, 1e300]
+    case = Case("mt", tuple(ops), sch.ExplicitList(gammas), np.array([[1.0], [2.0]]),
+                StopRule(1e-10, 50), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ScheduleBudgetWarning)
+        trace, kept = run(case, case.ops), stored(case, case.ops)
+    assert trace.status == "diverged" and len(trace) == 5
+    assert np.max(np.abs(trace.iterates[-1].data)) > 1e198
+    assert not np.isfinite(trace.final_x.data).any()
+    assert written(trace) == written(kept) and final(trace) == final(kept)

@@ -512,7 +512,7 @@ class TestHookFolds:
 
     def test_hooks_give_the_reference_bytes(self, rng):
         for g, ops, theta, scale, shape in self.cases(rng):
-            step, feedback, relocate = graphs.graph_hooks(ops, g, theta, scale)
+            step, feedback, relocate, _ = graphs.graph_hooks(ops, g, theta, scale)
             for _ in range(10):
                 blocks = signed_zeros(rng, 3.0 * rng.standard_normal((g.n_nodes - 1,
                                                                       ops[0].dim)))
@@ -733,23 +733,54 @@ def wrap_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("n_ops, run", [
-    (4, lambda ops, schedule, stop: algorithm2_run(MTProblem(tuple(ops), 0.5), schedule,
-                                                   BlockVector.zeros(3, 2), stop)),
-    (6, lambda ops, schedule, stop: graphs.graph_relocated_run(
-        ops, bench_graph(), 1.0, schedule, BlockVector.zeros(5, 2), stop)),
+    (4, lambda ops, schedule, stop, **kw: algorithm2_run(MTProblem(tuple(ops), 0.5), schedule,
+                                                         BlockVector.zeros(3, 2), stop, **kw)),
+    (6, lambda ops, schedule, stop, **kw: graphs.graph_relocated_run(
+        ops, bench_graph(), 1.0, schedule, BlockVector.zeros(5, 2), stop, **kw)),
 ], ids=["mt", "chorded-graph"])
-def test_runs_wrap_one_block_vector_per_relocated_iterate(wrap_calls, n_ops, run):
-    # the hooks and the loop carry plain arrays; the loop wraps each
-    # relocated iterate once, for trace.iterates and final_x
+def test_runs_wrap_for_final_x_and_replay_iterates_on_first_read(wrap_calls, n_ops, run):
+    # the hooks and the loop carry plain arrays, and the loop wraps one, for
+    # final_x; the trace replays its iterates on their first read, one wrap
+    # per row, calling no resolvent and no oracle, and keeps the list
     instance = problems.make_problem("affine_consensus", {"count": n_ops, "dim": 2}, seed=0)
+    ops = [CountingOperator(op) for op in instance.ops]
+    oracle_calls = []
     for schedule in (sch.GeometricToLimit(1.0, 2.0, 0.9), sch.AdaptiveKappa(1.0)):
         wrap_calls[0] = 0
-        trace = run(instance.ops, schedule, StopRule(residual_tol=1e-10, max_iters=5000))
+        trace = run(ops, schedule, StopRule(residual_tol=1e-10, max_iters=5000),
+                    solution_residual=lambda z: oracle_calls.append(z) or 0.0)
         assert trace.status == "converged"
         assert trace.iterations > 100
-        assert wrap_calls[0] == trace.iterations
-        assert all(type(x) is BlockVector for x in trace.iterates)
-        assert trace.final_x is trace.iterates[-1]
+        assert wrap_calls[0] == 1 and type(trace.final_x) is BlockVector
+        calls = [op.calls for op in ops]
+        iterates = trace.iterates
+        assert wrap_calls[0] == 1 + len(trace) and len(iterates) == len(trace)
+        assert trace.iterates is iterates and wrap_calls[0] == 1 + len(trace)
+        assert [op.calls for op in ops] == calls and oracle_calls == []
+        assert all(type(x) is BlockVector for x in iterates)
+        assert trace.final_x.data.tobytes() == iterates[-1].data.tobytes()
+
+
+def test_a_long_run_retains_its_rows_and_little_more():
+    # a trace keeps each row's recorded point, two floats and the lists'
+    # pointers, and no iterate: a 1000-iteration graph-affine-sized run (N = 6
+    # in R^32, whose points are 1536 B) retains at most 256 B a row beyond
+    # its point bytes. numpy reports array data to tracemalloc too
+    instance = problems.make_problem("affine_random", {"count": 6, "dim": 32}, seed=1)
+    args = (instance.ops, bench_graph(), 1.0, sch.GeometricToLimit(1.0, 2.0, 0.99),
+            BlockVector.zeros(5, 32), StopRule(residual_tol=1e-300, max_iters=1000))
+    graphs.graph_relocated_run(*args)  # the operators build their factors
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = graphs.graph_relocated_run(*args)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert trace.status == "max_iters" and len(trace) == 1001
+    recorded = sum(point.nbytes for point in trace.points)
+    assert recorded == 1536 * len(trace) and not trace.extra_vectors
+    assert retained <= recorded + 256 * len(trace)
 
 
 class TestInputRows:

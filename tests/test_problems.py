@@ -184,6 +184,21 @@ class TestCustomProblem:
         with pytest.raises(ConstructionError, match=r"^solution: not a solution: residual"):
             problems.make_problem("custom", {"ops": ops, "solution": [5.0, -7.0]})
 
+    def test_a_declared_solution_at_large_scale_passes_and_a_shifted_one_does_not(self):
+        # x - c_1 and x - c_2 with centres at scale 1e9 in R^4 vanish in sum at
+        # their mean up to rounding alone (about 1e-7 in 168 of 200 draws); a
+        # mean shifted by 1e-6 of that scale is refused as before
+        rng = np.random.default_rng(0)
+        identity = np.eye(4).tolist()
+        for _ in range(200):
+            centres = 1e9 * rng.standard_normal((2, 4))
+            ops = [{"kind": "affine", "M": identity, "b": (-c).tolist()} for c in centres]
+            mean = centres.mean(axis=0)
+            problems.make_problem("custom", {"ops": ops, "solution": mean.tolist()})
+            shifted = mean + 1e-6 * 1e9 * np.eye(4)[rng.integers(4)]
+            with pytest.raises(ConstructionError, match=r"^solution: not a solution: residual"):
+                problems.make_problem("custom", {"ops": ops, "solution": shifted.tolist()})
+
     def test_two_set_valued_operators_refuse_the_declaration(self):
         # (1.4, 0.2) lies on the edge of the box and inside the ball: with the
         # ball's shift moved to (1.4, 1.2) it lies on the sphere too
