@@ -1,12 +1,12 @@
 """Generic relocated fixed-point iteration x_{n+1} = Q_{g_{n+1}<-g_n} T_{g_n} x_n.
 
-The driver is agnostic to the ambient space: iterates may be plain 1-D
-arrays or BlockVectors. The loop itself carries plain float arrays, and a
-trace hands its iterates out in x_0's type. A run handed a replay hook (every
-runner's) keeps no iterate per row: its trace rebuilds them from x_0 and the
-recorded rows when they are first read. Families bundle the parametrized
-operator T_gamma with its feedback and whether it is stepsize free;
-relocators bundle Q with a Lipschitz bound.
+The driver is agnostic to the ambient space: iterates may be plain float
+arrays, a vector or (k, d) blocks, or BlockVectors. The loop itself carries
+plain float arrays, and a trace hands its iterates out in x_0's type. A run
+handed a replay hook (every runner's) keeps no iterate per row: its trace
+rebuilds them from x_0 and the recorded rows when they are first read.
+Families bundle the parametrized operator T_gamma with its feedback and
+whether it is stepsize free; relocators bundle Q with a Lipschitz bound.
 """
 
 import csv

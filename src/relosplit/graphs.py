@@ -24,8 +24,7 @@ import numpy as np
 
 from .driver import OperatorFamily, Relocator, ambient_norm, relocated_loop
 from .errors import ConstructionError, DimensionError, ParameterError
-from .linalg import (BlockVector, as_block_vector, as_stepsize, as_vector, kron_apply,
-                     pseudo_inverse)
+from .linalg import BlockVector, as_block_vector, as_stepsize, as_vector, pseudo_inverse
 from .operators import stepsize_free
 
 @dataclass(frozen=True)
@@ -242,7 +241,7 @@ def graph_z_sweep(ops, g, gamma, x, z1=None, work=None):
     included, runs this one body.
 
     Without work, gamma, x and z1 are checked here, once, the workspace is
-    built for this call, and the result is a BlockVector of its own. work, a
+    built for this call, and the result is an (N, d) array of its own. work, a
     sweep_workspace of ops and g, is a runner's: its sweep checks nothing,
     so the runner vouches for a float gamma > 0, which may be inf once
     scaled, a float (N - 1, d) array x and a float z1 of R^d, and the
@@ -276,17 +275,17 @@ def graph_z_sweep(ops, g, gamma, x, z1=None, work=None):
     for resolvent, d_i, row_i, input_i, out in nodes:
         row_i.dot(buf, out=input_i)
         resolvent(gamma / d_i, input_i, check=False, out=out)
-    return BlockVector._wrap(z.copy()) if checked else z
+    return z.copy() if checked else z
 
 
 def graph_dr_apply(ops, g, gamma, theta, x):
-    """One graph-DR step T_gamma x = x - theta (Z^T kron I) z; returns (w, z)."""
+    """One graph-DR step T_gamma x = x - theta (Z^T kron I) z; returns the
+    arrays (w, z)."""
     if not 0.0 < theta < 2.0:
         raise ParameterError(f"theta must lie in (0, 2), got {theta}")
     x = _check_x(x, ops, g)
     z = graph_z_sweep(ops, g, gamma, x)
-    w = x - theta * kron_apply(g.matrices.Z.T, z)
-    return w, z
+    return x.data - theta * (g.matrices.Z.T @ z), z
 
 
 def relocation_vector_e(g, z):
@@ -294,16 +293,16 @@ def relocation_vector_e(g, z):
 
     Component i is (d_i - 2 d_i^+) z_i minus the blockwise mean of those
     terms, so the blocks always sum to zero and the vector lies in Im(Z).
-    For node 1 the coefficient equals d_1 because d_1^+ = 0.
+    For node 1 the coefficient equals d_1 because d_1^+ = 0. Returns an
+    (N, d) array.
     """
-    if not isinstance(z, BlockVector):
-        z = BlockVector(z)
-    if z.nblocks != g.n_nodes:
-        raise DimensionError(f"expected {g.n_nodes} blocks, got {z.nblocks}")
+    z = BlockVector(z).data
+    if z.shape[0] != g.n_nodes:
+        raise DimensionError(f"expected {g.n_nodes} blocks, got {z.shape[0]}")
     coeff = (g.deg - 2 * g.indeg).astype(float)
-    raw = coeff[:, None] * z.data
+    raw = coeff[:, None] * z
     mean = raw.sum(axis=0) / g.n_nodes
-    return BlockVector._wrap(raw - mean[None, :])
+    return raw - mean[None, :]
 
 
 def at_consensus(solution_residual, nblocks):
@@ -472,12 +471,13 @@ def graph_relocator(ops, g):
     """The one-resolvent relocator of graph_hooks as a driver relocator.
 
     Bound r + |1 - r| ||Zdag c|| ||Z_1|| / d_1: J_{(gamma/d_1) A_1} is nonexpansive.
+    apply returns an (N - 1, d) array.
     """
     relocate = graph_hooks(ops, g)[2]
     spread = np.linalg.norm(g.matrices.Zdag_c) * np.linalg.norm(g.matrices.Z[0]) / g.deg[0]
 
     def apply(gamma, delta, x):
-        return BlockVector._wrap(relocate(gamma, delta, _check_x(x, ops, g).data, None)[0])
+        return relocate(gamma, delta, _check_x(x, ops, g).data, None)[0]
 
     return Relocator(apply, lambda gamma, delta: delta / gamma + abs(1.0 - delta / gamma) * spread,
                      name="graph_dr")

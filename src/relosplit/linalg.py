@@ -1,13 +1,16 @@
 """Small dense linear algebra over R^d and blockwise product spaces.
 
 Everything here is desk scale (d up to a few dozen, a handful of blocks),
-so plain dense numpy routines are used throughout.
+so plain dense numpy routines are used throughout, and a point of a product
+space X^k is a plain (k, d) float array.
 
 Data from outside the library is checked where it enters: ``as_stepsize``,
-``as_vector``, ``as_matrix``, ``BlockVector(...)``, ``BlockVector.from_blocks``
-and ``as_block_vector``. Block vectors the library computes itself (arithmetic,
-``kron_apply``, sweeps, relocations) are wrapped without a copy or a
-re-check; the iteration loop tests the iterate for finiteness once per step.
+``as_vector``, ``as_matrix``, ``BlockVector(...)`` and ``as_block_vector``.
+They share one conversion, which turns ragged nesting into a DimensionError
+and an entry that is not a real number into a ParameterError. Arrays the
+library computes itself (``kron_apply``, sweeps, relocations) are not
+re-checked; the iteration loop tests the iterate for finiteness once per
+step.
 """
 
 import math
@@ -36,16 +39,38 @@ def _all_finite(a):
     return 0 not in np.isfinite(a).tobytes()
 
 
+def _float_array(x, what):
+    """``x`` as a float array, the conversion every checked coercion shares.
+
+    Ragged nesting raises a DimensionError and an entry that is not a real
+    number (a string, None, a complex number) a ParameterError, so neither
+    reaches the caller as numpy's own ValueError or TypeError. A float
+    array comes back as it is, without a copy.
+    """
+    try:
+        a = np.asarray(x)
+    except ValueError:
+        raise DimensionError(f"{what} must be a rectangular array, got ragged nesting") from None
+    # an object array (Python ints beyond int64, None) converts entry by entry
+    if a.dtype.kind in "biufO":
+        try:
+            return a.astype(float, copy=False)
+        except (TypeError, ValueError):
+            pass
+    raise ParameterError(f"{what} must hold real numbers, got {a.dtype.name} entries")
+
+
 def as_stepsize(gamma, name="gamma"):
     """Coerce a stepsize to a float, rejecting one that is not finite and > 0."""
-    if not 0.0 < gamma < math.inf:
+    value = _float_array(gamma, name)
+    if value.ndim != 0 or not 0.0 < value < math.inf:
         raise ParameterError(f"{name} must be positive, got {gamma}")
-    return float(gamma)
+    return float(value)
 
 
 def as_vector(x):
     """Coerce ``x`` to a 1-D float array, rejecting non-finite entries."""
-    v = np.asarray(x, dtype=float)
+    v = _float_array(x, "vector")
     if v.ndim == 0:
         v = v.reshape(1)
     elif v.ndim != 1:
@@ -59,7 +84,7 @@ def as_vector(x):
 
 def as_matrix(m):
     """Coerce ``m`` to a 2-D float array, rejecting non-finite entries."""
-    a = np.asarray(m, dtype=float)
+    a = _float_array(m, "matrix")
     if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
         raise DimensionError(f"expected a matrix, got shape {a.shape}")
     if not _all_finite(a):
@@ -68,32 +93,28 @@ def as_matrix(m):
 
 
 class BlockVector:
-    """An ordered tuple of k points in R^d, stored as a read-only (k, d) array.
+    """A checked point of a product space X^k: k blocks of R^d, held as a
+    read-only (k, d) float array.
 
-    Block vectors are the ambient space of the product-space methods: the
-    governing iterate lives in X^(N-1) and the resolvent sweep output in X^N.
-    They behave as immutable values and support +, -, and scalar *;
-    ``np.asarray`` of a block vector is its read-only (k, d) array.
+    The runners' boundary type: they accept one as x_0, and a run started
+    from one hands its iterates and final_x back as BlockVectors (see
+    driver.relocated_loop). The library itself computes on plain arrays;
+    ``data`` and ``np.asarray`` of a block vector are its read-only array.
     """
 
     __slots__ = ("_data",)
 
-    # keep numpy scalars from hijacking the arithmetic operators
-    __array_ufunc__ = None
-
     def __init__(self, blocks):
-        if isinstance(blocks, BlockVector):
-            arr = blocks._data.copy()
-        else:
-            arr = np.asarray(blocks, dtype=float)
-            if arr.ndim == 1:
-                raise DimensionError(
-                    "a BlockVector needs a sequence of blocks; wrap a single "
-                    "vector as [v]"
-                )
-            if arr.ndim != 2:
-                raise DimensionError(f"blocks must form a (k, d) array, got {arr.shape}")
-            arr = arr.copy()
+        # a BlockVector converts through __array__, to its own array
+        arr = _float_array(blocks, "blocks")
+        if arr.ndim == 1:
+            raise DimensionError(
+                "a BlockVector needs a sequence of blocks; wrap a single "
+                "vector as [v]"
+            )
+        if arr.ndim != 2:
+            raise DimensionError(f"blocks must form a (k, d) array, got {arr.shape}")
+        arr = arr.copy()
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise DimensionError("need k >= 1 blocks of dimension d >= 1")
         if not _all_finite(arr):
@@ -109,99 +130,33 @@ class BlockVector:
         out._data = arr
         return out
 
-    @classmethod
-    def zeros(cls, nblocks, dim):
-        return cls(np.zeros((nblocks, dim)))
-
-    @classmethod
-    def from_blocks(cls, blocks):
-        """Build from an iterable of equal-dimension vectors."""
-        vecs = [as_vector(b) for b in blocks]
-        dims = {v.size for v in vecs}
-        if len(dims) != 1:
-            raise DimensionError(f"blocks have mixed dimensions {sorted(dims)}")
-        return cls(np.stack(vecs))
-
     @property
     def data(self):
         """Read-only (k, d) view of the blocks."""
         return self._data
-
-    @property
-    def nblocks(self):
-        return self._data.shape[0]
-
-    @property
-    def dim(self):
-        return self._data.shape[1]
-
-    def __getitem__(self, i):
-        return self._data[i]
-
-    def __iter__(self):
-        return iter(self._data)
-
-    def __len__(self):
-        return self.nblocks
-
-    def ravel(self):
-        """Flattened copy, blocks concatenated in order."""
-        return self._data.ravel().copy()
-
-    def norm(self):
-        return float(np.linalg.norm(self._data))
 
     def __array__(self, dtype=None, copy=None):
         if copy:
             return np.array(self._data, dtype=dtype)
         return self._data if dtype is None else self._data.astype(dtype, copy=False)
 
-    def __add__(self, other):
-        self._check_compatible(other)
-        return BlockVector._wrap(self._data + other._data)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return BlockVector._wrap(self._data - other._data)
-
-    def __mul__(self, scalar):
-        return BlockVector._wrap(self._data * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return BlockVector._wrap(-self._data)
-
-    def _check_compatible(self, other):
-        if not isinstance(other, BlockVector):
-            raise DimensionError("expected another BlockVector")
-        if other._data.shape != self._data.shape:
-            raise DimensionError(
-                f"shape mismatch: {self._data.shape} vs {other._data.shape}"
-            )
-
-    def allclose(self, other, tol=1e-12):
-        self._check_compatible(other)
-        return bool(np.max(np.abs(self._data - other._data)) <= tol)
-
     def __repr__(self):
         return f"BlockVector({self._data.tolist()!r})"
 
 
 def kron_apply(matrix, x):
-    """Apply the blockwise lift (M kron I) to a BlockVector.
+    """Apply the blockwise lift (M kron I) to a point of X^c; returns an array.
 
     Block i of the result is sum_j M_ij * x_j; for an r x c matrix the input
     must have c blocks and the output has r blocks.
     """
     m = as_matrix(matrix)
-    if not isinstance(x, BlockVector):
-        x = BlockVector(x)
-    if x.nblocks != m.shape[1]:
+    x = BlockVector(x).data
+    if x.shape[0] != m.shape[1]:
         raise DimensionError(
-            f"matrix has {m.shape[1]} columns but block vector has {x.nblocks} blocks"
+            f"matrix has {m.shape[1]} columns but block vector has {x.shape[0]} blocks"
         )
-    return BlockVector._wrap(m @ x.data)
+    return m @ x
 
 
 def as_block_vector(x, nblocks, dim):
@@ -212,10 +167,10 @@ def as_block_vector(x, nblocks, dim):
     """
     if not isinstance(x, BlockVector):
         x = BlockVector(x)
-    if x.nblocks != nblocks or x.dim != dim:
+    if x.data.shape != (nblocks, dim):
         raise DimensionError(
             f"iterate must have {nblocks} blocks of dimension {dim}, "
-            f"got {x.nblocks} x {x.dim}"
+            f"got {x.data.shape[0]} x {x.data.shape[1]}"
         )
     return x
 

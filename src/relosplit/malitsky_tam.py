@@ -17,7 +17,7 @@ import numpy as np
 from .driver import OperatorFamily, Relocator, relocated_loop
 from .errors import DimensionError, ParameterError
 from .graphs import at_consensus, build_graph, consensus_columns, graph_hooks
-from .linalg import BlockVector, as_block_vector
+from .linalg import as_block_vector
 from .operators import MonotoneOperator, stepsize_free
 
 
@@ -68,7 +68,7 @@ def _check_x(problem, x):
 
 
 def mt_apply(problem, gamma, x):
-    """One Malitsky-Tam step; returns (Tx, z).
+    """One Malitsky-Tam step; returns the arrays (Tx, z).
 
     z_1 = J_{gamma A_1} x_1, z_i = J_{gamma A_i}(z_{i-1} + x_i - x_{i-1}) for
     the middle nodes, z_N = J_{gamma A_N}(z_1 + z_{N-1} - x_{N-1}); then
@@ -76,14 +76,14 @@ def mt_apply(problem, gamma, x):
     """
     if gamma <= 0:
         raise ParameterError(f"gamma must be positive, got {gamma}")
-    x = _check_x(problem, x)
+    x = _check_x(problem, x).data
     ops, n = problem.ops, problem.n_ops
     z = [ops[0].resolvent(gamma, x[0])]
     for i in range(1, n - 1):
         z.append(ops[i].resolvent(gamma, z[i - 1] + x[i] - x[i - 1]))
     z.append(ops[n - 1].resolvent(gamma, z[0] + z[n - 2] - x[n - 2]))
     z = np.stack(z)
-    return BlockVector._wrap(x.data + problem.theta * (z[1:] - z[:-1])), BlockVector._wrap(z)
+    return x + problem.theta * (z[1:] - z[:-1]), z
 
 
 def mt_relocator_apply(problem, gamma, delta, x):
@@ -92,16 +92,17 @@ def mt_relocator_apply(problem, gamma, delta, x):
     First component (delta/gamma) x_1 + (1 - delta/gamma) J_{gamma A_1} x_1;
     every other component is (delta/gamma)(x_i - x_1) plus the first. On
     Fix T_gamma this agrees with the pseudo-inverse relocator of the ring
-    graph under the half-scaling change of variables.
+    graph under the half-scaling change of variables. Returns an (N - 1, d)
+    array.
     """
     if gamma <= 0 or delta <= 0:
         raise ParameterError("gamma and delta must be positive")
-    x = _check_x(problem, x)
+    x = _check_x(problem, x).data
     ratio = delta / gamma
     if ratio == 1.0:
         return x
     q1 = ratio * x[0] + (1.0 - ratio) * problem.ops[0].resolvent(gamma, x[0])
-    return BlockVector._wrap(ratio * (x.data - x[0]) + q1)
+    return ratio * (x - x[0]) + q1
 
 
 def mt_lipschitz(n, gamma, delta):
@@ -121,7 +122,8 @@ def mt_family(problem):
         return tx, {"shadow": z}
 
     def feedback(gamma, w):
-        return problem.ops[0].resolvent(gamma, w[0]), w[0]
+        w_1 = np.asarray(w)[0]
+        return problem.ops[0].resolvent(gamma, w_1), w_1
 
     return OperatorFamily(apply, feedback=feedback, name="malitsky_tam",
                           stepsize_free=stepsize_free(problem.ops))
@@ -144,8 +146,9 @@ def algorithm2_run(problem, schedule, x0, stop, solution_residual=None):
     next sweep's J_{gamma_{n+1} A_1} x_{n+1}^1; an adaptive run's stopping
     iteration pays one more A_1 for its feedback. The consensus_residual
     column ||Z^T z_n|| and the solution residual, at the blockwise mean of
-    the sweep, are computed from the recorded sweep when they are read. When every operator is stepsize free (boxes, balls, points), the
-    run stops at its first residual within tolerance (see driver.StopRule).
+    the sweep, are computed from the recorded sweep when they are read.
+    When every operator is stepsize free (boxes, balls, points), the run
+    stops at its first residual within tolerance (see driver.StopRule).
     """
     g = mt_graph(problem.n_ops)
     step, feedback, relocate, replay = graph_hooks(problem.ops, g, problem.theta,

@@ -2,17 +2,15 @@
 
 Every operator exposes the same oracle: ``op.resolvent(gamma, x)`` returns
 J_{gamma A} x = (I + gamma A)^{-1} x, single-valued and defined for every x.
-Reflectents are derived as R = 2 J - Id. All resolvents are exact (no inner
-iterative solves). The affine kind factors its matrix once, on its first
-resolvent or ``input_row`` call, into stepsize-free eigenfactors that take gamma as an entry
-of their input, so each later resolvent is two real matrix-vector products
-and one complex division at any gamma, made in buffers the factors own: a
-call allocates its result and nothing else, and nothing at all with
-``out=row`` (about 2.4 us a call at d = 32, and 0.73 s for graph-affine's
-solve, from 3.9 us and 0.86 s when a call made its own input and product).
-So an affine operator's resolvent is not reentrant across threads (the
-library starts none). A matrix whose eigenvector basis is ill conditioned
-keeps a dense linear solve per call.
+All resolvents are exact (no inner iterative solves). The affine kind
+factors its matrix once, on its first resolvent or ``input_row`` call, into
+stepsize-free eigenfactors that take gamma as an entry of their input, so
+each later resolvent is two real matrix-vector products and one complex
+division at any gamma, made in buffers the factors own: a call allocates
+its result and nothing else, and nothing at all with ``out=row``. So an
+affine operator's resolvent is not reentrant across threads (the library
+starts none). A matrix whose eigenvector basis is ill conditioned keeps a
+dense linear solve per call.
 
 ``resolvent`` checks gamma and x. ``resolvent(gamma, x, check=False)`` skips
 the checks, for a caller that checked its inputs once, at its own entry: the
@@ -30,14 +28,12 @@ from. The factored affine kind returns the x part of its own [x; -gamma; 1]
 buffer, and a call handed that very row skips its copy; every other kind
 returns a fresh row, which the caller owns. The runners' sweep writes each
 node's input into its operator's row, so a graph-affine iteration copies no
-resolvent input (see ``graphs.sweep_workspace``): a call from the row takes
-about 1.8 us at d = 32 and 1.5 us at d = 16, against 2.0 and 1.6 us when it
-copies its input in, and 2.3 and 2.0 us before its last product dropped
-np.dot's dispatcher. The row is shared by every
-caller of one operator object and rewritten by its calls, so it is filled
-just before the call that reads it, and an affine operator's resolvent is
-not reentrant: two calls on one object must not overlap, across threads or
-through a callback (the library starts no thread and makes no such call).
+resolvent input (see ``graphs.sweep_workspace``). The row is shared by
+every caller of one operator object and rewritten by its calls, so it is
+filled just before the call that reads it, and an affine operator's
+resolvent is not reentrant: two calls on one object must not overlap,
+across threads or through a callback (the library starts no thread and
+makes no such call).
 
 Each kind also answers for its own semantics: ``value`` (A itself where it
 is single valued), ``inclusion_residual`` (the membership test w in A z)
@@ -117,11 +113,6 @@ class MonotoneOperator:
         it, so it is filled just before the call that reads it.
         """
         return np.empty(self.dim)
-
-    def reflectent(self, gamma, x):
-        """Evaluate R_{gamma A} x = 2 J_{gamma A} x - x."""
-        x = as_vector(x)
-        return 2.0 * self.resolvent(gamma, x) - x
 
     def _resolvent(self, gamma, x):
         raise NotImplementedError
@@ -207,21 +198,16 @@ class AffineMonotone(MonotoneOperator):
     the count of numpy calls and of the arrays they make that sets its
     time. The input [x; -gamma; 1], the product and its complex halves are
     buffers and views kept with the factors, so a call allocates only its
-    result, and with out=row nothing: about 2.4 us a call at d = 32, from
-    about 3.9 us when each call made its input, its product and five
-    slices or views, and graph-affine's solve time fell from 0.86 to 0.73 s
-    (BENCH_25.json). Two calls on one operator must therefore not overlap:
-    the resolvent is not reentrant across threads.
+    result, and with out=row nothing. Two calls on one operator must
+    therefore not overlap: the resolvent is not reentrant across threads.
 
     input_row() is the x part of that input buffer, so a caller that
     writes its point there, as the runners' sweep does, hands it over with
     no copy: the call then writes gamma, makes the product and the
     division, and ends in left.dot(num_real, out=out), the method that
-    reaches the same C routine as np.dot without its dispatcher: about
-    1.8 us a call at d = 32 from the row and 2.0 us with the copy, from
-    2.3 us with np.dot (minima of 21 timeit rounds). The row is the
-    operator's, shared by every node it sits at, and any call overwrites
-    it.
+    reaches the same C routine as np.dot without its dispatcher. The row
+    is the operator's, shared by every node it sits at, and any call
+    overwrites it.
 
     Monotone M has Re lam >= 0, so |1 + gamma lam| >= 1 and the error is
     about cond_1(V) times machine epsilon at every gamma. When cond_1(V)
@@ -326,8 +312,7 @@ def _eigen_factors(m, b):
 
     With them come the buffers and views that every call on the operator
     writes (see ``_AffineFactors``), so a call allocates nothing but its
-    result: about 2.4 us a call at d = 32 and 2.1 us at d = 16, from 3.9
-    and 3.8 us when a call made them itself.
+    result.
 
     Returns () when the eigenvector basis is singular or cond_1(V) exceeds
     EIG_COND_MAX.

@@ -28,7 +28,7 @@ from .errors import (
     InfeasibleError,
     ParameterError,
 )
-from .linalg import BlockVector, kron_apply
+from .linalg import kron_apply
 
 GAMMA_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -53,16 +53,16 @@ def graph_relocator_apply(ops, g, gamma, delta, x):
     e(x) is built from the sweep of x at gamma, so a relocation costs one
     full sweep (N resolvents) unless delta == gamma, where Q is the identity.
     The runners use the one-resolvent relocator of graphs.graph_hooks, which
-    agrees with this one on Fix T_gamma.
+    agrees with this one on Fix T_gamma. Returns an (N - 1, d) array.
     """
     if gamma <= 0 or delta <= 0:
         raise ParameterError("gamma and delta must be positive")
     x = graphs._check_x(x, ops, g)
     ratio = delta / gamma
     if ratio == 1.0:
-        return x
+        return x.data
     e = graphs.relocation_vector_e(g, graphs.graph_z_sweep(ops, g, gamma, x))
-    return ratio * x + (1.0 - ratio) * kron_apply(g.matrices.Zdag, e)
+    return ratio * x.data + (1.0 - ratio) * kron_apply(g.matrices.Zdag, e)
 
 
 def relocator_system_residual(ops, g, gamma, delta, x, y=None):
@@ -77,7 +77,7 @@ def relocator_system_residual(ops, g, gamma, delta, x, y=None):
     ratio = delta / gamma
     e = graphs.relocation_vector_e(g, graphs.graph_z_sweep(ops, g, gamma, x))
     z_mat = g.matrices.Z
-    return (kron_apply(z_mat, y) - ratio * kron_apply(z_mat, x) - (1.0 - ratio) * e).norm()
+    return ambient_norm(kron_apply(z_mat, y) - ratio * kron_apply(z_mat, x) - (1.0 - ratio) * e)
 
 
 def graph_relocator_lipschitz_bound(g, gamma, delta):
@@ -111,7 +111,8 @@ def fix_point_oracle_affine(ops, g, gamma):
     when the solution set has positive dimension), returns (x, z_star) with
     x = v and z_star the consensus block, and verifies the fixed-point
     residual via graph_dr_apply. Raises InfeasibleError when the system is
-    inconsistent, i.e. the operators have no common zero.
+    inconsistent, i.e. the operators have no common zero. x is an
+    (N - 1, d) array.
     """
     if gamma <= 0:
         raise ParameterError(f"gamma must be positive, got {gamma}")
@@ -141,7 +142,6 @@ def fix_point_oracle_affine(ops, g, gamma):
         )
 
     z_blocks = solution[: n * d].reshape(n, d)
-    v_blocks = solution[n * d:].reshape(n - 1, d)
     z_star = z_blocks.mean(axis=0)
     spread = np.max(np.abs(z_blocks - z_star[None, :]))
     if spread > ORACLE_TOL * (1.0 + np.linalg.norm(z_star)):
@@ -149,9 +149,9 @@ def fix_point_oracle_affine(ops, g, gamma):
             f"zero of the stacked system is not consensus (spread {spread:.3e})"
         )
 
-    x = BlockVector(v_blocks)
+    x = solution[n * d:].reshape(n - 1, d)
     w, _ = graphs.graph_dr_apply(ops, g, gamma, 1.0, x)
-    fix_resid = (x - w).norm()
+    fix_resid = np.linalg.norm(x - w)
     if fix_resid > ORACLE_TOL:
         raise ConsistencyError(
             f"oracle point fails the fixed-point test (residual {fix_resid:.3e})"
@@ -180,12 +180,6 @@ class RelocatorAxiomReport:
                 and self.lipschitz_ok)
 
 
-def _perturb(x, rng, scale):
-    if isinstance(x, BlockVector):
-        return BlockVector(x.data + scale * rng.standard_normal(x.data.shape))
-    return np.asarray(x, dtype=float) + scale * rng.standard_normal(np.shape(x))
-
-
 def check_relocator_axioms(family, relocator, fixed_points, gammas, tol=1e-9, rng=None):
     """Check the four fixed-point relocator axioms on sampled data.
 
@@ -195,13 +189,16 @@ def check_relocator_axioms(family, relocator, fixed_points, gammas, tol=1e-9, rn
     points and the reverse relocation inverts (bijection); delta -> Q x has a
     finite difference quotient on a fine grid (continuity); compositions
     collapse (semigroup); and sampled Lipschitz ratios stay within the
-    declared bound (up to tol).
+    declared bound (up to tol). The points, a BlockVector's included, are
+    handled as float arrays, and the family and the relocator must return
+    arrays.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     gammas = [float(g) for g in gammas]
     if not gammas or not fixed_points:
         raise ParameterError("need at least one gamma and one fixed point")
+    fixed_points = [(g, np.asarray(x, dtype=float)) for g, x in fixed_points]
 
     for g, x in fixed_points:
         w, _ = family.apply(g, x)
@@ -258,8 +255,8 @@ def check_relocator_axioms(family, relocator, fixed_points, gammas, tol=1e-9, rn
             bound = relocator.lipschitz_bound(g, d)
             for _ in range(LIPSCHITZ_SAMPLES):
                 base = base_points[rng.integers(len(base_points))]
-                u = _perturb(base, rng, scale=2.0)
-                v = _perturb(base, rng, scale=2.0)
+                u = base + 2.0 * rng.standard_normal(base.shape)
+                v = base + 2.0 * rng.standard_normal(base.shape)
                 denom = ambient_norm(u - v)
                 if denom == 0.0:
                     continue
@@ -311,13 +308,13 @@ def mt_vs_graph_equivalence(problem, gamma, x, tol=1e-10):
         raise ParameterError("the ring comparison needs N >= 3")
     if gamma <= 0:
         raise ParameterError(f"gamma must be positive, got {gamma}")
-    x = mt._check_x(problem, x)
+    x = mt._check_x(problem, x).data
     g = mt.mt_graph(problem.n_ops)
     w_graph, z_graph = graphs.graph_dr_apply(list(problem.ops), g, 2.0 * gamma,
                                              2.0 * problem.theta, 2.0 * x)
     tx, z_mt = mt.mt_apply(problem, gamma, x)
-    op_diff = float(np.max(np.abs(0.5 * w_graph.data - tx.data)))
-    sweep_diff = float(np.max(np.abs(z_graph.data - z_mt.data)))
+    op_diff = float(np.max(np.abs(0.5 * w_graph - tx)))
+    sweep_diff = float(np.max(np.abs(z_graph - z_mt)))
     return EquivalenceReport(max_operator_diff=op_diff, max_sweep_diff=sweep_diff,
                              tol=tol)
 
@@ -385,8 +382,10 @@ class _WaitingGeometric(sch.GeometricToLimit):
 
 
 def _max_gap(xs, ys):
-    """The largest distance between paired iterates of two runs."""
-    return max(ambient_norm(x - y) for x, y in zip(xs, ys))
+    """The largest distance between paired iterates of two runs, arrays or
+    BlockVectors (the graph and MT runners hand their iterates back as
+    these)."""
+    return max(ambient_norm(np.subtract(x, y)) for x, y in zip(xs, ys))
 
 
 def _stationary(step, x, count):
@@ -587,7 +586,7 @@ def graph_relocator(rng):
     for g in (mt.mt_graph(3), mt.mt_graph(4), chorded_path()):
         ops = [random_affine(rng, 2) for _ in range(g.n_nodes)]
         for _ in range(100):
-            x = BlockVector(3.0 * rng.standard_normal((g.n_nodes - 1, 2)))
+            x = 3.0 * rng.standard_normal((g.n_nodes - 1, 2))
             gamma, delta = rng.choice(GAMMA_GRID, size=2)
             resid = relocator_system_residual(ops, g, gamma, delta, x)
             result.check(resid <= 1e-10, f"{g!r}: system residual {resid:.2e}")
@@ -596,7 +595,7 @@ def graph_relocator(rng):
             for delta in GAMMA_GRID:
                 y = graph_relocator_apply(ops, g, gamma, delta, x_fix)
                 w, _ = graphs.graph_dr_apply(ops, g, delta, 1.0, y)
-                gap = (y - w).norm()
+                gap = np.linalg.norm(y - w)
                 result.check(gap <= 1e-8,
                              f"{g!r}: transport {gamma}->{delta} residual {gap:.2e}")
     return result
@@ -614,22 +613,22 @@ def lipschitz_bounds(rng):
     for gamma, delta in ((1.0, 2.0), (2.0, 1.0), (0.5, 2.0)):
         bound = graph_relocator_lipschitz_bound(g3, gamma, delta)
         for _ in range(1000):
-            u = BlockVector(4.0 * rng.standard_normal((2, 2)))
-            v = BlockVector(4.0 * rng.standard_normal((2, 2)))
-            gap = (graph_relocator_apply(ops, g3, gamma, delta, u)
-                   - graph_relocator_apply(ops, g3, gamma, delta, v)).norm()
-            result.check(gap <= bound * (u - v).norm(),
+            u = 4.0 * rng.standard_normal((2, 2))
+            v = 4.0 * rng.standard_normal((2, 2))
+            gap = np.linalg.norm(graph_relocator_apply(ops, g3, gamma, delta, u)
+                                 - graph_relocator_apply(ops, g3, gamma, delta, v))
+            result.check(gap <= bound * np.linalg.norm(u - v),
                          f"graph relocator ratio exceeds its bound at {gamma}->{delta}")
     for n in (3, 5):
         problem = mt.MTProblem(tuple(random_affine(rng, 2) for _ in range(n)), theta=0.5)
         for gamma, delta in ((1.0, 2.0), (2.0, 0.5)):
             bound = mt.mt_lipschitz(n, gamma, delta)
             for _ in range(1000):
-                u = BlockVector(4.0 * rng.standard_normal((n - 1, 2)))
-                v = BlockVector(4.0 * rng.standard_normal((n - 1, 2)))
-                gap = (mt.mt_relocator_apply(problem, gamma, delta, u)
-                       - mt.mt_relocator_apply(problem, gamma, delta, v)).norm()
-                result.check(gap <= bound * (u - v).norm() + 1e-9,
+                u = 4.0 * rng.standard_normal((n - 1, 2))
+                v = 4.0 * rng.standard_normal((n - 1, 2))
+                gap = np.linalg.norm(mt.mt_relocator_apply(problem, gamma, delta, u)
+                                     - mt.mt_relocator_apply(problem, gamma, delta, v))
+                result.check(gap <= bound * np.linalg.norm(u - v) + 1e-9,
                              f"cheap relocator ratio exceeds its bound at N={n}, "
                              f"{gamma}->{delta}")
     return result
@@ -649,7 +648,7 @@ def equivalences(rng):
     gap = _max_gap(trace.iterates, classical)
     result.check(gap <= 1e-12, f"constant-stepsize DR off classical DR by {gap:.2e}")
     problem_mt = mt.MTProblem(tuple(random_affine(rng, 2) for _ in range(4)), theta=0.5)
-    x0_mt = BlockVector(rng.standard_normal((3, 2)))
+    x0_mt = rng.standard_normal((3, 2))
     trace = mt.algorithm2_run(problem_mt, sch.Constant(1.0), x0_mt,
                               StopRule(residual_tol=1e-16, max_iters=100))
     classical = _stationary(lambda x: mt.mt_apply(problem_mt, 1.0, x)[0], x0_mt,
@@ -666,7 +665,7 @@ def equivalences(rng):
     result.check(gap <= 1e-12, f"relocated DR naive/efficient mismatch {gap:.2e}")
     for n in (4, 5):
         problem_mt = mt.MTProblem(tuple(random_affine(rng, 2) for _ in range(n)), theta=0.5)
-        x0_mt = BlockVector(rng.standard_normal((n - 1, 2)))
+        x0_mt = rng.standard_normal((n - 1, 2))
         efficient = mt.algorithm2_run(problem_mt, schedule, x0_mt, stop)
         naive = run_relocated(mt.mt_family(problem_mt), mt.mt_relocator(problem_mt),
                               schedule, x0_mt, stop)
@@ -678,7 +677,7 @@ def equivalences(rng):
             problem_n = mt.MTProblem(tuple(random_affine(rng, 2) for _ in range(n)),
                                      theta=float(rng.uniform(0.1, 0.9)))
             for _ in range(10):
-                x = BlockVector(rng.standard_normal((n - 1, 2)))
+                x = rng.standard_normal((n - 1, 2))
                 gamma = float(rng.choice((0.5, 0.8, 1.0, 2.0)))
                 rep = mt_vs_graph_equivalence(problem_n, gamma, x, tol=1e-10)
                 result.check(rep.passed, f"N={n} instance {instance}: operator diff "
@@ -716,7 +715,7 @@ def convergence(rng):
     inst = problems.make_problem("affine_consensus", {"count": 4, "dim": 8, "spread": 2.0},
                                  seed=int(rng.integers(2 ** 32)))
     trace = mt.algorithm2_run(
-        mt.MTProblem(tuple(inst.ops), theta=0.5), schedule, BlockVector.zeros(3, 8),
+        mt.MTProblem(tuple(inst.ops), theta=0.5), schedule, np.zeros((3, 8)),
         StopRule(residual_tol=1e-12, max_iters=5000),
         solution_residual=lambda z: problems.solution_residual(inst, z))
     consensus = trace.extra_scalars["consensus_residual"][-1]
@@ -746,7 +745,7 @@ def negative_controls(rng):
 
     g = mt.mt_graph(3)
     ops = [random_affine(rng, 2) for _ in range(3)]
-    x = BlockVector(rng.standard_normal((2, 2)))
+    x = rng.standard_normal((2, 2))
     gamma, delta = 1.0, 2.0
     e = graphs.relocation_vector_e(g, graphs.graph_z_sweep(ops, g, gamma, x))
     flipped = (delta / gamma) * x + (1.0 - delta / gamma) * kron_apply(

@@ -14,6 +14,7 @@ paper's cost model predicts.
 import os
 import sys
 
+import numpy as np
 import pytest
 
 import relosplit as rs
@@ -101,7 +102,7 @@ def test_resolvent_count_and_uninstall(tracer_module):
     try:
         assert not _same(modules, _bindings()[0])
         trace = rs.algorithm2_run(problem, rs.GeometricToLimit(1.0, 2.0, 0.9),
-                                  rs.BlockVector.zeros(n_ops - 1, dim),
+                                  rs.BlockVector(np.zeros((n_ops - 1, dim))),
                                   rs.StopRule(residual_tol=1e-10, max_iters=5000))
     finally:
         tracer.uninstall()
@@ -128,7 +129,7 @@ def _chorded_six():
     (lambda inst, schedule, stop: rs.algorithm1_run(inst.dr_problem(), schedule,
                                                     [0.0, 0.0], stop), "dr2.run", 2, 125),
     (lambda inst, schedule, stop: rs.graph_relocated_run(
-        inst.ops, _chorded_six(), 1.0, schedule, rs.BlockVector.zeros(5, 2), stop),
+        inst.ops, _chorded_six(), 1.0, schedule, rs.BlockVector(np.zeros((5, 2))), stop),
      "graphs.run", 6, 422),
 ], ids=["dr2", "chorded-graph"])
 def test_resolvent_count_of_dr2_and_graph_runs(tracer_module, runner, span, n_ops, iterations):

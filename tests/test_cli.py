@@ -960,6 +960,16 @@ class TestReadme:
         cfg = cli.parse_config(example)
         assert cfg.algorithm == "dr2" and isinstance(cfg.schedule, GeometricToLimit)
 
+    def test_python_quickstart_runs(self, capsys):
+        # every ```python block, run as a script, so a stale example fails
+        with open(README) as fh:
+            blocks = [part.split("```", 1)[0] for part in fh.read().split("```python\n")[1:]]
+        assert blocks
+        for block in blocks:
+            exec(compile(block, README, "exec"), {"__name__": "readme"})
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("converged [2.") and lines[1] == "converged (3, 8)"
+
     def test_every_schema_field_is_named(self):
         with open(README) as fh:
             text = fh.read()

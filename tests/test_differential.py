@@ -185,7 +185,7 @@ def cases(draw):
     if kinds is LINEAR_KINDS and draw(st.booleans()):
         # MT is the ring's graph DR at (s gamma, s x), s the ring degree
         s = float(graph.deg[0]) if method == "mt" else 1.0
-        x0 = fix_point_oracle_affine(ops, graph, s * schedule.gamma_at(0))[0].data / s
+        x0 = fix_point_oracle_affine(ops, graph, s * schedule.gamma_at(0))[0] / s
     else:
         x0 = draw(powers_of_ten(-3.0, 3.0)) * rng.standard_normal((n - 1, dim))
     return Case(method, tuple(ops), schedule, x0[0] if method == "dr2" else x0,

@@ -19,6 +19,7 @@ from relosplit.linalg import BlockVector
 from relosplit.malitsky_tam import (
     MTProblem,
     algorithm2_run,
+    mt_apply,
     mt_family,
     mt_graph,
     mt_relocator_apply,
@@ -133,32 +134,32 @@ class TestGraphDRApply:
     def test_zero_ops_hand_sweep(self):
         g = mt_graph(3)
         ops = [Zero(1)] * 3
-        w, z = graphs.graph_dr_apply(ops, g, 1.0, 1.0, BlockVector([[2.0], [0.0]]))
-        assert z.allclose(BlockVector([[1.0], [0.0], [1.0]]))
-        assert w.allclose(BlockVector([[1.0], [1.0]]))
+        w, z = graphs.graph_dr_apply(ops, g, 1.0, 1.0, [[2.0], [0.0]])
+        assert z.tolist() == [[1.0], [0.0], [1.0]]
+        assert w.tolist() == [[1.0], [1.0]]
 
     def test_consensus_is_fixed(self):
         g = mt_graph(3)
         ops = [Zero(1)] * 3
-        x = BlockVector([[1.0], [1.0]])
+        x = np.array([[1.0], [1.0]])
         w, z = graphs.graph_dr_apply(ops, g, 1.0, 1.0, x)
-        assert z.allclose(BlockVector([[0.5], [0.5], [0.5]]))
-        assert w.allclose(x)
+        assert z.tolist() == [[0.5], [0.5], [0.5]]
+        assert w.tolist() == x.tolist()
 
     def test_normal_cone_point_everything_fixed(self, rng):
         g = mt_graph(4)
         p = rng.standard_normal(2)
         ops = [NormalConePoint(p)] * 4
-        x = BlockVector(rng.standard_normal((3, 2)))
+        x = rng.standard_normal((3, 2))
         w, z = graphs.graph_dr_apply(ops, g, 1.7, 0.9, x)
         for block in z:
             assert np.allclose(block, p)
-        assert w.allclose(x, tol=1e-12)
+        assert np.max(np.abs(w - x)) <= 1e-12
 
     def test_theta_range(self):
         g = mt_graph(3)
         with pytest.raises(ParameterError):
-            graphs.graph_dr_apply([Zero(1)] * 3, g, 1.0, 2.0, BlockVector([[0.0], [0.0]]))
+            graphs.graph_dr_apply([Zero(1)] * 3, g, 1.0, 2.0, [[0.0], [0.0]])
 
     def test_averagedness(self, rng):
         # theta/2-averaged: ||Tu-Tv||^2 + ((1-a)/a)||(I-T)u-(I-T)v||^2 <= ||u-v||^2
@@ -167,54 +168,76 @@ class TestGraphDRApply:
         for theta in (0.5, 1.0, 1.5):
             alpha = theta / 2.0
             for _ in range(30):
-                u = BlockVector(3.0 * rng.standard_normal((2, 2)))
-                v = BlockVector(3.0 * rng.standard_normal((2, 2)))
+                u = 3.0 * rng.standard_normal((2, 2))
+                v = 3.0 * rng.standard_normal((2, 2))
                 tu, _ = graphs.graph_dr_apply(ops, g, 1.3, theta, u)
                 tv, _ = graphs.graph_dr_apply(ops, g, 1.3, theta, v)
-                lhs = (tu - tv).norm() ** 2 + ((1 - alpha) / alpha) * (
-                    (u - tu) - (v - tv)).norm() ** 2
-                assert lhs <= (u - v).norm() ** 2 + 1e-9
+                lhs = np.linalg.norm(tu - tv) ** 2 + ((1 - alpha) / alpha) * np.linalg.norm(
+                    (u - tu) - (v - tv)) ** 2
+                assert lhs <= np.linalg.norm(u - v) ** 2 + 1e-9
+
+
+@pytest.mark.parametrize("make_x", [np.array, BlockVector], ids=["array", "blockvector"])
+def test_library_points_are_float_arrays(rng, make_x):
+    # whatever checked point goes in, each step, sweep and relocation hands
+    # back plain float arrays, the identity relocations included
+    g = mt_graph(4)
+    ops = affine_ops(rng, g)
+    problem = MTProblem(tuple(ops), 0.5)
+    x = make_x(rng.standard_normal((3, 2)))
+    outputs = [graphs.graph_z_sweep(ops, g, 1.0, x),
+               *graphs.graph_dr_apply(ops, g, 1.0, 1.0, x),
+               graphs.relocation_vector_e(g, make_x(rng.standard_normal((4, 2)))),
+               *mt_apply(problem, 1.0, x),
+               linalg.kron_apply(g.matrices.Z, x),
+               fix_point_oracle_affine(ops, g, 1.0)[0]]
+    for delta in (1.0, 2.0):
+        outputs += [graphs.graph_relocator(ops, g).apply(1.0, delta, x),
+                    mt_relocator_apply(problem, 1.0, delta, x),
+                    graph_relocator_apply(ops, g, 1.0, delta, x)]
+    for out in outputs:
+        assert type(out) is np.ndarray and out.dtype == float
 
 
 class TestRelocationVector:
     def test_hand_values(self):
         g = mt_graph(3)
-        e = graphs.relocation_vector_e(g, BlockVector([[0.5], [0.5], [0.5]]))
-        assert e.allclose(BlockVector([[1.0], [0.0], [-1.0]]))
+        e = graphs.relocation_vector_e(g, [[0.5], [0.5], [0.5]])
+        assert e.tolist() == [[1.0], [0.0], [-1.0]]
 
     def test_zero(self):
         g = mt_graph(3)
-        e = graphs.relocation_vector_e(g, BlockVector.zeros(3, 2))
-        assert e.norm() == 0.0
+        e = graphs.relocation_vector_e(g, np.zeros((3, 2)))
+        assert not e.any()
 
     def test_blocks_sum_to_zero(self, rng):
         for g in (mt_graph(4), chorded_path()):
-            z = BlockVector(rng.standard_normal((g.n_nodes, 3)))
+            z = rng.standard_normal((g.n_nodes, 3))
             e = graphs.relocation_vector_e(g, z)
-            assert np.max(np.abs(e.data.sum(axis=0))) <= 1e-12
+            assert np.max(np.abs(e.sum(axis=0))) <= 1e-12
 
 
 class TestGraphRelocator:
     def test_identity_when_equal(self, rng):
         g = mt_graph(3)
         ops = affine_ops(rng, g)
-        x = BlockVector(rng.standard_normal((2, 2)))
-        assert graph_relocator_apply(ops, g, 1.3, 1.3, x).allclose(x)
+        x = rng.standard_normal((2, 2))
+        assert np.max(np.abs(graph_relocator_apply(ops, g, 1.3, 1.3, x) - x)) <= 1e-12
 
     def test_zero_ops_fixed_point(self):
         # consensus x = ((1),(1)) stays put: Zdag e = ((1),(1))
         g = mt_graph(3)
         ops = [Zero(1)] * 3
-        x = BlockVector([[1.0], [1.0]])
+        x = np.array([[1.0], [1.0]])
         for delta in (0.5, 2.0, 4.0):
             y = graph_relocator_apply(ops, g, 1.0, delta, x)
-            assert y.allclose(x, tol=1e-12)
+            assert np.max(np.abs(y - x)) <= 1e-12
 
     def test_system_residual_random(self, rng):
         for g in (mt_graph(3), mt_graph(5), chorded_path()):
             ops = affine_ops(rng, g)
             for _ in range(100):
-                x = BlockVector(3.0 * rng.standard_normal((g.n_nodes - 1, 2)))
+                x = 3.0 * rng.standard_normal((g.n_nodes - 1, 2))
                 gamma, delta = rng.choice(GAMMA_GRID, size=2)
                 resid = relocator_system_residual(ops, g, gamma, delta, x)
                 assert resid <= 1e-10
@@ -227,7 +250,7 @@ class TestGraphRelocator:
                 for delta in GAMMA_GRID:
                     y = graph_relocator_apply(ops, g, gamma, delta, x_fix)
                     w, _ = graphs.graph_dr_apply(ops, g, delta, 1.0, y)
-                    assert (y - w).norm() <= 1e-8
+                    assert np.linalg.norm(y - w) <= 1e-8
 
     def test_semigroup_on_fixed_points(self, rng):
         g = mt_graph(4)
@@ -238,7 +261,7 @@ class TestGraphRelocator:
                 step = graph_relocator_apply(ops, g, 1.0, d, x_fix)
                 two_step = graph_relocator_apply(ops, g, d, e, step)
                 direct = graph_relocator_apply(ops, g, 1.0, e, x_fix)
-                assert (two_step - direct).norm() <= 1e-9
+                assert np.linalg.norm(two_step - direct) <= 1e-9
 
 
 def bench_graph():
@@ -254,7 +277,6 @@ def reference_sweep(ops, g, gamma, x, z1=None):
     adds node i's share of Kx x after the Kz product; graph_z_sweep forms the
     same input as one product over the stacked [z; Kx x].
     """
-    x = x.data
     shares = g.matrices.Kx.dot(x)
     kz = g.matrices.Kz
     z = np.zeros((g.n_nodes, x.shape[1]))
@@ -277,7 +299,7 @@ def signed_zeros(rng, a):
 def reference_step(ops, g, theta, scale, gamma, blocks, z1=None):
     """graph_hooks' step as it was before the unit folds, kept as reference,
     on a (k, d) block array: scale and theta are products. Returns (w, z)."""
-    z = graphs.graph_z_sweep(ops, g, scale * gamma, BlockVector(scale * blocks), z1).data
+    z = graphs.graph_z_sweep(ops, g, scale * gamma, scale * blocks, z1)
     return blocks - theta * g.matrices.Z.T.dot(z), z
 
 
@@ -330,11 +352,11 @@ class TestSweepRows:
         and the last pair again with +0 and -0 entries in x and z1."""
         d_1 = float(g.deg[0])
         for gamma in GAMMA_GRID:
-            x = BlockVector(scale * 3.0 * rng.standard_normal((g.n_nodes - 1, ops[0].dim)))
+            x = scale * 3.0 * rng.standard_normal((g.n_nodes - 1, ops[0].dim))
             yield scale * gamma, x, None
-            z1 = ops[0].resolvent(scale * gamma / d_1, g.matrices.Kx[0].dot(x.data))
+            z1 = ops[0].resolvent(scale * gamma / d_1, g.matrices.Kx[0].dot(x))
             yield scale * gamma, x, z1
-            yield scale * gamma, BlockVector(signed_zeros(rng, x.data)), signed_zeros(rng, z1)
+            yield scale * gamma, signed_zeros(rng, x), signed_zeros(rng, z1)
 
     def test_rows_are_degrees_and_kz_rows(self):
         for g in (mt_graph(16), bench_graph()):
@@ -352,17 +374,14 @@ class TestSweepRows:
         for g, ops, scale in self.cases(rng):
             for gamma, x, z1 in self.sweeps(rng, g, ops, scale):
                 swept = graphs.graph_z_sweep(ops, g, gamma, x, z1)
-                assert swept.data.tobytes() == reference_sweep(ops, g, gamma, x, z1).tobytes()
+                assert swept.tobytes() == reference_sweep(ops, g, gamma, x, z1).tobytes()
 
-    def test_swept_array_is_read_only(self, rng):
+    def test_checked_sweep_is_a_float_array_of_its_own(self, rng):
         g = bench_graph()
         ops = affine_ops(rng, g, dim=4)
-        swept = graphs.graph_z_sweep(ops, g, 1.0, BlockVector(rng.standard_normal((5, 4))))
-        data = swept.data
-        assert not data.flags.writeable
-        assert data.base is None or not data.base.flags.writeable
-        with pytest.raises(ValueError):
-            data[0, 0] = 1.0
+        swept = graphs.graph_z_sweep(ops, g, 1.0, rng.standard_normal((5, 4)))
+        assert type(swept) is np.ndarray and swept.dtype == float and swept.shape == (6, 4)
+        assert swept.flags.owndata
 
     def test_random_graphs_match_reference_to_rounding(self, rng):
         # where three or more terms meet in one node's input, the BLAS may
@@ -373,7 +392,7 @@ class TestSweepRows:
             g = random_graph(rng, int(rng.integers(2, 14)))
             ops = affine_ops(rng, g, dim=int(rng.choice([2, 8])))
             for gamma, x, z1 in self.sweeps(rng, g, ops, 1.0):
-                swept = graphs.graph_z_sweep(ops, g, gamma, x, z1).data
+                swept = graphs.graph_z_sweep(ops, g, gamma, x, z1)
                 expected = reference_sweep(ops, g, gamma, x, z1)
                 bound = 1e-12 * max(1.0, float(np.max(np.abs(expected))))
                 assert np.max(np.abs(swept - expected)) <= bound
@@ -420,12 +439,12 @@ class TestSweepWorkspace:
             work[0].fill(stale)
             for gamma, x, z1 in self.sweeps(rng, g, ops, scale):
                 swept = graphs.graph_z_sweep(ops, g, gamma, x, z1, work=work)
-                checked = graphs.graph_z_sweep(ops, g, gamma, BlockVector(x), z1)
+                checked = graphs.graph_z_sweep(ops, g, gamma, x, z1)
                 # a runner's sweep is the workspace's z rows, the checked one
-                # a BlockVector of its own
+                # an array of its own
                 assert swept is work[1]
-                assert swept.tobytes() == checked.data.tobytes()
-                assert not np.shares_memory(checked.data, work[0])
+                assert swept.tobytes() == checked.tobytes()
+                assert not np.shares_memory(checked, work[0])
 
     def test_a_workspace_sweep_allocates_no_array(self, rng):
         # numpy reports each array's data to tracemalloc in a domain of its
@@ -564,7 +583,7 @@ class TestOneResolventRelocator:
                 for delta in GAMMA_GRID:
                     cheap = relocator.apply(gamma, delta, x_fix)
                     full = graph_relocator_apply(ops, g, gamma, delta, x_fix)
-                    assert (cheap - full).norm() <= 1e-12
+                    assert np.linalg.norm(cheap - full) <= 1e-12
 
     def test_half_scaled_ring_is_mt_relocator(self, rng):
         # at random points, not only on Fix: Q_graph(sg, sd, sx) = s Q_mt(g, d, x)
@@ -576,11 +595,11 @@ class TestOneResolventRelocator:
             problem = MTProblem(tuple(ops), 0.5)
             relocator = graphs.graph_relocator(ops, g)
             for _ in range(20):
-                x = BlockVector(3.0 * rng.standard_normal((n - 1, 2)))
+                x = 3.0 * rng.standard_normal((n - 1, 2))
                 gamma, delta = rng.choice(GAMMA_GRID, size=2)
                 graph = relocator.apply(s * gamma, s * delta, s * x)
                 cheap = mt_relocator_apply(problem, gamma, delta, x)
-                assert ((1.0 / s) * graph - cheap).norm() <= 1e-12
+                assert np.linalg.norm((1.0 / s) * graph - cheap) <= 1e-12
 
     def test_two_node_graph_is_dr_relocator(self, rng):
         g = graphs.build_graph(2, [(1, 2)], [(1, 2)])
@@ -589,14 +608,14 @@ class TestOneResolventRelocator:
         for _ in range(20):
             v = 3.0 * rng.standard_normal(3)
             gamma, delta = rng.choice(GAMMA_GRID, size=2)
-            graph = relocator.apply(gamma, delta, BlockVector([v]))
+            graph = relocator.apply(gamma, delta, [v])
             dr = dr_relocator_apply(ops[0], gamma, delta, v)
             assert np.max(np.abs(graph[0] - dr)) <= 1e-12
 
     def test_one_resolvent_of_first_operator(self, rng):
         g = bench_graph()
         ops = [CountingOperator(op) for op in affine_ops(rng, g)]
-        graphs.graph_relocator(ops, g).apply(1.0, 2.0, BlockVector.zeros(5, 2))
+        graphs.graph_relocator(ops, g).apply(1.0, 2.0, np.zeros((5, 2)))
         assert [op.calls for op in ops] == [1] + [0] * 5
 
     def test_bound_and_empirical_ratio(self, rng):
@@ -613,11 +632,11 @@ class TestOneResolventRelocator:
             # 3.7 to 5.2 times tighter here than the pseudo-inverse bound
             assert bound < graph_relocator_lipschitz_bound(g, gamma, delta)
             for _ in range(100):
-                u = BlockVector(4.0 * rng.standard_normal((5, 2)))
-                v = BlockVector(4.0 * rng.standard_normal((5, 2)))
+                u = 4.0 * rng.standard_normal((5, 2))
+                v = 4.0 * rng.standard_normal((5, 2))
                 qu = relocator.apply(gamma, delta, u)
                 qv = relocator.apply(gamma, delta, v)
-                assert (qu - qv).norm() <= bound * (u - v).norm() + 1e-9
+                assert np.linalg.norm(qu - qv) <= bound * np.linalg.norm(u - v) + 1e-9
         assert relocator.lipschitz_bound(1.3, 1.3) == 1.0
 
 
@@ -634,8 +653,7 @@ class TestEntryChecks:
         g = self.GRAPHS[graph]()
         ops = [CountingOperator(op) for op in affine_ops(rng, g)]
         with pytest.raises(ParameterError, match="^gamma must be positive"):
-            graphs.graph_z_sweep(ops, g, gamma, BlockVector.zeros(g.n_nodes - 1, 2),
-                                 np.zeros(2))
+            graphs.graph_z_sweep(ops, g, gamma, np.zeros((g.n_nodes - 1, 2)), np.zeros(2))
         assert [op.calls for op in ops] == [0] * g.n_nodes
 
     @pytest.mark.parametrize("graph", sorted(GRAPHS))
@@ -649,7 +667,7 @@ class TestEntryChecks:
         g = self.GRAPHS[graph]()
         ops = [CountingOperator(op) for op in affine_ops(rng, g)]
         with pytest.raises(error, match=message):
-            graphs.graph_z_sweep(ops, g, 1.0, BlockVector.zeros(g.n_nodes - 1, 2), z1)
+            graphs.graph_z_sweep(ops, g, 1.0, np.zeros((g.n_nodes - 1, 2)), z1)
         assert [op.calls for op in ops] == [0] * g.n_nodes
 
     @pytest.mark.parametrize("gamma, delta, name", [
@@ -660,7 +678,7 @@ class TestEntryChecks:
         g = bench_graph()
         ops = [CountingOperator(op) for op in affine_ops(rng, g)]
         with pytest.raises(ParameterError, match=f"^{name} must be positive"):
-            graphs.graph_relocator(ops, g).apply(gamma, delta, BlockVector.zeros(5, 2))
+            graphs.graph_relocator(ops, g).apply(gamma, delta, np.zeros((5, 2)))
         assert [op.calls for op in ops] == [0] * 6
 
     @pytest.mark.parametrize("gamma, w, error", [
@@ -698,9 +716,9 @@ def as_vector_calls(monkeypatch):
 
 @pytest.mark.parametrize("n_ops, run", [
     (4, lambda ops, schedule, stop: algorithm2_run(MTProblem(tuple(ops), 0.5), schedule,
-                                                   BlockVector.zeros(3, 2), stop)),
+                                                   BlockVector(np.zeros((3, 2))), stop)),
     (6, lambda ops, schedule, stop: graphs.graph_relocated_run(
-        ops, bench_graph(), 1.0, schedule, BlockVector.zeros(5, 2), stop)),
+        ops, bench_graph(), 1.0, schedule, BlockVector(np.zeros((5, 2))), stop)),
 ], ids=["mt", "chorded-graph"])
 def test_runs_check_points_once_per_run_not_per_iteration(as_vector_calls, n_ops, run):
     # the runner checks x0 at its entry (a BlockVector, checked when it was
@@ -734,9 +752,10 @@ def wrap_calls(monkeypatch):
 
 @pytest.mark.parametrize("n_ops, run", [
     (4, lambda ops, schedule, stop, **kw: algorithm2_run(MTProblem(tuple(ops), 0.5), schedule,
-                                                         BlockVector.zeros(3, 2), stop, **kw)),
+                                                         BlockVector(np.zeros((3, 2))), stop,
+                                                         **kw)),
     (6, lambda ops, schedule, stop, **kw: graphs.graph_relocated_run(
-        ops, bench_graph(), 1.0, schedule, BlockVector.zeros(5, 2), stop, **kw)),
+        ops, bench_graph(), 1.0, schedule, BlockVector(np.zeros((5, 2))), stop, **kw)),
 ], ids=["mt", "chorded-graph"])
 def test_runs_wrap_for_final_x_and_replay_iterates_on_first_read(wrap_calls, n_ops, run):
     # the hooks and the loop carry plain arrays, and the loop wraps one, for
@@ -768,7 +787,7 @@ def test_a_long_run_retains_its_rows_and_little_more():
     # its point bytes. numpy reports array data to tracemalloc too
     instance = problems.make_problem("affine_random", {"count": 6, "dim": 32}, seed=1)
     args = (instance.ops, bench_graph(), 1.0, sch.GeometricToLimit(1.0, 2.0, 0.99),
-            BlockVector.zeros(5, 32), StopRule(residual_tol=1e-300, max_iters=1000))
+            BlockVector(np.zeros((5, 32))), StopRule(residual_tol=1e-300, max_iters=1000))
     graphs.graph_relocated_run(*args)  # the operators build their factors
     tracemalloc.start()
     try:
@@ -821,12 +840,12 @@ class TestLipschitzBound:
         for gamma, delta in ((1.0, 2.0), (2.0, 0.5), (0.5, 4.0)):
             bound = graph_relocator_lipschitz_bound(g, gamma, delta)
             for _ in range(200):
-                u = BlockVector(4.0 * rng.standard_normal((2, 2)))
-                v = BlockVector(4.0 * rng.standard_normal((2, 2)))
-                denom = (u - v).norm()
+                u = 4.0 * rng.standard_normal((2, 2))
+                v = 4.0 * rng.standard_normal((2, 2))
+                denom = np.linalg.norm(u - v)
                 qu = graph_relocator_apply(ops, g, gamma, delta, u)
                 qv = graph_relocator_apply(ops, g, gamma, delta, v)
-                assert (qu - qv).norm() <= bound * denom + 1e-9
+                assert np.linalg.norm(qu - qv) <= bound * denom + 1e-9
 
 
 def test_at_consensus_point_is_blockwise_mean(rng):
@@ -834,8 +853,8 @@ def test_at_consensus_point_is_blockwise_mean(rng):
     for nblocks, dim in ((2, 1), (3, 8), (6, 32), (16, 8), (17, 5)):
         # handed the flat copy a trace records of the sweep
         point_of = graphs.at_consensus(lambda point: point, nblocks)
-        z = BlockVector(rng.standard_normal((nblocks, dim)) * 10.0 ** rng.integers(-8, 8))
-        assert point_of(z.data.flatten()).tobytes() == z.data.mean(axis=0).tobytes()
+        z = rng.standard_normal((nblocks, dim)) * 10.0 ** rng.integers(-8, 8)
+        assert point_of(z.flatten()).tobytes() == z.mean(axis=0).tobytes()
 
 
 class TestAffineOracle:
@@ -843,7 +862,7 @@ class TestAffineOracle:
         g = mt_graph(3)
         x_fix, z_star = fix_point_oracle_affine([Zero(1)] * 3, g, 1.0)
         w, _ = graphs.graph_dr_apply([Zero(1)] * 3, g, 1.0, 1.0, x_fix)
-        assert (x_fix - w).norm() <= 1e-10
+        assert np.linalg.norm(x_fix - w) <= 1e-10
 
     def test_translation_consensus_mean(self):
         # A_i x = x - c_i: the consensus zero is the mean of the c_i
@@ -853,7 +872,7 @@ class TestAffineOracle:
         x_fix, z_star = fix_point_oracle_affine(ops, g, 1.0)
         assert z_star[0] == pytest.approx(3.0, abs=1e-10)
         w, z = graphs.graph_dr_apply(ops, g, 1.0, 1.0, x_fix)
-        assert (x_fix - w).norm() <= 1e-8
+        assert np.linalg.norm(x_fix - w) <= 1e-8
         for block in z:
             assert block[0] == pytest.approx(3.0, abs=1e-8)
 
@@ -902,7 +921,7 @@ class TestGraphRelocatedRun:
         z_star = np.linalg.solve(m_total, -b_total)
         schedule = sch.GeometricToLimit(limit=1.0, start=2.0, ratio=0.5)
         trace = graphs.graph_relocated_run(
-            ops, g, 1.0, schedule, BlockVector.zeros(2, 2),
+            ops, g, 1.0, schedule, np.zeros((2, 2)),
             StopRule(residual_tol=1e-12, max_iters=3000))
         assert trace.status == "converged"
         z_final = trace.points[-1].reshape(3, 2)
@@ -917,7 +936,7 @@ class TestGraphRelocatedRun:
         for shape in ((3, 3), (2, 2)):
             with pytest.raises(DimensionError, match="3 blocks of dimension 2"):
                 graphs.graph_relocated_run(ops, g, 1.0, sch.Constant(1.0),
-                                           BlockVector.zeros(*shape),
+                                           np.zeros(shape),
                                            StopRule(residual_tol=1e-9, max_iters=5))
         assert [op.calls for op in ops] == [0] * g.n_nodes
 
@@ -925,7 +944,7 @@ class TestGraphRelocatedRun:
         g = mt_graph(3)
         ops = affine_ops(rng, g)
         trace = graphs.graph_relocated_run(
-            ops, g, 1.0, sch.Constant(1.0), BlockVector.zeros(2, 2),
+            ops, g, 1.0, sch.Constant(1.0), np.zeros((2, 2)),
             StopRule(residual_tol=1e-9, max_iters=500))
         cons = trace.extra_scalars["consensus_residual"]
         assert len(cons) == len(trace.residuals)
@@ -941,7 +960,7 @@ class TestAdaptiveFeedback:
         g = mt_graph(4)
         ops = affine_ops(rng, g)
         theta, gamma = 0.4, 0.7
-        w = BlockVector(rng.standard_normal((3, 2)))
+        w = rng.standard_normal((3, 2))
         graph_pair = graphs.graph_family(ops, g, 2.0 * theta).feedback(2.0 * gamma, 2.0 * w)
         mt_pair = mt_family(MTProblem(tuple(ops), theta)).feedback(gamma, w)
         for a, b in zip(graph_pair, mt_pair):
@@ -954,7 +973,7 @@ class TestAdaptiveFeedback:
         tree = [(1, 2), (2, 3), (3, 4), (4, 5)]
         g = graphs.build_graph(5, tree + [(1, 3), (2, 5)], tree)
         trace = graphs.graph_relocated_run(
-            inst.ops, g, 1.0, sch.AdaptiveKappa(1.0), BlockVector.zeros(4, 3),
+            inst.ops, g, 1.0, sch.AdaptiveKappa(1.0), np.zeros((4, 3)),
             StopRule(residual_tol=1e-8, max_iters=20000),
             solution_residual=lambda z: problems.solution_residual(inst, z))
         assert trace.status == "converged"

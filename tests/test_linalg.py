@@ -9,11 +9,13 @@ from relosplit.linalg import (
     BlockVector,
     as_block_vector,
     as_matrix,
+    as_stepsize,
     as_vector,
     kron_apply,
     pseudo_inverse,
     solve_linear,
 )
+from relosplit.operators import Zero
 
 MT3_Z = np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]])
 
@@ -63,12 +65,8 @@ class TestConstructors:
         with pytest.raises(ParameterError):
             as_matrix([[np.nan]])
 
-    def test_block_vector_requires_equal_dims(self):
-        with pytest.raises(DimensionError):
-            BlockVector.from_blocks([[1.0, 2.0], [3.0]])
-
     def test_block_vector_rejects_single_vector(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match=r"wrap a single vector as \[v\]$"):
             BlockVector([1.0, 2.0])
 
     def test_block_vector_immutable(self):
@@ -76,18 +74,35 @@ class TestConstructors:
         with pytest.raises(ValueError):
             bv.data[0, 0] = 9.0
 
-    def test_block_vector_arithmetic(self):
-        a = BlockVector([[1.0, 2.0], [3.0, 4.0]])
-        b = BlockVector([[1.0, 1.0], [1.0, 1.0]])
-        assert (a - b).allclose(BlockVector([[0.0, 1.0], [2.0, 3.0]]))
-        assert (2.0 * b).allclose(b + b)
-        assert (a + (-a)).norm() == 0.0
+    @pytest.mark.parametrize("coerce, value, error", [
+        (BlockVector, [[1, 2], [3]], DimensionError),
+        (as_vector, [1, [2]], DimensionError),
+        (as_matrix, [[1, 2], [3]], DimensionError),
+        (as_vector, [1 + 1j], ParameterError),
+        (as_vector, np.array([1 + 1j]), ParameterError),
+        (as_vector, ["1"], ParameterError),
+        (as_matrix, [[None, "a"]], ParameterError),
+        (BlockVector, [[1j]], ParameterError),
+        (as_stepsize, "1", ParameterError),
+        (as_stepsize, None, ParameterError),
+        (as_stepsize, 1j, ParameterError),
+        (as_stepsize, [1, [2]], DimensionError),
+        (lambda gamma: Zero(1).resolvent(gamma, [1.0]), "1", ParameterError),
+    ], ids=["ragged-blocks", "ragged-vector", "ragged-matrix", "complex-list",
+            "complex-array", "string-vector", "object-matrix", "complex-blocks",
+            "string-stepsize", "none-stepsize", "complex-stepsize", "ragged-stepsize",
+            "string-resolvent-stepsize"])
+    def test_checked_coercions_raise_the_library_errors(self, coerce, value, error):
+        # the CLI catches RelosplitError only: numpy's own ValueError or
+        # TypeError would escape it
+        with pytest.raises(error):
+            coerce(value)
 
-    def test_numpy_scalar_multiplication_stays_blockvector(self):
-        b = BlockVector([[1.0], [2.0]])
-        out = np.float64(2.0) * b
-        assert isinstance(out, BlockVector)
-        assert out.allclose(BlockVector([[2.0], [4.0]]))
+    def test_coercions_keep_real_inputs(self):
+        assert as_stepsize(np.float64(2.0)) == 2.0
+        assert as_vector([True, 10 ** 30]).tolist() == [1.0, 1e30]
+        v = np.array([1.0, 2.0])
+        assert as_vector(v) is v
 
 
 class TestCheckedOnce:
@@ -101,31 +116,16 @@ class TestCheckedOnce:
         copied[0, 0] = 9.0
         assert bv.data[0, 0] == 1.0
 
-    def test_arithmetic_results_are_read_only(self):
-        a = BlockVector([[1.0, 2.0]])
-        for out in (a + a, a - a, 2.0 * a, -a, kron_apply(np.eye(1), a)):
-            assert isinstance(out, BlockVector)
-            with pytest.raises(ValueError):
-                out.data[0, 0] = 9.0
-
-    def test_arithmetic_does_not_recheck_finiteness(self):
-        # the iteration loop detects non-finite iterates, not the arithmetic
-        big = BlockVector([[1e300, -1e300]])
-        with np.errstate(over="ignore"):
-            out = 1e10 * big
-        assert np.all(np.isinf(out.data))
-
     def test_outside_data_still_checked(self):
         with pytest.raises(ParameterError):
             BlockVector([[1.0, np.inf]])
-        with pytest.raises(ParameterError):
-            BlockVector.from_blocks([[1.0], [np.nan]])
 
     def test_as_block_vector(self):
-        bv = BlockVector.zeros(2, 3)
+        bv = BlockVector(np.zeros((2, 3)))
         assert as_block_vector(bv, 2, 3) is bv
-        assert as_block_vector([[1.0, 2.0, 3.0]] * 2, 2, 3).allclose(
-            BlockVector([[1.0, 2.0, 3.0]] * 2))
+        checked = as_block_vector([[1.0, 2.0, 3.0]] * 2, 2, 3)
+        assert type(checked) is BlockVector
+        assert checked.data.tolist() == [[1.0, 2.0, 3.0]] * 2
         for nblocks, dim in ((3, 3), (2, 2)):
             with pytest.raises(DimensionError):
                 as_block_vector(bv, nblocks, dim)
@@ -135,33 +135,35 @@ class TestCheckedOnce:
 
 class TestKronApply:
     def test_identity(self):
-        x = BlockVector([[1.0, 2.0], [3.0, 4.0]])
-        assert kron_apply(np.eye(2), x).allclose(x)
+        x = np.array([[1.0, 2.0], [3.0, 4.0]])
+        out = kron_apply(np.eye(2), x)
+        assert type(out) is np.ndarray and out.dtype == float
+        assert out.tolist() == x.tolist()
 
     def test_mt_incidence_transpose(self):
         # rows of Z^T are (1,-1,0) and (0,1,-1)
-        x = BlockVector([[1.0], [0.0], [1.0]])
-        out = kron_apply(MT3_Z.T, x)
-        assert out.allclose(BlockVector([[1.0], [-1.0]]))
+        assert kron_apply(MT3_Z.T, [[1.0], [0.0], [1.0]]).tolist() == [[1.0], [-1.0]]
 
     def test_all_ones_row(self):
-        x = BlockVector([[1.0], [0.0], [1.0]])
-        out = kron_apply(np.ones((1, 3)), x)
-        assert out.allclose(BlockVector([[2.0]]))
+        assert kron_apply(np.ones((1, 3)), [[1.0], [0.0], [1.0]]).tolist() == [[2.0]]
+
+    def test_block_vector_input(self):
+        out = kron_apply(np.eye(2), BlockVector([[1.0], [2.0]]))
+        assert type(out) is np.ndarray and out.tolist() == [[1.0], [2.0]]
 
     def test_block_count_mismatch(self):
         with pytest.raises(DimensionError):
-            kron_apply(np.eye(2), BlockVector([[1.0], [2.0], [3.0]]))
+            kron_apply(np.eye(2), [[1.0], [2.0], [3.0]])
 
     def test_composition_associativity(self, rng):
         for _ in range(25):
             r, c, k, d = rng.integers(1, 5, size=4)
             m1 = rng.standard_normal((r, c))
             m2 = rng.standard_normal((c, k))
-            x = BlockVector(rng.standard_normal((k, d)))
+            x = rng.standard_normal((k, d))
             lhs = kron_apply(m1 @ m2, x)
             rhs = kron_apply(m1, kron_apply(m2, x))
-            assert np.max(np.abs(lhs.data - rhs.data)) <= 1e-12
+            assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 class TestPseudoInverse:

@@ -122,23 +122,6 @@ class TestResolventExamples:
         assert abs(np.linalg.norm(y - center) - 2.0) <= 1e-12
 
 
-class TestReflectent:
-    def test_zero(self):
-        assert ops.Zero(1).reflectent(2.0, [4.0])[0] == 4.0
-
-    def test_normal_cone_point(self):
-        assert ops.NormalConePoint([1.0]).reflectent(1.0, [3.0])[0] == -1.0
-
-    def test_neg_log(self):
-        assert ops.NegLog(1).reflectent(1.0, [0.0])[0] == pytest.approx(2.0, abs=1e-15)
-
-    def test_matches_definition(self, zoo, rng):
-        for op in zoo:
-            x = rng.standard_normal(op.dim)
-            expected = 2.0 * op.resolvent(1.5, x) - x
-            assert np.allclose(op.reflectent(1.5, x), expected)
-
-
 class TestMakeOperator:
     def test_zero(self):
         op = ops.make_operator({"kind": "zero", "dim": 2})

@@ -224,7 +224,6 @@ class TestBundledConvergence:
 
         from relosplit import malitsky_tam as mt, schedules as sch
         from relosplit.driver import StopRule
-        from relosplit.linalg import BlockVector
 
         schedule = sch.GeometricToLimit(limit=1.0, start=2.0, ratio=0.5)
         stop = StopRule(residual_tol=1e-9, max_iters=3000)
@@ -242,7 +241,7 @@ class TestBundledConvergence:
             inst = problems.make_problem(name, params, seed=2)
             problem = mt.MTProblem(tuple(inst.ops), theta=0.5)
             trace = mt.algorithm2_run(
-                problem, schedule, BlockVector.zeros(inst.n_ops - 1, inst.dim),
+                problem, schedule, np.zeros((inst.n_ops - 1, inst.dim)),
                 stop, solution_residual=lambda z: problems.solution_residual(inst, z))
             assert trace.status == "converged"
             assert trace.solution_residuals[-1] <= 1e-6
