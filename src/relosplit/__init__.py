@@ -20,14 +20,11 @@ from .driver import (
     run_relocated,
 )
 from .dr2 import (
-    DRCertificate,
     DRProblem,
     algorithm1_run,
     dr_apply,
     dr_family,
-    dr_lipschitz,
     dr_relocator,
-    dr_relocator_apply,
 )
 from .graphs import (
     GraphMatrices,
@@ -47,9 +44,7 @@ from .malitsky_tam import (
     mt_apply,
     mt_family,
     mt_graph,
-    mt_lipschitz,
     mt_relocator,
-    mt_relocator_apply,
 )
 from .operators import (
     AffineMonotone,
@@ -83,7 +78,6 @@ from .schedules import (
 #: imported the first time one of them is asked for
 _SELFTEST_NAMES = (
     "check_relocator_axioms",
-    "dr_fixed_point",
     "fix_point_oracle_affine",
     "graph_relocator_apply",
     "graph_relocator_lipschitz_bound",

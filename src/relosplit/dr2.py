@@ -11,19 +11,11 @@ iteration at no extra resolvent cost.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .driver import OperatorFamily, Relocator, relocated_loop
-from .errors import CertificateError, DimensionError, ParameterError
+from .errors import DimensionError
 from .graphs import build_graph, graph_hooks
 from .linalg import as_vector
 from .operators import MonotoneOperator, stepsize_free
-
-#: Residual tolerance for accepting a point as a fixed point of T_gamma.
-FIXED_POINT_TOL = 1e-9
-
-#: Tolerance of a certificate's membership tests w in Az and -w in Bz.
-CERTIFICATE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -58,50 +50,6 @@ def dr_apply(problem, gamma, x):
     return w, z, y
 
 
-def dr_relocator_apply(op_a, gamma, delta, x):
-    """Q_{delta<-gamma} x = (delta/gamma) x + (1 - delta/gamma) J_{gamma A} x."""
-    if gamma <= 0 or delta <= 0:
-        raise ParameterError("gamma and delta must be positive")
-    x = as_vector(x)
-    r = delta / gamma
-    if r == 1.0:
-        return x.copy()
-    return r * x + (1.0 - r) * op_a.resolvent(gamma, x)
-
-
-def dr_lipschitz(gamma, delta):
-    """Lipschitz constant of the DR relocator, max{1, delta/gamma}."""
-    return max(1.0, delta / gamma)
-
-
-class DRCertificate:
-    """A solution certificate: z in zer(A+B) witnessed by w in Az, -w in Bz.
-
-    Membership is checked in closed form for operator kinds where it is
-    decidable; the fixed-point residual of z + w under T_1 is always checked.
-    """
-
-    def __init__(self, problem, z, w):
-        self.problem = problem
-        self.z = as_vector(z)
-        self.w = as_vector(w)
-        if self.z.size != problem.dim or self.w.size != problem.dim:
-            raise DimensionError("certificate dimension disagrees with the problem")
-        res_a = problem.op_a.inclusion_residual(self.z, self.w)
-        if res_a is not None and res_a > CERTIFICATE_TOL:
-            raise CertificateError(f"w not in Az: membership residual {res_a:.3e}")
-        res_b = problem.op_b.inclusion_residual(self.z, -self.w)
-        if res_b is not None and res_b > CERTIFICATE_TOL:
-            raise CertificateError(f"-w not in Bz: membership residual {res_b:.3e}")
-        y = self.z + self.w
-        t_y, _, _ = dr_apply(problem, 1.0, y)
-        resid = float(np.linalg.norm(y - t_y))
-        if resid > FIXED_POINT_TOL:
-            raise CertificateError(
-                f"certificate fails the fixed-point residual test ({resid:.3e})"
-            )
-
-
 def dr_family(problem):
     """The DR operators as a driver family (firmly nonexpansive, alpha = 1/2),
     stepsize free when A and B both are."""
@@ -118,12 +66,20 @@ def dr_family(problem):
 
 
 def dr_relocator(problem):
-    """The DR relocator as a driver relocator with bound max{1, delta/gamma}."""
-    return Relocator(
-        lambda gamma, delta, x: dr_relocator_apply(problem.op_a, gamma, delta, x),
-        dr_lipschitz,
-        name="dr2",
-    )
+    """The DR relocator Q_{delta<-gamma} x = (delta/gamma) x + (1 - delta/gamma)
+    J_{gamma A} x as a driver relocator, with Lipschitz bound max{1, delta/gamma}.
+
+    apply returns a fresh (d,) array, a copy of x when delta == gamma.
+    """
+
+    def apply(gamma, delta, x):
+        x = as_vector(x)
+        r = delta / gamma
+        if r == 1.0:
+            return x.copy()
+        return r * x + (1.0 - r) * problem.op_a.resolvent(gamma, x)
+
+    return Relocator(apply, lambda gamma, delta: max(1.0, delta / gamma), name="dr2")
 
 
 def _record_dr(sweep, w):

@@ -135,10 +135,11 @@ class OperatorFamily:
 class Relocator:
     """A family Q_{delta<-gamma} mapping Fix T_gamma onto Fix T_delta.
 
-    lipschitz_bound(gamma, delta) must return a global Lipschitz constant
-    for Q_{delta<-gamma}; it equals 1 when delta == gamma. apply refuses a
-    gamma or delta that is not finite and > 0 by a ParameterError and hands
-    both on as floats.
+    apply(gamma, delta, x) returns Q_{delta<-gamma} x, and
+    lipschitz_bound(gamma, delta) a global Lipschitz constant for it, which
+    equals 1 when delta == gamma. Both refuse a gamma or delta that is not
+    finite and > 0 by a ParameterError, and hand both on to the functions
+    the relocator was built from as floats, so those check neither.
     """
 
     def __init__(self, apply, lipschitz_bound, name=""):
@@ -150,7 +151,7 @@ class Relocator:
         return self._apply(as_stepsize(gamma), as_stepsize(delta, "delta"), x)
 
     def lipschitz_bound(self, gamma, delta):
-        return float(self._bound(gamma, delta))
+        return float(self._bound(as_stepsize(gamma), as_stepsize(delta, "delta")))
 
 
 class _PointColumn(Sequence):

@@ -37,10 +37,6 @@ class ScheduleError(RelosplitError, ValueError):
     """A stepsize schedule was queried incorrectly."""
 
 
-class CertificateError(RelosplitError, ValueError):
-    """A claimed solution certificate failed validation."""
-
-
 class InfeasibleError(RelosplitError):
     """The stacked linear system admits no solution (no common zero)."""
 

@@ -24,7 +24,8 @@ import numpy as np
 
 from .driver import OperatorFamily, Relocator, ambient_norm, relocated_loop
 from .errors import ConstructionError, DimensionError, ParameterError
-from .linalg import BlockVector, as_block_vector, as_stepsize, as_vector, pseudo_inverse
+from .linalg import (BlockVector, as_block_iterate, as_block_vector, as_stepsize, as_vector,
+                     pseudo_inverse)
 from .operators import stepsize_free
 
 @dataclass(frozen=True)
@@ -495,8 +496,10 @@ def graph_relocated_run(ops, g, theta, schedule, x0, stop, solution_residual=Non
     """
     if not 0.0 < theta < 2.0:
         raise ParameterError(f"theta must lie in (0, 2), got {theta}")
+    _check_ops(ops, g)
     step, feedback, relocate, replay = graph_hooks(ops, g, theta)
-    return relocated_loop(step, relocate, feedback, schedule, _check_x(x0, ops, g), stop,
+    return relocated_loop(step, relocate, feedback, schedule,
+                          as_block_iterate(x0, g.n_nodes - 1, ops[0].dim), stop,
                           solution_residual=at_consensus(solution_residual, g.n_nodes),
                           stepsize_free=stepsize_free(ops), point_columns=consensus_columns(g),
                           replay=replay)

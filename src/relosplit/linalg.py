@@ -175,6 +175,16 @@ def as_block_vector(x, nblocks, dim):
     return x
 
 
+def as_block_iterate(x, nblocks, dim):
+    """A product-space runner's x_0, checked as ``as_block_vector`` checks it
+    and kept in the caller's type: a BlockVector as it is, anything else as
+    the checked copy's read-only (nblocks, dim) array, which shares no
+    memory with ``x``. The loop hands a run's iterates and final_x back in
+    that type (see driver.relocated_loop)."""
+    checked = as_block_vector(x, nblocks, dim)
+    return checked if isinstance(x, BlockVector) else checked.data
+
+
 def pseudo_inverse(z):
     """Moore-Penrose pseudo-inverse of a tall full-column-rank matrix.
 

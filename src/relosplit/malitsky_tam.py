@@ -17,7 +17,7 @@ import numpy as np
 from .driver import OperatorFamily, Relocator, relocated_loop
 from .errors import DimensionError, ParameterError
 from .graphs import at_consensus, build_graph, consensus_columns, graph_hooks
-from .linalg import as_block_vector
+from .linalg import as_block_iterate, as_block_vector, as_stepsize
 from .operators import MonotoneOperator, stepsize_free
 
 
@@ -74,8 +74,7 @@ def mt_apply(problem, gamma, x):
     the middle nodes, z_N = J_{gamma A_N}(z_1 + z_{N-1} - x_{N-1}); then
     Tx = x + theta (z_2 - z_1, ..., z_N - z_{N-1}). One resolvent each.
     """
-    if gamma <= 0:
-        raise ParameterError(f"gamma must be positive, got {gamma}")
+    gamma = as_stepsize(gamma)
     x = _check_x(problem, x).data
     ops, n = problem.ops, problem.n_ops
     z = [ops[0].resolvent(gamma, x[0])]
@@ -84,33 +83,6 @@ def mt_apply(problem, gamma, x):
     z.append(ops[n - 1].resolvent(gamma, z[0] + z[n - 2] - x[n - 2]))
     z = np.stack(z)
     return x + problem.theta * (z[1:] - z[:-1]), z
-
-
-def mt_relocator_apply(problem, gamma, delta, x):
-    """The cheap relocator: one resolvent of A_1 only.
-
-    First component (delta/gamma) x_1 + (1 - delta/gamma) J_{gamma A_1} x_1;
-    every other component is (delta/gamma)(x_i - x_1) plus the first. On
-    Fix T_gamma this agrees with the pseudo-inverse relocator of the ring
-    graph under the half-scaling change of variables. Returns an (N - 1, d)
-    array.
-    """
-    if gamma <= 0 or delta <= 0:
-        raise ParameterError("gamma and delta must be positive")
-    x = _check_x(problem, x).data
-    ratio = delta / gamma
-    if ratio == 1.0:
-        return x
-    q1 = ratio * x[0] + (1.0 - ratio) * problem.ops[0].resolvent(gamma, x[0])
-    return ratio * (x - x[0]) + q1
-
-
-def mt_lipschitz(n, gamma, delta):
-    """Lipschitz constant max{1, delta/gamma} + (N-2) |1 - delta/gamma|."""
-    if n < 2:
-        raise ParameterError(f"need N >= 2, got {n}")
-    ratio = delta / gamma
-    return max(1.0, ratio) + (n - 2) * abs(1.0 - ratio)
 
 
 def mt_family(problem):
@@ -130,11 +102,28 @@ def mt_family(problem):
 
 
 def mt_relocator(problem):
-    return Relocator(
-        lambda gamma, delta, x: mt_relocator_apply(problem, gamma, delta, x),
-        lambda gamma, delta: mt_lipschitz(problem.n_ops, gamma, delta),
-        name="malitsky_tam",
-    )
+    """The cheap relocator as a driver relocator: one resolvent of A_1 only.
+
+    With r = delta/gamma, the first component is r x_1 + (1 - r) J_{gamma A_1}
+    x_1, and every other component is r (x_i - x_1) plus the first. On
+    Fix T_gamma this agrees with the pseudo-inverse relocator of the ring
+    graph under the half-scaling change of variables. apply returns an
+    (N - 1, d) array; the Lipschitz bound is max{1, r} + (N - 2) |1 - r|.
+    """
+
+    def apply(gamma, delta, x):
+        x = _check_x(problem, x).data
+        ratio = delta / gamma
+        if ratio == 1.0:
+            return x
+        q1 = ratio * x[0] + (1.0 - ratio) * problem.ops[0].resolvent(gamma, x[0])
+        return ratio * (x - x[0]) + q1
+
+    def lipschitz_bound(gamma, delta):
+        ratio = delta / gamma
+        return max(1.0, ratio) + (problem.n_ops - 2) * abs(1.0 - ratio)
+
+    return Relocator(apply, lipschitz_bound, name="malitsky_tam")
 
 
 def algorithm2_run(problem, schedule, x0, stop, solution_residual=None):
@@ -153,7 +142,8 @@ def algorithm2_run(problem, schedule, x0, stop, solution_residual=None):
     g = mt_graph(problem.n_ops)
     step, feedback, relocate, replay = graph_hooks(problem.ops, g, problem.theta,
                                                    scale=float(g.deg[0]))
-    return relocated_loop(step, relocate, feedback, schedule, _check_x(problem, x0),
-                          stop, solution_residual=at_consensus(solution_residual, g.n_nodes),
+    return relocated_loop(step, relocate, feedback, schedule,
+                          as_block_iterate(x0, problem.n_ops - 1, problem.dim), stop,
+                          solution_residual=at_consensus(solution_residual, g.n_nodes),
                           stepsize_free=stepsize_free(problem.ops),
                           point_columns=consensus_columns(g), replay=replay)

@@ -4,7 +4,7 @@ from functools import partial
 
 import numpy as np
 
-from .dr2 import DRCertificate, DRProblem
+from .dr2 import DRProblem
 from .driver import ambient_norm
 from .errors import ConstructionError, DimensionError, NoOracleError
 from .kinds import NUMBER, VECTOR, ListOf, Object, Tagged, checked, integer
@@ -37,8 +37,7 @@ class ProblemInstance:
     without an oracle cannot report solution residuals.
     """
 
-    def __init__(self, name, ops, solution_point=None, oracle=None,
-                 dr_certificate=None, seed=None):
+    def __init__(self, name, ops, solution_point=None, oracle=None, seed=None):
         dims = {op.dim for op in ops}
         if len(dims) != 1:
             raise DimensionError(f"operators act on mixed dimensions {sorted(dims)}")
@@ -47,7 +46,6 @@ class ProblemInstance:
         self.dim = dims.pop()
         self.solution_point = None if solution_point is None else as_vector(solution_point)
         self.oracle = oracle
-        self.dr_certificate = dr_certificate
         self.seed = seed
         if self.solution_point is not None and self.solution_point.size != self.dim:
             raise DimensionError("solution point dimension disagrees with the problem")
@@ -109,13 +107,8 @@ def _box_distance(lo, hi):
 
 
 def _indicator_neglog(params, seed):
-    op_a = NormalConePoint([1.0])
-    op_b = NegLog(1)
-    problem = DRProblem(op_a, op_b)
-    # w = 1 lies in the normal cone at the feasible point and -1 = (-ln)'(1).
-    cert = DRCertificate(problem, z=[1.0], w=[1.0])
-    return ProblemInstance("indicator_neglog", [op_a, op_b], solution_point=[1.0],
-                           oracle=_distance_to(np.array([1.0])), dr_certificate=cert, seed=seed)
+    return ProblemInstance("indicator_neglog", [NormalConePoint([1.0]), NegLog(1)],
+                           solution_point=[1.0], oracle=_distance_to(np.array([1.0])), seed=seed)
 
 
 def _affine_consensus(params, seed):

@@ -10,8 +10,8 @@ corresponding checks do NOT flag them.
 
 The verification-only functions live here too: the pseudo-inverse graph
 relocator with its system residual and Lipschitz bound, the affine
-fixed-point oracle, the relocator axiom harness, the ring change-of-variables
-check and the fixed points a DR certificate encodes. No run executes them.
+fixed-point oracle, the relocator axiom harness and the ring
+change-of-variables check. No run executes them.
 """
 
 import math
@@ -21,14 +21,8 @@ import numpy as np
 
 from . import dr2, graphs, malitsky_tam as mt, operators, problems, schedules as sch
 from .driver import Relocator, StopRule, ambient_flat, ambient_norm, run_relocated
-from .errors import (
-    CertificateError,
-    ConsistencyError,
-    FixedPointError,
-    InfeasibleError,
-    ParameterError,
-)
-from .linalg import kron_apply
+from .errors import ConsistencyError, FixedPointError, InfeasibleError, ParameterError
+from .linalg import as_stepsize, kron_apply
 
 GAMMA_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -55,8 +49,7 @@ def graph_relocator_apply(ops, g, gamma, delta, x):
     The runners use the one-resolvent relocator of graphs.graph_hooks, which
     agrees with this one on Fix T_gamma. Returns an (N - 1, d) array.
     """
-    if gamma <= 0 or delta <= 0:
-        raise ParameterError("gamma and delta must be positive")
+    gamma, delta = as_stepsize(gamma), as_stepsize(delta, "delta")
     x = graphs._check_x(x, ops, g)
     ratio = delta / gamma
     if ratio == 1.0:
@@ -71,6 +64,7 @@ def relocator_system_residual(ops, g, gamma, delta, x, y=None):
     When y is omitted it is computed with graph_relocator_apply; the residual
     then measures how exactly the pseudo-inverse solves the system.
     """
+    gamma, delta = as_stepsize(gamma), as_stepsize(delta, "delta")
     x = graphs._check_x(x, ops, g)
     y = (graph_relocator_apply(ops, g, gamma, delta, x) if y is None
          else graphs._check_x(y, ops, g))
@@ -88,8 +82,7 @@ def graph_relocator_lipschitz_bound(g, gamma, delta):
     delta/gamma + |1 - delta/gamma| * ||Zdag|| * sqrt(sum ((d_i - 2 d_i^+)^2
     / d_i^2) L_i^2).
     """
-    if gamma <= 0 or delta <= 0:
-        raise ParameterError("gamma and delta must be positive")
+    gamma, delta = as_stepsize(gamma), as_stepsize(delta, "delta")
     row_norms = np.linalg.norm(g.matrices.Z, axis=1)
     lips = []
     for i in range(1, g.n_nodes + 1):
@@ -114,8 +107,7 @@ def fix_point_oracle_affine(ops, g, gamma):
     inconsistent, i.e. the operators have no common zero. x is an
     (N - 1, d) array.
     """
-    if gamma <= 0:
-        raise ParameterError(f"gamma must be positive, got {gamma}")
+    gamma = as_stepsize(gamma)
     graphs._check_ops(ops, g)
     n = g.n_nodes
     d = ops[0].dim
@@ -280,7 +272,7 @@ def check_relocator_axioms(family, relocator, fixed_points, gammas, tol=1e-9, rn
     )
 
 
-# -- the ring change of variables and DR's certified fixed points ------------
+# -- the ring change of variables --------------------------------------------
 
 
 @dataclass
@@ -306,8 +298,7 @@ def mt_vs_graph_equivalence(problem, gamma, x, tol=1e-10):
     """
     if problem.n_ops < 3:
         raise ParameterError("the ring comparison needs N >= 3")
-    if gamma <= 0:
-        raise ParameterError(f"gamma must be positive, got {gamma}")
+    gamma = as_stepsize(gamma)
     x = mt._check_x(problem, x).data
     g = mt.mt_graph(problem.n_ops)
     w_graph, z_graph = graphs.graph_dr_apply(list(problem.ops), g, 2.0 * gamma,
@@ -317,20 +308,6 @@ def mt_vs_graph_equivalence(problem, gamma, x, tol=1e-10):
     sweep_diff = float(np.max(np.abs(z_graph - z_mt)))
     return EquivalenceReport(max_operator_diff=op_diff, max_sweep_diff=sweep_diff,
                              tol=tol)
-
-
-def dr_fixed_point(cert, gamma):
-    """The point z + gamma w of Fix T_gamma encoded by a certificate."""
-    if gamma <= 0:
-        raise ParameterError(f"gamma must be positive, got {gamma}")
-    y = cert.z + gamma * cert.w
-    t_y, _, _ = dr2.dr_apply(cert.problem, gamma, y)
-    resid = float(np.linalg.norm(y - t_y))
-    if resid > dr2.FIXED_POINT_TOL:
-        raise CertificateError(
-            f"certificate point has residual {resid:.3e} at gamma={gamma}"
-        )
-    return y
 
 
 # -- sample instances, shared with the tests ---------------------------------
@@ -367,9 +344,11 @@ def chorded_path(n=4):
 
 
 def _neglog():
-    """The 1-D instance: its DR problem and certificate."""
-    inst = problems.make_problem("indicator_neglog")
-    return inst.dr_problem(), inst.dr_certificate
+    """The 1-D instance's DR problem and its fixed points (gamma, 1 + gamma)
+    over GAMMA_GRID: Fix T_gamma = {z + gamma w} = {1 + gamma}, as w = 1 lies
+    in the normal cone at z = 1 and -1 = (-ln)'(1)."""
+    fixed_points = [(g, np.array([1.0 + g])) for g in GAMMA_GRID]
+    return problems.make_problem("indicator_neglog").dr_problem(), fixed_points
 
 
 class _WaitingGeometric(sch.GeometricToLimit):
@@ -382,10 +361,9 @@ class _WaitingGeometric(sch.GeometricToLimit):
 
 
 def _max_gap(xs, ys):
-    """The largest distance between paired iterates of two runs, arrays or
-    BlockVectors (the graph and MT runners hand their iterates back as
-    these)."""
-    return max(ambient_norm(np.subtract(x, y)) for x, y in zip(xs, ys))
+    """The largest distance between paired iterates of two runs started from
+    the same array, which hand their iterates back as arrays."""
+    return max(ambient_norm(x - y) for x, y in zip(xs, ys))
 
 
 def _stationary(step, x, count):
@@ -494,14 +472,14 @@ def relocator_axioms(rng):
     passes the axiom harness at 1e-9, and 40 sampled pairs per (g, d) on
     [-6, 6] stay within max{1, d/g} + 1e-10."""
     result = GroupResult("relocator_axioms")
-    problem, cert = _neglog()
+    problem, fixed_points = _neglog()
+    relocator = dr2.dr_relocator(problem)
     for g in GAMMA_GRID:
         for d in GAMMA_GRID:
-            out = dr2.dr_relocator_apply(problem.op_a, g, d, np.array([1.0 + g]))
+            out = relocator.apply(g, d, np.array([1.0 + g]))
             err = abs(out[0] - (1.0 + d))
             result.check(err <= 1e-12, f"Q_({d}<-{g})(1+{g}) off by {err:.2e}")
-    fixed_points = [(g, dr_fixed_point(cert, g)) for g in GAMMA_GRID]
-    harness = check_relocator_axioms(dr2.dr_family(problem), dr2.dr_relocator(problem),
+    harness = check_relocator_axioms(dr2.dr_family(problem), relocator,
                                      fixed_points, GAMMA_GRID, tol=1e-9, rng=rng)
     for axiom in ("bijection", "continuity", "semigroup", "lipschitz"):
         result.check(getattr(harness, f"{axiom}_ok"),
@@ -512,8 +490,7 @@ def relocator_axioms(rng):
             for _ in range(40):
                 u = rng.uniform(-6.0, 6.0, size=1)
                 v = rng.uniform(-6.0, 6.0, size=1)
-                gap = abs(dr2.dr_relocator_apply(problem.op_a, g, d, u)[0]
-                          - dr2.dr_relocator_apply(problem.op_a, g, d, v)[0])
+                gap = abs(relocator.apply(g, d, u)[0] - relocator.apply(g, d, v)[0])
                 result.check(gap <= (bound + 1e-10) * abs(u[0] - v[0]),
                              f"Lipschitz ratio at ({d}<-{g}) exceeds {bound}")
     return result
@@ -620,14 +597,15 @@ def lipschitz_bounds(rng):
             result.check(gap <= bound * np.linalg.norm(u - v),
                          f"graph relocator ratio exceeds its bound at {gamma}->{delta}")
     for n in (3, 5):
-        problem = mt.MTProblem(tuple(random_affine(rng, 2) for _ in range(n)), theta=0.5)
+        relocator = mt.mt_relocator(
+            mt.MTProblem(tuple(random_affine(rng, 2) for _ in range(n)), theta=0.5))
         for gamma, delta in ((1.0, 2.0), (2.0, 0.5)):
-            bound = mt.mt_lipschitz(n, gamma, delta)
+            bound = relocator.lipschitz_bound(gamma, delta)
             for _ in range(1000):
                 u = 4.0 * rng.standard_normal((n - 1, 2))
                 v = 4.0 * rng.standard_normal((n - 1, 2))
-                gap = np.linalg.norm(mt.mt_relocator_apply(problem, gamma, delta, u)
-                                     - mt.mt_relocator_apply(problem, gamma, delta, v))
+                gap = np.linalg.norm(relocator.apply(gamma, delta, u)
+                                     - relocator.apply(gamma, delta, v))
                 result.check(gap <= bound * np.linalg.norm(u - v) + 1e-9,
                              f"cheap relocator ratio exceeds its bound at N={n}, "
                              f"{gamma}->{delta}")
@@ -731,13 +709,10 @@ def negative_controls(rng):
     shifted by 0.1, and the relocation-system check flags a sign-flipped
     relocation vector."""
     result = GroupResult("negative_controls")
-    problem, cert = _neglog()
-    fixed_points = [(g, dr_fixed_point(cert, g)) for g in GAMMA_GRID]
-    broken = Relocator(
-        lambda g, d, x: dr2.dr_relocator_apply(problem.op_a, g, d, x) + 0.1,
-        dr2.dr_lipschitz,
-        name="shifted",
-    )
+    problem, fixed_points = _neglog()
+    relocator = dr2.dr_relocator(problem)
+    broken = Relocator(lambda g, d, x: relocator.apply(g, d, x) + 0.1,
+                       relocator.lipschitz_bound, name="shifted")
     report = check_relocator_axioms(dr2.dr_family(problem), broken, fixed_points,
                                     GAMMA_GRID, tol=1e-9, rng=rng)
     result.check(not (report.bijection_ok or report.semigroup_ok),

@@ -783,7 +783,7 @@ class TestMainEntry:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert all(getattr(relosplit, name) is getattr(selftest, name) for name in names)
-        assert len(names) == 8
+        assert len(names) == 7
 
     def test_broken_pipe_exits_io_failure(self, tmp_path):
         path = tmp_path / "cfg.json"

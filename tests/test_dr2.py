@@ -6,13 +6,13 @@ import pytest
 from conftest import GAMMA_GRID, Case, WaitingGeometric, random_affine, run
 from relosplit import dr2, schedules as sch
 from relosplit.driver import ScheduleBudgetWarning, StopRule, ambient_norm, run_relocated
-from relosplit.errors import CertificateError, DimensionError, ParameterError
+from relosplit.errors import DimensionError, ParameterError
 from relosplit.operators import (
     NegLog,
     NormalConePoint,
     Zero,
 )
-from relosplit.selftest import check_relocator_axioms, dr_fixed_point
+from relosplit.selftest import check_relocator_axioms
 
 SQRT5 = math.sqrt(5.0)
 
@@ -20,10 +20,6 @@ SQRT5 = math.sqrt(5.0)
 def neglog_problem():
     """The 1-D instance with disjoint fixed-point sets: Fix T_gamma = {1 + gamma}."""
     return dr2.DRProblem(NormalConePoint([1.0]), NegLog(1))
-
-
-def neglog_certificate(problem):
-    return dr2.DRCertificate(problem, z=[1.0], w=[1.0])
 
 
 # scalar closed forms for the 1-D instance, independent of the library
@@ -101,68 +97,62 @@ class TestDRApply:
 
 class TestDRRelocator:
     def test_identity_when_equal(self):
-        out = dr2.dr_relocator_apply(NegLog(1), 1.3, 1.3, [4.0])
+        out = dr2.dr_relocator(dr2.DRProblem(NegLog(1), Zero(1))).apply(1.3, 1.3, [4.0])
         assert out[0] == 4.0
 
     def test_zero_operator_collapses(self):
-        out = dr2.dr_relocator_apply(Zero(1), 1.0, 3.0, [4.0])
+        out = dr2.dr_relocator(dr2.DRProblem(Zero(1), Zero(1))).apply(1.0, 3.0, [4.0])
         assert out[0] == pytest.approx(4.0, abs=0.0)
 
     def test_hand_value(self):
         # 2*2 + (1-2)*1 = 3 = 1 + delta
-        out = dr2.dr_relocator_apply(NormalConePoint([1.0]), 1.0, 2.0, [2.0])
+        out = dr2.dr_relocator(neglog_problem()).apply(1.0, 2.0, [2.0])
         assert out[0] == 3.0
 
     def test_moves_fixed_points_exactly(self):
-        problem = neglog_problem()
+        relocator = dr2.dr_relocator(neglog_problem())
         for g in GAMMA_GRID:
             for d in GAMMA_GRID:
-                out = dr2.dr_relocator_apply(problem.op_a, g, d, [1.0 + g])
+                out = relocator.apply(g, d, [1.0 + g])
                 assert out[0] == pytest.approx(1.0 + d, abs=1e-12)
 
     def test_gamma_validation(self):
         with pytest.raises(ParameterError):
-            dr2.dr_relocator_apply(Zero(1), -1.0, 1.0, [0.0])
+            dr2.dr_relocator(dr2.DRProblem(Zero(1), Zero(1))).apply(-1.0, 1.0, [0.0])
 
 
-class TestCertificates:
-    def test_neglog_certificate_and_fixed_points(self):
+class TestFixedPoints:
+    """Fix T_gamma = {z + gamma w : w in Az, -w in Bz}: dr_apply fixes the
+    point a pair (z, w) gives."""
+
+    def test_neglog_fixed_points_are_one_plus_gamma(self):
+        # z = 1, w = 1: w lies in the normal cone at 1 and -1 = (-ln)'(1)
         problem = neglog_problem()
-        cert = neglog_certificate(problem)
         for gamma in GAMMA_GRID:
-            assert dr_fixed_point(cert, gamma)[0] == 1.0 + gamma
+            assert dr2.dr_apply(problem, gamma, [1.0 + gamma])[0].tolist() == [1.0 + gamma]
 
-    def test_zero_displacement(self):
+    def test_zero_pair_fixes_every_point(self):
+        # w = 0 lies in Az and -w in Bz at every z, so z itself is fixed
         problem = dr2.DRProblem(Zero(1), Zero(1))
-        cert = dr2.DRCertificate(problem, z=[0.5], w=[0.0])
         for gamma in (0.5, 1.0, 2.0):
-            assert dr_fixed_point(cert, gamma)[0] == 0.5
+            assert dr2.dr_apply(problem, gamma, [0.5])[0].tolist() == [0.5]
 
-    def test_affine_certificate_from_solve(self, rng):
+    def test_affine_pair_solved_directly(self, rng):
         a, b = random_affine(rng, 3), random_affine(rng, 3)
         problem = dr2.DRProblem(a, b)
-        # solve (A + B) z = 0 directly, then w = A z
-        m = a.matrix + b.matrix
-        z = np.linalg.solve(m, -(a.offset + b.offset))
-        cert = dr2.DRCertificate(problem, z=z, w=a.value(z))
-        y = dr_fixed_point(cert, 2.0)
+        # solve (A + B) z = 0 directly, then w = A z and -w = B z
+        z = np.linalg.solve(a.matrix + b.matrix, -(a.offset + b.offset))
+        y = z + 2.0 * a.value(z)
         w, _, _ = dr2.dr_apply(problem, 2.0, y)
         assert np.linalg.norm(y - w) <= 1e-9
 
-    def test_invalid_membership_rejected(self):
-        problem = neglog_problem()
-        with pytest.raises(CertificateError):
-            dr2.DRCertificate(problem, z=[2.0], w=[1.0])  # z != 1
-        with pytest.raises(CertificateError):
-            dr2.DRCertificate(problem, z=[1.0], w=[2.0])  # -2 != -1/1
-
     def test_disjoint_fixed_point_sets(self):
-        cert = neglog_certificate(neglog_problem())
+        problem = neglog_problem()
         for g in GAMMA_GRID:
             for d in GAMMA_GRID:
-                gap = abs(dr_fixed_point(cert, g)[0]
-                          - dr_fixed_point(cert, d)[0])
-                assert gap == abs(g - d)
+                fix_g = dr2.dr_apply(problem, g, [1.0 + g])[0][0]
+                fix_d = dr2.dr_apply(problem, d, [1.0 + d])[0][0]
+                assert abs(fix_g - fix_d) == abs(g - d)
 
 
 class TestAlgorithm1:
@@ -271,7 +261,7 @@ class TestAlgorithm1:
         problem = neglog_problem()
         relocator = dr2.dr_relocator(problem)
         schedule = sch.ExplicitList([1.0, 2.0, 0.5, 1.5, 1.0, 1.0])
-        anchor = dr_fixed_point(neglog_certificate(problem), 1.0)
+        anchor = np.array([2.0])  # Fix T_1 = {1 + 1}
         trace = run_relocated(dr2.dr_family(problem), relocator, schedule, np.array([5.0]),
                               StopRule(residual_tol=1e-14, max_iters=5))
         assert len(trace) == 6
@@ -286,8 +276,7 @@ class TestAlgorithm1:
 class TestDRAxiomsHarness:
     def test_neglog_instance_passes(self, rng):
         problem = neglog_problem()
-        cert = neglog_certificate(problem)
-        fixed_points = [(g, dr_fixed_point(cert, g)) for g in GAMMA_GRID]
+        fixed_points = [(g, np.array([1.0 + g])) for g in GAMMA_GRID]
         report = check_relocator_axioms(
             dr2.dr_family(problem), dr2.dr_relocator(problem),
             fixed_points, GAMMA_GRID, tol=1e-9, rng=rng)
@@ -296,12 +285,11 @@ class TestDRAxiomsHarness:
 
     def test_broken_relocator_flagged(self, rng):
         problem = neglog_problem()
-        cert = neglog_certificate(problem)
-        fixed_points = [(1.0, dr_fixed_point(cert, 1.0))]
+        fixed_points = [(1.0, np.array([2.0]))]
         from relosplit.driver import Relocator
-        broken = Relocator(
-            lambda g, d, x: dr2.dr_relocator_apply(problem.op_a, g, d, x) + 0.1,
-            dr2.dr_lipschitz)
+        relocator = dr2.dr_relocator(problem)
+        broken = Relocator(lambda g, d, x: relocator.apply(g, d, x) + 0.1,
+                           relocator.lipschitz_bound)
         report = check_relocator_axioms(dr2.dr_family(problem), broken,
                                         fixed_points, GAMMA_GRID, rng=rng)
         assert not report.bijection_ok

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import GAMMA_GRID, Case, random_affine, run as run_case
 from relosplit import graphs, linalg, problems, schedules as sch, selftest
-from relosplit.dr2 import dr_relocator_apply
+from relosplit.dr2 import DRProblem, dr_apply, dr_relocator
 from relosplit.driver import StopRule
 from relosplit.errors import (
     ConstructionError,
@@ -22,7 +22,7 @@ from relosplit.malitsky_tam import (
     mt_apply,
     mt_family,
     mt_graph,
-    mt_relocator_apply,
+    mt_relocator,
 )
 from relosplit.operators import (
     AffineMonotone,
@@ -193,7 +193,7 @@ def test_library_points_are_float_arrays(rng, make_x):
                fix_point_oracle_affine(ops, g, 1.0)[0]]
     for delta in (1.0, 2.0):
         outputs += [graphs.graph_relocator(ops, g).apply(1.0, delta, x),
-                    mt_relocator_apply(problem, 1.0, delta, x),
+                    mt_relocator(problem).apply(1.0, delta, x),
                     graph_relocator_apply(ops, g, 1.0, delta, x)]
     for out in outputs:
         assert type(out) is np.ndarray and out.dtype == float
@@ -598,7 +598,7 @@ class TestOneResolventRelocator:
                 x = 3.0 * rng.standard_normal((n - 1, 2))
                 gamma, delta = rng.choice(GAMMA_GRID, size=2)
                 graph = relocator.apply(s * gamma, s * delta, s * x)
-                cheap = mt_relocator_apply(problem, gamma, delta, x)
+                cheap = mt_relocator(problem).apply(gamma, delta, x)
                 assert np.linalg.norm((1.0 / s) * graph - cheap) <= 1e-12
 
     def test_two_node_graph_is_dr_relocator(self, rng):
@@ -609,7 +609,7 @@ class TestOneResolventRelocator:
             v = 3.0 * rng.standard_normal(3)
             gamma, delta = rng.choice(GAMMA_GRID, size=2)
             graph = relocator.apply(gamma, delta, [v])
-            dr = dr_relocator_apply(ops[0], gamma, delta, v)
+            dr = dr_relocator(DRProblem(*ops)).apply(gamma, delta, v)
             assert np.max(np.abs(graph[0] - dr)) <= 1e-12
 
     def test_one_resolvent_of_first_operator(self, rng):
@@ -695,6 +695,55 @@ class TestEntryChecks:
         assert [op.calls for op in ops] == [0] * 6
 
 
+def stepsize_entries():
+    """Every public entry that takes a stepsize, as (name, takes delta,
+    f(gamma, delta)) on one 3-ring affine instance: the steps and the sweep,
+    each method's relocator and its bound, and the invariant suite's."""
+    g = mt_graph(3)
+    ops = affine_ops(np.random.default_rng(0), g)
+    problem, pair = MTProblem(tuple(ops), 0.5), DRProblem(ops[0], ops[1])
+    x, v = np.zeros((2, 2)), np.zeros(2)
+    relocators = {"dr2": (dr_relocator(pair), v), "malitsky_tam": (mt_relocator(problem), x),
+                  "graph_dr": (graphs.graph_relocator(ops, g), x)}
+    entries = [
+        ("mt_apply", False, lambda gamma, delta: mt_apply(problem, gamma, x)),
+        ("dr_apply", False, lambda gamma, delta: dr_apply(pair, gamma, v)),
+        ("graph_dr_apply", False,
+         lambda gamma, delta: graphs.graph_dr_apply(ops, g, gamma, 1.0, x)),
+        ("graph_z_sweep", False, lambda gamma, delta: graphs.graph_z_sweep(ops, g, gamma, x)),
+        ("graph_relocator_apply", True,
+         lambda gamma, delta: graph_relocator_apply(ops, g, gamma, delta, x)),
+        ("relocator_system_residual", True,
+         lambda gamma, delta: relocator_system_residual(ops, g, gamma, delta, x, x)),
+        ("graph_relocator_lipschitz_bound", True,
+         lambda gamma, delta: graph_relocator_lipschitz_bound(g, gamma, delta)),
+        ("fix_point_oracle_affine", False,
+         lambda gamma, delta: fix_point_oracle_affine(ops, g, gamma)),
+        ("mt_vs_graph_equivalence", False,
+         lambda gamma, delta: selftest.mt_vs_graph_equivalence(problem, gamma, x)),
+    ]
+    for name, (relocator, point) in relocators.items():
+        entries += [(f"{name}.apply", True,
+                     lambda gamma, delta, r=relocator, p=point: r.apply(gamma, delta, p)),
+                    (f"{name}.lipschitz_bound", True, relocator.lipschitz_bound)]
+    return entries
+
+
+@pytest.mark.parametrize("name, slot, entry", [
+    pytest.param(name, slot, entry, id=f"{name}-{slot}")
+    for name, takes_delta, entry in stepsize_entries()
+    for slot in (("gamma", "delta") if takes_delta else ("gamma",))])
+@pytest.mark.parametrize("bad", [0, -1.0, np.nan, np.inf, "1"],
+                         ids=["0", "-1", "nan", "inf", "str"])
+def test_stepsize_entries_refuse_bad_values(name, slot, entry, bad):
+    # each entry is sound at gamma = delta = 1 and refuses a stepsize that is
+    # not a finite number > 0 by the library's own error, naming it
+    entry(1.0, 1.0)
+    args = (bad, 1.0) if slot == "gamma" else (1.0, bad)
+    with pytest.raises(ParameterError, match=f"^{slot} must "):
+        entry(*args)
+
+
 @pytest.fixture
 def as_vector_calls(monkeypatch):
     """A one-entry list counting linalg.as_vector calls, under every name a
@@ -778,6 +827,31 @@ def test_runs_wrap_for_final_x_and_replay_iterates_on_first_read(wrap_calls, n_o
         assert [op.calls for op in ops] == calls and oracle_calls == []
         assert all(type(x) is BlockVector for x in iterates)
         assert trace.final_x.data.tobytes() == iterates[-1].data.tobytes()
+
+
+@pytest.mark.parametrize("method", ["mt", "chorded-graph"])
+def test_runs_hand_back_iterates_of_the_callers_x0_type(method):
+    # as run_relocated does: from a plain array, plain arrays that share no
+    # memory with it, a run that relocates and one that stops at row 0 (zero
+    # operators, whose Fix T holds x0) alike; from a BlockVector, BlockVectors
+    n = 4 if method == "mt" else 6
+
+    def run(ops, schedule, x0, stop):
+        if method == "mt":
+            return algorithm2_run(MTProblem(tuple(ops), 0.5), schedule, x0, stop)
+        return graphs.graph_relocated_run(ops, bench_graph(), 1.0, schedule, x0, stop)
+
+    affine = problems.make_problem("affine_consensus", {"count": n, "dim": 2}, seed=0).ops
+    for ops, schedule, rows in ((affine, sch.GeometricToLimit(1.0, 2.0, 0.9), 21),
+                                ([Zero(2)] * n, sch.Constant(1.0), 1)):
+        stop = StopRule(residual_tol=1e-10, max_iters=20)
+        x0 = np.zeros((n - 1, 2))
+        trace = run(ops, schedule, x0, stop)
+        assert len(trace) == rows
+        for x in [*trace.iterates, trace.final_x]:
+            assert type(x) is np.ndarray and not np.shares_memory(x, x0)
+        trace = run(ops, schedule, BlockVector(x0), stop)
+        assert all(type(x) is BlockVector for x in [*trace.iterates, trace.final_x])
 
 
 def test_a_long_run_retains_its_rows_and_little_more():

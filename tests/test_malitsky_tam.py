@@ -31,6 +31,10 @@ def neglog_mt(theta=0.5):
     return mt.MTProblem((NormalConePoint([1.0]), NegLog(1)), theta)
 
 
+def zero_problem(n):
+    return mt.MTProblem(tuple(Zero(1) for _ in range(n)), 0.5)
+
+
 class TestMTGraph:
     def test_ring_structure(self):
         g = mt.mt_graph(3)
@@ -133,27 +137,29 @@ class TestMTRelocator:
     def test_identity_when_equal(self, rng):
         problem = affine_problem(rng, 4)
         x = rng.standard_normal((3, 2))
-        assert np.max(np.abs(mt.mt_relocator_apply(problem, 1.3, 1.3, x) - x)) <= 1e-12
+        assert np.max(np.abs(mt.mt_relocator(problem).apply(1.3, 1.3, x) - x)) <= 1e-12
 
     def test_hand_values(self):
         problem = mt.MTProblem((NormalConePoint([1.0]), Zero(1), Zero(1)), 0.5)
-        out = mt.mt_relocator_apply(problem, 1.0, 2.0, [[3.0], [5.0]])
+        out = mt.mt_relocator(problem).apply(1.0, 2.0, [[3.0], [5.0]])
         assert out[0][0] == 5.0  # 2*3 + (1-2)*1
         assert out[1][0] == 9.0  # 2*(5-3) + 5
 
     def test_n2_reduces_to_dr_relocator(self, rng):
         problem = neglog_mt()
+        ours_relocator = mt.mt_relocator(problem)
+        ref_relocator = dr2.dr_relocator(dr2.DRProblem(*problem.ops))
         for _ in range(20):
             x = float(rng.uniform(-4.0, 4.0))
             gamma, delta = rng.choice(GAMMA_GRID, size=2)
-            ours = mt.mt_relocator_apply(problem, gamma, delta, [[x]])
-            ref = dr2.dr_relocator_apply(problem.ops[0], gamma, delta, [x])
+            ours = ours_relocator.apply(gamma, delta, [[x]])
+            ref = ref_relocator.apply(gamma, delta, [x])
             assert ours[0][0] == pytest.approx(ref[0], abs=0.0)
 
     def test_single_resolvent_of_first_operator(self):
         counted = [CountingOperator(Zero(1)) for _ in range(4)]
         problem = mt.MTProblem(tuple(counted), 0.5)
-        mt.mt_relocator_apply(problem, 1.0, 2.0, [[1.0], [2.0], [3.0]])
+        mt.mt_relocator(problem).apply(1.0, 2.0, [[1.0], [2.0], [3.0]])
         assert counted[0].calls == 1
         assert all(op.calls == 0 for op in counted[1:])
 
@@ -168,35 +174,37 @@ class TestMTRelocator:
                 x_graph, _ = fix_point_oracle_affine(ops, g, 2.0 * gamma)
                 x_mt = 0.5 * x_graph
                 for delta in GAMMA_GRID:
-                    cheap = mt.mt_relocator_apply(problem, gamma, delta, x_mt)
+                    cheap = mt.mt_relocator(problem).apply(gamma, delta, x_mt)
                     full = graph_relocator_apply(ops, g, 2.0 * gamma,
                                                         2.0 * delta, x_graph)
                     assert np.linalg.norm(0.5 * full - cheap) <= 1e-9
 
     def test_empirical_lipschitz_below_bound(self, rng):
         for n in (2, 3, 5):
-            problem = affine_problem(rng, n)
+            relocator = mt.mt_relocator(affine_problem(rng, n))
             for gamma, delta in ((1.0, 2.0), (2.0, 0.5), (0.5, 4.0)):
-                bound = mt.mt_lipschitz(n, gamma, delta)
+                bound = relocator.lipschitz_bound(gamma, delta)
                 for _ in range(200):
                     u = 4.0 * rng.standard_normal((n - 1, 2))
                     v = 4.0 * rng.standard_normal((n - 1, 2))
-                    qu = mt.mt_relocator_apply(problem, gamma, delta, u)
-                    qv = mt.mt_relocator_apply(problem, gamma, delta, v)
+                    qu = relocator.apply(gamma, delta, u)
+                    qv = relocator.apply(gamma, delta, v)
                     assert np.linalg.norm(qu - qv) <= bound * np.linalg.norm(u - v) + 1e-9
 
 
 class TestMTLipschitz:
     def test_equal_stepsizes(self):
-        assert mt.mt_lipschitz(5, 1.3, 1.3) == 1.0
+        assert mt.mt_relocator(zero_problem(5)).lipschitz_bound(1.3, 1.3) == 1.0
 
     def test_hand_value(self):
-        assert mt.mt_lipschitz(3, 1.0, 2.0) == 3.0
+        assert mt.mt_relocator(zero_problem(3)).lipschitz_bound(1.0, 2.0) == 3.0
 
     def test_n2_matches_dr_constant(self):
+        ours = mt.mt_relocator(zero_problem(2))
+        ref = dr2.dr_relocator(dr2.DRProblem(Zero(1), Zero(1)))
         for gamma in GAMMA_GRID:
             for delta in GAMMA_GRID:
-                assert mt.mt_lipschitz(2, gamma, delta) == dr2.dr_lipschitz(gamma, delta)
+                assert ours.lipschitz_bound(gamma, delta) == ref.lipschitz_bound(gamma, delta)
 
 
 class TestAlgorithm2:

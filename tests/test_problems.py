@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import WaitingGeometric
+from conftest import GAMMA_GRID, WaitingGeometric
 from relosplit import cli, dr2, problems
 from relosplit.errors import ConstructionError, NoOracleError
-from relosplit.selftest import dr_fixed_point
 
 
 class TestIndicatorNeglog:
@@ -15,11 +14,12 @@ class TestIndicatorNeglog:
         assert inst.solution_point[0] == 1.0
         assert problems.solution_residual(inst, [1.0]) == 0.0
 
-    def test_certificate_fixed_points_exact(self):
-        inst = problems.make_problem("indicator_neglog")
-        for gamma in (0.25, 0.5, 1.0, 2.0, 4.0):
-            y = dr_fixed_point(inst.dr_certificate, gamma)
-            assert y[0] == 1.0 + gamma
+    def test_fixed_points_exact(self):
+        # Fix T_gamma = {z + gamma w} = {1 + gamma}: w = 1 lies in the normal
+        # cone at z = 1 and -1 = (-ln)'(1)
+        problem = problems.make_problem("indicator_neglog").dr_problem()
+        for gamma in GAMMA_GRID:
+            assert dr2.dr_apply(problem, gamma, [1.0 + gamma])[0].tolist() == [1.0 + gamma]
 
     def test_dr_problem_helper(self):
         inst = problems.make_problem("indicator_neglog")
