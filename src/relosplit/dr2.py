@@ -102,8 +102,6 @@ def algorithm1_run(problem, schedule, x0, stop, solution_residual=None):
     tolerance (see driver.StopRule).
     """
     ops = (problem.op_a, problem.op_b)
-    step, feedback, relocate, replay = graph_hooks(ops, build_graph(2, [(1, 2)], [(1, 2)]),
-                                                   record=_record_dr)
-    return relocated_loop(step, relocate, feedback, schedule, as_vector(x0), stop,
-                          solution_residual=solution_residual, stepsize_free=stepsize_free(ops),
-                          replay=replay)
+    return relocated_loop(*graph_hooks(ops, build_graph(2, [(1, 2)], [(1, 2)]), record=_record_dr),
+                          schedule, as_vector(x0), stop, solution_residual=solution_residual,
+                          stepsize_free=stepsize_free(ops))

@@ -2,11 +2,12 @@
 
 The driver is agnostic to the ambient space: iterates may be plain float
 arrays, a vector or (k, d) blocks, or BlockVectors. The loop itself carries
-plain float arrays, and a trace hands its iterates out in x_0's type. A run
-handed a replay hook (every runner's) keeps no iterate per row: its trace
-rebuilds them from x_0 and the recorded rows when they are first read.
-Families bundle the parametrized operator T_gamma with its feedback and
-whether it is stepsize free; relocators bundle Q with a Lipschitz bound.
+plain float arrays, and a trace hands its iterates out in x_0's type. A
+trace keeps no iterate per row: every run hands the loop a replay hook, and
+its trace rebuilds the iterates from a private copy of x_0 and the recorded
+rows when they are first read. Families bundle the parametrized operator
+T_gamma with its feedback and whether it is stepsize free; relocators
+bundle Q with a Lipschitz bound.
 """
 
 import csv
@@ -14,6 +15,7 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -156,7 +158,7 @@ class Relocator:
 
 class _PointColumn(Sequence):
     """A trace column computed where it is read: row n is fn(points[n]), a
-    float, or nan without fn or a point. Nothing is kept, so each read calls
+    float, or nan without fn. Nothing is kept, so each read calls
     fn again, and an error of fn is raised by the read. The solution-residual
     column and the columns of ConvergenceTrace.point_columns are these.
 
@@ -179,9 +181,9 @@ class _PointColumn(Sequence):
             return self.at(self._points[n])
 
     def at(self, point):
-        """fn at one recorded point, nan without either; numpy's overflow and
+        """fn at one recorded point, nan without fn; numpy's overflow and
         invalid warnings are the caller's to silence."""
-        if self._fn is None or point is None:
+        if self._fn is None:
             return math.nan
         return float(self._fn(point))
 
@@ -189,25 +191,24 @@ class _PointColumn(Sequence):
 @dataclass
 class ConvergenceTrace:
     """Per-iteration record of a run, a table: every row carries row 0's
-    fields (its vector keys, and a point exactly when row 0 had one), so
-    every series is as long as the trace, and its point and vectors have
-    row 0's lengths, so every row fills the CSV header.
+    fields (a point of row 0's length, and its vector keys and lengths), so
+    every series is as long as the trace and every row fills the CSV header.
 
     residuals[n] is ||x_n - T_{gamma_n} x_n||; points[n] holds the flattened
-    monitored (shadow) point when the family produces one. iterates[n] is
-    the governing x_n itself, in x_0's type, for programmatic use; iterates
-    are not serialized. A recorded vector that is the monitored point itself
-    shares its array: points[n] is extra_vectors[key][n] (dr2's "z").
+    monitored point: the family's shadow, or x_n when it has none.
+    iterates[n] is the governing x_n itself, in x_0's type, for programmatic
+    use; iterates are not serialized. A recorded vector that is the
+    monitored point itself shares its array: points[n] is
+    extra_vectors[key][n] (dr2's "z").
 
-    A trace that record appends to keeps each row's iterate as given. A
-    runner's trace keeps none: relocated_loop hands it a replay hook and a
-    private copy of x_0, and iterates is then computed where it is read,
-    once: the first read replays x_1, x_2, ... from x_0, gammas, points and
-    extra_vectors, by the arithmetic the run did (see relocated_loop), and
-    the list it builds is kept, so a later read returns that same list and
-    an assignment into it holds. The replay reads the rows as they are at
-    that first read: writing into points (or a vector) before it changes
-    the iterates it returns.
+    No row keeps its iterate. relocated_loop hands the trace its replay hook
+    and a private copy of x_0, and iterates is computed where it is read,
+    once: the first read replays x_0, x_1, ..., one per row, from that copy,
+    gammas, points and extra_vectors, by the arithmetic the run did (see
+    relocated_loop), and the list it builds is kept, so a later read returns
+    that same list and an assignment into it holds. The replay reads the
+    rows as they are at that first read: writing into points (or a vector)
+    before it changes the iterates it returns.
 
     solution_residuals[n] is oracle(points[n]), evaluated only when it is
     read: by summary() (the last row), by write_csv (every row) or by
@@ -222,7 +223,6 @@ class ConvergenceTrace:
     gammas: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
     points: list = field(default_factory=list)
-    extra_scalars: dict = field(default_factory=dict)
     extra_vectors: dict = field(default_factory=dict)
     status: str = STATUS_MAX_ITERS
     sum_pos_increments: float = 0.0
@@ -239,16 +239,15 @@ class ConvergenceTrace:
     #: name -> function of a recorded point: the extra scalar columns
     #: computed where they are read
     point_columns: dict = field(default_factory=dict)
-    #: row 0's signature: its point length (None without a point) and its
-    #: vector lengths by key
+    #: row 0's signature: its point length and its vector lengths by key
     _row0: tuple = field(default=None, init=False, repr=False)
-    #: the iterates as recorded, or None until a replayed trace's first read
-    _iterates: list = field(default_factory=list, init=False, repr=False)
-    #: (replay, a private copy of x_0's array, x_0's wrap or None) of a
-    #: trace whose iterates are replayed (see relocated_loop), else None
+    #: the replayed iterates, None until the first read
+    _iterates: list = field(default=None, init=False, repr=False)
+    #: (replay, a private copy of x_0's array, the wrap back to x_0's type),
+    #: set by relocated_loop
     _replay: tuple = field(default=None, init=False, repr=False)
 
-    def record(self, gamma, residual, point=None, iterate=None, vectors=None):
+    def record(self, gamma, residual, point, vectors=None):
         """Append one row: arrays as flat copies.
 
         A row whose signature (point length, vector lengths by key) is not
@@ -257,20 +256,15 @@ class ConvergenceTrace:
         once, and a vector that is the point object itself is recorded as
         that copy, so write_csv formats it once. These copies are the only
         ones, so a point or vector may be a buffer its caller overwrites
-        next. The iterate is kept as given, except by a trace whose iterates
-        are replayed, which keeps none.
+        next.
         """
-        flat = None if point is None else _values(point).flatten()
+        flat = _values(point).flatten()
         flats = {}
         if vectors:
             for key, value in vectors.items():
-                flats[key] = (flat if flat is not None and value is point
-                              else _values(value).flatten())
-        signature = (None if flat is None else flat.size,
-                     {key: value.size for key, value in flats.items()})
+                flats[key] = flat if value is point else _values(value).flatten()
+        signature = (flat.size, {key: value.size for key, value in flats.items()})
         if not self.residuals:
-            self.extra_scalars = {key: _PointColumn(self.points, fn)
-                                  for key, fn in self.point_columns.items()}
             self.extra_vectors = {key: [] for key in flats}
             self._row0 = signature
         elif signature != self._row0:
@@ -280,8 +274,6 @@ class ConvergenceTrace:
         self.gammas.append(float(gamma))
         self.residuals.append(float(residual))
         self.points.append(flat)
-        if self._replay is None:
-            self._iterates.append(iterate)
         for key, value in flats.items():
             self.extra_vectors[key].append(value)
 
@@ -295,12 +287,16 @@ class ConvergenceTrace:
             # the replay's arithmetic may meet an overflowed row, as the run did
             with np.errstate(over="ignore", invalid="ignore"):
                 xs = replay(x0, self.gammas, self.points, self.extra_vectors)
-                self._iterates = list(xs) if wrap is None else [wrap(x) for x in xs]
+                self._iterates = [wrap(x) for x in islice(xs, len(self))]
         return self._iterates
 
     @property
     def solution_residuals(self):
         return _PointColumn(self.points, self.oracle)
+
+    @property
+    def extra_scalars(self):
+        return {key: _PointColumn(self.points, fn) for key, fn in self.point_columns.items()}
 
     @property
     def iterations(self):
@@ -327,7 +323,7 @@ class ConvergenceTrace:
             out["relocated_to_limit_at"] = self.relocated_to_limit_at
         if self.budget_exceeded_at is not None:
             out["budget_exceeded_at"] = self.budget_exceeded_at
-        if self.points and self.points[-1] is not None:
+        if self.points:
             out["final_point"] = [float(v) for v in self.points[-1]]
         if self.residuals:
             solution = self.solution_residuals[-1]
@@ -339,7 +335,9 @@ class ConvergenceTrace:
 
     def _csv_header(self):
         header = ["n", "gamma", "residual", "solution_residual"]
-        point_dim = len(self.points[0]) if self.points and self.points[0] is not None else 0
+        if not self.points:
+            return header, 0
+        point_dim = len(self.points[0])
         header += [f"point_{i}" for i in range(point_dim)]
         header += list(self.extra_scalars)
         for key, series in self.extra_vectors.items():
@@ -371,13 +369,12 @@ class ConvergenceTrace:
             for n in range(len(self.residuals)):
                 point = self.points[n]
                 row = [n, self.gammas[n], self.residuals[n], solution_residual(point)]
+                point_text = point_format % tuple(_floats(point))
                 if point_dim:
-                    point_text = point_format % tuple(_floats(point))
                     row.append(point_text)
                 for column in columns:
                     row.append(column(point))
                 for series, vector_format in vectors:
-                    # only a row with a point can share it with a vector (see record)
                     row.append(point_text if series[n] is point
                                else vector_format % tuple(_floats(series[n])))
                 yield row_format % tuple(row)
@@ -395,15 +392,16 @@ class ConvergenceTrace:
                 emit(fh)
 
 
-def relocated_loop(step, relocate, feedback, schedule, x0, stop,
-                   solution_residual=None, stepsize_free=False, point_columns=None,
-                   replay=None):
+def relocated_loop(step, feedback, relocate, replay, schedule, x0, stop,
+                   solution_residual=None, stepsize_free=False, point_columns=None):
     """The relocated iteration x_{n+1} = Q_{g_{n+1}<-g_n} T_{g_n} x_n.
 
-    Every runner is this loop plus four hooks. They take and return plain
-    float arrays: the loop hands step x_0's own array (see _values), and
-    trace.iterates and final_x hold objects of x_0's type, so a run started
-    from a BlockVector gets BlockVectors back.
+    Every runner is this loop plus four hooks, in the order
+    graphs.graph_hooks returns them. They take and return plain float
+    arrays: the loop copies x_0's array once (see _values) and hands step
+    that copy, so no iterate or final_x is the caller's x_0; trace.iterates
+    and final_x hold objects of x_0's type, so a run started from a
+    BlockVector gets BlockVectors back.
 
     * step(gamma, x, carry) -> (T_gamma x, shadow, vectors): the monitored
       point, or None to monitor x, and a dict of vectors to record, or
@@ -415,14 +413,13 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
       that it evaluated, passed on to relocate (None otherwise).
     * relocate(gamma, delta, w, pre) -> (x_next, carry). It may reuse pre,
       and may hand the next step a resolvent it has already evaluated.
-    * replay(x0, gammas, points, vectors), optional, yields x_0, x_1, ...,
-      one per row, from a private copy of x_0's array and the trace's
+    * replay(x0, gammas, points, vectors) yields x_0, x_1, ..., at least
+      one per row, from the loop's copy of x_0's array and the trace's
       columns: the arithmetic of step and relocate on what their rows
-      recorded, calling no resolvent. With it the trace keeps that copy and
-      no iterate per row, and builds trace.iterates on its first read (see
-      ConvergenceTrace); the loop then makes one object of x_0's type, for
-      final_x. Without it, as for run_relocated, the trace keeps each
-      iterate, one object of x_0's type per relocation.
+      recorded, calling no resolvent. The trace keeps that copy and no
+      iterate per row, and builds trace.iterates from the replay's first
+      len(trace) points on its first read (see ConvergenceTrace). The loop
+      makes one object of x_0's type, for final_x.
 
     Every iteration, the last one included, asks the schedule for
     gamma_{n+1} and applies the whole stop rule: a run that reaches max_iters
@@ -463,21 +460,18 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
     point_columns, a dict of name -> function of that flat copy, adds
     scalar columns computed the same way (ConvergenceTrace.point_columns).
     """
+    x = _values(x0).copy()
+    wrap = BlockVector._wrap if isinstance(x0, BlockVector) else (lambda x: x)
+    trace = ConvergenceTrace(oracle=solution_residual, point_columns=point_columns or {})
+    trace._replay = (replay, x, wrap)
     schedule.reset()
     gamma = schedule.gamma_at(0)
-    trace = ConvergenceTrace(final_x=x0, oracle=solution_residual,
-                             point_columns=point_columns or {})
     if gamma <= 0 or not math.isfinite(gamma):
         trace.status = STATUS_SCHEDULE_REJECTED
+        trace.final_x = wrap(x)
         return trace
     budget = POS_INCREMENT_BUDGET * float(gamma)
 
-    # the hooks work on x's array; iterate is what a trace without a
-    # replay keeps of it
-    x, iterate = _values(x0), x0
-    wrap = BlockVector._wrap if isinstance(x0, BlockVector) else None
-    if replay is not None:
-        trace._replay, trace._iterates = (replay, x.copy(), wrap), None
     carry = None
     # what every iteration looks up, bound once
     record, gamma_at, adaptive = trace.record, schedule.gamma_at, schedule.is_adaptive
@@ -494,7 +488,7 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
             # ambient_norm's arithmetic on a fresh C-ordered difference
             gap = (x - w).ravel()
             residual = math.sqrt(gap.dot(gap))
-            record(gamma, residual, x if shadow is None else shadow, iterate, vectors)
+            record(gamma, residual, x if shadow is None else shadow, vectors)
 
             pair, pre = feedback(gamma, w) if adaptive else (None, None)
             gamma_next = gamma_at(n + 1, feedback=pair)
@@ -532,17 +526,13 @@ def relocated_loop(step, relocate, feedback, schedule, x0, stop,
                     )
 
             x, carry = relocate(gamma, gamma_next, w, pre)
-            if replay is None:
-                iterate = x if wrap is None else wrap(x)
             if not _all_finite(x):
                 trace.status = STATUS_DIVERGED
                 break
             gamma = gamma_next
 
-    if replay is not None:
-        # a diverged run's final_x is the overflowed iterate, which no row records
-        iterate = x if wrap is None else wrap(x)
-    trace.final_x = iterate
+    # a diverged run's final_x is the overflowed iterate, which no row records
+    trace.final_x = wrap(x)
     return trace
 
 
@@ -554,9 +544,13 @@ def run_relocated(family, relocator, schedule, x0, stop, solution_residual=None)
     relocated_loop: the trace calls it on the flat copy of a row's monitored
     point when that row is read. A stepsize-free family stops as its runner
     does. The family and the relocator see points of x0's type, as the
-    loop's plain arrays are wrapped back (unchecked) for them.
+    loop's plain arrays are wrapped back (unchecked) for them. The family
+    and the relocator are opaque, so nothing can be recomputed from the
+    rows: the run keeps each point its relocator returned, and its replay
+    hands them back as they are.
     """
     wrap = BlockVector._wrap if isinstance(x0, BlockVector) else (lambda x: x)
+    relocated = []
 
     def step(gamma, x, carry):
         w, aux = family.apply(gamma, wrap(x))
@@ -566,8 +560,11 @@ def run_relocated(family, relocator, schedule, x0, stop, solution_residual=None)
         z_fb, w_fb = family.feedback(gamma, wrap(w))
         return (ambient_flat(z_fb), ambient_flat(w_fb)), None
 
-    return relocated_loop(step,
-                          lambda gamma, delta, w, pre: (
-                              _values(relocator.apply(gamma, delta, wrap(w))), None),
-                          feedback, schedule, x0, stop, solution_residual=solution_residual,
+    def relocate(gamma, delta, w, pre):
+        relocated.append(_values(relocator.apply(gamma, delta, wrap(w))))
+        return relocated[-1], None
+
+    return relocated_loop(step, feedback, relocate,
+                          lambda x0, gammas, points, vectors: [x0, *relocated],
+                          schedule, x0, stop, solution_residual=solution_residual,
                           stepsize_free=family.stepsize_free)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .driver import OperatorFamily, Relocator, ambient_norm, relocated_loop
 from .errors import ConstructionError, DimensionError, ParameterError
+from .kinds import NUMBER, checked
 from .linalg import (BlockVector, as_block_iterate, as_block_vector, as_stepsize, as_vector,
                      pseudo_inverse)
 from .operators import stepsize_free
@@ -199,6 +200,13 @@ def _check_ops(ops, g):
         raise DimensionError(f"operators act on mixed dimensions {sorted(dims)}")
 
 
+def _check_theta(theta):
+    theta = checked(NUMBER, theta, "theta")
+    if not 0.0 < theta < 2.0:
+        raise ParameterError(f"theta must lie in (0, 2), got {theta}")
+    return theta
+
+
 def _check_x(x, ops, g):
     _check_ops(ops, g)
     return as_block_vector(x, g.n_nodes - 1, ops[0].dim)
@@ -282,8 +290,7 @@ def graph_z_sweep(ops, g, gamma, x, z1=None, work=None):
 def graph_dr_apply(ops, g, gamma, theta, x):
     """One graph-DR step T_gamma x = x - theta (Z^T kron I) z; returns the
     arrays (w, z)."""
-    if not 0.0 < theta < 2.0:
-        raise ParameterError(f"theta must lie in (0, 2), got {theta}")
+    theta = _check_theta(theta)
     x = _check_x(x, ops, g)
     z = graph_z_sweep(ops, g, gamma, x)
     return x.data - theta * (g.matrices.Z.T @ z), z
@@ -494,12 +501,9 @@ def graph_relocated_run(ops, g, theta, schedule, x0, stop, solution_residual=Non
     operator is stepsize free, the run stops at its first residual within
     tolerance (see driver.StopRule).
     """
-    if not 0.0 < theta < 2.0:
-        raise ParameterError(f"theta must lie in (0, 2), got {theta}")
+    theta = _check_theta(theta)
     _check_ops(ops, g)
-    step, feedback, relocate, replay = graph_hooks(ops, g, theta)
-    return relocated_loop(step, relocate, feedback, schedule,
+    return relocated_loop(*graph_hooks(ops, g, theta), schedule,
                           as_block_iterate(x0, g.n_nodes - 1, ops[0].dim), stop,
                           solution_residual=at_consensus(solution_residual, g.n_nodes),
-                          stepsize_free=stepsize_free(ops), point_columns=consensus_columns(g),
-                          replay=replay)
+                          stepsize_free=stepsize_free(ops), point_columns=consensus_columns(g))

@@ -17,6 +17,7 @@ import numpy as np
 from .driver import OperatorFamily, Relocator, relocated_loop
 from .errors import DimensionError, ParameterError
 from .graphs import at_consensus, build_graph, consensus_columns, graph_hooks
+from .kinds import NUMBER, checked
 from .linalg import as_block_iterate, as_block_vector, as_stepsize
 from .operators import MonotoneOperator, stepsize_free
 
@@ -38,6 +39,7 @@ class MTProblem:
         dims = {op.dim for op in ops}
         if len(dims) != 1:
             raise DimensionError(f"operators act on mixed dimensions {sorted(dims)}")
+        object.__setattr__(self, "theta", checked(NUMBER, self.theta, "theta"))
         if not 0.0 < self.theta < 1.0:
             raise ParameterError(f"theta must lie in (0, 1), got {self.theta}")
 
@@ -140,10 +142,8 @@ def algorithm2_run(problem, schedule, x0, stop, solution_residual=None):
     stops at its first residual within tolerance (see driver.StopRule).
     """
     g = mt_graph(problem.n_ops)
-    step, feedback, relocate, replay = graph_hooks(problem.ops, g, problem.theta,
-                                                   scale=float(g.deg[0]))
-    return relocated_loop(step, relocate, feedback, schedule,
-                          as_block_iterate(x0, problem.n_ops - 1, problem.dim), stop,
+    return relocated_loop(*graph_hooks(problem.ops, g, problem.theta, scale=float(g.deg[0])),
+                          schedule, as_block_iterate(x0, problem.n_ops - 1, problem.dim), stop,
                           solution_residual=at_consensus(solution_residual, g.n_nodes),
                           stepsize_free=stepsize_free(problem.ops),
-                          point_columns=consensus_columns(g), replay=replay)
+                          point_columns=consensus_columns(g))

@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ParameterError, ScheduleError
+from .kinds import INTEGER, NUMBER, NUMBERS, checked
 
 
 def kappa_ratio(z, w_prev):
@@ -77,7 +78,7 @@ class Constant(StepsizeSchedule):
     """gamma_n = gamma for all n."""
 
     def __init__(self, gamma):
-        gamma = float(gamma)
+        gamma = checked(NUMBER, gamma, "gamma")
         if not np.isfinite(gamma) or gamma <= 0:
             raise ParameterError(f"gamma must be positive, got {gamma}")
         self.gamma = gamma
@@ -101,9 +102,9 @@ class GeometricToLimit(StepsizeSchedule):
     """gamma_n = limit + (start - limit) * ratio^n with ratio in (0, 1)."""
 
     def __init__(self, limit, start, ratio):
-        limit = float(limit)
-        start = float(start)
-        ratio = float(ratio)
+        limit = checked(NUMBER, limit, "limit")
+        start = checked(NUMBER, start, "start")
+        ratio = checked(NUMBER, ratio, "ratio")
         if not (np.isfinite(limit) and np.isfinite(start)) or limit <= 0 or start <= 0:
             raise ParameterError(f"limit and start must be positive and finite, "
                                  f"got {limit} and {start}")
@@ -139,7 +140,7 @@ class ExplicitList(StepsizeSchedule):
     """
 
     def __init__(self, values):
-        vals = [float(v) for v in values]
+        vals = checked(NUMBERS, values, "values")
         if not vals:
             raise ParameterError("explicit schedule needs at least one value")
         if not all(np.isfinite(v) for v in vals):
@@ -193,9 +194,9 @@ class AdaptiveKappa(StepsizeSchedule):
     is_adaptive = True
 
     def __init__(self, gamma0, clamp_lo=1e-4, clamp_hi=1e4):
-        gamma0 = float(gamma0)
-        clamp_lo = float(clamp_lo)
-        clamp_hi = float(clamp_hi)
+        gamma0 = checked(NUMBER, gamma0, "gamma0")
+        clamp_lo = checked(NUMBER, clamp_lo, "clamp_lo")
+        clamp_hi = checked(NUMBER, clamp_hi, "clamp_hi")
         if gamma0 <= 0:
             raise ParameterError(f"gamma0 must be positive, got {gamma0}")
         if not 0 < clamp_lo <= clamp_hi < np.inf:
@@ -247,7 +248,7 @@ def validate_schedule(schedule, horizon):
     on the iterates, so the report marks it as runtime-monitored. Each kind
     builds its own report; a kind without one raises ParameterError.
     """
-    if horizon < 2:
+    if checked(INTEGER, horizon, "horizon") < 2:
         raise ParameterError(f"horizon must be >= 2, got {horizon}")
     return schedule.report(horizon)
 

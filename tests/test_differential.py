@@ -3,8 +3,8 @@ Q_{gamma_{n+1}<-gamma_n} T_{gamma_n} x_n of its method's family and
 relocator, at one resolvent per operator per iteration. check() states it
 for one case; the fuzz draws cases, and the pinned ones are those of the
 hand-built tests it replaced. A runner's trace replays its iterates from its
-rows when they are read; check() pins them, and final_x, to the bytes of a
-run of the same hooks whose trace stores them."""
+rows when they are read; check() pins them, and final_x, to the bytes of the
+points its relocate hook returned in a run of the same hooks."""
 
 import contextlib
 import copy
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import Case, WaitingGeometric, operator_zoo, random_affine, run
-from relosplit import driver, dr2, graphs, malitsky_tam as mt, problems, schedules as sch
+from relosplit import dr2, graphs, malitsky_tam as mt, problems, schedules as sch
 from relosplit.driver import ScheduleBudgetWarning, StopRule, ambient_flat
 from relosplit.linalg import BlockVector
 from relosplit.operators import (AffineMonotone, CountingOperator, NegLog, NormalConePoint,
@@ -45,15 +45,25 @@ def written(trace):
 
 
 def stored(case, ops):
-    """run(case, ops) with its runner's loop handed no replay: the same hooks
-    and arguments, and a trace that stores each iterate as the run made it."""
+    """run(case, ops) with its runner's replay hook swapped for one that
+    hands back x_0 and each point the relocate hook returned, as the run
+    computed them: the same hooks and arguments otherwise."""
+    graph_hooks = graphs.graph_hooks
 
-    def loop(*args, replay, **kw):
-        return driver.relocated_loop(*args, **kw)
+    def hooks(*args, **kw):
+        step, feedback, relocate, _ = graph_hooks(*args, **kw)
+        relocated = []
+
+        def keep(*args):
+            x, carry = relocate(*args)
+            relocated.append(x)
+            return x, carry
+
+        return step, feedback, keep, lambda x0, *rows: [x0, *relocated]
 
     with contextlib.ExitStack() as patches:
         for runner in (dr2, graphs, mt):
-            patches.enter_context(mock.patch.object(runner, "relocated_loop", loop))
+            patches.enter_context(mock.patch.object(runner, "graph_hooks", hooks))
         return run(case, ops)
 
 

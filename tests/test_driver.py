@@ -62,6 +62,7 @@ class TestRunRelocated:
         trace = run_relocated(family, identity_relocator(), schedule,
                               np.array([8.0]), StopRule(1e-12, 50))
         assert trace.status == "schedule_rejected"
+        assert [x.tolist() for x in trace.iterates] == [[8.0]] and len(trace) == 1
 
     def test_diverged(self):
         def blow_up(gamma, x):
@@ -72,6 +73,41 @@ class TestRunRelocated:
         trace = run_relocated(family, identity_relocator(), sch.Constant(1.0),
                               np.array([1.0]), StopRule(1e-12, 10))
         assert trace.status == "diverged"
+        # x_2 = 1e400 overflowed: no row records it, and final_x is it
+        assert [x.tolist() for x in trace.iterates] == [[1.0], [1e200]] and len(trace) == 2
+        assert trace.final_x.tolist() == [math.inf]
+
+    @pytest.mark.parametrize("runner", ["run_relocated", "algorithm1_run",
+                                        "algorithm2_run", "graph_relocated_run"])
+    def test_writing_into_x0_after_the_run_changes_nothing_it_handed_back(self, runner):
+        # from a plain array: a run that steps, and one whose gamma_0 is
+        # rejected, whose trace has no row and no iterate. x0 = 3 lies in Fix
+        # T_2, so the first row relocates to the limit 1 and the next converges
+        ops = (NormalConePoint([1.0]), NegLog(1))
+        problem = dr2.DRProblem(*ops)
+        stop = StopRule(1e-12, 20)
+
+        def run(schedule, x0):
+            if runner == "run_relocated":
+                return run_relocated(dr2.dr_family(problem), dr2.dr_relocator(problem),
+                                     schedule, x0, stop)
+            if runner == "algorithm1_run":
+                return dr2.algorithm1_run(problem, schedule, x0, stop)
+            if runner == "algorithm2_run":
+                return mt.algorithm2_run(mt.MTProblem(ops, 0.5), schedule, x0[None], stop)
+            return graph_relocated_run(ops, mt.mt_graph(2), 1.0, schedule, x0[None], stop)
+
+        def handed_back(trace):
+            return [x.tobytes() for x in [*trace.iterates, trace.final_x]]
+
+        for schedule, rows in ((sch.GeometricToLimit(1.0, 2.0, 0.5), 2),
+                               (sch.ExplicitList([-1.0]), 0)):
+            fresh = run(schedule, np.array([3.0]))
+            x0 = np.array([3.0])
+            trace = run(schedule, x0)
+            x0[0] = 7.0
+            assert len(trace) == rows and len(trace.iterates) == rows
+            assert handed_back(trace) == handed_back(fresh)
 
     def test_budget_warning(self):
         family = OperatorFamily(lambda g, x: (0.9 * x, {}))
@@ -487,13 +523,12 @@ class TestRecord:
         assert buffer.getvalue().splitlines()[2] == "1,1,0.25,nan,6,9,10,11"
 
     @pytest.mark.parametrize("first, second", [
-        ({"vectors": {"z": np.array([1.0])}}, {}),
-        ({"point": np.array([1.0])}, {}),
-        ({}, {"point": np.array([1.0])}),
+        ({"point": np.array([1.0]), "vectors": {"z": np.array([1.0])}},
+         {"point": np.array([1.0])}),
         ({"point": np.array([1.0, 2.0])}, {"point": np.array([1.0, 2.0, 3.0])}),
-        ({"vectors": {"v": np.array([1.0])}}, {"vectors": {"v": np.array([1.0, 2.0])}}),
-    ], ids=["vector-left-out", "point-left-out", "point-added", "point-longer",
-            "vector-longer"])
+        ({"point": np.array([1.0]), "vectors": {"v": np.array([1.0])}},
+         {"point": np.array([1.0]), "vectors": {"v": np.array([1.0, 2.0])}}),
+    ], ids=["vector-left-out", "point-longer", "vector-longer"])
     def test_a_row_with_other_fields_is_refused(self, first, second):
         trace = ConvergenceTrace()
         trace.record(1.0, 0.5, **first)

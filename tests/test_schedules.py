@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
-from relosplit import schedules as sch
-from relosplit.errors import ParameterError, ScheduleError
+from relosplit import graphs, malitsky_tam as mt, schedules as sch
+from relosplit.driver import StopRule
+from relosplit.errors import ConstructionError, ParameterError, ScheduleError
+from relosplit.operators import Zero
 
 
 class TestGammaAt:
@@ -262,3 +266,45 @@ class TestLimit:
         report = sch.validate_schedule(schedule, horizon=6)
         assert report.to_dict() == expected
         assert report.limit_estimate == schedule.limit
+
+
+def _number_entries():
+    """(entry, the slot its error names, a call that hands it one number)."""
+    ops = (Zero(1), Zero(1))
+    ring = mt.mt_graph(2)
+    return [
+        ("Constant", "gamma", lambda v: sch.Constant(v)),
+        ("GeometricToLimit", "limit", lambda v: sch.GeometricToLimit(v, 2.0, 0.5)),
+        ("GeometricToLimit", "start", lambda v: sch.GeometricToLimit(1.0, v, 0.5)),
+        ("GeometricToLimit", "ratio", lambda v: sch.GeometricToLimit(1.0, 2.0, v)),
+        ("ExplicitList", "values[1]", lambda v: sch.ExplicitList([1.0, v])),
+        ("AdaptiveKappa", "gamma0", lambda v: sch.AdaptiveKappa(v)),
+        ("AdaptiveKappa", "clamp_lo", lambda v: sch.AdaptiveKappa(1.0, clamp_lo=v)),
+        ("AdaptiveKappa", "clamp_hi", lambda v: sch.AdaptiveKappa(1.0, clamp_hi=v)),
+        ("MTProblem", "theta", lambda v: mt.MTProblem(ops, v)),
+        ("graph_relocated_run", "theta", lambda v: graphs.graph_relocated_run(
+            ops, ring, v, sch.Constant(1.0), np.zeros((1, 1)), StopRule(1e-10, 5))),
+        ("graph_dr_apply", "theta", lambda v: graphs.graph_dr_apply(ops, ring, 1.0, v,
+                                                                    np.zeros((1, 1)))),
+    ]
+
+
+NOT_NUMBERS = ["1", True, None, [1.0], np.array([1.0]), 1 + 0j]
+
+
+HORIZON = ("validate_schedule", "horizon",
+           lambda v: sch.validate_schedule(sch.Constant(1.0), horizon=v))
+
+
+@pytest.mark.parametrize("slot, call, bad", [
+    pytest.param(slot, call, bad, id=f"{entry}.{slot}={bad!r}")
+    for (entry, slot, call), values in [*[(e, NOT_NUMBERS) for e in _number_entries()],
+                                        (HORIZON, ["2", None, 2.5, True])]
+    for bad in values])
+def test_a_python_callers_number_is_checked_as_a_config_number(slot, call, bad):
+    # the schedules' and relaxations' numbers go through the kinds a config's
+    # fields go through, so a value that is not a real number (an integer
+    # for horizon) is refused by a ConstructionError naming its slot, not
+    # taken by float() or leaked as numpy's TypeError
+    with pytest.raises(ConstructionError, match=rf"^{re.escape(slot)}: must be an? "):
+        call(bad)
