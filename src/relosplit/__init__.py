@@ -37,7 +37,7 @@ from .graphs import (
     graph_z_sweep,
     relocation_vector_e,
 )
-from .linalg import BlockVector, kron_apply, pseudo_inverse, solve_linear
+from .linalg import BlockVector, kron_apply, solve_linear
 from .malitsky_tam import (
     MTProblem,
     algorithm2_run,

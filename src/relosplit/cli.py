@@ -20,7 +20,7 @@ from . import __version__
 from .dr2 import algorithm1_run
 from .driver import StopRule
 from .errors import ConfigError, RelosplitError
-from .graphs import SplittingGraph, build_graph, graph_relocated_run
+from .graphs import build_graph, graph_relocated_run
 from .kinds import (
     INTEGER,
     NESTED_NUMBERS,
@@ -107,8 +107,6 @@ class ExperimentConfig:
     stop: StopRule
     x0: np.ndarray
     runner: Callable
-    theta: float | None
-    graph: SplittingGraph | None
     output: dict
 
 
@@ -184,7 +182,7 @@ def parse_config(doc, seed=None):
         raise ConfigError(errors)
     return ExperimentConfig(
         problem=problem, algorithm=algorithm, schedule=fields["schedule"], stop=fields["stop"],
-        x0=np.zeros(shape) if x0 is None else x0, runner=runner, theta=theta, graph=graph,
+        x0=np.zeros(shape) if x0 is None else x0, runner=runner,
         output=fields.get("output", {}))
 
 

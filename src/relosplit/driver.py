@@ -19,7 +19,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import ParameterError, ScheduleError
+from .errors import ParameterError, RelosplitError, ScheduleError
 from .kinds import INTEGER, NUMBER, checked
 from .linalg import BlockVector, _all_finite, as_stepsize
 
@@ -208,7 +208,8 @@ class ConvergenceTrace:
     relocated_loop), and the list it builds is kept, so a later read returns
     that same list and an assignment into it holds. The replay reads the
     rows as they are at that first read: writing into points (or a vector)
-    before it changes the iterates it returns.
+    before it changes the iterates it returns. A trace that no run built
+    has no replay, and reading its iterates raises a RelosplitError.
 
     solution_residuals[n] is oracle(points[n]), evaluated only when it is
     read: by summary() (the last row), by write_csv (every row) or by
@@ -283,6 +284,9 @@ class ConvergenceTrace:
     @property
     def iterates(self):
         if self._iterates is None:
+            if self._replay is None:
+                raise RelosplitError("this trace has no replay, so no iterates: no run "
+                                     "built it (relocated_loop gives a trace its replay)")
             replay, x0, wrap = self._replay
             # the replay's arithmetic may meet an overflowed row, as the run did
             with np.errstate(over="ignore", invalid="ignore"):

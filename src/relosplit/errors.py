@@ -14,7 +14,7 @@ class ParameterError(RelosplitError, ValueError):
 
 
 class SingularMatrixError(RelosplitError, ValueError):
-    """A linear solve or pseudo-inverse hit a (near-)singular matrix."""
+    """A linear solve hit a (near-)singular matrix."""
 
 
 class ConstructionError(RelosplitError, ValueError):

@@ -5,17 +5,12 @@ with a spanning tree G' = (nodes, E'); arcs always point from the smaller to
 the larger node index, which makes the resolvent sweep below well defined
 (node i only consumes z_h with h < i).
 
-Conventions used throughout (the degree symbol is overloaded in parts of the
-literature, so they are pinned here):
-
-* the sweep, the relocation vector e and the Lipschitz recursion use the
-  degree d_i of node i in the FULL graph G;
-* the Laplacian is that of the spanning tree, L = Z Z^T with Z the incidence
-  matrix of E' (columns in lexicographic arc order), so its diagonal carries
-  the tree degrees.
-
-This is the only assignment under which the ring specialization (all d_i = 2)
-and the identity L = Z Z^T hold simultaneously.
+The sweep, the relocation vector e and the relocator's Lipschitz bound use
+the degree d_i of node i in the FULL graph G, and Z is the incidence matrix
+of the spanning tree E' (columns in lexicographic arc order). A graph holds
+only what a run reads; the graph algebra of the analysis (the Laplacian
+L = Z Z^T and the matrices built on it) is derived from Z and the arcs by
+the invariant suite, selftest.graph_matrices.
 """
 
 from dataclasses import dataclass
@@ -25,33 +20,23 @@ import numpy as np
 from .driver import OperatorFamily, Relocator, ambient_norm, relocated_loop
 from .errors import ConstructionError, DimensionError, ParameterError
 from .kinds import NUMBER, checked
-from .linalg import (BlockVector, as_block_iterate, as_block_vector, as_stepsize, as_vector,
-                     pseudo_inverse)
+from .linalg import BlockVector, as_block_iterate, as_block_vector, as_stepsize, as_vector
 from .operators import stepsize_free
 
 @dataclass(frozen=True)
 class GraphMatrices:
-    """Matrices derived from a splitting graph.
+    """The arrays a run reads from its splitting graph.
 
-    Z: tree incidence (N x N-1); L = Z Z^T; Zdag: pseudo-inverse of Z with
-    operator norm Zdag_norm; R: skew part of the off-tree coupling; P: chord
-    correction; M = C C^T with C^T = [Z^T  I]; Kx, Kz: (Kx x + Kz z)_i is
-    the input of node i's resolvent in the sweep; Zdag_c: Zdag c with
-    c_i = d_i - 2 d_i^+, integral since c is and Z is the incidence matrix
-    of a tree; sweep_rows: the pair (d_i, [row i of Kz | e_i]) of each node,
-    in node order, e_i the i-th unit vector of length N. The sweep forms
-    node i's input as that length-2N row times the stacked [z; Kx x], one
-    product per node, on every graph.
+    Z: tree incidence (N x N-1); Kx, Kz: (Kx x + Kz z)_i is the input of
+    node i's resolvent in the sweep; Zdag_c: Zdag c, Zdag the pseudo-inverse
+    of Z and c_i = d_i - 2 d_i^+, integral since c is and Z is the incidence
+    matrix of a tree; sweep_rows: the pair (d_i, [row i of Kz | e_i]) of
+    each node, in node order, e_i the i-th unit vector of length N. The
+    sweep forms node i's input as that length-2N row times the stacked
+    [z; Kx x], one product per node, on every graph.
     """
 
     Z: np.ndarray
-    L: np.ndarray
-    Zdag: np.ndarray
-    Zdag_norm: float
-    R: np.ndarray
-    P: np.ndarray
-    M: np.ndarray
-    C: np.ndarray
     Kx: np.ndarray
     Kz: np.ndarray
     Zdag_c: np.ndarray
@@ -87,21 +72,12 @@ class SplittingGraph:
         self.arcs = arcs
         self.tree_arcs = tree
         self.deg = _degree_vector(n, arcs)
-        self.indeg = np.array([sum(1 for (_, j) in arcs if j == i) for i in _nodes(n)])
-        self.outdeg = np.array([sum(1 for (i_, _) in arcs if i_ == i) for i in _nodes(n)])
-        self.tree_deg = _degree_vector(n, tree)
-        chords = tuple(a for a in arcs if a not in set(tree))
-        self.chord_arcs = chords
-        self.chord_deg = _degree_vector(n, chords)
+        self.indeg = np.array([sum(1 for (_, j) in arcs if j == i) for i in range(1, n + 1)])
         self.matrices = _build_matrices(self)
 
     def __repr__(self):
         return (f"SplittingGraph(N={self.n_nodes}, |E|={len(self.arcs)}, "
                 f"|E'|={len(self.tree_arcs)})")
-
-
-def _nodes(n):
-    return range(1, n + 1)
 
 
 def _degree_vector(n, arcs):
@@ -162,31 +138,17 @@ def _build_matrices(g):
     for col, (i, j) in enumerate(g.tree_arcs):
         z[i - 1, col] = 1.0
         z[j - 1, col] = -1.0
-    lap = z @ z.T
-
-    r = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            r[i, j] = lap[i, j] if i > j else -lap[i, j]
-
-    p = np.diag(g.chord_deg.astype(float))
-    for (i, j) in g.chord_arcs:
-        p[j - 1, i - 1] = -2.0
-
-    c = np.vstack([z, np.eye(n - 1)])
-    m = np.block([[lap, z], [z.T, np.eye(n - 1)]])
-
     kz = np.zeros((n, n))
     for (h, i) in g.arcs:
         kz[i - 1, h - 1] = 2.0
 
     kz /= g.deg[:, None]
-    kx = z / g.deg[:, None]
-    zdag, zdag_norm = pseudo_inverse(z)
-    return GraphMatrices(Z=z, L=lap, Zdag=zdag, Zdag_norm=zdag_norm, R=r, P=p, M=m, C=c,
-                         Kx=kx, Kz=kz, Zdag_c=np.rint(zdag @ (g.deg - 2 * g.indeg)),
+    # Zdag = (Z^T Z)^{-1} Z^T by a solve: Z has full column rank on a tree.
+    # tests/test_graphs.py pins the bytes of this rounded product, signed
+    # zeros included; a least-squares solve or exact leaf peeling gives
+    # other bytes on some graphs
+    zdag_c = np.rint(np.linalg.solve(z.T @ z, z.T) @ (g.deg - 2 * g.indeg))
+    return GraphMatrices(Z=z, Kx=z / g.deg[:, None], Kz=kz, Zdag_c=zdag_c,
                          sweep_rows=tuple(zip(g.deg.tolist(), np.hstack([kz, np.eye(n)]))))
 
 

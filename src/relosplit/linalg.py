@@ -5,8 +5,8 @@ so plain dense numpy routines are used throughout, and a point of a product
 space X^k is a plain (k, d) float array.
 
 Data from outside the library is checked where it enters: ``as_stepsize``,
-``as_vector``, ``as_matrix``, ``BlockVector(...)`` and ``as_block_vector``.
-They share one conversion, which turns ragged nesting into a DimensionError
+``as_vector``, ``as_matrix``, ``BlockVector(...)``, ``as_block_vector`` and
+``as_block_iterate``. They share one conversion, which turns ragged nesting into a DimensionError
 and an entry that is not a real number into a ParameterError. Arrays the
 library computes itself (``kron_apply``, sweeps, relocations) are not
 re-checked; the iteration loop tests the iterate for finiteness once per
@@ -18,10 +18,6 @@ import math
 import numpy as np
 
 from .errors import DimensionError, ParameterError, SingularMatrixError
-
-#: Relative rank tolerance for the pseudo-inverse: sigma_min <= RANK_TOL * sigma_max
-#: is treated as rank deficient.
-RANK_TOL = 1e-12
 
 #: Relative residual tolerance of solve_linear.
 SOLVE_TOL = 1e-10
@@ -92,6 +88,26 @@ def as_matrix(m):
     return a
 
 
+def _blocks(blocks):
+    """``blocks`` checked as a point of a product space: a float (k, d)
+    array, k, d >= 1, of finite entries; a float array comes back as it is,
+    without a copy."""
+    # a BlockVector converts through __array__, to its own array
+    arr = _float_array(blocks, "blocks")
+    if arr.ndim == 1:
+        raise DimensionError(
+            "a BlockVector needs a sequence of blocks; wrap a single "
+            "vector as [v]"
+        )
+    if arr.ndim != 2:
+        raise DimensionError(f"blocks must form a (k, d) array, got {arr.shape}")
+    if arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise DimensionError("need k >= 1 blocks of dimension d >= 1")
+    if not _all_finite(arr):
+        raise ParameterError("block entries must be finite")
+    return arr
+
+
 class BlockVector:
     """A checked point of a product space X^k: k blocks of R^d, held as a
     read-only (k, d) float array.
@@ -105,20 +121,7 @@ class BlockVector:
     __slots__ = ("_data",)
 
     def __init__(self, blocks):
-        # a BlockVector converts through __array__, to its own array
-        arr = _float_array(blocks, "blocks")
-        if arr.ndim == 1:
-            raise DimensionError(
-                "a BlockVector needs a sequence of blocks; wrap a single "
-                "vector as [v]"
-            )
-        if arr.ndim != 2:
-            raise DimensionError(f"blocks must form a (k, d) array, got {arr.shape}")
-        arr = arr.copy()
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise DimensionError("need k >= 1 blocks of dimension d >= 1")
-        if not _all_finite(arr):
-            raise ParameterError("block entries must be finite")
+        arr = _blocks(blocks).copy()
         arr.setflags(write=False)
         self._data = arr
 
@@ -165,49 +168,23 @@ def as_block_vector(x, nblocks, dim):
     The entry check of the product-space runners: a BlockVector passes
     unchanged, anything else goes through the checked constructor.
     """
-    if not isinstance(x, BlockVector):
-        x = BlockVector(x)
-    if x.data.shape != (nblocks, dim):
-        raise DimensionError(
-            f"iterate must have {nblocks} blocks of dimension {dim}, "
-            f"got {x.data.shape[0]} x {x.data.shape[1]}"
-        )
-    return x
+    return as_block_iterate(x if isinstance(x, BlockVector) else BlockVector(x), nblocks, dim)
 
 
 def as_block_iterate(x, nblocks, dim):
     """A product-space runner's x_0, checked as ``as_block_vector`` checks it
     and kept in the caller's type: a BlockVector as it is, anything else as
-    the checked copy's read-only (nblocks, dim) array, which shares no
-    memory with ``x``. The loop hands a run's iterates and final_x back in
-    that type (see driver.relocated_loop)."""
-    checked = as_block_vector(x, nblocks, dim)
-    return checked if isinstance(x, BlockVector) else checked.data
-
-
-def pseudo_inverse(z):
-    """Moore-Penrose pseudo-inverse of a tall full-column-rank matrix.
-
-    Returns ``(zdag, opnorm)`` where ``zdag = (Z^T Z)^{-1} Z^T`` and
-    ``opnorm = ||Z^dagger|| = 1 / sigma_min(Z)``. Computed via the normal
-    equations with a symmetric eigen-solve, which is plenty accurate for
-    the tiny matrices handled here.
-    """
-    z = as_matrix(z)
-    n, m = z.shape
-    if n < m:
-        raise DimensionError(f"expected a tall matrix, got shape {(n, m)}")
-    gram = z.T @ z
-    evals = np.linalg.eigvalsh(gram)
-    sigma_max = np.sqrt(max(evals[-1], 0.0))
-    sigma_min = np.sqrt(max(evals[0], 0.0))
-    if sigma_min <= RANK_TOL * sigma_max or sigma_max == 0.0:
-        raise SingularMatrixError(
-            f"matrix is rank deficient (sigma_min={sigma_min:.3e}, "
-            f"sigma_max={sigma_max:.3e})"
+    its float (nblocks, dim) array, without a copy (a float array is handed
+    on as it is). The loop copies x_0's array where it takes it and hands a
+    run's iterates and final_x back in that type (see
+    driver.relocated_loop)."""
+    arr = x.data if isinstance(x, BlockVector) else _blocks(x)
+    if arr.shape != (nblocks, dim):
+        raise DimensionError(
+            f"iterate must have {nblocks} blocks of dimension {dim}, "
+            f"got {arr.shape[0]} x {arr.shape[1]}"
         )
-    zdag = np.linalg.solve(gram, z.T)
-    return zdag, float(1.0 / sigma_min)
+    return x if isinstance(x, BlockVector) else arr
 
 
 def solve_linear(matrix, rhs):

@@ -8,13 +8,14 @@ negative-control group inverts the logic: it injects known defects (a
 shifted relocator, a sign-flipped relocation vector) and fails if the
 corresponding checks do NOT flag them.
 
-The verification-only functions live here too: the pseudo-inverse graph
-relocator with its system residual and Lipschitz bound, the affine
-fixed-point oracle, the relocator axiom harness and the ring
-change-of-variables check. No run executes them.
+The verification-only functions live here too: the graph algebra of a
+splitting graph, the pseudo-inverse graph relocator with its system
+residual and Lipschitz bound, the affine fixed-point oracle, the relocator
+axiom harness and the ring change-of-variables check. No run executes them.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,43 @@ CONTINUITY_POINTS = 60
 LIPSCHITZ_SAMPLES = 40
 
 
-# -- the pseudo-inverse graph relocator and the affine oracle ---------------
+# -- the graph algebra, the pseudo-inverse relocator and the affine oracle ----
+
+
+#: Bredies, Chenchene & Naldi's graph algebra of a splitting graph, which the
+#: analysis reads and no run does (see graph_matrices)
+GraphAlgebra = namedtuple("GraphAlgebra", "L R P C M Zdag Zdag_norm outdeg")
+
+
+def _zdag(z):
+    """The pseudo-inverse (Z^T Z)^{-1} Z^T of a tree incidence matrix Z, by a
+    solve: Z has full column rank on a tree."""
+    return np.linalg.solve(z.T @ z, z.T)
+
+
+def graph_matrices(g):
+    """The GraphAlgebra of g, derived from its tree incidence Z and its arcs.
+
+    L = Z Z^T is the Laplacian of the spanning tree, so its diagonal carries
+    the tree degrees, while the sweep uses the degrees d_i in the full graph:
+    the only assignment under which the ring specialization (all d_i = 2)
+    and L = Z Z^T hold together. R: the skew part of the off-tree coupling;
+    P: the chord correction; C^T = [Z^T  I] and M = C C^T; Zdag: the
+    pseudo-inverse of Z, and Zdag_norm = 1 / sqrt(lambda_min(Z^T Z)) its
+    operator norm; outdeg: the out-degrees.
+    """
+    z, n = g.matrices.Z, g.n_nodes
+    lap, eye = z @ z.T, np.eye(n - 1)
+    p = np.zeros((n, n))
+    for i, j in set(g.arcs) - set(g.tree_arcs):
+        p[i - 1, i - 1] += 1.0
+        p[j - 1, j - 1] += 1.0
+        p[j - 1, i - 1] = -2.0
+    return GraphAlgebra(
+        L=lap, R=np.tril(lap, -1) - np.triu(lap, 1), P=p, C=np.vstack([z, eye]),
+        M=np.block([[lap, z], [z.T, eye]]), Zdag=_zdag(z),
+        Zdag_norm=float(1.0 / np.sqrt(np.linalg.eigvalsh(z.T @ z)[0])),
+        outdeg=np.bincount([i for i, _ in g.arcs], minlength=n + 1)[1:])
 
 
 def graph_relocator_apply(ops, g, gamma, delta, x):
@@ -55,7 +92,7 @@ def graph_relocator_apply(ops, g, gamma, delta, x):
     if ratio == 1.0:
         return x.data
     e = graphs.relocation_vector_e(g, graphs.graph_z_sweep(ops, g, gamma, x))
-    return ratio * x.data + (1.0 - ratio) * kron_apply(g.matrices.Zdag, e)
+    return ratio * x.data + (1.0 - ratio) * kron_apply(_zdag(g.matrices.Z), e)
 
 
 def relocator_system_residual(ops, g, gamma, delta, x, y=None):
@@ -93,7 +130,7 @@ def graph_relocator_lipschitz_bound(g, gamma, delta):
     coeff = (g.deg - 2 * g.indeg).astype(float) / g.deg
     radicand = float(np.sum((coeff * np.array(lips)) ** 2))
     ratio = delta / gamma
-    return ratio + abs(1.0 - ratio) * g.matrices.Zdag_norm * np.sqrt(radicand)
+    return ratio + abs(1.0 - ratio) * graph_matrices(g).Zdag_norm * np.sqrt(radicand)
 
 
 def fix_point_oracle_affine(ops, g, gamma):
@@ -113,17 +150,17 @@ def fix_point_oracle_affine(ops, g, gamma):
     d = ops[0].dim
     parts = [op.affine_parts() for op in ops]
     eye_d = np.eye(d)
-    mats = g.matrices
+    algebra, z_mat = graph_matrices(g), g.matrices.Z
 
     size = (2 * n - 1) * d
     system = np.zeros((size, size))
     rhs = np.zeros(size)
-    system[: n * d, : n * d] = np.kron(mats.R + mats.P, eye_d)
+    system[: n * d, : n * d] = np.kron(algebra.R + algebra.P, eye_d)
     for i, (m_i, b_i) in enumerate(parts):
         system[i * d:(i + 1) * d, i * d:(i + 1) * d] += gamma * m_i
         rhs[i * d:(i + 1) * d] = -gamma * b_i
-    system[: n * d, n * d:] = -np.kron(mats.Z, eye_d)
-    system[n * d:, : n * d] = np.kron(mats.Z.T, eye_d)
+    system[: n * d, n * d:] = -np.kron(z_mat, eye_d)
+    system[n * d:, : n * d] = np.kron(z_mat.T, eye_d)
 
     solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
     residual = np.linalg.norm(system @ solution - rhs)
@@ -523,32 +560,33 @@ def schedules(rng):
 
 
 def graph_algebra(rng):
-    """On the rings N = 3..6 and the chorded path: L = Z Z^T, M = C C^T,
-    R skew and Z^T 1 = 0 to 1e-12, Zdag Z = I to 1e-10, and the degree
-    identities (sum d_i = 2|E|, in- and out-degrees sum to |E|, node 1 a
-    source). L and M are held to their definitions, L the tree's degree
-    matrix minus its adjacency matrix and M = [[L, Z], [Z^T, I]], so a
-    wrong incidence matrix Z fails them."""
+    """On the rings N = 3..6 and the chorded path, the graph_matrices of
+    the graph: L = Z Z^T, M = C C^T, R skew and Z^T 1 = 0 to 1e-12,
+    Zdag Z = I to 1e-10, and the degree identities (sum d_i = 2|E|, in- and
+    out-degrees sum to |E|, node 1 a source). L and M are held to their
+    definitions, L the tree's degree matrix minus its adjacency matrix, both
+    read from the tree's arcs, and M = [[L, Z], [Z^T, I]], so a wrong
+    incidence matrix Z fails them."""
     result = GroupResult("graph_algebra")
     for g in [mt.mt_graph(n) for n in (3, 4, 5, 6)] + [chorded_path()]:
-        m = g.matrices
+        z, m = g.matrices.Z, graph_matrices(g)
         n = g.n_nodes
-        lap = np.diag(g.tree_deg.astype(float))
+        lap = np.diag(np.bincount(np.ravel(g.tree_arcs), minlength=n + 1)[1:].astype(float))
         for i, j in g.tree_arcs:
             lap[i - 1, j - 1] = lap[j - 1, i - 1] = -1.0
-        blocks = np.block([[lap, m.Z], [m.Z.T, np.eye(n - 1)]])
+        blocks = np.block([[lap, z], [z.T, np.eye(n - 1)]])
         identities = {
-            "L=ZZ^T": (np.max(np.abs([m.L - lap, m.Z @ m.Z.T - lap])), 1e-12),
+            "L=ZZ^T": (np.max(np.abs(m.L - lap)), 1e-12),
             "M=CC^T": (np.max(np.abs([m.M - blocks, m.C @ m.C.T - blocks])), 1e-12),
             "R skew": (np.max(np.abs(m.R + m.R.T)), 1e-12),
-            "Z^T 1=0": (np.max(np.abs(m.Z.T @ np.ones(n))), 1e-12),
-            "Zdag Z=I": (np.max(np.abs(m.Zdag @ m.Z - np.eye(n - 1))), 1e-10),
+            "Z^T 1=0": (np.max(np.abs(z.T @ np.ones(n))), 1e-12),
+            "Zdag Z=I": (np.max(np.abs(m.Zdag @ z - np.eye(n - 1))), 1e-10),
         }
         for label, (err, tol) in identities.items():
             result.check(err <= tol, f"{g!r} {label}: {err:.2e}")
         arcs = len(g.arcs)
         result.check(int(g.deg.sum()) == 2 * arcs, f"{g!r}: sum d_i != 2|E|")
-        result.check(int(g.indeg.sum()) == arcs and int(g.outdeg.sum()) == arcs,
+        result.check(int(g.indeg.sum()) == arcs and int(m.outdeg.sum()) == arcs,
                      f"{g!r}: in/out degree sums != |E|")
         result.check(g.indeg[0] == 0, f"{g!r}: node 1 has incoming arcs")
     return result
@@ -724,7 +762,7 @@ def negative_controls(rng):
     gamma, delta = 1.0, 2.0
     e = graphs.relocation_vector_e(g, graphs.graph_z_sweep(ops, g, gamma, x))
     flipped = (delta / gamma) * x + (1.0 - delta / gamma) * kron_apply(
-        g.matrices.Zdag, -1.0 * e)
+        _zdag(g.matrices.Z), -1.0 * e)
     resid = relocator_system_residual(ops, g, gamma, delta, x, y=flipped)
     result.check(resid > 1e-10, "sign-flipped relocation vector passed the system check")
     return result

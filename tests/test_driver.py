@@ -21,7 +21,7 @@ from relosplit.driver import (
     ambient_norm,
     run_relocated,
 )
-from relosplit.errors import ConstructionError, FixedPointError, ParameterError
+from relosplit.errors import ConstructionError, FixedPointError, ParameterError, RelosplitError
 from relosplit.graphs import graph_relocated_run
 from relosplit.linalg import BlockVector, _all_finite
 from relosplit.operators import AffineMonotone, NegLog, NormalConeBox, NormalConePoint
@@ -271,6 +271,12 @@ class TestConvergenceTrace:
         trace.write_csv(buffer)
         row = next(csv.DictReader(io.StringIO(buffer.getvalue())))
         assert math.isnan(float(row["solution_residual"]))
+
+    def test_a_trace_no_run_built_has_no_iterates(self):
+        trace = ConvergenceTrace()
+        trace.record(1.0, 0.5, point=np.array([1.0]))
+        with pytest.raises(RelosplitError, match="no replay.*no run built it"):
+            trace.iterates
 
 
 def reference_csv(trace):

@@ -39,6 +39,7 @@ from relosplit.selftest import (
     check_relocator_axioms,
     chorded_path,
     fix_point_oracle_affine,
+    graph_matrices,
     graph_relocator_apply,
     graph_relocator_lipschitz_bound,
     relocator_system_residual,
@@ -54,9 +55,11 @@ class TestBuildGraph:
         g = graphs.build_graph(3, [(1, 2), (2, 3), (1, 3)], [(1, 2), (2, 3)])
         assert list(g.deg) == [2, 2, 2]
         assert list(g.indeg) == [0, 1, 2]
-        assert list(g.outdeg) == [2, 1, 0]
-        assert list(g.tree_deg) == [1, 2, 1]
-        assert list(g.chord_deg) == [1, 0, 1]
+        algebra = graph_matrices(g)
+        assert list(algebra.outdeg) == [2, 1, 0]
+        # the tree degrees on L's diagonal, the chord degrees on P's
+        assert list(np.diag(algebra.L)) == [1, 2, 1]
+        assert list(np.diag(algebra.P)) == [1, 0, 1]
 
     def test_tree_not_spanning(self):
         with pytest.raises(ConstructionError, match="spanning|N-1"):
@@ -86,43 +89,69 @@ class TestBuildGraph:
 class TestGraphMatrices:
     def test_mt3_hand_values(self):
         g = mt_graph(3)
-        m = g.matrices
-        assert np.array_equal(m.Z, [[1, 0], [-1, 1], [0, -1]])
+        assert np.array_equal(g.matrices.Z, [[1, 0], [-1, 1], [0, -1]])
+        m = graph_matrices(g)
         assert np.array_equal(m.L, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
         assert np.array_equal(m.R, [[0, 1, 0], [-1, 0, 1], [0, -1, 0]])
         assert np.array_equal(m.P, [[1, 0, 0], [0, 0, 0], [-2, 0, 1]])
         expected_zdag = np.array([[2.0, -1.0, -1.0], [1.0, 1.0, -2.0]]) / 3.0
         assert np.max(np.abs(m.Zdag - expected_zdag)) < 1e-14
+        # eigenvalues of Z^T Z are 1 and 3, so sigma_min = 1
         assert m.Zdag_norm == pytest.approx(1.0)
 
     def test_identities_across_graphs(self):
         for g in [mt_graph(n) for n in (3, 4, 5, 6)] + [chorded_path()]:
-            m = g.matrices
+            z, m = g.matrices.Z, graph_matrices(g)
             n = g.n_nodes
-            assert np.max(np.abs(m.L - m.Z @ m.Z.T)) <= 1e-12
+            assert np.max(np.abs(m.L - z @ z.T)) <= 1e-12
             assert np.max(np.abs(m.M - m.C @ m.C.T)) <= 1e-12
             assert np.max(np.abs(m.R + m.R.T)) <= 1e-12
-            assert np.max(np.abs(m.Z.T @ np.ones(n))) <= 1e-12
-            assert np.max(np.abs(m.Zdag @ m.Z - np.eye(n - 1))) <= 1e-10
+            assert np.max(np.abs(z.T @ np.ones(n))) <= 1e-12
+            assert np.max(np.abs(m.Zdag @ z - np.eye(n - 1))) <= 1e-10
+            # Zdag is the left inverse of Z, and Z Zdag the orthogonal
+            # projector onto Im(Z)
+            proj = z @ m.Zdag
+            assert np.max(np.abs(proj - proj.T)) <= 1e-10
+            assert np.max(np.abs(proj @ proj - proj)) <= 1e-10
             assert int(g.deg.sum()) == 2 * len(g.arcs)
             assert int(g.indeg[1:].sum()) == len(g.arcs)
-            assert int(g.outdeg[:-1].sum()) == len(g.arcs)
+            assert int(m.outdeg[:-1].sum()) == len(g.arcs)
+
+    def test_relocation_column_keeps_the_pseudo_inverse_bytes(self, rng):
+        # Zdag c rounded, Zdag formed as the pseudo-inverse (Z^T Z)^{-1} Z^T
+        # by a solve: a least-squares solve or leaf peeling gives other
+        # bytes, the sign of a zero entry among them, on some graphs
+        def hub(n):
+            # node 1 joined to every other node, the rim 2-3-...-n the chords
+            tree = [(1, j) for j in range(2, n + 1)]
+            return graphs.build_graph(n, tree + [(j, j + 1) for j in range(2, n)], tree)
+
+        cases = ([mt_graph(n) for n in range(2, 17)] + [chorded_path(n) for n in range(4, 9)]
+                 + [bench_graph(), hub(7)]
+                 + [random_graph(rng, int(rng.integers(2, 14))) for _ in range(60)])
+        negative_zeros = 0
+        for g in cases:
+            z = np.zeros((g.n_nodes, g.n_nodes - 1))
+            for col, (i, j) in enumerate(g.tree_arcs):
+                z[i - 1, col], z[j - 1, col] = 1.0, -1.0
+            zdag = np.linalg.solve(z.T @ z, z.T)
+            expected = np.rint(zdag @ (g.deg - 2 * g.indeg))
+            assert g.matrices.Z.tobytes() == z.tobytes()
+            assert g.matrices.Zdag_c.tobytes() == expected.tobytes(), g
+            negative_zeros += int(np.any(np.signbit(expected) & (expected == 0.0)))
+        assert negative_zeros > 0
 
     def test_graph_algebra_catches_a_miswired_incidence_matrix(self, monkeypatch):
         build = graphs._build_matrices
 
         def miswired(g):
-            # the first tree arc leaves its head for another node, and L, M
-            # and C are formed from that Z as _build_matrices forms them
+            # the first tree arc leaves its head for another node
             m = build(g)
             z = m.Z.copy()
             i, j = g.tree_arcs[0]
             z[j - 1, 0] = 0.0
             z[next(v for v in range(g.n_nodes) if v not in (i - 1, j - 1)), 0] = -1.0
-            lap = z @ z.T
-            return dataclasses.replace(
-                m, Z=z, L=lap, C=np.vstack([z, np.eye(g.n_nodes - 1)]),
-                M=np.block([[lap, z], [z.T, np.eye(g.n_nodes - 1)]]))
+            return dataclasses.replace(m, Z=z)
 
         monkeypatch.setattr(graphs, "_build_matrices", miswired)
         failures = selftest.graph_algebra(np.random.default_rng(6)).failures
@@ -622,9 +651,9 @@ class TestOneResolventRelocator:
         g = bench_graph()
         ops = affine_ops(rng, g)
         relocator = graphs.graph_relocator(ops, g)
-        m = g.matrices
         c = g.deg - 2 * g.indeg
-        spread = np.linalg.norm(m.Zdag @ c) * np.linalg.norm(m.Z[0]) / g.deg[0]
+        spread = (np.linalg.norm(graph_matrices(g).Zdag @ c) * np.linalg.norm(g.matrices.Z[0])
+                  / g.deg[0])
         for gamma, delta in ((1.0, 2.0), (2.0, 0.5), (0.5, 4.0)):
             ratio = delta / gamma
             bound = relocator.lipschitz_bound(gamma, delta)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -7,12 +8,12 @@ from conftest import EXTREME_FINITE, nonfinite_points, strided_real
 from relosplit.errors import DimensionError, ParameterError, SingularMatrixError
 from relosplit.linalg import (
     BlockVector,
+    as_block_iterate,
     as_block_vector,
     as_matrix,
     as_stepsize,
     as_vector,
     kron_apply,
-    pseudo_inverse,
     solve_linear,
 )
 from relosplit.operators import Zero
@@ -132,6 +133,28 @@ class TestCheckedOnce:
         with pytest.raises(ParameterError):
             as_block_vector([[np.nan]], 1, 1)
 
+    def test_as_block_iterate_checks_without_a_copy(self):
+        # a runner's x0: the loop takes the only copy of its array
+        x = np.zeros((2, 3))
+        assert as_block_iterate(x, 2, 3) is x
+        bv = BlockVector(x)
+        assert as_block_iterate(bv, 2, 3) is bv
+        listed = as_block_iterate([[1, 2, 3]] * 2, 2, 3)
+        assert type(listed) is np.ndarray and listed.dtype == float
+        assert listed.tolist() == [[1.0, 2.0, 3.0]] * 2
+
+    @pytest.mark.parametrize("x", [
+        [1.0, 2.0, 3.0], [[[1.0, 2.0, 3.0]]], np.zeros((0, 3)), [[1.0], [1.0, 2.0]],
+        [["a", "b", "c"]] * 2, [[1.0, np.inf, 3.0]] * 2, np.zeros((3, 3)),
+        BlockVector(np.zeros((2, 2))),
+    ], ids=["vector", "3-d", "no-blocks", "ragged", "strings", "inf", "shape",
+            "block-vector-shape"])
+    def test_as_block_iterate_refuses_as_as_block_vector_does(self, x):
+        with pytest.raises((DimensionError, ParameterError)) as expected:
+            as_block_vector(x, 2, 3)
+        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            as_block_iterate(x, 2, 3)
+
 
 class TestKronApply:
     def test_identity(self):
@@ -164,39 +187,6 @@ class TestKronApply:
             lhs = kron_apply(m1 @ m2, x)
             rhs = kron_apply(m1, kron_apply(m2, x))
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
-
-
-class TestPseudoInverse:
-    def test_identity(self):
-        zdag, opnorm = pseudo_inverse(np.eye(2))
-        assert np.allclose(zdag, np.eye(2))
-        assert opnorm == pytest.approx(1.0)
-
-    def test_mt_incidence(self):
-        zdag, opnorm = pseudo_inverse(MT3_Z)
-        expected = np.array([[2.0, -1.0, -1.0], [1.0, 1.0, -2.0]]) / 3.0
-        assert np.max(np.abs(zdag - expected)) < 1e-14
-        # eigenvalues of Z^T Z are 1 and 3, so sigma_min = 1
-        assert opnorm == pytest.approx(1.0)
-
-    def test_left_inverse_and_projector(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(2, 8))
-            m = int(rng.integers(1, n))
-            z = rng.standard_normal((n, m))
-            zdag, _ = pseudo_inverse(z)
-            assert np.max(np.abs(zdag @ z - np.eye(m))) <= 1e-10
-            proj = z @ zdag
-            assert np.max(np.abs(proj - proj.T)) <= 1e-10
-            assert np.max(np.abs(proj @ proj - proj)) <= 1e-10
-
-    def test_rank_deficient_rejected(self):
-        with pytest.raises(SingularMatrixError):
-            pseudo_inverse(np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]))
-
-    def test_wide_rejected(self):
-        with pytest.raises(DimensionError):
-            pseudo_inverse(np.ones((2, 3)))
 
 
 class TestSolveLinear:
