@@ -306,8 +306,18 @@ def _cmd_compare(args):
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with a usage error raised as a ConfigError: main reports
+    it and exits 1, as for any other invalid input, where argparse would
+    exit 2, the code of "max_iters". --help and --version still exit 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError([f"{self.prog}: {message}"])
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="relosplit",
         description="Variable-stepsize resolvent splitting experiments",
     )
@@ -341,8 +351,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         seed = getattr(args, "seed", None)
         if seed is not None and seed < 0:
             raise ConfigError([f"--seed: must be a non-negative integer, got {seed}"])

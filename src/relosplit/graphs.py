@@ -19,7 +19,7 @@ import numpy as np
 
 from .driver import OperatorFamily, Relocator, ambient_norm, relocated_loop
 from .errors import ConstructionError, DimensionError, ParameterError
-from .kinds import NUMBER, checked
+from .kinds import INTEGER, NUMBER, ListOf, checked
 from .linalg import BlockVector, as_block_iterate, as_block_vector, as_stepsize, as_vector
 from .operators import stepsize_free
 
@@ -47,12 +47,14 @@ class SplittingGraph:
     """Validated splitting graph with cached degrees and matrices.
 
     Nodes are 1-based in the public interface. Construction raises
-    ConstructionError naming the violated invariant: backward or duplicate
-    arcs, E' not a subset of E, E' not a spanning tree, or a disconnected G.
+    ConstructionError naming the violated invariant: N or a node id that
+    is not an integer (named by its slot, ``E[1][1]: must be an integer,
+    got 3.9``), backward or duplicate arcs, E' not a subset of E, E' not a
+    spanning tree, or a disconnected G.
     """
 
     def __init__(self, n_nodes, arcs, tree_arcs):
-        n = int(n_nodes)
+        n = checked(INTEGER, n_nodes, "N")
         if n < 2:
             raise ConstructionError(f"need at least 2 nodes, got {n}")
         arcs = _normalize_arcs(n, arcs, "E")
@@ -88,11 +90,15 @@ def _degree_vector(n, arcs):
     return deg
 
 
+#: The kind of an arc: its node ids, which must be integers
+_NODE_IDS = ListOf(INTEGER)
+
+
 def _normalize_arcs(n, arcs, label):
     seen = set()
     out = []
-    for arc in arcs:
-        arc = tuple(int(v) for v in arc)
+    for k, arc in enumerate(arcs):
+        arc = tuple(checked(_NODE_IDS, arc, f"{label}[{k}]"))
         if len(arc) != 2:
             raise ConstructionError(f"{label}: arc {arc} is not a pair")
         i, j = arc
@@ -311,9 +317,11 @@ def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep):
     r = delta / gamma, z_1 = J_{(scale gamma/d_1) A_1} u_1 with input
     u_1 = (scale/d_1) sum_j Z_1j x_j; on Fix T_gamma it equals the
     pseudo-inverse relocator, selftest.graph_relocator_apply. feedback
-    feeds (z_1, u_1) to the adaptive rule. By the resolvent scaling
-    identity z_1 is the first entry of the next sweep, at delta driven by
-    Q x, so it is handed on: N resolvents per iteration.
+    feeds (z_1, u_1), fresh arrays, to the adaptive rule. By the resolvent
+    scaling identity z_1 is the first entry of the next sweep, at delta
+    driven by Q x, so it is handed on: N resolvents per iteration. A z_1
+    that relocate evaluates itself is written into one row the hooks hold,
+    which the next sweep copies into its own first row.
 
     The hooks take and return plain float arrays, as relocated_loop carries
     them: the iterate is an (N - 1, d) array or, on the 2-node graph, dr2's
@@ -345,8 +353,9 @@ def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep):
     the runner checked x_0, the loop tests gamma and every relocated
     iterate, and z_1 is the hooks' own output. An overflow, of the iterate
     or of scale * gamma, reaches the loop's finiteness test as a non-finite
-    sweep. Since the workspace and the operators' input rows are written
-    by every step, the hooks of one run are not reentrant.
+    sweep. Since the workspace, the operators' input rows and the held z_1
+    row are written by every iteration, the hooks of one run are not
+    reentrant.
 
     record(z, w) returns the step's (shadow, vectors) for the trace from the
     sweep and T x: the monitored point and a dict of vectors, or None.
@@ -375,11 +384,13 @@ def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep):
 
     work = sweep_workspace(ops, g)
     resolvent_1, _, _, input_1, _ = work[3][0]
+    z1_row = np.empty(ops[0].dim)
 
-    def first(gamma, x, u=None):
-        # u, when given, is A_1's input row: the relocation keeps no u_1
+    def first(gamma, x, u=None, z1=None):
+        # u and z1, when given, are A_1's input row and z1_row: the
+        # relocation keeps no u_1, and its z_1 lives until the next sweep
         u = weights.dot(x.reshape(blocks), out=u)
-        return resolvent_1(scale * gamma / d_1, u, check=False), u
+        return resolvent_1(scale * gamma / d_1, u, check=False, out=z1), u
 
     def step(gamma, x, z1):
         point = x.reshape(blocks)
@@ -396,7 +407,7 @@ def graph_hooks(ops, g, theta=1.0, scale=1.0, record=_record_sweep):
 
     def relocate(gamma, delta, w, z1):
         if z1 is None:
-            z1 = first(gamma, w, input_1)[0]
+            z1 = first(gamma, w, input_1, z1_row)[0]
         return relocation(delta / gamma, w, z1), z1
 
     def relocation(ratio, w, z1):

@@ -17,7 +17,7 @@ import numpy as np
 from .driver import OperatorFamily, Relocator, relocated_loop
 from .errors import DimensionError, ParameterError
 from .graphs import at_consensus, build_graph, consensus_columns, graph_hooks
-from .kinds import NUMBER, checked
+from .kinds import INTEGER, NUMBER, checked
 from .linalg import as_block_iterate, as_block_vector, as_stepsize
 from .operators import MonotoneOperator, stepsize_free
 
@@ -57,7 +57,7 @@ def mt_graph(n):
 
     For N = 2 the chord coincides with the single tree arc, so E = E'.
     """
-    n = int(n)
+    n = checked(INTEGER, n, "N")
     if n < 2:
         raise ParameterError(f"need N >= 2, got {n}")
     tree = [(i, i + 1) for i in range(1, n)]

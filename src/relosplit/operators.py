@@ -16,12 +16,17 @@ dense linear solve per call.
 the checks, for a caller that checked its inputs once, at its own entry: the
 runners' sweeps and relocators, and the nested kinds, which hand their inner
 operator a point computed from one already checked. ``out=row`` writes the
-result into a float row of R^dim and returns that row: the box kind
-projects in place and the factored affine kind writes its last product
-into the row, while every other kind copies its result in. The runners'
-sweep uses it to write each node into its row of a buffer kept for the run.
-Every call still goes through this one method, so a wrapper around it sees
-every resolvent.
+result into a float row of R^dim and returns that row; without it the
+result is a fresh row. The runners' sweep uses it to write each node into
+its row of a buffer kept for the run. Every call still goes through this
+one method, so a wrapper around it sees every resolvent.
+
+A kind implements one method, ``_resolvent_into(gamma, x, out)``, which
+writes J_{gamma A} x into the row out and returns out; ``resolvent`` hands
+it the caller's row, or ``np.empty(dim)``. The box kind projects in place,
+the factored affine kind writes its last product into the row, and the
+nested kinds and the counting wrapper hand the row on to their inner
+operator's call (the translated kind then adds its shift in place).
 
 ``input_row()`` returns the row an operator's resolvent reads its input
 from. The factored affine kind returns the x part of its own [x; -gamma; 1]
@@ -44,8 +49,9 @@ checked vectors; the module functions ``single_value`` and
 A kind whose resolvent is the same map at every gamma > 0 declares the class
 attribute ``stepsize_free = True``: the normal cones, whose resolvent is the
 projection onto their set, and the zero operator, whose resolvent is the
-identity. The nested kinds and the counting wrapper report their inner
-operator's value; every other kind says False. A kind may under-declare,
+identity. The nested kinds and the counting wrapper share one base,
+which holds the inner operator, checks that it is one, and reports its
+stepsize_free; every other kind says False. A kind may under-declare,
 never over-declare. When every operator of a run is stepsize free, T_gamma
 is one operator for every gamma, its fixed-point set does not move with the
 stepsize, and the runners stop at the first small residual (see
@@ -93,15 +99,14 @@ class MonotoneOperator:
         float vector x of R^dim; a non-finite gamma or entry of x passes
         through to the result. The runners' sweeps and relocators pass it
         for the points they compute themselves, from inputs checked at their
-        entry. out, a writable, C-contiguous float64 array of shape (dim,),
-        receives the result, which is then out itself; its bytes are those
-        of the call without out.
+        entry. out, a writable, C-contiguous float64 array of shape (dim,)
+        that shares no memory with x, receives the result, which is then out
+        itself; its bytes are those of the call without out, which writes
+        into a fresh row.
         """
         if check:
             gamma, x = as_stepsize(gamma), _checked_point(self, x)
-        if out is None:
-            return self._resolvent(gamma, x)
-        return self._resolvent_into(gamma, x, out)
+        return self._resolvent_into(gamma, x, np.empty(self.dim) if out is None else out)
 
     def input_row(self):
         """A float row of R^dim that a caller may fill with the input of its
@@ -114,12 +119,11 @@ class MonotoneOperator:
         """
         return np.empty(self.dim)
 
-    def _resolvent(self, gamma, x):
-        raise NotImplementedError
-
     def _resolvent_into(self, gamma, x, out):
-        out[...] = self._resolvent(gamma, x)
-        return out
+        """Write J_{gamma A} x into out and return out: the one method a kind
+        implements. gamma and x are as resolvent hands them on, and out is a
+        float row of R^dim that shares no memory with x."""
+        raise NotImplementedError
 
     def value(self, x):
         """A(x) where A is single valued at x, else None."""
@@ -149,8 +153,9 @@ class Zero(MonotoneOperator):
     def __init__(self, dim):
         self.dim = checked(DIM, dim, "dim")
 
-    def _resolvent(self, gamma, x):
-        return x.copy()
+    def _resolvent_into(self, gamma, x, out):
+        out[...] = x
+        return out
 
     def value(self, x):
         return np.zeros(self.dim)
@@ -172,8 +177,8 @@ class ScaledIdentity(MonotoneOperator):
         self.lam = lam
         self.dim = checked(DIM, dim, "dim")
 
-    def _resolvent(self, gamma, x):
-        return x / (1.0 + gamma * self.lam)
+    def _resolvent_into(self, gamma, x, out):
+        return np.divide(x, 1.0 + gamma * self.lam, out=out)
 
     def value(self, x):
         return self.lam * x
@@ -261,9 +266,6 @@ class AffineMonotone(MonotoneOperator):
         self.__dict__.update(state)
         for frozen in (self.matrix, self.offset):
             frozen.setflags(write=False)
-
-    def _resolvent(self, gamma, x):
-        return self._resolvent_into(gamma, x, np.empty(self.dim))
 
     def _resolvent_into(self, gamma, x, out):
         if self._factors is None:
@@ -370,7 +372,7 @@ class _NormalCone(MonotoneOperator):
 
     def inclusion_residual(self, z, w):
         # w lies in the cone at z exactly when z is the projection of z + w
-        return float(np.linalg.norm(z - self._resolvent(1.0, z + w)))
+        return float(np.linalg.norm(z - self.resolvent(1.0, z + w, check=False)))
 
 
 class NormalConePoint(_NormalCone):
@@ -382,8 +384,9 @@ class NormalConePoint(_NormalCone):
         self.point = as_vector(point)
         self.dim = self.point.size
 
-    def _resolvent(self, gamma, x):
-        return self.point.copy()
+    def _resolvent_into(self, gamma, x, out):
+        out[...] = self.point
+        return out
 
 
 class NormalConeBox(_NormalCone):
@@ -402,12 +405,8 @@ class NormalConeBox(_NormalCone):
         self.hi = hi
         self.dim = lo.size
 
-    def _resolvent(self, gamma, x):
-        # np.clip's arithmetic (lo <= hi) at half its call cost
-        return np.minimum(np.maximum(x, self.lo), self.hi)
-
     def _resolvent_into(self, gamma, x, out):
-        # the same two ufuncs, writing into out: no temporary
+        # np.clip's arithmetic (lo <= hi) at half its call cost, in place
         np.maximum(x, self.lo, out=out)
         return np.minimum(out, self.hi, out=out)
 
@@ -429,13 +428,14 @@ class NormalConeBall(_NormalCone):
         self.radius = radius
         self.dim = self.center.size
 
-    def _resolvent(self, gamma, x):
+    def _resolvent_into(self, gamma, x, out):
         d = x - self.center
         dist = np.linalg.norm(d)
         if dist <= self.radius:
             # x itself: center + (x - center) can round away from it
-            return x.copy()
-        return self.center + d * (self.radius / dist)
+            out[...] = x
+            return out
+        return np.add(self.center, d * (self.radius / dist), out=out)
 
     def value(self, x):
         # the cone is {0} inside the ball and set valued on its sphere
@@ -454,10 +454,11 @@ class NegLog(MonotoneOperator):
     def __init__(self, dim):
         self.dim = checked(DIM, dim, "dim")
 
-    def _resolvent(self, gamma, x):
+    def _resolvent_into(self, gamma, x, out):
         root = np.sqrt(x * x + 4.0 * gamma)
         # rationalized branch for x < 0 avoids cancellation in x + root
-        return np.where(x >= 0, (x + root) / 2.0, (2.0 * gamma) / (root - x))
+        out[...] = np.where(x >= 0, (x + root) / 2.0, (2.0 * gamma) / (root - x))
+        return out
 
     def value(self, x):
         return -1.0 / x if np.all(x > 0) else None
@@ -468,27 +469,50 @@ class NegLog(MonotoneOperator):
         return super().inclusion_residual(z, w)
 
 
-class Translated(MonotoneOperator):
-    """A_s x = A(x - s); the resolvent is s + J_{gamma A}(x - s)."""
+class _Wrapper(MonotoneOperator):
+    """An operator built on another, inner, one: the nested kinds and the
+    counting wrapper. It acts on the inner operator's space, is stepsize
+    free when the inner operator is, and answers value, inclusion_residual
+    and affine_parts as the inner operator does unless a kind says
+    otherwise. Its resolvent hands the caller's row to the inner call."""
 
-    kind = "translated"
-
-    def __init__(self, inner, shift):
+    def __init__(self, inner):
         if not isinstance(inner, MonotoneOperator):
             raise ConstructionError("inner must be a MonotoneOperator")
-        shift = as_vector(shift)
-        if shift.size != inner.dim:
-            raise ConstructionError("shift dimension disagrees with inner operator")
         self.inner = inner
-        self.shift = shift
         self.dim = inner.dim
 
     @property
     def stepsize_free(self):
         return self.inner.stepsize_free
 
-    def _resolvent(self, gamma, x):
-        return self.shift + self.inner.resolvent(gamma, x - self.shift, check=False)
+    def value(self, x):
+        return self.inner.value(x)
+
+    def inclusion_residual(self, z, w):
+        return self.inner.inclusion_residual(z, w)
+
+    def affine_parts(self):
+        return self.inner.affine_parts()
+
+
+class Translated(_Wrapper):
+    """A_s x = A(x - s); the resolvent is s + J_{gamma A}(x - s)."""
+
+    kind = "translated"
+
+    def __init__(self, inner, shift):
+        super().__init__(inner)
+        shift = as_vector(shift)
+        if shift.size != inner.dim:
+            raise ConstructionError("shift dimension disagrees with inner operator")
+        self.shift = shift
+
+    def _resolvent_into(self, gamma, x, out):
+        self.inner.resolvent(gamma, x - self.shift, check=False, out=out)
+        # J + s in place: IEEE addition commutes, so these are s + J's bytes
+        out += self.shift
+        return out
 
     def value(self, x):
         return self.inner.value(x - self.shift)
@@ -501,27 +525,20 @@ class Translated(MonotoneOperator):
         return m, b - m @ self.shift
 
 
-class Scaled(MonotoneOperator):
+class Scaled(_Wrapper):
     """sigma * A with sigma > 0; J_{gamma(sigma A)} = J_{(gamma sigma) A}."""
 
     kind = "scaled"
 
     def __init__(self, inner, sigma):
-        if not isinstance(inner, MonotoneOperator):
-            raise ConstructionError("inner must be a MonotoneOperator")
+        super().__init__(inner)
         sigma = checked(NUMBER, sigma, "sigma")
         if not np.isfinite(sigma) or sigma <= 0:
             raise ConstructionError(f"sigma must be > 0, got {sigma}")
-        self.inner = inner
         self.sigma = sigma
-        self.dim = inner.dim
 
-    @property
-    def stepsize_free(self):
-        return self.inner.stepsize_free
-
-    def _resolvent(self, gamma, x):
-        return self.inner.resolvent(gamma * self.sigma, x, check=False)
+    def _resolvent_into(self, gamma, x, out):
+        return self.inner.resolvent(gamma * self.sigma, x, check=False, out=out)
 
     def value(self, x):
         inner = self.inner.value(x)
@@ -535,7 +552,7 @@ class Scaled(MonotoneOperator):
         return self.sigma * m, self.sigma * b
 
 
-class CountingOperator(MonotoneOperator):
+class CountingOperator(_Wrapper):
     """Delegating wrapper that counts resolvent evaluations.
 
     Used to audit the one-resolvent-per-operator-per-iteration accounting of
@@ -545,26 +562,12 @@ class CountingOperator(MonotoneOperator):
     kind = "counting"
 
     def __init__(self, inner):
-        self.inner = inner
-        self.dim = inner.dim
+        super().__init__(inner)
         self.calls = 0
 
-    @property
-    def stepsize_free(self):
-        return self.inner.stepsize_free
-
-    def _resolvent(self, gamma, x):
+    def _resolvent_into(self, gamma, x, out):
         self.calls += 1
-        return self.inner.resolvent(gamma, x, check=False)
-
-    def value(self, x):
-        return self.inner.value(x)
-
-    def inclusion_residual(self, z, w):
-        return self.inner.inclusion_residual(z, w)
-
-    def affine_parts(self):
-        return self.inner.affine_parts()
+        return self.inner.resolvent(gamma, x, check=False, out=out)
 
 
 def stepsize_free(ops):

@@ -164,7 +164,10 @@ class ExplicitList(StepsizeSchedule):
         return self.values[n] if n < len(self.values) else self.tail
 
     def report(self, horizon):
-        values = [self.gamma_at(n) for n in range(max(horizon, len(self.values)))]
+        # past the list the tail repeats: its increments are exact zeros, so
+        # the list alone gives the verdict, the minimum and the sums at
+        # every horizon
+        values = self.values
         reasons = []
         accepted = True
         for i, v in enumerate(values):

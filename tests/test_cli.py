@@ -291,6 +291,29 @@ class TestMainEntry:
         assert code == 1
         assert "problem" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run"], "relosplit run: the following arguments are required: config.json"),
+        (["run", "x.json", "--bogus"], "relosplit: unrecognized arguments: --bogus"),
+        (["frobnicate"], "relosplit: argument command: invalid choice: 'frobnicate'"),
+        (["validate-schedule", "x.json", "--horizon", "abc"],
+         "relosplit validate-schedule: argument --horizon: invalid int value: 'abc'"),
+    ], ids=["missing-config", "unknown-option", "unknown-subcommand", "bad-int"])
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        # argparse's own exit code, 2, is the documented code of "max_iters"
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("usage: relosplit")
+        assert f"error: {message}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["run", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
     @pytest.mark.parametrize("name", ["dr2_geometric", "mt_custom_specs", "graph_geometric"])
     def test_run_builds_each_object_once(self, monkeypatch, capsys, name):
         built = collections.Counter()

@@ -85,6 +85,30 @@ class TestBuildGraph:
         with pytest.raises(ConstructionError):
             graphs.build_graph(1, [], [])
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: graphs.build_graph(3.7, [(1, 2), (2, 3)], [(1, 2), (2, 3)]),
+         "N: must be an integer, got 3.7"),
+        (lambda: graphs.build_graph("3", [(1, 2), (2, 3)], [(1, 2), (2, 3)]),
+         "N: must be an integer, got '3'"),
+        (lambda: graphs.build_graph(3, [(1, 2), (2, 3.9)], [(1, 2), (2, 3)]),
+         "E[1][1]: must be an integer, got 3.9"),
+        (lambda: graphs.build_graph(3, [("1", 2), (2, 3)], [(1, 2), (2, 3)]),
+         "E[0][0]: must be an integer, got '1'"),
+        (lambda: graphs.build_graph(3, [(1, 2), (2, None)], [(1, 2), (2, 3)]),
+         "E[1][1]: must be an integer, got None"),
+        (lambda: graphs.build_graph(3, [(True, 2), (2, 3)], [(1, 2), (2, 3)]),
+         "E[0][0]: must be an integer, got True"),
+        (lambda: graphs.build_graph(3, [(1, 2), (2, 3)], [(1.0, 2), (2, 3)]),
+         "E'[0][0]: must be an integer, got 1.0"),
+        (lambda: mt_graph(4.5), "N: must be an integer, got 4.5"),
+    ], ids=["float-N", "text-N", "float-node", "text-node", "none-node", "bool-node",
+            "float-tree-node", "float-mt-N"])
+    def test_node_counts_and_ids_must_be_integers(self, build, message):
+        # each used to be truncated or parsed by int(), or to leak a TypeError
+        with pytest.raises(ConstructionError) as exc:
+            build()
+        assert str(exc.value) == message
+
 
 class TestGraphMatrices:
     def test_mt3_hand_values(self):
@@ -493,6 +517,19 @@ class TestSweepWorkspace:
                     assert swept is work[1]
             finally:
                 tracemalloc.stop()
+
+    def test_a_relocation_writes_z1_into_one_held_row(self, rng):
+        # the next sweep copies that row into its own; feedback's z_1 goes to
+        # the adaptive rule, so it is a fresh array each call
+        for g, ops, scale in self.cases(rng):
+            _, feedback, relocate, _ = graphs.graph_hooks(ops, g, scale=scale)
+            x = rng.standard_normal((g.n_nodes - 1, ops[0].dim))
+            held = relocate(1.0, 0.5, x, None)[1]
+            for gamma, delta in ((0.5, 0.25), (2.0, 2.0)):
+                assert relocate(gamma, delta, x, None)[1] is held
+            (fresh, _), pre = feedback(1.0, x)
+            assert pre is fresh and not np.shares_memory(fresh, held)
+            assert feedback(1.0, x)[1] is not fresh
 
 
 class TestTraceRows:

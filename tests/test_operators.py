@@ -576,6 +576,62 @@ class TestCountingOperator:
         assert op.calls == 2
 
 
+def _operator_classes(cls=ops.MonotoneOperator):
+    """cls and every subclass of it that operators.py defines."""
+    yield cls
+    for sub in cls.__subclasses__():
+        if sub.__module__ == ops.__name__:
+            yield from _operator_classes(sub)
+
+
+class TestOneResolventMethod:
+    """A kind implements the resolvent once, as _resolvent_into, which
+    writes J x into the row it is handed; the wrappers hand the caller's
+    row on to their inner call."""
+
+    def test_every_kind_defines_the_one_method(self):
+        classes = list(_operator_classes())
+        kinds = {cls.kind: cls for cls in classes if "kind" in vars(cls)}
+        assert set(kinds) == {"abstract", *ops.SPECS, "counting"}
+        del kinds["abstract"]
+        assert all("_resolvent_into" in vars(cls) for cls in kinds.values())
+        assert not any(hasattr(cls, "_resolvent") for cls in classes)
+
+    def test_the_wrappers_share_one_base(self):
+        bases = {cls.__base__ for cls in (ops.Translated, ops.Scaled, ops.CountingOperator)}
+        assert len(bases) == 1 and bases != {ops.MonotoneOperator}
+
+    @pytest.mark.parametrize("wrap", [
+        lambda inner: ops.Translated(inner, [1.0]),
+        lambda inner: ops.Scaled(inner, 2.0),
+        ops.CountingOperator,
+    ], ids=["translated", "scaled", "counting"])
+    @pytest.mark.parametrize("inner", [5, None, [1.0], np.zeros(1)],
+                             ids=["int", "none", "list", "array"])
+    def test_a_wrapper_refuses_an_inner_that_is_no_operator(self, wrap, inner):
+        with pytest.raises(ConstructionError, match="^inner must be a MonotoneOperator$"):
+            wrap(inner)
+
+    @pytest.mark.parametrize("make_inner", [
+        lambda rng: random_affine(rng, 4),
+        lambda rng: ops.NormalConeBox(-np.ones(4), np.ones(4)),
+        lambda rng: ops.NegLog(4),
+    ], ids=["affine", "box", "neglog"])
+    def test_a_wrapper_writes_into_the_row_it_is_handed(self, rng, make_inner):
+        inner = make_inner(rng)
+        for op in (ops.Translated(inner, rng.standard_normal(4)), ops.Scaled(inner, 0.7),
+                   ops.CountingOperator(inner),
+                   ops.CountingOperator(ops.Scaled(ops.Translated(inner, np.ones(4)), 1.3))):
+            for gamma in GAMMA_GRID:
+                x = 2.0 * rng.standard_normal(4)
+                before = x.tobytes()
+                expected = op.resolvent(gamma, x).tobytes()
+                row = np.full(4, np.nan)
+                assert op.resolvent(gamma, x, check=False, out=row) is row
+                assert row.tobytes() == expected, (op.kind, gamma)
+                assert x.tobytes() == before
+
+
 class TestOperatorSemantics:
     """value / inclusion_residual / affine_parts live on the operator classes."""
 

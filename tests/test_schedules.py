@@ -186,6 +186,19 @@ class TestValidateSchedule:
         assert report.reasons == ["state-dependent; monitored at runtime"]
         assert report.inf_estimate > 0
 
+    def test_explicit_report_reads_the_list_alone(self, monkeypatch):
+        # past the list the tail repeats, so a long horizon adds zero
+        # increments only: horizon 10^9 must not build 10^9 values
+        schedule = sch.ExplicitList([2.0, 0.5, 1.5, 1.0])
+        expected = sch.validate_schedule(schedule, horizon=2)
+
+        def gamma_at(n, feedback=None):
+            raise AssertionError(f"the report asked for gamma_{n}")
+
+        monkeypatch.setattr(schedule, "gamma_at", gamma_at)
+        assert sch.validate_schedule(schedule, horizon=10**9) == expected
+        assert expected.pos_increment_sum == 1.0 and expected.abs_increment_sum == 3.0
+
     def test_horizon_too_short(self):
         with pytest.raises(ParameterError):
             sch.validate_schedule(sch.Constant(1.0), horizon=1)
